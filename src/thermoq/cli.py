@@ -188,9 +188,9 @@ def _run_heat_exchange(config):
             config, "sweep", "t", p["t"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
-        # cap the automatic cutoff: beyond ~40 the (n_max+1)^2 full-space
-        # matrices outgrow desk-scale memory while the Fisher tail error is
-        # already below 1e-6
+        # cap the automatic cutoff: beyond ~40 the dense eigendecomposition of
+        # the (n_max+1)^2-dimensional Hamiltonian dominates the run time while
+        # the Fisher tail error is already below 1e-6
         n_max = num["n_max"] or min(truncation_level(beta, omega_0, num["tail"]) + 4, 40)
         key = (omega_0, delta, g, n_max)
         if key not in engines:

@@ -32,6 +32,8 @@ from thermoq.models import (
 )
 from thermoq.validate import draw_deph_instance, draw_he_instance
 
+from dense_reference import dense_traces
+
 SEED = 20250823
 DRAWS = 20
 
@@ -262,19 +264,14 @@ def test_criterion_11_mutation_sensitivity():
         for o in record.outcomes)
     assert abs(fd - fisher_flip) / max(fisher_flip, 1e-12) > 1e-5
 
-    # mutation 2: conditional energies without the 1/P_l normalization
-    chi0 = eng.initial_state_matrix(rho0, beta)
-    u = eng.propagator(t)
-    chi_t = u @ chi0 @ u.conj().T
-    h_b = model.h_b.matrix
-    k0 = u @ (h_b @ chi0) @ u.conj().T
-    e_b_t = np.trace(h_b @ chi_t).real
-    proj_by_label = dict(zip(meas.labels, eng.embedded_projectors(meas)))
+    # mutation 2: conditional energies without the 1/P_l normalization, built
+    # from the dense reference's raw traces Tr[Pi_l U H_B chi0 U^dag] and
+    # Tr[Pi_l chi_t H_B]
+    rows, _, e_b_t = dense_traces(model, rho0, beta, t, meas)
+    traces_by_label = dict(zip(meas.labels, rows))
     fisher_nop = 0.0
     for o in record.outcomes:
-        proj = proj_by_label[o.label]
-        e_start = np.einsum("ij,ji->", proj, k0).real
-        e_end = np.einsum("ij,ji->", proj, chi_t @ h_b).real
+        _, e_start, e_end = traces_by_label[o.label]
         score = ((e_start - e_end) - record.h_avg) + (e_end - e_b_t)
         fisher_nop += o.probability * score**2
     fisher_nop = float(fisher_nop)

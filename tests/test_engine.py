@@ -8,6 +8,7 @@ import pytest
 from thermoq.engine import (
     HeatEngine,
     NonThermalSampleError,
+    ProbabilityRangeError,
     SuppressedOutcomeError,
     conditional_bath_state,
     evolve_total,
@@ -19,8 +20,17 @@ from thermoq.models import (
     BathMode,
     build_coupled_oscillators,
     build_dephasing_model,
+    eigenbasis_measurement,
     fock_measurement,
     pauli_x_measurement,
+)
+
+from dense_reference import (
+    dense_fisher_fd,
+    dense_heat_decomposition,
+    dense_score_direct_all,
+    embedded_projectors,
+    initial_state,
 )
 
 
@@ -88,6 +98,22 @@ class TestProbabilities:
         p, rho_b = conditional_bath_state(eng.model, chi0, t, 1, meas)
         assert 0.0 < p < 1.0
         assert np.trace(rho_b.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_probe_index_routes_match_embedded_projectors(self, deph_setup):
+        eng, plus, meas, beta, t = deph_setup
+        model = eng.model
+        chi_t = eng.evolve_matrix(eng.initial_state_matrix(plus, beta), t)
+        projs = embedded_projectors(model, meas)
+        dense_p = [np.trace(p @ chi_t).real for p in projs]
+        assert np.allclose(eng.probabilities(chi_t, meas), dense_p, atol=1e-14)
+        pairs = outcome_probabilities(DensityMatrix(model.space, chi_t), meas)
+        assert np.allclose([p for _, p in pairs], dense_p, atol=1e-14)
+        chi0 = DensityMatrix(model.space, eng.initial_state_matrix(plus, beta))
+        p, rho_b = conditional_bath_state(model, chi0, t, -1, meas)
+        sandwich = (projs[1] @ chi_t @ projs[1]).reshape(2, model.bath_dim, 2, model.bath_dim)
+        expected = np.einsum("sbsc->bc", sandwich)
+        assert p == pytest.approx(dense_p[1], abs=1e-14)
+        assert np.allclose(rho_b.matrix, expected / dense_p[1], atol=1e-13)
 
     def test_conditional_state_suppressed_outcome(self, he_setup):
         eng, rho0, meas, beta, _ = he_setup
@@ -187,6 +213,137 @@ class TestFisher:
         assert record.fisher_heat < 1e-15
         assert all(abs(o.h_tra) < 1e-10 and abs(o.h_cor) < 1e-10
                    for o in record.outcomes)
+
+
+def _random_density(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_probe_measurement(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return eigenbasis_measurement(a + a.conj().T, 1e-8)
+
+
+def _branch_cases():
+    """(model, rho0, meas, beta, t, prob_floor) per case; Fisher values 4e-4..0.1,
+    so finite-difference roundoff (about 1e-12 / sqrt(F) relative) stays far
+    below the 1e-8 bound."""
+    rng = np.random.default_rng(7)
+    he = build_coupled_oscillators(1.1, 1.0, 0.15, 10)
+    deph = build_dephasing_model([BathMode(1.0, 0.3), BathMode(1.6, 0.35)], 6)
+    ground = np.zeros((11, 11), dtype=complex)
+    ground[0, 0] = 1.0
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    return {
+        "he-pure": (he, ground, fock_measurement(10), 1.2, 2.5, 1e-12),
+        "he-mixed-full-rank": (he, _random_density(rng, 11), fock_measurement(10),
+                               1.2, 2.5, 1e-12),
+        "he-nondiagonal-measurement": (he, ground, _random_probe_measurement(rng, 11),
+                                       1.2, 2.5, 1e-12),
+        "he-zero-time": (he, ground, fock_measurement(10), 1.2, 0.0, 1e-12),
+        # outcomes l >= 5 fall below this floor at t = 2.5
+        "he-below-floor": (he, ground, fock_measurement(10), 1.2, 2.5, 1e-6),
+        "deph-pure": (deph, plus, pauli_x_measurement(), 1.0, 1.7, 1e-12),
+        "deph-mixed-nondiagonal": (deph, _random_density(rng, 2),
+                                   _random_probe_measurement(rng, 2), 1.0, 1.7, 1e-12),
+    }
+
+
+BRANCH_CASES = _branch_cases()
+
+
+class TestBranchKernel:
+    """The engine's branch kernel against the dense embedded-projector route."""
+
+    @pytest.fixture(params=sorted(BRANCH_CASES), scope="class")
+    def case(self, request):
+        model, rho0, meas, beta, t, floor = BRANCH_CASES[request.param]
+        eng = HeatEngine(model, prob_floor=floor)
+        return eng, (model, rho0, beta, t, meas), floor
+
+    def test_heat_terms_match_dense(self, case):
+        eng, args, floor = case
+        record = eng.heat_decomposition(*args[1:])
+        ref = dense_heat_decomposition(*args, prob_floor=floor)
+        assert [o.label for o in record.outcomes] == [o.label for o in ref.outcomes]
+        for o, r in zip(record.outcomes, ref.outcomes):
+            assert abs(o.probability - r.probability) <= 1e-11
+            assert abs(o.h_tra - r.h_tra) <= 1e-11
+            assert abs(o.h_cor - r.h_cor) <= 1e-11
+            assert abs(o.score - r.score) <= 1e-11
+        assert record.h_avg == pytest.approx(ref.h_avg, abs=1e-11)
+        assert record.excluded_probability == pytest.approx(ref.excluded_probability,
+                                                            abs=1e-11)
+        assert record.fisher_heat == pytest.approx(ref.fisher_heat, rel=1e-12, abs=1e-15)
+
+    def test_direct_scores_match_dense(self, case):
+        eng, args, floor = case
+        scores = eng.score_direct_all(*args[1:])
+        ref = dense_score_direct_all(*args, prob_floor=floor)
+        assert scores.keys() == ref.keys()
+        for label, score in scores.items():
+            assert abs(score - ref[label]) <= 1e-11
+
+    def test_finite_difference_fisher_matches_dense(self, case):
+        eng, args, floor = case
+        fd = eng.fisher_finite_difference(*args[1:])
+        assert fd == pytest.approx(dense_fisher_fd(*args, prob_floor=floor),
+                                   rel=1e-8, abs=1e-15)
+
+    def test_floor_cases_exclude_outcomes(self):
+        for name in ("he-zero-time", "he-below-floor"):
+            model, rho0, meas, beta, t, floor = BRANCH_CASES[name]
+            probs = HeatEngine(model).outcome_probabilities_at(rho0, beta, t, meas)
+            assert np.any(probs < floor) and np.any(probs >= floor)
+            # no probability within roundoff of the floor, so the kept set is sharp
+            assert np.all(np.abs(probs - floor) > 1e-6 * floor)
+
+    def test_table_cache_follows_its_arguments(self):
+        model, rho0, meas, beta, t, _ = BRANCH_CASES["he-pure"]
+        eng = HeatEngine(model)
+        rho = rho0.copy()
+        calls = [(rho, t, meas), (rho, 0.7 * t, meas),
+                 (rho, 0.7 * t, _random_probe_measurement(np.random.default_rng(1), 11))]
+        for r, tt, m in calls:
+            got = eng.outcome_probabilities_at(r, beta, tt, m)
+            assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(r, beta, tt, m))
+        rho[:2, :2] = 0.5  # edited in place: same object, new state
+        got = eng.outcome_probabilities_at(rho, beta, t, meas)
+        assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(rho, beta, t, meas))
+
+    def test_holds_one_full_space_matrix(self, he_setup):
+        eng = he_setup[0]
+        d = eng.model.space.total_dim
+        big = [k for k, v in vars(eng).items()
+               if isinstance(v, np.ndarray) and v.size >= d * d]
+        assert big == ["_ham_v"]
+
+
+class TestProbabilityRange:
+    """A raw rho0 that is not positive semidefinite is a named error, not a clip."""
+
+    @pytest.fixture
+    def non_psd(self, deph_setup):
+        eng, _, meas, beta, t = deph_setup
+        rho0 = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)  # eigenvalues 1.4, -0.4
+        return eng, rho0, meas, beta, t
+
+    def test_kernel_routes_raise(self, non_psd):
+        eng, rho0, meas, beta, t = non_psd
+        for route in (eng.heat_decomposition, eng.score_direct_all,
+                      eng.fisher_finite_difference, eng.outcome_probabilities_at):
+            with pytest.raises(ProbabilityRangeError):
+                route(rho0, beta, t, meas)
+
+    def test_full_state_route_raises(self, non_psd):
+        eng, rho0, meas, beta, t = non_psd
+        chi_t = eng.evolve_matrix(initial_state(eng.model, rho0, beta), t)
+        with pytest.raises(ProbabilityRangeError):
+            eng.probabilities(chi_t, meas)
+        # callers that caught the old plain ValueError still catch it
+        assert issubclass(ProbabilityRangeError, ValueError)
 
 
 class TestPrecisionBound:
