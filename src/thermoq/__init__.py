@@ -31,12 +31,8 @@ from .engine import (
     OutcomeHeat,
     conditional_bath_state,
     evolve_total,
-    fisher_finite_difference,
-    heat_decomposition,
     outcome_probabilities,
     precision_bound,
-    score_direct,
-    two_point_trajectory_heat,
 )
 from .closed_form import (
     DephParams,
@@ -61,7 +57,6 @@ from .closed_form import (
 from .mean_force import (
     MeanForceResult,
     energy_operator,
-    energy_operator_beta_weighted,
     internal_energy,
     internal_energy_deviation,
     mean_force_hamiltonian,

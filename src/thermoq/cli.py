@@ -39,6 +39,7 @@ from .validate import (
     TOL_UR_PRODUCT,
     IdentityCheck,
     cross_validate,
+    relative_error,
 )
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
@@ -81,7 +82,8 @@ CONFIG_SCHEMA = {
     "numerics": {
         "n_max": "int or null: Fock cutoff override (per mode for dephasing)",
         "tail": "float: thermal tail bound for automatic cutoffs (default 1e-10)",
-        "fd_step": "float or null: finite-difference step (default 1e-4 * beta)",
+        "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
+                   "routes (default 1e-4 * beta, at most beta / 10)",
         "prob_floor": "float: outcomes below this probability are excluded (default 1e-12)",
         "slope_tol": "float: scaling-slope tolerance (default 0.1)",
     },
@@ -135,6 +137,8 @@ def _numerics(config):
     }
     if n:
         raise ConfigError(f"unknown numerics keys: {sorted(n)}")
+    if out["fd_step"] is not None:
+        out["fd_step"] = _positive(config, "numerics", "fd_step", out["fd_step"])
     return out
 
 
@@ -209,7 +213,7 @@ def _run_heat_exchange(config):
 
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
                   "n_max": n_max}
-        checks["fisher"].update(_relerr(fisher_fd, record.fisher_heat), params)
+        checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
         cf_dev = 0.0
         for o in record.outcomes:
             # conditioned means converge combinatorially slowly with the
@@ -219,18 +223,19 @@ def _run_heat_exchange(config):
             h_tra_cf, h_cor_cf = cf.he_heat_terms(he, o.label)
             scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
             cf_dev = max(cf_dev,
-                         _relerr(o.probability, cf.he_outcome_probability(he, o.label)),
+                         relative_error(o.probability, cf.he_outcome_probability(he, o.label)),
                          abs(o.h_tra - h_tra_cf) / scale,
                          abs(o.h_cor - h_cor_cf) / scale)
         checks["closed_form"].update(cf_dev, params)
-        checks["closed_form"].update(_relerr(record.fisher_heat, fisher_cf), params)
+        checks["closed_form"].update(relative_error(record.fisher_heat, fisher_cf), params)
         sat = bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
         checks["saturation"].update(abs(sat - 1.0), params)
 
         agg = dict(params)
         agg.update(h_avg=record.h_avg, fisher_heat=record.fisher_heat,
                    fisher_fd=fisher_fd, fisher_closed_form=fisher_cf,
-                   bound_rel=bound, fisher_rel_dev=_relerr(fisher_fd, record.fisher_heat),
+                   bound_rel=bound,
+                   fisher_rel_dev=relative_error(fisher_fd, record.fisher_heat),
                    closed_form_dev=cf_dev)
         if per_outcome:
             for o in record.outcomes:
@@ -284,13 +289,13 @@ def _run_dephasing(config):
         bound = cf.deph_precision_bound(dp)
 
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
-        checks["fisher"].update(_relerr(fisher_fd, record.fisher_heat), params)
-        cf_dev = _relerr(record.fisher_heat, fisher_cf)
+        checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
+        cf_dev = relative_error(record.fisher_heat, fisher_cf)
         for o in record.outcomes:
             h_tra_cf, h_cor_cf = cf.deph_heat_terms(dp, o.label)
             scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
             cf_dev = max(cf_dev,
-                         _relerr(o.probability, cf.deph_probability(dp, o.label)),
+                         relative_error(o.probability, cf.deph_probability(dp, o.label)),
                          abs(o.h_tra - h_tra_cf) / scale,
                          abs(o.h_cor - h_cor_cf) / scale)
         checks["closed_form"].update(cf_dev, params)
@@ -303,7 +308,7 @@ def _run_dephasing(config):
         agg.update(gamma=gamma, Q=q, C=c, h_avg=record.h_avg,
                    fisher_heat=record.fisher_heat, fisher_fd=fisher_fd,
                    fisher_closed_form=fisher_cf, bound_rel=bound,
-                   fisher_rel_dev=_relerr(fisher_fd, record.fisher_heat),
+                   fisher_rel_dev=relative_error(fisher_fd, record.fisher_heat),
                    closed_form_dev=cf_dev)
         if per_outcome:
             for o in record.outcomes:
@@ -344,8 +349,7 @@ def _run_mean_force(config):
 
         result = internal_energy_deviation(built, beta, h_step=num["fd_step"],
                                            prob_floor=num["prob_floor"])
-        delta_u, fisher, product = temperature_energy_ur_check(
-            built, beta, h_step=num["fd_step"], prob_floor=num["prob_floor"])
+        delta_u, fisher, product = temperature_energy_ur_check(result)
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
@@ -430,10 +434,6 @@ RUNNERS = {
     "scaling-deph": _run_scaling_deph,
     "cross-validate": _run_cross_validate,
 }
-
-
-def _relerr(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
 # -- output ----------------------------------------------------------------

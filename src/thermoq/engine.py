@@ -333,38 +333,47 @@ class HeatEngine:
         return self._probabilities(self._branch_tables(rho0, t, meas), beta)
 
     def fisher_finite_difference(self, rho0, beta, t, meas, h=None):
-        """Classical Fisher information from d ln P_l / d(-beta).
+        """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
 
-        Central differences in beta acting only through the thermal sample
-        input, Richardson-extrapolated over step sizes h and h/2. Outcomes
-        whose probability dips below the floor at any stencil point are
-        excluded. The branch tables are beta-independent, so the five
-        stencil points cost one matrix-vector product each.
+        beta acts only through the thermal sample input. The branch tables
+        are beta-independent, so the five stencil points cost one
+        matrix-vector product each.
         """
-        if h is None:
-            h = 1e-4 * beta
-        if not 0 < h <= beta / 10:
-            raise ValueError("finite-difference step must lie in (0, beta/10]")
-
         tables = self._branch_tables(rho0, t, meas)
-
-        def log_scores(step):
-            lo = self._probabilities(tables, beta + step)
-            hi = self._probabilities(tables, beta - step)
-            ok = (lo > self.prob_floor) & (hi > self.prob_floor)
-            val = np.zeros(len(lo))
-            val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
-            return val, ok
-
-        l_h, ok_h = log_scores(h)
-        l_h2, ok_h2 = log_scores(h / 2.0)
-        scores = (4.0 * l_h2 - l_h) / 3.0
-        p0 = self._probabilities(tables, beta)
-        ok = ok_h & ok_h2 & (p0 > self.prob_floor)
-        return float(np.sum(p0[ok] * scores[ok] ** 2))
+        return log_score_fisher(lambda b: self._probabilities(tables, b), beta, h,
+                                self.prob_floor)
 
 
-# -- module-level one-shot wrappers (spec operation surfaces) --------------
+def log_score_fisher(prob_at, beta, h=None, prob_floor=PROB_FLOOR):
+    """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2.
+
+    prob_at(b) returns the outcome probabilities at inverse temperature b.
+    Central differences of ln P_l, Richardson-extrapolated over steps h
+    and h/2 (default h = 1e-4 beta; h must lie in (0, beta/10]). Outcomes
+    whose probability dips below prob_floor at any stencil point are
+    excluded.
+    """
+    if h is None:
+        h = 1e-4 * beta
+    if not 0 < h <= beta / 10:
+        raise ValueError("finite-difference step must lie in (0, beta/10]")
+
+    def log_scores(step):
+        lo, hi = prob_at(beta + step), prob_at(beta - step)
+        ok = (lo > prob_floor) & (hi > prob_floor)
+        val = np.zeros(len(lo))
+        val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
+        return val, ok
+
+    l_h, ok_h = log_scores(h)
+    l_h2, ok_h2 = log_scores(h / 2.0)
+    scores = (4.0 * l_h2 - l_h) / 3.0
+    p0 = prob_at(beta)
+    ok = ok_h & ok_h2 & (p0 > prob_floor)
+    return float(np.sum(p0[ok] * scores[ok] ** 2))
+
+
+# -- module-level operations that add checks of their own -----------------
 
 
 def evolve_total(model, chi0, t):
@@ -398,22 +407,6 @@ def conditional_bath_state(model, chi0, t, label, meas, prob_floor=PROB_FLOOR):
         raise SuppressedOutcomeError(f"outcome {label!r} has probability {p:.3e}")
     keep = range(1, model.space.num_factors)
     return p, DensityMatrix(model.space.subspace(keep), sandwich / p)
-
-
-def heat_decomposition(model, rho0, beta, t, meas, prob_floor=PROB_FLOOR):
-    return HeatEngine(model, prob_floor).heat_decomposition(rho0, beta, t, meas)
-
-
-def two_point_trajectory_heat(model, chi0, t, label, meas, prob_floor=PROB_FLOOR):
-    return HeatEngine(model, prob_floor).two_point_trajectory_heat(chi0, t, label, meas)
-
-
-def score_direct(model, rho0, beta, t, meas, label, prob_floor=PROB_FLOOR):
-    return HeatEngine(model, prob_floor).score_direct(rho0, beta, t, meas, label)
-
-
-def fisher_finite_difference(model, rho0, beta, t, meas, h=None, prob_floor=PROB_FLOOR):
-    return HeatEngine(model, prob_floor).fisher_finite_difference(rho0, beta, t, meas, h)
 
 
 def precision_bound(fisher, n_measurements=1):

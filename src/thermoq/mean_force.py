@@ -6,6 +6,15 @@ energy operator is defined through a symmetrized derivative relation and
 solved as a Sylvester equation in the eigenbasis of the reduced Gibbs
 operator; measuring in its eigenbasis turns the heat-fluctuation bound
 into the familiar temperature-energy uncertainty relation.
+
+Every quantity of a point comes from one eigendecomposition
+H = sum_n w_n |n><n| of the full Hamiltonian. The reduced Gibbs operator
+and its exact beta-derivative are the same contraction of the eigenvectors
+over the sample index, weighted by e^{-beta w_n} and by
+(w_n - <H_B>) e^{-beta w_n}; the internal energy is <H>_beta - <H_B>_B
+from the two spectra; and the outcome probabilities of the E*-eigenbasis
+measurement at any beta are one matrix-vector product with a
+beta-independent table of eigenvector occupations.
 """
 
 import math
@@ -13,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _trace_prod, precision_bound
-from .linalg import HermitianOperator, embed_factor, gibbs_weights
+from .engine import _checked_probabilities, _trace_prod, log_score_fisher, precision_bound
+from .linalg import HermitianOperator, gibbs_weights
 from .models import eigenbasis_measurement
 
 
@@ -35,7 +44,9 @@ class MeanForceResult:
     """Mean-force summary for one (model, beta) point.
 
     delta_u lists (energy eigenvalue, probability, deviation) per outcome
-    cluster of the energy operator's eigenbasis measurement.
+    cluster of the energy operator's eigenbasis measurement; fisher is the
+    finite-difference Fisher information of that measurement on the
+    reduced thermal state.
     """
 
     h_star: HermitianOperator
@@ -45,42 +56,45 @@ class MeanForceResult:
     delta_u: tuple
     delta_u_sq: float
     dual_residual: float
+    fisher: float
 
 
 def _system_space(model):
     return model.space.subspace([0])
 
 
-def _log_partition_shifted(eigenvalues, beta):
-    """(log Z, ground shift) with Z = sum e^{-beta w} computed stably."""
-    w0 = eigenvalues.min()
-    z = np.sum(np.exp(-beta * (eigenvalues - w0)))
-    return math.log(z) - beta * w0
-
-
-def reduced_gibbs_operator(model, beta, ham_eig=None, bath_eig=None):
-    """Tr_B[e^{-beta H}] / Z_B as a matrix on the system factor.
+def _bath_trace(model, beta, ham_eig, bath_eig, spectral_weight=None):
+    """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor, f(w_n) = spectral_weight.
 
     Both exponentials are shifted by their ground energies before
     exponentiating; the shifts recombine in the ratio. The sample trace is
     contracted directly from the eigenvectors, so no full-space matrix is
     formed.
     """
+    w, v = ham_eig
+    w0, wb0 = w.min(), bath_eig.min()
+    weights = np.exp(-beta * (w - w0))
+    if spectral_weight is not None:
+        weights = weights * spectral_weight
+    vt = v.reshape(model.system_dim, model.bath_dim, len(w))
+    traced = np.einsum("sbn,n,tbn->st", vt, weights, vt.conj())
+    z_b_shifted = np.sum(np.exp(-beta * (bath_eig - wb0)))
+    return traced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
+
+
+def reduced_gibbs_operator(model, beta, ham_eig=None, bath_eig=None):
+    """A = Tr_B[e^{-beta H}] / Z_B as a matrix on the system factor."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    w, v = np.linalg.eigh(model.hamiltonian) if ham_eig is None else ham_eig
-    wb = np.linalg.eigvalsh(model.h_b_local) if bath_eig is None else bath_eig
-    w0, wb0 = w.min(), wb.min()
-    d_s = model.system_dim
-    vt = v.reshape(d_s, model.bath_dim, len(w))
-    reduced = np.einsum("sbn,n,tbn->st", vt, np.exp(-beta * (w - w0)), vt.conj())
-    z_b_shifted = np.sum(np.exp(-beta * (wb - wb0)))
-    return reduced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
+    if ham_eig is None:
+        ham_eig = np.linalg.eigh(model.hamiltonian)
+    if bath_eig is None:
+        bath_eig = np.linalg.eigvalsh(model.h_b_local)
+    return _bath_trace(model, beta, ham_eig, bath_eig)
 
 
-def mean_force_hamiltonian(model, beta, ham_eig=None):
-    """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
-    a = reduced_gibbs_operator(model, beta, ham_eig=ham_eig)
+def _log_gibbs(model, a, beta):
+    """H* = -(1/beta) log A for a positive reduced Gibbs operator A."""
     wa, va = np.linalg.eigh(a)
     if wa.min() <= 0:
         raise NonPositiveReducedStateError(
@@ -90,52 +104,37 @@ def mean_force_hamiltonian(model, beta, ham_eig=None):
     return HermitianOperator(_system_space(model), 0.5 * (m + m.conj().T))
 
 
+def mean_force_hamiltonian(model, beta, ham_eig=None):
+    """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
+    return _log_gibbs(model, reduced_gibbs_operator(model, beta, ham_eig=ham_eig), beta)
+
+
 def z_star(model, beta, ham_eig=None):
     """Effective partition function Z*_S = Z / Z_B = tr of the reduced Gibbs operator."""
     return float(np.trace(reduced_gibbs_operator(model, beta, ham_eig=ham_eig)).real)
 
 
-def _richardson_derivative(f, x, h):
-    """Central difference of a (matrix- or scalar-valued) f, one Richardson step."""
-
-    def central(step):
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-def internal_energy(model, beta, h_step=None, ham_eig=None):
-    """U_S = -d/d(beta) ln Z*_S by Richardson-extrapolated central differences."""
-    if h_step is None:
-        h_step = 1e-4 * beta
-    w = (np.linalg.eigh(model.hamiltonian) if ham_eig is None else ham_eig)[0]
+def internal_energy(model, beta, ham_eig=None):
+    """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the two spectra."""
+    w = np.linalg.eigvalsh(model.hamiltonian) if ham_eig is None else ham_eig[0]
     wb = np.linalg.eigvalsh(model.h_b_local)
-
-    def ln_zstar(b):
-        # ln(Z/Z_B) from the shifted log-partition functions.
-        return _log_partition_shifted(w, b) - _log_partition_shifted(wb, b)
-
-    return float(-_richardson_derivative(ln_zstar, beta, h_step))
+    return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
-def energy_operator(model, beta, h_step=None, ham_eig=None):
+def energy_operator(model, beta, ham_eig=None):
     """E*_S from d/d(-beta) e^{-beta H*} = (E* A + A E*)/2 with A = e^{-beta H*}.
 
-    The derivative of A = Tr_B[e^{-beta H}]/Z_B (beta-dependent through
-    both factors) is taken by Richardson-extrapolated central differences;
-    the anticommutator equation is solved entrywise in A's eigenbasis.
+    A = Tr_B[e^{-beta H}]/Z_B depends on beta through both factors, so
+    D = dA/d(-beta) = Tr_B[H e^{-beta H}]/Z_B - A <H_B>_B, which is A's
+    sample contraction with weights (w_n - <H_B>_B). The anticommutator
+    equation is solved entrywise in A's eigenbasis.
     """
-    if h_step is None:
-        h_step = 1e-4 * beta
     if ham_eig is None:
         ham_eig = np.linalg.eigh(model.hamiltonian)
     bath_eig = np.linalg.eigvalsh(model.h_b_local)
-
-    def a_of(b):
-        return reduced_gibbs_operator(model, b, ham_eig=ham_eig, bath_eig=bath_eig)
-
-    d = -_richardson_derivative(a_of, beta, h_step)
-    a = a_of(beta)
+    a = reduced_gibbs_operator(model, beta, ham_eig=ham_eig, bath_eig=bath_eig)
+    e_bath = gibbs_weights(bath_eig, beta) @ bath_eig
+    d = _bath_trace(model, beta, ham_eig, bath_eig, ham_eig[0] - e_bath)
     wa, va = np.linalg.eigh(a)
     denom = wa[:, None] + wa[None, :]
     if denom.min() < 1e-300:
@@ -146,60 +145,61 @@ def energy_operator(model, beta, h_step=None, ham_eig=None):
     return HermitianOperator(_system_space(model), 0.5 * (m + m.conj().T))
 
 
-def energy_operator_beta_weighted(model, beta, h_step=None):
-    """Alternative definition d/d(beta) [beta H*_S], for <E*> comparison only."""
-    if h_step is None:
-        h_step = 1e-4 * beta
-    ham_eig = np.linalg.eigh(model.hamiltonian)
-
-    def weighted(b):
-        return b * mean_force_hamiltonian(model, b, ham_eig=ham_eig).matrix
-
-    m = _richardson_derivative(weighted, beta, h_step)
-    return HermitianOperator(_system_space(model), 0.5 * (m + m.conj().T))
-
-
 def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
                               agreement_tol=1e-6, prob_floor=1e-12, ham_eig=None):
     """Internal-energy deviations two ways, with a built-in identity check.
 
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
     E*_S. Via the full Hamiltonian: (1/P_l) Tr[Pi_l H chi_s] - Tr[H chi_s]
-    with chi_s = e^{-beta H}/Z. Disagreement beyond agreement_tol raises.
+    with chi_s = e^{-beta H}/Z; here H multiplies the Gibbs-weighted
+    eigenvectors as a matrix and Pi_l acts on their probe index, so this
+    route shares no derivative with the spectral one. Disagreement beyond
+    agreement_tol raises.
+
+    The result also carries the Fisher information of the E*-eigenbasis
+    measurement, by finite differences of ln P_l(beta) with step h_step
+    (``engine.log_score_fisher``). One eigendecomposition of H serves
+    every quantity.
     """
     if ham_eig is None:
         ham_eig = np.linalg.eigh(model.hamiltonian)
     a = reduced_gibbs_operator(model, beta, ham_eig=ham_eig)
-    zs = float(np.trace(a).real)
-    rho_s = a / zs
-    h_star = mean_force_hamiltonian(model, beta, ham_eig=ham_eig)
-    e_star = energy_operator(model, beta, h_step=h_step, ham_eig=ham_eig)
-    u_s = internal_energy(model, beta, h_step=h_step, ham_eig=ham_eig)
+    h_star = _log_gibbs(model, a, beta)
+    e_star = energy_operator(model, beta, ham_eig=ham_eig)
+    u_s = internal_energy(model, beta, ham_eig=ham_eig)
 
     spread = np.ptp(np.linalg.eigvalsh(e_star.matrix))
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(spread, 1.0)
     meas = eigenbasis_measurement(e_star, degeneracy_tol)
 
-    # chi_s on the full space, once.
     w, v = ham_eig
-    chi_s = (v * gibbs_weights(w, beta)) @ v.conj().T
-    h_full = model.hamiltonian
-    e_total = _trace_prod(h_full, chi_s).real
-    chi_s_h = chi_s @ h_full
+    vt = v.reshape(model.system_dim, model.bath_dim, len(w))
+    projs = np.stack(meas.projectors)
+    # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b)
+    occupation = np.einsum("sbn,lst,tbn->ln", vt.conj(), projs, vt, optimize=True).real
+
+    def probabilities(b):
+        return _checked_probabilities(occupation @ gibbs_weights(w, b))
+
+    probs = probabilities(beta)
+    fisher = log_score_fisher(probabilities, beta, h_step, prob_floor)
+
+    # Tr_B[H chi_s] from H applied to the Gibbs-weighted eigenvectors
+    h_chi = (model.hamiltonian @ (v * gibbs_weights(w, beta))).reshape(vt.shape)
+    h_chi_s = np.einsum("tbn,sbn->ts", h_chi, vt.conj())
+    e_total = np.trace(h_chi_s).real
 
     rows = []
     residual = 0.0
-    for eps_l, proj in zip(meas.labels, meas.projectors):
-        p = _trace_prod(proj, rho_s).real
+    for eps_l, proj, p in zip(meas.labels, meas.projectors, probs):
         if p < prob_floor:
             continue
         dev_spectral = eps_l - u_s
-        proj_full = embed_factor(proj, model.space, 0)
-        dev_trace = _trace_prod(proj_full, chi_s_h).real / p - e_total
+        dev_trace = _trace_prod(proj, h_chi_s).real / p - e_total
         mismatch = abs(dev_spectral - dev_trace) / max(1.0, abs(dev_trace))
         residual = max(residual, mismatch)
-        if mismatch > agreement_tol:
+        if not mismatch <= agreement_tol:  # NaN fails too
             raise IdentityViolationError(
                 f"deviation mismatch at eps={eps_l:.6g}: "
                 f"spectral {dev_spectral:.9g} vs trace {dev_trace:.9g}"
@@ -210,54 +210,24 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     return MeanForceResult(
         h_star=h_star,
         e_star=e_star,
-        u_s=float(u_s),
-        z_star=zs,
+        u_s=u_s,
+        z_star=float(np.trace(a).real),
         delta_u=tuple(rows),
         delta_u_sq=float(delta_u_sq),
         dual_residual=float(residual),
+        fisher=fisher,
     )
 
 
-def temperature_energy_ur_check(model, beta, h_step=None, prob_floor=1e-12):
-    """(Delta U, Fisher, UR product) at the thermal point chi = chi_s.
+def temperature_energy_ur_check(result):
+    """(Delta U, Fisher, UR product) of one mean-force point.
 
-    Measures the E*-eigenbasis on the reduced thermal state, takes the
-    classical Fisher information of P_l(beta) by finite difference, and
-    returns the Cramer-Rao product Delta beta * Delta U.
+    Delta U is the spread of the E*-eigenbasis energy on the reduced thermal
+    state and Fisher the classical Fisher information of the same
+    measurement, both from ``internal_energy_deviation``; the product is
+    the Cramer-Rao product Delta beta * Delta U, 1 at saturation.
     """
-    if h_step is None:
-        h_step = 1e-4 * beta
-    ham_eig = np.linalg.eigh(model.hamiltonian)
-    result = internal_energy_deviation(
-        model, beta, h_step=h_step, prob_floor=prob_floor, ham_eig=ham_eig
-    )
     if result.delta_u_sq <= 1e-24:
         raise DegenerateVarianceError("internal-energy variance vanishes")
-    meas = eigenbasis_measurement(result.e_star, 1e-8 * max(
-        np.ptp(np.linalg.eigvalsh(result.e_star.matrix)), 1.0))
-    projs = list(meas.projectors)
-    bath_eig = np.linalg.eigvalsh(model.h_b_local)
-
-    def probs(b):
-        # P_l only probes the reduced thermal state, so stay on the system factor.
-        a = reduced_gibbs_operator(model, b, ham_eig=ham_eig, bath_eig=bath_eig)
-        rho = a / np.trace(a).real
-        return np.array([max(_trace_prod(p, rho).real, 0.0) for p in projs])
-
-    def log_scores(step):
-        lo, hi = probs(beta + step), probs(beta - step)
-        ok = (lo > prob_floor) & (hi > prob_floor)
-        val = np.zeros(len(lo))
-        val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
-        return val, ok
-
-    l_h, ok_h = log_scores(h_step)
-    l_h2, ok_h2 = log_scores(h_step / 2.0)
-    scores = (4.0 * l_h2 - l_h) / 3.0
-    p0 = probs(beta)
-    ok = ok_h & ok_h2 & (p0 > prob_floor)
-    fisher = float(np.sum(p0[ok] * scores[ok] ** 2))
-
     delta_u = math.sqrt(result.delta_u_sq)
-    product = precision_bound(fisher) * delta_u
-    return delta_u, fisher, product
+    return delta_u, result.fisher, precision_bound(result.fisher) * delta_u

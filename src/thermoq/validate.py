@@ -8,6 +8,7 @@ definition, engine numbers vs closed forms, and the two computations of
 the steady-state internal-energy deviation.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +49,9 @@ class IdentityCheck:
         return self.max_deviation <= self.tolerance
 
     def update(self, deviation, params):
-        if deviation > self.max_deviation:
+        """Keep the worst deviation; a NaN one is the worst and fails the check."""
+        # once max_deviation is NaN no comparison with it is true, so it stays
+        if math.isnan(deviation) or deviation > self.max_deviation:
             self.max_deviation = float(deviation)
             self.worst_params = dict(params)
 
@@ -83,7 +86,8 @@ class ValidationReport:
         }
 
 
-def _rel(a, b):
+def relative_error(a, b):
+    """|a - b| relative to the larger magnitude (floored at 1e-12)."""
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
@@ -150,7 +154,7 @@ def _check_instance(checks, params, model, rho0, beta, t, meas, closed):
         checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
 
     fisher_fd = eng.fisher_finite_difference(rho0, beta, t, meas)
-    checks["fisher"].update(_rel(fisher_fd, record.fisher_heat), params)
+    checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
 
     if closed is not None:
         for label, o in by_label.items():
@@ -160,7 +164,7 @@ def _check_instance(checks, params, model, rho0, beta, t, meas, closed):
             if o.probability < 1e-6:
                 continue
             p_cf, h_tra_cf, h_cor_cf = closed(label)
-            checks["closed_form"].update(_rel(o.probability, p_cf), params)
+            checks["closed_form"].update(relative_error(o.probability, p_cf), params)
             # the heats can be identically zero; compare at the outcome-energy scale
             scale = max(abs(h_cor_cf), abs(h_tra_cf), 1.0)
             checks["closed_form"].update(abs(o.h_tra - h_tra_cf) / scale, params)
@@ -218,7 +222,7 @@ def cross_validate(seed, draws, progress=None):
         mf_params = {"family": "mean-force", **params}
         result = internal_energy_deviation(model, params["beta"])
         checks["mean_force"].update(result.dual_residual, mf_params)
-        _, fisher, product = temperature_energy_ur_check(model, params["beta"])
+        _, _, product = temperature_energy_ur_check(result)
         checks["ur_product"].update(abs(product - 1.0), mf_params)
 
     return ValidationReport(seed=seed, draws=draws, checks=list(checks.values()),

@@ -227,7 +227,7 @@ def test_criterion_09_mean_force_identities():
     assert result.dual_residual <= 1e-6
 
     # (d) Fisher of the energy-operator eigenbasis equals the variance
-    delta_u, fisher, product = temperature_energy_ur_check(model, beta)
+    delta_u, fisher, product = temperature_energy_ur_check(result)
     assert abs(fisher - delta_u**2) / delta_u**2 <= 1e-5
     assert abs(product - 1.0) <= 1e-5
 

@@ -57,6 +57,19 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fd_step", [0, -1e-4, "1e-4"])
+    def test_bad_fd_step_is_usage_error(self, tmp_path, fd_step):
+        path = write_config(tmp_path, {
+            "experiment": "mean-force",
+            "model": {"omega_q": 1.0, "modes": [[0.8, 0.15], [1.3, 0.15]]},
+            "sweep": {"beta": [1.0]},
+            "numerics": {"n_max": 4, "fd_step": fd_step},
+            "output": {"path": str(tmp_path / "mf.csv")},
+        })
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "mf.csv").exists()
+
     def test_zero_draws_is_usage_error(self):
         result = RUNNER.invoke(main, ["cross-validate", "--draws", "0"])
         assert result.exit_code == 2
