@@ -20,9 +20,11 @@ import numpy as np
 
 from . import __version__
 from . import closed_form as cf
-from .engine import HeatEngine, precision_bound
+from .engine import HeatEngine
 from .linalg import truncation_level
-from .mean_force import internal_energy_deviation, temperature_energy_ur_check
+
+# unused here, but perfbench/tracing.py patches these names on this module
+from .mean_force import internal_energy_deviation, temperature_energy_ur_check  # noqa: F401
 from .models import (
     BathMode,
     SpectralDensity,
@@ -33,16 +35,23 @@ from .models import (
     pauli_x_measurement,
 )
 from .validate import (
-    TOL_CLOSED_FORM,
-    TOL_FISHER,
-    TOL_MEAN_FORCE,
-    TOL_UR_PRODUCT,
+    CLOSED_FORM_MIN_PROB,
     IdentityCheck,
+    check_engine_point,
+    check_mean_force_point,
     cross_validate,
+    deph_reference,
+    he_reference,
+    identity_checks,
     relative_error,
 )
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
+
+# Largest automatic heat-exchange Fock cutoff: beyond it the dense
+# eigendecomposition of the (n_max+1)^2-dimensional Hamiltonian dominates the
+# run time. Points it lowers are listed in the verification sidecar.
+HE_AUTO_N_MAX = 40
 
 EXPERIMENTS = (
     "heat-exchange",
@@ -161,6 +170,53 @@ def _fmt(value):
 # -- experiment runners ----------------------------------------------------
 
 
+def _fd_step(num, beta):
+    """numerics.fd_step at a point of inverse temperature ``beta`` (at most beta/10)."""
+    h = num["fd_step"]
+    if h is not None and h > beta / 10:
+        raise ConfigError(f"numerics.fd_step {h:g} exceeds beta/10 = {beta / 10:g} "
+                          f"at beta = {beta:g}")
+    return h
+
+
+def _run_engine_points(config, num, points, check_ids, family_point):
+    """The sweep of an engine experiment: one checked heat decomposition per point.
+
+    ``family_point(point)`` returns (params, cutoff key, model builder, rho0, t,
+    measurement, closed-form reference); params holds beta and leads each row.
+    One engine is built per cutoff key.
+    """
+    per_outcome = bool(config.get("output", {}).get("per_outcome", False))
+    checks = identity_checks(*check_ids)
+    engines = {}
+    rows = []
+    excluded = 0.0
+    for point in points:
+        params, key, build, rho0, t, meas, reference = family_point(point)
+        beta = params["beta"]
+        h = _fd_step(num, beta)
+        if key not in engines:
+            engines[key] = HeatEngine(build(), prob_floor=num["prob_floor"])
+        record, fisher_fd, cf_dev, point_excluded = check_engine_point(
+            checks, engines[key], rho0, beta, t, meas, reference, params, h=h)
+        excluded = max(excluded, point_excluded)
+
+        agg = {**params, **reference.columns, "h_avg": record.h_avg,
+               "fisher_heat": record.fisher_heat, "fisher_fd": fisher_fd,
+               "fisher_closed_form": reference.fisher, "bound_rel": reference.bound,
+               "fisher_rel_dev": relative_error(fisher_fd, record.fisher_heat),
+               "closed_form_dev": cf_dev}
+        if per_outcome:
+            for o in record.outcomes:
+                rows.append({**agg, "l": o.label, "P_l": o.probability,
+                             "H_tra": o.h_tra, "H_cor": o.h_cor, "score": o.score})
+        else:
+            rows.append(agg)
+    summary = {"closed_form_min_probability": CLOSED_FORM_MIN_PROB,
+               "closed_form_excluded_probability_max": excluded}
+    return rows, list(checks.values()), summary
+
+
 def _run_heat_exchange(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
@@ -172,16 +228,9 @@ def _run_heat_exchange(config):
         raise ConfigError(f"unknown heat-exchange model keys: {sorted(model)}")
     points = _sweep_points(config.get("sweep", {}),
                            {"beta", "t", "g", "delta", "omega_0"})
-    per_outcome = bool(config.get("output", {}).get("per_outcome", False))
+    capped = []
 
-    checks = {
-        "fisher": IdentityCheck("Fisher: finite-difference vs heat variance", TOL_FISHER),
-        "closed_form": IdentityCheck("closed forms vs brute force", TOL_CLOSED_FORM),
-        "saturation": IdentityCheck("bound saturation: bound*beta*sqrt(F) = 1", TOL_UR_PRODUCT),
-    }
-    engines = {}
-    rows = []
-    for point in points:
+    def family_point(point):
         p = {**base, **point}
         omega_0 = _positive(config, "model", "omega_0", p["omega_0"])
         g = _positive(config, "model", "g", p["g"])
@@ -192,58 +241,26 @@ def _run_heat_exchange(config):
             config, "sweep", "t", p["t"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
-        # cap the automatic cutoff: beyond ~40 the dense eigendecomposition of
-        # the (n_max+1)^2-dimensional Hamiltonian dominates the run time while
-        # the Fisher tail error is already below 1e-6
-        n_max = num["n_max"] or min(truncation_level(beta, omega_0, num["tail"]) + 4, 40)
-        key = (omega_0, delta, g, n_max)
-        if key not in engines:
-            engines[key] = HeatEngine(
-                build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
-                prob_floor=num["prob_floor"])
-        eng = engines[key]
-        meas = fock_measurement(n_max)
-        rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        rho0[0, 0] = 1.0
-
-        record = eng.heat_decomposition(rho0, beta, t, meas)
-        fisher_fd = eng.fisher_finite_difference(rho0, beta, t, meas, h=num["fd_step"])
-        fisher_cf = cf.he_fisher(he)
-        bound = cf.he_precision_bound(he)
-
+        n_max = num["n_max"]
+        if not n_max:
+            n_max = truncation_level(beta, omega_0, num["tail"]) + 4
+            if n_max > HE_AUTO_N_MAX:
+                n_max = HE_AUTO_N_MAX
+                capped.append({"beta": beta, "n_max": n_max,
+                               "tail_weight": math.exp(-beta * omega_0 * (n_max + 1))})
+        ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
                   "n_max": n_max}
-        checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
-        cf_dev = 0.0
-        for o in record.outcomes:
-            # conditioned means converge combinatorially slowly with the
-            # cutoff for rare outcomes, so compare only where P_l >= 1e-4
-            if o.probability < 1e-4:
-                continue
-            h_tra_cf, h_cor_cf = cf.he_heat_terms(he, o.label)
-            scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
-            cf_dev = max(cf_dev,
-                         relative_error(o.probability, cf.he_outcome_probability(he, o.label)),
-                         abs(o.h_tra - h_tra_cf) / scale,
-                         abs(o.h_cor - h_cor_cf) / scale)
-        checks["closed_form"].update(cf_dev, params)
-        checks["closed_form"].update(relative_error(record.fisher_heat, fisher_cf), params)
-        sat = bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
-        checks["saturation"].update(abs(sat - 1.0), params)
+        return (params, (omega_0, delta, g, n_max),
+                lambda: build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
+                ground, t, fock_measurement(n_max), he_reference(he))
 
-        agg = dict(params)
-        agg.update(h_avg=record.h_avg, fisher_heat=record.fisher_heat,
-                   fisher_fd=fisher_fd, fisher_closed_form=fisher_cf,
-                   bound_rel=bound,
-                   fisher_rel_dev=relative_error(fisher_fd, record.fisher_heat),
-                   closed_form_dev=cf_dev)
-        if per_outcome:
-            for o in record.outcomes:
-                rows.append({**agg, "l": o.label, "P_l": o.probability,
-                             "H_tra": o.h_tra, "H_cor": o.h_cor, "score": o.score})
-        else:
-            rows.append(agg)
-    return rows, list(checks.values()), {}
+    rows, checks, summary = _run_engine_points(
+        config, num, points, ("fisher", "closed_form", "saturation"), family_point)
+    if capped:
+        summary["n_max_capped"] = capped
+    return rows, checks, summary
 
 
 def _run_dephasing(config):
@@ -255,68 +272,23 @@ def _run_dephasing(config):
     if model:
         raise ConfigError(f"unknown dephasing model keys: {sorted(model)}")
     points = _sweep_points(config.get("sweep", {}), {"beta", "t"})
-    per_outcome = bool(config.get("output", {}).get("per_outcome", False))
-
-    checks = {
-        "fisher": IdentityCheck("Fisher: finite-difference vs heat variance", TOL_FISHER),
-        "closed_form": IdentityCheck("closed forms vs brute force", TOL_CLOSED_FORM),
-        "avg_heat": IdentityCheck("average trajectory heat equals Q", 1e-8),
-        "saturation": IdentityCheck("bound saturation: bound*beta*sqrt(F) = 1", TOL_UR_PRODUCT),
-    }
-    engines = {}
-    rows = []
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
-    for point in points:
+
+    def family_point(point):
         beta = _positive(config, "sweep", "beta", point.get("beta", 1.0))
         t = float(point.get("t", math.pi))
-        dp = cf.DephParams(tuple(modes), beta, t)
-
         if num["n_max"] is not None:
             cutoffs = [int(num["n_max"])] * len(modes)
         else:
             cutoffs = [truncation_level(beta, m.omega, num["tail"]) + 3 for m in modes]
-        key = tuple(cutoffs)
-        if key not in engines:
-            engines[key] = HeatEngine(build_dephasing_model(modes, cutoffs),
-                                      prob_floor=num["prob_floor"])
-        eng = engines[key]
-
-        record = eng.heat_decomposition(plus, beta, t, meas)
-        fisher_fd = eng.fisher_finite_difference(plus, beta, t, meas, h=num["fd_step"])
-        gamma, q, c = cf.deph_gamma(dp), cf.deph_Q(dp), cf.deph_C(dp)
-        fisher_cf = cf.deph_fisher(dp)
-        bound = cf.deph_precision_bound(dp)
-
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
-        checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
-        cf_dev = relative_error(record.fisher_heat, fisher_cf)
-        for o in record.outcomes:
-            h_tra_cf, h_cor_cf = cf.deph_heat_terms(dp, o.label)
-            scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
-            cf_dev = max(cf_dev,
-                         relative_error(o.probability, cf.deph_probability(dp, o.label)),
-                         abs(o.h_tra - h_tra_cf) / scale,
-                         abs(o.h_cor - h_cor_cf) / scale)
-        checks["closed_form"].update(cf_dev, params)
-        avg_h_tra = sum(o.probability * o.h_tra for o in record.outcomes)
-        checks["avg_heat"].update(abs(avg_h_tra - q), params)
-        sat = bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
-        checks["saturation"].update(abs(sat - 1.0), params)
+        return (params, tuple(cutoffs), lambda: build_dephasing_model(modes, cutoffs),
+                plus, t, meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
-        agg = dict(params)
-        agg.update(gamma=gamma, Q=q, C=c, h_avg=record.h_avg,
-                   fisher_heat=record.fisher_heat, fisher_fd=fisher_fd,
-                   fisher_closed_form=fisher_cf, bound_rel=bound,
-                   fisher_rel_dev=relative_error(fisher_fd, record.fisher_heat),
-                   closed_form_dev=cf_dev)
-        if per_outcome:
-            for o in record.outcomes:
-                rows.append({**agg, "l": o.label, "P_l": o.probability,
-                             "H_tra": o.h_tra, "H_cor": o.h_cor, "score": o.score})
-        else:
-            rows.append(agg)
-    return rows, list(checks.values()), {}
+    return _run_engine_points(config, num, points,
+                              ("fisher", "closed_form", "avg_heat", "saturation"),
+                              family_point)
 
 
 def _run_mean_force(config):
@@ -333,13 +305,11 @@ def _run_mean_force(config):
         raise ConfigError(f"unknown mean-force model keys: {sorted(model)}")
     points = _sweep_points(config.get("sweep", {}), {"beta"})
 
-    checks = {
-        "dual": IdentityCheck("internal-energy deviation, dual computation", TOL_MEAN_FORCE),
-        "ur": IdentityCheck("temperature-energy UR product at saturation", TOL_UR_PRODUCT),
-    }
+    checks = identity_checks("mean_force", "ur_product")
     rows = []
     for point in points:
         beta = _positive(config, "sweep", "beta", point.get("beta", 1.0))
+        h = _fd_step(num, beta)
         if num["n_max"] is not None:
             cutoffs = [int(num["n_max"])] * len(modes)
         else:
@@ -347,17 +317,13 @@ def _run_mean_force(config):
                        for m in modes]
         built = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis=axis)
 
-        result = internal_energy_deviation(built, beta, h_step=num["fd_step"],
-                                           prob_floor=num["prob_floor"])
-        delta_u, fisher, product = temperature_energy_ur_check(result)
-
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
-        checks["dual"].update(result.dual_residual, params)
-        checks["ur"].update(abs(product - 1.0), params)
+        result, delta_u, product = check_mean_force_point(
+            checks, built, beta, params, h_step=h, prob_floor=num["prob_floor"])
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
-                     "fisher": fisher, "ur_product": product,
+                     "fisher": result.fisher, "ur_product": product,
                      "dual_residual": result.dual_residual})
     return rows, list(checks.values()), {}
 
@@ -439,13 +405,10 @@ RUNNERS = {
 # -- output ----------------------------------------------------------------
 
 
-def _output_path(config):
-    out = config.get("output", {})
-    path = out.get("path", f"{config['experiment']}.{out.get('format', 'csv')}")
+def _redirected(path):
+    """``path`` moved into $THERMOQ_OUTPUT_DIR when that is set."""
     override = os.environ.get(OUTPUT_DIR_ENV)
-    if override:
-        path = os.path.join(override, os.path.basename(path))
-    return path
+    return os.path.join(override, os.path.basename(path)) if override else path
 
 
 def _fieldnames(rows):
@@ -468,33 +431,29 @@ def _write_csv(path, rows, meta):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path, rows, meta, verification):
+def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump({"meta": meta, "rows": rows, "verification": verification},
-                  fh, indent=2, default=str)
+        json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
 
 
 def _verification_dict(checks, summary):
-    return {
-        "passed": all(c.passed for c in checks),
-        "checks": [
-            {"name": c.name, "tolerance": c.tolerance,
-             "max_deviation": c.max_deviation, "passed": c.passed,
-             "worst_params": {k: str(v) for k, v in c.worst_params.items()}}
-            for c in checks
-        ],
-        **summary,
-    }
+    return {"passed": all(c.passed for c in checks),
+            "checks": [c.as_dict() for c in checks], **summary}
 
 
 def _report(checks):
+    """Print each check; exit 1 unless all passed."""
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         click.echo(f"  [{status}] {c.name}: max deviation {c.max_deviation:.3e} "
                    f"(tol {c.tolerance:g})")
         if not c.passed and c.worst_params:
             click.echo(f"         worst at {c.worst_params}")
+    if not all(c.passed for c in checks):
+        click.echo("verification FAILED", err=True)
+        sys.exit(1)
+    click.echo("verification passed")
 
 
 # -- commands --------------------------------------------------------------
@@ -528,27 +487,20 @@ def run_cmd(config_path):
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
     verification = _verification_dict(checks, summary)
-    path = _output_path(config)
     fmt = config.get("output", {}).get("format", "csv")
+    path = _redirected(config.get("output", {}).get("path", f"{experiment}.{fmt}"))
     if fmt not in ("csv", "json"):
         raise click.UsageError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     if fmt == "csv":
         _write_csv(path, rows, meta)
     else:
-        _write_json(path, rows, meta, verification)
-    report_path = path + ".verification.json"
-    with open(report_path, "w") as fh:
-        json.dump(verification, fh, indent=2)
-        fh.write("\n")
+        _write_json(path, {"meta": meta, "rows": rows, "verification": verification})
+    _write_json(path + ".verification.json", verification)
 
     click.echo(f"{experiment}: {len(rows)} rows -> {path}")
     for key, value in summary.items():
         click.echo(f"  {key}: {value}")
     _report(checks)
-    if not verification["passed"]:
-        click.echo("verification FAILED", err=True)
-        sys.exit(1)
-    click.echo("verification passed")
 
 
 @main.command("cross-validate")
@@ -564,19 +516,11 @@ def cross_validate_cmd(seed, draws, output):
     report = cross_validate(seed, draws)
     click.echo(f"cross-validate seed={seed} draws={draws} "
                f"({report.elapsed_seconds:.1f}s)")
-    _report(report.checks)
     if output:
-        override = os.environ.get(OUTPUT_DIR_ENV)
-        if override:
-            output = os.path.join(override, os.path.basename(output))
-        with open(output, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
+        output = _redirected(output)
+        _write_json(output, report.as_dict())
         click.echo(f"report -> {output}")
-    if not report.passed:
-        click.echo("verification FAILED", err=True)
-        sys.exit(1)
-    click.echo("verification passed")
+    _report(report.checks)
 
 
 @main.command("schema")

@@ -321,12 +321,6 @@ class HeatEngine:
             if total[li] >= self.prob_floor
         }
 
-    def two_point_trajectory_heat(self, chi0, t, label, meas):
-        heats = self.two_point_trajectory_heat_all(chi0, t, meas)
-        if label not in heats:
-            raise SuppressedOutcomeError(f"outcome {label!r} is suppressed")
-        return heats[label]
-
     # -- finite-difference route ------------------------------------------
 
     def outcome_probabilities_at(self, rho0, beta, t, meas):

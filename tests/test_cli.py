@@ -1,10 +1,12 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from thermoq import cli
 from thermoq.cli import main
 
 RUNNER = CliRunner()
@@ -57,18 +59,27 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fd_step", [0, -1e-4, "1e-4"])
+    @pytest.mark.parametrize("fd_step", [0, -1e-4, "1e-4", 0.5])
     def test_bad_fd_step_is_usage_error(self, tmp_path, fd_step):
-        path = write_config(tmp_path, {
+        # 0.5 is positive but above beta/10 at beta = 1
+        configs = [{
             "experiment": "mean-force",
             "model": {"omega_q": 1.0, "modes": [[0.8, 0.15], [1.3, 0.15]]},
             "sweep": {"beta": [1.0]},
             "numerics": {"n_max": 4, "fd_step": fd_step},
             "output": {"path": str(tmp_path / "mf.csv")},
-        })
-        result = RUNNER.invoke(main, ["run", path])
-        assert result.exit_code == 2, result.output
-        assert not (tmp_path / "mf.csv").exists()
+        }, {
+            "experiment": "heat-exchange",
+            "sweep": {"beta": [1.0]},
+            "numerics": {"n_max": 8, "fd_step": fd_step},
+            "output": {"path": str(tmp_path / "he.csv")},
+        }]
+        for config in configs:
+            result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+            assert result.exit_code == 2, result.output
+            assert not (tmp_path / config["output"]["path"]).exists()
+            if fd_step == 0.5:
+                assert "beta = 1" in result.output
 
     def test_zero_draws_is_usage_error(self):
         result = RUNNER.invoke(main, ["cross-validate", "--draws", "0"])
@@ -153,7 +164,7 @@ class TestCrossValidateCommand:
         assert result.exit_code == 0, result.output
         report = json.loads(out.read_text())
         assert report["passed"] is True
-        assert len(report["checks"]) == 6
+        assert len(report["checks"]) == 8
 
     def test_fixed_seed_is_deterministic(self):
         runs = [RUNNER.invoke(main, ["cross-validate", "--seed", "5", "--draws", "1"])
@@ -161,3 +172,32 @@ class TestCrossValidateCommand:
         assert all(r.exit_code == 0 for r in runs)
         strip = lambda out: [l for l in out.splitlines() if "s)" not in l]
         assert strip(runs[0].output) == strip(runs[1].output)
+
+
+def test_heat_exchange_compares_rare_outcomes(tmp_path, monkeypatch):
+    # outcomes with 1e-6 <= P_l < 1e-4 are compared against the closed forms:
+    # a wrong correlation heat on those outcomes alone fails the run
+    real = cli.he_reference
+    rare = []
+
+    def reference(he):
+        ref = real(he)
+
+        def heat_terms(label):
+            h_tra, h_cor = ref.heat_terms(label)
+            if 1e-6 <= ref.probability(label) < 1e-4:
+                rare.append(label)
+                h_cor += 1e-3
+            return h_tra, h_cor
+
+        return dataclasses.replace(ref, heat_terms=heat_terms)
+
+    monkeypatch.setattr(cli, "he_reference", reference)
+    result = RUNNER.invoke(main, ["run", tiny_he_config(tmp_path)])
+    assert rare
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["closed forms vs brute force"]
+    assert report["closed_form_min_probability"] == 1e-6
+    assert 0 < report["closed_form_excluded_probability_max"] < 1e-6 * 14

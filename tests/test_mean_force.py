@@ -255,7 +255,7 @@ class TestOneComputationPerPoint:
         from thermoq import validate
 
         # only the mean-force draw is under test; skip the engine families
-        monkeypatch.setattr(validate, "_check_instance", lambda *args: None)
+        monkeypatch.setattr(validate, "_engine_draw", lambda *args: None)
         dims = []
         real_build = validate.build_spin_boson_model
 
