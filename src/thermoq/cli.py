@@ -48,10 +48,10 @@ from .validate import (
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
 
-# Largest automatic heat-exchange Fock cutoff: beyond it the dense
-# eigendecomposition of the (n_max+1)^2-dimensional Hamiltonian dominates the
-# run time. Points it lowers are listed in the verification sidecar.
-HE_AUTO_N_MAX = 40
+# Largest automatic heat-exchange Fock cutoff: beyond it the dense eigh of the
+# (n_max+1)^2-dimensional real Hamiltonian dominates the run time (2.2 s at
+# n_max = 46 on one thread). Points it lowers are listed in the sidecar.
+HE_AUTO_N_MAX = 50
 
 EXPERIMENTS = (
     "heat-exchange",
@@ -77,8 +77,9 @@ CONFIG_SCHEMA = {
                          "t": "float > 0 or null for 1/(10 omega_c)",
                          "k_modes": "int (default 2000)",
                          "omega_max": "float or null for 10 omega_c"},
-        "cross-validate": {"seed": "int (default 0)", "draws": "int >= 1 (default 5)"},
     },
+    "seed": "cross-validate only: int >= 0 (default 0)",
+    "draws": "cross-validate only: int >= 1 (default 5)",
     "sweep": {
         "<axis>": "list of values; at most 3 axes; cartesian product in config order",
         "axes": {"heat-exchange": ["beta", "t", "g", "delta", "omega_0"],
@@ -89,12 +90,12 @@ CONFIG_SCHEMA = {
         "note": "heat-exchange accepts t = 'optimal' for the half-swap time",
     },
     "numerics": {
-        "n_max": "int or null: Fock cutoff override (per mode for dephasing)",
-        "tail": "float: thermal tail bound for automatic cutoffs (default 1e-10)",
+        "n_max": "int >= 1 or null: Fock cutoff override (per mode for dephasing)",
+        "tail": "float in (0, 1): thermal tail bound for automatic cutoffs (default 1e-10)",
         "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
                    "routes (default 1e-4 * beta, at most beta / 10)",
-        "prob_floor": "float: outcomes below this probability are excluded (default 1e-12)",
-        "slope_tol": "float: scaling-slope tolerance (default 0.1)",
+        "prob_floor": "float in (0, 1): outcomes below it are excluded (default 1e-12)",
+        "slope_tol": "float > 0: scaling-slope tolerance (default 0.1)",
     },
     "output": {
         "path": "output file path (default <experiment>.csv); directory overridable "
@@ -114,10 +115,16 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _positive(config, section, key, value):
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigError(f"{section}.{key} must be a positive number, got {value!r}")
+def _positive(section, key, value, below=math.inf):
+    if not (isinstance(value, (int, float)) and 0 < value < below):
+        raise ConfigError(f"{section}.{key} must lie in (0, {below:g}), got {value!r}")
     return float(value)
+
+
+def _count(key, value, minimum):
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _sweep_points(sweep, allowed):
@@ -137,27 +144,29 @@ def _sweep_points(sweep, allowed):
 
 def _numerics(config):
     n = dict(config.get("numerics", {}))
+    n_max, fd_step = n.pop("n_max", None), n.pop("fd_step", None)
     out = {
-        "n_max": n.pop("n_max", None),
-        "tail": float(n.pop("tail", 1e-10)),
-        "fd_step": n.pop("fd_step", None),
-        "prob_floor": float(n.pop("prob_floor", 1e-12)),
-        "slope_tol": float(n.pop("slope_tol", 0.1)),
+        "n_max": None if n_max is None else _count("numerics.n_max", n_max, 1),
+        "tail": _positive("numerics", "tail", n.pop("tail", 1e-10), below=1),
+        "fd_step": None if fd_step is None else _positive("numerics", "fd_step", fd_step),
+        "prob_floor": _positive("numerics", "prob_floor", n.pop("prob_floor", 1e-12), below=1),
+        "slope_tol": _positive("numerics", "slope_tol", n.pop("slope_tol", 0.1)),
     }
     if n:
         raise ConfigError(f"unknown numerics keys: {sorted(n)}")
-    if out["fd_step"] is not None:
-        out["fd_step"] = _positive(config, "numerics", "fd_step", out["fd_step"])
     return out
 
 
-def _parse_modes(raw, section):
+def _parse_modes(model, experiment):
+    """Pop and parse the required ``modes`` key of a model section."""
+    if "modes" not in model:
+        raise ConfigError(f"{experiment} model requires 'modes'")
     try:
-        modes = [BathMode(float(w), float(g)) for w, g in raw]
+        modes = [BathMode(float(w), float(g)) for w, g in model.pop("modes")]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.modes must be [[omega, g], ...]: {exc}")
+        raise ConfigError(f"model.modes must be [[omega, g], ...]: {exc}")
     if not modes:
-        raise ConfigError(f"{section}.modes must not be empty")
+        raise ConfigError("model.modes must not be empty")
     return modes
 
 
@@ -232,17 +241,17 @@ def _run_heat_exchange(config):
 
     def family_point(point):
         p = {**base, **point}
-        omega_0 = _positive(config, "model", "omega_0", p["omega_0"])
-        g = _positive(config, "model", "g", p["g"])
+        omega_0 = _positive("model", "omega_0", p["omega_0"])
+        g = _positive("model", "g", p["g"])
         delta = float(p["delta"])
-        beta = _positive(config, "sweep", "beta", p["beta"])
+        beta = _positive("sweep", "beta", p["beta"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
         t = cf.he_optimal_time(he) if p["t"] == "optimal" else _positive(
-            config, "sweep", "t", p["t"])
+            "sweep", "t", p["t"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
         n_max = num["n_max"]
-        if not n_max:
+        if n_max is None:
             n_max = truncation_level(beta, omega_0, num["tail"]) + 4
             if n_max > HE_AUTO_N_MAX:
                 n_max = HE_AUTO_N_MAX
@@ -266,9 +275,7 @@ def _run_heat_exchange(config):
 def _run_dephasing(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
-    if "modes" not in model:
-        raise ConfigError("dephasing model requires 'modes'")
-    modes = _parse_modes(model.pop("modes"), "model")
+    modes = _parse_modes(model, "dephasing")
     if model:
         raise ConfigError(f"unknown dephasing model keys: {sorted(model)}")
     points = _sweep_points(config.get("sweep", {}), {"beta", "t"})
@@ -276,10 +283,10 @@ def _run_dephasing(config):
     meas = pauli_x_measurement()
 
     def family_point(point):
-        beta = _positive(config, "sweep", "beta", point.get("beta", 1.0))
+        beta = _positive("sweep", "beta", point.get("beta", 1.0))
         t = float(point.get("t", math.pi))
         if num["n_max"] is not None:
-            cutoffs = [int(num["n_max"])] * len(modes)
+            cutoffs = [num["n_max"]] * len(modes)
         else:
             cutoffs = [truncation_level(beta, m.omega, num["tail"]) + 3 for m in modes]
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
@@ -294,10 +301,8 @@ def _run_dephasing(config):
 def _run_mean_force(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
-    omega_q = _positive(config, "model", "omega_q", model.pop("omega_q", 1.0))
-    if "modes" not in model:
-        raise ConfigError("mean-force model requires 'modes'")
-    modes = _parse_modes(model.pop("modes"), "model")
+    omega_q = _positive("model", "omega_q", model.pop("omega_q", 1.0))
+    modes = _parse_modes(model, "mean-force")
     axis = model.pop("coupling_axis", "xz")
     if axis not in ("x", "z", "xz"):
         raise ConfigError(f"coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
@@ -308,10 +313,10 @@ def _run_mean_force(config):
     checks = identity_checks("mean_force", "ur_product")
     rows = []
     for point in points:
-        beta = _positive(config, "sweep", "beta", point.get("beta", 1.0))
+        beta = _positive("sweep", "beta", point.get("beta", 1.0))
         h = _fd_step(num, beta)
         if num["n_max"] is not None:
-            cutoffs = [int(num["n_max"])] * len(modes)
+            cutoffs = [num["n_max"]] * len(modes)
         else:
             cutoffs = [truncation_level(beta, m.omega, max(num["tail"], 1e-8)) + 2
                        for m in modes]
@@ -329,9 +334,9 @@ def _run_mean_force(config):
 
 
 def _spectral(model):
-    alpha = _positive({}, "model", "alpha", model.pop("alpha", 1.0))
+    alpha = _positive("model", "alpha", model.pop("alpha", 1.0))
     s = float(model.pop("s", 1.0))
-    omega_c = _positive({}, "model", "omega_c", model.pop("omega_c", 1.0))
+    omega_c = _positive("model", "omega_c", model.pop("omega_c", 1.0))
     return SpectralDensity(alpha, s, omega_c)
 
 
@@ -381,14 +386,13 @@ def _run_scaling_deph(config):
 
 
 def _run_cross_validate(config):
-    seed = int(config.get("seed", 0))
-    draws = int(config.get("draws", 5))
+    seed = _count("seed", config.get("seed", 0), 0)
+    draws = _count("draws", config.get("draws", 5), 1)
     report = cross_validate(seed, draws)
     rows = [{"check": c.name, "max_deviation": c.max_deviation,
              "tolerance": c.tolerance, "passed": c.passed}
             for c in report.checks]
-    summary = {"seed": seed, "draws": draws,
-               "elapsed_seconds": report.elapsed_seconds}
+    summary = {k: v for k, v in report.as_dict().items() if k not in ("passed", "checks")}
     return rows, report.checks, summary
 
 
@@ -478,6 +482,9 @@ def run_cmd(config_path):
     if experiment not in EXPERIMENTS:
         raise click.UsageError(
             f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
+    fmt = config.get("output", {}).get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise click.UsageError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     try:
         rows, checks, summary = RUNNERS[experiment](config)
     except ConfigError as exc:
@@ -487,10 +494,7 @@ def run_cmd(config_path):
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
     verification = _verification_dict(checks, summary)
-    fmt = config.get("output", {}).get("format", "csv")
     path = _redirected(config.get("output", {}).get("path", f"{experiment}.{fmt}"))
-    if fmt not in ("csv", "json"):
-        raise click.UsageError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     if fmt == "csv":
         _write_csv(path, rows, meta)
     else:

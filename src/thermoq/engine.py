@@ -117,26 +117,27 @@ class _BranchTables:
 
 
 class HeatEngine:
-    """Caches the model's eigendecompositions for repeated evaluation.
+    """Repeated evaluation of one model's working points.
 
-    Holds the eigenpairs (lambda, V) of the full Hamiltonian and
-    (eps_j, v_j) of the sample Hamiltonian, and nothing else of size d x d.
+    Reads the eigenpairs (lambda, V) of the full Hamiltonian and (eps_j, v_j)
+    of the sample Hamiltonian from the model's cached ``spectrum`` and
+    ``bath_spectrum``, and holds no d x d array of its own.
     ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
     and ``fisher_finite_difference`` evolve only the branch amplitudes of
     rho0 (x) gamma_B (see the module docstring): two d x d x K matrix
     products with K = rank(rho0) * d_b, O(d^2 rank(rho0) d_b) per
     (rho0, t), and no propagator, full-space state or embedded projector.
 
-    All methods are pure given their arguments. Instances hold immutable
-    spectra and the tables of the last (rho0, t, measurement), swapped in
-    as one tuple, so sharing across threads is safe.
+    All methods are pure given their arguments. Instances hold the tables
+    of the last (rho0, t, measurement), swapped in as one tuple, and read
+    the model's immutable spectra, so sharing across threads is safe.
     """
 
     def __init__(self, model, prob_floor=PROB_FLOOR):
         self.model = model
         self.prob_floor = prob_floor
-        self._ham_w, self._ham_v = np.linalg.eigh(model.hamiltonian)
-        self._bath_w, self._bath_v = np.linalg.eigh(model.h_b_local)
+        # the eigendecompositions are paid for here, not by the first point
+        model.spectrum, model.bath_spectrum  # noqa: B018
         # (meas, (rho0 bytes, t), tables) of the last kernel call: the heat,
         # direct-score and finite-difference routes of one point share it
         self._last_tables = None
@@ -144,16 +145,16 @@ class HeatEngine:
     # -- state preparation ------------------------------------------------
 
     def sample_thermal_matrix(self, beta):
-        p = gibbs_weights(self._bath_w, beta)
-        return (self._bath_v * p) @ self._bath_v.conj().T
+        eps, v_b = self.model.bath_spectrum
+        return (v_b * gibbs_weights(eps, beta)) @ v_b.conj().T
 
     def initial_state_matrix(self, rho0, beta):
         rho0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
         return np.kron(rho0, self.sample_thermal_matrix(beta))
 
     def propagator(self, t):
-        phase = np.exp(-1j * self._ham_w * t)
-        return (self._ham_v * phase) @ self._ham_v.conj().T
+        lam, v = self.model.spectrum
+        return (v * np.exp(-1j * lam * t)) @ v.conj().T
 
     def evolve_matrix(self, chi0, t):
         u = self.propagator(t)
@@ -181,10 +182,11 @@ class HeatEngine:
         keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
         w, phi = w[keep], phi[:, keep]
         # A = V (e^{-i lambda t} * (V^dag x)); V^dag is never formed
-        x = np.kron(phi, self._bath_v)
-        y = (x.conj().T @ self._ham_v).conj().T
-        y *= np.exp(-1j * self._ham_w * t)[:, None]
-        amp = np.ascontiguousarray((self._ham_v @ y).T).reshape(-1, d_s, d_b)
+        lam, v = self.model.spectrum
+        x = np.kron(phi, self.model.bath_spectrum[1])
+        y = (x.conj().T @ v).conj().T
+        y *= np.exp(-1j * lam * t)[:, None]
+        amp = np.ascontiguousarray((v @ y).T).reshape(-1, d_s, d_b)
         amp_h = amp.conj().transpose(0, 2, 1)
         # branch-reduced probe operators A_k A_k^dag and A_k H_B^T A_k^dag
         rho_k = amp @ amp_h
@@ -201,7 +203,7 @@ class HeatEngine:
         return tables
 
     def _branch_weights(self, tables, beta):
-        return np.kron(tables.rho_w, gibbs_weights(self._bath_w, beta))
+        return np.kron(tables.rho_w, gibbs_weights(self.model.bath_spectrum[0], beta))
 
     def _probabilities(self, tables, beta):
         return _checked_probabilities(tables.prob @ self._branch_weights(tables, beta))
@@ -211,7 +213,7 @@ class HeatEngine:
         c = self._branch_weights(tables, beta)
         probs = _checked_probabilities(tables.prob @ c)
         # H_B |phi_r, v_j> = eps_j |phi_r, v_j>
-        c_eps = c * np.tile(self._bath_w, len(tables.rho_w))
+        c_eps = c * np.tile(self.model.bath_spectrum[0], len(tables.rho_w))
         return (probs, tables.prob @ c_eps, tables.energy @ c,
                 c_eps.sum(), tables.bath_energy @ c)
 
@@ -269,7 +271,7 @@ class HeatEngine:
         """(1 (x) V_B)^dag M (1 (x) V_B), as a (d_s, d_b, d_s, d_b) array."""
         d_s, d_b = self.model.system_dim, self.model.bath_dim
         blocks = matrix.reshape(d_s, d_b, d_s, d_b)
-        vb = self._bath_v
+        vb = self.model.bath_spectrum[1]
         return np.einsum("ai,satb,bj->sitj", vb.conj(), blocks, vb, optimize=True)
 
     def two_point_trajectory_heat_all(self, chi0, t, meas):
@@ -294,7 +296,7 @@ class HeatEngine:
         u_rot = self._sample_frame(self.propagator(t)).reshape(d_s * d_b, d_s * d_b)
 
         projs = np.stack(meas.projectors)
-        eps = self._bath_w
+        eps = self.model.bath_spectrum[0]
         cols = np.arange(d_s) * d_b
         total = np.zeros(len(projs))
         energy_sum = np.zeros(len(projs))

@@ -109,10 +109,10 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _matrix_of(op):
+def _matrix_of(op, dtype=complex):
     if isinstance(op, (HermitianOperator, DensityMatrix)):
         return op.matrix
-    return np.asarray(op, dtype=complex)
+    return np.asarray(op, dtype=dtype)
 
 
 def hermitian_eig(op):
@@ -152,19 +152,19 @@ def tensor_product(a, b):
 def embed_factor(local_op, space, factor_index):
     """Embed a local operator at one factor, identity elsewhere.
 
-    Returns the full-space matrix (not validated as Hermitian, so it can
-    also embed non-Hermitian locals like projecto-unitaries if needed).
+    Returns the full-space matrix in the dtype of ``local_op``, not validated
+    as Hermitian, so it can also embed non-Hermitian locals.
     """
     dims = space.factor_dims
     if not 0 <= factor_index < len(dims):
         raise IndexError(f"factor index {factor_index} out of range")
-    local = _matrix_of(local_op)
+    local = _matrix_of(local_op, dtype=None)
     d = dims[factor_index]
     if local.shape != (d, d):
         raise InvalidOperatorError(
             f"local operator shape {local.shape} does not match factor dim {d}"
         )
-    out = np.eye(1, dtype=complex)
+    out = np.eye(1, dtype=local.dtype)
     for i, dim in enumerate(dims):
         out = np.kron(out, local if i == factor_index else np.eye(dim))
     return out

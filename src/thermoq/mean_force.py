@@ -7,13 +7,13 @@ solved as a Sylvester equation in the eigenbasis of the reduced Gibbs
 operator; measuring in its eigenbasis turns the heat-fluctuation bound
 into the familiar temperature-energy uncertainty relation.
 
-Every quantity of a point comes from one eigendecomposition
-H = sum_n w_n |n><n| of the full Hamiltonian. The reduced Gibbs operator
-and its exact beta-derivative are the same contraction of the eigenvectors
-over the sample index, weighted by e^{-beta w_n} and by
-(w_n - <H_B>) e^{-beta w_n}; the internal energy is <H>_beta - <H_B>_B
-from the two spectra; and the outcome probabilities of the E*-eigenbasis
-measurement at any beta are one matrix-vector product with a
+Every quantity of a point comes from the model's cached eigendecompositions
+of H = sum_n w_n |n><n| and of H_B (``CompositeModel.spectrum`` and
+``bath_spectrum``). The reduced Gibbs operator and its exact beta-derivative
+are the same contraction of the eigenvectors over the sample index, weighted
+by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n}; the internal energy is
+<H>_beta - <H_B>_B from the two spectra; and the outcome probabilities of the
+E*-eigenbasis measurement at any beta are one matrix-vector product with a
 beta-independent table of eigenvector occupations.
 """
 
@@ -59,11 +59,12 @@ class MeanForceResult:
     fisher: float
 
 
-def _system_space(model):
-    return model.space.subspace([0])
+def _system_operator(model, m):
+    """The Hermitian part of m as an operator on the probe factor."""
+    return HermitianOperator(model.space.subspace([0]), 0.5 * (m + m.conj().T))
 
 
-def _bath_trace(model, beta, ham_eig, bath_eig, spectral_weight=None):
+def _bath_trace(model, beta, spectral_weight=None):
     """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor, f(w_n) = spectral_weight.
 
     Both exponentials are shifted by their ground energies before
@@ -71,7 +72,8 @@ def _bath_trace(model, beta, ham_eig, bath_eig, spectral_weight=None):
     contracted directly from the eigenvectors, so no full-space matrix is
     formed.
     """
-    w, v = ham_eig
+    w, v = model.spectrum
+    bath_eig = model.bath_spectrum[0]
     w0, wb0 = w.min(), bath_eig.min()
     weights = np.exp(-beta * (w - w0))
     if spectral_weight is not None:
@@ -82,46 +84,38 @@ def _bath_trace(model, beta, ham_eig, bath_eig, spectral_weight=None):
     return traced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
 
 
-def reduced_gibbs_operator(model, beta, ham_eig=None, bath_eig=None):
+def reduced_gibbs_operator(model, beta):
     """A = Tr_B[e^{-beta H}] / Z_B as a matrix on the system factor."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if ham_eig is None:
-        ham_eig = np.linalg.eigh(model.hamiltonian)
-    if bath_eig is None:
-        bath_eig = np.linalg.eigvalsh(model.h_b_local)
-    return _bath_trace(model, beta, ham_eig, bath_eig)
+    return _bath_trace(model, beta)
 
 
 def _log_gibbs(model, a, beta):
     """H* = -(1/beta) log A for a positive reduced Gibbs operator A."""
     wa, va = np.linalg.eigh(a)
     if wa.min() <= 0:
-        raise NonPositiveReducedStateError(
-            f"reduced Gibbs operator has eigenvalue {wa.min():.3e}"
-        )
-    m = -(va * (np.log(wa) / beta)) @ va.conj().T
-    return HermitianOperator(_system_space(model), 0.5 * (m + m.conj().T))
+        raise NonPositiveReducedStateError(f"reduced Gibbs operator has eigenvalue {wa.min():.3e}")
+    return _system_operator(model, -(va * (np.log(wa) / beta)) @ va.conj().T)
 
 
-def mean_force_hamiltonian(model, beta, ham_eig=None):
+def mean_force_hamiltonian(model, beta):
     """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
-    return _log_gibbs(model, reduced_gibbs_operator(model, beta, ham_eig=ham_eig), beta)
+    return _log_gibbs(model, reduced_gibbs_operator(model, beta), beta)
 
 
-def z_star(model, beta, ham_eig=None):
+def z_star(model, beta):
     """Effective partition function Z*_S = Z / Z_B = tr of the reduced Gibbs operator."""
-    return float(np.trace(reduced_gibbs_operator(model, beta, ham_eig=ham_eig)).real)
+    return float(np.trace(reduced_gibbs_operator(model, beta)).real)
 
 
-def internal_energy(model, beta, ham_eig=None):
+def internal_energy(model, beta):
     """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the two spectra."""
-    w = np.linalg.eigvalsh(model.hamiltonian) if ham_eig is None else ham_eig[0]
-    wb = np.linalg.eigvalsh(model.h_b_local)
+    w, wb = model.spectrum[0], model.bath_spectrum[0]
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
-def energy_operator(model, beta, ham_eig=None):
+def energy_operator(model, beta):
     """E*_S from d/d(-beta) e^{-beta H*} = (E* A + A E*)/2 with A = e^{-beta H*}.
 
     A = Tr_B[e^{-beta H}]/Z_B depends on beta through both factors, so
@@ -129,24 +123,21 @@ def energy_operator(model, beta, ham_eig=None):
     sample contraction with weights (w_n - <H_B>_B). The anticommutator
     equation is solved entrywise in A's eigenbasis.
     """
-    if ham_eig is None:
-        ham_eig = np.linalg.eigh(model.hamiltonian)
-    bath_eig = np.linalg.eigvalsh(model.h_b_local)
-    a = reduced_gibbs_operator(model, beta, ham_eig=ham_eig, bath_eig=bath_eig)
+    a = reduced_gibbs_operator(model, beta)
+    bath_eig = model.bath_spectrum[0]
     e_bath = gibbs_weights(bath_eig, beta) @ bath_eig
-    d = _bath_trace(model, beta, ham_eig, bath_eig, ham_eig[0] - e_bath)
+    d = _bath_trace(model, beta, model.spectrum[0] - e_bath)
     wa, va = np.linalg.eigh(a)
     denom = wa[:, None] + wa[None, :]
     if denom.min() < 1e-300:
         raise NonPositiveReducedStateError("Sylvester denominators underflow")
     d_tilde = va.conj().T @ d @ va
     e_tilde = 2.0 * d_tilde / denom
-    m = va @ e_tilde @ va.conj().T
-    return HermitianOperator(_system_space(model), 0.5 * (m + m.conj().T))
+    return _system_operator(model, va @ e_tilde @ va.conj().T)
 
 
 def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
-                              agreement_tol=1e-6, prob_floor=1e-12, ham_eig=None):
+                              agreement_tol=1e-6, prob_floor=1e-12):
     """Internal-energy deviations two ways, with a built-in identity check.
 
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
@@ -158,22 +149,20 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
 
     The result also carries the Fisher information of the E*-eigenbasis
     measurement, by finite differences of ln P_l(beta) with step h_step
-    (``engine.log_score_fisher``). One eigendecomposition of H serves
-    every quantity.
+    (``engine.log_score_fisher``). The model's one eigendecomposition of H
+    serves every quantity.
     """
-    if ham_eig is None:
-        ham_eig = np.linalg.eigh(model.hamiltonian)
-    a = reduced_gibbs_operator(model, beta, ham_eig=ham_eig)
+    w, v = model.spectrum
+    a = reduced_gibbs_operator(model, beta)
     h_star = _log_gibbs(model, a, beta)
-    e_star = energy_operator(model, beta, ham_eig=ham_eig)
-    u_s = internal_energy(model, beta, ham_eig=ham_eig)
+    e_star = energy_operator(model, beta)
+    u_s = internal_energy(model, beta)
 
     spread = np.ptp(np.linalg.eigvalsh(e_star.matrix))
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(spread, 1.0)
     meas = eigenbasis_measurement(e_star, degeneracy_tol)
 
-    w, v = ham_eig
     vt = v.reshape(model.system_dim, model.bath_dim, len(w))
     projs = np.stack(meas.projectors)
     # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b)

@@ -8,31 +8,32 @@ variant with a transverse coupling is included for the steady-state
 machinery, where a non-commuting interaction is the interesting case.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
-    HermitianOperator,
     HilbertSpace,
     InvalidOperatorError,
+    _check_hermitian,
     embed_factor,
     hermitian_eig,
 )
 
 COMPLETENESS_ATOL = 1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def destroy(n_max):
     """Truncated bosonic annihilation operator on n_max+1 Fock levels."""
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
 
 
 def number_op(n_max):
-    return np.diag(np.arange(n_max + 1)).astype(complex)
+    return np.diag(np.arange(n_max + 1.0))
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class ProjectiveMeasurement:
         if len(projs) != len(self.labels):
             raise ValueError("one label per projector required")
         d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(projs):
             if np.abs(p - p.conj().T).max() > COMPLETENESS_ATOL:
                 raise InvalidOperatorError("projector is not Hermitian")
@@ -85,8 +85,7 @@ class ProjectiveMeasurement:
             for q in projs[:i]:
                 if np.abs(p @ q).max() > COMPLETENESS_ATOL:
                     raise InvalidOperatorError("projectors are not orthogonal")
-            total += p
-        if np.abs(total - np.eye(d)).max() > COMPLETENESS_ATOL:
+        if np.abs(sum(projs) - np.eye(d)).max() > COMPLETENESS_ATOL:
             raise InvalidOperatorError("projectors do not sum to identity")
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -98,23 +97,28 @@ class ProjectiveMeasurement:
 
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
-    """Thermometer + sample Hamiltonian split H = H_S + H_B + H_I.
+    """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
 
-    h_s, h_b, h_i live on the full space; h_s_local and h_b_local are the
-    same pieces on factor 0 and on the sample factors, kept around so the
-    thermal sample state and bath energy spectra come cheap.
+    ``hamiltonian`` is H on the full space, stored once, read-only, float64
+    from every builder; h_s_local and h_b_local are H_S on factor 0 and H_B
+    on the sample factors. ``spectrum`` and ``bath_spectrum`` (eigenpairs of
+    H and H_B) are computed on first use and cached; every route reads them.
     """
 
     space: HilbertSpace
-    h_s: HermitianOperator
-    h_b: HermitianOperator
-    h_i: HermitianOperator
+    hamiltonian: np.ndarray
     h_s_local: np.ndarray
     h_b_local: np.ndarray
 
-    @property
-    def hamiltonian(self):
-        return self.h_s.matrix + self.h_b.matrix + self.h_i.matrix
+    @cached_property
+    def spectrum(self):
+        """(eigenvalues ascending, column eigenvectors) of the full Hamiltonian."""
+        return _read_only(np.linalg.eigh(self.hamiltonian))
+
+    @cached_property
+    def bath_spectrum(self):
+        """(eigenvalues ascending, column eigenvectors) of the sample Hamiltonian."""
+        return _read_only(np.linalg.eigh(self.h_b_local))
 
     @property
     def system_dim(self):
@@ -125,19 +129,18 @@ class CompositeModel:
         return self.space.total_dim // self.system_dim
 
 
-def _compose(space, h_s_local, h_b_local, h_i_full):
+def _read_only(arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
+
+
+def _compose(space, h_s_local, h_b_local, h_i):
     d_s = space.factor_dims[0]
     d_b = space.total_dim // d_s
-    h_s = np.kron(h_s_local, np.eye(d_b))
-    h_b = np.kron(np.eye(d_s), h_b_local)
-    return CompositeModel(
-        space=space,
-        h_s=HermitianOperator(space, h_s),
-        h_b=HermitianOperator(space, h_b),
-        h_i=HermitianOperator(space, h_i_full),
-        h_s_local=np.asarray(h_s_local, dtype=complex),
-        h_b_local=np.asarray(h_b_local, dtype=complex),
-    )
+    h = np.kron(h_s_local, np.eye(d_b)) + np.kron(np.eye(d_s), h_b_local) + h_i
+    _check_hermitian(h)
+    return CompositeModel(space, *_read_only((h, np.array(h_s_local), np.array(h_b_local))))
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -169,8 +172,8 @@ def _multimode_bath(modes, cutoffs):
     """Bath Hamiltonian and per-mode displacement operators on the bath space."""
     dims = [n + 1 for n in cutoffs]
     d_b = int(np.prod(dims))
-    h_b = np.zeros((d_b, d_b), dtype=complex)
-    coupling = np.zeros((d_b, d_b), dtype=complex)
+    h_b = np.zeros((d_b, d_b))
+    coupling = np.zeros((d_b, d_b))
     bath_space = HilbertSpace(tuple(dims))
     for k, (mode, n) in enumerate(zip(modes, cutoffs)):
         num_k = embed_factor(number_op(n), bath_space, k)
@@ -181,15 +184,11 @@ def _multimode_bath(modes, cutoffs):
 
 
 def build_dephasing_model(modes, n_max):
-    """Qubit dephasing against bosonic modes: H_I = sigma_z (x) sum_k g_k(b_k^dag + b_k)."""
-    if not modes:
-        raise ValueError("at least one bath mode required")
-    cutoffs = _bath_cutoffs(modes, n_max)
-    dims, h_b_local, coupling = _multimode_bath(modes, cutoffs)
-    space = HilbertSpace((2, *dims))
-    h_s_local = np.zeros((2, 2), dtype=complex)
-    h_i = np.kron(SIGMA_Z, coupling)
-    return _compose(space, h_s_local, h_b_local, h_i)
+    """Qubit dephasing against bosonic modes: H_S = 0, H_I = sigma_z (x) sum_k g_k(b_k^dag + b_k).
+
+    The spin-boson model with omega_q = 0 and coupling_axis 'z'.
+    """
+    return build_spin_boson_model(0.0, modes, n_max, coupling_axis="z")
 
 
 def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
@@ -206,7 +205,7 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     cutoffs = _bath_cutoffs(modes, n_max)
     dims, h_b_local, coupling = _multimode_bath(modes, cutoffs)
     space = HilbertSpace((2, *dims))
-    h_s_local = np.diag([0.0, omega_q]).astype(complex)
+    h_s_local = np.diag([0.0, omega_q])
     pauli = {"x": SIGMA_X, "z": SIGMA_Z, "xz": (SIGMA_X + SIGMA_Z) / np.sqrt(2)}[coupling_axis]
     h_i = np.kron(pauli, coupling)
     return _compose(space, h_s_local, h_b_local, h_i)
@@ -231,12 +230,7 @@ def discretize_spectral_density(j, k_modes, omega_max):
 def fock_measurement(n_max):
     """Number-basis projectors |l><l| for l = 0..n_max."""
     d = n_max + 1
-    projs = []
-    for l in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[l, l] = 1.0
-        projs.append(p)
-    return ProjectiveMeasurement(tuple(projs), tuple(range(d)))
+    return ProjectiveMeasurement(tuple(np.diag(row) for row in np.eye(d)), tuple(range(d)))
 
 
 def pauli_x_measurement():

@@ -90,6 +90,7 @@ class ValidationReport:
     draws: int
     checks: list
     elapsed_seconds: float = 0.0
+    closed_form_excluded_probability_max: float = 0.0  # max over draws (check_engine_point)
 
     @property
     def passed(self):
@@ -98,6 +99,9 @@ class ValidationReport:
     def as_dict(self):
         return {"seed": self.seed, "draws": self.draws, "passed": self.passed,
                 "elapsed_seconds": self.elapsed_seconds,
+                "closed_form_min_probability": CLOSED_FORM_MIN_PROB,
+                "closed_form_excluded_probability_max":
+                    self.closed_form_excluded_probability_max,
                 "checks": [c.as_dict() for c in self.checks]}
 
 
@@ -238,10 +242,12 @@ def draw_mean_force_instance(rng, tail=1e-8):
 
 
 def _engine_draw(checks, params, model, rho0, meas, reference):
-    """Every engine check on one drawn instance, plus the score and two-point routes."""
+    """Every engine check on one drawn instance, plus the score and two-point routes;
+    returns the outcome mass the closed-form comparison left out."""
     beta, t = params["beta"], params["t"]
     eng = HeatEngine(model)
-    record = check_engine_point(checks, eng, rho0, beta, t, meas, reference, params)[0]
+    record, _, _, excluded = check_engine_point(checks, eng, rho0, beta, t, meas,
+                                                reference, params)
     by_label = {o.label: o for o in record.outcomes}
 
     for label, score in eng.score_direct_all(rho0, beta, t, meas).items():
@@ -250,6 +256,7 @@ def _engine_draw(checks, params, model, rho0, meas, reference):
     chi0 = eng.initial_state_matrix(rho0, beta)
     for label, h_tra in eng.two_point_trajectory_heat_all(chi0, t, meas).items():
         checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
+    return excluded
 
 
 def cross_validate(seed, draws, progress=None):
@@ -258,6 +265,7 @@ def cross_validate(seed, draws, progress=None):
         raise ValueError("draws must be at least 1")
     rng = np.random.default_rng(seed)
     checks = identity_checks(*CHECKS)
+    excluded = []
     start = time.time()
     for i in range(draws):
         if progress:
@@ -269,17 +277,19 @@ def cross_validate(seed, draws, progress=None):
         d_s = model.system_dim
         ground = np.zeros((d_s, d_s), complex)
         ground[0, 0] = 1.0
-        _engine_draw(checks, {"family": "heat-exchange", **params}, model, ground,
-                     fock_measurement(d_s - 1), he_reference(he))
+        excluded.append(_engine_draw(checks, {"family": "heat-exchange", **params}, model,
+                                     ground, fock_measurement(d_s - 1), he_reference(he)))
 
         params, model = draw_deph_instance(rng)
         dp = cf.DephParams(tuple(BathMode(w, g) for w, g in params["modes"]),
                            params["beta"], params["t"])
-        _engine_draw(checks, {"family": "dephasing", **params}, model,
-                     np.full((2, 2), 0.5, complex), pauli_x_measurement(), deph_reference(dp))
+        excluded.append(_engine_draw(checks, {"family": "dephasing", **params}, model,
+                                     np.full((2, 2), 0.5, complex), pauli_x_measurement(),
+                                     deph_reference(dp)))
 
         params, model = draw_mean_force_instance(rng)
         check_mean_force_point(checks, model, params["beta"], {"family": "mean-force", **params})
 
     return ValidationReport(seed=seed, draws=draws, checks=list(checks.values()),
-                            elapsed_seconds=time.time() - start)
+                            elapsed_seconds=time.time() - start,
+                            closed_form_excluded_probability_max=max(excluded))

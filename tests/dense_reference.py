@@ -36,7 +36,7 @@ def dense_traces(model, rho0, beta, t, meas):
     chi0 = initial_state(model, rho0, beta)
     u = propagator(model, t)
     chi_t = u @ chi0 @ u.conj().T
-    h_b = model.h_b.matrix
+    h_b = np.kron(np.eye(model.system_dim), model.h_b_local)
     k0 = u @ (h_b @ chi0) @ u.conj().T
     chi_t_hb = chi_t @ h_b
     rows = np.array([(_tr(p, chi_t), _tr(p, k0), _tr(p, chi_t_hb))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -81,6 +82,45 @@ class TestSchemaAndUsage:
             if fd_step == 0.5:
                 assert "beta = 1" in result.output
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("heat-exchange", "n_max", 0),
+        ("dephasing", "n_max", 0),
+        ("heat-exchange", "n_max", 2.7),
+        ("heat-exchange", "n_max", True),
+        ("heat-exchange", "tail", 0),
+        ("heat-exchange", "tail", 1.0),
+        ("heat-exchange", "prob_floor", -1),
+        ("heat-exchange", "slope_tol", 0),
+        ("cross-validate", "draws", 0),
+        ("cross-validate", "draws", 1.5),
+        ("cross-validate", "seed", -1),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, experiment, key, value):
+        config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")}}
+        if experiment == "cross-validate":
+            config[key] = value
+        else:
+            config["numerics"] = {key: value}
+            config["sweep"] = {"beta": [2.0]}
+            if experiment == "dephasing":
+                config["model"] = {"modes": [[1.0, 0.1]]}
+        result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_bad_output_format_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        def runner(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "heat-exchange", runner)
+        path = write_config(tmp_path, {"experiment": "heat-exchange",
+                                       "output": {"path": str(tmp_path / "o.csv"),
+                                                  "format": "cvs"}})
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 2, result.output
+        assert "output.format" in result.output
+
     def test_zero_draws_is_usage_error(self):
         result = RUNNER.invoke(main, ["cross-validate", "--draws", "0"])
         assert result.exit_code == 2
@@ -156,6 +196,22 @@ class TestRunOutputs:
         assert (override / "out.csv").exists()
 
 
+def test_capped_cutoff_is_listed_in_sidecar(tmp_path, monkeypatch):
+    # beta = 2 needs n_max = 15 for the 1e-10 tail; beta = 6 needs 7
+    monkeypatch.setattr(cli, "HE_AUTO_N_MAX", 10)
+    path = write_config(tmp_path, {
+        "experiment": "heat-exchange",
+        "model": {"omega_0": 1.0, "delta": 0.0, "g": 0.1},
+        "sweep": {"beta": [2.0, 6.0]},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    assert report["n_max_capped"] == [
+        {"beta": 2.0, "n_max": 10, "tail_weight": pytest.approx(math.exp(-2.0 * 11))}]
+
+
 class TestCrossValidateCommand:
     def test_single_draw_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -165,6 +221,16 @@ class TestCrossValidateCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert len(report["checks"]) == 8
+        # `thermoq run` states the same closed-form cutoff and excluded mass
+        path = write_config(tmp_path, {"experiment": "cross-validate", "seed": 3, "draws": 1,
+                                       "output": {"path": str(tmp_path / "cv.json"),
+                                                  "format": "json"}})
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "cv.json.verification.json").read_text())
+        for key in ("closed_form_min_probability", "closed_form_excluded_probability_max"):
+            assert sidecar[key] == report[key]
+        assert 0 < report["closed_form_excluded_probability_max"] < 1e-4
 
     def test_fixed_seed_is_deterministic(self):
         runs = [RUNNER.invoke(main, ["cross-validate", "--seed", "5", "--draws", "1"])

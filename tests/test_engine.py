@@ -313,12 +313,22 @@ class TestBranchKernel:
         got = eng.outcome_probabilities_at(rho, beta, t, meas)
         assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(rho, beta, t, meas))
 
-    def test_holds_one_full_space_matrix(self, he_setup):
-        eng = he_setup[0]
-        d = eng.model.space.total_dim
-        big = [k for k, v in vars(eng).items()
-               if isinstance(v, np.ndarray) and v.size >= d * d]
-        assert big == ["_ham_v"]
+    def test_engine_holds_no_full_space_matrix(self, he_setup):
+        eng, rho0, meas, beta, t = he_setup
+        eng.heat_decomposition(rho0, beta, t, meas)
+        model = eng.model
+        d = model.space.total_dim
+
+        def full_space_arrays(obj):
+            held = [a for v in vars(obj).values()
+                    for a in (v if isinstance(v, tuple) else (v,))]
+            return [a for a in held if isinstance(a, np.ndarray) and a.size >= d * d]
+
+        assert full_space_arrays(eng) == []
+        # the model holds H and the eigenvectors of its spectrum, nothing else
+        held = full_space_arrays(model)
+        assert len(held) == 2
+        assert held[0] is model.hamiltonian and held[1] is model.spectrum[1]
 
 
 class TestProbabilityRange:

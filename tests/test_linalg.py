@@ -92,6 +92,7 @@ class TestHermitianFunctions:
         assert np.allclose(hermitian_func(hermitian_func(m, np.exp), np.log), m,
                            atol=1e-10)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
     def test_domain_error_on_log_of_singular(self):
         with pytest.raises(DomainError):
             hermitian_func(np.diag([1.0, 0.0]).astype(complex), np.log)

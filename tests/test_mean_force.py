@@ -251,11 +251,22 @@ class TestOneComputationPerPoint:
         assert calls["eigh_dims"].count(2 * 5 * 5) == 2
         assert calls["deviations"] == 2
 
+    def test_engine_and_deviations_share_one_spectrum(self, calls):
+        from thermoq import mean_force
+        from thermoq.engine import HeatEngine
+
+        model = make_model(n_max=4)
+        HeatEngine(model)
+        for beta in (BETA, 1.3 * BETA):
+            mean_force.internal_energy_deviation(model, beta)
+        assert calls["eigh_dims"].count(model.space.total_dim) == 1
+        assert calls["deviations"] == 2
+
     def test_cross_validate(self, calls, monkeypatch):
         from thermoq import validate
 
         # only the mean-force draw is under test; skip the engine families
-        monkeypatch.setattr(validate, "_engine_draw", lambda *args: None)
+        monkeypatch.setattr(validate, "_engine_draw", lambda *args: 0.0)
         dims = []
         real_build = validate.build_spin_boson_model
 

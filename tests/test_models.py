@@ -78,9 +78,16 @@ class TestModelBuilders:
         assert np.abs(h @ n_tot - n_tot @ h).max() < 1e-12
 
     def test_hamiltonian_split_adds_up(self):
-        model = build_coupled_oscillators(1.0, 1.0, 0.1, 3)
-        total = model.h_s.matrix + model.h_b.matrix + model.h_i.matrix
-        assert np.allclose(total, model.hamiltonian, atol=1e-14)
+        omega_a, omega_0, g, n_max = 1.3, 1.0, 0.1, 3
+        model = build_coupled_oscillators(omega_a, omega_0, g, n_max)
+        eye = np.eye(n_max + 1)
+        h_s = np.kron(model.h_s_local, eye)
+        h_b = np.kron(eye, model.h_b_local)
+        a = destroy(n_max)
+        h_i = g * (np.kron(a.T, a) + np.kron(a, a.T))
+        assert np.allclose(model.h_s_local, omega_a * number_op(n_max), atol=1e-14)
+        assert np.allclose(model.h_b_local, omega_0 * number_op(n_max), atol=1e-14)
+        assert np.allclose(model.hamiltonian - h_s - h_b, h_i, atol=1e-14)
 
     def test_dephasing_interaction_commutes_with_sigma_z(self):
         model = build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3)
@@ -95,12 +102,31 @@ class TestModelBuilders:
     def test_spin_boson_transverse_does_not_commute(self):
         model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3,
                                        coupling_axis="x")
-        hs, hi = model.h_s.matrix, model.h_i.matrix
-        assert np.abs(hs @ hi - hi @ hs).max() > 1e-3
+        hs = np.kron(model.h_s_local, np.eye(model.bath_dim))
+        h = model.hamiltonian
+        assert np.abs(hs @ h - h @ hs).max() > 1e-3
 
     def test_spin_boson_rejects_unknown_axis(self):
         with pytest.raises(KeyError):
             build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis="y")
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),
+        lambda: build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]),
+        lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
+                                       coupling_axis="xz"),
+    ], ids=["exchange", "dephasing", "spin-boson"])
+    def test_real_float64_hamiltonian_and_cached_spectra(self, build):
+        model = build()
+        parts = (model.hamiltonian, model.h_s_local, model.h_b_local)
+        assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
+        w, v = model.spectrum
+        assert model.spectrum is model.spectrum
+        assert v.dtype == np.float64 and not v.flags.writeable
+        assert np.allclose((v * w) @ v.T, model.hamiltonian, atol=1e-12)
+        wb, vb = model.bath_spectrum
+        assert model.bath_spectrum is model.bath_spectrum
+        assert np.allclose((vb * wb) @ vb.T, model.h_b_local, atol=1e-12)
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,10 @@ from thermoq.models import (
     fock_measurement,
     pauli_x_measurement,
 )
+from thermoq import validate
 from thermoq.validate import (
     CHECKS,
+    CLOSED_FORM_MIN_PROB,
     IdentityCheck,
     check_engine_point,
     cross_validate,
@@ -115,3 +117,19 @@ def test_default_cross_validate_passes():
     report = cross_validate(0, 5)
     assert report.passed, [c.as_dict() for c in report.checks if not c.passed]
     assert len(report.checks) == len(CHECKS)
+
+
+def test_cross_validate_reports_excluded_mass(monkeypatch):
+    excluded = []
+    real = validate.check_engine_point
+
+    def check_engine_point(*args, **kwargs):
+        result = real(*args, **kwargs)
+        excluded.append(result[3])
+        return result
+
+    monkeypatch.setattr(validate, "check_engine_point", check_engine_point)
+    report = cross_validate(3, 1).as_dict()
+    assert len(excluded) == 2  # the heat-exchange and the dephasing draw
+    assert report["closed_form_min_probability"] == CLOSED_FORM_MIN_PROB
+    assert report["closed_form_excluded_probability_max"] == max(excluded) > 0
