@@ -16,6 +16,7 @@ from .models import (
     BathMode,
     CompositeModel,
     ProjectiveMeasurement,
+    SectorCouplingError,
     SpectralDensity,
     build_coupled_oscillators,
     build_dephasing_model,

@@ -48,11 +48,6 @@ from .validate import (
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
 
-# Largest automatic heat-exchange Fock cutoff: beyond it the dense eigh of the
-# (n_max+1)^2-dimensional real Hamiltonian dominates the run time (2.2 s at
-# n_max = 46 on one thread). Points it lowers are listed in the sidecar.
-HE_AUTO_N_MAX = 50
-
 EXPERIMENTS = (
     "heat-exchange",
     "dephasing",
@@ -91,7 +86,9 @@ CONFIG_SCHEMA = {
     },
     "numerics": {
         "n_max": "int >= 1 or null: Fock cutoff override (per mode for dephasing)",
-        "tail": "float in (0, 1): thermal tail bound for automatic cutoffs (default 1e-10)",
+        "tail": "float in (0, 1): thermal tail bound for automatic cutoffs (default "
+                "1e-10; mean-force 1e-8); used as given, and mean-force writes it to "
+                "the sidecar",
         "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
                    "routes (default 1e-4 * beta, at most beta / 10)",
         "prob_floor": "float in (0, 1): outcomes below it are excluded (default 1e-12)",
@@ -142,12 +139,12 @@ def _sweep_points(sweep, allowed):
     return [dict(zip(axes, combo)) for combo in itertools.product(*(sweep[a] for a in axes))]
 
 
-def _numerics(config):
+def _numerics(config, default_tail=1e-10):
     n = dict(config.get("numerics", {}))
     n_max, fd_step = n.pop("n_max", None), n.pop("fd_step", None)
     out = {
         "n_max": None if n_max is None else _count("numerics.n_max", n_max, 1),
-        "tail": _positive("numerics", "tail", n.pop("tail", 1e-10), below=1),
+        "tail": _positive("numerics", "tail", n.pop("tail", default_tail), below=1),
         "fd_step": None if fd_step is None else _positive("numerics", "fd_step", fd_step),
         "prob_floor": _positive("numerics", "prob_floor", n.pop("prob_floor", 1e-12), below=1),
         "slope_tol": _positive("numerics", "slope_tol", n.pop("slope_tol", 0.1)),
@@ -192,8 +189,8 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     """The sweep of an engine experiment: one checked heat decomposition per point.
 
     ``family_point(point)`` returns (params, cutoff key, model builder, rho0, t,
-    measurement, closed-form reference); params holds beta and leads each row.
-    One engine is built per cutoff key.
+    measurement builder, closed-form reference); params holds beta and leads
+    each row. One engine and one measurement are built per cutoff key.
     """
     per_outcome = bool(config.get("output", {}).get("per_outcome", False))
     checks = identity_checks(*check_ids)
@@ -201,13 +198,14 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     rows = []
     excluded = 0.0
     for point in points:
-        params, key, build, rho0, t, meas, reference = family_point(point)
+        params, key, build, rho0, t, measure, reference = family_point(point)
         beta = params["beta"]
         h = _fd_step(num, beta)
         if key not in engines:
-            engines[key] = HeatEngine(build(), prob_floor=num["prob_floor"])
+            engines[key] = (HeatEngine(build(), prob_floor=num["prob_floor"]), measure())
+        engine, meas = engines[key]
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
-            checks, engines[key], rho0, beta, t, meas, reference, params, h=h)
+            checks, engine, rho0, beta, t, meas, reference, params, h=h)
         excluded = max(excluded, point_excluded)
 
         agg = {**params, **reference.columns, "h_avg": record.h_avg,
@@ -237,7 +235,6 @@ def _run_heat_exchange(config):
         raise ConfigError(f"unknown heat-exchange model keys: {sorted(model)}")
     points = _sweep_points(config.get("sweep", {}),
                            {"beta", "t", "g", "delta", "omega_0"})
-    capped = []
 
     def family_point(point):
         p = {**base, **point}
@@ -253,23 +250,16 @@ def _run_heat_exchange(config):
         n_max = num["n_max"]
         if n_max is None:
             n_max = truncation_level(beta, omega_0, num["tail"]) + 4
-            if n_max > HE_AUTO_N_MAX:
-                n_max = HE_AUTO_N_MAX
-                capped.append({"beta": beta, "n_max": n_max,
-                               "tail_weight": math.exp(-beta * omega_0 * (n_max + 1))})
         ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
                   "n_max": n_max}
         return (params, (omega_0, delta, g, n_max),
                 lambda: build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
-                ground, t, fock_measurement(n_max), he_reference(he))
+                ground, t, lambda: fock_measurement(n_max), he_reference(he))
 
-    rows, checks, summary = _run_engine_points(
-        config, num, points, ("fisher", "closed_form", "saturation"), family_point)
-    if capped:
-        summary["n_max_capped"] = capped
-    return rows, checks, summary
+    return _run_engine_points(config, num, points, ("fisher", "closed_form", "saturation"),
+                              family_point)
 
 
 def _run_dephasing(config):
@@ -291,7 +281,7 @@ def _run_dephasing(config):
             cutoffs = [truncation_level(beta, m.omega, num["tail"]) + 3 for m in modes]
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
         return (params, tuple(cutoffs), lambda: build_dephasing_model(modes, cutoffs),
-                plus, t, meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
+                plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
     return _run_engine_points(config, num, points,
                               ("fisher", "closed_form", "avg_heat", "saturation"),
@@ -300,7 +290,7 @@ def _run_dephasing(config):
 
 def _run_mean_force(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config)
+    num = _numerics(config, default_tail=1e-8)
     omega_q = _positive("model", "omega_q", model.pop("omega_q", 1.0))
     modes = _parse_modes(model, "mean-force")
     axis = model.pop("coupling_axis", "xz")
@@ -311,26 +301,30 @@ def _run_mean_force(config):
     points = _sweep_points(config.get("sweep", {}), {"beta"})
 
     checks = identity_checks("mean_force", "ur_product")
+    models = {}  # one model, and so one spectrum, per cutoff key
     rows = []
     for point in points:
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
         h = _fd_step(num, beta)
         if num["n_max"] is not None:
-            cutoffs = [num["n_max"]] * len(modes)
+            cutoffs = (num["n_max"],) * len(modes)
         else:
-            cutoffs = [truncation_level(beta, m.omega, max(num["tail"], 1e-8)) + 2
-                       for m in modes]
-        built = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis=axis)
+            cutoffs = tuple(truncation_level(beta, m.omega, num["tail"]) + 2 for m in modes)
+        if cutoffs not in models:
+            models[cutoffs] = build_spin_boson_model(omega_q, modes, list(cutoffs),
+                                                     coupling_axis=axis)
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
         result, delta_u, product = check_mean_force_point(
-            checks, built, beta, params, h_step=h, prob_floor=num["prob_floor"])
+            checks, models[cutoffs], beta, params, h_step=h, prob_floor=num["prob_floor"])
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
                      "fisher": result.fisher, "ur_product": product,
                      "dual_residual": result.dual_residual})
-    return rows, list(checks.values()), {}
+    # the tail the automatic cutoffs used; none when numerics.n_max fixes them
+    return rows, list(checks.values()), {"tail": None if num["n_max"] is not None
+                                         else num["tail"]}
 
 
 def _spectral(model):
@@ -508,15 +502,14 @@ def run_cmd(config_path):
 
 
 @main.command("cross-validate")
-@click.option("--seed", default=0, show_default=True, help="RNG seed.")
-@click.option("--draws", default=5, show_default=True,
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
+              help="RNG seed (>= 0).")
+@click.option("--draws", default=5, show_default=True, type=click.IntRange(min=1),
               help="Random instances per model family.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Optional JSON report path.")
 def cross_validate_cmd(seed, draws, output):
     """Check every identity on random instances of each model family."""
-    if draws < 1:
-        raise click.UsageError("--draws must be at least 1")
     report = cross_validate(seed, draws)
     click.echo(f"cross-validate seed={seed} draws={draws} "
                f"({report.elapsed_seconds:.1f}s)")

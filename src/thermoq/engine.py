@@ -15,18 +15,23 @@ information share one branch kernel. The initial state
 chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta) |phi_r, v_j><phi_r, v_j|
 has rank at most K = rank(rho0) * d_b, so only its K branch amplitudes
 A_k = U |phi_r, v_j> are evolved, and beta enters only through the weights
-c_k = w_r p_j(beta). Per (rho0, t, measurement) the kernel builds two
-L x K tables, <A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>; every
-outcome probability and conditional energy, at any beta of a
-finite-difference stencil, is then a matrix-vector product. The cost is
-O(d^2 K) per (rho0, t) for a full-space dimension d, against O(d^3) plus L
-embedded d x d projectors for the dense route the tests keep as reference.
+c_k = w_r p_j(beta). U is block-diagonal in the model's charge sectors, so
+each branch is evolved sector by sector, A[I_b] = V_b e^{-i lambda_b t}
+V_b^T x[I_b], skipping the branches with no weight in the sector. Per
+(rho0, t, measurement) the kernel builds two L x K tables,
+<A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>; every outcome probability
+and conditional energy, at any beta of a finite-difference stencil, is then
+a matrix-vector product. The evolution costs O(sum_b |I_b|^2 K) per
+(rho0, t) over the sectors I_b (one sector of size d for a model with no
+charge), against O(d^3) plus L embedded d x d projectors for the dense
+route the tests keep as reference.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import (
     DensityMatrix,
@@ -44,6 +49,13 @@ PROB_RANGE_ATOL = 1e-12
 def _trace_prod(a, b):
     """Tr[a b] without forming the product."""
     return np.einsum("ij,ji->", a, b)
+
+
+def _real_matmul(v, z):
+    """v @ z for real v and complex z, as one real product over z's real and
+    imaginary parts."""
+    z = np.ascontiguousarray(z)
+    return (v @ z.view(np.float64)).view(np.complex128)
 
 
 class SuppressedOutcomeError(ValueError):
@@ -119,14 +131,15 @@ class _BranchTables:
 class HeatEngine:
     """Repeated evaluation of one model's working points.
 
-    Reads the eigenpairs (lambda, V) of the full Hamiltonian and (eps_j, v_j)
-    of the sample Hamiltonian from the model's cached ``spectrum`` and
-    ``bath_spectrum``, and holds no d x d array of its own.
-    ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
-    and ``fisher_finite_difference`` evolve only the branch amplitudes of
-    rho0 (x) gamma_B (see the module docstring): two d x d x K matrix
-    products with K = rank(rho0) * d_b, O(d^2 rank(rho0) d_b) per
-    (rho0, t), and no propagator, full-space state or embedded projector.
+    Reads the per-sector eigenpairs (I_b, lambda_b, V_b) of the full
+    Hamiltonian and (eps_j, v_j) of the sample Hamiltonian from the model's
+    cached ``spectrum`` and ``bath_spectrum``, and holds no d x d array of
+    its own. ``heat_decomposition``, ``score_direct_all``,
+    ``outcome_probabilities_at`` and ``fisher_finite_difference`` evolve
+    only the branch amplitudes of rho0 (x) gamma_B (see the module
+    docstring): two |I_b| x |I_b| x K matrix products per sector with
+    K = rank(rho0) * d_b, O(sum_b |I_b|^2 K) per (rho0, t), and no
+    propagator, full-space state or embedded projector.
 
     All methods are pure given their arguments. Instances hold the tables
     of the last (rho0, t, measurement), swapped in as one tuple, and read
@@ -138,6 +151,7 @@ class HeatEngine:
         self.prob_floor = prob_floor
         # the eigendecompositions are paid for here, not by the first point
         model.spectrum, model.bath_spectrum  # noqa: B018
+        self._h_b = sparse.csr_array(model.h_b_local)
         # (meas, (rho0 bytes, t), tables) of the last kernel call: the heat,
         # direct-score and finite-difference routes of one point share it
         self._last_tables = None
@@ -153,8 +167,12 @@ class HeatEngine:
         return np.kron(rho0, self.sample_thermal_matrix(beta))
 
     def propagator(self, t):
-        lam, v = self.model.spectrum
-        return (v * np.exp(-1j * lam * t)) @ v.conj().T
+        """Dense U = e^{-iHt}, assembled from the sector blocks."""
+        d = self.model.space.total_dim
+        u = np.zeros((d, d), dtype=complex)
+        for index, lam, v in self.model.spectrum:
+            u[np.ix_(index, index)] = (v * np.exp(-1j * lam * t)) @ v.T
+        return u
 
     def evolve_matrix(self, chi0, t):
         u = self.propagator(t)
@@ -181,22 +199,30 @@ class HeatEngine:
         # or low-rank rho0 would otherwise cost d_b columns each
         keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
         w, phi = w[keep], phi[:, keep]
-        # A = V (e^{-i lambda t} * (V^dag x)); V^dag is never formed
-        lam, v = self.model.spectrum
+        # per sector: A[I_b] = V_b (e^{-i lambda_b t} * (V_b^T x[I_b])), only
+        # over the branches x_k = |phi_r, v_j> with weight in the sector
         x = np.kron(phi, self.model.bath_spectrum[1])
-        y = (x.conj().T @ v).conj().T
-        y *= np.exp(-1j * lam * t)[:, None]
-        amp = np.ascontiguousarray((v @ y).T).reshape(-1, d_s, d_b)
+        amp = np.zeros(x.shape, dtype=complex)
+        for index, lam, v in self.model.spectrum:
+            x_b = x[index]
+            live = np.flatnonzero(np.any(x_b != 0, axis=0))
+            if live.size == 0:
+                continue
+            y = _real_matmul(v.T, x_b[:, live])
+            y *= np.exp(-1j * lam * t)[:, None]
+            amp[np.ix_(index, live)] = _real_matmul(v, y)
+        amp = np.ascontiguousarray(amp.T).reshape(-1, d_s, d_b)
         amp_h = amp.conj().transpose(0, 2, 1)
-        # branch-reduced probe operators A_k A_k^dag and A_k H_B^T A_k^dag
+        # branch-reduced probe operators A_k A_k^dag and A_k H_B A_k^dag; both
+        # Hermitian, so Tr[Pi_l M_k] = sum_{ts} Pi_l[t, s] conj(M_k[t, s])
         rho_k = amp @ amp_h
-        hb_amp = (amp.reshape(-1, d_b) @ self.model.h_b_local.T).reshape(amp.shape)
+        hb_amp = (self._h_b @ amp.reshape(-1, d_b).T).T.reshape(amp.shape)
         en_k = hb_amp @ amp_h
-        projs = np.stack(meas.projectors)
+        projs = np.stack(meas.projectors).reshape(len(meas.projectors), -1)
         tables = _BranchTables(
-            prob=np.einsum("lts,kst->lk", projs, rho_k).real,
-            energy=np.einsum("lts,kst->lk", projs, en_k).real,
-            bath_energy=np.einsum("kss->k", en_k).real,
+            prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
+            energy=(projs @ en_k.reshape(len(amp), -1).conj().T).real,
+            bath_energy=np.trace(en_k, axis1=1, axis2=2).real,
             rho_w=w,
         )
         self._last_tables = (meas, key, tables)

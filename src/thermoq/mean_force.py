@@ -9,12 +9,14 @@ into the familiar temperature-energy uncertainty relation.
 
 Every quantity of a point comes from the model's cached eigendecompositions
 of H = sum_n w_n |n><n| and of H_B (``CompositeModel.spectrum`` and
-``bath_spectrum``). The reduced Gibbs operator and its exact beta-derivative
-are the same contraction of the eigenvectors over the sample index, weighted
-by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n}; the internal energy is
-<H>_beta - <H_B>_B from the two spectra; and the outcome probabilities of the
-E*-eigenbasis measurement at any beta are one matrix-vector product with a
-beta-independent table of eigenvector occupations.
+``bath_spectrum``). The spectrum comes in charge-sector blocks, and every
+function here works block by block. The reduced Gibbs operator and its exact
+beta-derivative are the same contraction of the eigenvectors over the sample
+index, weighted by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n}; the
+internal energy is <H>_beta - <H_B>_B from the two spectra; and the outcome
+probabilities of the E*-eigenbasis measurement at any beta are one
+matrix-vector product with a beta-independent table of eigenvector
+occupations.
 """
 
 import math
@@ -64,22 +66,35 @@ def _system_operator(model, m):
     return HermitianOperator(model.space.subspace([0]), 0.5 * (m + m.conj().T))
 
 
-def _bath_trace(model, beta, spectral_weight=None):
-    """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor, f(w_n) = spectral_weight.
+def _energies(model):
+    """Eigenvalues of H, block after block in ``spectrum`` order."""
+    return np.concatenate([w for _, w, _ in model.spectrum])
+
+
+def _sample_split(model, index, columns):
+    """Columns over the sector states ``index`` as a (d_s, d_b, n) full-space array."""
+    full = np.zeros((model.space.total_dim, columns.shape[1]), dtype=columns.dtype)
+    full[index] = columns
+    return full.reshape(model.system_dim, model.bath_dim, -1)
+
+
+def _bath_trace(model, beta, energy_shift=None):
+    """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor; f = 1, or f(w) = w - energy_shift.
 
     Both exponentials are shifted by their ground energies before
     exponentiating; the shifts recombine in the ratio. The sample trace is
-    contracted directly from the eigenvectors, so no full-space matrix is
-    formed.
+    contracted directly from each sector's eigenvectors, so no full-space
+    operator is formed.
     """
-    w, v = model.spectrum
     bath_eig = model.bath_spectrum[0]
-    w0, wb0 = w.min(), bath_eig.min()
-    weights = np.exp(-beta * (w - w0))
-    if spectral_weight is not None:
-        weights = weights * spectral_weight
-    vt = v.reshape(model.system_dim, model.bath_dim, len(w))
-    traced = np.einsum("sbn,n,tbn->st", vt, weights, vt.conj())
+    w0, wb0 = _energies(model).min(), bath_eig.min()
+    traced = 0.0
+    for index, w, v in model.spectrum:
+        weights = np.exp(-beta * (w - w0))
+        if energy_shift is not None:
+            weights = weights * (w - energy_shift)
+        vt = _sample_split(model, index, v)
+        traced = traced + np.einsum("sbn,n,tbn->st", vt, weights, vt)
     z_b_shifted = np.sum(np.exp(-beta * (bath_eig - wb0)))
     return traced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
 
@@ -111,7 +126,7 @@ def z_star(model, beta):
 
 def internal_energy(model, beta):
     """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the two spectra."""
-    w, wb = model.spectrum[0], model.bath_spectrum[0]
+    w, wb = _energies(model), model.bath_spectrum[0]
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
@@ -126,7 +141,7 @@ def energy_operator(model, beta):
     a = reduced_gibbs_operator(model, beta)
     bath_eig = model.bath_spectrum[0]
     e_bath = gibbs_weights(bath_eig, beta) @ bath_eig
-    d = _bath_trace(model, beta, model.spectrum[0] - e_bath)
+    d = _bath_trace(model, beta, energy_shift=e_bath)
     wa, va = np.linalg.eigh(a)
     denom = wa[:, None] + wa[None, :]
     if denom.min() < 1e-300:
@@ -149,10 +164,9 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
 
     The result also carries the Fisher information of the E*-eigenbasis
     measurement, by finite differences of ln P_l(beta) with step h_step
-    (``engine.log_score_fisher``). The model's one eigendecomposition of H
-    serves every quantity.
+    (``engine.log_score_fisher``). The model's sector eigendecompositions of
+    H serve every quantity.
     """
-    w, v = model.spectrum
     a = reduced_gibbs_operator(model, beta)
     h_star = _log_gibbs(model, a, beta)
     e_star = energy_operator(model, beta)
@@ -163,20 +177,28 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
         degeneracy_tol = 1e-8 * max(spread, 1.0)
     meas = eigenbasis_measurement(e_star, degeneracy_tol)
 
-    vt = v.reshape(model.system_dim, model.bath_dim, len(w))
+    w = _energies(model)
+    gibbs = gibbs_weights(w, beta)
     projs = np.stack(meas.projectors)
-    # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b)
-    occupation = np.einsum("sbn,lst,tbn->ln", vt.conj(), projs, vt, optimize=True).real
+    occupation = []
+    h_chi_s = 0.0
+    start = 0
+    for index, _, v in model.spectrum:
+        vt = _sample_split(model, index, v)
+        # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b)
+        occupation.append(np.einsum("sbn,lst,tbn->ln", vt, projs, vt, optimize=True).real)
+        # Tr_B[H chi_s] from H applied to the Gibbs-weighted eigenvectors
+        weighted = _sample_split(model, index, v * gibbs[start:start + len(index)])
+        h_chi = (model.hamiltonian @ weighted.reshape(-1, len(index))).reshape(vt.shape)
+        h_chi_s = h_chi_s + np.einsum("tbn,sbn->ts", h_chi, vt)
+        start += len(index)
+    occupation = np.concatenate(occupation, axis=1)
 
     def probabilities(b):
         return _checked_probabilities(occupation @ gibbs_weights(w, b))
 
     probs = probabilities(beta)
     fisher = log_score_fisher(probabilities, beta, h_step, prob_floor)
-
-    # Tr_B[H chi_s] from H applied to the Gibbs-weighted eigenvectors
-    h_chi = (model.hamiltonian @ (v * gibbs_weights(w, beta))).reshape(vt.shape)
-    h_chi_s = np.einsum("tbn,sbn->ts", h_chi, vt.conj())
     e_total = np.trace(h_chi_s).real
 
     rows = []

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .linalg import (
-    HilbertSpace,
-    InvalidOperatorError,
-    _check_hermitian,
-    embed_factor,
-    hermitian_eig,
-)
+from .linalg import HERMITICITY_RTOL, HilbertSpace, InvalidOperatorError, hermitian_eig
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -95,25 +90,56 @@ class ProjectiveMeasurement:
         return self.projectors[0].shape[0]
 
 
+class SectorCouplingError(ValueError):
+    """The Hamiltonian has an entry between two different charge labels."""
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
 
-    ``hamiltonian`` is H on the full space, stored once, read-only, float64
-    from every builder; h_s_local and h_b_local are H_S on factor 0 and H_B
-    on the sample factors. ``spectrum`` and ``bath_spectrum`` (eigenpairs of
-    H and H_B) are computed on first use and cached; every route reads them.
+    ``hamiltonian`` is H on the full space, stored once as a read-only
+    float64 CSR matrix; h_s_local and h_b_local are H_S on factor 0 and H_B
+    on the sample factors, dense. ``charge`` labels each basis state with
+    the conserved charge its builder declared (None: no charge), and H has
+    no entry between two different labels. ``spectrum`` (eigenpairs of H,
+    one block per charge sector) and ``bath_spectrum`` (eigenpairs of H_B)
+    are computed on first use and cached; every route reads them.
     """
 
     space: HilbertSpace
-    hamiltonian: np.ndarray
+    hamiltonian: sparse.csr_array
     h_s_local: np.ndarray
     h_b_local: np.ndarray
+    charge: np.ndarray = None
 
     @cached_property
     def spectrum(self):
-        """(eigenvalues ascending, column eigenvectors) of the full Hamiltonian."""
-        return _read_only(np.linalg.eigh(self.hamiltonian))
+        """One (index, eigenvalues ascending, column eigenvectors) block per sector.
+
+        ``index`` lists the basis states carrying one charge label; the
+        block's eigenvectors are columns over those states only. A model with
+        no charge has one block covering every index. Costs one dense eigh
+        per sector, sum_b |I_b|^3 in place of d^3.
+        """
+        d = self.space.total_dim
+        labels = np.zeros(d, dtype=int) if self.charge is None else self.charge
+        _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        order = np.argsort(sector_of, kind="stable")
+        local = np.empty(d, dtype=int)  # position of each state within its sector
+        local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
+        # group the stored entries of H by sector; none couples two sectors
+        h = self.hamiltonian.tocoo()
+        entry_sector = sector_of[h.row]
+        by_sector = np.argsort(entry_sector, kind="stable")
+        entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
+        blocks = []
+        for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
+                                  np.split(by_sector, entry_bounds[:-1])):
+            dense = np.zeros((len(index), len(index)))
+            dense[local[h.row[entries]], local[h.col[entries]]] = h.data[entries]
+            blocks.append(_read_only((index, *np.linalg.eigh(dense))))
+        return tuple(blocks)
 
     @cached_property
     def bath_spectrum(self):
@@ -135,25 +161,50 @@ def _read_only(arrays):
     return tuple(arrays)
 
 
-def _compose(space, h_s_local, h_b_local, h_i):
+def _compose(space, h_s_local, h_b_local, h_i, charge=None):
+    """H = H_S (x) 1 + 1 (x) H_B + H_I as read-only CSR, checked Hermitian and
+    block-diagonal in ``charge``: both checks are O(nnz)."""
     d_s = space.factor_dims[0]
     d_b = space.total_dim // d_s
-    h = np.kron(h_s_local, np.eye(d_b)) + np.kron(np.eye(d_s), h_b_local) + h_i
-    _check_hermitian(h)
-    return CompositeModel(space, *_read_only((h, np.array(h_s_local), np.array(h_b_local))))
+    h = sparse.csr_array(sparse.kron(h_s_local, sparse.eye_array(d_b))
+                         + sparse.kron(sparse.eye_array(d_s), h_b_local) + h_i)
+    h.sum_duplicates()
+    h.eliminate_zeros()
+    scale = 1.0 + abs(h).max()
+    dev = abs(h - h.T.conj()).max()
+    if dev > HERMITICITY_RTOL * scale:
+        raise InvalidOperatorError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
+    if charge is not None:
+        charge = np.asarray(charge)
+        rows, cols = h.nonzero()
+        bad = np.flatnonzero(charge[rows] != charge[cols])
+        if bad.size:
+            r, c = rows[bad[0]], cols[bad[0]]
+            raise SectorCouplingError(
+                f"H couples state {r} (charge {charge[r]}) to state {c} "
+                f"(charge {charge[c]}) in {bad.size} entries")
+        charge = _read_only((charge,))[0]
+    _read_only((h.data, h.indices, h.indptr))
+    return CompositeModel(space, h, *_read_only((np.array(h_s_local), np.array(h_b_local))),
+                          charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
-    """Two oscillators with excitation-exchange coupling g(a^dag b + b^dag a)."""
+    """Two oscillators with excitation-exchange coupling g(a^dag b + b^dag a).
+
+    Conserved charge: the total excitation number n_a + n_b.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     d = n_max + 1
     space = HilbertSpace((d, d))
-    a = destroy(n_max)
+    a = sparse.csr_array(destroy(n_max))
     h_s_local = omega_a * number_op(n_max)
     h_b_local = omega_0 * number_op(n_max)
-    h_i = g * (np.kron(a.conj().T, a) + np.kron(a, a.conj().T))
-    return _compose(space, h_s_local, h_b_local, h_i)
+    h_i = g * (sparse.kron(a.T, a) + sparse.kron(a, a.T))
+    n = np.arange(d)
+    return _compose(space, h_s_local, h_b_local, h_i, charge=np.add.outer(n, n).ravel())
 
 
 def _bath_cutoffs(modes, n_max):
@@ -169,18 +220,18 @@ def _bath_cutoffs(modes, n_max):
 
 
 def _multimode_bath(modes, cutoffs):
-    """Bath Hamiltonian and per-mode displacement operators on the bath space."""
-    dims = [n + 1 for n in cutoffs]
-    d_b = int(np.prod(dims))
-    h_b = np.zeros((d_b, d_b))
-    coupling = np.zeros((d_b, d_b))
-    bath_space = HilbertSpace(tuple(dims))
-    for k, (mode, n) in enumerate(zip(modes, cutoffs)):
-        num_k = embed_factor(number_op(n), bath_space, k)
-        b_k = embed_factor(destroy(n), bath_space, k)
-        h_b += mode.omega * num_k
-        coupling += mode.g * (b_k + b_k.conj().T)
-    return dims, h_b, coupling
+    """Diagonal bath energies, total excitation numbers and the sparse coupling
+    sum_k g_k (b_k^dag + b_k), each over the product basis of the modes."""
+    energy, number = np.zeros(1), np.zeros(1, dtype=int)
+    coupling = sparse.csr_array((1, 1))
+    for mode, n in zip(modes, cutoffs):
+        levels = np.arange(n + 1)
+        energy = np.add.outer(energy, mode.omega * levels).ravel()
+        number = np.add.outer(number, levels).ravel()
+        x = sparse.csr_array(destroy(n) + destroy(n).T)
+        coupling = (sparse.kron(coupling, sparse.eye_array(n + 1))
+                    + sparse.kron(sparse.eye_array(coupling.shape[0]), mode.g * x))
+    return energy, number, coupling
 
 
 def build_dephasing_model(modes, n_max):
@@ -199,16 +250,22 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     with a nonzero system Hamiltonian; 'xz' mixes both, breaking the
     parity symmetry that would otherwise keep the mean-force Hamiltonian
     diagonal.
+
+    Conserved charge: sigma_z of the probe for 'z'; the parity
+    sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'.
     """
     if not modes:
         raise ValueError("at least one bath mode required")
     cutoffs = _bath_cutoffs(modes, n_max)
-    dims, h_b_local, coupling = _multimode_bath(modes, cutoffs)
-    space = HilbertSpace((2, *dims))
+    energy, number, coupling = _multimode_bath(modes, cutoffs)
+    space = HilbertSpace((2, *(n + 1 for n in cutoffs)))
     h_s_local = np.diag([0.0, omega_q])
     pauli = {"x": SIGMA_X, "z": SIGMA_Z, "xz": (SIGMA_X + SIGMA_Z) / np.sqrt(2)}[coupling_axis]
-    h_i = np.kron(pauli, coupling)
-    return _compose(space, h_s_local, h_b_local, h_i)
+    sigma_z = np.diag(SIGMA_Z).astype(int)
+    charge = {"x": np.kron(sigma_z, (-1) ** number),
+              "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
+    h_i = sparse.kron(pauli, coupling)
+    return _compose(space, h_s_local, np.diag(energy), h_i, charge)
 
 
 def discretize_spectral_density(j, k_modes, omega_max):

@@ -1,7 +1,8 @@
 """Dense full-space reference route for the engine's branch kernel.
 
 Builds chi0 = kron(rho0, gamma_B) on the full space, evolves it as
-U chi0 U^dag with a propagator from linalg's Hermitian function calculus,
+U chi0 U^dag with a propagator from linalg's Hermitian function calculus
+applied to the whole dense H (no symmetry sectors),
 and embeds one d x d projector per outcome with ``embed_factor``. That is
 O(d^3) work and L full-space projectors per point, so it lives here, as the
 independent route the engine's results are tested against, and not in the
@@ -23,7 +24,10 @@ def embedded_projectors(model, meas):
 
 
 def propagator(model, t):
-    return hermitian_func(model.hamiltonian, lambda w: np.exp(-1j * w * t))
+    """U = e^{-iHt} from a complex eigendecomposition of the whole of H,
+    ignoring the model's charge sectors."""
+    h = model.hamiltonian.toarray().astype(complex)
+    return hermitian_func(h, lambda w: np.exp(-1j * w * t))
 
 
 def initial_state(model, rho0, beta):

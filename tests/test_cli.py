@@ -2,13 +2,13 @@
 
 import dataclasses
 import json
-import math
 
 import pytest
 from click.testing import CliRunner
 
 from thermoq import cli
 from thermoq.cli import main
+from thermoq.linalg import truncation_level
 
 RUNNER = CliRunner()
 
@@ -125,6 +125,11 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["cross-validate", "--draws", "0"])
         assert result.exit_code == 2
 
+    def test_negative_seed_is_usage_error(self):
+        result = RUNNER.invoke(main, ["cross-validate", "--seed", "-1", "--draws", "1"])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+
 
 class TestRunOutputs:
     def test_heat_exchange_csv(self, tmp_path):
@@ -196,20 +201,49 @@ class TestRunOutputs:
         assert (override / "out.csv").exists()
 
 
-def test_capped_cutoff_is_listed_in_sidecar(tmp_path, monkeypatch):
-    # beta = 2 needs n_max = 15 for the 1e-10 tail; beta = 6 needs 7
-    monkeypatch.setattr(cli, "HE_AUTO_N_MAX", 10)
+def test_hot_cutoff_runs_uncapped(tmp_path):
+    # beta = 0.4 needs n_max = 61 (d = 3844) for the 1e-10 tail, past the
+    # 50 the automatic cutoff was once capped at
     path = write_config(tmp_path, {
         "experiment": "heat-exchange",
         "model": {"omega_0": 1.0, "delta": 0.0, "g": 0.1},
-        "sweep": {"beta": [2.0, 6.0]},
-        "output": {"path": str(tmp_path / "out.csv")},
+        "sweep": {"beta": [0.4]},
+        "output": {"path": str(tmp_path / "out.json"), "format": "json"},
     })
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 0, result.output
-    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
-    assert report["n_max_capped"] == [
-        {"beta": 2.0, "n_max": 10, "tail_weight": pytest.approx(math.exp(-2.0 * 11))}]
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["rows"][0]["n_max"] == truncation_level(0.4, 1.0, 1e-10) + 4 == 61
+    report = json.loads((tmp_path / "out.json.verification.json").read_text())
+    assert report["passed"] is True
+    assert "n_max_capped" not in report
+
+
+class TestMeanForceTail:
+    """The mean-force tail is used as given (default 1e-8) and written to the sidecar."""
+
+    def run(self, tmp_path, numerics):
+        path = write_config(tmp_path, {
+            "experiment": "mean-force",
+            "model": {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "x"},
+            "sweep": {"beta": [2.0]},
+            "numerics": numerics,
+            "output": {"path": str(tmp_path / "mf.json"), "format": "json"},
+        })
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "mf.json").read_text())
+        return payload["rows"][0]["n_max"], payload["verification"]["tail"]
+
+    @pytest.mark.parametrize("numerics, tail", [({}, 1e-8), ({"tail": 1e-4}, 1e-4),
+                                                ({"tail": 1e-12}, 1e-12)])
+    def test_tail_is_used_as_given(self, tmp_path, numerics, tail):
+        n_max, recorded = self.run(tmp_path, numerics)
+        assert recorded == tail
+        assert n_max == truncation_level(2.0, 1.2, tail) + 2
+
+    def test_fixed_cutoff_uses_no_tail(self, tmp_path):
+        assert self.run(tmp_path, {"n_max": 5, "tail": 1e-3}) == (5, None)
 
 
 class TestCrossValidateCommand:

@@ -66,7 +66,7 @@ class TestStatesAndEvolution:
         chi0 = eng.initial_state_matrix(rho0, beta)
         chi_t = eng.evolve_matrix(chi0, t)
         assert np.trace(chi_t).real == pytest.approx(1.0, abs=1e-12)
-        h = eng.model.hamiltonian
+        h = eng.model.hamiltonian.toarray()
         assert np.trace(h @ chi_t).real == pytest.approx(np.trace(h @ chi0).real,
                                                          abs=1e-10)
 
@@ -325,10 +325,11 @@ class TestBranchKernel:
             return [a for a in held if isinstance(a, np.ndarray) and a.size >= d * d]
 
         assert full_space_arrays(eng) == []
-        # the model holds H and the eigenvectors of its spectrum, nothing else
-        held = full_space_arrays(model)
-        assert len(held) == 2
-        assert held[0] is model.hamiltonian and held[1] is model.spectrum[1]
+        # the model holds H as a sparse matrix and its spectrum as sector blocks:
+        # no dense full-space array at all
+        assert full_space_arrays(model) == []
+        assert model.hamiltonian.nnz < 4 * d
+        assert sum(v.size for _, _, v in model.spectrum) < d * d / 10
 
 
 class TestProbabilityRange:

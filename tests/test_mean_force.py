@@ -248,7 +248,8 @@ class TestOneComputationPerPoint:
             "numerics": {"n_max": 4},
         })
         assert len(rows) == 2 and all(c.passed for c in checks)
-        assert calls["eigh_dims"].count(2 * 5 * 5) == 2
+        # numerics.n_max fixes the cutoffs, so both betas share one model
+        assert calls["eigh_dims"].count(2 * 5 * 5) == 1
         assert calls["deviations"] == 2
 
     def test_engine_and_deviations_share_one_spectrum(self, calls):

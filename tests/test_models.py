@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 
 from thermoq.linalg import InvalidOperatorError
@@ -74,7 +75,7 @@ class TestModelBuilders:
         model = build_coupled_oscillators(1.2, 1.0, 0.2, 5)
         d = 6
         n_tot = np.kron(number_op(5), np.eye(d)) + np.kron(np.eye(d), number_op(5))
-        h = model.hamiltonian
+        h = model.hamiltonian.toarray()
         assert np.abs(h @ n_tot - n_tot @ h).max() < 1e-12
 
     def test_hamiltonian_split_adds_up(self):
@@ -87,12 +88,12 @@ class TestModelBuilders:
         h_i = g * (np.kron(a.T, a) + np.kron(a, a.T))
         assert np.allclose(model.h_s_local, omega_a * number_op(n_max), atol=1e-14)
         assert np.allclose(model.h_b_local, omega_0 * number_op(n_max), atol=1e-14)
-        assert np.allclose(model.hamiltonian - h_s - h_b, h_i, atol=1e-14)
+        assert np.allclose(model.hamiltonian.toarray() - h_s - h_b, h_i, atol=1e-14)
 
     def test_dephasing_interaction_commutes_with_sigma_z(self):
         model = build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3)
         sz = np.kron(SIGMA_Z, np.eye(model.bath_dim))
-        h = model.hamiltonian
+        h = model.hamiltonian.toarray()
         assert np.abs(h @ sz - sz @ h).max() < 1e-12
 
     def test_dephasing_per_mode_cutoffs(self):
@@ -103,7 +104,7 @@ class TestModelBuilders:
         model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3,
                                        coupling_axis="x")
         hs = np.kron(model.h_s_local, np.eye(model.bath_dim))
-        h = model.hamiltonian
+        h = model.hamiltonian.toarray()
         assert np.abs(hs @ h - h @ hs).max() > 1e-3
 
     def test_spin_boson_rejects_unknown_axis(self):
@@ -118,12 +119,20 @@ class TestModelBuilders:
     ], ids=["exchange", "dephasing", "spin-boson"])
     def test_real_float64_hamiltonian_and_cached_spectra(self, build):
         model = build()
-        parts = (model.hamiltonian, model.h_s_local, model.h_b_local)
+        h = model.hamiltonian
+        assert sparse.issparse(h) and h.format == "csr" and h.dtype == np.float64
+        assert not any(a.flags.writeable for a in (h.data, h.indices, h.indptr))
+        parts = (model.h_s_local, model.h_b_local)
         assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
-        w, v = model.spectrum
         assert model.spectrum is model.spectrum
-        assert v.dtype == np.float64 and not v.flags.writeable
-        assert np.allclose((v * w) @ v.T, model.hamiltonian, atol=1e-12)
+        dense = h.toarray()
+        rebuilt = np.zeros_like(dense)
+        for index, w, v in model.spectrum:
+            assert v.dtype == np.float64 and not v.flags.writeable
+            rebuilt[np.ix_(index, index)] = (v * w) @ v.T
+        covered = np.sort(np.concatenate([index for index, _, _ in model.spectrum]))
+        assert np.array_equal(covered, np.arange(model.space.total_dim))
+        assert np.allclose(rebuilt, dense, atol=1e-12)
         wb, vb = model.bath_spectrum
         assert model.bath_spectrum is model.bath_spectrum
         assert np.allclose((vb * wb) @ vb.T, model.h_b_local, atol=1e-12)
