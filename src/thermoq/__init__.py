@@ -1,15 +1,9 @@
 """Heat-fluctuation analysis of probe-based quantum thermometry."""
 
 from .linalg import (
-    DensityMatrix,
     HermitianOperator,
     HilbertSpace,
-    embed_factor,
     hermitian_eig,
-    hermitian_func,
-    partial_trace,
-    tensor_product,
-    thermal_state,
     truncation_level,
 )
 from .models import (
@@ -30,9 +24,6 @@ from .engine import (
     HeatEngine,
     HeatRecord,
     OutcomeHeat,
-    conditional_bath_state,
-    evolve_total,
-    outcome_probabilities,
     precision_bound,
 )
 from .closed_form import (

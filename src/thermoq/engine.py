@@ -24,7 +24,10 @@ and conditional energy, at any beta of a finite-difference stencil, is then
 a matrix-vector product. The evolution costs O(sum_b |I_b|^2 K) per
 (rho0, t) over the sectors I_b (one sector of size d for a model with no
 charge), against O(d^3) plus L embedded d x d projectors for the dense
-route the tests keep as reference.
+route the tests keep as reference. The two-point route evolves the same
+branches with the dense U, assembled from the sector blocks, and reads the
+outcomes in a basis of the projectors' ranges, so past rho0's eigenpairs it
+shares no code with the kernel.
 """
 
 import math
@@ -33,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .linalg import (
-    DensityMatrix,
-    gibbs_weights,
-    hermitian_eig,
-    partial_trace_matrix,
-)
+from .linalg import gibbs_weights, hermitian_eig
 
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
@@ -56,14 +54,6 @@ def _real_matmul(v, z):
     imaginary parts."""
     z = np.ascontiguousarray(z)
     return (v @ z.view(np.float64)).view(np.complex128)
-
-
-class SuppressedOutcomeError(ValueError):
-    """Outcome probability below the floor; 1/P_l terms are unreliable."""
-
-
-class NonThermalSampleError(ValueError):
-    """Initial sample state is not diagonal in the sample energy basis."""
 
 
 class ProbabilityRangeError(ValueError):
@@ -85,12 +75,27 @@ def _require_system_dim(meas, d_s):
         raise ValueError("measurement does not match the system factor")
 
 
-def _system_probabilities(chi_t, dims, meas):
-    """Checked Tr[Pi_l Tr_B chi_t] for a measurement on factor 0."""
-    _require_system_dim(meas, dims[0])
-    rho_s = partial_trace_matrix(chi_t, dims, [0])
-    return _checked_probabilities(
-        np.array([_trace_prod(p, rho_s).real for p in meas.projectors]))
+def _probe_eigenpairs(rho0, d_s):
+    """(w_r, phi_r) of rho0, without the eigenvalues at eigh's roundoff scale:
+    exact zeros of a pure or low-rank rho0 would otherwise cost d_b
+    branches each."""
+    w, phi = hermitian_eig(rho0)
+    if w.shape != (d_s,):
+        raise ValueError("rho0 does not match the system factor")
+    keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
+    return w[keep], phi[:, keep]
+
+
+def _range_basis(meas):
+    """(E, owner): the columns of E are an orthonormal basis of the probe made
+    of bases of the projectors' ranges; column m lies in the range of
+    projector owner[m]."""
+    vecs, owner = [], []
+    for li, proj in enumerate(meas.projectors):
+        w, v = np.linalg.eigh(proj)
+        vecs.append(v[:, w > 0.5])
+        owner += [li] * vecs[-1].shape[1]
+    return np.hstack(vecs), np.array(owner)
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,9 @@ class HeatEngine:
     docstring): two |I_b| x |I_b| x K matrix products per sector with
     K = rank(rho0) * d_b, O(sum_b |I_b|^2 K) per (rho0, t), and no
     propagator, full-space state or embedded projector.
+    ``two_point_trajectory_heat_all`` takes the same (rho0, beta, t, meas)
+    but evolves with the dense propagator, so it stays an independent check
+    of the kernel.
 
     All methods are pure given their arguments. Instances hold the tables
     of the last (rho0, t, measurement), swapped in as one tuple, and read
@@ -156,49 +164,16 @@ class HeatEngine:
         # direct-score and finite-difference routes of one point share it
         self._last_tables = None
 
-    # -- state preparation ------------------------------------------------
-
-    def sample_thermal_matrix(self, beta):
-        eps, v_b = self.model.bath_spectrum
-        return (v_b * gibbs_weights(eps, beta)) @ v_b.conj().T
-
-    def initial_state_matrix(self, rho0, beta):
-        rho0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-        return np.kron(rho0, self.sample_thermal_matrix(beta))
-
-    def propagator(self, t):
-        """Dense U = e^{-iHt}, assembled from the sector blocks."""
-        d = self.model.space.total_dim
-        u = np.zeros((d, d), dtype=complex)
-        for index, lam, v in self.model.spectrum:
-            u[np.ix_(index, index)] = (v * np.exp(-1j * lam * t)) @ v.T
-        return u
-
-    def evolve_matrix(self, chi0, t):
-        u = self.propagator(t)
-        return u @ chi0 @ u.conj().T
-
-    # -- measurement ------------------------------------------------------
-
-    def probabilities(self, chi_t, meas):
-        return _system_probabilities(chi_t, self.model.space.factor_dims, meas)
-
     # -- branch kernel ----------------------------------------------------
 
     def _branch_tables(self, rho0, t, meas):
-        key = (np.asarray(getattr(rho0, "matrix", rho0), complex).tobytes(), float(t))
+        key = (np.asarray(rho0, complex).tobytes(), float(t))
         last = self._last_tables
         if last is not None and last[0] is meas and last[1] == key:
             return last[2]
         d_s, d_b = self.model.system_dim, self.model.bath_dim
         _require_system_dim(meas, d_s)
-        w, phi = hermitian_eig(rho0)
-        if w.shape != (d_s,):
-            raise ValueError("rho0 does not match the system factor")
-        # drop eigenvalues at eigh's roundoff scale: exact zeros of a pure
-        # or low-rank rho0 would otherwise cost d_b columns each
-        keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
-        w, phi = w[keep], phi[:, keep]
+        w, phi = _probe_eigenpairs(rho0, d_s)
         # per sector: A[I_b] = V_b (e^{-i lambda_b t} * (V_b^T x[I_b])), only
         # over the branches x_k = |phi_r, v_j> with weight in the sector
         x = np.kron(phi, self.model.bath_spectrum[1])
@@ -284,65 +259,49 @@ class HeatEngine:
             if probs[li] >= self.prob_floor
         }
 
-    def score_direct(self, rho0, beta, t, meas, label):
-        """Score from the conditioned-minus-unconditioned initial sample energy."""
-        scores = self.score_direct_all(rho0, beta, t, meas)
-        if label not in scores:
-            raise SuppressedOutcomeError(f"outcome {label!r} is suppressed")
-        return scores[label]
-
     # -- two-point measurement route --------------------------------------
 
-    def _sample_frame(self, matrix):
-        """(1 (x) V_B)^dag M (1 (x) V_B), as a (d_s, d_b, d_s, d_b) array."""
-        d_s, d_b = self.model.system_dim, self.model.bath_dim
-        blocks = matrix.reshape(d_s, d_b, d_s, d_b)
-        vb = self.model.bath_spectrum[1]
-        return np.einsum("ai,satb,bj->sitj", vb.conj(), blocks, vb, optimize=True)
+    def propagator(self, t):
+        """Dense U = e^{-iHt}, assembled from the sector blocks."""
+        d = self.model.space.total_dim
+        u = np.zeros((d, d), dtype=complex)
+        for index, lam, v in self.model.spectrum:
+            u[np.ix_(index, index)] = (v * np.exp(-1j * lam * t)) @ v.T
+        return u
 
-    def two_point_trajectory_heat_all(self, chi0, t, meas):
+    def two_point_trajectory_heat_all(self, rho0, beta, t, meas):
         """Trajectory heat from the explicit double sum over sample eigenstates.
 
-        Works in the frame where the sample Hamiltonian is diagonal; chi0
-        must carry no coherence between distinct sample energy eigenstates
-        (a thermal sample state qualifies). Returns a label -> heat dict
-        over the non-suppressed outcomes. Uses the dense propagator, not the
-        branch kernel, so it stays an independent check of the heat terms.
+        H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l, with the
+        sample prepared in its eigenstate v_j with Gibbs weight p_j(beta) and
+        found in v_i at time t. In the frame where H_B is diagonal the input
+        block of level j is p_j rho0, so the branches are |phi_r, v_j> over
+        the eigenpairs (w_r, phi_r) of rho0. Evolves them with the dense
+        propagator, not the branch kernel, so it stays an independent check
+        of the heat terms. Returns a label -> heat dict over the
+        non-suppressed outcomes.
         """
-        chi0 = chi0.matrix if isinstance(chi0, DensityMatrix) else np.asarray(chi0, complex)
-        d_s = self.model.system_dim
-        d_b = self.model.bath_dim
-        blocks = self._sample_frame(chi0)
-        diag = np.einsum("sitj,ij->sitj", blocks, np.eye(d_b))
-        dev = np.abs(blocks - diag).max()
-        if dev > 1e-10 * (1.0 + np.abs(chi0).max()):
-            raise NonThermalSampleError(
-                f"initial state has sample-energy coherence {dev:.3e}"
-            )
-        u_rot = self._sample_frame(self.propagator(t)).reshape(d_s * d_b, d_s * d_b)
-
-        projs = np.stack(meas.projectors)
-        eps = self.model.bath_spectrum[0]
-        cols = np.arange(d_s) * d_b
-        total = np.zeros(len(projs))
-        energy_sum = np.zeros(len(projs))
-        for j in range(d_b):
-            r_j = blocks[:, j, :, j]
-            weight = np.trace(r_j).real
-            if weight < 1e-300:
-                continue
-            w_r, v_r = np.linalg.eigh(r_j)
-            keep = w_r > 1e-16 * max(weight, 1.0)
-            if not np.any(keep):
-                continue
-            amp = u_rot[:, cols + j] @ (v_r[:, keep] * np.sqrt(w_r[keep]))
-            m = amp.T.reshape(-1, d_s, d_b)
-            # q[l, i] = sum over branches r of <psi_r|(Pi_l x |i><i|)|psi_r>
-            q = np.einsum("rsi,lst,rti->li", m.conj(), projs, m, optimize=True).real
-            q = np.clip(q, 0.0, None)
-            q_sum = q.sum(axis=1)
-            total += q_sum
-            energy_sum += eps[j] * q_sum - q @ eps
+        if beta <= 0:
+            raise ValueError("beta must be positive")
+        d_s, d_b = self.model.system_dim, self.model.bath_dim
+        _require_system_dim(meas, d_s)
+        w, phi = _probe_eigenpairs(rho0, d_s)
+        eps, v_b = self.model.bath_spectrum
+        # branch k = r * d_b + j: weight w_r p_j, initial sample energy eps_j,
+        # amp[s, i, k] = <s, v_i|U|phi_r, v_j>
+        c = np.kron(w, gibbs_weights(eps, beta))
+        c_eps = c * np.tile(eps, len(w))
+        amp = (self.propagator(t).reshape(-1, d_b) @ v_b).reshape(-1, d_s, d_b)
+        amp = np.einsum("ntj,tr->nrj", amp, phi, optimize=True).reshape(d_s, d_b, -1)
+        amp = (v_b.conj().T @ amp).reshape(d_s, -1)
+        # outcome l and final sample level i in branch k: q[l, i, k] is the sum
+        # of |<e_m, v_i|amp_k>|^2 over an orthonormal basis e_m of Pi_l's range
+        basis, owner = _range_basis(meas)
+        hits = np.abs(basis.conj().T @ amp) ** 2
+        q = ((owner == np.arange(len(meas.labels))[:, None]) @ hits).reshape(-1, d_b, len(c))
+        q_c = q @ c
+        total = _checked_probabilities(q_c.sum(axis=1))
+        energy_sum = (q @ c_eps).sum(axis=1) - q_c @ eps
         return {
             label: energy_sum[li] / total[li]
             for li, label in enumerate(meas.labels)
@@ -393,42 +352,6 @@ def log_score_fisher(prob_at, beta, h=None, prob_floor=PROB_FLOOR):
     p0 = prob_at(beta)
     ok = ok_h & ok_h2 & (p0 > prob_floor)
     return float(np.sum(p0[ok] * scores[ok] ** 2))
-
-
-# -- module-level operations that add checks of their own -----------------
-
-
-def evolve_total(model, chi0, t):
-    """Unitary evolution of the full state under the model Hamiltonian."""
-    if chi0.space.factor_dims != model.space.factor_dims:
-        raise ValueError("state space does not match model space")
-    out = HeatEngine(model).evolve_matrix(chi0.matrix, t)
-    return DensityMatrix(model.space, out)
-
-
-def outcome_probabilities(chi_t, meas):
-    """(label, probability) pairs for a projective measurement on factor 0."""
-    probs = _system_probabilities(chi_t.matrix, chi_t.space.factor_dims, meas)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {total!r}")
-    return [(label, float(p)) for label, p in zip(meas.labels, probs)]
-
-
-def conditional_bath_state(model, chi0, t, label, meas, prob_floor=PROB_FLOOR):
-    """Post-measurement sample state (P_l, Tr_S[Pi_l chi(t) Pi_l]/P_l)."""
-    d_s, d_b = model.system_dim, model.bath_dim
-    _require_system_dim(meas, d_s)
-    chi_t = HeatEngine(model, prob_floor).evolve_matrix(chi0.matrix, t)
-    proj = meas.projectors[meas.labels.index(label)]
-    # Pi_l on both probe indices, then the trace over the probe
-    sandwich = np.einsum("as,sbtc,ta->bc", proj, chi_t.reshape(d_s, d_b, d_s, d_b), proj,
-                         optimize=True)
-    p = np.trace(sandwich).real
-    if p < prob_floor:
-        raise SuppressedOutcomeError(f"outcome {label!r} has probability {p:.3e}")
-    keep = range(1, model.space.num_factors)
-    return p, DensityMatrix(model.space.subspace(keep), sandwich / p)
 
 
 def precision_bound(fisher, n_measurements=1):

@@ -72,14 +72,15 @@ class ProjectiveMeasurement:
         if len(projs) != len(self.labels):
             raise ValueError("one label per projector required")
         d = projs[0].shape[0]
-        for i, p in enumerate(projs):
-            if np.abs(p - p.conj().T).max() > COMPLETENESS_ATOL:
+        if any(p.shape != (d, d) for p in projs):
+            raise InvalidOperatorError("projectors must be square and of one size")
+        for hermitian, idempotent, overlap in _projector_deviations(projs):
+            if hermitian > COMPLETENESS_ATOL:
                 raise InvalidOperatorError("projector is not Hermitian")
-            if np.abs(p @ p - p).max() > COMPLETENESS_ATOL:
+            if idempotent > COMPLETENESS_ATOL:
                 raise InvalidOperatorError("projector is not idempotent")
-            for q in projs[:i]:
-                if np.abs(p @ q).max() > COMPLETENESS_ATOL:
-                    raise InvalidOperatorError("projectors are not orthogonal")
+            if overlap > COMPLETENESS_ATOL:
+                raise InvalidOperatorError("projectors are not orthogonal")
         if np.abs(sum(projs) - np.eye(d)).max() > COMPLETENESS_ATOL:
             raise InvalidOperatorError("projectors do not sum to identity")
         object.__setattr__(self, "projectors", projs)
@@ -88,6 +89,24 @@ class ProjectiveMeasurement:
     @property
     def system_dim(self):
         return self.projectors[0].shape[0]
+
+
+def _projector_deviations(projs):
+    """Per projector P_a, in order: max |P_a - P_a^dag|, max |P_a^2 - P_a| and
+    max |P_a P_b| over the earlier b. When every P_a is diagonal,
+    P_a P_b = diag(d_a * d_b), so elementwise products of the diagonals
+    replace the O(L^2) matrix products."""
+    d = projs[0].shape[0]
+    off = ~np.eye(d, dtype=bool)
+    if not any(p[off].any() for p in projs):
+        diags = np.array([np.diagonal(p) for p in projs])
+        for a, da in enumerate(diags):
+            yield (np.abs(da - da.conj()).max(), np.abs(da * da - da).max(),
+                   np.abs(diags[:a] * da).max(initial=0.0))
+        return
+    for a, p in enumerate(projs):
+        yield (np.abs(p - p.conj().T).max(), np.abs(p @ p - p).max(),
+               max((np.abs(p @ q).max() for q in projs[:a]), default=0.0))
 
 
 class SectorCouplingError(ValueError):

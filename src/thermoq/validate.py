@@ -253,8 +253,7 @@ def _engine_draw(checks, params, model, rho0, meas, reference):
     for label, score in eng.score_direct_all(rho0, beta, t, meas).items():
         checks["score"].update(abs(score - by_label[label].score), params)
 
-    chi0 = eng.initial_state_matrix(rho0, beta)
-    for label, h_tra in eng.two_point_trajectory_heat_all(chi0, t, meas).items():
+    for label, h_tra in eng.two_point_trajectory_heat_all(rho0, beta, t, meas).items():
         checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
     return excluded
 

@@ -1,18 +1,87 @@
 """Dense full-space reference route for the engine's branch kernel.
 
 Builds chi0 = kron(rho0, gamma_B) on the full space, evolves it as
-U chi0 U^dag with a propagator from linalg's Hermitian function calculus
+U chi0 U^dag with a propagator from the Hermitian function calculus below
 applied to the whole dense H (no symmetry sectors),
 and embeds one d x d projector per outcome with ``embed_factor``. That is
 O(d^3) work and L full-space projectors per point, so it lives here, as the
 independent route the engine's results are tested against, and not in the
-library. Nothing here calls ``HeatEngine``.
+library. Nothing here calls ``HeatEngine``. The helpers it needs (Hermitian
+function calculus, thermal states, factor embedding, partial trace) live
+here too, since no library route uses them.
 """
+
+import math
 
 import numpy as np
 
 from thermoq.engine import PROB_FLOOR, HeatRecord, OutcomeHeat
-from thermoq.linalg import embed_factor, hermitian_func, thermal_state
+from thermoq.linalg import InvalidOperatorError, gibbs_weights, hermitian_eig
+
+
+class DomainError(ValueError):
+    """Scalar function undefined on an eigenvalue."""
+
+
+def hermitian_func(op, f):
+    """Apply a scalar function to a Hermitian matrix: V f(Lambda) V^dag.
+
+    ``f`` maps real eigenvalues to real or complex values; it may be
+    numpy-vectorized or a plain scalar function.
+    """
+    w, v = hermitian_eig(op)
+    try:
+        fw = np.asarray(f(w), dtype=complex)
+        if fw.shape != w.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        fw = np.array([f(x) for x in w], dtype=complex)
+    if not np.all(np.isfinite(fw)):
+        raise DomainError("scalar function undefined on an eigenvalue")
+    return (v * fw) @ v.conj().T
+
+
+def thermal_state(h, beta):
+    """Gibbs state e^{-beta H}/Z of a Hermitian matrix."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    w, v = hermitian_eig(h)
+    return (v * gibbs_weights(w, beta)) @ v.conj().T
+
+
+def embed_factor(local_op, space, factor_index):
+    """Embed a local operator at one factor of ``space``, identity elsewhere."""
+    dims = space.factor_dims
+    if not 0 <= factor_index < len(dims):
+        raise IndexError(f"factor index {factor_index} out of range")
+    local = np.asarray(local_op)
+    d = dims[factor_index]
+    if local.shape != (d, d):
+        raise InvalidOperatorError(
+            f"local operator shape {local.shape} does not match factor dim {d}"
+        )
+    out = np.eye(1, dtype=local.dtype)
+    for i, dim in enumerate(dims):
+        out = np.kron(out, local if i == factor_index else np.eye(dim))
+    return out
+
+
+def partial_trace_matrix(matrix, dims, keep):
+    """Partial trace of a matrix on factors ``dims`` over the factors not in ``keep``."""
+    keep = sorted(set(keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise IndexError("keep index out of range")
+    n = len(dims)
+    dims = tuple(dims)
+    m = np.asarray(matrix, dtype=complex).reshape(dims + dims)
+    # Trace out dropped factors one at a time, from the highest index down
+    # so earlier axis numbers stay valid.
+    for ax in sorted(set(range(n)) - set(keep), reverse=True):
+        m = np.trace(m, axis1=ax, axis2=ax + m.ndim // 2)
+    d = math.prod(dims[k] for k in keep)
+    return m.reshape(d, d)
 
 
 def _tr(a, b):
@@ -31,7 +100,7 @@ def propagator(model, t):
 
 
 def initial_state(model, rho0, beta):
-    return np.kron(np.asarray(rho0, complex), thermal_state(model.h_b_local, beta).matrix)
+    return np.kron(np.asarray(rho0, complex), thermal_state(model.h_b_local, beta))
 
 
 def dense_traces(model, rho0, beta, t, meas):

@@ -14,7 +14,7 @@ import pytest
 
 import thermoq.closed_form as cf
 from thermoq.engine import HeatEngine
-from thermoq.linalg import partial_trace_matrix, truncation_level
+from thermoq.linalg import truncation_level
 from thermoq.mean_force import (
     energy_operator,
     internal_energy_deviation,
@@ -32,7 +32,7 @@ from thermoq.models import (
 )
 from thermoq.validate import draw_deph_instance, draw_he_instance
 
-from dense_reference import dense_traces
+from dense_reference import dense_traces, initial_state, partial_trace_matrix, propagator
 
 SEED = 20250823
 DRAWS = 20
@@ -65,8 +65,7 @@ def random_instance_batch():
             for label, score in direct.items():
                 devs["score"] = max(devs["score"],
                                     abs(score - by_label[label].score))
-            chi0 = eng.initial_state_matrix(rho0, beta)
-            heats = eng.two_point_trajectory_heat_all(chi0, t, meas)
+            heats = eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
             for label, h_tra in heats.items():
                 devs["two_point"] = max(devs["two_point"],
                                         abs(h_tra - by_label[label].h_tra))
@@ -148,7 +147,8 @@ def test_criterion_06_dephasing_worked_numbers():
     model = build_dephasing_model([mode], n_max)
     eng = HeatEngine(model)
     plus = np.full((2, 2), 0.5, dtype=complex)
-    chi_t = eng.evolve_matrix(eng.initial_state_matrix(plus, beta), t)
+    u = propagator(model, t)
+    chi_t = u @ initial_state(model, plus, beta) @ u.conj().T
     rho_probe = partial_trace_matrix(chi_t, model.space.factor_dims, [0])
     gamma_bf = -math.log(2.0 * abs(rho_probe[0, 1]))
     assert gamma_bf == pytest.approx(cf.deph_gamma(p), abs=1e-6)

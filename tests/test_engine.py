@@ -5,17 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoq.engine import (
-    HeatEngine,
-    NonThermalSampleError,
-    ProbabilityRangeError,
-    SuppressedOutcomeError,
-    conditional_bath_state,
-    evolve_total,
-    outcome_probabilities,
-    precision_bound,
-)
-from thermoq.linalg import DensityMatrix, thermal_state
+from thermoq.engine import HeatEngine, ProbabilityRangeError, precision_bound
 from thermoq.models import (
     BathMode,
     build_coupled_oscillators,
@@ -29,8 +19,8 @@ from dense_reference import (
     dense_fisher_fd,
     dense_heat_decomposition,
     dense_score_direct_all,
-    embedded_projectors,
     initial_state,
+    thermal_state,
 )
 
 
@@ -51,11 +41,6 @@ def deph_setup():
 
 
 class TestStatesAndEvolution:
-    def test_initial_state_is_valid_density_matrix(self, he_setup):
-        eng, rho0, _, beta, _ = he_setup
-        chi0 = eng.initial_state_matrix(rho0, beta)
-        DensityMatrix(eng.model.space, chi0)
-
     def test_propagator_is_unitary(self, he_setup):
         eng = he_setup[0]
         u = eng.propagator(0.8)
@@ -63,18 +48,13 @@ class TestStatesAndEvolution:
 
     def test_evolution_preserves_trace_and_energy(self, he_setup):
         eng, rho0, _, beta, t = he_setup
-        chi0 = eng.initial_state_matrix(rho0, beta)
-        chi_t = eng.evolve_matrix(chi0, t)
+        chi0 = initial_state(eng.model, rho0, beta)
+        u = eng.propagator(t)
+        chi_t = u @ chi0 @ u.conj().T
         assert np.trace(chi_t).real == pytest.approx(1.0, abs=1e-12)
         h = eng.model.hamiltonian.toarray()
         assert np.trace(h @ chi_t).real == pytest.approx(np.trace(h @ chi0).real,
                                                          abs=1e-10)
-
-    def test_evolve_total_wrapper(self, he_setup):
-        eng, rho0, _, beta, t = he_setup
-        chi0 = DensityMatrix(eng.model.space, eng.initial_state_matrix(rho0, beta))
-        out = evolve_total(eng.model, chi0, t)
-        assert np.allclose(out.matrix, eng.evolve_matrix(chi0.matrix, t), atol=1e-12)
 
 
 class TestProbabilities:
@@ -82,45 +62,6 @@ class TestProbabilities:
         eng, rho0, meas, beta, t = he_setup
         probs = eng.outcome_probabilities_at(rho0, beta, t, meas)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_outcome_probabilities_wrapper(self, he_setup):
-        eng, rho0, meas, beta, t = he_setup
-        chi_t = DensityMatrix(
-            eng.model.space,
-            eng.evolve_matrix(eng.initial_state_matrix(rho0, beta), t))
-        pairs = outcome_probabilities(chi_t, meas)
-        assert [lab for lab, _ in pairs] == list(meas.labels)
-        assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
-
-    def test_conditional_bath_state_is_normalized(self, he_setup):
-        eng, rho0, meas, beta, t = he_setup
-        chi0 = DensityMatrix(eng.model.space, eng.initial_state_matrix(rho0, beta))
-        p, rho_b = conditional_bath_state(eng.model, chi0, t, 1, meas)
-        assert 0.0 < p < 1.0
-        assert np.trace(rho_b.matrix).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_probe_index_routes_match_embedded_projectors(self, deph_setup):
-        eng, plus, meas, beta, t = deph_setup
-        model = eng.model
-        chi_t = eng.evolve_matrix(eng.initial_state_matrix(plus, beta), t)
-        projs = embedded_projectors(model, meas)
-        dense_p = [np.trace(p @ chi_t).real for p in projs]
-        assert np.allclose(eng.probabilities(chi_t, meas), dense_p, atol=1e-14)
-        pairs = outcome_probabilities(DensityMatrix(model.space, chi_t), meas)
-        assert np.allclose([p for _, p in pairs], dense_p, atol=1e-14)
-        chi0 = DensityMatrix(model.space, eng.initial_state_matrix(plus, beta))
-        p, rho_b = conditional_bath_state(model, chi0, t, -1, meas)
-        sandwich = (projs[1] @ chi_t @ projs[1]).reshape(2, model.bath_dim, 2, model.bath_dim)
-        expected = np.einsum("sbsc->bc", sandwich)
-        assert p == pytest.approx(dense_p[1], abs=1e-14)
-        assert np.allclose(rho_b.matrix, expected / dense_p[1], atol=1e-13)
-
-    def test_conditional_state_suppressed_outcome(self, he_setup):
-        eng, rho0, meas, beta, _ = he_setup
-        chi0 = DensityMatrix(eng.model.space, eng.initial_state_matrix(rho0, beta))
-        # at t=0 the probe is still in its ground state; l=5 cannot occur
-        with pytest.raises(SuppressedOutcomeError):
-            conditional_bath_state(eng.model, chi0, 0.0, 5, meas)
 
 
 class TestHeatDecomposition:
@@ -158,37 +99,27 @@ class TestHeatDecomposition:
         for o in record.outcomes:
             assert direct[o.label] == pytest.approx(o.score, abs=1e-10)
 
-    def test_suppressed_outcome_raises(self, he_setup):
+    def test_suppressed_outcome_is_omitted(self, he_setup):
         eng, rho0, meas, beta, _ = he_setup
-        with pytest.raises(SuppressedOutcomeError):
-            eng.score_direct(rho0, beta, 0.0, meas, 7)
+        # at t = 0 the probe is still in its ground state; l = 7 cannot occur
+        scores = eng.score_direct_all(rho0, beta, 0.0, meas)
+        assert 7 not in scores and list(scores) == [0]
 
 
 class TestTwoPointRoute:
     def test_matches_projected_energy_route(self, he_setup):
         eng, rho0, meas, beta, t = he_setup
         record = eng.heat_decomposition(rho0, beta, t, meas)
-        chi0 = eng.initial_state_matrix(rho0, beta)
-        heats = eng.two_point_trajectory_heat_all(chi0, t, meas)
+        heats = eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
         for o in record.outcomes:
             assert heats[o.label] == pytest.approx(o.h_tra, abs=1e-9)
 
     def test_matches_on_dephasing_model(self, deph_setup):
         eng, plus, meas, beta, t = deph_setup
         record = eng.heat_decomposition(plus, beta, t, meas)
-        chi0 = eng.initial_state_matrix(plus, beta)
-        heats = eng.two_point_trajectory_heat_all(chi0, t, meas)
+        heats = eng.two_point_trajectory_heat_all(plus, beta, t, meas)
         for o in record.outcomes:
             assert heats[o.label] == pytest.approx(o.h_tra, abs=1e-9)
-
-    def test_rejects_sample_energy_coherence(self, he_setup):
-        eng, rho0, meas, beta, t = he_setup
-        d = eng.model.bath_dim
-        coherent = np.zeros((d, d), dtype=complex)
-        coherent[:2, :2] = 0.5
-        chi0 = np.kron(rho0, coherent)
-        with pytest.raises(NonThermalSampleError):
-            eng.two_point_trajectory_heat_all(chi0, t, meas)
 
 
 class TestFisher:
@@ -207,7 +138,7 @@ class TestFisher:
         # g = 0: no sample energy reaches the probe, so nothing is learned
         n_max, beta = 10, 1.0
         model = build_coupled_oscillators(1.0, 1.0, 0.0, n_max)
-        rho0 = thermal_state(model.h_s_local, beta).matrix
+        rho0 = thermal_state(model.h_s_local, beta)
         eng = HeatEngine(model)
         record = eng.heat_decomposition(rho0, beta, 2.0, fock_measurement(n_max))
         assert record.fisher_heat < 1e-15
@@ -348,11 +279,10 @@ class TestProbabilityRange:
             with pytest.raises(ProbabilityRangeError):
                 route(rho0, beta, t, meas)
 
-    def test_full_state_route_raises(self, non_psd):
+    def test_two_point_route_raises(self, non_psd):
         eng, rho0, meas, beta, t = non_psd
-        chi_t = eng.evolve_matrix(initial_state(eng.model, rho0, beta), t)
         with pytest.raises(ProbabilityRangeError):
-            eng.probabilities(chi_t, meas)
+            eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
         # callers that caught the old plain ValueError still catch it
         assert issubclass(ProbabilityRangeError, ValueError)
 

@@ -1,4 +1,6 @@
-"""Tensor-space kernels: spaces, operator types, traces, thermal states."""
+"""Spaces, operator types and truncation levels, plus the full-space helpers
+(Hermitian function calculus, embedding, partial trace, thermal states) that
+live in the tests' dense reference route."""
 
 import math
 
@@ -6,21 +8,20 @@ import numpy as np
 import pytest
 
 from thermoq.linalg import (
-    DensityMatrix,
-    DomainError,
     HermitianOperator,
     HilbertSpace,
     InvalidOperatorError,
-    InvalidStateError,
-    embed_factor,
     gibbs_weights,
     hermitian_eig,
-    hermitian_func,
-    partial_trace,
-    partial_trace_matrix,
-    tensor_product,
-    thermal_state,
     truncation_level,
+)
+
+from dense_reference import (
+    DomainError,
+    embed_factor,
+    hermitian_func,
+    partial_trace_matrix,
+    thermal_state,
 )
 
 RNG = np.random.default_rng(11)
@@ -62,14 +63,6 @@ class TestOperatorTypes:
         with pytest.raises(InvalidOperatorError):
             HermitianOperator(HilbertSpace((3,)), np.eye(2))
 
-    def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(InvalidStateError):
-            DensityMatrix(HilbertSpace((2,)), 2.0 * np.eye(2, dtype=complex))
-
-    def test_density_matrix_rejects_negative(self):
-        with pytest.raises(InvalidStateError):
-            DensityMatrix(HilbertSpace((2,)), np.diag([1.5, -0.5]).astype(complex))
-
     def test_matrices_are_read_only(self):
         op = HermitianOperator(HilbertSpace((2,)), np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
@@ -99,9 +92,6 @@ class TestHermitianFunctions:
 
 
 class TestTensorOps:
-    def test_tensor_product_dims(self):
-        assert tensor_product(np.eye(2), np.eye(3)).shape == (6, 6)
-
     def test_embed_factor_matches_kron(self):
         sp = HilbertSpace((2, 3, 2))
         local = random_hermitian(3)
@@ -122,16 +112,16 @@ class TestTensorOps:
 class TestPartialTrace:
     def test_product_state_factors(self):
         rho_a, rho_b = random_density(2), random_density(3)
-        sp = HilbertSpace((2, 3))
-        rho = DensityMatrix(sp, np.kron(rho_a, rho_b))
-        assert np.allclose(partial_trace(rho, [0]).matrix, rho_a, atol=1e-12)
-        assert np.allclose(partial_trace(rho, [1]).matrix, rho_b, atol=1e-12)
+        rho = np.kron(rho_a, rho_b)
+        assert np.allclose(partial_trace_matrix(rho, (2, 3), [0]), rho_a, atol=1e-12)
+        assert np.allclose(partial_trace_matrix(rho, (2, 3), [1]), rho_b, atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-        rho = DensityMatrix(HilbertSpace((2, 2)), np.outer(psi, psi.conj()))
-        assert np.allclose(partial_trace(rho, [0]).matrix, 0.5 * np.eye(2), atol=1e-12)
+        rho = np.outer(psi, psi.conj())
+        assert np.allclose(partial_trace_matrix(rho, (2, 2), [0]), 0.5 * np.eye(2),
+                           atol=1e-12)
 
     def test_three_factor_middle_kept(self):
         parts = [random_density(d) for d in (2, 3, 2)]
@@ -152,25 +142,23 @@ class TestPartialTrace:
 class TestThermalState:
     def test_qubit_populations(self):
         beta, omega = 1.3, 0.7
-        h = HermitianOperator(HilbertSpace((2,)), np.diag([0.0, omega]).astype(complex))
-        rho = thermal_state(h, beta)
+        rho = thermal_state(np.diag([0.0, omega]), beta)
         z = 1.0 + math.exp(-beta * omega)
-        assert rho.matrix[0, 0].real == pytest.approx(1.0 / z, abs=1e-14)
-        assert rho.matrix[1, 1].real == pytest.approx(math.exp(-beta * omega) / z,
-                                                      abs=1e-14)
+        assert rho[0, 0].real == pytest.approx(1.0 / z, abs=1e-14)
+        assert rho[1, 1].real == pytest.approx(math.exp(-beta * omega) / z, abs=1e-14)
 
     def test_large_beta_is_overflow_safe(self):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
         rho = thermal_state(h, 1e5)
-        assert np.all(np.isfinite(rho.matrix))
-        assert rho.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(rho))
+        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_independence(self):
         m = random_hermitian(5)
         w, v = hermitian_eig(m)
         rho = thermal_state(m, 0.8)
         expected = (v * gibbs_weights(w, 0.8)) @ v.conj().T
-        assert np.allclose(rho.matrix, expected, atol=1e-12)
+        assert np.allclose(rho, expected, atol=1e-12)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):

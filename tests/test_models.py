@@ -64,6 +64,20 @@ class TestProjectiveMeasurement:
         with pytest.raises(InvalidOperatorError):
             ProjectiveMeasurement((m, m), (0, 1))
 
+    @pytest.mark.parametrize("diags, message", [
+        ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], "not orthogonal"),
+        ([[1.0, 0.5], [0.0, 0.5]], "not idempotent"),
+        ([[1.0, 1j], [0.0, 1.0 - 1j]], "not Hermitian"),
+    ], ids=["overlap", "half-entry", "imaginary-entry"])
+    def test_diagonal_sets_keep_every_check(self, diags, message):
+        projs = tuple(np.diag(np.array(d, dtype=complex)) for d in diags)
+        with pytest.raises(InvalidOperatorError, match=message):
+            ProjectiveMeasurement(projs, tuple(range(len(projs))))
+
+    def test_rejects_mixed_sizes(self):
+        with pytest.raises(InvalidOperatorError, match="one size"):
+            ProjectiveMeasurement((np.eye(2), np.zeros((3, 3))), (0, 1))
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             fock = fock_measurement(2)

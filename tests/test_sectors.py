@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from thermoq.engine import HeatEngine
+from thermoq.engine import HeatEngine, _probe_eigenpairs
 from thermoq.mean_force import internal_energy, internal_energy_deviation, reduced_gibbs_operator
 from thermoq.models import (
     SIGMA_X,
@@ -78,6 +78,27 @@ def test_blocked_engine_matches_dense(charge, seed):
     fd = eng.fisher_finite_difference(rho0, beta, t, meas)
     assert fd == pytest.approx(dense_fisher_fd(model, rho0, beta, t, meas), rel=1e-8)
     assert np.abs(eng.propagator(t) - propagator(model, t)).max() <= 1e-12
+    _assert_two_point_matches(eng, ref, rho0, beta, t, meas)
+
+
+def _assert_two_point_matches(eng, ref, rho0, beta, t, meas):
+    heats = eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
+    assert list(heats) == [r.label for r in ref.outcomes]
+    for r in ref.outcomes:
+        assert abs(heats[r.label] - r.h_tra) <= 1e-9
+
+
+def test_two_point_route_drops_null_space_of_rho0():
+    # a rank-2 mixture on an exchange probe: the zero eigenvalues of rho0 are
+    # dropped, and what is left still matches the dense route
+    model, _, meas, beta, t, _ = _instance("exchange", 2)
+    rng = np.random.default_rng(5)
+    d_s = model.system_dim
+    psi, _ = np.linalg.qr(rng.normal(size=(d_s, 2)) + 1j * rng.normal(size=(d_s, 2)))
+    rho0 = psi @ np.diag([0.9, 0.1]) @ psi.conj().T
+    assert len(_probe_eigenpairs(rho0, d_s)[0]) == 2
+    ref = dense_heat_decomposition(model, rho0, beta, t, meas)
+    _assert_two_point_matches(HeatEngine(model), ref, rho0, beta, t, meas)
 
 
 @pytest.mark.parametrize("axis", ["z", "x", "xz"])
