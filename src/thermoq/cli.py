@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from . import closed_form as cf
 from .engine import HeatEngine
-from .linalg import truncation_level
 
 # unused here, but perfbench/tracing.py patches these names on this module
 from .mean_force import internal_energy_deviation, temperature_energy_ur_check  # noqa: F401
@@ -37,6 +36,7 @@ from .models import (
 from .validate import (
     CLOSED_FORM_MIN_PROB,
     IdentityCheck,
+    auto_cutoff,
     check_engine_point,
     check_mean_force_point,
     cross_validate,
@@ -249,7 +249,7 @@ def _run_heat_exchange(config):
 
         n_max = num["n_max"]
         if n_max is None:
-            n_max = truncation_level(beta, omega_0, num["tail"]) + 4
+            n_max = auto_cutoff("heat-exchange", beta, omega_0, num["tail"])
         ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
@@ -278,7 +278,7 @@ def _run_dephasing(config):
         if num["n_max"] is not None:
             cutoffs = [num["n_max"]] * len(modes)
         else:
-            cutoffs = [truncation_level(beta, m.omega, num["tail"]) + 3 for m in modes]
+            cutoffs = [auto_cutoff("dephasing", beta, m.omega, num["tail"]) for m in modes]
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
         return (params, tuple(cutoffs), lambda: build_dephasing_model(modes, cutoffs),
                 plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
@@ -309,7 +309,7 @@ def _run_mean_force(config):
         if num["n_max"] is not None:
             cutoffs = (num["n_max"],) * len(modes)
         else:
-            cutoffs = tuple(truncation_level(beta, m.omega, num["tail"]) + 2 for m in modes)
+            cutoffs = tuple(auto_cutoff("mean-force", beta, m.omega, num["tail"]) for m in modes)
         if cutoffs not in models:
             models[cutoffs] = build_spin_boson_model(omega_q, modes, list(cutoffs),
                                                      coupling_axis=axis)

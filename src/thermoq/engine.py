@@ -11,10 +11,10 @@ from a two-point double sum over sample eigenprojectors, and from a
 finite-difference derivative of the outcome probabilities.
 
 The heat terms, the direct score and the finite-difference Fisher
-information share one branch kernel. The initial state
-chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta) |phi_r, v_j><phi_r, v_j|
+information share one branch kernel. With H_B |j> = eps_j |j> on Fock states,
+chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta) |phi_r, j><phi_r, j|
 has rank at most K = rank(rho0) * d_b, so only its K branch amplitudes
-A_k = U |phi_r, v_j> are evolved, and beta enters only through the weights
+A_k = U |phi_r, j> are evolved, and beta enters only through the weights
 c_k = w_r p_j(beta). U is block-diagonal in the model's charge sectors, so
 each branch is evolved sector by sector, A[I_b] = V_b e^{-i lambda_b t}
 V_b^T x[I_b], skipping the branches with no weight in the sector. Per
@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .linalg import gibbs_weights, hermitian_eig
 
@@ -42,6 +41,7 @@ PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
 # beyond it the input state is not a density matrix.
 PROB_RANGE_ATOL = 1e-12
+RHO0_ATOL = 1e-12  # roundoff allowed in rho0's eigenvalues (below 0) and trace
 
 
 def _trace_prod(a, b):
@@ -57,7 +57,11 @@ def _real_matmul(v, z):
 
 
 class ProbabilityRangeError(ValueError):
-    """Outcome probability outside [0, 1] beyond roundoff (e.g. non-PSD rho0)."""
+    """Outcome probability outside [0, 1] beyond roundoff."""
+
+
+class InvalidProbeStateError(ValueError):
+    """rho0 is not a density matrix: a negative eigenvalue or a trace off 1."""
 
 
 def _checked_probabilities(probs):
@@ -76,12 +80,15 @@ def _require_system_dim(meas, d_s):
 
 
 def _probe_eigenpairs(rho0, d_s):
-    """(w_r, phi_r) of rho0, without the eigenvalues at eigh's roundoff scale:
-    exact zeros of a pure or low-rank rho0 would otherwise cost d_b
-    branches each."""
+    """(w_r, phi_r) of rho0, checked to be a density matrix within RHO0_ATOL,
+    without the eigenvalues at eigh's roundoff scale: exact zeros of a pure
+    or low-rank rho0 would otherwise cost d_b branches each."""
     w, phi = hermitian_eig(rho0)
     if w.shape != (d_s,):
         raise ValueError("rho0 does not match the system factor")
+    if w.min() < -RHO0_ATOL or abs(w.sum() - 1.0) > RHO0_ATOL:
+        raise InvalidProbeStateError(f"rho0 is not a density matrix: lowest eigenvalue "
+                                     f"{w.min():.3e}, trace {w.sum():.12g}")
     keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
     return w[keep], phi[:, keep]
 
@@ -137,10 +144,10 @@ class HeatEngine:
     """Repeated evaluation of one model's working points.
 
     Reads the per-sector eigenpairs (I_b, lambda_b, V_b) of the full
-    Hamiltonian and (eps_j, v_j) of the sample Hamiltonian from the model's
-    cached ``spectrum`` and ``bath_spectrum``, and holds no d x d array of
-    its own. ``heat_decomposition``, ``score_direct_all``,
-    ``outcome_probabilities_at`` and ``fisher_finite_difference`` evolve
+    Hamiltonian from the model's cached ``spectrum`` and the sample energies
+    eps_j from ``bath_energies``, and holds no d x d array of its own.
+    ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
+    and ``fisher_finite_difference`` evolve
     only the branch amplitudes of rho0 (x) gamma_B (see the module
     docstring): two |I_b| x |I_b| x K matrix products per sector with
     K = rank(rho0) * d_b, O(sum_b |I_b|^2 K) per (rho0, t), and no
@@ -151,15 +158,14 @@ class HeatEngine:
 
     All methods are pure given their arguments. Instances hold the tables
     of the last (rho0, t, measurement), swapped in as one tuple, and read
-    the model's immutable spectra, so sharing across threads is safe.
+    the model's immutable arrays, so sharing across threads is safe.
     """
 
     def __init__(self, model, prob_floor=PROB_FLOOR):
         self.model = model
         self.prob_floor = prob_floor
-        # the eigendecompositions are paid for here, not by the first point
-        model.spectrum, model.bath_spectrum  # noqa: B018
-        self._h_b = sparse.csr_array(model.h_b_local)
+        # the eigendecomposition is paid for here, not by the first point
+        model.spectrum  # noqa: B018
         # (meas, (rho0 bytes, t), tables) of the last kernel call: the heat,
         # direct-score and finite-difference routes of one point share it
         self._last_tables = None
@@ -175,8 +181,8 @@ class HeatEngine:
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
         # per sector: A[I_b] = V_b (e^{-i lambda_b t} * (V_b^T x[I_b])), only
-        # over the branches x_k = |phi_r, v_j> with weight in the sector
-        x = np.kron(phi, self.model.bath_spectrum[1])
+        # over the branches x_k = |phi_r, j> with weight in the sector
+        x = np.kron(phi, np.eye(d_b))
         amp = np.zeros(x.shape, dtype=complex)
         for index, lam, v in self.model.spectrum:
             x_b = x[index]
@@ -191,8 +197,7 @@ class HeatEngine:
         # branch-reduced probe operators A_k A_k^dag and A_k H_B A_k^dag; both
         # Hermitian, so Tr[Pi_l M_k] = sum_{ts} Pi_l[t, s] conj(M_k[t, s])
         rho_k = amp @ amp_h
-        hb_amp = (self._h_b @ amp.reshape(-1, d_b).T).T.reshape(amp.shape)
-        en_k = hb_amp @ amp_h
+        en_k = (amp * self.model.bath_energies) @ amp_h
         projs = np.stack(meas.projectors).reshape(len(meas.projectors), -1)
         tables = _BranchTables(
             prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
@@ -204,7 +209,7 @@ class HeatEngine:
         return tables
 
     def _branch_weights(self, tables, beta):
-        return np.kron(tables.rho_w, gibbs_weights(self.model.bath_spectrum[0], beta))
+        return np.kron(tables.rho_w, gibbs_weights(self.model.bath_energies, beta))
 
     def _probabilities(self, tables, beta):
         return _checked_probabilities(tables.prob @ self._branch_weights(tables, beta))
@@ -213,8 +218,8 @@ class HeatEngine:
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
         c = self._branch_weights(tables, beta)
         probs = _checked_probabilities(tables.prob @ c)
-        # H_B |phi_r, v_j> = eps_j |phi_r, v_j>
-        c_eps = c * np.tile(self.model.bath_spectrum[0], len(tables.rho_w))
+        # H_B |phi_r, j> = eps_j |phi_r, j>
+        c_eps = c * np.tile(self.model.bath_energies, len(tables.rho_w))
         return (probs, tables.prob @ c_eps, tables.energy @ c,
                 c_eps.sum(), tables.bath_energy @ c)
 
@@ -272,28 +277,25 @@ class HeatEngine:
     def two_point_trajectory_heat_all(self, rho0, beta, t, meas):
         """Trajectory heat from the explicit double sum over sample eigenstates.
 
-        H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l, with the
-        sample prepared in its eigenstate v_j with Gibbs weight p_j(beta) and
-        found in v_i at time t. In the frame where H_B is diagonal the input
-        block of level j is p_j rho0, so the branches are |phi_r, v_j> over
-        the eigenpairs (w_r, phi_r) of rho0. Evolves them with the dense
-        propagator, not the branch kernel, so it stays an independent check
-        of the heat terms. Returns a label -> heat dict over the
-        non-suppressed outcomes.
+        H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l: the sample
+        starts in the Fock state j with Gibbs weight p_j(beta) and is found in
+        the Fock state i at time t, so the branches are |phi_r, j> over the
+        eigenpairs (w_r, phi_r) of rho0. The dense propagator, not the branch
+        kernel, evolves them, so this stays an independent check of the heat
+        terms. Returns a label -> heat dict over the non-suppressed outcomes.
         """
         if beta <= 0:
             raise ValueError("beta must be positive")
         d_s, d_b = self.model.system_dim, self.model.bath_dim
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
-        eps, v_b = self.model.bath_spectrum
+        eps = self.model.bath_energies
         # branch k = r * d_b + j: weight w_r p_j, initial sample energy eps_j,
-        # amp[s, i, k] = <s, v_i|U|phi_r, v_j>
+        # amp[s, i, k] = <s, i|U|phi_r, j>
         c = np.kron(w, gibbs_weights(eps, beta))
         c_eps = c * np.tile(eps, len(w))
-        amp = (self.propagator(t).reshape(-1, d_b) @ v_b).reshape(-1, d_s, d_b)
-        amp = np.einsum("ntj,tr->nrj", amp, phi, optimize=True).reshape(d_s, d_b, -1)
-        amp = (v_b.conj().T @ amp).reshape(d_s, -1)
+        amp = self.propagator(t).reshape(-1, d_s, d_b)
+        amp = np.einsum("ntj,tr->nrj", amp, phi, optimize=True).reshape(d_s, -1)
         # outcome l and final sample level i in branch k: q[l, i, k] is the sum
         # of |<e_m, v_i|amp_k>|^2 over an orthonormal basis e_m of Pi_l's range
         basis, owner = _range_basis(meas)

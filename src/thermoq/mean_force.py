@@ -7,15 +7,15 @@ solved as a Sylvester equation in the eigenbasis of the reduced Gibbs
 operator; measuring in its eigenbasis turns the heat-fluctuation bound
 into the familiar temperature-energy uncertainty relation.
 
-Every quantity of a point comes from the model's cached eigendecompositions
-of H = sum_n w_n |n><n| and of H_B (``CompositeModel.spectrum`` and
-``bath_spectrum``). The spectrum comes in charge-sector blocks, and every
-function here works block by block. The reduced Gibbs operator and its exact
-beta-derivative are the same contraction of the eigenvectors over the sample
-index, weighted by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n}; the
-internal energy is <H>_beta - <H_B>_B from the two spectra; and the outcome
-probabilities of the E*-eigenbasis measurement at any beta are one
-matrix-vector product with a beta-independent table of eigenvector
+Every quantity of a point comes from the model's cached eigendecomposition
+of H = sum_n w_n |n><n| (``CompositeModel.spectrum``) and from the diagonal
+of H_B (``bath_energies``). The spectrum comes in charge-sector blocks, and
+every function here works block by block. The reduced Gibbs operator and
+its exact beta-derivative are the same contraction of the eigenvectors over
+the sample index, weighted by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n};
+the internal energy is <H>_beta - <H_B>_B from the energies of H and H_B;
+and the outcome probabilities of the E*-eigenbasis measurement at any beta
+are one matrix-vector product with a beta-independent table of eigenvector
 occupations.
 """
 
@@ -86,8 +86,7 @@ def _bath_trace(model, beta, energy_shift=None):
     contracted directly from each sector's eigenvectors, so no full-space
     operator is formed.
     """
-    bath_eig = model.bath_spectrum[0]
-    w0, wb0 = _energies(model).min(), bath_eig.min()
+    w0, wb0 = _energies(model).min(), model.bath_energies.min()
     traced = 0.0
     for index, w, v in model.spectrum:
         weights = np.exp(-beta * (w - w0))
@@ -95,7 +94,7 @@ def _bath_trace(model, beta, energy_shift=None):
             weights = weights * (w - energy_shift)
         vt = _sample_split(model, index, v)
         traced = traced + np.einsum("sbn,n,tbn->st", vt, weights, vt)
-    z_b_shifted = np.sum(np.exp(-beta * (bath_eig - wb0)))
+    z_b_shifted = np.sum(np.exp(-beta * (model.bath_energies - wb0)))
     return traced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
 
 
@@ -125,8 +124,8 @@ def z_star(model, beta):
 
 
 def internal_energy(model, beta):
-    """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the two spectra."""
-    w, wb = _energies(model), model.bath_spectrum[0]
+    """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the energies of H and H_B."""
+    w, wb = _energies(model), model.bath_energies
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
@@ -139,8 +138,7 @@ def energy_operator(model, beta):
     equation is solved entrywise in A's eigenbasis.
     """
     a = reduced_gibbs_operator(model, beta)
-    bath_eig = model.bath_spectrum[0]
-    e_bath = gibbs_weights(bath_eig, beta) @ bath_eig
+    e_bath = gibbs_weights(model.bath_energies, beta) @ model.bath_energies
     d = _bath_trace(model, beta, energy_shift=e_bath)
     wa, va = np.linalg.eigh(a)
     denom = wa[:, None] + wa[None, :]

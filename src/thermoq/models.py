@@ -118,18 +118,19 @@ class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
 
     ``hamiltonian`` is H on the full space, stored once as a read-only
-    float64 CSR matrix; h_s_local and h_b_local are H_S on factor 0 and H_B
-    on the sample factors, dense. ``charge`` labels each basis state with
-    the conserved charge its builder declared (None: no charge), and H has
-    no entry between two different labels. ``spectrum`` (eigenpairs of H,
-    one block per charge sector) and ``bath_spectrum`` (eigenpairs of H_B)
-    are computed on first use and cached; every route reads them.
+    float64 CSR matrix; h_s_local is H_S on factor 0, dense. Every builder's
+    H_B = sum_k omega_k n_k is diagonal in the sample's Fock product basis;
+    ``bath_energies`` is that diagonal, read-only float64, in basis order.
+    ``charge`` labels each basis state with the conserved charge its builder
+    declared (None: no charge), and H has no entry between two different
+    labels. ``spectrum`` (eigenpairs of H, one block per charge sector) is
+    computed on first use and cached; every route reads it.
     """
 
     space: HilbertSpace
     hamiltonian: sparse.csr_array
     h_s_local: np.ndarray
-    h_b_local: np.ndarray
+    bath_energies: np.ndarray
     charge: np.ndarray = None
 
     @cached_property
@@ -160,11 +161,6 @@ class CompositeModel:
             blocks.append(_read_only((index, *np.linalg.eigh(dense))))
         return tuple(blocks)
 
-    @cached_property
-    def bath_spectrum(self):
-        """(eigenvalues ascending, column eigenvectors) of the sample Hamiltonian."""
-        return _read_only(np.linalg.eigh(self.h_b_local))
-
     @property
     def system_dim(self):
         return self.space.factor_dims[0]
@@ -180,13 +176,12 @@ def _read_only(arrays):
     return tuple(arrays)
 
 
-def _compose(space, h_s_local, h_b_local, h_i, charge=None):
-    """H = H_S (x) 1 + 1 (x) H_B + H_I as read-only CSR, checked Hermitian and
-    block-diagonal in ``charge``: both checks are O(nnz)."""
-    d_s = space.factor_dims[0]
-    d_b = space.total_dim // d_s
-    h = sparse.csr_array(sparse.kron(h_s_local, sparse.eye_array(d_b))
-                         + sparse.kron(sparse.eye_array(d_s), h_b_local) + h_i)
+def _compose(space, h_s_local, bath_energies, h_i, charge=None):
+    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, checked
+    Hermitian and block-diagonal in ``charge``: both checks are O(nnz)."""
+    bath_energies = np.array(bath_energies, dtype=float)
+    # kronsum(B, A) = A (x) 1 + 1 (x) B
+    h = sparse.csr_array(sparse.kronsum(sparse.diags_array(bath_energies), h_s_local) + h_i)
     h.sum_duplicates()
     h.eliminate_zeros()
     scale = 1.0 + abs(h).max()
@@ -205,8 +200,7 @@ def _compose(space, h_s_local, h_b_local, h_i, charge=None):
                 f"(charge {charge[c]}) in {bad.size} entries")
         charge = _read_only((charge,))[0]
     _read_only((h.data, h.indices, h.indptr))
-    return CompositeModel(space, h, *_read_only((np.array(h_s_local), np.array(h_b_local))),
-                          charge)
+    return CompositeModel(space, h, *_read_only((np.array(h_s_local), bath_energies)), charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -220,10 +214,9 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
     space = HilbertSpace((d, d))
     a = sparse.csr_array(destroy(n_max))
     h_s_local = omega_a * number_op(n_max)
-    h_b_local = omega_0 * number_op(n_max)
     h_i = g * (sparse.kron(a.T, a) + sparse.kron(a, a.T))
     n = np.arange(d)
-    return _compose(space, h_s_local, h_b_local, h_i, charge=np.add.outer(n, n).ravel())
+    return _compose(space, h_s_local, omega_0 * n, h_i, charge=np.add.outer(n, n).ravel())
 
 
 def _bath_cutoffs(modes, n_max):
@@ -284,7 +277,7 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     charge = {"x": np.kron(sigma_z, (-1) ** number),
               "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
     h_i = sparse.kron(pauli, coupling)
-    return _compose(space, h_s_local, np.diag(energy), h_i, charge)
+    return _compose(space, h_s_local, energy, h_i, charge)
 
 
 def discretize_spectral_density(j, k_modes, omega_max):

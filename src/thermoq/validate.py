@@ -195,6 +195,12 @@ def check_mean_force_point(checks, model, beta, params, h_step=None, prob_floor=
 
 # -- randomized cross-validation -------------------------------------------
 
+def auto_cutoff(family, beta, omega, tail):
+    """Automatic Fock cutoff of one mode, shared by the CLI runners and the draws
+    below: the thermal-tail level ``truncation_level`` plus the family's margin."""
+    margin = {"heat-exchange": 4, "dephasing": 3, "mean-force": 2}[family]
+    return truncation_level(beta, omega, tail) + margin
+
 
 def draw_he_instance(rng, tail=1e-10):
     """Random coupled-oscillator working point with a safe Fock cutoff."""
@@ -203,7 +209,7 @@ def draw_he_instance(rng, tail=1e-10):
     g = rng.uniform(0.05, 0.3)
     beta = rng.uniform(1.0, 1.4)
     t = rng.uniform(0.5, 5.0)
-    n_max = truncation_level(beta, omega_0, tail) + 4
+    n_max = auto_cutoff("heat-exchange", beta, omega_0, tail)
     params = dict(omega_a=omega_0 + 2 * delta, omega_0=omega_0, g=g, beta=beta,
                   t=t, n_max=n_max)
     model = build_coupled_oscillators(params["omega_a"], omega_0, g, n_max)
@@ -221,7 +227,7 @@ def draw_deph_instance(rng, tail=1e-10):
     beta = rng.uniform(1.0, 1.5)
     t = rng.uniform(0.5, 4.0)
     modes = [BathMode(float(w), float(g)) for w, g in zip(omegas, gs)]
-    cutoffs = [truncation_level(beta, m.omega, tail) + 3 for m in modes]
+    cutoffs = [auto_cutoff("dephasing", beta, m.omega, tail) for m in modes]
     params = dict(modes=[(m.omega, m.g) for m in modes], beta=beta, t=t, cutoffs=cutoffs)
     model = build_dephasing_model(modes, cutoffs)
     return params, model
@@ -234,7 +240,7 @@ def draw_mean_force_instance(rng, tail=1e-8):
     gs = rng.uniform(0.05, 0.2, size=2)
     beta = rng.uniform(1.0, 1.4)
     modes = [BathMode(float(w), float(g)) for w, g in zip(omegas, gs)]
-    cutoffs = [truncation_level(beta, m.omega, tail) + 2 for m in modes]
+    cutoffs = [auto_cutoff("mean-force", beta, m.omega, tail) for m in modes]
     params = dict(omega_q=omega_q, modes=[(m.omega, m.g) for m in modes],
                   beta=beta, cutoffs=cutoffs)
     model = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis="xz")

@@ -99,8 +99,13 @@ def propagator(model, t):
     return hermitian_func(h, lambda w: np.exp(-1j * w * t))
 
 
+def bath_hamiltonian(model):
+    """H_B as a dense matrix on the sample factors, from the model's Fock-basis energies."""
+    return np.diag(model.bath_energies)
+
+
 def initial_state(model, rho0, beta):
-    return np.kron(np.asarray(rho0, complex), thermal_state(model.h_b_local, beta))
+    return np.kron(np.asarray(rho0, complex), thermal_state(bath_hamiltonian(model), beta))
 
 
 def dense_traces(model, rho0, beta, t, meas):
@@ -109,7 +114,7 @@ def dense_traces(model, rho0, beta, t, meas):
     chi0 = initial_state(model, rho0, beta)
     u = propagator(model, t)
     chi_t = u @ chi0 @ u.conj().T
-    h_b = np.kron(np.eye(model.system_dim), model.h_b_local)
+    h_b = np.kron(np.eye(model.system_dim), bath_hamiltonian(model))
     k0 = u @ (h_b @ chi0) @ u.conj().T
     chi_t_hb = chi_t @ h_b
     rows = np.array([(_tr(p, chi_t), _tr(p, k0), _tr(p, chi_t_hb))

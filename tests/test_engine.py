@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from thermoq.engine import HeatEngine, ProbabilityRangeError, precision_bound
+from thermoq.engine import (
+    HeatEngine,
+    InvalidProbeStateError,
+    ProbabilityRangeError,
+    _checked_probabilities,
+    precision_bound,
+)
 from thermoq.models import (
     BathMode,
     build_coupled_oscillators,
@@ -264,27 +270,40 @@ class TestBranchKernel:
 
 
 class TestProbabilityRange:
-    """A raw rho0 that is not positive semidefinite is a named error, not a clip."""
+    """A raw rho0 that is not a density matrix is a named error, not a clip,
+    also where its outcome probabilities stay inside [0, 1]."""
 
-    @pytest.fixture
-    def non_psd(self, deph_setup):
+    @pytest.fixture(params=[
+        [[0.5, 0.9], [0.9, 0.5]],  # eigenvalues 1.4, -0.4
+        np.diag([1.1, -0.1]),      # P = [0.5, 0.5], inside [0, 1]
+        np.diag([2.0, 0.0]),       # trace 2: P = [1, 1]
+        np.diag([0.3, 0.3]),       # trace 0.6: P = [0.3, 0.3]
+    ], ids=["eigenvalue-0.4", "eigenvalue-0.1", "trace-2", "trace-0.6"])
+    def invalid_rho0(self, request, deph_setup):
         eng, _, meas, beta, t = deph_setup
-        rho0 = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)  # eigenvalues 1.4, -0.4
-        return eng, rho0, meas, beta, t
+        return eng, np.asarray(request.param, dtype=complex), meas, beta, t
 
-    def test_kernel_routes_raise(self, non_psd):
-        eng, rho0, meas, beta, t = non_psd
+    def test_kernel_routes_raise(self, invalid_rho0):
+        eng, rho0, meas, beta, t = invalid_rho0
         for route in (eng.heat_decomposition, eng.score_direct_all,
                       eng.fisher_finite_difference, eng.outcome_probabilities_at):
-            with pytest.raises(ProbabilityRangeError):
+            with pytest.raises(InvalidProbeStateError, match="not a density matrix"):
                 route(rho0, beta, t, meas)
 
-    def test_two_point_route_raises(self, non_psd):
-        eng, rho0, meas, beta, t = non_psd
-        with pytest.raises(ProbabilityRangeError):
+    def test_two_point_route_raises(self, invalid_rho0):
+        eng, rho0, meas, beta, t = invalid_rho0
+        with pytest.raises(InvalidProbeStateError, match="not a density matrix"):
             eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
-        # callers that caught the old plain ValueError still catch it
+        # callers that caught the old plain ValueError still catch both errors
+        assert issubclass(InvalidProbeStateError, ValueError)
         assert issubclass(ProbabilityRangeError, ValueError)
+
+    def test_computed_probabilities_are_range_checked(self):
+        # roundoff past [0, 1] is clipped; beyond PROB_RANGE_ATOL it is an error
+        assert np.array_equal(_checked_probabilities(np.array([-1e-13, 1.0 + 1e-13])),
+                              [0.0, 1.0])
+        with pytest.raises(ProbabilityRangeError, match="outside"):
+            _checked_probabilities(np.array([0.5, 1.1]))
 
 
 class TestPrecisionBound:

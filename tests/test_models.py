@@ -1,5 +1,7 @@
 """Model builders, bath discretization, and measurement bases."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
+    SIGMA_X,
     SIGMA_Z,
     BathMode,
     ProjectiveMeasurement,
@@ -84,6 +87,29 @@ class TestProjectiveMeasurement:
             ProjectiveMeasurement(fock.projectors, (0, 1))
 
 
+def _two_mode_parts(modes, cutoffs):
+    """Dense sum_k omega_k n_k and sum_k g_k (b_k + b_k^dag) of two modes."""
+    (m1, m2), (n1, n2) = modes, cutoffs
+    e1, e2 = np.eye(n1 + 1), np.eye(n2 + 1)
+    h_b = m1.omega * np.kron(number_op(n1), e2) + m2.omega * np.kron(e1, number_op(n2))
+    x1, x2 = destroy(n1) + destroy(n1).T, destroy(n2) + destroy(n2).T
+    return h_b, m1.g * np.kron(x1, e2) + m2.g * np.kron(e1, x2)
+
+
+def _exchange_parts():
+    omega_a, omega_0, g, n_max = 1.3, 1.0, 0.1, 3
+    a = destroy(n_max)
+    return (build_coupled_oscillators(omega_a, omega_0, g, n_max), omega_a * number_op(n_max),
+            omega_0 * number_op(n_max), g * (np.kron(a.T, a) + np.kron(a, a.T)))
+
+
+def _qubit_parts(omega_q, pauli, build):
+    """(model, H_S, H_B, H_I) of a qubit on two modes, the parts built by hand."""
+    modes, cutoffs = [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]
+    h_b, coupling = _two_mode_parts(modes, cutoffs)
+    return build(modes, cutoffs), np.diag([0.0, omega_q]), h_b, np.kron(pauli, coupling)
+
+
 class TestModelBuilders:
     def test_coupled_oscillators_conserve_total_number(self):
         model = build_coupled_oscillators(1.2, 1.0, 0.2, 5)
@@ -92,17 +118,22 @@ class TestModelBuilders:
         h = model.hamiltonian.toarray()
         assert np.abs(h @ n_tot - n_tot @ h).max() < 1e-12
 
-    def test_hamiltonian_split_adds_up(self):
-        omega_a, omega_0, g, n_max = 1.3, 1.0, 0.1, 3
-        model = build_coupled_oscillators(omega_a, omega_0, g, n_max)
-        eye = np.eye(n_max + 1)
-        h_s = np.kron(model.h_s_local, eye)
-        h_b = np.kron(eye, model.h_b_local)
-        a = destroy(n_max)
-        h_i = g * (np.kron(a.T, a) + np.kron(a, a.T))
-        assert np.allclose(model.h_s_local, omega_a * number_op(n_max), atol=1e-14)
-        assert np.allclose(model.h_b_local, omega_0 * number_op(n_max), atol=1e-14)
-        assert np.allclose(model.hamiltonian.toarray() - h_s - h_b, h_i, atol=1e-14)
+    @pytest.mark.parametrize("parts", [
+        _exchange_parts,
+        partial(_qubit_parts, 0.0, SIGMA_Z, build_dephasing_model),
+        partial(_qubit_parts, 1.0, (SIGMA_X + SIGMA_Z) / np.sqrt(2),
+                partial(build_spin_boson_model, 1.0, coupling_axis="xz")),
+    ], ids=["exchange", "dephasing", "spin-boson"])
+    def test_hamiltonian_split_adds_up(self, parts):
+        # H_B is diagonal in the Fock product basis: the model's energies are
+        # its diagonal, and H_S (x) 1 + 1 (x) diag(E_B) + H_I rebuilds H
+        model, h_s, h_b, h_i = parts()
+        d_s, d_b = len(h_s), len(h_b)
+        assert np.allclose(model.h_s_local, h_s, atol=1e-14)
+        assert np.allclose(np.diag(model.bath_energies), h_b, atol=1e-14)
+        rebuilt = (np.kron(model.h_s_local, np.eye(d_b))
+                   + np.kron(np.eye(d_s), np.diag(model.bath_energies)) + h_i)
+        assert np.allclose(model.hamiltonian.toarray(), rebuilt, atol=1e-14)
 
     def test_dephasing_interaction_commutes_with_sigma_z(self):
         model = build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3)
@@ -136,8 +167,9 @@ class TestModelBuilders:
         h = model.hamiltonian
         assert sparse.issparse(h) and h.format == "csr" and h.dtype == np.float64
         assert not any(a.flags.writeable for a in (h.data, h.indices, h.indptr))
-        parts = (model.h_s_local, model.h_b_local)
+        parts = (model.h_s_local, model.bath_energies)
         assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
+        assert model.bath_energies.shape == (model.bath_dim,)
         assert model.spectrum is model.spectrum
         dense = h.toarray()
         rebuilt = np.zeros_like(dense)
@@ -147,9 +179,6 @@ class TestModelBuilders:
         covered = np.sort(np.concatenate([index for index, _, _ in model.spectrum]))
         assert np.array_equal(covered, np.arange(model.space.total_dim))
         assert np.allclose(rebuilt, dense, atol=1e-12)
-        wb, vb = model.bath_spectrum
-        assert model.bath_spectrum is model.bath_spectrum
-        assert np.allclose((vb * wb) @ vb.T, model.h_b_local, atol=1e-12)
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,12 @@ from thermoq.models import (
     fock_measurement,
 )
 
-from dense_reference import dense_fisher_fd, dense_heat_decomposition, propagator
+from dense_reference import (
+    bath_hamiltonian,
+    dense_fisher_fd,
+    dense_heat_decomposition,
+    propagator,
+)
 
 
 def _random_density(rng, d):
@@ -50,6 +55,15 @@ def _instance(charge, seed):
         meas = (fock_measurement(n_max) if seed % 2 else
                 _random_measurement(rng, n_max + 1))
         return model, _random_density(rng, n_max + 1), meas, beta, t, 2 * n_max + 1
+    if charge == "degenerate":
+        # two modes of one frequency: the Fock-basis sample energies repeat and
+        # are not in ascending order
+        omega = rng.uniform(0.8, 1.6)
+        modes = [BathMode(omega, float(g)) for g in rng.uniform(0.1, 0.35, 2)]
+        model = build_dephasing_model(modes + _random_modes(rng, 1), [3, 2, 2])
+        eps = model.bath_energies
+        assert len(np.unique(eps)) < len(eps) and np.any(np.diff(eps) < 0)
+        return model, _random_density(rng, 2), _random_measurement(rng, 2), beta, t, 2
     axis = {"dephasing": "z", "parity": "x", "none": "xz"}[charge]
     cutoffs = [int(n) for n in rng.integers(3, 6, size=2)]
     omega_q = 0.0 if charge == "dephasing" else rng.uniform(0.5, 1.5)
@@ -59,7 +73,7 @@ def _instance(charge, seed):
 
 
 CASES = [(charge, seed) for charge in ("exchange", "dephasing", "parity", "none")
-         for seed in (1, 2)]
+         for seed in (1, 2)] + [("degenerate", 1)]
 
 
 @pytest.mark.parametrize("charge, seed", CASES)
@@ -109,11 +123,12 @@ def test_blocked_mean_force_matches_dense(axis):
     d_s, d_b = model.system_dim, model.bath_dim
     # Tr_B e^{-beta H} / Z_B from the dense exponential of the whole of H
     gibbs = expm(-beta * h).reshape(d_s, d_b, d_s, d_b)
-    z_b = np.trace(expm(-beta * model.h_b_local))
+    h_b = bath_hamiltonian(model)
+    z_b = np.trace(expm(-beta * h_b))
     assert np.allclose(reduced_gibbs_operator(model, beta),
                        np.einsum("sbtb->st", gibbs) / z_b, rtol=1e-10, atol=1e-13)
     e_total = np.trace(h @ expm(-beta * h)) / np.trace(expm(-beta * h))
-    e_bath = (np.trace(model.h_b_local @ expm(-beta * model.h_b_local)) / z_b)
+    e_bath = np.trace(h_b @ expm(-beta * h_b)) / z_b
     assert internal_energy(model, beta) == pytest.approx(e_total - e_bath, rel=1e-10)
     assert internal_energy_deviation(model, beta).dual_residual <= 1e-10
 
@@ -148,5 +163,5 @@ def test_wrong_charge_is_a_named_error():
     _, _, coupling = _multimode_bath([BathMode(1.0, 0.2)], [3])
     sigma_z = np.repeat([1, -1], model.bath_dim)
     with pytest.raises(SectorCouplingError, match="couples"):
-        _compose(model.space, model.h_s_local, model.h_b_local,
+        _compose(model.space, model.h_s_local, model.bath_energies,
                  np.kron(SIGMA_X, coupling.toarray()), charge=sigma_z)
