@@ -11,6 +11,7 @@ from .models import (
     CompositeModel,
     ProjectiveMeasurement,
     SectorCouplingError,
+    SectorFactorizationError,
     SpectralDensity,
     build_coupled_oscillators,
     build_dephasing_model,

@@ -196,7 +196,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     checks = identity_checks(*check_ids)
     engines = {}
     rows = []
-    excluded = 0.0
+    excluded = floor_excluded = 0.0
     for point in points:
         params, key, build, rho0, t, measure, reference = family_point(point)
         beta = params["beta"]
@@ -207,6 +207,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
             checks, engine, rho0, beta, t, meas, reference, params, h=h)
         excluded = max(excluded, point_excluded)
+        floor_excluded = max(floor_excluded, record.excluded_probability)
 
         agg = {**params, **reference.columns, "h_avg": record.h_avg,
                "fisher_heat": record.fisher_heat, "fisher_fd": fisher_fd,
@@ -220,7 +221,8 @@ def _run_engine_points(config, num, points, check_ids, family_point):
         else:
             rows.append(agg)
     summary = {"closed_form_min_probability": CLOSED_FORM_MIN_PROB,
-               "closed_form_excluded_probability_max": excluded}
+               "closed_form_excluded_probability_max": excluded,
+               "prob_floor_excluded_probability_max": floor_excluded}
     return rows, list(checks.values()), summary
 
 

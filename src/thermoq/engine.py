@@ -15,23 +15,29 @@ information share one branch kernel. With H_B |j> = eps_j |j> on Fock states,
 chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta) |phi_r, j><phi_r, j|
 has rank at most K = rank(rho0) * d_b, so only its K branch amplitudes
 A_k = U |phi_r, j> are evolved, and beta enters only through the weights
-c_k = w_r p_j(beta). U is block-diagonal in the model's charge sectors, so
-each branch is evolved sector by sector, A[I_b] = V_b e^{-i lambda_b t}
-V_b^T x[I_b], skipping the branches with no weight in the sector. Per
-(rho0, t, measurement) the kernel builds two L x K tables,
-<A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>; every outcome probability
-and conditional energy, at any beta of a finite-difference stencil, is then
-a matrix-vector product. The evolution costs O(sum_b |I_b|^2 K) per
-(rho0, t) over the sectors I_b (one sector of size d for a model with no
-charge), against O(d^3) plus L embedded d x d projectors for the dense
-route the tests keep as reference. The two-point route evolves the same
-branches with the dense U, assembled from the sector blocks, and reads the
-outcomes in a basis of the projectors' ranges, so past rho0's eigenpairs it
-shares no code with the kernel.
+c_k = w_r p_j(beta). U is block-diagonal in the model's charge sectors, and
+each sector's block of H is a Kronecker sum of factors (one factor, the
+dense block, unless the builder declared more), so per sector the kernel
+forms U_b = (x)_f V_f e^{-i lambda_f t} V_f^T from the factors' eigenpairs
+and reads the amplitudes off its columns: A_{r,j}[I_b] = sum over the
+states (s, j) of I_b of phi_r[s] U_b[:, pos(s, j)]. Per (rho0, t,
+measurement) it builds two L x K tables, <A_k|Pi_l (x) 1|A_k> and
+<A_k|Pi_l (x) H_B|A_k>; every outcome probability and conditional energy,
+at any beta of a finite-difference stencil, is then a matrix-vector
+product. Per (rho0, t) the propagators cost sum_f m_f^3 per sector of
+m = prod_f m_f states plus m^2 for their Kronecker product, and the
+amplitudes O(sum_b |I_b|^2 rank(rho0)) (one sector of size d for a model
+with no charge), against O(d^3) plus L embedded d x d projectors for the
+dense route the tests keep as reference. The two-point route evolves the
+same branches with the dense U, assembled from the sectors' dense
+eigenvectors, and reads the outcomes in a basis of the projectors' ranges
+(see ``HeatEngine.two_point_trajectory_heat_all`` for what it shares with
+the kernel).
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -54,6 +60,16 @@ def _real_matmul(v, z):
     imaginary parts."""
     z = np.ascontiguousarray(z)
     return (v @ z.view(np.float64)).view(np.complex128)
+
+
+def _occurrence_rank(keys):
+    """For each position, the number of earlier positions holding the same key."""
+    n = np.arange(len(keys))
+    order = np.argsort(keys, kind="stable")
+    run_starts = np.r_[True, np.diff(keys[order]) != 0]
+    rank = np.empty_like(n)
+    rank[order] = n - np.maximum.accumulate(np.where(run_starts, n, 0))
+    return rank
 
 
 class ProbabilityRangeError(ValueError):
@@ -143,18 +159,18 @@ class _BranchTables:
 class HeatEngine:
     """Repeated evaluation of one model's working points.
 
-    Reads the per-sector eigenpairs (I_b, lambda_b, V_b) of the full
-    Hamiltonian from the model's cached ``spectrum`` and the sample energies
+    Reads the per-factor eigenpairs (lambda_f, V_f) of each charge sector
+    I_b from the model's cached ``factor_spectrum`` and the sample energies
     eps_j from ``bath_energies``, and holds no d x d array of its own.
     ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
-    and ``fisher_finite_difference`` evolve
-    only the branch amplitudes of rho0 (x) gamma_B (see the module
-    docstring): two |I_b| x |I_b| x K matrix products per sector with
-    K = rank(rho0) * d_b, O(sum_b |I_b|^2 K) per (rho0, t), and no
-    propagator, full-space state or embedded projector.
-    ``two_point_trajectory_heat_all`` takes the same (rho0, beta, t, meas)
-    but evolves with the dense propagator, so it stays an independent check
-    of the kernel.
+    and ``fisher_finite_difference`` evolve only the branch amplitudes of
+    rho0 (x) gamma_B (see the module docstring): per sector, one real
+    m_f x m_f x 2 m_f product per factor, a Kronecker product of the factor
+    propagators, and a gather of |I_b|^2 rank(rho0) entries of it, with
+    K = rank(rho0) * d_b branches; no full-space propagator, state or
+    embedded projector. ``two_point_trajectory_heat_all`` takes the same
+    (rho0, beta, t, meas) but evolves with the dense propagator, so it
+    stays an independent check of the kernel.
 
     All methods are pure given their arguments. Instances hold the tables
     of the last (rho0, t, measurement), swapped in as one tuple, and read
@@ -164,8 +180,21 @@ class HeatEngine:
     def __init__(self, model, prob_floor=PROB_FLOOR):
         self.model = model
         self.prob_floor = prob_floor
+        d_b = model.bath_dim
+        sector_of = np.empty(model.space.total_dim, dtype=int)
         # the eigendecomposition is paid for here, not by the first point
-        model.spectrum  # noqa: B018
+        for b, (index, _) in enumerate(model.factor_spectrum):
+            sector_of[index] = b
+        # how many states of the same sector before this one share its sample level j
+        rank = _occurrence_rank(sector_of * d_b + np.arange(len(sector_of)) % d_b)
+        # per sector: its states, their probe and sample levels (s, j), and its
+        # positions split into groups in which no j repeats: all of them at
+        # once when no sector holds a sample level twice
+        self._sectors = tuple(
+            (index, factors, *np.divmod(index, d_b),
+             [np.flatnonzero(rank[index] == k) for k in range(rank[index].max() + 1)]
+             if rank.any() else [slice(None)])
+            for index, factors in model.factor_spectrum)
         # (meas, (rho0 bytes, t), tables) of the last kernel call: the heat,
         # direct-score and finite-difference routes of one point share it
         self._last_tables = None
@@ -180,24 +209,25 @@ class HeatEngine:
         d_s, d_b = self.model.system_dim, self.model.bath_dim
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
-        # per sector: A[I_b] = V_b (e^{-i lambda_b t} * (V_b^T x[I_b])), only
-        # over the branches x_k = |phi_r, j> with weight in the sector
-        x = np.kron(phi, np.eye(d_b))
-        amp = np.zeros(x.shape, dtype=complex)
-        for index, lam, v in self.model.spectrum:
-            x_b = x[index]
-            live = np.flatnonzero(np.any(x_b != 0, axis=0))
-            if live.size == 0:
-                continue
-            y = _real_matmul(v.T, x_b[:, live])
-            y *= np.exp(-1j * lam * t)[:, None]
-            amp[np.ix_(index, live)] = _real_matmul(v, y)
-        amp = np.ascontiguousarray(amp.T).reshape(-1, d_s, d_b)
+        branches = np.arange(len(w))[:, None, None]
+        # amp[r, j] = U |phi_r, j> over the full space. U_b is symmetric (its
+        # V_f are real), so its column for the state (s, j) of sector b is
+        # its row: amp[r, j][I_b] = sum over (s, j) in I_b of phi[s, r] U_b[pos(s, j)]
+        amp = np.zeros((len(w), d_b, self.model.space.total_dim), dtype=complex)
+        for index, factors, s, j, groups in self._sectors:
+            u = reduce(np.kron, [_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+                                 for lam, v in factors])
+            for k, cols in enumerate(groups):
+                part = phi[s[cols]].T[:, :, None] * u[cols]
+                target = branches, j[cols][:, None], index
+                amp[target] = amp[target] + part if k else part
+        amp = amp.reshape(-1, d_s, d_b)
         amp_h = amp.conj().transpose(0, 2, 1)
         # branch-reduced probe operators A_k A_k^dag and A_k H_B A_k^dag; both
         # Hermitian, so Tr[Pi_l M_k] = sum_{ts} Pi_l[t, s] conj(M_k[t, s])
         rho_k = amp @ amp_h
-        en_k = (amp * self.model.bath_energies) @ amp_h
+        amp *= self.model.bath_energies
+        en_k = amp @ amp_h
         projs = np.stack(meas.projectors).reshape(len(meas.projectors), -1)
         tables = _BranchTables(
             prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
@@ -267,11 +297,18 @@ class HeatEngine:
     # -- two-point measurement route --------------------------------------
 
     def propagator(self, t):
-        """Dense U = e^{-iHt}, assembled from the sector blocks."""
+        """Dense U = e^{-iHt}, assembled from the sector blocks of ``spectrum``.
+
+        Each block is V_b e^{-i lambda_b t} V_b^T with the sector's dense
+        eigenvectors V_b (the Kronecker products of its factors'
+        eigenvectors), as one real product per block. The branch kernel
+        never forms V_b for a sector of several factors: it multiplies the
+        factors' own propagators.
+        """
         d = self.model.space.total_dim
         u = np.zeros((d, d), dtype=complex)
         for index, lam, v in self.model.spectrum:
-            u[np.ix_(index, index)] = (v * np.exp(-1j * lam * t)) @ v.T
+            u[np.ix_(index, index)] = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
         return u
 
     def two_point_trajectory_heat_all(self, rho0, beta, t, meas):
@@ -280,9 +317,15 @@ class HeatEngine:
         H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l: the sample
         starts in the Fock state j with Gibbs weight p_j(beta) and is found in
         the Fock state i at time t, so the branches are |phi_r, j> over the
-        eigenpairs (w_r, phi_r) of rho0. The dense propagator, not the branch
-        kernel, evolves them, so this stays an independent check of the heat
-        terms. Returns a label -> heat dict over the non-suppressed outcomes.
+        eigenpairs (w_r, phi_r) of rho0. The dense ``propagator``, not the
+        branch kernel, evolves them, and the outcomes are read in a basis of
+        the projectors' ranges, not through branch-reduced probe operators.
+        With the kernel it shares the factor eigenpairs (``factor_spectrum``,
+        from which ``spectrum`` is built), rho0's eigenpairs
+        (``_probe_eigenpairs``), the Gibbs weights and ``_real_matmul``; so it
+        checks the kernel's propagation, reduction and heat bookkeeping, not
+        the eigendecomposition. Returns a label -> heat dict over the
+        non-suppressed outcomes.
         """
         if beta <= 0:
             raise ValueError("beta must be positive")

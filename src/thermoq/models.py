@@ -8,8 +8,9 @@ variant with a transverse coupling is included for the steady-state
 machinery, where a non-commuting interaction is the interesting case.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy import sparse
@@ -113,6 +114,10 @@ class SectorCouplingError(ValueError):
     """The Hamiltonian has an entry between two different charge labels."""
 
 
+class SectorFactorizationError(ValueError):
+    """Declared Kronecker factors of a charge sector do not add up to H's block on it."""
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
@@ -123,42 +128,57 @@ class CompositeModel:
     ``bath_energies`` is that diagonal, read-only float64, in basis order.
     ``charge`` labels each basis state with the conserved charge its builder
     declared (None: no charge), and H has no entry between two different
-    labels. ``spectrum`` (eigenpairs of H, one block per charge sector) is
-    computed on first use and cached; every route reads it.
+    labels. ``factors`` holds one entry per charge sector, in ascending
+    label order: the dense factors h_1, ..., h_F whose Kronecker sum
+    h_1 (x) 1 + ... + 1 (x) h_F is H's block on the sector's states (in
+    basis order), or None where the block is its own single factor.
+    ``factor_spectrum`` (eigenpairs of each factor) and ``spectrum``
+    (eigenpairs of H, one block per sector) are computed on first use and
+    cached; every route reads one of them.
     """
 
     space: HilbertSpace
     hamiltonian: sparse.csr_array
     h_s_local: np.ndarray
     bath_energies: np.ndarray
-    charge: np.ndarray = None
+    charge: np.ndarray
+    factors: tuple
+
+    @cached_property
+    def factor_spectrum(self):
+        """One (index, ((eigenvalues, column eigenvectors) per factor)) block per sector.
+
+        ``index`` lists the basis states carrying one charge label, in basis
+        order; a sector with no declared factors has one factor, its dense
+        block of H. Costs one dense eigh per factor: sum_f m_f^3 per sector
+        of m = prod_f m_f states, in place of m^3.
+        """
+        blocks = []
+        for (index, rows, cols, values), factors in zip(
+                _sector_entries(self.hamiltonian, self.charge), self.factors):
+            if factors is None:
+                dense = np.zeros((len(index), len(index)))
+                dense[rows, cols] = values
+                factors = (dense,)
+            blocks.append((_read_only((index,))[0],
+                           tuple(_read_only(np.linalg.eigh(f)) for f in factors)))
+        return tuple(blocks)
 
     @cached_property
     def spectrum(self):
-        """One (index, eigenvalues ascending, column eigenvectors) block per sector.
+        """One (index, eigenvalues, column eigenvectors) block per sector.
 
-        ``index`` lists the basis states carrying one charge label; the
-        block's eigenvectors are columns over those states only. A model with
-        no charge has one block covering every index. Costs one dense eigh
-        per sector, sum_b |I_b|^3 in place of d^3.
+        The eigenvectors are columns over the sector's states only. A sector's
+        eigenvalues are the Kronecker sums of its factors' eigenvalues, and
+        its eigenvectors the Kronecker products of theirs, so they are in
+        ascending order only for a single factor. A model with no charge has
+        one block covering every index. A sector of several factors pays m^2
+        per eigenvector matrix here on top of ``factor_spectrum``.
         """
-        d = self.space.total_dim
-        labels = np.zeros(d, dtype=int) if self.charge is None else self.charge
-        _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
-        order = np.argsort(sector_of, kind="stable")
-        local = np.empty(d, dtype=int)  # position of each state within its sector
-        local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
-        # group the stored entries of H by sector; none couples two sectors
-        h = self.hamiltonian.tocoo()
-        entry_sector = sector_of[h.row]
-        by_sector = np.argsort(entry_sector, kind="stable")
-        entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
         blocks = []
-        for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
-                                  np.split(by_sector, entry_bounds[:-1])):
-            dense = np.zeros((len(index), len(index)))
-            dense[local[h.row[entries]], local[h.col[entries]]] = h.data[entries]
-            blocks.append(_read_only((index, *np.linalg.eigh(dense))))
+        for index, pairs in self.factor_spectrum:
+            w, v = zip(*pairs)
+            blocks.append((index, *_read_only((reduce(_kron_sum, w), reduce(np.kron, v)))))
         return tuple(blocks)
 
     @property
@@ -170,15 +190,97 @@ class CompositeModel:
         return self.space.total_dim // self.system_dim
 
 
+def _kron_sum(a, b):
+    """diag(a) (x) 1 + 1 (x) diag(b) as a vector: for eigenvalues a of A and b of B,
+    the eigenvalues of A (x) 1 + 1 (x) B in Kronecker order."""
+    return np.add.outer(a, b).ravel()
+
+
 def _read_only(arrays):
     for a in arrays:
         a.setflags(write=False)
     return tuple(arrays)
 
 
-def _compose(space, h_s_local, bath_energies, h_i, charge=None):
+def _sector_entries(h, charge):
+    """Per charge sector, in ascending label order: (index, rows, cols, values),
+    the sector's basis states and H's stored entries among them, rows and
+    columns as positions within the sector. H must couple no two sectors."""
+    d = h.shape[0]
+    labels = np.zeros(d, dtype=int) if charge is None else charge
+    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(sector_of, kind="stable")
+    local = np.empty(d, dtype=int)  # position of each state within its sector
+    local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = h.tocoo()
+    entry_sector = sector_of[h.row]
+    by_sector = np.argsort(entry_sector, kind="stable")
+    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
+    for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
+                              np.split(by_sector, entry_bounds[:-1])):
+        yield index, local[h.row[entries]], local[h.col[entries]], h.data[entries]
+
+
+def _kron_sum_deviation(factors, rows, cols, values, tol):
+    """Compare K = h_1 (x) 1 + ... + 1 (x) h_F with a sparse block given by its
+    stored entries, without forming K: (max |K - block| over the stored
+    entries, number of entries of K above ``tol`` the block does not store).
+
+    K[r, c] is sum_f h_f[r_f, r_f] where r = c, h_f[r_f, c_f] where the
+    multi-indices differ in factor f alone, and 0 elsewhere. Costs
+    O(F nnz + m + sum_f m_f^2) for m = prod_f m_f states.
+    """
+    dims = [len(f) for f in factors]
+    r, c = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
+    differs = np.array([a != b for a, b in zip(r, c)]).reshape(len(dims), -1)
+    n_differ = differs.sum(axis=0)
+    expected = np.where(n_differ == 0, sum(np.diagonal(f)[a] for f, a in zip(factors, r)), 0.0)
+    for f, a, b, d in zip(factors, r, c, differs):
+        expected = np.where(d & (n_differ == 1), f[a, b], expected)
+    dev = np.abs(expected - values).max(initial=0.0)
+    m = math.prod(dims)
+    above = (np.abs(reduce(_kron_sum, [np.diagonal(f) for f in factors])) > tol).sum() + sum(
+        (np.abs(f - np.diag(np.diagonal(f))) > tol).sum() * (m // len(f)) for f in factors)
+    return dev, int(above - (np.abs(expected) > tol).sum())
+
+
+def _sector_factors(h, charge, factors, scale):
+    """The per-sector ``factors`` of ``CompositeModel`` from a label -> factors
+    mapping, each declared factorization checked against H's sector block in
+    O(nnz) (``_kron_sum_deviation``)."""
+    labels = [None] if charge is None else np.unique(charge).tolist()
+    if not factors:
+        return (None,) * len(labels)
+    unknown = set(factors) - set(labels)
+    if unknown:
+        raise SectorFactorizationError(f"factors declared for absent charges {sorted(unknown)}")
+    out = []
+    for label, (index, rows, cols, values) in zip(labels, _sector_entries(h, charge)):
+        declared = factors.get(label)
+        if declared is not None:
+            declared = tuple(np.array(f, dtype=float) for f in declared)
+            dims = [len(f) for f in declared]
+            if math.prod(dims) != len(index):
+                raise SectorFactorizationError(
+                    f"factors of charge {label} have dimensions {dims}, "
+                    f"not {len(index)} states in all")
+            tol = HERMITICITY_RTOL * scale
+            dev, unstored = _kron_sum_deviation(declared, rows, cols, values, tol)
+            if dev > tol or unstored:
+                raise SectorFactorizationError(
+                    f"factors of charge {label} differ from H's block by {dev:.3e} at "
+                    f"scale {scale:.3e} on its stored entries, and have {unstored} "
+                    f"entries above {tol:.1e} where it stores none")
+            declared = _read_only(declared)
+        out.append(declared)
+    return tuple(out)
+
+
+def _compose(space, h_s_local, bath_energies, h_i, charge=None, factors=None):
     """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, checked
-    Hermitian and block-diagonal in ``charge``: both checks are O(nnz)."""
+    Hermitian, block-diagonal in ``charge`` and equal on each sector named in
+    ``factors`` (a charge label -> Kronecker factors mapping) to the Kronecker
+    sum of its factors: every check is O(nnz)."""
     bath_energies = np.array(bath_energies, dtype=float)
     # kronsum(B, A) = A (x) 1 + 1 (x) B
     h = sparse.csr_array(sparse.kronsum(sparse.diags_array(bath_energies), h_s_local) + h_i)
@@ -199,8 +301,10 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None):
                 f"H couples state {r} (charge {charge[r]}) to state {c} "
                 f"(charge {charge[c]}) in {bad.size} entries")
         charge = _read_only((charge,))[0]
+    factors = _sector_factors(h, charge, factors or {}, scale)
     _read_only((h.data, h.indices, h.indptr))
-    return CompositeModel(space, h, *_read_only((np.array(h_s_local), bath_energies)), charge)
+    return CompositeModel(space, h, *_read_only((np.array(h_s_local), bath_energies)), charge,
+                          factors)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -264,7 +368,10 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     diagonal.
 
     Conserved charge: sigma_z of the probe for 'z'; the parity
-    sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'.
+    sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'. For 'z' the sector
+    of sigma_z = s (probe level q) is a Kronecker sum of one factor per mode,
+    omega_k n_k + s g_k (b_k^dag + b_k), with H_S[q, q] added to the first;
+    every other sector is a single factor.
     """
     if not modes:
         raise ValueError("at least one bath mode required")
@@ -276,8 +383,15 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     sigma_z = np.diag(SIGMA_Z).astype(int)
     charge = {"x": np.kron(sigma_z, (-1) ** number),
               "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
+    factors = {}
+    if coupling_axis == "z":
+        for q, s in enumerate(sigma_z):
+            factors[int(s)] = tuple(
+                m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
+                + (h_s_local[q, q] if k == 0 else 0.0) * np.eye(n + 1)
+                for k, (m, n) in enumerate(zip(modes, cutoffs)))
     h_i = sparse.kron(pauli, coupling)
-    return _compose(space, h_s_local, energy, h_i, charge)
+    return _compose(space, h_s_local, energy, h_i, charge, factors)
 
 
 def discretize_spectral_density(j, k_modes, omega_max):

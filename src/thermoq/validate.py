@@ -91,6 +91,7 @@ class ValidationReport:
     checks: list
     elapsed_seconds: float = 0.0
     closed_form_excluded_probability_max: float = 0.0  # max over draws (check_engine_point)
+    prob_floor_excluded_probability_max: float = 0.0  # max over draws, below PROB_FLOOR
 
     @property
     def passed(self):
@@ -102,6 +103,8 @@ class ValidationReport:
                 "closed_form_min_probability": CLOSED_FORM_MIN_PROB,
                 "closed_form_excluded_probability_max":
                     self.closed_form_excluded_probability_max,
+                "prob_floor_excluded_probability_max":
+                    self.prob_floor_excluded_probability_max,
                 "checks": [c.as_dict() for c in self.checks]}
 
 
@@ -249,7 +252,8 @@ def draw_mean_force_instance(rng, tail=1e-8):
 
 def _engine_draw(checks, params, model, rho0, meas, reference):
     """Every engine check on one drawn instance, plus the score and two-point routes;
-    returns the outcome mass the closed-form comparison left out."""
+    returns the outcome mass the closed-form comparison left out and the mass
+    the heat decomposition left out below its probability floor."""
     beta, t = params["beta"], params["t"]
     eng = HeatEngine(model)
     record, _, _, excluded = check_engine_point(checks, eng, rho0, beta, t, meas,
@@ -261,7 +265,7 @@ def _engine_draw(checks, params, model, rho0, meas, reference):
 
     for label, h_tra in eng.two_point_trajectory_heat_all(rho0, beta, t, meas).items():
         checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
-    return excluded
+    return excluded, record.excluded_probability
 
 
 def cross_validate(seed, draws, progress=None):
@@ -295,6 +299,8 @@ def cross_validate(seed, draws, progress=None):
         params, model = draw_mean_force_instance(rng)
         check_mean_force_point(checks, model, params["beta"], {"family": "mean-force", **params})
 
+    closed_form_excluded, floor_excluded = np.max(excluded, axis=0)
     return ValidationReport(seed=seed, draws=draws, checks=list(checks.values()),
                             elapsed_seconds=time.time() - start,
-                            closed_form_excluded_probability_max=max(excluded))
+                            closed_form_excluded_probability_max=float(closed_form_excluded),
+                            prob_floor_excluded_probability_max=float(floor_excluded))

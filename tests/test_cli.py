@@ -3,12 +3,15 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from thermoq import cli
 from thermoq.cli import main
+from thermoq.engine import HeatEngine
 from thermoq.linalg import truncation_level
+from thermoq.models import build_coupled_oscillators, fock_measurement
 
 RUNNER = CliRunner()
 
@@ -219,6 +222,33 @@ def test_hot_cutoff_runs_uncapped(tmp_path):
     assert "n_max_capped" not in report
 
 
+def test_prob_floor_excluded_mass_is_reported(tmp_path):
+    # a ground-state exchange probe read in the Fock basis: its top outcomes
+    # fall below the probability floor, and the sidecar states the largest
+    # mass one point dropped from its heat decomposition
+    n_max, floor, betas, t = 14, 1e-9, (2.0, 3.0), 10.0
+    path = write_config(tmp_path, {
+        "experiment": "heat-exchange",
+        "model": {"omega_0": 1.0, "delta": 0.0, "g": 0.1},
+        "sweep": {"beta": list(betas), "t": [t]},
+        "numerics": {"n_max": n_max, "prob_floor": floor},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    engine = HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, n_max), prob_floor=floor)
+    ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    ground[0, 0] = 1.0
+    records = [engine.heat_decomposition(ground, beta, t, fock_measurement(n_max))
+               for beta in betas]
+    assert all(len(r.outcomes) < n_max + 1 for r in records)
+    expected = max(r.excluded_probability for r in records)
+    assert 0 < expected < floor * (n_max + 1)
+    assert report["prob_floor_excluded_probability_max"] == pytest.approx(expected, rel=1e-9)
+    assert "prob_floor_excluded_probability_max" in result.output
+
+
 class TestMeanForceTail:
     """The mean-force tail is used as given (default 1e-8) and written to the sidecar."""
 
@@ -262,7 +292,8 @@ class TestCrossValidateCommand:
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 0, result.output
         sidecar = json.loads((tmp_path / "cv.json.verification.json").read_text())
-        for key in ("closed_form_min_probability", "closed_form_excluded_probability_max"):
+        for key in ("closed_form_min_probability", "closed_form_excluded_probability_max",
+                    "prob_floor_excluded_probability_max"):
             assert sidecar[key] == report[key]
         assert 0 < report["closed_form_excluded_probability_max"] < 1e-4
 

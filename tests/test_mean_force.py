@@ -267,7 +267,7 @@ class TestOneComputationPerPoint:
         from thermoq import validate
 
         # only the mean-force draw is under test; skip the engine families
-        monkeypatch.setattr(validate, "_engine_draw", lambda *args: 0.0)
+        monkeypatch.setattr(validate, "_engine_draw", lambda *args: (0.0, 0.0))
         dims = []
         real_build = validate.build_spin_boson_model
 

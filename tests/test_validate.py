@@ -120,12 +120,13 @@ def test_default_cross_validate_passes():
 
 
 def test_cross_validate_reports_excluded_mass(monkeypatch):
-    excluded = []
+    excluded, below_floor = [], []
     real = validate.check_engine_point
 
     def check_engine_point(*args, **kwargs):
         result = real(*args, **kwargs)
         excluded.append(result[3])
+        below_floor.append(result[0].excluded_probability)
         return result
 
     monkeypatch.setattr(validate, "check_engine_point", check_engine_point)
@@ -133,3 +134,4 @@ def test_cross_validate_reports_excluded_mass(monkeypatch):
     assert len(excluded) == 2  # the heat-exchange and the dephasing draw
     assert report["closed_form_min_probability"] == CLOSED_FORM_MIN_PROB
     assert report["closed_form_excluded_probability_max"] == max(excluded) > 0
+    assert report["prob_floor_excluded_probability_max"] == max(below_floor)
