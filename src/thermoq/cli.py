@@ -91,7 +91,8 @@ CONFIG_SCHEMA = {
                 "the sidecar",
         "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
                    "routes (default 1e-4 * beta, at most beta / 10)",
-        "prob_floor": "float in (0, 1): outcomes below it are excluded (default 1e-12)",
+        "prob_floor": "float in (0, 1): outcomes below it are excluded, and the largest "
+                      "mass one point excluded is written to the sidecar (default 1e-12)",
         "slope_tol": "float > 0: scaling-slope tolerance (default 0.1)",
     },
     "output": {
@@ -303,8 +304,9 @@ def _run_mean_force(config):
     points = _sweep_points(config.get("sweep", {}), {"beta"})
 
     checks = identity_checks("mean_force", "ur_product")
-    models = {}  # one model, and so one spectrum, per cutoff key
+    models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
     rows = []
+    floor_excluded = 0.0
     for point in points:
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
         h = _fd_step(num, beta)
@@ -320,13 +322,15 @@ def _run_mean_force(config):
                   "n_max": max(cutoffs)}
         result, delta_u, product = check_mean_force_point(
             checks, models[cutoffs], beta, params, h_step=h, prob_floor=num["prob_floor"])
+        floor_excluded = max(floor_excluded, result.excluded_probability)
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
                      "fisher": result.fisher, "ur_product": product,
                      "dual_residual": result.dual_residual})
     # the tail the automatic cutoffs used; none when numerics.n_max fixes them
-    return rows, list(checks.values()), {"tail": None if num["n_max"] is not None
-                                         else num["tail"]}
+    return rows, list(checks.values()), {
+        "tail": None if num["n_max"] is not None else num["tail"],
+        "prob_floor_excluded_probability_max": floor_excluded}
 
 
 def _spectral(model):

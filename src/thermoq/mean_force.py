@@ -7,16 +7,26 @@ solved as a Sylvester equation in the eigenbasis of the reduced Gibbs
 operator; measuring in its eigenbasis turns the heat-fluctuation bound
 into the familiar temperature-energy uncertainty relation.
 
-Every quantity of a point comes from the model's cached eigendecomposition
-of H = sum_n w_n |n><n| (``CompositeModel.spectrum``) and from the diagonal
-of H_B (``bath_energies``). The spectrum comes in charge-sector blocks, and
-every function here works block by block. The reduced Gibbs operator and
-its exact beta-derivative are the same contraction of the eigenvectors over
-the sample index, weighted by e^{-beta w_n} and by (w_n - <H_B>) e^{-beta w_n};
-the internal energy is <H>_beta - <H_B>_B from the energies of H and H_B;
-and the outcome probabilities of the E*-eigenbasis measurement at any beta
-are one matrix-vector product with a beta-independent table of eigenvector
-occupations.
+Every quantity of a point is a contraction over the eigenvectors v_n of H
+with a beta-dependent weight vector, so it reads two beta-independent
+tables the model builds once (``CompositeModel.probe_tables``):
+G[s, t, n] = Tr_B |v_n><v_n| and K[t, s, n] = Tr_B H|v_n><v_n|. With the
+energies w_n of H and the diagonal of H_B (``bath_energies``):
+
+- the reduced Gibbs operator A(beta) is G . e^{-beta w}, scaled by 1/Z_B;
+- its exact derivative D = dA/d(-beta) is G . ((w - <H_B>_B) e^{-beta w}),
+  scaled the same way;
+- the internal energy is <H>_beta - <H_B>_B, from the energies alone;
+- the outcome probabilities of the E*-eigenbasis measurement at any beta
+  are occupation . gibbs(beta), with occupation[l, n] = sum_st
+  Pi_l[s, t] G[t, s, n];
+- Tr_B[H chi_s] is K . gibbs(beta).
+
+So a point costs O(d_s^2 d) arithmetic once the model's spectrum and
+tables exist. K carries the sparse H applied to the eigenvectors, not the
+eigenvalues w_n: the trace route of ``internal_energy_deviation`` reads K
+and the spectral route reads w, so their agreement checks the spectrum
+against H instead of comparing it with itself.
 """
 
 import math
@@ -46,9 +56,10 @@ class MeanForceResult:
     """Mean-force summary for one (model, beta) point.
 
     delta_u lists (energy eigenvalue, probability, deviation) per outcome
-    cluster of the energy operator's eigenbasis measurement; fisher is the
-    finite-difference Fisher information of that measurement on the
-    reduced thermal state.
+    cluster of the energy operator's eigenbasis measurement, leaving out the
+    outcomes below the probability floor, whose summed probability is
+    excluded_probability; fisher is the finite-difference Fisher information
+    of that measurement on the reduced thermal state.
     """
 
     h_star: HermitianOperator
@@ -59,6 +70,7 @@ class MeanForceResult:
     delta_u_sq: float
     dual_residual: float
     fisher: float
+    excluded_probability: float  # mass of the outcomes below prob_floor
 
 
 def _system_operator(model, m):
@@ -66,36 +78,20 @@ def _system_operator(model, m):
     return HermitianOperator(model.space.subspace([0]), 0.5 * (m + m.conj().T))
 
 
-def _energies(model):
-    """Eigenvalues of H, block after block in ``spectrum`` order."""
-    return np.concatenate([w for _, w, _ in model.spectrum])
-
-
-def _sample_split(model, index, columns):
-    """Columns over the sector states ``index`` as a (d_s, d_b, n) full-space array."""
-    full = np.zeros((model.space.total_dim, columns.shape[1]), dtype=columns.dtype)
-    full[index] = columns
-    return full.reshape(model.system_dim, model.bath_dim, -1)
-
-
 def _bath_trace(model, beta, energy_shift=None):
     """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor; f = 1, or f(w) = w - energy_shift.
 
-    Both exponentials are shifted by their ground energies before
-    exponentiating; the shifts recombine in the ratio. The sample trace is
-    contracted directly from each sector's eigenvectors, so no full-space
-    operator is formed.
+    One contraction of the table G[s, t, n] = Tr_B |v_n><v_n| with the
+    weights f(w_n) e^{-beta w_n}. Both exponentials are shifted by their
+    ground energies before exponentiating; the shifts recombine in the ratio.
     """
-    w0, wb0 = _energies(model).min(), model.bath_energies.min()
-    traced = 0.0
-    for index, w, v in model.spectrum:
-        weights = np.exp(-beta * (w - w0))
-        if energy_shift is not None:
-            weights = weights * (w - energy_shift)
-        vt = _sample_split(model, index, v)
-        traced = traced + np.einsum("sbn,n,tbn->st", vt, weights, vt)
+    w, g, _ = model.probe_tables
+    w0, wb0 = w.min(), model.bath_energies.min()
+    weights = np.exp(-beta * (w - w0))
+    if energy_shift is not None:
+        weights = weights * (w - energy_shift)
     z_b_shifted = np.sum(np.exp(-beta * (model.bath_energies - wb0)))
-    return traced * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
+    return (g @ weights) * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
 
 
 def reduced_gibbs_operator(model, beta):
@@ -125,7 +121,7 @@ def z_star(model, beta):
 
 def internal_energy(model, beta):
     """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the energies of H and H_B."""
-    w, wb = _energies(model), model.bath_energies
+    w, wb = model.probe_tables[0], model.bath_energies
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
@@ -155,15 +151,18 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
 
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
     E*_S. Via the full Hamiltonian: (1/P_l) Tr[Pi_l H chi_s] - Tr[H chi_s]
-    with chi_s = e^{-beta H}/Z; here H multiplies the Gibbs-weighted
-    eigenvectors as a matrix and Pi_l acts on their probe index, so this
-    route shares no derivative with the spectral one. Disagreement beyond
-    agreement_tol raises.
+    with chi_s = e^{-beta H}/Z, where Tr_B[H chi_s] = K . gibbs(beta) reads
+    the model's table K[t, s, n] = Tr_B H|v_n><v_n| of the sparse H applied
+    to the eigenvectors, and P_l = occupation . gibbs(beta) the table G. So
+    this route shares no derivative with the spectral one, and it reads H
+    where the spectral route reads the eigenvalues. Disagreement beyond
+    agreement_tol raises. Outcomes with P_l below prob_floor are left out,
+    and their summed probability is stored as ``excluded_probability``.
 
     The result also carries the Fisher information of the E*-eigenbasis
     measurement, by finite differences of ln P_l(beta) with step h_step
-    (``engine.log_score_fisher``). The model's sector eigendecompositions of
-    H serve every quantity.
+    (``engine.log_score_fisher``). Every quantity reads the model's
+    ``probe_tables``, built once per model.
     """
     a = reduced_gibbs_operator(model, beta)
     h_star = _log_gibbs(model, a, beta)
@@ -175,22 +174,11 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
         degeneracy_tol = 1e-8 * max(spread, 1.0)
     meas = eigenbasis_measurement(e_star, degeneracy_tol)
 
-    w = _energies(model)
-    gibbs = gibbs_weights(w, beta)
-    projs = np.stack(meas.projectors)
-    occupation = []
-    h_chi_s = 0.0
-    start = 0
-    for index, _, v in model.spectrum:
-        vt = _sample_split(model, index, v)
-        # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b)
-        occupation.append(np.einsum("sbn,lst,tbn->ln", vt, projs, vt, optimize=True).real)
-        # Tr_B[H chi_s] from H applied to the Gibbs-weighted eigenvectors
-        weighted = _sample_split(model, index, v * gibbs[start:start + len(index)])
-        h_chi = (model.hamiltonian @ weighted.reshape(-1, len(index))).reshape(vt.shape)
-        h_chi_s = h_chi_s + np.einsum("tbn,sbn->ts", h_chi, vt)
-        start += len(index)
-    occupation = np.concatenate(occupation, axis=1)
+    w, g, k = model.probe_tables
+    # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b); G is
+    # real and symmetric in (s, t), so only the real part of each Pi_l contributes
+    occupation = np.einsum("lst,tsn->ln", np.stack(meas.projectors).real, g)
+    h_chi_s = k @ gibbs_weights(w, beta)  # Tr_B[H chi_s]
 
     def probabilities(b):
         return _checked_probabilities(occupation @ gibbs_weights(w, b))
@@ -200,9 +188,10 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     e_total = np.trace(h_chi_s).real
 
     rows = []
-    residual = 0.0
+    residual = excluded = 0.0
     for eps_l, proj, p in zip(meas.labels, meas.projectors, probs):
         if p < prob_floor:
+            excluded += p
             continue
         dev_spectral = eps_l - u_s
         dev_trace = _trace_prod(proj, h_chi_s).real / p - e_total
@@ -225,6 +214,7 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
         delta_u_sq=float(delta_u_sq),
         dual_residual=float(residual),
         fisher=fisher,
+        excluded_probability=float(excluded),
     )
 
 

@@ -132,9 +132,11 @@ class CompositeModel:
     label order: the dense factors h_1, ..., h_F whose Kronecker sum
     h_1 (x) 1 + ... + 1 (x) h_F is H's block on the sector's states (in
     basis order), or None where the block is its own single factor.
-    ``factor_spectrum`` (eigenpairs of each factor) and ``spectrum``
-    (eigenpairs of H, one block per sector) are computed on first use and
-    cached; every route reads one of them.
+    ``factor_spectrum`` (eigenpairs of each factor), ``spectrum``
+    (eigenpairs of H, one block per sector) and ``probe_tables`` (the
+    eigenvectors of H reduced to the probe factor, for the mean-force
+    routes) are computed on first use and cached; every route reads one of
+    them.
     """
 
     space: HilbertSpace
@@ -180,6 +182,31 @@ class CompositeModel:
             w, v = zip(*pairs)
             blocks.append((index, *_read_only((reduce(_kron_sum, w), reduce(np.kron, v)))))
         return tuple(blocks)
+
+    @cached_property
+    def probe_tables(self):
+        """(w, G, K): the eigenvectors v_n of H reduced to the probe factor.
+
+        w lists the eigenvalues of H in ``spectrum`` order; G[s, t, n] =
+        Tr_B |v_n><v_n| and K[t, s, n] = Tr_B H|v_n><v_n|, each (d_s, d_s, d)
+        and read-only. K applies the stored sparse H to the eigenvectors, not
+        their eigenvalues: it equals w_n G[t, s, n] only as far as the
+        spectrum solves H, so a route reading K checks the spectrum against H.
+        Costs one sparse H V product and d_s^2 sums over the sample index per
+        sector, once per model.
+        """
+        d, d_s = self.space.total_dim, self.system_dim
+        w, g, k = [], [], []
+        for index, values, v in self.spectrum:
+            full = np.zeros((d, len(index)), dtype=v.dtype)
+            full[index] = v
+            hv = (self.hamiltonian @ full).reshape(d_s, self.bath_dim, -1)
+            full = full.reshape(d_s, self.bath_dim, -1)
+            w.append(values)
+            g.append(np.einsum("sbn,tbn->stn", full, full))
+            k.append(np.einsum("tbn,sbn->tsn", hv, full))
+        return _read_only((np.concatenate(w), np.concatenate(g, axis=2),
+                           np.concatenate(k, axis=2)))
 
     @property
     def system_dim(self):

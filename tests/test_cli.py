@@ -11,7 +11,13 @@ from thermoq import cli
 from thermoq.cli import main
 from thermoq.engine import HeatEngine
 from thermoq.linalg import truncation_level
-from thermoq.models import build_coupled_oscillators, fock_measurement
+from thermoq.mean_force import internal_energy_deviation
+from thermoq.models import (
+    BathMode,
+    build_coupled_oscillators,
+    build_spin_boson_model,
+    fock_measurement,
+)
 
 RUNNER = CliRunner()
 
@@ -246,6 +252,32 @@ def test_prob_floor_excluded_mass_is_reported(tmp_path):
     expected = max(r.excluded_probability for r in records)
     assert 0 < expected < floor * (n_max + 1)
     assert report["prob_floor_excluded_probability_max"] == pytest.approx(expected, rel=1e-9)
+    assert "prob_floor_excluded_probability_max" in result.output
+
+
+def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path):
+    # at beta = 2 the excited outcome of the energy-operator measurement has
+    # P ~ 0.12, so a floor of 0.2 drops it; both the deviations and the Fisher
+    # information leave it out, so the UR product still saturates
+    beta, floor = 2.0, 0.2
+    modes = [[1.2, 0.1], [1.5, 0.1]]
+    path = write_config(tmp_path, {
+        "experiment": "mean-force",
+        "model": {"omega_q": 1.0, "modes": modes, "coupling_axis": "xz"},
+        "sweep": {"beta": [beta]},
+        "numerics": {"n_max": 4, "prob_floor": floor},
+        "output": {"path": str(tmp_path / "mf.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "mf.csv.verification.json").read_text())
+    model = build_spin_boson_model(1.0, [BathMode(*m) for m in modes], 4, coupling_axis="xz")
+    point = internal_energy_deviation(model, beta, prob_floor=floor)
+    assert len(point.delta_u) == 1
+    assert 0.05 < point.excluded_probability < floor
+    assert point.excluded_probability == pytest.approx(1.0 - point.delta_u[0][1], rel=1e-12)
+    assert report["prob_floor_excluded_probability_max"] == pytest.approx(
+        point.excluded_probability, rel=1e-12)
     assert "prob_floor_excluded_probability_max" in result.output
 
 

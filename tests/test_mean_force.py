@@ -1,6 +1,7 @@
 """Steady-state machinery: mean-force Hamiltonian, energy operator, energy UR."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from thermoq.mean_force import (
     temperature_energy_ur_check,
     z_star,
 )
-from thermoq.models import BathMode, build_spin_boson_model
+from thermoq.models import BathMode, CompositeModel, build_spin_boson_model
 
 QUBIT_OMEGA = 1.0
 MODES = [BathMode(0.8, 0.15), BathMode(1.3, 0.15)]
@@ -160,6 +161,19 @@ class TestInternalEnergyDeviation:
         with pytest.raises(mean_force.IdentityViolationError):
             internal_energy_deviation(coupled_model, BETA)
 
+    def test_trace_route_reads_h_not_the_eigenvalues(self):
+        # shift the ground eigenvalue of the cached spectrum: the spectral route
+        # follows it, the trace route applies the stored H, so the check fires
+        from thermoq import mean_force
+
+        model = make_model(n_max=4)
+        (index, w, v), = model.spectrum
+        shifted = w.copy()
+        shifted[np.argmin(w)] += 0.1
+        vars(model)["spectrum"] = ((index, shifted, v),)
+        with pytest.raises(mean_force.IdentityViolationError):
+            internal_energy_deviation(model, BETA)
+
     def test_free_case_deviations_are_spectral(self, free_model):
         result = internal_energy_deviation(free_model, BETA)
         u = internal_energy(free_model, BETA)
@@ -215,15 +229,17 @@ class TestWeakCouplingCollapse:
 
 
 class TestOneComputationPerPoint:
-    """Each mean-force point runs one full-Hamiltonian eigh and one deviation."""
+    """Each mean-force point runs one deviation; each model one full-Hamiltonian eigh
+    and one build of its probe tables, however many betas read them."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         from thermoq import cli, mean_force, validate
 
-        calls = {"eigh_dims": [], "deviations": 0}
+        calls = {"eigh_dims": [], "deviations": 0, "table_dims": []}
         real_eigh = np.linalg.eigh
         real_deviation = mean_force.internal_energy_deviation
+        real_tables = CompositeModel.probe_tables.func
 
         def eigh(matrix, *args, **kwargs):
             calls["eigh_dims"].append(np.shape(matrix)[0])
@@ -233,6 +249,13 @@ class TestOneComputationPerPoint:
             calls["deviations"] += 1
             return real_deviation(*args, **kwargs)
 
+        def tables(model):
+            calls["table_dims"].append(model.space.total_dim)
+            return real_tables(model)
+
+        counted = cached_property(tables)
+        counted.__set_name__(CompositeModel, "probe_tables")
+        monkeypatch.setattr(CompositeModel, "probe_tables", counted)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         for module in (mean_force, cli, validate):
             monkeypatch.setattr(module, "internal_energy_deviation", deviation)
@@ -250,6 +273,7 @@ class TestOneComputationPerPoint:
         assert len(rows) == 2 and all(c.passed for c in checks)
         # numerics.n_max fixes the cutoffs, so both betas share one model
         assert calls["eigh_dims"].count(2 * 5 * 5) == 1
+        assert calls["table_dims"] == [2 * 5 * 5]
         assert calls["deviations"] == 2
 
     def test_engine_and_deviations_share_one_spectrum(self, calls):
@@ -261,6 +285,7 @@ class TestOneComputationPerPoint:
         for beta in (BETA, 1.3 * BETA):
             mean_force.internal_energy_deviation(model, beta)
         assert calls["eigh_dims"].count(model.space.total_dim) == 1
+        assert calls["table_dims"] == [model.space.total_dim]
         assert calls["deviations"] == 2
 
     def test_cross_validate(self, calls, monkeypatch):
@@ -281,4 +306,5 @@ class TestOneComputationPerPoint:
         assert report.passed
         assert len(dims) == 2
         assert sum(calls["eigh_dims"].count(d) for d in set(dims)) == 2
+        assert calls["table_dims"] == dims
         assert calls["deviations"] == 2

@@ -7,7 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from thermoq.engine import HeatEngine, _probe_eigenpairs
-from thermoq.mean_force import internal_energy, internal_energy_deviation, reduced_gibbs_operator
+from thermoq.linalg import gibbs_weights
+from thermoq.mean_force import (
+    energy_operator,
+    internal_energy,
+    internal_energy_deviation,
+    reduced_gibbs_operator,
+)
 from thermoq.models import (
     SIGMA_X,
     SIGMA_Z,
@@ -167,16 +173,46 @@ def test_blocked_mean_force_matches_dense(axis):
     beta = 1.1
     h = model.hamiltonian.toarray()
     d_s, d_b = model.system_dim, model.bath_dim
+    boltz = expm(-beta * h)
+
+    def bath_trace(m):
+        return np.einsum("sbtb->st", m.reshape(d_s, d_b, d_s, d_b))
+
     # Tr_B e^{-beta H} / Z_B from the dense exponential of the whole of H
-    gibbs = expm(-beta * h).reshape(d_s, d_b, d_s, d_b)
     h_b = bath_hamiltonian(model)
     z_b = np.trace(expm(-beta * h_b))
-    assert np.allclose(reduced_gibbs_operator(model, beta),
-                       np.einsum("sbtb->st", gibbs) / z_b, rtol=1e-10, atol=1e-13)
-    e_total = np.trace(h @ expm(-beta * h)) / np.trace(expm(-beta * h))
+    a = reduced_gibbs_operator(model, beta)
+    assert np.allclose(a, bath_trace(boltz) / z_b, rtol=1e-10, atol=1e-13)
+    e_total = np.trace(h @ boltz) / np.trace(boltz)
     e_bath = np.trace(h_b @ expm(-beta * h_b)) / z_b
     assert internal_energy(model, beta) == pytest.approx(e_total - e_bath, rel=1e-10)
-    assert internal_energy_deviation(model, beta).dual_residual <= 1e-10
+    # dA/d(-beta) = Tr_B[(H - <H_B>_B) e^{-beta H}] / Z_B, recovered from E* through
+    # the anticommutator it solves
+    e_star = energy_operator(model, beta).matrix
+    d_dense = bath_trace((h - e_bath * np.eye(len(h))) @ boltz) / z_b
+    assert np.allclose(0.5 * (e_star @ a + a @ e_star), d_dense, rtol=1e-10, atol=1e-13)
+
+    result = internal_energy_deviation(model, beta)
+    assert result.dual_residual <= 1e-10
+    # each trace-route deviation (1/P_l) Tr[Pi_l H chi_s] - Tr[H chi_s], from the
+    # model's tables (G for P_l, K for Tr_B[H chi_s]) and from the dense chi
+    chi = boltz / np.trace(boltz)
+    chi_s, h_chi_s = bath_trace(chi), bath_trace(h @ chi)
+    w, g, k = model.probe_tables
+    gibbs = gibbs_weights(w, beta)
+    h_chi_tab = k @ gibbs
+    spread = np.ptp(np.linalg.eigvalsh(result.e_star.matrix))
+    meas = eigenbasis_measurement(result.e_star, 1e-8 * max(spread, 1.0))
+    assert len(result.delta_u) == len(meas.labels)
+    for (eps, p, dev), label, proj in zip(result.delta_u, meas.labels, meas.projectors):
+        p_dense = np.trace(proj @ chi_s).real
+        dev_dense = np.trace(proj @ h_chi_s).real / p_dense - np.trace(h_chi_s).real
+        p_tab = np.einsum("st,tsn->n", proj.real, g) @ gibbs
+        dev_trace = np.trace(proj @ h_chi_tab).real / p_tab - np.trace(h_chi_tab)
+        assert eps == label
+        assert p == pytest.approx(p_dense, rel=1e-10)
+        for value in (dev_trace, dev):
+            assert abs(value - dev_dense) <= 1e-10 * max(1.0, abs(dev_dense))
 
 
 @pytest.mark.parametrize("build, labels", [

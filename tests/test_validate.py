@@ -135,3 +135,20 @@ def test_cross_validate_reports_excluded_mass(monkeypatch):
     assert report["closed_form_min_probability"] == CLOSED_FORM_MIN_PROB
     assert report["closed_form_excluded_probability_max"] == max(excluded) > 0
     assert report["prob_floor_excluded_probability_max"] == max(below_floor)
+
+
+def test_cross_validate_folds_in_the_mean_force_floor(monkeypatch):
+    # a mean-force draw that drops an outcome below its floor raises the report's
+    # prob_floor_excluded_probability_max above every engine draw's
+    real_mean_force = validate.check_mean_force_point
+    dropped = []
+
+    def check_mean_force_point(checks, model, beta, params):
+        result = real_mean_force(checks, model, beta, params, prob_floor=0.5)
+        dropped.append(result[0].excluded_probability)
+        return result
+
+    monkeypatch.setattr(validate, "check_mean_force_point", check_mean_force_point)
+    report = cross_validate(3, 1).as_dict()
+    assert dropped[0] > 0.05
+    assert report["prob_floor_excluded_probability_max"] == dropped[0]
