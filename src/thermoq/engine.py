@@ -11,37 +11,65 @@ from a two-point double sum over sample eigenprojectors, and from a
 finite-difference derivative of the outcome probabilities.
 
 The heat terms, the direct score and the finite-difference Fisher
-information share one branch kernel. With H_B |j> = eps_j |j> on Fock states,
-chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta) |phi_r, j><phi_r, j|
-has rank at most K = rank(rho0) * d_b, so only its K branch amplitudes
-A_k = U |phi_r, j> are evolved, and beta enters only through the weights
-c_k = w_r p_j(beta). U is block-diagonal in the model's charge sectors, and
-each sector's block of H is a Kronecker sum of factors (one factor, the
-dense block, unless the builder declared more), so per sector the kernel
-forms U_b = (x)_f V_f e^{-i lambda_f t} V_f^T from the factors' eigenpairs
-and reads the amplitudes off its columns: A_{r,j}[I_b] = sum over the
-states (s, j) of I_b of phi_r[s] U_b[:, pos(s, j)]. Per (rho0, t,
-measurement) it builds two L x K tables, <A_k|Pi_l (x) 1|A_k> and
-<A_k|Pi_l (x) H_B|A_k>; every outcome probability and conditional energy,
-at any beta of a finite-difference stencil, is then a matrix-vector
-product. Per (rho0, t) the propagators cost sum_f m_f^3 per sector of
-m = prod_f m_f states plus m^2 for their Kronecker product, and the
-amplitudes O(sum_b |I_b|^2 rank(rho0)) (one sector of size d for a model
-with no charge), against O(d^3) plus L embedded d x d projectors for the
-dense route the tests keep as reference. The two-point route evolves the
-same branches with the dense U, assembled from the sectors' dense
-eigenvectors, and reads the outcomes in a basis of the projectors' ranges
-(see ``HeatEngine.two_point_trajectory_heat_all`` for what it shares with
-the kernel).
+information read beta-independent tables of one (rho0, t, measurement);
+every outcome probability and conditional energy, at any beta of a
+finite-difference stencil, is then a short contraction with the thermal
+weights. Two routes build the tables, and the engine picks one from the
+structure the model declares, with no option.
+
+Mode-product route, for the sigma_z-coupled models (``build_dephasing_model``
+and the 'z' spin-boson model). Each charge sector is one probe level q times
+the whole sample, declared as one Kronecker factor per sample mode, and the
+sample energies are a Kronecker sum of per-mode energies eps_k. So the
+sector of q evolves as U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q} with
+u_{k,q} = V e^{-i lambda t} V^T from the mode's eigenpairs in
+``factor_spectrum`` (H_S[q, q] taken out of the first mode's eigenvalues),
+and gamma_B(beta) is the product of per-mode weights p_k(beta). Every trace
+the heat decomposition needs is then a contraction of rho_t[q, q'] Pi_l[q', q]
+(rho_t = e^{-i H_S t} rho0 e^{i H_S t}) with
+
+- prod_k chi_k^{qq'}, chi_k^{qq'} = p_k . M_k^{qq'}, for P_l, where
+  M_k^{qq'}[j] = (u_{k,q'}^dag u_{k,q})[j, j];
+- sum_k (p_k eps_k . M_k^{qq'}) prod_{k' != k} chi_{k'}^{qq'} for the initial
+  sample energy, and the same with p_k . N_k^{qq'},
+  N_k^{qq'}[j] = (u_{k,q'}^dag eps_k u_{k,q})[j, j], for the final one.
+
+This is the exact pure-dephasing solution (Breuer and Petruccione, The
+Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. The
+products over k' != k are prefix times suffix products, never a division,
+since chi can vanish. P_l is Tr[Pi_l rho_t] plus the contraction with
+prod_k chi_k - 1, accumulated from the small 1 - chi_k, so a rare outcome's
+probability keeps its relative precision from one beta of a
+finite-difference stencil to the next. Per (rho0, t) it costs
+O(sum_k n_k^3) for the mode propagators, per beta O(sum_k n_k); no array
+has the size of the full space or of its branches.
+
+Branch kernel, for every other model. With H_B |j> = eps_j |j> on Fock
+states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
+|phi_r, j><phi_r, j| has rank at most K = rank(rho0) * d_b, so only its K
+branch amplitudes A_k = U |phi_r, j> are evolved, and beta enters only
+through the weights c_k = w_r p_j(beta). U is block-diagonal in the model's
+charge sectors, so per sector the kernel forms U_b = V_b e^{-i lambda_b t}
+V_b^T from the sector's eigenpairs in ``spectrum`` and reads the amplitudes
+off its columns: A_{r,j}[I_b] = sum over the states (s, j) of I_b of
+phi_r[s] U_b[:, pos(s, j)]. The tables are <A_k|Pi_l (x) 1|A_k> and
+<A_k|Pi_l (x) H_B|A_k>, each L x K. Per (rho0, t) it costs
+O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
+(one sector of size d for a model with no charge), against O(d^3) plus L
+embedded d x d projectors for the dense route the tests keep as reference.
+
+The two-point route evolves the same branches with the dense U, assembled
+from the sectors' dense eigenvectors, and reads the outcomes in a basis of
+the projectors' ranges (see ``HeatEngine.two_point_trajectory_heat_all``
+for what it shares with the other routes).
 """
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .linalg import gibbs_weights, hermitian_eig
+from .linalg import HERMITICITY_RTOL, gibbs_weights, hermitian_eig
 
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
@@ -146,77 +174,201 @@ class HeatRecord:
         return np.array([o.probability for o in self.outcomes])
 
 
+def _mode_factorization(model):
+    """Per sample mode k: (eps_k, ((lambda, V) of the mode's factor on each probe
+    level q, in level order)), or None unless the model has the structure of the
+    mode-product route: each charge sector is one probe level times the whole
+    sample, declared as one Kronecker factor per sample mode, and the sample
+    energies are the Kronecker sum of per-mode energies eps_k."""
+    d_s, d_b = model.system_dim, model.bath_dim
+    dims = list(model.space.factor_dims[1:])
+    if len(model.factors) != d_s or any(
+            f is None or [len(m) for m in f] != dims for f in model.factors):
+        return None
+    h_s = np.diagonal(model.h_s_local)
+    levels = [None] * d_s
+    for index, ((lam, v), *rest) in model.factor_spectrum:
+        q = index[0] // d_b
+        if not np.array_equal(index, q * d_b + np.arange(d_b)):
+            return None
+        # U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q}: the probe energy leaves the
+        # factors (the route evolves rho0 under H_S instead), so each chi_k is
+        # the sample's effect alone, near 1 where it is weak
+        levels[q] = ((lam - h_s[q], v), *rest)
+    # eps_k[n] = E(0, .., n, .., 0) - E(0, .., 0), with E(0, .., 0) put on mode 0
+    energies = model.bath_energies.reshape(dims)
+    eps = [energies[(0,) * k + (slice(None),) + (0,) * (len(dims) - k - 1)]
+           - (energies.flat[0] if k else 0.0) for k in range(len(dims))]
+    kron_sum = sum(e.reshape([-1 if i == k else 1 for i in range(len(dims))])
+                   for k, e in enumerate(eps))
+    if np.abs(kron_sum - energies).max() > HERMITICITY_RTOL * (1.0 + np.abs(energies).max()):
+        return None
+    return tuple(zip(eps, zip(*levels)))
+
+
 @dataclass(frozen=True)
 class _BranchTables:
-    """Beta-independent tables of one (rho0, t, measurement); k = r * d_b + j."""
+    """Beta-independent tables of one (rho0, t, measurement) on the branch
+    kernel; k = r * d_b + j."""
 
     prob: np.ndarray         # (L, K): <A_k|Pi_l (x) 1|A_k>
     energy: np.ndarray       # (L, K): <A_k|Pi_l (x) H_B|A_k>
     bath_energy: np.ndarray  # (K,):   <A_k|1 (x) H_B|A_k>
     rho_w: np.ndarray        # (R,):   nonzero eigenvalues w_r of rho0
+    eps: np.ndarray          # (d_b,): sample energies eps_j
+
+    def traces(self, beta):
+        """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
+        c = np.kron(self.rho_w, gibbs_weights(self.eps, beta))
+        # H_B |phi_r, j> = eps_j |phi_r, j>
+        c_eps = c * np.tile(self.eps, len(self.rho_w))
+        return (self.prob @ c, self.prob @ c_eps, self.energy @ c, c_eps.sum(),
+                self.bath_energy @ c)
+
+
+@dataclass(frozen=True)
+class _ModeTables:
+    """Beta-independent tables of one (rho0, t, measurement) on the mode-product
+    route; a pair of probe levels (q, q') is the flat index q * Q + q'."""
+
+    weight: np.ndarray       # (L + 1, Q * Q): rho_t[q, q'] Pi_l[q', q]; last row Pi = 1
+    defect: tuple            # per mode k, (Q * Q, n_k): 1 - M_k^{qq'}
+    energy: tuple            # per mode k, (Q * Q, n_k): N_k^{qq'}
+    mode_energies: tuple     # per mode k, (n_k,): eps_k
+
+    def traces(self, beta):
+        """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
+        p = [gibbs_weights(eps, beta) for eps in self.mode_energies]
+        p_eps = [pk * eps for pk, eps in zip(p, self.mode_energies)]
+        y = np.array([d @ pk for d, pk in zip(self.defect, p)])  # 1 - chi_k
+        chi = 1.0 - y
+        start = np.array([pe.sum() - d @ pe for d, pe in zip(self.defect, p_eps)])
+        end = np.array([n @ pk for n, pk in zip(self.energy, p)])
+        # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
+        # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
+        # probability stays relative to it from one beta to the next
+        x = np.zeros(chi.shape[1], dtype=complex)
+        for y_k in y:
+            x = x - y_k - x * y_k
+        probs = self.weight[:-1].sum(axis=1).real + (self.weight[:-1] @ x).real
+        # others[k] = prod_{k' != k} chi_{k'}, as (prod_{k' < k}) (prod_{k' > k})
+        ones = np.ones((1, chi.shape[1]), dtype=complex)
+        before = np.cumprod(np.vstack([ones, chi[:-1]]), axis=0)
+        after = np.cumprod(np.vstack([ones, chi[:0:-1]]), axis=0)[::-1]
+        others = before * after
+        sums = np.stack([(start * others).sum(axis=0), (end * others).sum(axis=0)])
+        rows = (self.weight @ sums.T).real
+        return probs, rows[:-1, 0], rows[:-1, 1], rows[-1, 0], rows[-1, 1]
 
 
 class HeatEngine:
     """Repeated evaluation of one model's working points.
 
-    Reads the per-factor eigenpairs (lambda_f, V_f) of each charge sector
-    I_b from the model's cached ``factor_spectrum`` and the sample energies
-    eps_j from ``bath_energies``, and holds no d x d array of its own.
     ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
-    and ``fisher_finite_difference`` evolve only the branch amplitudes of
-    rho0 (x) gamma_B (see the module docstring): per sector, one real
-    m_f x m_f x 2 m_f product per factor, a Kronecker product of the factor
-    propagators, and a gather of |I_b|^2 rank(rho0) entries of it, with
-    K = rank(rho0) * d_b branches; no full-space propagator, state or
-    embedded projector. ``two_point_trajectory_heat_all`` takes the same
-    (rho0, beta, t, meas) but evolves with the dense propagator, so it
-    stays an independent check of the kernel.
+    and ``fisher_finite_difference`` read beta-independent tables of
+    (rho0, t, measurement), built by one of two routes (see the module
+    docstring). ``route`` names the one this engine took, chosen from the
+    model alone:
 
-    All methods are pure given their arguments. Instances hold the tables
-    of the last (rho0, t, measurement), swapped in as one tuple, and read
-    the model's immutable arrays, so sharing across threads is safe.
+    - ``'mode-product'`` when ``_mode_factorization`` finds every charge
+      sector to be one probe level times the whole sample, declared as one
+      factor per sample mode, with sample energies that are a Kronecker sum
+      over the modes. It reads ``factor_spectrum`` only: per (rho0, t) one
+      real n_k x n_k x 2 n_k product per mode and probe level and
+      O(Q^2 sum_k n_k^2) for the tables, per beta O(Q^2 sum_k n_k) with Q
+      probe levels.
+    - ``'branch-kernel'`` otherwise. It reads ``spectrum``'s dense eigenbasis
+      per sector: per (rho0, t) one |I_b|-sized real product per sector and
+      a K x d complex amplitude array with K = rank(rho0) * d_b, per beta
+      three L x K matrix-vector products.
+
+    Neither forms a full-space propagator, state or embedded projector.
+    ``two_point_trajectory_heat_all`` takes the same (rho0, beta, t, meas)
+    but evolves with the dense propagator, so it stays an independent check
+    of both routes.
+
+    All methods are pure given their arguments. An instance keeps the tables
+    of every (rho0, t, measurement) it has seen, so a sweep that comes back
+    to a (rho0, t) at another beta builds nothing: two L x K float tables
+    per key on the branch kernel (about 150 KB at the d = 9409 heat-exchange
+    point, L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route.
+    Entries are never changed once stored (two threads that miss one key at
+    once each build it and store equal tables), and the model's arrays are
+    immutable, so sharing an engine across threads is safe.
     """
 
     def __init__(self, model, prob_floor=PROB_FLOOR):
         self.model = model
         self.prob_floor = prob_floor
-        d_b = model.bath_dim
-        sector_of = np.empty(model.space.total_dim, dtype=int)
         # the eigendecomposition is paid for here, not by the first point
-        for b, (index, _) in enumerate(model.factor_spectrum):
-            sector_of[index] = b
-        # how many states of the same sector before this one share its sample level j
-        rank = _occurrence_rank(sector_of * d_b + np.arange(len(sector_of)) % d_b)
-        # per sector: its states, their probe and sample levels (s, j), and its
-        # positions split into groups in which no j repeats: all of them at
-        # once when no sector holds a sample level twice
-        self._sectors = tuple(
-            (index, factors, *np.divmod(index, d_b),
-             [np.flatnonzero(rank[index] == k) for k in range(rank[index].max() + 1)]
-             if rank.any() else [slice(None)])
-            for index, factors in model.factor_spectrum)
-        # (meas, (rho0 bytes, t), tables) of the last kernel call: the heat,
-        # direct-score and finite-difference routes of one point share it
-        self._last_tables = None
+        self._modes = _mode_factorization(model)
+        self.route = "branch-kernel" if self._modes is None else "mode-product"
+        if self._modes is None:
+            d_b = model.bath_dim
+            sector_of = np.empty(model.space.total_dim, dtype=int)
+            for b, (index, _, _) in enumerate(model.spectrum):
+                sector_of[index] = b
+            # how many states of the same sector before this one share its sample level j
+            rank = _occurrence_rank(sector_of * d_b + np.arange(len(sector_of)) % d_b)
+            # per sector: its states, eigenpairs, the probe and sample levels (s, j)
+            # of its states, and its positions split into groups in which no j
+            # repeats: all of them at once when no sector holds a sample level twice
+            self._sectors = tuple(
+                (index, lam, v, *np.divmod(index, d_b),
+                 [np.flatnonzero(rank[index] == k) for k in range(rank[index].max() + 1)]
+                 if rank.any() else [slice(None)])
+                for index, lam, v in model.spectrum)
+        # (id(meas), rho0 shape, rho0 bytes, t) -> (meas, tables); holding meas
+        # keeps its id from being reused while the entry exists
+        self._tables = {}
+
+    def _tables_for(self, rho0, t, meas):
+        rho0 = np.asarray(rho0, complex)
+        key = (id(meas), rho0.shape, rho0.tobytes(), float(t))
+        entry = self._tables.get(key)
+        if entry is not None:
+            return entry[1]
+        d_s = self.model.system_dim
+        _require_system_dim(meas, d_s)
+        w, phi = _probe_eigenpairs(rho0, d_s)
+        build = self._branch_tables if self._modes is None else self._mode_tables
+        tables = build(w, phi, t, meas)
+        self._tables[key] = (meas, tables)
+        return tables
+
+    # -- mode-product route -----------------------------------------------
+
+    def _mode_tables(self, w, phi, t, meas):
+        d_s = self.model.system_dim
+        # rho0 without the eigenvalues _probe_eigenpairs drops, evolved under H_S
+        # (diagonal): the mode factors below carry no probe energy
+        phase = np.exp(-1j * np.diagonal(self.model.h_s_local) * t)
+        rho_t = (phi * w) @ phi.conj().T * np.outer(phase, phase.conj())
+        projs = np.concatenate([np.stack(meas.projectors), np.eye(d_s)[None]])
+        weight = (rho_t * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
+        defect, energy = [], []
+        for eps, levels in self._modes:
+            # u[q] = u_{k,q}, symmetric since V is real
+            u = np.stack([_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+                          for lam, v in levels])
+            u_h = u.conj()
+            defect.append(1.0 - np.einsum("qij,pij->qpj", u, u_h).reshape(d_s * d_s, -1))
+            energy.append(np.einsum("qij,pij->qpj", u * eps[:, None], u_h)
+                          .reshape(d_s * d_s, -1))
+        return _ModeTables(weight, tuple(defect), tuple(energy),
+                           tuple(eps for eps, _ in self._modes))
 
     # -- branch kernel ----------------------------------------------------
 
-    def _branch_tables(self, rho0, t, meas):
-        key = (np.asarray(rho0, complex).tobytes(), float(t))
-        last = self._last_tables
-        if last is not None and last[0] is meas and last[1] == key:
-            return last[2]
+    def _branch_tables(self, w, phi, t, meas):
         d_s, d_b = self.model.system_dim, self.model.bath_dim
-        _require_system_dim(meas, d_s)
-        w, phi = _probe_eigenpairs(rho0, d_s)
         branches = np.arange(len(w))[:, None, None]
-        # amp[r, j] = U |phi_r, j> over the full space. U_b is symmetric (its
-        # V_f are real), so its column for the state (s, j) of sector b is
-        # its row: amp[r, j][I_b] = sum over (s, j) in I_b of phi[s, r] U_b[pos(s, j)]
+        # amp[r, j] = U |phi_r, j> over the full space. U_b is symmetric (V_b is
+        # real), so its column for the state (s, j) of sector b is its row:
+        # amp[r, j][I_b] = sum over (s, j) in I_b of phi[s, r] U_b[pos(s, j)]
         amp = np.zeros((len(w), d_b, self.model.space.total_dim), dtype=complex)
-        for index, factors, s, j, groups in self._sectors:
-            u = reduce(np.kron, [_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
-                                 for lam, v in factors])
+        for index, lam, v, s, j, groups in self._sectors:
+            u = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
             for k, cols in enumerate(groups):
                 part = phi[s[cols]].T[:, :, None] * u[cols]
                 target = branches, j[cols][:, None], index
@@ -229,29 +381,23 @@ class HeatEngine:
         amp *= self.model.bath_energies
         en_k = amp @ amp_h
         projs = np.stack(meas.projectors).reshape(len(meas.projectors), -1)
-        tables = _BranchTables(
+        return _BranchTables(
             prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
             energy=(projs @ en_k.reshape(len(amp), -1).conj().T).real,
             bath_energy=np.trace(en_k, axis1=1, axis2=2).real,
             rho_w=w,
+            eps=self.model.bath_energies,
         )
-        self._last_tables = (meas, key, tables)
-        return tables
 
-    def _branch_weights(self, tables, beta):
-        return np.kron(tables.rho_w, gibbs_weights(self.model.bath_energies, beta))
+    # -- beta side, shared by both routes ---------------------------------
 
     def _probabilities(self, tables, beta):
-        return _checked_probabilities(tables.prob @ self._branch_weights(tables, beta))
+        return _checked_probabilities(tables.traces(beta)[0])
 
     def _conditional_energies(self, tables, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
-        c = self._branch_weights(tables, beta)
-        probs = _checked_probabilities(tables.prob @ c)
-        # H_B |phi_r, j> = eps_j |phi_r, j>
-        c_eps = c * np.tile(self.model.bath_energies, len(tables.rho_w))
-        return (probs, tables.prob @ c_eps, tables.energy @ c,
-                c_eps.sum(), tables.bath_energy @ c)
+        probs, *energies = tables.traces(beta)
+        return (_checked_probabilities(probs), *energies)
 
     # -- heat decomposition (projected-energy route) ----------------------
 
@@ -259,7 +405,7 @@ class HeatEngine:
         """Per-outcome trajectory/correlation heat, score, and Fisher information."""
         if beta <= 0:
             raise ValueError("beta must be positive")
-        tables = self._branch_tables(rho0, t, meas)
+        tables = self._tables_for(rho0, t, meas)
         probs, start, end, e_b_0, e_b_t = self._conditional_energies(tables, beta)
         h_avg = e_b_0 - e_b_t
 
@@ -286,7 +432,7 @@ class HeatEngine:
         Uses the conditioned-minus-unconditioned initial sample energy,
         Tr[M_l H_B chi(0) M_l^dag] - Tr[H_B chi(0)], not the heat terms.
         """
-        tables = self._branch_tables(rho0, t, meas)
+        tables = self._tables_for(rho0, t, meas)
         probs, start, _, e_b_0, _ = self._conditional_energies(tables, beta)
         return {
             label: start[li] / probs[li] - e_b_0
@@ -301,8 +447,8 @@ class HeatEngine:
 
         Each block is V_b e^{-i lambda_b t} V_b^T with the sector's dense
         eigenvectors V_b (the Kronecker products of its factors'
-        eigenvectors), as one real product per block. The branch kernel
-        never forms V_b for a sector of several factors: it multiplies the
+        eigenvectors), as one real product per block. The mode-product
+        route never forms V_b for a sector of several factors: it reads the
         factors' own propagators.
         """
         d = self.model.space.total_dim
@@ -318,14 +464,14 @@ class HeatEngine:
         starts in the Fock state j with Gibbs weight p_j(beta) and is found in
         the Fock state i at time t, so the branches are |phi_r, j> over the
         eigenpairs (w_r, phi_r) of rho0. The dense ``propagator``, not the
-        branch kernel, evolves them, and the outcomes are read in a basis of
-        the projectors' ranges, not through branch-reduced probe operators.
-        With the kernel it shares the factor eigenpairs (``factor_spectrum``,
-        from which ``spectrum`` is built), rho0's eigenpairs
-        (``_probe_eigenpairs``), the Gibbs weights and ``_real_matmul``; so it
-        checks the kernel's propagation, reduction and heat bookkeeping, not
-        the eigendecomposition. Returns a label -> heat dict over the
-        non-suppressed outcomes.
+        tables' route, evolves them, and the outcomes are read in a basis of
+        the projectors' ranges, not through branch-reduced probe operators or
+        per-mode traces. With both routes it shares the factor eigenpairs
+        (``factor_spectrum``, from which ``spectrum`` is built), rho0's
+        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
+        ``_real_matmul``; so it checks their propagation, reduction and heat
+        bookkeeping, not the eigendecomposition. Returns a label -> heat dict
+        over the non-suppressed outcomes.
         """
         if beta <= 0:
             raise ValueError("beta must be positive")
@@ -356,16 +502,16 @@ class HeatEngine:
     # -- finite-difference route ------------------------------------------
 
     def outcome_probabilities_at(self, rho0, beta, t, meas):
-        return self._probabilities(self._branch_tables(rho0, t, meas), beta)
+        return self._probabilities(self._tables_for(rho0, t, meas), beta)
 
     def fisher_finite_difference(self, rho0, beta, t, meas, h=None):
         """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
 
-        beta acts only through the thermal sample input. The branch tables
-        are beta-independent, so the five stencil points cost one
-        matrix-vector product each.
+        beta acts only through the thermal sample input. The tables are
+        beta-independent, so each of the five stencil points costs one
+        contraction with the thermal weights.
         """
-        tables = self._branch_tables(rho0, t, meas)
+        tables = self._tables_for(rho0, t, meas)
         return log_score_fisher(lambda b: self._probabilities(tables, b), beta, h,
                                 self.prob_floor)
 

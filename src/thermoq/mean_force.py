@@ -101,17 +101,25 @@ def reduced_gibbs_operator(model, beta):
     return _bath_trace(model, beta)
 
 
-def _log_gibbs(model, a, beta):
-    """H* = -(1/beta) log A for a positive reduced Gibbs operator A."""
+def _gibbs_eigenpairs(model, beta):
+    """(A, eigenvalues of A, eigenvectors of A) for the reduced Gibbs operator A,
+    checked positive: one ``reduced_gibbs_operator`` and one eigh."""
+    a = reduced_gibbs_operator(model, beta)
     wa, va = np.linalg.eigh(a)
     if wa.min() <= 0:
         raise NonPositiveReducedStateError(f"reduced Gibbs operator has eigenvalue {wa.min():.3e}")
+    return a, wa, va
+
+
+def _log_gibbs(model, gibbs, beta):
+    """H* = -(1/beta) log A from ``_gibbs_eigenpairs``."""
+    _, wa, va = gibbs
     return _system_operator(model, -(va * (np.log(wa) / beta)) @ va.conj().T)
 
 
 def mean_force_hamiltonian(model, beta):
     """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
-    return _log_gibbs(model, reduced_gibbs_operator(model, beta), beta)
+    return _log_gibbs(model, _gibbs_eigenpairs(model, beta), beta)
 
 
 def z_star(model, beta):
@@ -125,18 +133,18 @@ def internal_energy(model, beta):
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
-def energy_operator(model, beta):
+def energy_operator(model, beta, gibbs=None):
     """E*_S from d/d(-beta) e^{-beta H*} = (E* A + A E*)/2 with A = e^{-beta H*}.
 
     A = Tr_B[e^{-beta H}]/Z_B depends on beta through both factors, so
     D = dA/d(-beta) = Tr_B[H e^{-beta H}]/Z_B - A <H_B>_B, which is A's
     sample contraction with weights (w_n - <H_B>_B). The anticommutator
-    equation is solved entrywise in A's eigenbasis.
+    equation is solved entrywise in A's eigenbasis. ``gibbs`` is A with its
+    eigenpairs at this beta (``_gibbs_eigenpairs``) where the caller has them.
     """
-    a = reduced_gibbs_operator(model, beta)
+    _, wa, va = _gibbs_eigenpairs(model, beta) if gibbs is None else gibbs
     e_bath = gibbs_weights(model.bath_energies, beta) @ model.bath_energies
     d = _bath_trace(model, beta, energy_shift=e_bath)
-    wa, va = np.linalg.eigh(a)
     denom = wa[:, None] + wa[None, :]
     if denom.min() < 1e-300:
         raise NonPositiveReducedStateError("Sylvester denominators underflow")
@@ -164,9 +172,9 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     (``engine.log_score_fisher``). Every quantity reads the model's
     ``probe_tables``, built once per model.
     """
-    a = reduced_gibbs_operator(model, beta)
-    h_star = _log_gibbs(model, a, beta)
-    e_star = energy_operator(model, beta)
+    gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
+    h_star = _log_gibbs(model, gibbs, beta)
+    e_star = energy_operator(model, beta, gibbs)
     u_s = internal_energy(model, beta)
 
     spread = np.ptp(np.linalg.eigvalsh(e_star.matrix))
@@ -209,7 +217,7 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
         h_star=h_star,
         e_star=e_star,
         u_s=u_s,
-        z_star=float(np.trace(a).real),
+        z_star=float(np.trace(gibbs[0]).real),
         delta_u=tuple(rows),
         delta_u_sq=float(delta_u_sq),
         dual_residual=float(residual),

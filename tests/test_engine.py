@@ -1,6 +1,8 @@
 """Heat decomposition of the Fisher score: identities on small models."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from thermoq.engine import (
 )
 from thermoq.models import (
     BathMode,
+    ProjectiveMeasurement,
     build_coupled_oscillators,
     build_dephasing_model,
+    build_spin_boson_model,
     eigenbasis_measurement,
     fock_measurement,
     pauli_x_measurement,
 )
+from thermoq.validate import draw_deph_instance
 
 from dense_reference import (
     dense_fisher_fd,
@@ -163,16 +168,22 @@ def _random_probe_measurement(rng, d):
     return eigenbasis_measurement(a + a.conj().T, 1e-8)
 
 
+def _without_factors(model):
+    """The same model with its per-mode factors undeclared, so the engine takes
+    the branch kernel on it."""
+    return dataclasses.replace(model, factors=(None,) * len(model.factors))
+
+
 def _branch_cases():
     """(model, rho0, meas, beta, t, prob_floor) per case; Fisher values 4e-4..0.1,
     so finite-difference roundoff (about 1e-12 / sqrt(F) relative) stays far
-    below the 1e-8 bound."""
+    below the 1e-8 bound. The dephasing cases drop the model's declared mode
+    factors: the same sigma_z model then runs on the branch kernel."""
     rng = np.random.default_rng(7)
     he = build_coupled_oscillators(1.1, 1.0, 0.15, 10)
-    deph = build_dephasing_model([BathMode(1.0, 0.3), BathMode(1.6, 0.35)], 6)
+    deph = _without_factors(DEPH)
     ground = np.zeros((11, 11), dtype=complex)
     ground[0, 0] = 1.0
-    plus = np.full((2, 2), 0.5, dtype=complex)
     return {
         "he-pure": (he, ground, fock_measurement(10), 1.2, 2.5, 1e-12),
         "he-mixed-full-rank": (he, _random_density(rng, 11), fock_measurement(10),
@@ -182,23 +193,46 @@ def _branch_cases():
         "he-zero-time": (he, ground, fock_measurement(10), 1.2, 0.0, 1e-12),
         # outcomes l >= 5 fall below this floor at t = 2.5
         "he-below-floor": (he, ground, fock_measurement(10), 1.2, 2.5, 1e-6),
-        "deph-pure": (deph, plus, pauli_x_measurement(), 1.0, 1.7, 1e-12),
+        "deph-pure": (deph, PLUS, pauli_x_measurement(), 1.0, 1.7, 1e-12),
         "deph-mixed-nondiagonal": (deph, _random_density(rng, 2),
                                    _random_probe_measurement(rng, 2), 1.0, 1.7, 1e-12),
     }
 
 
+def _mode_cases():
+    """(model, rho0, meas, beta, t, prob_floor) per case, each on a sigma_z model
+    with its mode factors declared. The draws use a coarser thermal tail than
+    the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
+    routes read the same truncated model, so the comparison does not depend on it."""
+    rng = np.random.default_rng(11)
+    cases = {  # the branch kernel's dephasing cases, with the factors declared
+        name: (DEPH, *BRANCH_CASES[name][1:]) for name in ("deph-pure", "deph-mixed-nondiagonal")}
+    cases |= {
+        "deph-zero-time": (DEPH, _random_density(rng, 2), _random_probe_measurement(rng, 2),
+                           1.0, 0.0, 1e-12),
+        # P_- = 3.8e-5 at t = 0.01
+        "deph-below-floor": (DEPH, PLUS, pauli_x_measurement(), 1.0, 0.01, 1e-4),
+        "sigma-z-omega-q": (build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)],
+                                                   [6, 5], coupling_axis="z"),
+                            _random_density(rng, 2), _random_probe_measurement(rng, 2),
+                            1.1, 2.3, 1e-12),
+    }
+    for seed in (1, 6, 7, 8, 11):
+        params, model = draw_deph_instance(np.random.default_rng(seed), tail=1e-4)
+        cases[f"draw-{seed}-{len(params['modes'])}-modes"] = (
+            model, PLUS, pauli_x_measurement(), params["beta"], params["t"], 1e-12)
+    return cases
+
+
+DEPH = build_dephasing_model([BathMode(1.0, 0.3), BathMode(1.6, 0.35)], 6)
+PLUS = np.full((2, 2), 0.5, dtype=complex)
 BRANCH_CASES = _branch_cases()
+MODE_CASES = _mode_cases()
 
 
-class TestBranchKernel:
-    """The engine's branch kernel against the dense embedded-projector route."""
-
-    @pytest.fixture(params=sorted(BRANCH_CASES), scope="class")
-    def case(self, request):
-        model, rho0, meas, beta, t, floor = BRANCH_CASES[request.param]
-        eng = HeatEngine(model, prob_floor=floor)
-        return eng, (model, rho0, beta, t, meas), floor
+class _MatchesDense:
+    """The engine's tables against the dense embedded-projector route, at the
+    same tolerances on both routes; subclasses supply the ``case`` fixture."""
 
     def test_heat_terms_match_dense(self, case):
         eng, args, floor = case
@@ -229,6 +263,103 @@ class TestBranchKernel:
         assert fd == pytest.approx(dense_fisher_fd(*args, prob_floor=floor),
                                    rel=1e-8, abs=1e-15)
 
+
+def _engine_case(cases, name):
+    model, rho0, meas, beta, t, floor = cases[name]
+    return HeatEngine(model, prob_floor=floor), (model, rho0, beta, t, meas), floor
+
+
+class TestModeProduct(_MatchesDense):
+    """The mode-product route of sigma_z-coupled models against the dense route."""
+
+    @pytest.fixture(params=sorted(MODE_CASES), scope="class")
+    def case(self, request):
+        eng, args, floor = _engine_case(MODE_CASES, request.param)
+        assert eng.route == "mode-product"
+        return eng, args, floor
+
+    def test_finite_difference_fisher_matches_dense(self, case):
+        # against the dense heat variance, not the dense finite difference: the
+        # dense route forms a rare outcome's P_l from O(1) entries anew at each
+        # beta, so at F ~ 3e-6 (draw-7) its own finite difference is off by 1.5e-8
+        eng, args, floor = case
+        fd = eng.fisher_finite_difference(*args[1:])
+        ref = dense_heat_decomposition(*args, prob_floor=floor).fisher_heat
+        assert fd == pytest.approx(ref, rel=1e-8, abs=1e-15)
+
+    def test_rare_outcome_keeps_the_finite_difference_smooth(self):
+        # P_- = 3.1e-7 at t = 1e-3: the probabilities are built as 1 + (prod chi - 1),
+        # so their rounding does not swamp the beta-derivative (8e-11 here; the
+        # plain product of the chi_k gives 1e-7 to 7e-6 at such points)
+        eng = HeatEngine(DEPH)
+        record = eng.heat_decomposition(PLUS, 1.3, 1e-3, pauli_x_measurement())
+        assert record.probabilities[1] < 1e-6
+        fd = eng.fisher_finite_difference(PLUS, 1.3, 1e-3, pauli_x_measurement())
+        assert fd == pytest.approx(record.fisher_heat, rel=1e-8, abs=0)
+
+    def test_probe_phase_leaves_the_mode_factors(self):
+        # omega_q t = 0.7 with weak coupling, measured along the probe's free
+        # precession: the rare outcome (P_l = 2.6e-6) stays smooth in beta because
+        # rho0 carries the H_S phase, not the mode factors (2e-11 here; 5e-7 with
+        # the phase left in the first mode's factor)
+        model = build_spin_boson_model(0.7, [BathMode(1.0, 1e-3), BathMode(1.6, 1e-3)], 6,
+                                       coupling_axis="z")
+        phase = np.exp(-0.7j)
+        along = np.array([[1.0, np.conj(phase)], [phase, 1.0]]) / 2
+        meas = ProjectiveMeasurement((along, np.eye(2) - along), (1, -1))
+        eng = HeatEngine(model)
+        record = eng.heat_decomposition(PLUS, 1.3, 1.0, meas)
+        assert record.probabilities[1] < 1e-5
+        fd = eng.fisher_finite_difference(PLUS, 1.3, 1.0, meas)
+        assert fd == pytest.approx(record.fisher_heat, rel=1e-8, abs=0)
+
+    def test_cases_cover_one_to_three_modes_and_the_floor(self):
+        assert {len(m.space.factor_dims) - 1 for m, *_ in MODE_CASES.values()} == {1, 2, 3}
+        model, rho0, meas, beta, t, floor = MODE_CASES["deph-below-floor"]
+        probs = HeatEngine(model).outcome_probabilities_at(rho0, beta, t, meas)
+        assert np.any(probs < floor) and np.any(probs >= floor)
+        assert np.all(np.abs(probs - floor) > 1e-6 * floor)
+
+    def test_heat_decomposition_memory_at_the_hot_dephasing_point(self):
+        # the CI hot point: automatic cutoffs 45/37 at beta = 0.45, d = 3496; the
+        # branch kernel's K x d amplitudes alone took 93 MiB here
+        model = build_dephasing_model([BathMode(1.2, 0.1), BathMode(1.5, 0.15)], [45, 37])
+        assert model.space.total_dim == 3496
+        eng = HeatEngine(model)
+        tracemalloc.start()
+        try:
+            eng.heat_decomposition(PLUS, 0.45, math.pi, pauli_x_measurement())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+class TestRouteSelection:
+    @pytest.mark.parametrize("build, route", [
+        (lambda: DEPH, "mode-product"),
+        (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="z"),
+         "mode-product"),
+        (lambda: build_coupled_oscillators(1.1, 1.0, 0.15, 6), "branch-kernel"),
+        (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="x"),
+         "branch-kernel"),
+        (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="xz"),
+         "branch-kernel"),
+        (lambda: _without_factors(DEPH), "branch-kernel"),
+    ], ids=["dephasing", "sigma-z", "exchange", "x", "xz", "undeclared-factors"])
+    def test_route_follows_the_model(self, build, route):
+        assert HeatEngine(build()).route == route
+
+
+class TestBranchKernel(_MatchesDense):
+    """The branch kernel against the dense embedded-projector route."""
+
+    @pytest.fixture(params=sorted(BRANCH_CASES), scope="class")
+    def case(self, request):
+        eng, args, floor = _engine_case(BRANCH_CASES, request.param)
+        assert eng.route == "branch-kernel"
+        return eng, args, floor
+
     def test_floor_cases_exclude_outcomes(self):
         for name in ("he-zero-time", "he-below-floor"):
             model, rho0, meas, beta, t, floor = BRANCH_CASES[name]
@@ -249,6 +380,25 @@ class TestBranchKernel:
         rho[:2, :2] = 0.5  # edited in place: same object, new state
         got = eng.outcome_probabilities_at(rho, beta, t, meas)
         assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(rho, beta, t, meas))
+
+    def test_sweep_builds_the_tables_once_per_time(self, monkeypatch):
+        # a beta-outer, t-inner sweep at fixed n_max shares one engine, which
+        # keeps the tables of both times across the betas
+        from thermoq.cli import _run_heat_exchange
+
+        builds = []
+        real_build = HeatEngine._branch_tables
+
+        def build(self, w, phi, t, meas):
+            builds.append(t)
+            return real_build(self, w, phi, t, meas)
+
+        monkeypatch.setattr(HeatEngine, "_branch_tables", build)
+        rows, checks, _ = _run_heat_exchange({
+            "experiment": "heat-exchange", "model": {"omega_0": 1.0, "g": 0.1},
+            "sweep": {"beta": [1.1, 1.4], "t": [3.0, 5.0]}, "numerics": {"n_max": 27}})
+        assert len(rows) == 4 and all(c.passed for c in checks)
+        assert builds == [3.0, 5.0]
 
     def test_engine_holds_no_full_space_matrix(self, he_setup):
         eng, rho0, meas, beta, t = he_setup

@@ -308,3 +308,24 @@ class TestOneComputationPerPoint:
         assert sum(calls["eigh_dims"].count(d) for d in set(dims)) == 2
         assert calls["table_dims"] == dims
         assert calls["deviations"] == 2
+
+    def test_one_reduced_gibbs_operator_and_one_probe_eigh_per_point(self, calls, monkeypatch):
+        from thermoq import mean_force
+
+        model = make_model(n_max=4)
+        model.probe_tables  # noqa: B018  (the model's one full eigh, before counting)
+        gibbs = []
+        real_gibbs = mean_force.reduced_gibbs_operator
+
+        def reduced_gibbs(*args, **kwargs):
+            gibbs.append(args)
+            return real_gibbs(*args, **kwargs)
+
+        monkeypatch.setattr(mean_force, "reduced_gibbs_operator", reduced_gibbs)
+        calls["eigh_dims"].clear()
+        betas = (BETA, 1.3 * BETA, 0.7 * BETA)
+        for beta in betas:
+            mean_force.internal_energy_deviation(model, beta)
+        assert len(gibbs) == len(betas)
+        # one eigh of A per point; the E*-eigenbasis measurement adds its own
+        assert calls["eigh_dims"].count(model.system_dim) == 2 * len(betas)
