@@ -1,7 +1,6 @@
 """Heat-fluctuation analysis of probe-based quantum thermometry."""
 
 from .linalg import (
-    HermitianOperator,
     HilbertSpace,
     hermitian_eig,
     truncation_level,

@@ -70,8 +70,8 @@ CONFIG_SCHEMA = {
                        "time_factor": "float > 0 (default 0.3)"},
         "scaling-deph": {"alpha": "float > 0", "s": "float >= 0", "omega_c": "float > 0",
                          "t": "float > 0 or null for 1/(10 omega_c)",
-                         "k_modes": "int (default 2000)",
-                         "omega_max": "float or null for 10 omega_c"},
+                         "k_modes": "int >= 1 (default 2000)",
+                         "omega_max": "float > 0 or null for 10 omega_c"},
     },
     "seed": "cross-validate only: int >= 0 (default 0)",
     "draws": "cross-validate only: int >= 1 (default 5)",
@@ -116,6 +116,12 @@ def _config_hash(config):
 def _positive(section, key, value, below=math.inf):
     if not (isinstance(value, (int, float)) and 0 < value < below):
         raise ConfigError(f"{section}.{key} must lie in (0, {below:g}), got {value!r}")
+    return float(value)
+
+
+def _nonnegative(section, key, value):
+    if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+        raise ConfigError(f"{section}.{key} must lie in [0, inf), got {value!r}")
     return float(value)
 
 
@@ -243,7 +249,7 @@ def _run_heat_exchange(config):
         p = {**base, **point}
         omega_0 = _positive("model", "omega_0", p["omega_0"])
         g = _positive("model", "g", p["g"])
-        delta = float(p["delta"])
+        delta = _nonnegative("model", "delta", p["delta"])
         beta = _positive("sweep", "beta", p["beta"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
         t = cf.he_optimal_time(he) if p["t"] == "optimal" else _positive(
@@ -277,7 +283,7 @@ def _run_dephasing(config):
 
     def family_point(point):
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
-        t = float(point.get("t", math.pi))
+        t = _positive("sweep", "t", point.get("t", math.pi))
         if num["n_max"] is not None:
             cutoffs = [num["n_max"]] * len(modes)
         else:
@@ -335,9 +341,16 @@ def _run_mean_force(config):
 
 def _spectral(model):
     alpha = _positive("model", "alpha", model.pop("alpha", 1.0))
-    s = float(model.pop("s", 1.0))
+    s = _nonnegative("model", "s", model.pop("s", 1.0))
     omega_c = _positive("model", "omega_c", model.pop("omega_c", 1.0))
     return SpectralDensity(alpha, s, omega_c)
+
+
+def _scaling_betas(config):
+    betas = config.get("sweep", {}).get("beta")
+    if not isinstance(betas, list) or len(betas) < 4:
+        raise ConfigError(f"{config['experiment']} requires sweep.beta with at least 4 values")
+    return [_positive("sweep", "beta", b) for b in betas]
 
 
 def _scaling_rows(points, slope, intercept, r2, expected, tol):
@@ -353,13 +366,11 @@ def _run_scaling_he(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
     j = _spectral(model)
-    delta_ratio = float(model.pop("delta_ratio", 0.1))
-    time_factor = float(model.pop("time_factor", 0.3))
+    delta_ratio = _nonnegative("model", "delta_ratio", model.pop("delta_ratio", 0.1))
+    time_factor = _positive("model", "time_factor", model.pop("time_factor", 0.3))
     if model:
         raise ConfigError(f"unknown scaling-he model keys: {sorted(model)}")
-    betas = config.get("sweep", {}).get("beta")
-    if not betas or len(betas) < 4:
-        raise ConfigError("scaling-he requires sweep.beta with at least 4 values")
+    betas = _scaling_betas(config)
     points = cf.he_scaling_points(j, betas, delta_ratio=delta_ratio,
                                   time_factor=time_factor)
     slope, intercept, r2 = cf.scaling_fit(points)
@@ -371,14 +382,13 @@ def _run_scaling_deph(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
     j = _spectral(model)
-    t = model.pop("t", None)
-    k_modes = int(model.pop("k_modes", 2000))
-    omega_max = model.pop("omega_max", None)
+    t, omega_max = model.pop("t", None), model.pop("omega_max", None)
+    t = None if t is None else _positive("model", "t", t)
+    omega_max = None if omega_max is None else _positive("model", "omega_max", omega_max)
+    k_modes = _count("model.k_modes", model.pop("k_modes", 2000), 1)
     if model:
         raise ConfigError(f"unknown scaling-deph model keys: {sorted(model)}")
-    betas = config.get("sweep", {}).get("beta")
-    if not betas or len(betas) < 4:
-        raise ConfigError("scaling-deph requires sweep.beta with at least 4 values")
+    betas = _scaling_betas(config)
     points = cf.deph_scaling_points(j, betas, t=t, k_modes=k_modes,
                                     omega_max=omega_max)
     slope, intercept, r2 = cf.scaling_fit(points)

@@ -58,10 +58,12 @@ O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
 (one sector of size d for a model with no charge), against O(d^3) plus L
 embedded d x d projectors for the dense route the tests keep as reference.
 
-The two-point route evolves the same branches with the dense U, assembled
-from the sectors' dense eigenvectors, and reads the outcomes in a basis of
-the projectors' ranges (see ``HeatEngine.two_point_trajectory_heat_all``
-for what it shares with the other routes).
+The two-point route evolves the same branches sector by sector from
+``spectrum`` too, but scatters each sector's propagator columns into its
+own d x K amplitude array with one accumulating add, and reads the outcomes
+in a basis of the projectors' ranges (see
+``HeatEngine.two_point_trajectory_heat_all`` for what it shares with the
+other routes).
 """
 
 import math
@@ -282,10 +284,11 @@ class HeatEngine:
       a K x d complex amplitude array with K = rank(rho0) * d_b, per beta
       three L x K matrix-vector products.
 
-    Neither forms a full-space propagator, state or embedded projector.
-    ``two_point_trajectory_heat_all`` takes the same (rho0, beta, t, meas)
-    but evolves with the dense propagator, so it stays an independent check
-    of both routes.
+    Neither forms a full-space propagator, state or embedded projector, and
+    neither does ``two_point_trajectory_heat_all``: it takes the same
+    (rho0, beta, t, meas) but evolves the branches with its own per-sector
+    scatter and reads them without the tables, so it stays an independent
+    check of both routes.
 
     All methods are pure given their arguments. An instance keeps the tables
     of every (rho0, t, measurement) it has seen, so a sweep that comes back
@@ -391,11 +394,9 @@ class HeatEngine:
 
     # -- beta side, shared by both routes ---------------------------------
 
-    def _probabilities(self, tables, beta):
-        return _checked_probabilities(tables.traces(beta)[0])
-
     def _conditional_energies(self, tables, beta):
-        """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
+        """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t]),
+        with P_l checked and clipped into [0, 1] (``_checked_probabilities``)."""
         probs, *energies = tables.traces(beta)
         return (_checked_probabilities(probs), *energies)
 
@@ -442,33 +443,21 @@ class HeatEngine:
 
     # -- two-point measurement route --------------------------------------
 
-    def propagator(self, t):
-        """Dense U = e^{-iHt}, assembled from the sector blocks of ``spectrum``.
-
-        Each block is V_b e^{-i lambda_b t} V_b^T with the sector's dense
-        eigenvectors V_b (the Kronecker products of its factors'
-        eigenvectors), as one real product per block. The mode-product
-        route never forms V_b for a sector of several factors: it reads the
-        factors' own propagators.
-        """
-        d = self.model.space.total_dim
-        u = np.zeros((d, d), dtype=complex)
-        for index, lam, v in self.model.spectrum:
-            u[np.ix_(index, index)] = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
-        return u
-
     def two_point_trajectory_heat_all(self, rho0, beta, t, meas):
         """Trajectory heat from the explicit double sum over sample eigenstates.
 
         H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l: the sample
         starts in the Fock state j with Gibbs weight p_j(beta) and is found in
         the Fock state i at time t, so the branches are |phi_r, j> over the
-        eigenpairs (w_r, phi_r) of rho0. The dense ``propagator``, not the
-        tables' route, evolves them, and the outcomes are read in a basis of
-        the projectors' ranges, not through branch-reduced probe operators or
-        per-mode traces. With both routes it shares the factor eigenpairs
-        (``factor_spectrum``, from which ``spectrum`` is built), rho0's
-        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
+        eigenpairs (w_r, phi_r) of rho0. Each charge sector b evolves them
+        with U_b = V_b e^{-i lambda_b t} V_b^T from ``spectrum``: branch
+        (r, j_m) gains phi_r[s_m] U_b[:, m] for every state m = (s_m, j_m) of
+        the sector, so no matrix outgrows a sector, and the amplitudes take
+        O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in a
+        basis of the projectors' ranges, not through branch-reduced probe
+        operators or per-mode traces. With both routes it shares the factor
+        eigenpairs (``factor_spectrum``, from which ``spectrum`` is built),
+        rho0's eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
         ``_real_matmul``; so it checks their propagation, reduction and heat
         bookkeeping, not the eigendecomposition. Returns a label -> heat dict
         over the non-suppressed outcomes.
@@ -483,8 +472,14 @@ class HeatEngine:
         # amp[s, i, k] = <s, i|U|phi_r, j>
         c = np.kron(w, gibbs_weights(eps, beta))
         c_eps = c * np.tile(eps, len(w))
-        amp = self.propagator(t).reshape(-1, d_s, d_b)
-        amp = np.einsum("ntj,tr->nrj", amp, phi, optimize=True).reshape(d_s, -1)
+        amp = np.zeros((self.model.space.total_dim, len(w), d_b), dtype=complex)
+        for index, lam, v in self.model.spectrum:
+            u = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+            s, j = np.divmod(index, d_b)
+            # the sector state m = (s_m, j_m) feeds branch (r, j_m) with phi_r[s_m] U_b[:, m];
+            # several states of a sector may share j_m, so the adds accumulate
+            np.add.at(amp, (index[:, None], slice(None), j), u[:, :, None] * phi[s])
+        amp = amp.reshape(d_s, -1)
         # outcome l and final sample level i in branch k: q[l, i, k] is the sum
         # of |<e_m, v_i|amp_k>|^2 over an orthonormal basis e_m of Pi_l's range
         basis, owner = _range_basis(meas)
@@ -502,7 +497,7 @@ class HeatEngine:
     # -- finite-difference route ------------------------------------------
 
     def outcome_probabilities_at(self, rho0, beta, t, meas):
-        return self._probabilities(self._tables_for(rho0, t, meas), beta)
+        return self._conditional_energies(self._tables_for(rho0, t, meas), beta)[0]
 
     def fisher_finite_difference(self, rho0, beta, t, meas, h=None):
         """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
@@ -512,7 +507,7 @@ class HeatEngine:
         contraction with the thermal weights.
         """
         tables = self._tables_for(rho0, t, meas)
-        return log_score_fisher(lambda b: self._probabilities(tables, b), beta, h,
+        return log_score_fisher(lambda b: self._conditional_energies(tables, b)[0], beta, h,
                                 self.prob_floor)
 
 

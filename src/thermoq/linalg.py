@@ -1,4 +1,4 @@
-"""Spaces, Hermitian operators and thermal weights for truncated tensor products.
+"""Spaces, Hermitian eigendecomposition and thermal weights for truncated tensor products.
 
 Plain numpy on dense probe- and block-sized matrices; the full-space
 Hamiltonian is sparse and lives on the model (see ``models``). Units:
@@ -38,51 +38,23 @@ class HilbertSpace:
     def total_dim(self):
         return math.prod(self.factor_dims)
 
-    def subspace(self, indices):
-        """Space formed by the listed factors, in ascending order."""
-        idx = sorted(set(indices))
-        return HilbertSpace(tuple(self.factor_dims[i] for i in idx))
 
+def hermitian_eig(matrix):
+    """Eigendecomposition of a Hermitian matrix.
 
-def _check_hermitian(matrix):
-    scale = 1.0 + np.abs(matrix).max(initial=0.0)
-    dev = np.abs(matrix - matrix.conj().T).max(initial=0.0)
+    Returns (eigenvalues ascending, unitary matrix of column eigenvectors).
+    Raises InvalidOperatorError unless the matrix is square and Hermitian
+    within HERMITICITY_RTOL.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidOperatorError(f"expected a square matrix, got shape {m.shape}")
+    scale = 1.0 + np.abs(m).max(initial=0.0)
+    dev = np.abs(m - m.conj().T).max(initial=0.0)
     if dev > HERMITICITY_RTOL * scale:
         raise InvalidOperatorError(
             f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}"
         )
-
-
-def _as_square(matrix, dim):
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InvalidOperatorError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Hermitian matrix attached to a HilbertSpace."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square(self.matrix, self.space.total_dim)
-        _check_hermitian(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def hermitian_eig(op):
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns (eigenvalues ascending, unitary matrix of column eigenvectors).
-    """
-    if isinstance(op, HermitianOperator):
-        return np.linalg.eigh(op.matrix)
-    m = np.asarray(op, dtype=complex)
-    _check_hermitian(m)
     return np.linalg.eigh(m)
 
 

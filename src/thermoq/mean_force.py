@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _checked_probabilities, _trace_prod, log_score_fisher, precision_bound
-from .linalg import HermitianOperator, gibbs_weights
+from .linalg import gibbs_weights
 from .models import eigenbasis_measurement
 
 
@@ -62,8 +62,8 @@ class MeanForceResult:
     of that measurement on the reduced thermal state.
     """
 
-    h_star: HermitianOperator
-    e_star: HermitianOperator
+    h_star: np.ndarray  # read-only, on the probe factor
+    e_star: np.ndarray  # read-only, on the probe factor
     u_s: float
     z_star: float
     delta_u: tuple
@@ -73,9 +73,11 @@ class MeanForceResult:
     excluded_probability: float  # mass of the outcomes below prob_floor
 
 
-def _system_operator(model, m):
-    """The Hermitian part of m as an operator on the probe factor."""
-    return HermitianOperator(model.space.subspace([0]), 0.5 * (m + m.conj().T))
+def _hermitian_part(m):
+    """The Hermitian part of m, read-only."""
+    h = 0.5 * (m + m.conj().T)
+    h.setflags(write=False)
+    return h
 
 
 def _bath_trace(model, beta, energy_shift=None):
@@ -111,15 +113,15 @@ def _gibbs_eigenpairs(model, beta):
     return a, wa, va
 
 
-def _log_gibbs(model, gibbs, beta):
+def _log_gibbs(gibbs, beta):
     """H* = -(1/beta) log A from ``_gibbs_eigenpairs``."""
     _, wa, va = gibbs
-    return _system_operator(model, -(va * (np.log(wa) / beta)) @ va.conj().T)
+    return _hermitian_part(-(va * (np.log(wa) / beta)) @ va.conj().T)
 
 
 def mean_force_hamiltonian(model, beta):
     """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
-    return _log_gibbs(model, _gibbs_eigenpairs(model, beta), beta)
+    return _log_gibbs(_gibbs_eigenpairs(model, beta), beta)
 
 
 def z_star(model, beta):
@@ -150,7 +152,7 @@ def energy_operator(model, beta, gibbs=None):
         raise NonPositiveReducedStateError("Sylvester denominators underflow")
     d_tilde = va.conj().T @ d @ va
     e_tilde = 2.0 * d_tilde / denom
-    return _system_operator(model, va @ e_tilde @ va.conj().T)
+    return _hermitian_part(va @ e_tilde @ va.conj().T)
 
 
 def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
@@ -173,11 +175,11 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     ``probe_tables``, built once per model.
     """
     gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
-    h_star = _log_gibbs(model, gibbs, beta)
+    h_star = _log_gibbs(gibbs, beta)
     e_star = energy_operator(model, beta, gibbs)
     u_s = internal_energy(model, beta)
 
-    spread = np.ptp(np.linalg.eigvalsh(e_star.matrix))
+    spread = np.ptp(np.linalg.eigvalsh(e_star))
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(spread, 1.0)
     meas = eigenbasis_measurement(e_star, degeneracy_tol)

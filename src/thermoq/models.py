@@ -451,7 +451,7 @@ def pauli_x_measurement():
 
 
 def eigenbasis_measurement(op, degeneracy_tol):
-    """Eigenprojectors of a Hermitian operator, degenerate clusters merged.
+    """Eigenprojectors of a Hermitian matrix, degenerate clusters merged.
 
     Eigenvalues closer than degeneracy_tol to their neighbor are grouped
     into one projector; the label is the cluster-mean eigenvalue.

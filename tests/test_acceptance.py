@@ -202,7 +202,7 @@ def test_criterion_09_mean_force_identities():
     model = build_spin_boson_model(1.0, modes, cutoffs, coupling_axis="xz")
 
     # (a) reduced-Gibbs reconstruction
-    h_star = mean_force_hamiltonian(model, beta).matrix
+    h_star = mean_force_hamiltonian(model, beta)
     w, v = np.linalg.eigh(h_star)
     boltz = np.exp(-beta * w)
     rho_rebuilt = (v * (boltz / boltz.sum())) @ v.conj().T
@@ -211,7 +211,7 @@ def test_criterion_09_mean_force_identities():
     assert np.abs(rho_rebuilt - rho_s).max() <= 1e-10
 
     # (b) symmetrized-derivative (Sylvester) residual
-    e_star = energy_operator(model, beta).matrix
+    e_star = energy_operator(model, beta)
     h = 1e-4 * beta
 
     def central(step):
@@ -238,7 +238,7 @@ def test_criterion_10_weak_coupling_collapse():
     for g in (0.1, 0.05, 0.025, 0.0):
         modes = [BathMode(0.8, g), BathMode(1.3, g)]
         model = build_spin_boson_model(1.0, modes, 5, coupling_axis="x")
-        e_star = energy_operator(model, beta).matrix
+        e_star = energy_operator(model, beta)
         norms.append(np.abs(e_star - model.h_s_local).max())
     assert norms[0] > norms[1] > norms[2]
     assert norms[3] <= 1e-6

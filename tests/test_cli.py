@@ -118,6 +118,33 @@ class TestSchemaAndUsage:
         assert key in result.output
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("dephasing", "sweep.t", [0]),
+        ("dephasing", "sweep.t", ["abc"]),
+        ("dephasing", "sweep.t", [None]),
+        ("dephasing", "sweep.t", ["optimal"]),
+        ("heat-exchange", "model.delta", "x"),
+        ("scaling-deph", "model.k_modes", "x"),
+        ("scaling-deph", "model.k_modes", 0),
+        ("scaling-deph", "model.t", 0),
+        ("scaling-deph", "sweep.beta", [1.0, 2.0, 3.0, -4.0]),
+        ("scaling-he", "model.s", -1),
+        ("scaling-he", "model.time_factor", -1),
+        ("scaling-he", "sweep.beta", [1.0, 2.0, 3.0, -4.0]),
+    ])
+    def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value):
+        scaling = experiment.startswith("scaling")
+        config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")},
+                  "sweep": {"beta": [1.0, 2.0, 3.0, 4.0] if scaling else [2.0]}}
+        if experiment == "dephasing":
+            config["model"] = {"modes": [[1.0, 0.1]]}
+        section, name = key.split(".")
+        config.setdefault(section, {})[name] = value
+        result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_output_format_fails_before_the_sweep(self, tmp_path, monkeypatch):
         def runner(config):
             raise AssertionError("the sweep ran")

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermoq.closed_form import HEParams, he_optimal_time
 from thermoq.engine import (
     HeatEngine,
     InvalidProbeStateError,
@@ -24,13 +25,14 @@ from thermoq.models import (
     fock_measurement,
     pauli_x_measurement,
 )
-from thermoq.validate import draw_deph_instance
+from thermoq.validate import TOL_TWO_POINT, draw_deph_instance
 
 from dense_reference import (
     dense_fisher_fd,
     dense_heat_decomposition,
     dense_score_direct_all,
     initial_state,
+    propagator,
     thermal_state,
 )
 
@@ -53,14 +55,13 @@ def deph_setup():
 
 class TestStatesAndEvolution:
     def test_propagator_is_unitary(self, he_setup):
-        eng = he_setup[0]
-        u = eng.propagator(0.8)
+        u = propagator(he_setup[0].model, 0.8)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
 
     def test_evolution_preserves_trace_and_energy(self, he_setup):
         eng, rho0, _, beta, t = he_setup
         chi0 = initial_state(eng.model, rho0, beta)
-        u = eng.propagator(t)
+        u = propagator(eng.model, t)
         chi_t = u @ chi0 @ u.conj().T
         assert np.trace(chi_t).real == pytest.approx(1.0, abs=1e-12)
         h = eng.model.hamiltonian.toarray()
@@ -131,6 +132,29 @@ class TestTwoPointRoute:
         heats = eng.two_point_trajectory_heat_all(plus, beta, t, meas)
         for o in record.outcomes:
             assert heats[o.label] == pytest.approx(o.h_tra, abs=1e-9)
+
+    def test_matches_and_stays_small_at_the_hot_exchange_point(self):
+        # the CI hot point: automatic n_max = 96 at beta = 0.25, d = 9409; a dense
+        # d x d propagator alone would take 1.4 GB here
+        n_max, beta = 96, 0.25
+        model = build_coupled_oscillators(1.0, 1.0, 0.1, n_max)
+        assert model.space.total_dim == 9409
+        t = he_optimal_time(HEParams(1.0, 1.0, 0.1, beta, 0.0))
+        rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        rho0[0, 0] = 1.0
+        meas = fock_measurement(n_max)
+        eng = HeatEngine(model)
+        record = eng.heat_decomposition(rho0, beta, t, meas)
+        tracemalloc.start()
+        try:
+            heats = eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(heats) == [o.label for o in record.outcomes]
+        for o in record.outcomes:
+            assert abs(heats[o.label] - o.h_tra) <= TOL_TWO_POINT
+        assert peak <= 100 * 2**20
 
 
 class TestFisher:

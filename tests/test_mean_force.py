@@ -48,15 +48,23 @@ def free_model():
 
 
 class TestMeanForceHamiltonian:
+    def test_matrices_are_read_only(self, coupled_model):
+        result = internal_energy_deviation(coupled_model, BETA)
+        for op in (mean_force_hamiltonian(coupled_model, BETA),
+                   energy_operator(coupled_model, BETA), result.h_star, result.e_star):
+            assert op.shape == (2, 2)
+            with pytest.raises(ValueError):
+                op[0, 0] = 2.0
+
     def test_free_case_reduces_to_system_hamiltonian(self, free_model):
-        h_star = mean_force_hamiltonian(free_model, BETA).matrix
+        h_star = mean_force_hamiltonian(free_model, BETA)
         diff = h_star - free_model.h_s_local
         # equal up to an additive constant (here exactly zero)
         assert np.abs(diff - diff[0, 0] * np.eye(2)).max() < 1e-10
         assert abs(diff[0, 0]) < 1e-10
 
     def test_reconstructs_reduced_thermal_state(self, coupled_model):
-        h_star = mean_force_hamiltonian(coupled_model, BETA).matrix
+        h_star = mean_force_hamiltonian(coupled_model, BETA)
         w, v = np.linalg.eigh(h_star)
         boltz = np.exp(-BETA * w)
         rho_rebuilt = (v * (boltz / boltz.sum())) @ v.conj().T
@@ -65,8 +73,8 @@ class TestMeanForceHamiltonian:
         assert np.abs(rho_rebuilt - rho_s).max() < 1e-10
 
     def test_genuinely_beta_dependent_at_strong_coupling(self, coupled_model):
-        h1 = mean_force_hamiltonian(coupled_model, BETA).matrix
-        h2 = mean_force_hamiltonian(coupled_model, 2.0 * BETA).matrix
+        h1 = mean_force_hamiltonian(coupled_model, BETA)
+        h2 = mean_force_hamiltonian(coupled_model, 2.0 * BETA)
         assert np.abs(h1 - h2).max() > 1e-4
 
     def test_z_star_is_partition_ratio(self, free_model):
@@ -81,11 +89,11 @@ class TestMeanForceHamiltonian:
 
 class TestEnergyOperator:
     def test_free_case_equals_system_hamiltonian(self, free_model):
-        e_star = energy_operator(free_model, BETA).matrix
+        e_star = energy_operator(free_model, BETA)
         assert np.abs(e_star - free_model.h_s_local).max() < 1e-6
 
     def test_expectation_equals_internal_energy(self, coupled_model):
-        e_star = energy_operator(coupled_model, BETA).matrix
+        e_star = energy_operator(coupled_model, BETA)
         a = reduced_gibbs_operator(coupled_model, BETA)
         rho_s = a / np.trace(a).real
         u = internal_energy(coupled_model, BETA)
@@ -93,7 +101,7 @@ class TestEnergyOperator:
 
     def test_derivative_relation_residual(self, coupled_model):
         # recompute the anticommutator relation the solve is based on
-        e_star = energy_operator(coupled_model, BETA).matrix
+        e_star = energy_operator(coupled_model, BETA)
         h = 1e-4 * BETA
 
         def a_of(b):
@@ -108,10 +116,10 @@ class TestEnergyOperator:
         assert residual <= 1e-8 * np.abs(d).max()
 
     def test_alternative_definition_same_mean_different_operator(self, coupled_model):
-        e_star = energy_operator(coupled_model, BETA).matrix
+        e_star = energy_operator(coupled_model, BETA)
         # alternative definition d/d(beta) [beta H*_S]
         e_alt = richardson(
-            lambda b: b * mean_force_hamiltonian(coupled_model, b).matrix, BETA, 1e-4 * BETA)
+            lambda b: b * mean_force_hamiltonian(coupled_model, b), BETA, 1e-4 * BETA)
         e_alt = 0.5 * (e_alt + e_alt.conj().T)
         a = reduced_gibbs_operator(coupled_model, BETA)
         rho_s = a / np.trace(a).real
@@ -123,7 +131,7 @@ class TestEnergyOperator:
     def test_exact_derivatives_match_richardson(self, coupled_model):
         h = 1e-4 * BETA
         # dA/d(-beta), recovered from E* through the anticommutator it solves
-        e_star = energy_operator(coupled_model, BETA).matrix
+        e_star = energy_operator(coupled_model, BETA)
         a = reduced_gibbs_operator(coupled_model, BETA)
         d_exact = 0.5 * (e_star @ a + a @ e_star)
         d_ref = -richardson(lambda b: reduced_gibbs_operator(coupled_model, b), BETA, h)
@@ -220,11 +228,11 @@ class TestWeakCouplingCollapse:
         norms = []
         for scale in (1.0, 0.5, 0.25):
             model = make_model(g_scale=scale, axis="x")
-            e_star = energy_operator(model, BETA).matrix
+            e_star = energy_operator(model, BETA)
             norms.append(np.abs(e_star - model.h_s_local).max())
         assert norms[0] > norms[1] > norms[2]
         model0 = make_model(g_scale=0.0, axis="x")
-        e0 = energy_operator(model0, BETA).matrix
+        e0 = energy_operator(model0, BETA)
         assert np.abs(e0 - model0.h_s_local).max() <= 1e-6
 
 
