@@ -229,7 +229,8 @@ def _run_engine_points(config, num, points, check_ids, family_point):
             rows.append(agg)
     summary = {"closed_form_min_probability": CLOSED_FORM_MIN_PROB,
                "closed_form_excluded_probability_max": excluded,
-               "prob_floor_excluded_probability_max": floor_excluded}
+               "prob_floor_excluded_probability_max": floor_excluded,
+               "engine_routes": sorted({engine.route for engine, _ in engines.values()})}
     return rows, list(checks.values()), summary
 
 

@@ -58,12 +58,14 @@ O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
 (one sector of size d for a model with no charge), against O(d^3) plus L
 embedded d x d projectors for the dense route the tests keep as reference.
 
-The two-point route evolves the same branches sector by sector from
-``spectrum`` too, but scatters each sector's propagator columns into its
-own d x K amplitude array with one accumulating add, and reads the outcomes
-in a basis of the projectors' ranges (see
-``HeatEngine.two_point_trajectory_heat_all`` for what it shares with the
-other routes).
+The two-point route (``HeatEngine.two_point_trajectory_heat_all``) computes
+the trajectory heat from its definition instead, as the double sum over
+initial and final sample eigenstates, with a branch of its own for each
+route: on a mode-product model the double sum factorises into per-mode
+double sums over u_{k,q} as the factors declare them, H_S[q, q] included;
+on every other model it evolves the same branches as the kernel, sector by
+sector from ``spectrum``, with its own scatter and readout. Neither branch
+reads the tables.
 """
 
 import math
@@ -286,9 +288,11 @@ class HeatEngine:
 
     Neither forms a full-space propagator, state or embedded projector, and
     neither does ``two_point_trajectory_heat_all``: it takes the same
-    (rho0, beta, t, meas) but evolves the branches with its own per-sector
-    scatter and reads them without the tables, so it stays an independent
-    check of both routes.
+    (rho0, beta, t, meas) and follows the engine's route (per-mode double
+    sums on the mode-product route, the branches scattered sector by sector
+    from ``spectrum`` on the branch kernel), but builds no tables, so it
+    stays an independent check of both routes. On a mode-product model no
+    method forms ``spectrum``.
 
     All methods are pure given their arguments. An instance keeps the tables
     of every (rho0, t, measurement) it has seen, so a sweep that comes back
@@ -448,25 +452,82 @@ class HeatEngine:
 
         H_tra(l) = sum_{i,j} p_j P(l, i | j) (eps_j - eps_i) / P_l: the sample
         starts in the Fock state j with Gibbs weight p_j(beta) and is found in
-        the Fock state i at time t, so the branches are |phi_r, j> over the
-        eigenpairs (w_r, phi_r) of rho0. Each charge sector b evolves them
-        with U_b = V_b e^{-i lambda_b t} V_b^T from ``spectrum``: branch
-        (r, j_m) gains phi_r[s_m] U_b[:, m] for every state m = (s_m, j_m) of
-        the sector, so no matrix outgrows a sector, and the amplitudes take
-        O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in a
-        basis of the projectors' ranges, not through branch-reduced probe
-        operators or per-mode traces. With both routes it shares the factor
-        eigenpairs (``factor_spectrum``, from which ``spectrum`` is built),
-        rho0's eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
-        ``_real_matmul``; so it checks their propagation, reduction and heat
-        bookkeeping, not the eigendecomposition. Returns a label -> heat dict
-        over the non-suppressed outcomes.
+        the Fock state i at time t. Returns a label -> heat dict over the
+        non-suppressed outcomes. The double sum takes the engine's route:
+
+        - mode-product: U restricted to probe level q is (x)_k u_{k,q}, with
+          u_{k,q} = V e^{-i lambda t} V^T from ``factor_spectrum`` as declared
+          (mode 0 carrying H_S[q, q]), and both p_j and eps_j - eps_i split
+          over the modes. So P_l = Re sum_{qq'} W_l prod_k C_k and
+          P_l H_tra(l) = Re sum_{qq'} W_l sum_k D_k prod_{k' != k} C_{k'},
+          with W_l[q, q'] = rho0[q, q'] Pi_l[q', q] and, from
+          T_k^{qq'}[i, j] = u_{k,q}[i, j] conj(u_{k,q'}[i, j]),
+          C_k = sum_{ij} p_k[j] T_k[i, j] and
+          D_k = sum_{ij} p_k[j] (eps_k[j] - eps_k[i]) T_k[i, j]. It costs
+          O(Q^2 sum_k n_k^2) past the mode propagators.
+        - branch kernel: the branches are |phi_r, j> over the eigenpairs
+          (w_r, phi_r) of rho0. Each charge sector b evolves them with
+          U_b = V_b e^{-i lambda_b t} V_b^T from ``spectrum``: branch (r, j_m)
+          gains phi_r[s_m] U_b[:, m] for every state m = (s_m, j_m) of the
+          sector, so no matrix outgrows a sector, and the amplitudes take
+          O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in a
+          basis of the projectors' ranges.
+
+        Neither branch reads the tables: not the kernel's grouping or
+        branch-reduced probe operators, not the mode route's M_k/N_k
+        diagonals, and the mode branch leaves the H_S phase in the factors
+        where the tables move it into rho0. With the other routes they share
+        the factor eigenpairs (``factor_spectrum``, from which ``spectrum`` is
+        built) and the per-mode energies of ``_mode_factorization``, rho0's
+        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
+        ``_real_matmul``; so they check the propagation, reduction and heat
+        bookkeeping, not the eigendecomposition.
         """
         if beta <= 0:
             raise ValueError("beta must be positive")
-        d_s, d_b = self.model.system_dim, self.model.bath_dim
+        d_s = self.model.system_dim
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
+        double_sum = self._sector_two_point if self._modes is None else self._mode_two_point
+        total, energy_sum = double_sum(w, phi, beta, t, meas)
+        total = _checked_probabilities(total)
+        return {
+            label: energy_sum[li] / total[li]
+            for li, label in enumerate(meas.labels)
+            if total[li] >= self.prob_floor
+        }
+
+    def _mode_two_point(self, w, phi, beta, t, meas):
+        """(P_l, P_l H_tra(l)) from per-mode double sums."""
+        d_s, d_b = self.model.system_dim, self.model.bath_dim
+        rho = (phi * w) @ phi.conj().T
+        weight = (rho * np.stack(meas.projectors).transpose(0, 2, 1)).reshape(
+            len(meas.labels), -1)
+        # levels[q]: the factor eigenpairs of probe level q as declared, H_S[q, q]
+        # in mode 0's eigenvalues
+        levels = [None] * d_s
+        for index, pairs in self.model.factor_spectrum:
+            levels[index[0] // d_b] = pairs
+        # after mode k: prob = prod_{k' <= k} C_k', and energy = sum_{k'' <= k}
+        # D_k'' prod_{k' <= k, k' != k''} C_k', the prefix product of each D
+        # times the C of every later mode: no division, since C can vanish
+        prob = np.ones(d_s * d_s, dtype=complex)
+        energy = np.zeros(d_s * d_s, dtype=complex)
+        for (eps, _), factors in zip(self._modes, zip(*levels)):
+            u = np.stack([_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+                          for lam, v in factors])
+            # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'
+            pt = np.einsum("qij,pij,j->qpij", u, u.conj(), gibbs_weights(eps, beta))
+            pt = pt.reshape(d_s * d_s, len(eps), len(eps))
+            gap = eps[None, :] - eps[:, None]  # eps_j - eps_i
+            c = pt.sum(axis=(1, 2))
+            energy = energy * c + prob * (pt * gap).sum(axis=(1, 2))
+            prob = prob * c
+        return (weight @ prob).real, (weight @ energy).real
+
+    def _sector_two_point(self, w, phi, beta, t, meas):
+        """(P_l, P_l H_tra(l)) from the branches evolved sector by sector."""
+        d_s, d_b = self.model.system_dim, self.model.bath_dim
         eps = self.model.bath_energies
         # branch k = r * d_b + j: weight w_r p_j, initial sample energy eps_j,
         # amp[s, i, k] = <s, i|U|phi_r, j>
@@ -486,13 +547,7 @@ class HeatEngine:
         hits = np.abs(basis.conj().T @ amp) ** 2
         q = ((owner == np.arange(len(meas.labels))[:, None]) @ hits).reshape(-1, d_b, len(c))
         q_c = q @ c
-        total = _checked_probabilities(q_c.sum(axis=1))
-        energy_sum = (q @ c_eps).sum(axis=1) - q_c @ eps
-        return {
-            label: energy_sum[li] / total[li]
-            for li, label in enumerate(meas.labels)
-            if total[li] >= self.prob_floor
-        }
+        return q_c.sum(axis=1), (q @ c_eps).sum(axis=1) - q_c @ eps
 
     # -- finite-difference route ------------------------------------------
 

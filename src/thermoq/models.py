@@ -175,7 +175,10 @@ class CompositeModel:
         its eigenvectors the Kronecker products of theirs, so they are in
         ascending order only for a single factor. A model with no charge has
         one block covering every index. A sector of several factors pays m^2
-        per eigenvector matrix here on top of ``factor_spectrum``.
+        per eigenvector matrix here on top of ``factor_spectrum``. Its readers
+        are the engine's branch kernel and that route's two-point scatter, and
+        the mean-force routes (through ``probe_tables``); an engine on the
+        mode-product route reads ``factor_spectrum`` alone.
         """
         blocks = []
         for index, pairs in self.factor_spectrum:

@@ -92,6 +92,7 @@ class ValidationReport:
     elapsed_seconds: float = 0.0
     closed_form_excluded_probability_max: float = 0.0  # max over draws (check_engine_point)
     prob_floor_excluded_probability_max: float = 0.0  # max over every draw, below PROB_FLOOR
+    engine_routes: dict = field(default_factory=dict)  # family -> sorted HeatEngine routes
 
     @property
     def passed(self):
@@ -105,6 +106,7 @@ class ValidationReport:
                     self.closed_form_excluded_probability_max,
                 "prob_floor_excluded_probability_max":
                     self.prob_floor_excluded_probability_max,
+                "engine_routes": self.engine_routes,
                 "checks": [c.as_dict() for c in self.checks]}
 
 
@@ -250,12 +252,14 @@ def draw_mean_force_instance(rng, tail=1e-8):
     return params, model
 
 
-def _engine_draw(checks, params, model, rho0, meas, reference):
+def _engine_draw(checks, routes, params, model, rho0, meas, reference):
     """Every engine check on one drawn instance, plus the score and two-point routes;
-    returns the outcome mass the closed-form comparison left out and the mass
-    the heat decomposition left out below its probability floor."""
+    adds the engine's route to ``routes[family]`` and returns the outcome mass the
+    closed-form comparison left out and the mass the heat decomposition left out
+    below its probability floor."""
     beta, t = params["beta"], params["t"]
     eng = HeatEngine(model)
+    routes.setdefault(params["family"], set()).add(eng.route)
     record, _, _, excluded = check_engine_point(checks, eng, rho0, beta, t, meas,
                                                 reference, params)
     by_label = {o.label: o for o in record.outcomes}
@@ -275,7 +279,8 @@ def cross_validate(seed, draws, progress=None):
     rng = np.random.default_rng(seed)
     checks = identity_checks(*CHECKS)
     excluded = []
-    start = time.time()
+    routes = {}
+    start = time.perf_counter()
     for i in range(draws):
         if progress:
             progress(i, draws)
@@ -286,13 +291,14 @@ def cross_validate(seed, draws, progress=None):
         d_s = model.system_dim
         ground = np.zeros((d_s, d_s), complex)
         ground[0, 0] = 1.0
-        excluded.append(_engine_draw(checks, {"family": "heat-exchange", **params}, model,
-                                     ground, fock_measurement(d_s - 1), he_reference(he)))
+        excluded.append(_engine_draw(checks, routes, {"family": "heat-exchange", **params},
+                                     model, ground, fock_measurement(d_s - 1),
+                                     he_reference(he)))
 
         params, model = draw_deph_instance(rng)
         dp = cf.DephParams(tuple(BathMode(w, g) for w, g in params["modes"]),
                            params["beta"], params["t"])
-        excluded.append(_engine_draw(checks, {"family": "dephasing", **params}, model,
+        excluded.append(_engine_draw(checks, routes, {"family": "dephasing", **params}, model,
                                      np.full((2, 2), 0.5, complex), pauli_x_measurement(),
                                      deph_reference(dp)))
 
@@ -304,6 +310,7 @@ def cross_validate(seed, draws, progress=None):
 
     closed_form_excluded, floor_excluded = np.max(excluded, axis=0)
     return ValidationReport(seed=seed, draws=draws, checks=list(checks.values()),
-                            elapsed_seconds=time.time() - start,
+                            elapsed_seconds=time.perf_counter() - start,
                             closed_form_excluded_probability_max=float(closed_form_excluded),
-                            prob_floor_excluded_probability_max=float(floor_excluded))
+                            prob_floor_excluded_probability_max=float(floor_excluded),
+                            engine_routes={f: sorted(r) for f, r in routes.items()})

@@ -308,6 +308,22 @@ def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path):
     assert "prob_floor_excluded_probability_max" in result.output
 
 
+@pytest.mark.parametrize("experiment, model, routes", [
+    ("heat-exchange", {"omega_0": 1.0, "g": 0.1}, ["branch-kernel"]),
+    ("dephasing", {"modes": [[1.0, 0.1], [1.6, 0.15]]}, ["mode-product"]),
+])
+def test_sidecar_names_the_engine_routes(tmp_path, experiment, model, routes):
+    path = write_config(tmp_path, {
+        "experiment": experiment, "model": model, "sweep": {"beta": [2.0, 3.0]},
+        "numerics": {"n_max": 14}, "output": {"path": str(tmp_path / "out.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    assert report["engine_routes"] == routes
+    assert f"engine_routes: {routes}" in result.output
+
+
 class TestMeanForceTail:
     """The mean-force tail is used as given (default 1e-8) and written to the sidecar."""
 
@@ -352,8 +368,10 @@ class TestCrossValidateCommand:
         assert result.exit_code == 0, result.output
         sidecar = json.loads((tmp_path / "cv.json.verification.json").read_text())
         for key in ("closed_form_min_probability", "closed_form_excluded_probability_max",
-                    "prob_floor_excluded_probability_max"):
+                    "prob_floor_excluded_probability_max", "engine_routes"):
             assert sidecar[key] == report[key]
+        assert report["engine_routes"] == {"heat-exchange": ["branch-kernel"],
+                                           "dephasing": ["mode-product"]}
         assert 0 < report["closed_form_excluded_probability_max"] < 1e-4
 
     def test_fixed_seed_is_deterministic(self):

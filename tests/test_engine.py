@@ -287,6 +287,14 @@ class _MatchesDense:
         assert fd == pytest.approx(dense_fisher_fd(*args, prob_floor=floor),
                                    rel=1e-8, abs=1e-15)
 
+    def test_two_point_matches_dense(self, case):
+        eng, args, floor = case
+        heats = eng.two_point_trajectory_heat_all(*args[1:])
+        ref = dense_heat_decomposition(*args, prob_floor=floor)
+        assert list(heats) == [o.label for o in ref.outcomes]
+        for o in ref.outcomes:
+            assert abs(heats[o.label] - o.h_tra) <= 1e-11
+
 
 def _engine_case(cases, name):
     model, rho0, meas, beta, t, floor = cases[name]
@@ -344,12 +352,16 @@ class TestModeProduct(_MatchesDense):
         assert np.any(probs < floor) and np.any(probs >= floor)
         assert np.all(np.abs(probs - floor) > 1e-6 * floor)
 
-    def test_heat_decomposition_memory_at_the_hot_dephasing_point(self):
-        # the CI hot point: automatic cutoffs 45/37 at beta = 0.45, d = 3496; the
-        # branch kernel's K x d amplitudes alone took 93 MiB here
+    @pytest.fixture(scope="class")
+    def hot_dephasing_engine(self):
+        # the CI hot point: automatic cutoffs 45/37 at beta = 0.45, d = 3496
         model = build_dephasing_model([BathMode(1.2, 0.1), BathMode(1.5, 0.15)], [45, 37])
         assert model.space.total_dim == 3496
-        eng = HeatEngine(model)
+        return HeatEngine(model)
+
+    def test_heat_decomposition_memory_at_the_hot_dephasing_point(self, hot_dephasing_engine):
+        # the branch kernel's K x d amplitudes alone took 93 MiB here
+        eng = hot_dephasing_engine
         tracemalloc.start()
         try:
             eng.heat_decomposition(PLUS, 0.45, math.pi, pauli_x_measurement())
@@ -357,6 +369,50 @@ class TestModeProduct(_MatchesDense):
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_two_point_memory_at_the_hot_dephasing_point(self, hot_dephasing_engine):
+        # the two-point sum over the sector eigenvectors of spectrum took 293 MB here
+        eng = hot_dephasing_engine
+        args = (PLUS, 0.45, math.pi, pauli_x_measurement())
+        tracemalloc.start()
+        try:
+            heats = eng.two_point_trajectory_heat_all(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        for o in eng.heat_decomposition(*args).outcomes:
+            assert abs(heats[o.label] - o.h_tra) <= TOL_TWO_POINT
+
+    def test_spectrum_is_never_formed(self):
+        model = build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5],
+                                       coupling_axis="z")
+        eng = HeatEngine(model)
+        assert eng.route == "mode-product"
+        args = (_random_density(np.random.default_rng(3), 2), 1.1, 2.3,
+                _random_probe_measurement(np.random.default_rng(4), 2))
+        eng.heat_decomposition(*args)
+        eng.score_direct_all(*args)
+        eng.two_point_trajectory_heat_all(*args)
+        eng.fisher_finite_difference(*args)
+        assert "spectrum" not in vars(model)
+
+    @pytest.mark.parametrize("t", [0.3, 2.5])
+    def test_two_point_keeps_the_probe_phase_in_the_factors(self, t):
+        # omega_q t = 0.21 and 1.75 with a measurement that does not commute with
+        # sigma_z: the H_S phase the factors declare shows in every outcome, and
+        # the branch kernel on the same model reads it from spectrum
+        model = build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5],
+                                       coupling_axis="z")
+        rng = np.random.default_rng(5)
+        args = (_random_density(rng, 2), 1.1, t, _random_probe_measurement(rng, 2))
+        kernel = HeatEngine(_without_factors(model))
+        assert kernel.route == "branch-kernel"
+        heats = HeatEngine(model).two_point_trajectory_heat_all(*args)
+        record = kernel.heat_decomposition(*args)
+        assert list(heats) == [o.label for o in record.outcomes]
+        for o in record.outcomes:
+            assert abs(heats[o.label] - o.h_tra) <= 1e-11
 
 
 class TestRouteSelection:
