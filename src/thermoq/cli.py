@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import click
@@ -203,13 +204,16 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     checks = identity_checks(*check_ids)
     engines = {}
     rows = []
-    excluded = floor_excluded = 0.0
+    excluded = floor_excluded = build_s = 0.0
     for point in points:
         params, key, build, rho0, t, measure, reference = family_point(point)
         beta = params["beta"]
         h = _fd_step(num, beta)
         if key not in engines:
-            engines[key] = (HeatEngine(build(), prob_floor=num["prob_floor"]), measure())
+            start = time.perf_counter()
+            model = build()
+            build_s += time.perf_counter() - start
+            engines[key] = (HeatEngine(model, prob_floor=num["prob_floor"]), measure())
         engine, meas = engines[key]
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
             checks, engine, rho0, beta, t, meas, reference, params, h=h)
@@ -230,7 +234,8 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     summary = {"closed_form_min_probability": CLOSED_FORM_MIN_PROB,
                "closed_form_excluded_probability_max": excluded,
                "prob_floor_excluded_probability_max": floor_excluded,
-               "engine_routes": sorted({engine.route for engine, _ in engines.values()})}
+               "engine_routes": sorted({engine.route for engine, _ in engines.values()}),
+               "model_build_s": build_s}
     return rows, list(checks.values()), summary
 
 
@@ -294,7 +299,8 @@ def _run_dephasing(config):
                 plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
     return _run_engine_points(config, num, points,
-                              ("fisher", "closed_form", "avg_heat", "saturation"),
+                              ("fisher", "closed_form", "avg_heat", "saturation", "score",
+                               "two_point"),
                               family_point)
 
 
@@ -313,7 +319,7 @@ def _run_mean_force(config):
     checks = identity_checks("mean_force", "ur_product")
     models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
     rows = []
-    floor_excluded = 0.0
+    floor_excluded = build_s = 0.0
     for point in points:
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
         h = _fd_step(num, beta)
@@ -322,8 +328,10 @@ def _run_mean_force(config):
         else:
             cutoffs = tuple(auto_cutoff("mean-force", beta, m.omega, num["tail"]) for m in modes)
         if cutoffs not in models:
+            start = time.perf_counter()
             models[cutoffs] = build_spin_boson_model(omega_q, modes, list(cutoffs),
                                                      coupling_axis=axis)
+            build_s += time.perf_counter() - start
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
@@ -337,7 +345,7 @@ def _run_mean_force(config):
     # the tail the automatic cutoffs used; none when numerics.n_max fixes them
     return rows, list(checks.values()), {
         "tail": None if num["n_max"] is not None else num["tail"],
-        "prob_floor_excluded_probability_max": floor_excluded}
+        "prob_floor_excluded_probability_max": floor_excluded, "model_build_s": build_s}
 
 
 def _spectral(model):

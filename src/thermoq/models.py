@@ -156,9 +156,13 @@ class CompositeModel:
         of m = prod_f m_f states, in place of m^3.
         """
         blocks = []
-        for (index, rows, cols, values), factors in zip(
-                _sector_entries(self.hamiltonian, self.charge), self.factors):
+        # H's entries are grouped by sector only where some sector needs its dense block
+        sectors = (_sector_entries(self.hamiltonian, self.charge) if None in self.factors
+                   else ((index,) for index in
+                         _sector_states(self.charge, self.space.total_dim)[0]))
+        for (index, *entries), factors in zip(sectors, self.factors):
             if factors is None:
+                rows, cols, values = entries
                 dense = np.zeros((len(index), len(index)))
                 dense[rows, cols] = values
                 factors = (dense,)
@@ -232,23 +236,62 @@ def _read_only(arrays):
     return tuple(arrays)
 
 
+def _kron_entries(dims, ops):
+    """(rows, cols, values) of the nonzero entries of ops[0] (x) ops[1] (x) ...
+
+    ops[f] is a dense operator on factor f, of dimension dims[f], or None for
+    that factor's identity. Rows and columns index the product basis in
+    Kronecker order. Each value is the product of one entry per factor taken
+    left to right, as a chain of Kronecker products forms it.
+    """
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values = np.ones(1)
+    for n, op in zip(dims, ops):
+        if op is None:
+            r = c = np.arange(n)
+            v = np.ones(n)
+        else:
+            r, c = np.nonzero(op)
+            v = op[r, c]
+        rows = np.add.outer(rows * n, r).ravel()
+        cols = np.add.outer(cols * n, c).ravel()
+        values = np.multiply.outer(values, v).ravel()
+    return rows, cols, values
+
+
+def _concat_entries(*parts):
+    """The (rows, cols, values) entries of several operators, one list after another."""
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _csr_rows(h):
+    """Row of each stored entry of the CSR matrix h, in storage order."""
+    return np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+
+
+def _sector_states(charge, d):
+    """(indices, sector_of, local): per charge sector, in ascending label order,
+    its basis states in basis order (one sector of all d states where charge
+    is None); and each state's sector and its position within that sector."""
+    labels = np.zeros(d, dtype=int) if charge is None else charge
+    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(sector_of, kind="stable")
+    local = np.empty(d, dtype=int)
+    local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.split(order, np.cumsum(counts)[:-1]), sector_of, local
+
+
 def _sector_entries(h, charge):
     """Per charge sector, in ascending label order: (index, rows, cols, values),
     the sector's basis states and H's stored entries among them, rows and
     columns as positions within the sector. H must couple no two sectors."""
-    d = h.shape[0]
-    labels = np.zeros(d, dtype=int) if charge is None else charge
-    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.argsort(sector_of, kind="stable")
-    local = np.empty(d, dtype=int)  # position of each state within its sector
-    local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
-    h = h.tocoo()
-    entry_sector = sector_of[h.row]
+    indices, sector_of, local = _sector_states(charge, h.shape[0])
+    rows = _csr_rows(h)
+    entry_sector = sector_of[rows]
     by_sector = np.argsort(entry_sector, kind="stable")
-    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
-    for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
-                              np.split(by_sector, entry_bounds[:-1])):
-        yield index, local[h.row[entries]], local[h.col[entries]], h.data[entries]
+    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(indices)))
+    for index, entries in zip(indices, np.split(by_sector, entry_bounds[:-1])):
+        yield index, local[rows[entries]], local[h.indices[entries]], h.data[entries]
 
 
 def _kron_sum_deviation(factors, rows, cols, values, tol):
@@ -306,35 +349,55 @@ def _sector_factors(h, charge, factors, scale):
     return tuple(out)
 
 
+def _hermiticity_deviation(h, rows):
+    """max |H - H^dag| for a canonical CSR matrix H, ``rows`` the row of each
+    stored entry. Where H stores the mirror of every entry, a stable sort of
+    the entries by column lists H^T's entries in H's order: O(nnz log nnz)."""
+    transposed = np.argsort(h.indices, kind="stable")
+    if np.array_equal(h.indices[transposed], rows) and np.array_equal(rows[transposed],
+                                                                       h.indices):
+        return np.abs(h.data - np.conj(h.data[transposed])).max(initial=0.0)
+    return abs(h - h.T.conj()).max()
+
+
 def _compose(space, h_s_local, bath_energies, h_i, charge=None, factors=None):
-    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, checked
+    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, with
+    H_I given as (rows, cols, values) entries (duplicates add up). H is checked
     Hermitian, block-diagonal in ``charge`` and equal on each sector named in
     ``factors`` (a charge label -> Kronecker factors mapping) to the Kronecker
-    sum of its factors: every check is O(nnz)."""
+    sum of its factors: the Hermiticity check is O(nnz log nnz), the others O(nnz)."""
     bath_energies = np.array(bath_energies, dtype=float)
-    # kronsum(B, A) = A (x) 1 + 1 (x) B
-    h = sparse.csr_array(sparse.kronsum(sparse.diags_array(bath_energies), h_s_local) + h_i)
+    h_s_local = np.array(h_s_local, dtype=float)
+    d = space.total_dim
+    diagonal = np.arange(d)
+    # summed in this order where entries coincide: E_B, then H_S, then H_I
+    rows, cols, values = _concat_entries(
+        (diagonal, diagonal, np.tile(bath_energies, len(h_s_local))),
+        _kron_entries((len(h_s_local), len(bath_energies)), (h_s_local, None)), h_i)
+    # int32 indices wherever they fit, as scipy's own constructors choose
+    index_dtype = np.int32 if max(d, len(values)) <= np.iinfo(np.int32).max else np.int64
+    h = sparse.csr_array((values, (rows.astype(index_dtype), cols.astype(index_dtype))),
+                         shape=(d, d))
     h.sum_duplicates()
     h.eliminate_zeros()
-    scale = 1.0 + abs(h).max()
-    dev = abs(h - h.T.conj()).max()
+    scale = 1.0 + np.abs(h.data).max(initial=0.0)
+    rows = _csr_rows(h)
+    dev = _hermiticity_deviation(h, rows)
     if dev > HERMITICITY_RTOL * scale:
         raise InvalidOperatorError(
             f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
     if charge is not None:
         charge = np.asarray(charge)
-        rows, cols = h.nonzero()
-        bad = np.flatnonzero(charge[rows] != charge[cols])
+        bad = np.flatnonzero(charge[rows] != charge[h.indices])
         if bad.size:
-            r, c = rows[bad[0]], cols[bad[0]]
+            r, c = rows[bad[0]], h.indices[bad[0]]
             raise SectorCouplingError(
                 f"H couples state {r} (charge {charge[r]}) to state {c} "
                 f"(charge {charge[c]}) in {bad.size} entries")
         charge = _read_only((charge,))[0]
     factors = _sector_factors(h, charge, factors or {}, scale)
     _read_only((h.data, h.indices, h.indptr))
-    return CompositeModel(space, h, *_read_only((np.array(h_s_local), bath_energies)), charge,
-                          factors)
+    return CompositeModel(space, h, *_read_only((h_s_local, bath_energies)), charge, factors)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -346,11 +409,14 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
         raise ValueError("n_max must be at least 1")
     d = n_max + 1
     space = HilbertSpace((d, d))
-    a = sparse.csr_array(destroy(n_max))
+    a = destroy(n_max)
     h_s_local = omega_a * number_op(n_max)
-    h_i = g * (sparse.kron(a.T, a) + sparse.kron(a, a.T))
+    # the two terms share no entry; g scales their sum, as g * (a^T (x) a + a (x) a^T)
+    rows, cols, values = _concat_entries(_kron_entries((d, d), (a.T, a)),
+                                         _kron_entries((d, d), (a, a.T)))
     n = np.arange(d)
-    return _compose(space, h_s_local, omega_0 * n, h_i, charge=np.add.outer(n, n).ravel())
+    return _compose(space, h_s_local, omega_0 * n, (rows, cols, g * values),
+                    charge=np.add.outer(n, n).ravel())
 
 
 def _bath_cutoffs(modes, n_max):
@@ -365,19 +431,21 @@ def _bath_cutoffs(modes, n_max):
     return cutoffs
 
 
-def _multimode_bath(modes, cutoffs):
-    """Diagonal bath energies, total excitation numbers and the sparse coupling
-    sum_k g_k (b_k^dag + b_k), each over the product basis of the modes."""
+def _multimode_bath(modes, cutoffs, probe_op):
+    """Diagonal bath energies and total excitation numbers over the product basis
+    of the modes, and the (rows, cols, values) entries of the coupling
+    probe_op (x) sum_k g_k (b_k^dag + b_k) over the probe and the modes."""
+    dims = (len(probe_op), *(n + 1 for n in cutoffs))
     energy, number = np.zeros(1), np.zeros(1, dtype=int)
-    coupling = sparse.csr_array((1, 1))
-    for mode, n in zip(modes, cutoffs):
+    terms = []
+    for k, (mode, n) in enumerate(zip(modes, cutoffs)):
         levels = np.arange(n + 1)
         energy = np.add.outer(energy, mode.omega * levels).ravel()
         number = np.add.outer(number, levels).ravel()
-        x = sparse.csr_array(destroy(n) + destroy(n).T)
-        coupling = (sparse.kron(coupling, sparse.eye_array(n + 1))
-                    + sparse.kron(sparse.eye_array(coupling.shape[0]), mode.g * x))
-    return energy, number, coupling
+        ops = [probe_op] + [None] * len(modes)
+        ops[k + 1] = mode.g * (destroy(n) + destroy(n).T)
+        terms.append(_kron_entries(dims, ops))
+    return energy, number, _concat_entries(*terms)
 
 
 def build_dephasing_model(modes, n_max):
@@ -406,10 +474,10 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     if not modes:
         raise ValueError("at least one bath mode required")
     cutoffs = _bath_cutoffs(modes, n_max)
-    energy, number, coupling = _multimode_bath(modes, cutoffs)
+    pauli = {"x": SIGMA_X, "z": SIGMA_Z, "xz": (SIGMA_X + SIGMA_Z) / np.sqrt(2)}[coupling_axis]
+    energy, number, h_i = _multimode_bath(modes, cutoffs, pauli)
     space = HilbertSpace((2, *(n + 1 for n in cutoffs)))
     h_s_local = np.diag([0.0, omega_q])
-    pauli = {"x": SIGMA_X, "z": SIGMA_Z, "xz": (SIGMA_X + SIGMA_Z) / np.sqrt(2)}[coupling_axis]
     sigma_z = np.diag(SIGMA_Z).astype(int)
     charge = {"x": np.kron(sigma_z, (-1) ** number),
               "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
@@ -420,7 +488,6 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
                 m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
                 + (h_s_local[q, q] if k == 0 else 0.0) * np.eye(n + 1)
                 for k, (m, n) in enumerate(zip(modes, cutoffs)))
-    h_i = sparse.kron(pauli, coupling)
     return _compose(space, h_s_local, energy, h_i, charge, factors)
 
 

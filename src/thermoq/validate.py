@@ -3,7 +3,7 @@
 Each check is defined once here: its name and tolerance (``CHECKS``), the
 closed-form reference of each thermometer family, and the comparisons made
 at one engine point or one mean-force point. ``cross_validate`` runs them,
-plus the direct-score and two-point routes, on random instances of each family.
+the direct-score and two-point routes included, on random instances of each family.
 """
 
 import math
@@ -155,9 +155,12 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params, h
     Updates ``checks``: 'fisher' (finite difference vs heat variance),
     'closed_form' (P_l, H_tra, H_cor where P_l >= CLOSED_FORM_MIN_PROB, and
     the Fisher information), 'saturation' (closed-form bound vs
-    finite-difference Fisher) and, where the reference has one, 'avg_heat'.
-    Returns (record, finite-difference Fisher information, worst closed-form
-    deviation, probability mass of the outcomes below the cutoff).
+    finite-difference Fisher), where the reference has one 'avg_heat', and
+    where their ids are in ``checks`` 'score' (direct log-derivative vs the
+    decomposition's score) and 'two_point' (two-point vs projected trajectory
+    heat), each per outcome. Returns (record, finite-difference Fisher
+    information, worst closed-form deviation, probability mass of the
+    outcomes below the cutoff).
     """
     record = engine.heat_decomposition(rho0, beta, t, meas)
     fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas, h=h)
@@ -182,6 +185,14 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params, h
     if reference.avg_heat is not None:
         avg_h_tra = sum(o.probability * o.h_tra for o in record.outcomes)
         checks["avg_heat"].update(abs(avg_h_tra - reference.avg_heat), params)
+
+    by_label = {o.label: o for o in record.outcomes}
+    if "score" in checks:
+        for label, score in engine.score_direct_all(rho0, beta, t, meas).items():
+            checks["score"].update(abs(score - by_label[label].score), params)
+    if "two_point" in checks:
+        for label, h_tra in engine.two_point_trajectory_heat_all(rho0, beta, t, meas).items():
+            checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
     return record, fisher_fd, closed_form_dev, excluded
 
 
@@ -253,22 +264,14 @@ def draw_mean_force_instance(rng, tail=1e-8):
 
 
 def _engine_draw(checks, routes, params, model, rho0, meas, reference):
-    """Every engine check on one drawn instance, plus the score and two-point routes;
-    adds the engine's route to ``routes[family]`` and returns the outcome mass the
-    closed-form comparison left out and the mass the heat decomposition left out
-    below its probability floor."""
-    beta, t = params["beta"], params["t"]
+    """Every engine check on one drawn instance; adds the engine's route to
+    ``routes[family]`` and returns the outcome mass the closed-form comparison
+    left out and the mass the heat decomposition left out below its
+    probability floor."""
     eng = HeatEngine(model)
     routes.setdefault(params["family"], set()).add(eng.route)
-    record, _, _, excluded = check_engine_point(checks, eng, rho0, beta, t, meas,
-                                                reference, params)
-    by_label = {o.label: o for o in record.outcomes}
-
-    for label, score in eng.score_direct_all(rho0, beta, t, meas).items():
-        checks["score"].update(abs(score - by_label[label].score), params)
-
-    for label, h_tra in eng.two_point_trajectory_heat_all(rho0, beta, t, meas).items():
-        checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
+    record, _, _, excluded = check_engine_point(checks, eng, rho0, params["beta"],
+                                                params["t"], meas, reference, params)
     return excluded, record.excluded_probability
 
 

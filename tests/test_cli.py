@@ -18,6 +18,7 @@ from thermoq.models import (
     build_spin_boson_model,
     fock_measurement,
 )
+from thermoq.validate import CHECKS
 
 RUNNER = CliRunner()
 
@@ -322,6 +323,39 @@ def test_sidecar_names_the_engine_routes(tmp_path, experiment, model, routes):
     report = json.loads((tmp_path / "out.csv.verification.json").read_text())
     assert report["engine_routes"] == routes
     assert f"engine_routes: {routes}" in result.output
+
+
+@pytest.mark.parametrize("experiment, model", [
+    ("heat-exchange", {"omega_0": 1.0, "g": 0.1}),
+    ("dephasing", {"modes": [[1.0, 0.1], [1.6, 0.15]]}),
+    ("mean-force", {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "xz"}),
+])
+def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
+    path = write_config(tmp_path, {
+        "experiment": experiment, "model": model, "sweep": {"beta": [2.0, 3.0]},
+        "numerics": {"n_max": 14}, "output": {"path": str(tmp_path / "out.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    assert report["model_build_s"] > 0
+    assert "model_build_s" in result.output
+
+
+def test_dephasing_runs_every_route_at_every_point(tmp_path):
+    path = write_config(tmp_path, {
+        "experiment": "dephasing", "model": {"modes": [[1.0, 0.1], [1.6, 0.15]]},
+        "sweep": {"beta": [2.0, 3.0]}, "numerics": {"n_max": 14},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out.csv.verification.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    for check_id in ("score", "two_point"):
+        name, tolerance = CHECKS[check_id]
+        assert checks[name]["passed"] and checks[name]["tolerance"] == tolerance
+        assert checks[name]["worst_params"]["beta"] in (2.0, 3.0)
 
 
 class TestMeanForceTail:

@@ -28,7 +28,6 @@ from thermoq.models import (
 from thermoq.validate import TOL_TWO_POINT, draw_deph_instance
 
 from dense_reference import (
-    dense_fisher_fd,
     dense_heat_decomposition,
     dense_score_direct_all,
     initial_state,
@@ -282,10 +281,13 @@ class _MatchesDense:
             assert abs(score - ref[label]) <= 1e-11
 
     def test_finite_difference_fisher_matches_dense(self, case):
+        # against the dense heat variance, not the dense finite difference: the
+        # dense route forms a rare outcome's P_l from O(1) entries anew at each
+        # beta, so at F ~ 3e-6 (draw-7) its own finite difference is off by 1.5e-8
         eng, args, floor = case
         fd = eng.fisher_finite_difference(*args[1:])
-        assert fd == pytest.approx(dense_fisher_fd(*args, prob_floor=floor),
-                                   rel=1e-8, abs=1e-15)
+        ref = dense_heat_decomposition(*args, prob_floor=floor).fisher_heat
+        assert fd == pytest.approx(ref, rel=1e-8, abs=1e-15)
 
     def test_two_point_matches_dense(self, case):
         eng, args, floor = case
@@ -309,15 +311,6 @@ class TestModeProduct(_MatchesDense):
         eng, args, floor = _engine_case(MODE_CASES, request.param)
         assert eng.route == "mode-product"
         return eng, args, floor
-
-    def test_finite_difference_fisher_matches_dense(self, case):
-        # against the dense heat variance, not the dense finite difference: the
-        # dense route forms a rare outcome's P_l from O(1) entries anew at each
-        # beta, so at F ~ 3e-6 (draw-7) its own finite difference is off by 1.5e-8
-        eng, args, floor = case
-        fd = eng.fisher_finite_difference(*args[1:])
-        ref = dense_heat_decomposition(*args, prob_floor=floor).fisher_heat
-        assert fd == pytest.approx(ref, rel=1e-8, abs=1e-15)
 
     def test_rare_outcome_keeps_the_finite_difference_smooth(self):
         # P_- = 3.1e-7 at t = 1e-3: the probabilities are built as 1 + (prod chi - 1),

@@ -1,6 +1,6 @@
 """Model builders, bath discretization, and measurement bases."""
 
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -87,13 +87,16 @@ class TestProjectiveMeasurement:
             ProjectiveMeasurement(fock.projectors, (0, 1))
 
 
-def _two_mode_parts(modes, cutoffs):
-    """Dense sum_k omega_k n_k and sum_k g_k (b_k + b_k^dag) of two modes."""
-    (m1, m2), (n1, n2) = modes, cutoffs
-    e1, e2 = np.eye(n1 + 1), np.eye(n2 + 1)
-    h_b = m1.omega * np.kron(number_op(n1), e2) + m2.omega * np.kron(e1, number_op(n2))
-    x1, x2 = destroy(n1) + destroy(n1).T, destroy(n2) + destroy(n2).T
-    return h_b, m1.g * np.kron(x1, e2) + m2.g * np.kron(e1, x2)
+def _mode_parts(modes, cutoffs):
+    """Dense sum_k omega_k n_k and sum_k g_k (b_k + b_k^dag) over the modes."""
+    eyes = [np.eye(n + 1) for n in cutoffs]
+
+    def on_mode(k, op):
+        return reduce(np.kron, [op if j == k else e for j, e in enumerate(eyes)])
+
+    terms = [(m.omega * on_mode(k, number_op(n)), m.g * on_mode(k, destroy(n) + destroy(n).T))
+             for k, (m, n) in enumerate(zip(modes, cutoffs))]
+    return sum(h for h, _ in terms), sum(x for _, x in terms)
 
 
 def _exchange_parts():
@@ -103,11 +106,12 @@ def _exchange_parts():
             omega_0 * number_op(n_max), g * (np.kron(a.T, a) + np.kron(a, a.T)))
 
 
-def _qubit_parts(omega_q, pauli, build):
-    """(model, H_S, H_B, H_I) of a qubit on two modes, the parts built by hand."""
-    modes, cutoffs = [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]
-    h_b, coupling = _two_mode_parts(modes, cutoffs)
-    return build(modes, cutoffs), np.diag([0.0, omega_q]), h_b, np.kron(pauli, coupling)
+def _qubit_parts(omega_q, pauli, build, modes=(BathMode(1.0, 0.1), BathMode(1.5, 0.2)),
+                 cutoffs=(2, 3)):
+    """(model, H_S, H_B, H_I) of a qubit on the modes, the parts built by hand."""
+    h_b, coupling = _mode_parts(modes, cutoffs)
+    return (build(list(modes), list(cutoffs)), np.diag([0.0, omega_q]), h_b,
+            np.kron(pauli, coupling))
 
 
 class TestModelBuilders:
@@ -123,7 +127,13 @@ class TestModelBuilders:
         partial(_qubit_parts, 0.0, SIGMA_Z, build_dephasing_model),
         partial(_qubit_parts, 1.0, (SIGMA_X + SIGMA_Z) / np.sqrt(2),
                 partial(build_spin_boson_model, 1.0, coupling_axis="xz")),
-    ], ids=["exchange", "dephasing", "spin-boson"])
+        partial(_qubit_parts, 1.0, SIGMA_X, partial(build_spin_boson_model, 1.0,
+                                                     coupling_axis="x")),
+        partial(_qubit_parts, 0.8, SIGMA_Z,
+                partial(build_spin_boson_model, 0.8, coupling_axis="z"),
+                modes=(BathMode(1.0, 0.1), BathMode(1.5, 0.2), BathMode(0.7, 0.15)),
+                cutoffs=(3, 1, 2)),
+    ], ids=["exchange", "dephasing", "spin-boson", "spin-boson-x", "three-mode"])
     def test_hamiltonian_split_adds_up(self, parts):
         # H_B is diagonal in the Fock product basis: the model's energies are
         # its diagonal, and H_S (x) 1 + 1 (x) diag(E_B) + H_I rebuilds H
@@ -179,6 +189,24 @@ class TestModelBuilders:
         covered = np.sort(np.concatenate([index for index, _, _ in model.spectrum]))
         assert np.array_equal(covered, np.arange(model.space.total_dim))
         assert np.allclose(rebuilt, dense, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),
+        lambda: build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]),
+        lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1)], 3, coupling_axis="x"),
+        lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1)], 3, coupling_axis="z"),
+        lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
+                                       coupling_axis="xz"),
+    ], ids=["exchange", "dephasing", "spin-boson-x", "spin-boson-z", "spin-boson-xz"])
+    def test_builders_call_no_sparse_kronecker_constructor(self, build, monkeypatch):
+        # H is written down from index arithmetic, not assembled from sparse products
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse Kronecker constructor called")
+
+        for name in ("kron", "kronsum", "eye_array", "diags_array"):
+            monkeypatch.setattr(sparse, name, refuse)
+        model = build()
+        assert model.hamiltonian.nnz > 0 and model.factor_spectrum
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):

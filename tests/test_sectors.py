@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from thermoq.engine import HeatEngine, _probe_eigenpairs
-from thermoq.linalg import gibbs_weights
+from thermoq.linalg import InvalidOperatorError, gibbs_weights
 from thermoq.mean_force import (
     energy_operator,
     internal_energy,
@@ -240,20 +240,33 @@ def test_model_without_charge_has_one_sector():
 def test_wrong_charge_is_a_named_error():
     # the sigma_x coupling flips sigma_z, so sigma_z is no charge of it
     model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3, coupling_axis="x")
-    _, _, coupling = _multimode_bath([BathMode(1.0, 0.2)], [3])
+    _, _, h_i = _multimode_bath([BathMode(1.0, 0.2)], [3], SIGMA_X)
     sigma_z = np.repeat([1, -1], model.bath_dim)
     with pytest.raises(SectorCouplingError, match="couples"):
-        _compose(model.space, model.h_s_local, model.bath_energies,
-                 np.kron(SIGMA_X, coupling.toarray()), charge=sigma_z)
+        _compose(model.space, model.h_s_local, model.bath_energies, h_i, charge=sigma_z)
+
+
+@pytest.mark.parametrize("extra, deviation", [
+    ((0, 1, 1e-3), "1.000e-03"),  # H stores the mirror entry (1, 0) with another value
+    ((0, 5, 2e-3), "2.000e-03"),  # H stores no mirror entry
+], ids=["unequal-mirror", "missing-mirror"])
+def test_non_hermitian_interaction_is_a_named_error(extra, deviation):
+    model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3, coupling_axis="xz")
+    _, _, (rows, cols, values) = _multimode_bath([BathMode(1.0, 0.2)], [3],
+                                                 (SIGMA_X + SIGMA_Z) / np.sqrt(2))
+    r, c, v = extra
+    h_i = np.append(rows, r), np.append(cols, c), np.append(values, v)
+    with pytest.raises(InvalidOperatorError, match=f"max deviation {deviation}"):
+        _compose(model.space, model.h_s_local, model.bath_energies, h_i)
 
 
 def _dephasing_parts():
     modes, cutoffs = [BathMode(1.0, 0.2), BathMode(1.3, 0.1)], [3, 2]
     model = build_spin_boson_model(0.7, modes, cutoffs, coupling_axis="z")
-    _, _, coupling = _multimode_bath(modes, cutoffs)
+    _, _, h_i = _multimode_bath(modes, cutoffs, SIGMA_Z)
     # the declared factors, keyed by charge: sectors come in ascending label order
     factors = dict(zip((-1, 1), model.factors))
-    return model, np.kron(SIGMA_Z, coupling.toarray()), factors
+    return model, h_i, factors
 
 
 def test_declared_factors_rebuild_the_model():
