@@ -248,7 +248,7 @@ def test_wrong_charge_is_a_named_error():
 
 @pytest.mark.parametrize("extra, deviation", [
     ((0, 1, 1e-3), "1.000e-03"),  # H stores the mirror entry (1, 0) with another value
-    ((0, 5, 2e-3), "2.000e-03"),  # H stores no mirror entry
+    ((0, 2, 2e-3), "2.000e-03"),  # H stores neither (0, 2) nor its mirror (2, 0)
 ], ids=["unequal-mirror", "missing-mirror"])
 def test_non_hermitian_interaction_is_a_named_error(extra, deviation):
     model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3, coupling_axis="xz")
