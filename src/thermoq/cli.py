@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form as cf
-from .engine import HeatEngine
+from .engine import PROB_FLOOR, HeatEngine
 
 # unused here, but perfbench/tracing.py patches these names on this module
 from .mean_force import internal_energy_deviation, temperature_energy_ur_check  # noqa: F401
@@ -93,7 +93,8 @@ CONFIG_SCHEMA = {
         "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
                    "routes (default 1e-4 * beta, at most beta / 10)",
         "prob_floor": "float in (0, 1): outcomes below it are excluded, and the largest "
-                      "mass one point excluded is written to the sidecar (default 1e-12)",
+                      "mass one point excluded is written to the sidecar "
+                      f"(default {PROB_FLOOR:g})",
         "slope_tol": "float > 0: scaling-slope tolerance (default 0.1)",
     },
     "output": {
@@ -154,7 +155,8 @@ def _numerics(config, default_tail=1e-10):
         "n_max": None if n_max is None else _count("numerics.n_max", n_max, 1),
         "tail": _positive("numerics", "tail", n.pop("tail", default_tail), below=1),
         "fd_step": None if fd_step is None else _positive("numerics", "fd_step", fd_step),
-        "prob_floor": _positive("numerics", "prob_floor", n.pop("prob_floor", 1e-12), below=1),
+        "prob_floor": _positive("numerics", "prob_floor", n.pop("prob_floor", PROB_FLOOR),
+                                below=1),
         "slope_tol": _positive("numerics", "slope_tol", n.pop("slope_tol", 0.1)),
     }
     if n:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from .engine import PROB_FLOOR
 from .models import BathMode, SpectralDensity, discretize_spectral_density
 
 
@@ -101,11 +102,18 @@ def he_optimal_time(p: HEParams, i=0):
 
 @dataclass(frozen=True)
 class DephParams:
-    """Dephasing thermometer working point over explicit modes."""
+    """Dephasing thermometer working point over explicit modes.
+
+    ``gamma``, ``Q`` and ``C`` (``deph_gamma``, ``deph_Q``, ``deph_C``) are
+    computed once, at construction, and every closed form reads them.
+    """
 
     modes: tuple
     beta: float
     t: float
+    gamma: float = field(init=False)
+    Q: float = field(init=False)
+    C: float = field(init=False)
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -114,6 +122,12 @@ class DephParams:
         if self.beta <= 0 or self.t < 0:
             raise ValueError("require beta > 0 and t >= 0")
         object.__setattr__(self, "modes", modes)
+        g2, w, nk, one_minus_cos = self.couplings**2, self.omegas, self.nbars, _one_minus_cos(self)
+        for name, value in (
+                ("gamma", 4.0 * np.sum(g2 / w**2 * (2.0 * nk + 1.0) * one_minus_cos)),
+                ("Q", -2.0 * np.sum(g2 / w * one_minus_cos)),
+                ("C", -4.0 * np.sum(g2 / w * nk * (1.0 + nk) * one_minus_cos))):
+            object.__setattr__(self, name, float(value))
 
     @property
     def omegas(self):
@@ -136,33 +150,30 @@ def _one_minus_cos(p: DephParams):
 
 def deph_gamma(p: DephParams):
     """Decoherence exponent 4 sum_k g_k^2/w_k^2 (2n_k+1)(1-cos w_k t)."""
-    g2 = p.couplings**2
-    return float(4.0 * np.sum(g2 / p.omegas**2 * (2.0 * p.nbars + 1.0) * _one_minus_cos(p)))
+    return p.gamma
 
 
 def deph_Q(p: DephParams):
     """Average heat Q = -2 sum_k g_k^2/w_k (1-cos w_k t)."""
-    return float(-2.0 * np.sum(p.couplings**2 / p.omegas * _one_minus_cos(p)))
+    return p.Q
 
 
 def deph_C(p: DephParams):
     """Thermal-fluctuation weight C = -4 sum_k g_k^2/w_k n_k(1+n_k)(1-cos w_k t)."""
-    nk = p.nbars
-    return float(-4.0 * np.sum(p.couplings**2 / p.omegas * nk * (1.0 + nk) * _one_minus_cos(p)))
+    return p.C
 
 
 def deph_probability(p: DephParams, l):
     """P_l = (1 + l e^{-Gamma})/2 for the x-basis outcome l = +/-1."""
     if l not in (1, -1):
         raise ValueError("dephasing outcome label must be +1 or -1")
-    return 0.5 * (1.0 + l * math.exp(-deph_gamma(p)))
+    return 0.5 * (1.0 + l * math.exp(-p.gamma))
 
 
-def deph_heat_terms(p: DephParams, l, prob_floor=1e-12):
+def deph_heat_terms(p: DephParams, l, prob_floor=PROB_FLOOR):
     """(trajectory heat, correlation heat) for x-basis outcome l = +/-1."""
-    q = deph_Q(p)
-    c = deph_C(p)
-    visibility = math.exp(-deph_gamma(p))
+    q, c = p.Q, p.C
+    visibility = math.exp(-p.gamma)
     p_l = 0.5 * (1.0 + l * visibility)
     if p_l < prob_floor:
         raise ValueError(f"outcome {l} suppressed: probability {p_l:.3e}")
@@ -172,16 +183,14 @@ def deph_heat_terms(p: DephParams, l, prob_floor=1e-12):
 
 def deph_fisher(p: DephParams):
     """Two-outcome Fisher information 4 C^2 / (e^{2 Gamma} - 1)."""
-    c = deph_C(p)
-    return 4.0 * c**2 / math.expm1(2.0 * deph_gamma(p))
+    return 4.0 * p.C**2 / math.expm1(2.0 * p.gamma)
 
 
 def deph_precision_bound(p: DephParams):
     """Relative bound sqrt(e^{2 Gamma} - 1) / (2 beta |C|)."""
-    c = deph_C(p)
-    if c == 0.0:
+    if p.C == 0.0:
         return math.inf
-    return math.sqrt(math.expm1(2.0 * deph_gamma(p))) / (2.0 * p.beta * abs(c))
+    return math.sqrt(math.expm1(2.0 * p.gamma)) / (2.0 * p.beta * abs(p.C))
 
 
 # -- scaling experiments ---------------------------------------------------

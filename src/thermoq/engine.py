@@ -87,10 +87,10 @@ def _trace_prod(a, b):
     return np.einsum("ij,ji->", a, b)
 
 
-def _real_matmul(v, z):
-    """v @ z for real v and complex z, as one real product over z's real and
-    imaginary parts."""
-    z = np.ascontiguousarray(z)
+def _propagator(lam, v, t):
+    """V e^{-i lam t} V^T for real column eigenvectors V with eigenvalues lam, as
+    one real product of V with the real and imaginary parts of e^{-i lam t} V^T."""
+    z = np.ascontiguousarray(np.exp(-1j * lam * t)[:, None] * v.T)
     return (v @ z.view(np.float64)).view(np.complex128)
 
 
@@ -139,18 +139,6 @@ def _probe_eigenpairs(rho0, d_s):
                                      f"{w.min():.3e}, trace {w.sum():.12g}")
     keep = np.abs(w) > d_s * np.finfo(float).eps * np.abs(w).max()
     return w[keep], phi[:, keep]
-
-
-def _range_basis(meas):
-    """(E, owner): the columns of E are an orthonormal basis of the probe made
-    of bases of the projectors' ranges; column m lies in the range of
-    projector owner[m]."""
-    vecs, owner = [], []
-    for li, proj in enumerate(meas.projectors):
-        w, v = np.linalg.eigh(proj)
-        vecs.append(v[:, w > 0.5])
-        owner += [li] * vecs[-1].shape[1]
-    return np.hstack(vecs), np.array(owner)
 
 
 @dataclass(frozen=True)
@@ -351,13 +339,12 @@ class HeatEngine:
         # (diagonal): the mode factors below carry no probe energy
         phase = np.exp(-1j * np.diagonal(self.model.h_s_local) * t)
         rho_t = (phi * w) @ phi.conj().T * np.outer(phase, phase.conj())
-        projs = np.concatenate([np.stack(meas.projectors), np.eye(d_s)[None]])
+        projs = np.concatenate([meas.projectors, np.eye(d_s)[None]])
         weight = (rho_t * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
         defect, energy = [], []
         for eps, levels in self._modes:
             # u[q] = u_{k,q}, symmetric since V is real
-            u = np.stack([_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
-                          for lam, v in levels])
+            u = np.stack([_propagator(lam, v, t) for lam, v in levels])
             u_h = u.conj()
             defect.append(1.0 - np.einsum("qij,pij->qpj", u, u_h).reshape(d_s * d_s, -1))
             energy.append(np.einsum("qij,pij->qpj", u * eps[:, None], u_h)
@@ -375,7 +362,7 @@ class HeatEngine:
         # amp[r, j][I_b] = sum over (s, j) in I_b of phi[s, r] U_b[pos(s, j)]
         amp = np.zeros((len(w), d_b, self.model.space.total_dim), dtype=complex)
         for index, lam, v, s, j, groups in self._sectors:
-            u = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+            u = _propagator(lam, v, t)
             for k, cols in enumerate(groups):
                 part = phi[s[cols]].T[:, :, None] * u[cols]
                 target = branches, j[cols][:, None], index
@@ -387,7 +374,7 @@ class HeatEngine:
         rho_k = amp @ amp_h
         amp *= self.model.bath_energies
         en_k = amp @ amp_h
-        projs = np.stack(meas.projectors).reshape(len(meas.projectors), -1)
+        projs = meas.projectors.reshape(len(meas.labels), -1)
         return _BranchTables(
             prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
             energy=(projs @ en_k.reshape(len(amp), -1).conj().T).real,
@@ -470,8 +457,8 @@ class HeatEngine:
           U_b = V_b e^{-i lambda_b t} V_b^T from ``spectrum``: branch (r, j_m)
           gains phi_r[s_m] U_b[:, m] for every state m = (s_m, j_m) of the
           sector, so no matrix outgrows a sector, and the amplitudes take
-          O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in a
-          basis of the projectors' ranges.
+          O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in the
+          measurement's basis, each basis vector counted towards its outcome.
 
         Neither branch reads the tables: not the kernel's grouping or
         branch-reduced probe operators, not the mode route's M_k/N_k
@@ -480,7 +467,7 @@ class HeatEngine:
         the factor eigenpairs (``factor_spectrum``, from which ``spectrum`` is
         built) and the per-mode energies of ``_mode_factorization``, rho0's
         eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
-        ``_real_matmul``; so they check the propagation, reduction and heat
+        ``_propagator``; so they check the propagation, reduction and heat
         bookkeeping, not the eigendecomposition.
         """
         if beta <= 0:
@@ -501,8 +488,7 @@ class HeatEngine:
         """(P_l, P_l H_tra(l)) from per-mode double sums."""
         d_s, d_b = self.model.system_dim, self.model.bath_dim
         rho = (phi * w) @ phi.conj().T
-        weight = (rho * np.stack(meas.projectors).transpose(0, 2, 1)).reshape(
-            len(meas.labels), -1)
+        weight = (rho * meas.projectors.transpose(0, 2, 1)).reshape(len(meas.labels), -1)
         # levels[q]: the factor eigenpairs of probe level q as declared, H_S[q, q]
         # in mode 0's eigenvalues
         levels = [None] * d_s
@@ -514,8 +500,7 @@ class HeatEngine:
         prob = np.ones(d_s * d_s, dtype=complex)
         energy = np.zeros(d_s * d_s, dtype=complex)
         for (eps, _), factors in zip(self._modes, zip(*levels)):
-            u = np.stack([_real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
-                          for lam, v in factors])
+            u = np.stack([_propagator(lam, v, t) for lam, v in factors])
             # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'
             pt = np.einsum("qij,pij,j->qpij", u, u.conj(), gibbs_weights(eps, beta))
             pt = pt.reshape(d_s * d_s, len(eps), len(eps))
@@ -535,17 +520,17 @@ class HeatEngine:
         c_eps = c * np.tile(eps, len(w))
         amp = np.zeros((self.model.space.total_dim, len(w), d_b), dtype=complex)
         for index, lam, v in self.model.spectrum:
-            u = _real_matmul(v, np.exp(-1j * lam * t)[:, None] * v.T)
+            u = _propagator(lam, v, t)
             s, j = np.divmod(index, d_b)
             # the sector state m = (s_m, j_m) feeds branch (r, j_m) with phi_r[s_m] U_b[:, m];
             # several states of a sector may share j_m, so the adds accumulate
             np.add.at(amp, (index[:, None], slice(None), j), u[:, :, None] * phi[s])
         amp = amp.reshape(d_s, -1)
         # outcome l and final sample level i in branch k: q[l, i, k] is the sum
-        # of |<e_m, v_i|amp_k>|^2 over an orthonormal basis e_m of Pi_l's range
-        basis, owner = _range_basis(meas)
-        hits = np.abs(basis.conj().T @ amp) ** 2
-        q = ((owner == np.arange(len(meas.labels))[:, None]) @ hits).reshape(-1, d_b, len(c))
+        # of |<e_m, v_i|amp_k>|^2 over the measurement's basis vectors e_m of outcome l
+        hits = np.abs(meas.basis.conj().T @ amp) ** 2
+        q = ((meas.outcome == np.arange(len(meas.labels))[:, None]) @ hits).reshape(
+            -1, d_b, len(c))
         q_c = q @ c
         return q_c.sum(axis=1), (q @ c_eps).sum(axis=1) - q_c @ eps
 

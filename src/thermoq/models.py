@@ -9,7 +9,7 @@ machinery, where a non-commuting interaction is the interesting case.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -63,51 +63,48 @@ class SpectralDensity:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Complete set of orthogonal projectors on the system factor."""
+    """Projective measurement on the system factor, stored as an orthonormal basis.
 
-    projectors: tuple
+    Column m of the square matrix ``basis`` belongs to the outcome
+    ``labels[outcome[m]]``. ``projectors[l]`` is the sum of |e_m><e_m| over
+    outcome l's columns, derived once as a read-only (L, d_s, d_s) array; an
+    outcome with no column has the zero projector. A unitary basis makes the
+    projectors Hermitian, idempotent, mutually orthogonal and complete, so
+    that one invariant, max |B^dag B - 1| <= COMPLETENESS_ATOL, is checked.
+    """
+
+    basis: np.ndarray
+    outcome: np.ndarray
     labels: tuple
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        if len(projs) != len(self.labels):
-            raise ValueError("one label per projector required")
-        d = projs[0].shape[0]
-        if any(p.shape != (d, d) for p in projs):
-            raise InvalidOperatorError("projectors must be square and of one size")
-        for hermitian, idempotent, overlap in _projector_deviations(projs):
-            if hermitian > COMPLETENESS_ATOL:
-                raise InvalidOperatorError("projector is not Hermitian")
-            if idempotent > COMPLETENESS_ATOL:
-                raise InvalidOperatorError("projector is not idempotent")
-            if overlap > COMPLETENESS_ATOL:
-                raise InvalidOperatorError("projectors are not orthogonal")
-        if np.abs(sum(projs) - np.eye(d)).max() > COMPLETENESS_ATOL:
-            raise InvalidOperatorError("projectors do not sum to identity")
-        object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        basis = np.array(self.basis, dtype=complex)
+        outcome = np.array(self.outcome)
+        labels = tuple(self.labels)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+            raise InvalidOperatorError("basis must be a square matrix")
+        if outcome.shape != (len(basis),) or not np.issubdtype(outcome.dtype, np.integer):
+            raise ValueError("one integer outcome per basis column required")
+        if outcome.min() < 0 or outcome.max() >= len(labels):
+            raise ValueError(f"outcome indices span [{outcome.min()}, {outcome.max()}], "
+                             f"not within the {len(labels)} labels")
+        dev = np.abs(basis.conj().T @ basis - np.eye(len(basis))).max()
+        if dev > COMPLETENESS_ATOL:
+            raise InvalidOperatorError(
+                f"basis is not orthonormal: max |B^dag B - 1| = {dev:.3e}")
+        projectors = np.zeros((len(labels), *basis.shape), dtype=complex)
+        for li in range(len(labels)):
+            vecs = basis[:, outcome == li]
+            projectors[li] = vecs @ vecs.conj().T
+        _read_only((basis, outcome, projectors))
+        for name, value in (("basis", basis), ("outcome", outcome), ("labels", labels),
+                            ("projectors", projectors)):
+            object.__setattr__(self, name, value)
 
     @property
     def system_dim(self):
-        return self.projectors[0].shape[0]
-
-
-def _projector_deviations(projs):
-    """Per projector P_a, in order: max |P_a - P_a^dag|, max |P_a^2 - P_a| and
-    max |P_a P_b| over the earlier b. When every P_a is diagonal,
-    P_a P_b = diag(d_a * d_b), so elementwise products of the diagonals
-    replace the O(L^2) matrix products."""
-    d = projs[0].shape[0]
-    off = ~np.eye(d, dtype=bool)
-    if not any(p[off].any() for p in projs):
-        diags = np.array([np.diagonal(p) for p in projs])
-        for a, da in enumerate(diags):
-            yield (np.abs(da - da.conj()).max(), np.abs(da * da - da).max(),
-                   np.abs(diags[:a] * da).max(initial=0.0))
-        return
-    for a, p in enumerate(projs):
-        yield (np.abs(p - p.conj().T).max(), np.abs(p @ p - p).max(),
-               max((np.abs(p @ q).max() for q in projs[:a]), default=0.0))
+        return len(self.basis)
 
 
 class SectorCouplingError(ValueError):
@@ -512,32 +509,21 @@ def discretize_spectral_density(j, k_modes, omega_max):
 def fock_measurement(n_max):
     """Number-basis projectors |l><l| for l = 0..n_max."""
     d = n_max + 1
-    return ProjectiveMeasurement(tuple(np.diag(row) for row in np.eye(d)), tuple(range(d)))
+    return ProjectiveMeasurement(np.eye(d), np.arange(d), tuple(range(d)))
 
 
 def pauli_x_measurement():
     """Projectors onto (|0> +/- |1>)/sqrt(2), labelled +1 and -1."""
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    return ProjectiveMeasurement((plus, minus), (1, -1))
+    return ProjectiveMeasurement(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), (0, 1), (1, -1))
 
 
 def eigenbasis_measurement(op, degeneracy_tol):
     """Eigenprojectors of a Hermitian matrix, degenerate clusters merged.
 
     Eigenvalues closer than degeneracy_tol to their neighbor are grouped
-    into one projector; the label is the cluster-mean eigenvalue.
+    into one outcome; the label is the cluster-mean eigenvalue.
     """
     w, v = hermitian_eig(op)
-    clusters = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[clusters[-1][-1]] <= degeneracy_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    projs, labels = [], []
-    for idx in clusters:
-        vecs = v[:, idx]
-        projs.append(vecs @ vecs.conj().T)
-        labels.append(float(np.mean(w[idx])))
-    return ProjectiveMeasurement(tuple(projs), tuple(labels))
+    cluster = np.concatenate(([0], np.cumsum(np.diff(w) > degeneracy_tol)))
+    labels = tuple(float(np.mean(w[cluster == c])) for c in range(cluster[-1] + 1))
+    return ProjectiveMeasurement(v, cluster, labels)

@@ -139,11 +139,10 @@ def he_reference(he):
 
 def deph_reference(dp):
     """Closed-form reference of a dephasing working point (``cf.DephParams``)."""
-    q = cf.deph_Q(dp)
     return ClosedFormReference(partial(cf.deph_probability, dp),
                                partial(cf.deph_heat_terms, dp),
-                               cf.deph_fisher(dp), cf.deph_precision_bound(dp), avg_heat=q,
-                               columns={"gamma": cf.deph_gamma(dp), "Q": q, "C": cf.deph_C(dp)})
+                               cf.deph_fisher(dp), cf.deph_precision_bound(dp), avg_heat=dp.Q,
+                               columns={"gamma": dp.gamma, "Q": dp.Q, "C": dp.C})
 
 
 # -- point checks ----------------------------------------------------------

@@ -443,3 +443,29 @@ def test_heat_exchange_compares_rare_outcomes(tmp_path, monkeypatch):
     assert failed == ["closed forms vs brute force"]
     assert report["closed_form_min_probability"] == 1e-6
     assert 0 < report["closed_form_excluded_probability_max"] < 1e-6 * 14
+
+
+def test_mean_force_dual_mismatch_fails_the_run_and_writes_the_sidecar(tmp_path, monkeypatch):
+    # the dual deviation is judged by the 'mean_force' check alone: an internal
+    # energy off by 1e-3 at one beta fails the run there, and the sidecar says where
+    from thermoq import mean_force
+
+    real = mean_force.internal_energy
+    monkeypatch.setattr(mean_force, "internal_energy",
+                        lambda model, beta: real(model, beta) + (1e-3 if beta == 3.0 else 0.0))
+    path = write_config(tmp_path, {
+        "experiment": "mean-force",
+        "model": {"omega_q": 1.0, "modes": [[0.9, 0.1], [1.4, 0.1]], "coupling_axis": "xz"},
+        "sweep": {"beta": [2.0, 3.0]},
+        "numerics": {"n_max": 4},
+        "output": {"path": str(tmp_path / "mf.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    assert (tmp_path / "mf.csv").exists()
+    report = json.loads((tmp_path / "mf.csv.verification.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    dual = checks[CHECKS["mean_force"][0]]
+    assert not dual["passed"] and dual["max_deviation"] > 1e-4
+    assert dual["worst_params"]["beta"] == 3.0
+    assert "[FAIL]" in result.output

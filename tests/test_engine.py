@@ -330,8 +330,8 @@ class TestModeProduct(_MatchesDense):
         model = build_spin_boson_model(0.7, [BathMode(1.0, 1e-3), BathMode(1.6, 1e-3)], 6,
                                        coupling_axis="z")
         phase = np.exp(-0.7j)
-        along = np.array([[1.0, np.conj(phase)], [phase, 1.0]]) / 2
-        meas = ProjectiveMeasurement((along, np.eye(2) - along), (1, -1))
+        along = np.array([[1.0, 1.0], [phase, -phase]]) / np.sqrt(2)
+        meas = ProjectiveMeasurement(along, (0, 1), (1, -1))
         eng = HeatEngine(model)
         record = eng.heat_decomposition(PLUS, 1.3, 1.0, meas)
         assert record.probabilities[1] < 1e-5

@@ -17,6 +17,7 @@ from thermoq.mean_force import (
     z_star,
 )
 from thermoq.models import BathMode, CompositeModel, build_spin_boson_model
+from thermoq.validate import check_mean_force_point, identity_checks
 
 QUBIT_OMEGA = 1.0
 MODES = [BathMode(0.8, 0.15), BathMode(1.3, 0.15)]
@@ -162,25 +163,29 @@ class TestInternalEnergyDeviation:
         assert total_p == pytest.approx(1.0, abs=1e-10)
         assert mean_dev == pytest.approx(0.0, abs=1e-8)
 
-    def test_nan_deviation_raises(self, coupled_model, monkeypatch):
+    def test_nan_deviation_fails_the_check(self, coupled_model, monkeypatch):
         from thermoq import mean_force
 
         monkeypatch.setattr(mean_force, "internal_energy", lambda *a, **k: math.nan)
-        with pytest.raises(mean_force.IdentityViolationError):
-            internal_energy_deviation(coupled_model, BETA)
+        checks = identity_checks("mean_force", "ur_product")
+        result, _, _ = check_mean_force_point(checks, coupled_model, BETA, {"beta": BETA})
+        assert math.isnan(result.dual_residual)
+        assert not checks["mean_force"].passed
+        assert checks["mean_force"].worst_params == {"beta": BETA}
 
     def test_trace_route_reads_h_not_the_eigenvalues(self):
         # shift the ground eigenvalue of the cached spectrum: the spectral route
-        # follows it, the trace route applies the stored H, so the check fires
-        from thermoq import mean_force
-
+        # follows it, the trace route applies the stored H, so the check fails
         model = make_model(n_max=4)
         (index, w, v), = model.spectrum
         shifted = w.copy()
         shifted[np.argmin(w)] += 0.1
         vars(model)["spectrum"] = ((index, shifted, v),)
-        with pytest.raises(mean_force.IdentityViolationError):
-            internal_energy_deviation(model, BETA)
+        checks = identity_checks("mean_force", "ur_product")
+        result, _, _ = check_mean_force_point(checks, model, BETA, {"beta": BETA})
+        assert result.dual_residual > 1e-3
+        assert not checks["mean_force"].passed
+        assert checks["mean_force"].max_deviation == result.dual_residual
 
     def test_free_case_deviations_are_spectral(self, free_model):
         result = internal_energy_deviation(free_model, BETA)

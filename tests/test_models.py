@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
+    COMPLETENESS_ATOL,
     SIGMA_X,
     SIGMA_Z,
     BathMode,
@@ -52,39 +53,67 @@ class TestBathTypes:
 
 
 class TestProjectiveMeasurement:
+    def test_rejects_non_square_basis(self):
+        with pytest.raises(InvalidOperatorError, match="square"):
+            ProjectiveMeasurement(np.eye(3)[:, :2], (0, 1), (0, 1))
+
     def test_rejects_incomplete_set(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(InvalidOperatorError):
-            ProjectiveMeasurement((p0,), (0,))
+        # rank-deficient: the projectors would not sum to the identity
+        with pytest.raises(InvalidOperatorError, match="orthonormal"):
+            ProjectiveMeasurement(np.diag([1.0, 0.0]), (0, 1), (0, 1))
 
     def test_rejects_non_orthogonal(self):
-        p = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(InvalidOperatorError):
-            ProjectiveMeasurement((p, p), (0, 1))
+        overlap = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2)])
+        with pytest.raises(InvalidOperatorError, match="orthonormal"):
+            ProjectiveMeasurement(overlap, (0, 1), (0, 1))
 
     def test_rejects_non_idempotent(self):
-        m = 0.5 * np.eye(2, dtype=complex)
-        with pytest.raises(InvalidOperatorError):
-            ProjectiveMeasurement((m, m), (0, 1))
-
-    @pytest.mark.parametrize("diags, message", [
-        ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], "not orthogonal"),
-        ([[1.0, 0.5], [0.0, 0.5]], "not idempotent"),
-        ([[1.0, 1j], [0.0, 1.0 - 1j]], "not Hermitian"),
-    ], ids=["overlap", "half-entry", "imaginary-entry"])
-    def test_diagonal_sets_keep_every_check(self, diags, message):
-        projs = tuple(np.diag(np.array(d, dtype=complex)) for d in diags)
-        with pytest.raises(InvalidOperatorError, match=message):
-            ProjectiveMeasurement(projs, tuple(range(len(projs))))
-
-    def test_rejects_mixed_sizes(self):
-        with pytest.raises(InvalidOperatorError, match="one size"):
-            ProjectiveMeasurement((np.eye(2), np.zeros((3, 3))), (0, 1))
+        # an unnormalised column: |e><e| with <e|e> = 1.21 is not a projector
+        with pytest.raises(InvalidOperatorError, match="orthonormal"):
+            ProjectiveMeasurement(np.diag([1.0, 1.1]), (0, 1), (0, 1))
 
     def test_label_count_must_match(self):
-        with pytest.raises(ValueError):
-            fock = fock_measurement(2)
-            ProjectiveMeasurement(fock.projectors, (0, 1))
+        fock = fock_measurement(2)
+        with pytest.raises(ValueError, match="labels"):
+            ProjectiveMeasurement(fock.basis, fock.outcome, (0, 1))
+
+    @pytest.mark.parametrize("outcome", [(0, 1, -1), (0, 1, 3)], ids=["negative", "past-end"])
+    def test_outcome_index_out_of_range(self, outcome):
+        with pytest.raises(ValueError, match="labels"):
+            ProjectiveMeasurement(np.eye(3), outcome, (0, 1, 2))
+
+    @pytest.mark.parametrize("outcome", [(0, 1), (0, 1, 2, 2), (0.0, 1.0, 2.0)],
+                             ids=["too-few", "too-many", "not-integer"])
+    def test_one_integer_outcome_per_column(self, outcome):
+        with pytest.raises(ValueError, match="one integer outcome per basis column"):
+            ProjectiveMeasurement(np.eye(3), outcome, (0, 1, 2))
+
+    @pytest.mark.parametrize("meas", [
+        fock_measurement(5),
+        pauli_x_measurement(),
+        eigenbasis_measurement(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]), degeneracy_tol=1e-9),
+    ], ids=["fock", "pauli-x", "degenerate-eigenbasis"])
+    def test_derived_projectors_form_a_complete_orthogonal_set(self, meas):
+        projs = meas.projectors
+        eye = np.eye(meas.system_dim)
+        assert projs.shape == (len(meas.labels), *eye.shape)
+        assert np.abs(projs - projs.conj().transpose(0, 2, 1)).max() <= COMPLETENESS_ATOL
+        products = np.einsum("aij,bjk->abik", projs, projs)
+        expected = np.einsum("ab,aik->abik", np.eye(len(projs)), projs)
+        assert np.abs(products - expected).max() <= COMPLETENESS_ATOL
+        assert np.abs(projs.sum(axis=0) - eye).max() <= COMPLETENESS_ATOL
+
+    def test_fock_projectors_are_exact(self):
+        meas = fock_measurement(5)
+        for proj, row in zip(meas.projectors, np.eye(6)):
+            assert np.array_equal(proj, np.diag(row))
+
+    def test_stored_arrays_are_read_only_copies(self):
+        basis = np.eye(2)
+        meas = ProjectiveMeasurement(basis, np.arange(2), (0, 1))
+        assert basis.flags.writeable
+        for array in (meas.basis, meas.outcome, meas.projectors):
+            assert not array.flags.writeable
 
 
 def _mode_parts(modes, cutoffs):
@@ -177,6 +206,9 @@ class TestModelBuilders:
         h = model.hamiltonian
         assert sparse.issparse(h) and h.format == "csr" and h.dtype == np.float64
         assert not any(a.flags.writeable for a in (h.data, h.indices, h.indptr))
+        # a csr_array keeps the index dtype of the COO indices it is given, so
+        # H's indices are int32 only because the build casts them
+        assert h.indices.dtype == h.indptr.dtype == np.int32
         parts = (model.h_s_local, model.bath_energies)
         assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
         assert model.bath_energies.shape == (model.bath_dim,)

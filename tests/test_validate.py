@@ -91,6 +91,19 @@ def test_exact_reference_passes_every_check(engine_points, family):
     assert (checks["avg_heat"].max_deviation > 0) == (family == "deph")
 
 
+def test_dephasing_point_evaluates_its_closed_forms_once(engine_points, monkeypatch):
+    # Gamma, Q and C come from one pass over the modes per DephParams, however
+    # many closed forms and outcomes read them
+    real = cf._one_minus_cos
+    calls = []
+    monkeypatch.setattr(cf, "_one_minus_cos", lambda p: calls.append(p) or real(p))
+    beta, t = engine_points["deph"][2:4]
+    dp = cf.DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.15)), beta, t)
+    checks, _ = run_point(engine_points["deph"], deph_reference(dp))
+    assert all(c.passed for c in checks.values())
+    assert len(calls) == 1
+
+
 PERTURBATIONS = {
     "P_l": ("he", "closed_form",
             lambda ref: {"probability": lambda l: ref.probability(l) * (1 + 1e-4)}),
