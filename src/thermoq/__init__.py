@@ -8,6 +8,7 @@ from .linalg import (
 from .models import (
     BathMode,
     CompositeModel,
+    ModeProductModel,
     ProjectiveMeasurement,
     SectorCouplingError,
     SectorFactorizationError,
@@ -29,10 +30,7 @@ from .engine import (
 from .closed_form import (
     DephParams,
     HEParams,
-    deph_C,
-    deph_Q,
     deph_fisher,
-    deph_gamma,
     deph_heat_terms,
     deph_precision_bound,
     deph_probability,

@@ -104,8 +104,10 @@ def he_optimal_time(p: HEParams, i=0):
 class DephParams:
     """Dephasing thermometer working point over explicit modes.
 
-    ``gamma``, ``Q`` and ``C`` (``deph_gamma``, ``deph_Q``, ``deph_C``) are
-    computed once, at construction, and every closed form reads them.
+    Computed once, at construction, and read by every closed form:
+    ``gamma``, the decoherence exponent 4 sum_k g_k^2/w_k^2 (2n_k+1)(1-cos w_k t);
+    ``Q``, the average heat -2 sum_k g_k^2/w_k (1-cos w_k t); and ``C``, the
+    thermal-fluctuation weight -4 sum_k g_k^2/w_k n_k(1+n_k)(1-cos w_k t).
     """
 
     modes: tuple
@@ -146,21 +148,6 @@ class DephParams:
 
 def _one_minus_cos(p: DephParams):
     return 1.0 - np.cos(p.omegas * p.t)
-
-
-def deph_gamma(p: DephParams):
-    """Decoherence exponent 4 sum_k g_k^2/w_k^2 (2n_k+1)(1-cos w_k t)."""
-    return p.gamma
-
-
-def deph_Q(p: DephParams):
-    """Average heat Q = -2 sum_k g_k^2/w_k (1-cos w_k t)."""
-    return p.Q
-
-
-def deph_C(p: DephParams):
-    """Thermal-fluctuation weight C = -4 sum_k g_k^2/w_k n_k(1+n_k)(1-cos w_k t)."""
-    return p.C
 
 
 def deph_probability(p: DephParams, l):

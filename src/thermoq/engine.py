@@ -15,18 +15,21 @@ information read beta-independent tables of one (rho0, t, measurement);
 every outcome probability and conditional energy, at any beta of a
 finite-difference stencil, is then a short contraction with the thermal
 weights. Two routes build the tables, and the engine picks one from the
-structure the model declares, with no option.
+structure the model supplies, with no option: the mode-product route exactly
+when ``model.mode_product`` is a ``ModeProductModel``, the branch kernel
+when it is None.
 
-Mode-product route, for the sigma_z-coupled models (``build_dephasing_model``
-and the 'z' spin-boson model). Each charge sector is one probe level q times
-the whole sample, declared as one Kronecker factor per sample mode, and the
+Mode-product route, for the sigma_z-coupled models (``build_dephasing_model``,
+which is a ``ModeProductModel`` and holds no H, and the 'z' spin-boson model,
+whose ``mode_product`` is taken from its checked factors). Each probe level q
+dresses the whole sample, one Kronecker factor per sample mode, and the
 sample energies are a Kronecker sum of per-mode energies eps_k. So the
 sector of q evolves as U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q} with
 u_{k,q} = V e^{-i lambda t} V^T from the mode's eigenpairs in
-``factor_spectrum`` (H_S[q, q] taken out of the first mode's eigenvalues),
-and gamma_B(beta) is the product of per-mode weights p_k(beta). Every trace
-the heat decomposition needs is then a contraction of rho_t[q, q'] Pi_l[q', q]
-(rho_t = e^{-i H_S t} rho0 e^{i H_S t}) with
+``ModeProductModel.levels`` (H_S[q, q] taken out of the first mode's
+eigenvalues), and gamma_B(beta) is the product of per-mode weights
+p_k(beta). Every trace the heat decomposition needs is then a contraction
+of rho_t[q, q'] Pi_l[q', q] (rho_t = e^{-i H_S t} rho0 e^{i H_S t}) with
 
 - prod_k chi_k^{qq'}, chi_k^{qq'} = p_k . M_k^{qq'}, for P_l, where
   M_k^{qq'}[j] = (u_{k,q'}^dag u_{k,q})[j, j];
@@ -42,7 +45,7 @@ prod_k chi_k - 1, accumulated from the small 1 - chi_k, so a rare outcome's
 probability keeps its relative precision from one beta of a
 finite-difference stencil to the next. Per (rho0, t) it costs
 O(sum_k n_k^3) for the mode propagators, per beta O(sum_k n_k); no array
-has the size of the full space or of its branches.
+has the size of the full space, of the sample or of its branches.
 
 Branch kernel, for every other model. With H_B |j> = eps_j |j> on Fock
 states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
@@ -53,7 +56,9 @@ charge sectors, so per sector the kernel forms U_b = V_b e^{-i lambda_b t}
 V_b^T from the sector's eigenpairs in ``spectrum`` and reads the amplitudes
 off its columns: A_{r,j}[I_b] = sum over the states (s, j) of I_b of
 phi_r[s] U_b[:, pos(s, j)]. The tables are <A_k|Pi_l (x) 1|A_k> and
-<A_k|Pi_l (x) H_B|A_k>, each L x K. Per (rho0, t) it costs
+<A_k|Pi_l (x) H_B|A_k>, each L x K, read in the measurement's basis: both
+are sums of |(B^dag A_k)[m, i]|^2 over outcome l's columns m, weighted by 1
+and by eps_i, one K d_s^2 d_b product. Per (rho0, t) it costs
 O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
 (one sector of size d for a model with no charge), against O(d^3) plus L
 embedded d x d projectors for the dense route the tests keep as reference.
@@ -73,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITICITY_RTOL, gibbs_weights, hermitian_eig
+from .linalg import gibbs_weights, hermitian_eig
 
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
@@ -166,38 +171,6 @@ class HeatRecord:
         return np.array([o.probability for o in self.outcomes])
 
 
-def _mode_factorization(model):
-    """Per sample mode k: (eps_k, ((lambda, V) of the mode's factor on each probe
-    level q, in level order)), or None unless the model has the structure of the
-    mode-product route: each charge sector is one probe level times the whole
-    sample, declared as one Kronecker factor per sample mode, and the sample
-    energies are the Kronecker sum of per-mode energies eps_k."""
-    d_s, d_b = model.system_dim, model.bath_dim
-    dims = list(model.space.factor_dims[1:])
-    if len(model.factors) != d_s or any(
-            f is None or [len(m) for m in f] != dims for f in model.factors):
-        return None
-    h_s = np.diagonal(model.h_s_local)
-    levels = [None] * d_s
-    for index, ((lam, v), *rest) in model.factor_spectrum:
-        q = index[0] // d_b
-        if not np.array_equal(index, q * d_b + np.arange(d_b)):
-            return None
-        # U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q}: the probe energy leaves the
-        # factors (the route evolves rho0 under H_S instead), so each chi_k is
-        # the sample's effect alone, near 1 where it is weak
-        levels[q] = ((lam - h_s[q], v), *rest)
-    # eps_k[n] = E(0, .., n, .., 0) - E(0, .., 0), with E(0, .., 0) put on mode 0
-    energies = model.bath_energies.reshape(dims)
-    eps = [energies[(0,) * k + (slice(None),) + (0,) * (len(dims) - k - 1)]
-           - (energies.flat[0] if k else 0.0) for k in range(len(dims))]
-    kron_sum = sum(e.reshape([-1 if i == k else 1 for i in range(len(dims))])
-                   for k, e in enumerate(eps))
-    if np.abs(kron_sum - energies).max() > HERMITICITY_RTOL * (1.0 + np.abs(energies).max()):
-        return None
-    return tuple(zip(eps, zip(*levels)))
-
-
 @dataclass(frozen=True)
 class _BranchTables:
     """Beta-independent tables of one (rho0, t, measurement) on the branch
@@ -262,17 +235,19 @@ class HeatEngine:
     docstring). ``route`` names the one this engine took, chosen from the
     model alone:
 
-    - ``'mode-product'`` when ``_mode_factorization`` finds every charge
-      sector to be one probe level times the whole sample, declared as one
-      factor per sample mode, with sample energies that are a Kronecker sum
-      over the modes. It reads ``factor_spectrum`` only: per (rho0, t) one
-      real n_k x n_k x 2 n_k product per mode and probe level and
-      O(Q^2 sum_k n_k^2) for the tables, per beta O(Q^2 sum_k n_k) with Q
-      probe levels.
-    - ``'branch-kernel'`` otherwise. It reads ``spectrum``'s dense eigenbasis
-      per sector: per (rho0, t) one |I_b|-sized real product per sector and
-      a K x d complex amplitude array with K = rank(rho0) * d_b, per beta
-      three L x K matrix-vector products.
+    - ``'mode-product'`` exactly when the model supplies that structure,
+      ``model.mode_product``, a ``ModeProductModel``: the model itself for
+      ``build_dephasing_model``, taken from the checked per-mode factors of a
+      sparse ``CompositeModel`` whose every charge sector is one probe level
+      times the whole sample (the 'z' spin-boson model). It reads that
+      structure only: per (rho0, t) one real n_k x n_k x 2 n_k product per
+      mode and probe level and O(Q^2 sum_k n_k^2) for the tables, per beta
+      O(Q^2 sum_k n_k) with Q probe levels.
+    - ``'branch-kernel'`` when ``model.mode_product`` is None. It reads
+      ``spectrum``'s dense eigenbasis per sector: per (rho0, t) one
+      |I_b|-sized real product per sector, a K x d complex amplitude array
+      with K = rank(rho0) * d_b and one K d_s^2 d_b product reading it in the
+      measurement's basis, per beta three L x K matrix-vector products.
 
     Neither forms a full-space propagator, state or embedded projector, and
     neither does ``two_point_trajectory_heat_all``: it takes the same
@@ -296,7 +271,7 @@ class HeatEngine:
         self.model = model
         self.prob_floor = prob_floor
         # the eigendecomposition is paid for here, not by the first point
-        self._modes = _mode_factorization(model)
+        self._modes = model.mode_product
         self.route = "branch-kernel" if self._modes is None else "mode-product"
         if self._modes is None:
             d_b = model.bath_dim
@@ -334,23 +309,28 @@ class HeatEngine:
     # -- mode-product route -----------------------------------------------
 
     def _mode_tables(self, w, phi, t, meas):
-        d_s = self.model.system_dim
+        modes = self._modes
+        d_s = modes.system_dim
+        h_s = modes.probe_energies
         # rho0 without the eigenvalues _probe_eigenpairs drops, evolved under H_S
         # (diagonal): the mode factors below carry no probe energy
-        phase = np.exp(-1j * np.diagonal(self.model.h_s_local) * t)
+        phase = np.exp(-1j * h_s * t)
         rho_t = (phi * w) @ phi.conj().T * np.outer(phase, phase.conj())
         projs = np.concatenate([meas.projectors, np.eye(d_s)[None]])
         weight = (rho_t * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
         defect, energy = [], []
-        for eps, levels in self._modes:
-            # u[q] = u_{k,q}, symmetric since V is real
-            u = np.stack([_propagator(lam, v, t) for lam, v in levels])
+        for k, (eps, *levels) in enumerate(zip(modes.mode_energies, *modes.levels)):
+            # u[q] = u_{k,q}, symmetric since V is real. U_q = e^{-i H_S[q, q] t}
+            # (x)_k u_{k,q}: the probe energy leaves mode 0's eigenvalues (rho_t
+            # carries it instead), so each chi_k is the sample's effect alone,
+            # near 1 where it is weak
+            u = np.stack([_propagator(lam - h_q if k == 0 else lam, v, t)
+                          for h_q, (lam, v) in zip(h_s, levels)])
             u_h = u.conj()
             defect.append(1.0 - np.einsum("qij,pij->qpj", u, u_h).reshape(d_s * d_s, -1))
             energy.append(np.einsum("qij,pij->qpj", u * eps[:, None], u_h)
                           .reshape(d_s * d_s, -1))
-        return _ModeTables(weight, tuple(defect), tuple(energy),
-                           tuple(eps for eps, _ in self._modes))
+        return _ModeTables(weight, tuple(defect), tuple(energy), modes.mode_energies)
 
     # -- branch kernel ----------------------------------------------------
 
@@ -367,20 +347,19 @@ class HeatEngine:
                 part = phi[s[cols]].T[:, :, None] * u[cols]
                 target = branches, j[cols][:, None], index
                 amp[target] = amp[target] + part if k else part
-        amp = amp.reshape(-1, d_s, d_b)
-        amp_h = amp.conj().transpose(0, 2, 1)
-        # branch-reduced probe operators A_k A_k^dag and A_k H_B A_k^dag; both
-        # Hermitian, so Tr[Pi_l M_k] = sum_{ts} Pi_l[t, s] conj(M_k[t, s])
-        rho_k = amp @ amp_h
-        amp *= self.model.bath_energies
-        en_k = amp @ amp_h
-        projs = meas.projectors.reshape(len(meas.labels), -1)
+        # hits[k, m, i] = |<e_m, i|A_k>|^2 over the measurement's basis vectors e_m
+        # and the sample levels i: Pi_l (x) 1 and Pi_l (x) H_B sum them over
+        # outcome l's columns m, weighted by 1 and by eps_i
+        eps = self.model.bath_energies
+        hits = np.abs(meas.basis.conj().T @ amp.reshape(-1, d_s, d_b)) ** 2
+        column_energy = hits @ eps
+        members = (meas.outcome == np.arange(len(meas.labels))[:, None]).astype(float)
         return _BranchTables(
-            prob=(projs @ rho_k.reshape(len(amp), -1).conj().T).real,
-            energy=(projs @ en_k.reshape(len(amp), -1).conj().T).real,
-            bath_energy=np.trace(en_k, axis1=1, axis2=2).real,
+            prob=members @ hits.sum(axis=2).T,
+            energy=members @ column_energy.T,
+            bath_energy=column_energy.sum(axis=1),
             rho_w=w,
-            eps=self.model.bath_energies,
+            eps=eps,
         )
 
     # -- beta side, shared by both routes ---------------------------------
@@ -443,7 +422,7 @@ class HeatEngine:
         non-suppressed outcomes. The double sum takes the engine's route:
 
         - mode-product: U restricted to probe level q is (x)_k u_{k,q}, with
-          u_{k,q} = V e^{-i lambda t} V^T from ``factor_spectrum`` as declared
+          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels`` as declared
           (mode 0 carrying H_S[q, q]), and both p_j and eps_j - eps_i split
           over the modes. So P_l = Re sum_{qq'} W_l prod_k C_k and
           P_l H_tra(l) = Re sum_{qq'} W_l sum_k D_k prod_{k' != k} C_{k'},
@@ -461,14 +440,15 @@ class HeatEngine:
           measurement's basis, each basis vector counted towards its outcome.
 
         Neither branch reads the tables: not the kernel's grouping or
-        branch-reduced probe operators, not the mode route's M_k/N_k
-        diagonals, and the mode branch leaves the H_S phase in the factors
-        where the tables move it into rho0. With the other routes they share
-        the factor eigenpairs (``factor_spectrum``, from which ``spectrum`` is
-        built) and the per-mode energies of ``_mode_factorization``, rho0's
-        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
-        ``_propagator``; so they check the propagation, reduction and heat
-        bookkeeping, not the eigendecomposition.
+        measurement-basis readout, not the mode route's M_k/N_k diagonals,
+        and the mode branch leaves the H_S phase in the factors where the
+        tables move it into rho0. With the other routes they share the
+        factor eigenpairs (``ModeProductModel.levels`` or ``factor_spectrum``,
+        from which ``spectrum`` is built), the per-mode energies of
+        ``ModeProductModel.mode_energies``, rho0's eigenpairs
+        (``_probe_eigenpairs``), the Gibbs weights and ``_propagator``; so
+        they check the propagation, reduction and heat bookkeeping, not the
+        eigendecomposition.
         """
         if beta <= 0:
             raise ValueError("beta must be positive")
@@ -486,20 +466,18 @@ class HeatEngine:
 
     def _mode_two_point(self, w, phi, beta, t, meas):
         """(P_l, P_l H_tra(l)) from per-mode double sums."""
-        d_s, d_b = self.model.system_dim, self.model.bath_dim
+        modes = self._modes
+        d_s = modes.system_dim
         rho = (phi * w) @ phi.conj().T
         weight = (rho * meas.projectors.transpose(0, 2, 1)).reshape(len(meas.labels), -1)
-        # levels[q]: the factor eigenpairs of probe level q as declared, H_S[q, q]
-        # in mode 0's eigenvalues
-        levels = [None] * d_s
-        for index, pairs in self.model.factor_spectrum:
-            levels[index[0] // d_b] = pairs
         # after mode k: prob = prod_{k' <= k} C_k', and energy = sum_{k'' <= k}
         # D_k'' prod_{k' <= k, k' != k''} C_k', the prefix product of each D
         # times the C of every later mode: no division, since C can vanish
         prob = np.ones(d_s * d_s, dtype=complex)
         energy = np.zeros(d_s * d_s, dtype=complex)
-        for (eps, _), factors in zip(self._modes, zip(*levels)):
+        # the factor eigenpairs of each probe level q as declared, H_S[q, q] in
+        # mode 0's eigenvalues
+        for eps, *factors in zip(modes.mode_energies, *modes.levels):
             u = np.stack([_propagator(lam, v, t) for lam, v in factors])
             # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'
             pt = np.einsum("qij,pij,j->qpij", u, u.conj(), gibbs_weights(eps, beta))

@@ -6,6 +6,11 @@ sample oscillator), and a two-level probe dephasing against a set of
 bosonic modes (factor 0 = qubit, factors 1.. = modes). A spin-boson
 variant with a transverse coupling is included for the steady-state
 machinery, where a non-commuting interaction is the interesting case.
+
+Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
+which stores the sparse H. The dephasing model is a ``ModeProductModel``:
+per probe level and sample mode the eigenpairs of one mode factor, and no H,
+so its size grows with the sum of the mode cutoffs, not their product.
 """
 
 import math
@@ -107,6 +112,59 @@ class ProjectiveMeasurement:
         return len(self.basis)
 
 
+@dataclass(frozen=True, eq=False)
+class ModeProductModel:
+    """A probe whose every level q dresses each sample mode k on its own.
+
+    H is block-diagonal in the probe levels, and its block on level q is the
+    Kronecker sum over the modes of one factor per mode, on that mode's Fock
+    levels; H_B = sum_k eps_k is diagonal in the Fock product basis. The model
+    holds what the engine's mode-product route reads, and nothing else:
+    ``probe_energies`` (H_S's diagonal, H_S[q, q]), ``mode_energies`` (per
+    mode k, eps_k on its Fock levels) and ``levels`` (per probe level q, per
+    mode k, the eigenpairs (lambda, V) of the mode's factor, H_S[q, q] carried
+    in mode 0's), every array read-only. It holds no H, no charge and no array
+    of the sample space's size, so a model of thousands of modes is built from
+    one (n_k + 1)-sized ``eigh`` per mode and level. ``mode_product`` is the
+    model itself, as ``CompositeModel.mode_product`` is this structure or None.
+    """
+
+    probe_energies: np.ndarray
+    mode_energies: tuple
+    levels: tuple
+
+    def __post_init__(self):
+        probe_energies = np.array(self.probe_energies, dtype=float)
+        mode_energies = tuple(np.array(e, dtype=float) for e in self.mode_energies)
+        levels = tuple(tuple(tuple(pair) for pair in pairs) for pairs in self.levels)
+        dims = [len(e) for e in mode_energies]
+        if len(levels) != len(probe_energies) or any(
+                [len(lam) for lam, _ in pairs] != dims for pairs in levels):
+            raise ValueError(f"levels must hold one eigenpair per mode of dimensions {dims} "
+                             f"for each of the {len(probe_energies)} probe levels")
+        _read_only((probe_energies, *mode_energies,
+                    *(a for pairs in levels for pair in pairs for a in pair)))
+        for name, value in (("probe_energies", probe_energies),
+                            ("mode_energies", mode_energies), ("levels", levels)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def mode_product(self):
+        return self
+
+    @property
+    def system_dim(self):
+        return len(self.probe_energies)
+
+    @property
+    def bath_dim(self):
+        return math.prod(len(e) for e in self.mode_energies)
+
+    @cached_property
+    def space(self):
+        return HilbertSpace((self.system_dim, *(len(e) for e in self.mode_energies)))
+
+
 class SectorCouplingError(ValueError):
     """The Hamiltonian has an entry between two different charge labels."""
 
@@ -130,9 +188,10 @@ class CompositeModel:
     h_1 (x) 1 + ... + 1 (x) h_F is H's block on the sector's states (in
     basis order), or None where the block is its own single factor.
     ``factor_spectrum`` (eigenpairs of each factor), ``spectrum``
-    (eigenpairs of H, one block per sector) and ``probe_tables`` (the
+    (eigenpairs of H, one block per sector), ``probe_tables`` (the
     eigenvectors of H reduced to the probe factor, for the mean-force
-    routes) are computed on first use and cached; every route reads one of
+    routes) and ``mode_product`` (the model as a ``ModeProductModel``, or
+    None) are computed on first use and cached; every route reads one of
     them.
     """
 
@@ -211,6 +270,35 @@ class CompositeModel:
             k.append(np.einsum("tbn,sbn->tsn", hv, full))
         return _read_only((np.concatenate(w), np.concatenate(g, axis=2),
                            np.concatenate(k, axis=2)))
+
+    @cached_property
+    def mode_product(self):
+        """The model as a ``ModeProductModel``, from the factors the build checked
+        against H, or None unless its structure fits that route: each charge
+        sector is one probe level times the whole sample, declared as one
+        Kronecker factor per sample mode, and the sample energies are a
+        Kronecker sum of per-mode energies eps_k. The eigenpairs are those of
+        ``factor_spectrum``."""
+        d_s, d_b = self.system_dim, self.bath_dim
+        dims = list(self.space.factor_dims[1:])
+        if len(self.factors) != d_s or any(
+                f is None or [len(m) for m in f] != dims for f in self.factors):
+            return None
+        levels = [None] * d_s
+        for index, pairs in self.factor_spectrum:
+            q = index[0] // d_b
+            if not np.array_equal(index, q * d_b + np.arange(d_b)):
+                return None
+            levels[q] = pairs
+        # eps_k[n] = E(0, .., n, .., 0) - E(0, .., 0), with E(0, .., 0) put on mode 0
+        energies = self.bath_energies.reshape(dims)
+        eps = [energies[(0,) * k + (slice(None),) + (0,) * (len(dims) - k - 1)]
+               - (energies.flat[0] if k else 0.0) for k in range(len(dims))]
+        kron_sum = sum(e.reshape([-1 if i == k else 1 for i in range(len(dims))])
+                       for k, e in enumerate(eps))
+        if np.abs(kron_sum - energies).max() > HERMITICITY_RTOL * (1.0 + np.abs(energies).max()):
+            return None
+        return ModeProductModel(np.diagonal(self.h_s_local), eps, levels)
 
     @property
     def system_dim(self):
@@ -447,12 +535,32 @@ def _multimode_bath(modes, cutoffs, probe_op):
     return energy, number, _concat_entries(*terms)
 
 
+def _sigma_z_factors(h_s_diagonal, modes, cutoffs):
+    """Per probe level q, in level order: the factors omega_k n_k + s g_k (b_k^dag + b_k)
+    of its sigma_z = s sector, one per mode, with H_S[q, q] added to the first."""
+    return tuple(
+        tuple(m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
+              + (h_q if k == 0 else 0.0) * np.eye(n + 1)
+              for k, (m, n) in enumerate(zip(modes, cutoffs)))
+        for h_q, s in zip(h_s_diagonal, np.diag(SIGMA_Z).astype(int)))
+
+
 def build_dephasing_model(modes, n_max):
     """Qubit dephasing against bosonic modes: H_S = 0, H_I = sigma_z (x) sum_k g_k(b_k^dag + b_k).
 
-    The spin-boson model with omega_q = 0 and coupling_axis 'z'.
+    The spin-boson model with omega_q = 0 and coupling_axis 'z', built as a
+    ``ModeProductModel`` from the factors that model declares, with
+    eps_k = omega_k n: it forms no H and no array of the sample space's size.
+    ``build_spin_boson_model(0.0, modes, n_max, 'z')`` is the same model with
+    its sparse H, and its ``mode_product`` equals this model to the bit.
     """
-    return build_spin_boson_model(0.0, modes, n_max, coupling_axis="z")
+    if not modes:
+        raise ValueError("at least one bath mode required")
+    cutoffs = _bath_cutoffs(modes, n_max)
+    levels = [tuple(np.linalg.eigh(f) for f in factors)
+              for factors in _sigma_z_factors((0.0, 0.0), modes, cutoffs)]
+    return ModeProductModel(np.zeros(2), [m.omega * np.arange(n + 1)
+                                          for m, n in zip(modes, cutoffs)], levels)
 
 
 def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
@@ -482,11 +590,8 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
               "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
     factors = {}
     if coupling_axis == "z":
-        for q, s in enumerate(sigma_z):
-            factors[int(s)] = tuple(
-                m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
-                + (h_s_local[q, q] if k == 0 else 0.0) * np.eye(n + 1)
-                for k, (m, n) in enumerate(zip(modes, cutoffs)))
+        factors = dict(zip(sigma_z.tolist(), _sigma_z_factors(np.diagonal(h_s_local), modes,
+                                                               cutoffs)))
     return _compose(space, h_s_local, energy, h_i, charge, factors)
 
 

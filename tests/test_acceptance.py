@@ -137,21 +137,21 @@ def test_criterion_06_dephasing_worked_numbers():
     mode = BathMode(1.0, 0.1)
     beta, t = 1.0, math.pi
     p = cf.DephParams((mode,), beta, t)
-    assert cf.deph_gamma(p) == pytest.approx(0.173116, abs=1e-6)
-    assert cf.deph_Q(p) == pytest.approx(-0.040000, abs=1e-10)
-    assert cf.deph_C(p) == pytest.approx(-0.073654, abs=1e-6)
+    assert p.gamma == pytest.approx(0.173116, abs=1e-6)
+    assert p.Q == pytest.approx(-0.040000, abs=1e-10)
+    assert p.C == pytest.approx(-0.073654, abs=1e-6)
     assert cf.deph_precision_bound(p) == pytest.approx(4.3665, abs=1e-3)
 
-    # cross-check against brute-force evolution
+    # cross-check against brute-force evolution of the sparse model's dense H
     n_max = truncation_level(beta, mode.omega, 1e-10) + 3
-    model = build_dephasing_model([mode], n_max)
-    eng = HeatEngine(model)
+    sparse = build_spin_boson_model(0.0, [mode], n_max, coupling_axis="z")
+    eng = HeatEngine(build_dephasing_model([mode], n_max))
     plus = np.full((2, 2), 0.5, dtype=complex)
-    u = propagator(model, t)
-    chi_t = u @ initial_state(model, plus, beta) @ u.conj().T
-    rho_probe = partial_trace_matrix(chi_t, model.space.factor_dims, [0])
+    u = propagator(sparse, t)
+    chi_t = u @ initial_state(sparse, plus, beta) @ u.conj().T
+    rho_probe = partial_trace_matrix(chi_t, sparse.space.factor_dims, [0])
     gamma_bf = -math.log(2.0 * abs(rho_probe[0, 1]))
-    assert gamma_bf == pytest.approx(cf.deph_gamma(p), abs=1e-6)
+    assert gamma_bf == pytest.approx(p.gamma, abs=1e-6)
 
     record = eng.heat_decomposition(plus, beta, t, pauli_x_measurement())
     for o in record.outcomes:
@@ -172,14 +172,14 @@ def test_criterion_07_dephasing_average_heat():
         p = cf.DephParams(tuple(modes), beta, t)
         closed_avg = sum(cf.deph_probability(p, l) * cf.deph_heat_terms(p, l)[0]
                          for l in (1, -1))
-        assert abs(closed_avg - cf.deph_Q(p)) <= 1e-8
+        assert abs(closed_avg - p.Q) <= 1e-8
 
         cutoffs = [truncation_level(beta, m.omega, 1e-10) + 3 for m in modes]
         eng = HeatEngine(build_dephasing_model(modes, cutoffs))
         plus = np.full((2, 2), 0.5, dtype=complex)
         record = eng.heat_decomposition(plus, beta, t, pauli_x_measurement())
         brute_avg = sum(o.probability * o.h_tra for o in record.outcomes)
-        assert abs(brute_avg - cf.deph_Q(p)) <= 1e-8
+        assert abs(brute_avg - p.Q) <= 1e-8
 
 
 def test_criterion_08_scaling_exponents():

@@ -1,6 +1,7 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from thermoq.models import (
     build_spin_boson_model,
     fock_measurement,
 )
-from thermoq.validate import CHECKS
+from thermoq.validate import CHECKS, TOL_CLOSED_FORM
 
 RUNNER = CliRunner()
 
@@ -236,6 +237,23 @@ class TestRunOutputs:
         result = RUNNER.invoke(main, ["run", tiny_he_config(tmp_path)])
         assert result.exit_code == 0, result.output
         assert (override / "out.csv").exists()
+
+
+def test_heat_exchange_sweeps_the_model_keys(tmp_path):
+    # one engine per (omega_0, delta, g, n_max): each row passes its own closed
+    # forms only if no engine is reused across a swept model key
+    sweep = {"g": [0.1, 0.2], "delta": [0.0, 0.15], "omega_0": [1.0, 1.3]}
+    path = write_config(tmp_path, {
+        "experiment": "heat-exchange", "sweep": sweep,
+        "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert sorted((r["g"], r["delta"], r["omega_0"]) for r in rows) == sorted(
+        itertools.product(*sweep.values()))
+    assert all(r["closed_form_dev"] <= TOL_CLOSED_FORM for r in rows)
+    assert len({(r["t"], r["h_avg"], r["fisher_heat"]) for r in rows}) == len(rows)
 
 
 def test_hot_cutoff_runs_uncapped(tmp_path):

@@ -8,10 +8,7 @@ import pytest
 from thermoq.closed_form import (
     DephParams,
     HEParams,
-    deph_C,
-    deph_Q,
     deph_fisher,
-    deph_gamma,
     deph_heat_terms,
     deph_precision_bound,
     deph_probability,
@@ -120,27 +117,27 @@ class TestDephasingClosedForms:
 
     def test_worked_numbers(self):
         p = self.worked_point()
-        assert deph_gamma(p) == pytest.approx(0.173116, abs=1e-6)
-        assert deph_Q(p) == pytest.approx(-0.040000, abs=1e-10)
-        assert deph_C(p) == pytest.approx(-0.073654, abs=1e-6)
+        assert p.gamma == pytest.approx(0.173116, abs=1e-6)
+        assert p.Q == pytest.approx(-0.040000, abs=1e-10)
+        assert p.C == pytest.approx(-0.073654, abs=1e-6)
         assert deph_precision_bound(p) == pytest.approx(4.3665, abs=1e-3)
 
     def test_gamma_derivative_is_twice_C(self):
         p = self.worked_point()
         h = 1e-6
-        dgamma = (deph_gamma(DephParams(p.modes, p.beta + h, p.t))
-                  - deph_gamma(DephParams(p.modes, p.beta - h, p.t))) / (2.0 * h)
-        assert dgamma == pytest.approx(2.0 * deph_C(p), rel=1e-6)
+        dgamma = (DephParams(p.modes, p.beta + h, p.t).gamma
+                  - DephParams(p.modes, p.beta - h, p.t).gamma) / (2.0 * h)
+        assert dgamma == pytest.approx(2.0 * p.C, rel=1e-6)
 
     def test_average_trajectory_heat_equals_Q(self):
         p = DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.12)), 1.2, 2.1)
         avg = sum(deph_probability(p, l) * deph_heat_terms(p, l)[0] for l in (1, -1))
-        assert avg == pytest.approx(deph_Q(p), abs=1e-12)
+        assert avg == pytest.approx(p.Q, abs=1e-12)
 
     def test_fisher_equals_two_outcome_sum(self):
         p = self.worked_point()
-        c = deph_C(p)
-        vis = math.exp(-deph_gamma(p))
+        c = p.C
+        vis = math.exp(-p.gamma)
         total = sum(deph_probability(p, l) * (l * vis * c / deph_probability(p, l)) ** 2
                     for l in (1, -1))
         assert total == pytest.approx(deph_fisher(p), rel=1e-12)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermoq.closed_form import HEParams, he_optimal_time
+from thermoq.closed_form import DephParams, HEParams, he_optimal_time
 from thermoq.engine import (
     HeatEngine,
     InvalidProbeStateError,
@@ -18,14 +18,25 @@ from thermoq.engine import (
 from thermoq.models import (
     BathMode,
     ProjectiveMeasurement,
+    SpectralDensity,
     build_coupled_oscillators,
     build_dephasing_model,
     build_spin_boson_model,
+    discretize_spectral_density,
     eigenbasis_measurement,
     fock_measurement,
     pauli_x_measurement,
 )
-from thermoq.validate import TOL_TWO_POINT, draw_deph_instance
+from thermoq.validate import (
+    TOL_CLOSED_FORM,
+    TOL_FISHER,
+    TOL_TWO_POINT,
+    auto_cutoff,
+    check_engine_point,
+    deph_reference,
+    draw_deph_instance,
+    identity_checks,
+)
 
 from dense_reference import (
     dense_heat_decomposition,
@@ -223,18 +234,22 @@ def _branch_cases():
 
 
 def _mode_cases():
-    """(model, rho0, meas, beta, t, prob_floor) per case, each on a sigma_z model
-    with its mode factors declared. The draws use a coarser thermal tail than
-    the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
+    """(model, rho0, meas, beta, t, prob_floor[, engine model]) per case, each on a
+    sigma_z model with its mode factors declared; the engine runs on the last
+    entry where there is one (``build_dephasing_model``'s model), else on the
+    sparse model the dense reference reads. The draws use a coarser thermal tail
+    than the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
     routes read the same truncated model, so the comparison does not depend on it."""
     rng = np.random.default_rng(11)
     cases = {  # the branch kernel's dephasing cases, with the factors declared
-        name: (DEPH, *BRANCH_CASES[name][1:]) for name in ("deph-pure", "deph-mixed-nondiagonal")}
+        name: (DEPH, *BRANCH_CASES[name][1:], DEPH_DECLARED)
+        for name in ("deph-pure", "deph-mixed-nondiagonal")}
     cases |= {
         "deph-zero-time": (DEPH, _random_density(rng, 2), _random_probe_measurement(rng, 2),
-                           1.0, 0.0, 1e-12),
+                           1.0, 0.0, 1e-12, DEPH_DECLARED),
         # P_- = 3.8e-5 at t = 0.01
-        "deph-below-floor": (DEPH, PLUS, pauli_x_measurement(), 1.0, 0.01, 1e-4),
+        "deph-below-floor": (DEPH, PLUS, pauli_x_measurement(), 1.0, 0.01, 1e-4,
+                             DEPH_DECLARED),
         "sigma-z-omega-q": (build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)],
                                                    [6, 5], coupling_axis="z"),
                             _random_density(rng, 2), _random_probe_measurement(rng, 2),
@@ -243,11 +258,21 @@ def _mode_cases():
     for seed in (1, 6, 7, 8, 11):
         params, model = draw_deph_instance(np.random.default_rng(seed), tail=1e-4)
         cases[f"draw-{seed}-{len(params['modes'])}-modes"] = (
-            model, PLUS, pauli_x_measurement(), params["beta"], params["t"], 1e-12)
+            _sparse_twin(params), PLUS, pauli_x_measurement(), params["beta"], params["t"],
+            1e-12, model)
     return cases
 
 
-DEPH = build_dephasing_model([BathMode(1.0, 0.3), BathMode(1.6, 0.35)], 6)
+def _sparse_twin(params):
+    """The sparse sigma_z spin-boson model of a ``draw_deph_instance`` draw: the
+    dephasing model with its H."""
+    return build_spin_boson_model(0.0, [BathMode(*m) for m in params["modes"]],
+                                  params["cutoffs"], coupling_axis="z")
+
+
+DEPH_MODES = [BathMode(1.0, 0.3), BathMode(1.6, 0.35)]
+DEPH = build_spin_boson_model(0.0, DEPH_MODES, 6, coupling_axis="z")
+DEPH_DECLARED = build_dephasing_model(DEPH_MODES, 6)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 BRANCH_CASES = _branch_cases()
 MODE_CASES = _mode_cases()
@@ -299,8 +324,9 @@ class _MatchesDense:
 
 
 def _engine_case(cases, name):
-    model, rho0, meas, beta, t, floor = cases[name]
-    return HeatEngine(model, prob_floor=floor), (model, rho0, beta, t, meas), floor
+    model, rho0, meas, beta, t, floor, *engine_model = cases[name]
+    eng = HeatEngine(*engine_model or (model,), prob_floor=floor)
+    return eng, (model, rho0, beta, t, meas), floor
 
 
 class TestModeProduct(_MatchesDense):
@@ -340,7 +366,7 @@ class TestModeProduct(_MatchesDense):
 
     def test_cases_cover_one_to_three_modes_and_the_floor(self):
         assert {len(m.space.factor_dims) - 1 for m, *_ in MODE_CASES.values()} == {1, 2, 3}
-        model, rho0, meas, beta, t, floor = MODE_CASES["deph-below-floor"]
+        model, rho0, meas, beta, t, floor, _ = MODE_CASES["deph-below-floor"]
         probs = HeatEngine(model).outcome_probabilities_at(rho0, beta, t, meas)
         assert np.any(probs < floor) and np.any(probs >= floor)
         assert np.all(np.abs(probs - floor) > 1e-6 * floor)
@@ -390,6 +416,24 @@ class TestModeProduct(_MatchesDense):
         eng.fisher_finite_difference(*args)
         assert "spectrum" not in vars(model)
 
+    def test_two_thousand_mode_sample_of_the_scaling_run(self):
+        # configs/scaling_deph.json's sample at its coldest beta: 2000 modes with
+        # the dephasing runner's automatic cutoffs (sum_k n_k = 6082). Its sample
+        # space has a 1209-digit dimension, so allocating any array of that size
+        # would raise; the point runs on per-mode arrays alone
+        j = SpectralDensity(alpha=1.0, s=1.0, omega_c=5.0)
+        modes = discretize_spectral_density(j, 2000, 10.0 * j.omega_c)
+        beta, t = 50.0, 1.0 / (10.0 * j.omega_c)
+        model = build_dephasing_model(
+            modes, [auto_cutoff("dephasing", beta, m.omega, 1e-10) for m in modes])
+        assert len(str(model.bath_dim)) == 1209
+        checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation")
+        check_engine_point(checks, HeatEngine(model), PLUS, beta, t, pauli_x_measurement(),
+                           deph_reference(DephParams(tuple(modes), beta, t)), {})
+        assert checks["closed_form"].max_deviation <= TOL_CLOSED_FORM
+        assert checks["fisher"].max_deviation <= TOL_FISHER
+        assert all(c.passed for c in checks.values())
+
     @pytest.mark.parametrize("t", [0.3, 2.5])
     def test_two_point_keeps_the_probe_phase_in_the_factors(self, t):
         # omega_q t = 0.21 and 1.75 with a measurement that does not commute with
@@ -410,7 +454,7 @@ class TestModeProduct(_MatchesDense):
 
 class TestRouteSelection:
     @pytest.mark.parametrize("build, route", [
-        (lambda: DEPH, "mode-product"),
+        (lambda: DEPH_DECLARED, "mode-product"),
         (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="z"),
          "mode-product"),
         (lambda: build_coupled_oscillators(1.1, 1.0, 0.15, 6), "branch-kernel"),
@@ -422,6 +466,57 @@ class TestRouteSelection:
     ], ids=["dephasing", "sigma-z", "exchange", "x", "xz", "undeclared-factors"])
     def test_route_follows_the_model(self, build, route):
         assert HeatEngine(build()).route == route
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_coupled_oscillators(1.1, 1.0, 0.15, 6),
+        lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="x"),
+        lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="xz"),
+    ], ids=["exchange", "x", "xz"])
+    def test_no_mode_product_without_per_mode_factors(self, build):
+        assert build().mode_product is None
+
+    def test_mode_product_is_one_structure(self):
+        # the declared model is its own mode_product, and the sparse sigma_z model
+        # yields one of the same type: the route has one input type
+        assert DEPH_DECLARED.mode_product is DEPH_DECLARED
+        assert type(DEPH.mode_product) is type(DEPH_DECLARED)
+        assert DEPH.mode_product is DEPH.mode_product
+
+
+PARITY_DRAWS = [(seed, *draw_deph_instance(np.random.default_rng(seed))) for seed in range(20)]
+
+
+class TestDeclaredModelParity:
+    """``build_dephasing_model`` forms no H, so the factor check against H that
+    the sparse build runs is carried over here: on every draw its structure and
+    the engine's outputs equal, bit for bit, those of the sparse sigma_z build's
+    ``mode_product``."""
+
+    def test_draws_cover_one_to_three_modes(self):
+        assert {len(params["modes"]) for _, params, _ in PARITY_DRAWS} == {1, 2, 3}
+
+    @pytest.mark.parametrize("seed, params, model", PARITY_DRAWS,
+                             ids=[f"draw-{seed}" for seed, *_ in PARITY_DRAWS])
+    def test_declared_model_equals_the_sparse_build(self, seed, params, model):
+        sparse = _sparse_twin(params).mode_product
+        assert np.array_equal(model.probe_energies, sparse.probe_energies)
+        assert len(model.mode_energies) == len(sparse.mode_energies) == len(params["modes"])
+        for eps, same in zip(model.mode_energies, sparse.mode_energies):
+            assert np.array_equal(eps, same)
+        for level, same_level in zip(model.levels, sparse.levels, strict=True):
+            for (lam, v), (same_lam, same_v) in zip(level, same_level, strict=True):
+                assert np.array_equal(lam, same_lam) and np.array_equal(v, same_v)
+
+        rng = np.random.default_rng(seed)
+        for args in ((PLUS, params["beta"], params["t"], pauli_x_measurement()),
+                     (_random_density(rng, 2), params["beta"], params["t"],
+                      _random_probe_measurement(rng, 2))):
+            eng, ref = HeatEngine(model), HeatEngine(sparse)
+            assert eng.heat_decomposition(*args) == ref.heat_decomposition(*args)
+            assert eng.score_direct_all(*args) == ref.score_direct_all(*args)
+            assert (eng.two_point_trajectory_heat_all(*args)
+                    == ref.two_point_trajectory_heat_all(*args))
+            assert eng.fisher_finite_difference(*args) == ref.fisher_finite_difference(*args)
 
 
 class TestBranchKernel(_MatchesDense):

@@ -7,12 +7,14 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 
+from thermoq import models
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
     COMPLETENESS_ATOL,
     SIGMA_X,
     SIGMA_Z,
     BathMode,
+    ModeProductModel,
     ProjectiveMeasurement,
     SpectralDensity,
     build_coupled_oscillators,
@@ -153,7 +155,8 @@ class TestModelBuilders:
 
     @pytest.mark.parametrize("parts", [
         _exchange_parts,
-        partial(_qubit_parts, 0.0, SIGMA_Z, build_dephasing_model),
+        partial(_qubit_parts, 0.0, SIGMA_Z, partial(build_spin_boson_model, 0.0,
+                                                     coupling_axis="z")),
         partial(_qubit_parts, 1.0, (SIGMA_X + SIGMA_Z) / np.sqrt(2),
                 partial(build_spin_boson_model, 1.0, coupling_axis="xz")),
         partial(_qubit_parts, 1.0, SIGMA_X, partial(build_spin_boson_model, 1.0,
@@ -175,7 +178,8 @@ class TestModelBuilders:
         assert np.allclose(model.hamiltonian.toarray(), rebuilt, atol=1e-14)
 
     def test_dephasing_interaction_commutes_with_sigma_z(self):
-        model = build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3)
+        model = build_spin_boson_model(0.0, [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3,
+                                       coupling_axis="z")
         sz = np.kron(SIGMA_Z, np.eye(model.bath_dim))
         h = model.hamiltonian.toarray()
         assert np.abs(h @ sz - sz @ h).max() < 1e-12
@@ -197,7 +201,8 @@ class TestModelBuilders:
 
     @pytest.mark.parametrize("build", [
         lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),
-        lambda: build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]),
+        lambda: build_spin_boson_model(0.0, [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3],
+                                       coupling_axis="z"),
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
                                        coupling_axis="xz"),
     ], ids=["exchange", "dephasing", "spin-boson"])
@@ -224,7 +229,8 @@ class TestModelBuilders:
 
     @pytest.mark.parametrize("build", [
         lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),
-        lambda: build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3]),
+        lambda: build_spin_boson_model(0.0, [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], [2, 3],
+                                       coupling_axis="z"),
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1)], 3, coupling_axis="x"),
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1)], 3, coupling_axis="z"),
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
@@ -243,6 +249,40 @@ class TestModelBuilders:
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):
             build_dephasing_model([], 3)
+
+
+class TestDeclaredDephasingModel:
+    MODES = [BathMode(1.0, 0.1), BathMode(1.5, 0.2), BathMode(0.7, 0.15), BathMode(2.0, 0.1)]
+
+    def test_builds_no_sparse_matrix_and_no_sample_space_array(self, monkeypatch):
+        class NoSparse:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.sparse.{name} used")
+
+        monkeypatch.setattr(models, "sparse", NoSparse())
+        model = build_dephasing_model(self.MODES, 2)
+        assert isinstance(model, ModeProductModel) and model.bath_dim == 81
+        held = [model.probe_energies, *model.mode_energies,
+                *(a for level in model.levels for pair in level for a in pair)]
+        assert max(a.size for a in held) == 9
+        assert not any(a.flags.writeable for a in held)
+        assert model.space.factor_dims == (2, 3, 3, 3, 3) and model.system_dim == 2
+
+    def test_holds_the_declared_factors_eigenpairs(self):
+        model = build_dephasing_model(self.MODES[:2], [3, 4])
+        assert np.array_equal(model.probe_energies, [0.0, 0.0])
+        for level, s in zip(model.levels, (1, -1)):
+            for (lam, v), mode, n, eps in zip(level, self.MODES, (3, 4), model.mode_energies):
+                assert np.array_equal(eps, mode.omega * np.arange(n + 1))
+                factor = mode.omega * number_op(n) + s * mode.g * (destroy(n) + destroy(n).T)
+                assert np.abs((v * lam) @ v.T - factor).max() <= 1e-14
+
+    def test_rejects_levels_that_do_not_match_the_modes(self):
+        model = build_dephasing_model(self.MODES[:2], [3, 4])
+        with pytest.raises(ValueError, match="one eigenpair per mode"):
+            ModeProductModel(model.probe_energies, model.mode_energies, model.levels[:1])
+        with pytest.raises(ValueError, match="one eigenpair per mode"):
+            ModeProductModel(model.probe_energies, model.mode_energies[::-1], model.levels)
 
 
 class TestDiscretization:

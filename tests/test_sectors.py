@@ -23,7 +23,6 @@ from thermoq.models import (
     _compose,
     _multimode_bath,
     build_coupled_oscillators,
-    build_dephasing_model,
     build_spin_boson_model,
     eigenbasis_measurement,
     fock_measurement,
@@ -69,7 +68,8 @@ def _instance(charge, seed):
         # are not in ascending order
         omega = rng.uniform(0.8, 1.6)
         modes = [BathMode(omega, float(g)) for g in rng.uniform(0.1, 0.35, 2)]
-        model = build_dephasing_model(modes + _random_modes(rng, 1), [3, 2, 2])
+        model = build_spin_boson_model(0.0, modes + _random_modes(rng, 1), [3, 2, 2],
+                                       coupling_axis="z")
         eps = model.bath_energies
         assert len(np.unique(eps)) < len(eps) and np.any(np.diff(eps) < 0)
         return model, _random_density(rng, 2), _random_measurement(rng, 2), beta, t, 2
@@ -215,7 +215,8 @@ def test_blocked_mean_force_matches_dense(axis):
 
 @pytest.mark.parametrize("build, labels", [
     (lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4), 9),
-    (lambda: build_dephasing_model(_random_modes(np.random.default_rng(0), 2), [3, 2]), 2),
+    (lambda: build_spin_boson_model(0.0, _random_modes(np.random.default_rng(0), 2), [3, 2],
+                                    coupling_axis="z"), 2),
     (lambda: build_spin_boson_model(1.0, _random_modes(np.random.default_rng(0), 2), [3, 2],
                                     coupling_axis="x"), 2),
 ], ids=["exchange", "dephasing", "parity"])
