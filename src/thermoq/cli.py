@@ -115,20 +115,25 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _is_number(value):
+    """An int or float, not a bool: JSON true/false is no number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive(section, key, value, below=math.inf):
-    if not (isinstance(value, (int, float)) and 0 < value < below):
+    if not (_is_number(value) and 0 < value < below):
         raise ConfigError(f"{section}.{key} must lie in (0, {below:g}), got {value!r}")
     return float(value)
 
 
 def _nonnegative(section, key, value):
-    if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+    if not (_is_number(value) and 0 <= value < math.inf):
         raise ConfigError(f"{section}.{key} must lie in [0, inf), got {value!r}")
     return float(value)
 
 
 def _count(key, value, minimum):
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+    if not (_is_number(value) and isinstance(value, int) and value >= minimum):
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
 

@@ -12,12 +12,17 @@ finite-difference derivative of the outcome probabilities.
 
 The heat terms, the direct score and the finite-difference Fisher
 information read beta-independent tables of one (rho0, t, measurement);
-every outcome probability and conditional energy, at any beta of a
-finite-difference stencil, is then a short contraction with the thermal
-weights. Two routes build the tables, and the engine picks one from the
-structure the model supplies, with no option: the mode-product route exactly
-when ``model.mode_product`` is a ``ModeProductModel``, the branch kernel
-when it is None.
+every outcome probability and conditional energy is then a short
+contraction with the thermal weights. Each route's tables define P_l in one
+place, a kernel that takes a vector of betas and returns a (B, L) array
+(``probabilities``): ``traces``, the conditional energies the heat terms and
+the direct score read at one beta, takes its P_l from it, and the
+finite-difference Fisher information evaluates its whole five-point stencil
+in one call of it and forms no conditional energy. Every route first checks
+beta > 0 (``ValueError``). Two routes build the tables, and the engine picks
+one from the structure the model supplies, with no option: the mode-product
+route exactly when ``model.mode_product`` is a ``ModeProductModel``, the
+branch kernel when it is None.
 
 Mode-product route, for the sigma_z-coupled models (``build_dephasing_model``,
 which is a ``ModeProductModel`` and holds no H, and the 'z' spin-boson model,
@@ -43,7 +48,8 @@ products over k' != k are prefix times suffix products, never a division,
 since chi can vanish. P_l is Tr[Pi_l rho_t] plus the contraction with
 prod_k chi_k - 1, accumulated from the small 1 - chi_k, so a rare outcome's
 probability keeps its relative precision from one beta of a
-finite-difference stencil to the next. Per (rho0, t) it costs
+finite-difference stencil to the next; at B betas the kernel forms each
+1 - chi_k as one (Q^2, n_k) x (n_k, B) product. Per (rho0, t) it costs
 O(sum_k n_k^3) for the mode propagators, per beta O(sum_k n_k); no array
 has the size of the full space, of the sample or of its branches.
 
@@ -58,7 +64,8 @@ off its columns: A_{r,j}[I_b] = sum over the states (s, j) of I_b of
 phi_r[s] U_b[:, pos(s, j)]. The tables are <A_k|Pi_l (x) 1|A_k> and
 <A_k|Pi_l (x) H_B|A_k>, each L x K, read in the measurement's basis: both
 are sums of |(B^dag A_k)[m, i]|^2 over outcome l's columns m, weighted by 1
-and by eps_i, one K d_s^2 d_b product. Per (rho0, t) it costs
+and by eps_i, one K d_s^2 d_b product. P_l at B betas is the (B, K)
+weight matrix w_r p_j(beta_b) times the first table. Per (rho0, t) it costs
 O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
 (one sector of size d for a model with no charge), against O(d^3) plus L
 embedded d x d projectors for the dense route the tests keep as reference.
@@ -78,13 +85,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gibbs_weights, hermitian_eig
+from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
 
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
 # beyond it the input state is not a density matrix.
 PROB_RANGE_ATOL = 1e-12
 RHO0_ATOL = 1e-12  # roundoff allowed in rho0's eigenvalues (below 0) and trace
+
+
+def _require_positive_beta(beta):
+    if not beta > 0:
+        raise ValueError("beta must be positive")
 
 
 def _trace_prod(a, b):
@@ -182,13 +194,22 @@ class _BranchTables:
     rho_w: np.ndarray        # (R,):   nonzero eigenvalues w_r of rho0
     eps: np.ndarray          # (d_b,): sample energies eps_j
 
+    def _weights(self, betas):
+        """(B, K): the branch weights c_k = w_r p_j(beta) at each beta."""
+        p = gibbs_rows(self.eps, betas)
+        return (self.rho_w[:, None] * p[:, None, :]).reshape(len(p), -1)
+
+    def probabilities(self, betas):
+        """(B, L): P_l at each beta, the branch weights times the table of Pi_l (x) 1."""
+        return self._weights(betas) @ self.prob.T
+
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
-        c = np.kron(self.rho_w, gibbs_weights(self.eps, beta))
+        c = self._weights([beta])[0]
         # H_B |phi_r, j> = eps_j |phi_r, j>
         c_eps = c * np.tile(self.eps, len(self.rho_w))
-        return (self.prob @ c, self.prob @ c_eps, self.energy @ c, c_eps.sum(),
-                self.bath_energy @ c)
+        return (self.probabilities([beta])[0], self.prob @ c_eps, self.energy @ c,
+                c_eps.sum(), self.bath_energy @ c)
 
 
 @dataclass(frozen=True)
@@ -201,6 +222,23 @@ class _ModeTables:
     energy: tuple            # per mode k, (Q * Q, n_k): N_k^{qq'}
     mode_energies: tuple     # per mode k, (n_k,): eps_k
 
+    def probabilities(self, betas):
+        """(B, L): P_l at each beta, one (Q * Q, n_k) x (n_k, B) product per mode."""
+        return self._probabilities([d @ gibbs_rows(eps, betas).T
+                                    for d, eps in zip(self.defect, self.mode_energies)])
+
+    def _probabilities(self, y):
+        """(B, L): P_l = Tr[Pi_l rho_t] plus the contraction with prod_k chi_k - 1,
+        from y_k = 1 - chi_k, per mode a (Q * Q, B) array."""
+        # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
+        # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
+        # probability stays relative to it from one beta to the next
+        x = np.zeros_like(y[0])
+        for y_k in y:
+            x = x - y_k - x * y_k
+        rows = self.weight[:-1]
+        return (rows.sum(axis=1)[:, None] + rows @ x).real.T
+
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
         p = [gibbs_weights(eps, beta) for eps in self.mode_energies]
@@ -209,13 +247,6 @@ class _ModeTables:
         chi = 1.0 - y
         start = np.array([pe.sum() - d @ pe for d, pe in zip(self.defect, p_eps)])
         end = np.array([n @ pk for n, pk in zip(self.energy, p)])
-        # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
-        # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
-        # probability stays relative to it from one beta to the next
-        x = np.zeros(chi.shape[1], dtype=complex)
-        for y_k in y:
-            x = x - y_k - x * y_k
-        probs = self.weight[:-1].sum(axis=1).real + (self.weight[:-1] @ x).real
         # others[k] = prod_{k' != k} chi_{k'}, as (prod_{k' < k}) (prod_{k' > k})
         ones = np.ones((1, chi.shape[1]), dtype=complex)
         before = np.cumprod(np.vstack([ones, chi[:-1]]), axis=0)
@@ -223,7 +254,8 @@ class _ModeTables:
         others = before * after
         sums = np.stack([(start * others).sum(axis=0), (end * others).sum(axis=0)])
         rows = (self.weight @ sums.T).real
-        return probs, rows[:-1, 0], rows[:-1, 1], rows[-1, 0], rows[-1, 1]
+        return (self._probabilities(y[:, :, None])[0], rows[:-1, 0], rows[:-1, 1],
+                rows[-1, 0], rows[-1, 1])
 
 
 class HeatEngine:
@@ -247,7 +279,8 @@ class HeatEngine:
       ``spectrum``'s dense eigenbasis per sector: per (rho0, t) one
       |I_b|-sized real product per sector, a K x d complex amplitude array
       with K = rank(rho0) * d_b and one K d_s^2 d_b product reading it in the
-      measurement's basis, per beta three L x K matrix-vector products.
+      measurement's basis, per beta three L x K matrix-vector products,
+      and one (5, K) x (K, L) product for a whole finite-difference stencil.
 
     Neither forms a full-space propagator, state or embedded projector, and
     neither does ``two_point_trajectory_heat_all``: it takes the same
@@ -364,20 +397,22 @@ class HeatEngine:
 
     # -- beta side, shared by both routes ---------------------------------
 
-    def _conditional_energies(self, tables, beta):
+    def _tables_at(self, rho0, beta, t, meas):
+        """The tables of (rho0, t, meas), once beta is checked positive."""
+        _require_positive_beta(beta)
+        return self._tables_for(rho0, t, meas)
+
+    def _conditional_energies(self, rho0, beta, t, meas):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t]),
         with P_l checked and clipped into [0, 1] (``_checked_probabilities``)."""
-        probs, *energies = tables.traces(beta)
+        probs, *energies = self._tables_at(rho0, beta, t, meas).traces(beta)
         return (_checked_probabilities(probs), *energies)
 
     # -- heat decomposition (projected-energy route) ----------------------
 
     def heat_decomposition(self, rho0, beta, t, meas):
         """Per-outcome trajectory/correlation heat, score, and Fisher information."""
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        tables = self._tables_for(rho0, t, meas)
-        probs, start, end, e_b_0, e_b_t = self._conditional_energies(tables, beta)
+        probs, start, end, e_b_0, e_b_t = self._conditional_energies(rho0, beta, t, meas)
         h_avg = e_b_0 - e_b_t
 
         outcomes = []
@@ -403,8 +438,7 @@ class HeatEngine:
         Uses the conditioned-minus-unconditioned initial sample energy,
         Tr[M_l H_B chi(0) M_l^dag] - Tr[H_B chi(0)], not the heat terms.
         """
-        tables = self._tables_for(rho0, t, meas)
-        probs, start, _, e_b_0, _ = self._conditional_energies(tables, beta)
+        probs, start, _, e_b_0, _ = self._conditional_energies(rho0, beta, t, meas)
         return {
             label: start[li] / probs[li] - e_b_0
             for li, label in enumerate(meas.labels)
@@ -450,8 +484,7 @@ class HeatEngine:
         they check the propagation, reduction and heat bookkeeping, not the
         eigendecomposition.
         """
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        _require_positive_beta(beta)
         d_s = self.model.system_dim
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
@@ -515,45 +548,54 @@ class HeatEngine:
     # -- finite-difference route ------------------------------------------
 
     def outcome_probabilities_at(self, rho0, beta, t, meas):
-        return self._conditional_energies(self._tables_for(rho0, t, meas), beta)[0]
+        """P_l at beta, from the tables' P_l kernel."""
+        tables = self._tables_at(rho0, beta, t, meas)
+        return _checked_probabilities(tables.probabilities([beta])[0])
 
     def fisher_finite_difference(self, rho0, beta, t, meas, h=None):
         """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
 
-        beta acts only through the thermal sample input. The tables are
-        beta-independent, so each of the five stencil points costs one
-        contraction with the thermal weights.
+        beta acts only through the thermal sample input, so the tables are
+        beta-independent and the whole five-point stencil is one call of their
+        P_l kernel, ``probabilities(betas) -> (len(betas), L)``: one (5, K)
+        weight matrix times the L x K table on the branch kernel, one
+        (Q^2, n_k) x (n_k, 5) product per mode on the mode-product route. No
+        conditional energy is formed.
         """
-        tables = self._tables_for(rho0, t, meas)
-        return log_score_fisher(lambda b: self._conditional_energies(tables, b)[0], beta, h,
-                                self.prob_floor)
+        tables = self._tables_at(rho0, beta, t, meas)
+
+        def prob_at(betas):
+            return _checked_probabilities(tables.probabilities(betas))
+
+        return log_score_fisher(prob_at, beta, h, self.prob_floor)
 
 
 def log_score_fisher(prob_at, beta, h=None, prob_floor=PROB_FLOOR):
     """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2.
 
-    prob_at(b) returns the outcome probabilities at inverse temperature b.
-    Central differences of ln P_l, Richardson-extrapolated over steps h
-    and h/2 (default h = 1e-4 beta; h must lie in (0, beta/10]). Outcomes
-    whose probability dips below prob_floor at any stencil point are
-    excluded.
+    prob_at(betas) returns the outcome probabilities at each inverse
+    temperature of the 1-D array betas, as a (len(betas), L) array; it is
+    called once, for the whole stencil [beta + h, beta - h, beta + h/2,
+    beta - h/2, beta]. Central differences of ln P_l, Richardson-extrapolated
+    over steps h and h/2 (default h = 1e-4 beta; h must lie in (0, beta/10]).
+    Outcomes whose probability dips below prob_floor at any stencil point
+    are excluded.
     """
     if h is None:
         h = 1e-4 * beta
     if not 0 < h <= beta / 10:
         raise ValueError("finite-difference step must lie in (0, beta/10]")
+    lo, hi, lo2, hi2, p0 = prob_at(beta + np.array([h, -h, h / 2.0, -h / 2.0, 0.0]))
 
-    def log_scores(step):
-        lo, hi = prob_at(beta + step), prob_at(beta - step)
+    def log_scores(lo, hi, step):
         ok = (lo > prob_floor) & (hi > prob_floor)
         val = np.zeros(len(lo))
         val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
         return val, ok
 
-    l_h, ok_h = log_scores(h)
-    l_h2, ok_h2 = log_scores(h / 2.0)
+    l_h, ok_h = log_scores(lo, hi, h)
+    l_h2, ok_h2 = log_scores(lo2, hi2, h / 2.0)
     scores = (4.0 * l_h2 - l_h) / 3.0
-    p0 = prob_at(beta)
     ok = ok_h & ok_h2 & (p0 > prob_floor)
     return float(np.sum(p0[ok] * scores[ok] ** 2))
 

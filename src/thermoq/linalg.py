@@ -58,10 +58,16 @@ def hermitian_eig(matrix):
     return np.linalg.eigh(m)
 
 
+def gibbs_rows(eigenvalues, betas):
+    """Normalized Boltzmann weights at each of ``betas``, one row per beta:
+    a (len(betas), len(eigenvalues)) array, overflow-safe via ground-state shift."""
+    w = np.exp(-np.multiply.outer(betas, eigenvalues - eigenvalues.min()))
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def gibbs_weights(eigenvalues, beta):
-    """Normalized Boltzmann weights, overflow-safe via ground-state shift."""
-    w = np.exp(-beta * (eigenvalues - eigenvalues.min()))
-    return w / w.sum()
+    """Normalized Boltzmann weights at one beta: the row of ``gibbs_rows``."""
+    return gibbs_rows(eigenvalues, [beta])[0]
 
 
 def truncation_level(beta, omega, tail):

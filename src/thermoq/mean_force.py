@@ -41,7 +41,7 @@ from .engine import (
     log_score_fisher,
     precision_bound,
 )
-from .linalg import gibbs_weights
+from .linalg import gibbs_rows, gibbs_weights
 from .models import eigenbasis_measurement
 
 
@@ -189,15 +189,16 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     meas = eigenbasis_measurement(e_star, degeneracy_tol)
 
     w, g, k = model.probe_tables
-    # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b); G is
+    # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b), and the
+    # whole finite-difference stencil is one gibbs_rows(w, betas) @ occupation.T; G is
     # real and symmetric in (s, t), so only the real part of each Pi_l contributes
     occupation = np.einsum("lst,tsn->ln", meas.projectors.real, g)
     h_chi_s = k @ gibbs_weights(w, beta)  # Tr_B[H chi_s]
 
-    def probabilities(b):
-        return _checked_probabilities(occupation @ gibbs_weights(w, b))
+    def probabilities(betas):
+        return _checked_probabilities(gibbs_rows(w, betas) @ occupation.T)
 
-    probs = probabilities(beta)
+    probs = probabilities([beta])[0]
     fisher = log_score_fisher(probabilities, beta, h_step, prob_floor)
     e_total = np.trace(h_chi_s).real
 

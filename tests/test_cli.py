@@ -102,6 +102,7 @@ class TestSchemaAndUsage:
         ("heat-exchange", "tail", 1.0),
         ("heat-exchange", "prob_floor", -1),
         ("heat-exchange", "slope_tol", 0),
+        ("heat-exchange", "slope_tol", True),
         ("cross-validate", "draws", 0),
         ("cross-validate", "draws", 1.5),
         ("cross-validate", "seed", -1),
@@ -133,6 +134,10 @@ class TestSchemaAndUsage:
         ("scaling-he", "model.s", -1),
         ("scaling-he", "model.time_factor", -1),
         ("scaling-he", "sweep.beta", [1.0, 2.0, 3.0, -4.0]),
+        # JSON booleans are not numbers, though Python's bool is an int
+        ("heat-exchange", "model.g", True),
+        ("heat-exchange", "model.delta", False),
+        ("dephasing", "sweep.beta", [True]),
     ])
     def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value):
         scaling = experiment.startswith("scaling")

@@ -587,6 +587,69 @@ class TestBranchKernel(_MatchesDense):
         assert sum(v.size for _, _, v in model.spectrum) < d * d / 10
 
 
+class TestProbabilityKernel:
+    """Each table route's one P_l kernel, ``probabilities(betas) -> (B, L)``,
+    against the P_l that ``traces`` reports at each beta, and the
+    finite-difference route reading that kernel alone."""
+
+    @staticmethod
+    def _rows_and_traces(eng, rho0, beta, t, meas):
+        tables = eng._tables_for(rho0, t, meas)
+        h = 1e-4 * beta
+        betas = beta + np.array([h, -h, h / 2, -h / 2, 0.0, -0.5 * beta, beta])
+        return tables.probabilities(betas), np.array([tables.traces(b)[0] for b in betas])
+
+    @pytest.mark.parametrize("route, case", [("branch-kernel", n) for n in sorted(BRANCH_CASES)]
+                             + [("mode-product", n) for n in sorted(MODE_CASES)])
+    def test_each_row_is_the_probability_at_its_beta(self, route, case):
+        eng, (_, rho0, beta, t, meas), _ = _engine_case(
+            BRANCH_CASES if route == "branch-kernel" else MODE_CASES, case)
+        assert eng.route == route
+        rows, ref = self._rows_and_traces(eng, rho0, beta, t, meas)
+        assert rows.shape == (7, len(meas.labels))
+        assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
+
+    def test_outcome_near_the_floor_keeps_its_relative_precision(self):
+        # P_- = 1.0e-10 at t = 1.8e-5: rows and traces agree to the last bits
+        # because both accumulate prod_k chi_k - 1 from the small 1 - chi_k
+        eng = HeatEngine(DEPH_DECLARED)
+        rows, ref = self._rows_and_traces(eng, PLUS, 1.3, 1.8e-5, pauli_x_measurement())
+        assert np.all((ref[:, 1] > 5e-11) & (ref[:, 1] < 2e-10))
+        assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
+    def test_finite_difference_is_one_kernel_call_and_no_traces(self, request, setup,
+                                                                monkeypatch):
+        eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+        tables_type = type(eng._tables_for(rho0, t, meas))
+        calls = {"probabilities": 0, "traces": 0}
+        for name in calls:
+            real = getattr(tables_type, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(tables_type, name, counted)
+        fd = eng.fisher_finite_difference(rho0, beta, t, meas)
+        assert calls == {"probabilities": 1, "traces": 0}
+        assert fd > 0
+
+
+class TestNonPositiveBeta:
+    """beta <= 0 is a named error on every route of both engine routes."""
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("route", ["heat_decomposition", "score_direct_all",
+                                       "fisher_finite_difference", "outcome_probabilities_at",
+                                       "two_point_trajectory_heat_all"])
+    @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
+    def test_every_route_raises(self, request, setup, route, beta):
+        eng, rho0, meas, _, t = request.getfixturevalue(setup)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            getattr(eng, route)(rho0, beta, t, meas)
+
+
 class TestProbabilityRange:
     """A raw rho0 that is not a density matrix is a named error, not a clip,
     also where its outcome probabilities stay inside [0, 1]."""

@@ -10,6 +10,7 @@ import pytest
 from thermoq.linalg import (
     HilbertSpace,
     InvalidOperatorError,
+    gibbs_rows,
     gibbs_weights,
     hermitian_eig,
     truncation_level,
@@ -153,6 +154,28 @@ class TestThermalState:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             thermal_state(np.eye(2, dtype=complex), 0.0)
+
+
+class TestGibbsRows:
+    def test_one_normalized_row_per_beta(self):
+        # two levels a gap 0.7 apart: the upper weight is 1 / (1 + e^{0.7 beta})
+        betas = np.array([0.1, 1.0, 4.0])
+        rows = gibbs_rows(np.array([2.0, 2.7]), betas)
+        assert rows.shape == (3, 2)
+        assert np.allclose(rows[:, 1], 1.0 / (1.0 + np.exp(0.7 * betas)), rtol=1e-14)
+        assert np.allclose(rows.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_large_beta_is_overflow_safe(self):
+        rows = gibbs_rows(np.array([1e3, 1e3 + 1.0]), [1.0, 1e5])
+        assert np.all(np.isfinite(rows)) and rows[1, 0] == 1.0
+
+    def test_each_row_is_the_single_beta_formula_to_the_bit(self):
+        w = np.random.default_rng(3).uniform(0, 5, 97)
+        rows = gibbs_rows(w, [0.5, 1.3])
+        for beta, row in zip([0.5, 1.3], rows):
+            ref = np.exp(-beta * (w - w.min()))
+            assert np.array_equal(row, ref / ref.sum())
+            assert np.array_equal(gibbs_weights(w, beta), row)
 
 
 class TestTruncationLevel:
