@@ -63,8 +63,9 @@ CONFIG_SCHEMA = {
     "model": {
         "heat-exchange": {"omega_0": "float > 0", "delta": "float >= 0 (half detuning)",
                           "g": "float > 0"},
-        "dephasing": {"modes": "[[omega, g], ...] with omega > 0"},
-        "mean-force": {"omega_q": "float > 0", "modes": "[[omega, g], ...]",
+        "dephasing": {"modes": "[[omega, g], ...] with omega > 0, g finite, some g != 0"},
+        "mean-force": {"omega_q": "float > 0", "modes": "[[omega, g], ...] with omega > 0, "
+                                                        "g finite",
                        "coupling_axis": "'x' | 'z' | 'xz' (default 'xz')"},
         "scaling-he": {"alpha": "float > 0", "s": "float >= 0", "omega_c": "float > 0",
                        "delta_ratio": "float >= 0 (default 0.1)",
@@ -173,12 +174,17 @@ def _parse_modes(model, experiment):
     """Pop and parse the required ``modes`` key of a model section."""
     if "modes" not in model:
         raise ConfigError(f"{experiment} model requires 'modes'")
-    try:
-        modes = [BathMode(float(w), float(g)) for w, g in model.pop("modes")]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.modes must be [[omega, g], ...]: {exc}")
-    if not modes:
+    pairs = model.pop("modes")
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ConfigError(f"model.modes must be [[omega, g], ...], got {pairs!r}")
+    if not pairs:
         raise ConfigError("model.modes must not be empty")
+    modes = []
+    for k, (omega, g) in enumerate(pairs):
+        if not (_is_number(g) and math.isfinite(g)):
+            raise ConfigError(f"model.modes[{k}] coupling g must be a finite number, got {g!r}")
+        modes.append(BathMode(_positive("model", f"modes[{k}] omega", omega), float(g)))
     return modes
 
 
@@ -290,6 +296,9 @@ def _run_dephasing(config):
     modes = _parse_modes(model, "dephasing")
     if model:
         raise ConfigError(f"unknown dephasing model keys: {sorted(model)}")
+    if not any(m.g for m in modes):
+        raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
+                          "so the probe carries no temperature information")
     points = _sweep_points(config.get("sweep", {}), {"beta", "t"})
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()

@@ -4,13 +4,14 @@ These formulas are the cross-validation targets for the numerical engine:
 geometric outcome law and heat terms for the excitation-exchange pair,
 decoherence factor and heat terms for the dephasing probe, the associated
 precision bounds, and the low-temperature scaling pipelines.
+``scipy.integrate`` is imported by ``he_scaling_points``, its one user, at
+its first call; nothing else here loads it.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import PROB_FLOOR
 from .models import BathMode, SpectralDensity, discretize_spectral_density
@@ -208,6 +209,8 @@ def he_scaling_points(j: SpectralDensity, betas, delta_ratio=0.1, time_factor=0.
     every Rabi period, time_factor/E at the smallest beta) so the bound
     tracks the shrinking coupling.
     """
+    from scipy.integrate import quad
+
     betas = sorted(float(b) for b in betas)
     params = []
     for beta in betas:

@@ -295,9 +295,14 @@ class HeatEngine:
     to a (rho0, t) at another beta builds nothing: two L x K float tables
     per key on the branch kernel (about 150 KB at the d = 9409 heat-exchange
     point, L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route.
-    Entries are never changed once stored (two threads that miss one key at
-    once each build it and store equal tables), and the model's arrays are
-    immutable, so sharing an engine across threads is safe.
+    It also keeps the conditional energies of the last (rho0, t, measurement,
+    beta) that ``heat_decomposition`` or ``score_direct_all`` evaluated, so
+    the two at one point form the traces once. Table entries are never
+    changed once stored (two threads that miss one key at once each build it
+    and store equal tables), the last conditional energies are one tuple
+    with their tables and beta, replaced whole and never changed in place,
+    and the model's arrays are immutable, so sharing an engine across
+    threads is safe.
     """
 
     def __init__(self, model, prob_floor=PROB_FLOOR):
@@ -324,6 +329,8 @@ class HeatEngine:
         # (id(meas), rho0 shape, rho0 bytes, t) -> (meas, tables); holding meas
         # keeps its id from being reused while the entry exists
         self._tables = {}
+        # (tables, beta, conditional energies) of the last point evaluated
+        self._last_traces = None
 
     def _tables_for(self, rho0, t, meas):
         rho0 = np.asarray(rho0, complex)
@@ -404,9 +411,18 @@ class HeatEngine:
 
     def _conditional_energies(self, rho0, beta, t, meas):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t]),
-        with P_l checked and clipped into [0, 1] (``_checked_probabilities``)."""
-        probs, *energies = self._tables_at(rho0, beta, t, meas).traces(beta)
-        return (_checked_probabilities(probs), *energies)
+        with P_l checked and clipped into [0, 1] (``_checked_probabilities``).
+
+        The last result is kept with its tables and beta, so the heat
+        decomposition and the direct score of one point form the traces once."""
+        tables = self._tables_at(rho0, beta, t, meas)
+        last = self._last_traces
+        if last is not None and last[0] is tables and last[1] == beta:
+            return last[2]
+        probs, *energies = tables.traces(beta)
+        result = (_checked_probabilities(probs), *energies)
+        self._last_traces = (tables, beta, result)
+        return result
 
     # -- heat decomposition (projected-energy route) ----------------------
 

@@ -11,6 +11,9 @@ Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
 which stores the sparse H. The dephasing model is a ``ModeProductModel``:
 per probe level and sample mode the eigenpairs of one mode factor, and no H,
 so its size grows with the sum of the mode cutoffs, not their product.
+``scipy.sparse`` is imported where a ``CompositeModel``'s H is built and
+checked, so a process loads it at its first such build; one that builds only
+dephasing models never does.
 """
 
 import math
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy import sparse
 
 from .linalg import HERMITICITY_RTOL, HilbertSpace, InvalidOperatorError, hermitian_eig
 
@@ -196,7 +198,7 @@ class CompositeModel:
     """
 
     space: HilbertSpace
-    hamiltonian: sparse.csr_array
+    hamiltonian: "scipy.sparse.csr_array"
     h_s_local: np.ndarray
     bath_energies: np.ndarray
     charge: np.ndarray
@@ -437,6 +439,8 @@ def _sector_factors(h, charge, factors, scale):
 def _hermiticity_deviation(h, rows):
     """max |H - H^dag| for a CSR matrix H, ``rows`` the row of each stored
     entry: the entries of H and of -H^dag, summed where they coincide."""
+    from scipy import sparse
+
     diff = sparse.csr_array((np.concatenate((h.data, -np.conj(h.data))),
                              (np.concatenate((rows, h.indices)),
                               np.concatenate((h.indices, rows)))), shape=h.shape)
@@ -450,6 +454,8 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None, factors=None):
     Hermitian, block-diagonal in ``charge`` and equal on each sector named in
     ``factors`` (a charge label -> Kronecker factors mapping) to the Kronecker
     sum of its factors: the Hermiticity check is O(nnz log nnz), the others O(nnz)."""
+    from scipy import sparse
+
     bath_energies = np.array(bath_energies, dtype=float)
     h_s_local = np.array(h_s_local, dtype=float)
     d = space.total_dim

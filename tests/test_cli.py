@@ -138,6 +138,17 @@ class TestSchemaAndUsage:
         ("heat-exchange", "model.g", True),
         ("heat-exchange", "model.delta", False),
         ("dephasing", "sweep.beta", [True]),
+        ("dephasing", "model.modes", [[True, 0.1]]),
+        ("mean-force", "model.modes", [[1.5, False]]),
+        # mode numbers are numbers, not strings that parse as one
+        ("dephasing", "model.modes", [["1.5", 0.1]]),
+        ("dephasing", "model.modes", [[1.5, "nan"]]),
+        ("mean-force", "model.modes", [[1.5, float("nan")]]),
+        ("dephasing", "model.modes", [[float("inf"), 0.1]]),
+        ("dephasing", "model.modes", [[1.5, 0.1, 2.0]]),
+        # a probe coupled to no mode carries no temperature information
+        ("dephasing", "model.modes", [[1.5, 0.0]]),
+        ("dephasing", "model.modes", [[1.5, 0.0], [2.0, -0.0]]),
     ])
     def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value):
         scaling = experiment.startswith("scaling")
@@ -365,9 +376,12 @@ def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
     assert "model_build_s" in result.output
 
 
-def test_dephasing_runs_every_route_at_every_point(tmp_path):
+# a mode with g = 0 among coupled ones is a valid, if idle, part of the sample
+@pytest.mark.parametrize("modes", [[[1.0, 0.1], [1.6, 0.15]], [[1.0, 0.1], [1.6, 0.0]]],
+                         ids=["coupled", "one-idle-mode"])
+def test_dephasing_runs_every_route_at_every_point(tmp_path, modes):
     path = write_config(tmp_path, {
-        "experiment": "dephasing", "model": {"modes": [[1.0, 0.1], [1.6, 0.15]]},
+        "experiment": "dephasing", "model": {"modes": modes},
         "sweep": {"beta": [2.0, 3.0]}, "numerics": {"n_max": 14},
         "output": {"path": str(tmp_path / "out.csv")},
     })

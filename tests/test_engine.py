@@ -35,6 +35,7 @@ from thermoq.validate import (
     check_engine_point,
     deph_reference,
     draw_deph_instance,
+    he_reference,
     identity_checks,
 )
 
@@ -617,10 +618,9 @@ class TestProbabilityKernel:
         assert np.all((ref[:, 1] > 5e-11) & (ref[:, 1] < 2e-10))
         assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
 
-    @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
-    def test_finite_difference_is_one_kernel_call_and_no_traces(self, request, setup,
-                                                                monkeypatch):
-        eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+    @staticmethod
+    def _count_table_calls(eng, rho0, t, meas, monkeypatch):
+        """Counts of the calls of the kernel and of ``traces`` on the tables' type."""
         tables_type = type(eng._tables_for(rho0, t, meas))
         calls = {"probabilities": 0, "traces": 0}
         for name in calls:
@@ -631,9 +631,35 @@ class TestProbabilityKernel:
                 return _real(self, *args)
 
             monkeypatch.setattr(tables_type, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
+    def test_finite_difference_is_one_kernel_call_and_no_traces(self, request, setup,
+                                                                monkeypatch):
+        eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+        calls = self._count_table_calls(eng, rho0, t, meas, monkeypatch)
         fd = eng.fisher_finite_difference(rho0, beta, t, meas)
         assert calls == {"probabilities": 1, "traces": 0}
         assert fd > 0
+
+    @pytest.mark.parametrize("setup, reference", [
+        ("he_setup", lambda beta, t: he_reference(HEParams(1.1, 1.0, 0.15, beta, t))),
+        ("deph_setup", lambda beta, t: deph_reference(
+            DephParams((BathMode(1.0, 0.1), BathMode(1.6, 0.15)), beta, t))),
+    ])
+    def test_engine_point_forms_the_traces_once(self, request, setup, reference, monkeypatch):
+        shared, rho0, meas, beta, t = request.getfixturevalue(setup)
+        other_beta = HeatEngine(shared.model).score_direct_all(rho0, 1.5 * beta, t, meas)
+        eng = HeatEngine(shared.model)  # keeps no traces from earlier tests
+        calls = self._count_table_calls(eng, rho0, t, meas, monkeypatch)
+        checks = identity_checks("fisher", "closed_form", "saturation", "avg_heat", "score",
+                                 "two_point")
+        check_engine_point(checks, eng, rho0, beta, t, meas, reference(beta, t), {})
+        assert calls["traces"] == 1
+        assert checks["score"].passed
+        # the kept traces belong to one beta: another forms its own
+        assert eng.score_direct_all(rho0, 1.5 * beta, t, meas) == other_beta
+        assert calls["traces"] == 2
 
 
 class TestNonPositiveBeta:

@@ -7,7 +7,6 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 
-from thermoq import models
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
     COMPLETENESS_ATOL,
@@ -254,14 +253,11 @@ class TestModelBuilders:
 class TestDeclaredDephasingModel:
     MODES = [BathMode(1.0, 0.1), BathMode(1.5, 0.2), BathMode(0.7, 0.15), BathMode(2.0, 0.1)]
 
-    def test_builds_no_sparse_matrix_and_no_sample_space_array(self, monkeypatch):
-        class NoSparse:
-            def __getattr__(self, name):
-                raise AssertionError(f"scipy.sparse.{name} used")
-
-        monkeypatch.setattr(models, "sparse", NoSparse())
+    def test_builds_no_sparse_matrix_and_no_sample_space_array(self):
+        # that the build never loads scipy.sparse is checked in test_imports.py
         model = build_dephasing_model(self.MODES, 2)
         assert isinstance(model, ModeProductModel) and model.bath_dim == 81
+        assert not hasattr(model, "hamiltonian")
         held = [model.probe_energies, *model.mode_energies,
                 *(a for level in model.levels for pair in level for a in pair)]
         assert max(a.size for a in held) == 9
