@@ -11,7 +11,6 @@ from .models import (
     ModeProductModel,
     ProjectiveMeasurement,
     SectorCouplingError,
-    SectorFactorizationError,
     SpectralDensity,
     build_coupled_oscillators,
     build_dephasing_model,

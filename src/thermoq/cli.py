@@ -213,7 +213,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
     measurement builder, closed-form reference); params holds beta and leads
     each row. One engine and one measurement are built per cutoff key.
     """
-    per_outcome = bool(config.get("output", {}).get("per_outcome", False))
+    per_outcome = config.get("output", {}).get("per_outcome", False)
     checks = identity_checks(*check_ids)
     engines = {}
     rows = []
@@ -513,13 +513,24 @@ def run_cmd(config_path):
             config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
-    experiment = config.get("experiment")
+    if not isinstance(config, dict):
+        raise click.UsageError(f"config must be a JSON object, got {config!r}")
+    for section in ("model", "sweep", "numerics", "output"):
+        if not isinstance(config.get(section, {}), dict):
+            raise click.UsageError(f"{section} must be a JSON object, got {config[section]!r}")
+    experiment, output = config.get("experiment"), config.get("output", {})
     if experiment not in EXPERIMENTS:
         raise click.UsageError(
             f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
-    fmt = config.get("output", {}).get("format", "csv")
+    fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise click.UsageError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    path = output.get("path", f"{experiment}.{fmt}")
+    if not (isinstance(path, str) and path):
+        raise click.UsageError(f"output.path must be a non-empty string, got {path!r}")
+    if not isinstance(output.get("per_outcome", False), bool):
+        raise click.UsageError(
+            f"output.per_outcome must be true or false, got {output['per_outcome']!r}")
     try:
         rows, checks, summary = RUNNERS[experiment](config)
     except ConfigError as exc:
@@ -529,7 +540,7 @@ def run_cmd(config_path):
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
     verification = _verification_dict(checks, summary)
-    path = _redirected(config.get("output", {}).get("path", f"{experiment}.{fmt}"))
+    path = _redirected(path)
     if fmt == "csv":
         _write_csv(path, rows, meta)
     else:

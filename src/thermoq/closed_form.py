@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import PROB_FLOOR
+from .engine import PROB_FLOOR, _require_positive_beta
 from .models import BathMode, SpectralDensity, discretize_spectral_density
 
 
@@ -36,8 +36,9 @@ class HEParams:
     t: float
 
     def __post_init__(self):
-        if self.omega_a <= 0 or self.omega_0 <= 0 or self.beta <= 0 or self.t < 0:
-            raise ValueError("require positive frequencies and beta, t >= 0")
+        _require_positive_beta(self.beta)
+        if self.omega_a <= 0 or self.omega_0 <= 0 or self.t < 0:
+            raise ValueError("require positive frequencies, t >= 0")
 
     @property
     def detuning(self):
@@ -122,8 +123,9 @@ class DephParams:
         modes = tuple(self.modes)
         if not modes:
             raise ValueError("at least one mode required")
-        if self.beta <= 0 or self.t < 0:
-            raise ValueError("require beta > 0 and t >= 0")
+        _require_positive_beta(self.beta)
+        if self.t < 0:
+            raise ValueError("require t >= 0")
         object.__setattr__(self, "modes", modes)
         g2, w, nk, one_minus_cos = self.couplings**2, self.omegas, self.nbars, _one_minus_cos(self)
         for name, value in (
@@ -170,7 +172,10 @@ def deph_heat_terms(p: DephParams, l, prob_floor=PROB_FLOOR):
 
 
 def deph_fisher(p: DephParams):
-    """Two-outcome Fisher information 4 C^2 / (e^{2 Gamma} - 1)."""
+    """Two-outcome Fisher information 4 C^2 / (e^{2 Gamma} - 1); 0 where C = 0, the
+    limit at a revival of every mode (Gamma = C = 0)."""
+    if p.C == 0.0:
+        return 0.0
     return 4.0 * p.C**2 / math.expm1(2.0 * p.gamma)
 
 

@@ -20,16 +20,15 @@ the direct score read at one beta, takes its P_l from it, and the
 finite-difference Fisher information evaluates its whole five-point stencil
 in one call of it and forms no conditional energy. Every route first checks
 beta > 0 (``ValueError``). Two routes build the tables, and the engine picks
-one from the structure the model supplies, with no option: the mode-product
-route exactly when ``model.mode_product`` is a ``ModeProductModel``, the
-branch kernel when it is None.
+one from the model's type, with no option: the mode-product route exactly
+when the model is a ``ModeProductModel``, the branch kernel for every
+``CompositeModel``.
 
-Mode-product route, for the sigma_z-coupled models (``build_dephasing_model``,
-which is a ``ModeProductModel`` and holds no H, and the 'z' spin-boson model,
-whose ``mode_product`` is taken from its checked factors). Each probe level q
-dresses the whole sample, one Kronecker factor per sample mode, and the
-sample energies are a Kronecker sum of per-mode energies eps_k. So the
-sector of q evolves as U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q} with
+Mode-product route, for ``ModeProductModel`` (``build_dephasing_model``,
+which holds no H). Each probe level q dresses the whole sample, one
+Kronecker factor per sample mode, and the sample energies are a Kronecker
+sum of per-mode energies eps_k. So the sector of q evolves as
+U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q} with
 u_{k,q} = V e^{-i lambda t} V^T from the mode's eigenpairs in
 ``ModeProductModel.levels`` (H_S[q, q] taken out of the first mode's
 eigenvalues), and gamma_B(beta) is the product of per-mode weights
@@ -53,7 +52,7 @@ finite-difference stencil to the next; at B betas the kernel forms each
 O(sum_k n_k^3) for the mode propagators, per beta O(sum_k n_k); no array
 has the size of the full space, of the sample or of its branches.
 
-Branch kernel, for every other model. With H_B |j> = eps_j |j> on Fock
+Branch kernel, for every ``CompositeModel``. With H_B |j> = eps_j |j> on Fock
 states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
 |phi_r, j><phi_r, j| has rank at most K = rank(rho0) * d_b, so only its K
 branch amplitudes A_k = U |phi_r, j> are evolved, and beta enters only
@@ -74,10 +73,10 @@ The two-point route (``HeatEngine.two_point_trajectory_heat_all``) computes
 the trajectory heat from its definition instead, as the double sum over
 initial and final sample eigenstates, with a branch of its own for each
 route: on a mode-product model the double sum factorises into per-mode
-double sums over u_{k,q} as the factors declare them, H_S[q, q] included;
-on every other model it evolves the same branches as the kernel, sector by
-sector from ``spectrum``, with its own scatter and readout. Neither branch
-reads the tables.
+double sums over u_{k,q} as ``ModeProductModel.levels`` holds them,
+H_S[q, q] included; on every other model it evolves the same branches as
+the kernel, sector by sector from ``spectrum``, with its own scatter and
+readout. Neither branch reads the tables.
 """
 
 import math
@@ -86,6 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
+from .models import ModeProductModel
 
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
@@ -267,28 +267,25 @@ class HeatEngine:
     docstring). ``route`` names the one this engine took, chosen from the
     model alone:
 
-    - ``'mode-product'`` exactly when the model supplies that structure,
-      ``model.mode_product``, a ``ModeProductModel``: the model itself for
-      ``build_dephasing_model``, taken from the checked per-mode factors of a
-      sparse ``CompositeModel`` whose every charge sector is one probe level
-      times the whole sample (the 'z' spin-boson model). It reads that
-      structure only: per (rho0, t) one real n_k x n_k x 2 n_k product per
-      mode and probe level and O(Q^2 sum_k n_k^2) for the tables, per beta
-      O(Q^2 sum_k n_k) with Q probe levels.
-    - ``'branch-kernel'`` when ``model.mode_product`` is None. It reads
-      ``spectrum``'s dense eigenbasis per sector: per (rho0, t) one
-      |I_b|-sized real product per sector, a K x d complex amplitude array
-      with K = rank(rho0) * d_b and one K d_s^2 d_b product reading it in the
-      measurement's basis, per beta three L x K matrix-vector products,
-      and one (5, K) x (K, L) product for a whole finite-difference stencil.
+    - ``'mode-product'`` exactly when the model is a ``ModeProductModel``
+      (``build_dephasing_model``). It reads that structure only: per
+      (rho0, t) one real n_k x n_k x 2 n_k product per mode and probe level
+      and O(Q^2 sum_k n_k^2) for the tables, per beta O(Q^2 sum_k n_k) with
+      Q probe levels.
+    - ``'branch-kernel'`` for every ``CompositeModel``, the 'z' spin-boson
+      model included. It reads ``spectrum``'s dense eigenbasis per sector:
+      per (rho0, t) one |I_b|-sized real product per sector, a K x d complex
+      amplitude array with K = rank(rho0) * d_b and one K d_s^2 d_b product
+      reading it in the measurement's basis, per beta three L x K
+      matrix-vector products, and one (5, K) x (K, L) product for a whole
+      finite-difference stencil.
 
     Neither forms a full-space propagator, state or embedded projector, and
     neither does ``two_point_trajectory_heat_all``: it takes the same
     (rho0, beta, t, meas) and follows the engine's route (per-mode double
     sums on the mode-product route, the branches scattered sector by sector
     from ``spectrum`` on the branch kernel), but builds no tables, so it
-    stays an independent check of both routes. On a mode-product model no
-    method forms ``spectrum``.
+    stays an independent check of both routes.
 
     All methods are pure given their arguments. An instance keeps the tables
     of every (rho0, t, measurement) it has seen, so a sweep that comes back
@@ -309,7 +306,7 @@ class HeatEngine:
         self.model = model
         self.prob_floor = prob_floor
         # the eigendecomposition is paid for here, not by the first point
-        self._modes = model.mode_product
+        self._modes = model if isinstance(model, ModeProductModel) else None
         self.route = "branch-kernel" if self._modes is None else "mode-product"
         if self._modes is None:
             d_b = model.bath_dim
@@ -472,7 +469,7 @@ class HeatEngine:
         non-suppressed outcomes. The double sum takes the engine's route:
 
         - mode-product: U restricted to probe level q is (x)_k u_{k,q}, with
-          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels`` as declared
+          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels`` as held
           (mode 0 carrying H_S[q, q]), and both p_j and eps_j - eps_i split
           over the modes. So P_l = Re sum_{qq'} W_l prod_k C_k and
           P_l H_tra(l) = Re sum_{qq'} W_l sum_k D_k prod_{k' != k} C_{k'},
@@ -493,10 +490,10 @@ class HeatEngine:
         measurement-basis readout, not the mode route's M_k/N_k diagonals,
         and the mode branch leaves the H_S phase in the factors where the
         tables move it into rho0. With the other routes they share the
-        factor eigenpairs (``ModeProductModel.levels`` or ``factor_spectrum``,
-        from which ``spectrum`` is built), the per-mode energies of
-        ``ModeProductModel.mode_energies``, rho0's eigenpairs
-        (``_probe_eigenpairs``), the Gibbs weights and ``_propagator``; so
+        eigenpairs (``ModeProductModel.levels`` or ``spectrum``), the
+        per-mode energies of ``ModeProductModel.mode_energies``, rho0's
+        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
+        ``_propagator``; so
         they check the propagation, reduction and heat bookkeeping, not the
         eigendecomposition.
         """
@@ -524,8 +521,8 @@ class HeatEngine:
         # times the C of every later mode: no division, since C can vanish
         prob = np.ones(d_s * d_s, dtype=complex)
         energy = np.zeros(d_s * d_s, dtype=complex)
-        # the factor eigenpairs of each probe level q as declared, H_S[q, q] in
-        # mode 0's eigenvalues
+        # the mode eigenpairs of each probe level q as held, H_S[q, q] in mode 0's
+        # eigenvalues
         for eps, *factors in zip(modes.mode_energies, *modes.levels):
             u = np.stack([_propagator(lam, v, t) for lam, v in factors])
             # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'

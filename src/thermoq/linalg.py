@@ -77,7 +77,7 @@ def truncation_level(beta, omega, tail):
     occupation probabilities are geometric, p_n = (1-q) q^n with
     q = e^{-beta omega}, so the discarded weight is q^{N+1}.
     """
-    if beta <= 0 or omega <= 0 or tail <= 0:
+    if not (beta > 0 and omega > 0 and tail > 0):
         raise ValueError("beta, omega, tail must be positive")
     if tail >= 1:
         raise ValueError("tail must be below 1")

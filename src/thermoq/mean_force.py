@@ -37,6 +37,7 @@ import numpy as np
 from .engine import (
     PROB_FLOOR,
     _checked_probabilities,
+    _require_positive_beta,
     _trace_prod,
     log_score_fisher,
     precision_bound,
@@ -100,8 +101,7 @@ def _bath_trace(model, beta, energy_shift=None):
 
 def reduced_gibbs_operator(model, beta):
     """A = Tr_B[e^{-beta H}] / Z_B as a matrix on the system factor."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive_beta(beta)
     return _bath_trace(model, beta)
 
 

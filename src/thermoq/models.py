@@ -18,7 +18,7 @@ dephasing models never does.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +127,8 @@ class ModeProductModel:
     mode k, the eigenpairs (lambda, V) of the mode's factor, H_S[q, q] carried
     in mode 0's), every array read-only. It holds no H, no charge and no array
     of the sample space's size, so a model of thousands of modes is built from
-    one (n_k + 1)-sized ``eigh`` per mode and level. ``mode_product`` is the
-    model itself, as ``CompositeModel.mode_product`` is this structure or None.
+    one (n_k + 1)-sized ``eigh`` per mode and level. ``HeatEngine`` takes its
+    mode-product route exactly on this type.
     """
 
     probe_energies: np.ndarray
@@ -151,10 +151,6 @@ class ModeProductModel:
             object.__setattr__(self, name, value)
 
     @property
-    def mode_product(self):
-        return self
-
-    @property
     def system_dim(self):
         return len(self.probe_energies)
 
@@ -171,10 +167,6 @@ class SectorCouplingError(ValueError):
     """The Hamiltonian has an entry between two different charge labels."""
 
 
-class SectorFactorizationError(ValueError):
-    """Declared Kronecker factors of a charge sector do not add up to H's block on it."""
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
@@ -185,16 +177,10 @@ class CompositeModel:
     ``bath_energies`` is that diagonal, read-only float64, in basis order.
     ``charge`` labels each basis state with the conserved charge its builder
     declared (None: no charge), and H has no entry between two different
-    labels. ``factors`` holds one entry per charge sector, in ascending
-    label order: the dense factors h_1, ..., h_F whose Kronecker sum
-    h_1 (x) 1 + ... + 1 (x) h_F is H's block on the sector's states (in
-    basis order), or None where the block is its own single factor.
-    ``factor_spectrum`` (eigenpairs of each factor), ``spectrum``
-    (eigenpairs of H, one block per sector), ``probe_tables`` (the
-    eigenvectors of H reduced to the probe factor, for the mean-force
-    routes) and ``mode_product`` (the model as a ``ModeProductModel``, or
-    None) are computed on first use and cached; every route reads one of
-    them.
+    labels. ``spectrum`` (eigenpairs of H, one dense ``eigh`` per sector) and
+    ``probe_tables`` (the eigenvectors of H reduced to the probe factor, for
+    the mean-force routes) are computed on first use and cached; every route
+    reads one of them.
     """
 
     space: HilbertSpace
@@ -202,50 +188,24 @@ class CompositeModel:
     h_s_local: np.ndarray
     bath_energies: np.ndarray
     charge: np.ndarray
-    factors: tuple
-
-    @cached_property
-    def factor_spectrum(self):
-        """One (index, ((eigenvalues, column eigenvectors) per factor)) block per sector.
-
-        ``index`` lists the basis states carrying one charge label, in basis
-        order; a sector with no declared factors has one factor, its dense
-        block of H. Costs one dense eigh per factor: sum_f m_f^3 per sector
-        of m = prod_f m_f states, in place of m^3.
-        """
-        blocks = []
-        # H's entries are grouped by sector only where some sector needs its dense block
-        sectors = (_sector_entries(self.hamiltonian, self.charge) if None in self.factors
-                   else ((index,) for index in
-                         _sector_states(self.charge, self.space.total_dim)[0]))
-        for (index, *entries), factors in zip(sectors, self.factors):
-            if factors is None:
-                rows, cols, values = entries
-                dense = np.zeros((len(index), len(index)))
-                dense[rows, cols] = values
-                factors = (dense,)
-            blocks.append((_read_only((index,))[0],
-                           tuple(_read_only(np.linalg.eigh(f)) for f in factors)))
-        return tuple(blocks)
 
     @cached_property
     def spectrum(self):
-        """One (index, eigenvalues, column eigenvectors) block per sector.
+        """One (index, eigenvalues, column eigenvectors) block per sector, read-only.
 
-        The eigenvectors are columns over the sector's states only. A sector's
-        eigenvalues are the Kronecker sums of its factors' eigenvalues, and
-        its eigenvectors the Kronecker products of theirs, so they are in
-        ascending order only for a single factor. A model with no charge has
-        one block covering every index. A sector of several factors pays m^2
-        per eigenvector matrix here on top of ``factor_spectrum``. Its readers
-        are the engine's branch kernel and that route's two-point scatter, and
-        the mean-force routes (through ``probe_tables``); an engine on the
-        mode-product route reads ``factor_spectrum`` alone.
+        ``index`` lists the basis states carrying one charge label, in basis
+        order, and the eigenvectors are columns over those states only, in
+        ascending eigenvalue order. A model with no charge has one block
+        covering every index. Costs one dense eigh of H's block per sector:
+        sum_b |I_b|^3. Its readers are the engine's branch kernel and that
+        route's two-point scatter, and the mean-force routes (through
+        ``probe_tables``).
         """
         blocks = []
-        for index, pairs in self.factor_spectrum:
-            w, v = zip(*pairs)
-            blocks.append((index, *_read_only((reduce(_kron_sum, w), reduce(np.kron, v)))))
+        for index, rows, cols, values in _sector_entries(self.hamiltonian, self.charge):
+            dense = np.zeros((len(index), len(index)))
+            dense[rows, cols] = values
+            blocks.append(_read_only((index, *np.linalg.eigh(dense))))
         return tuple(blocks)
 
     @cached_property
@@ -273,35 +233,6 @@ class CompositeModel:
         return _read_only((np.concatenate(w), np.concatenate(g, axis=2),
                            np.concatenate(k, axis=2)))
 
-    @cached_property
-    def mode_product(self):
-        """The model as a ``ModeProductModel``, from the factors the build checked
-        against H, or None unless its structure fits that route: each charge
-        sector is one probe level times the whole sample, declared as one
-        Kronecker factor per sample mode, and the sample energies are a
-        Kronecker sum of per-mode energies eps_k. The eigenpairs are those of
-        ``factor_spectrum``."""
-        d_s, d_b = self.system_dim, self.bath_dim
-        dims = list(self.space.factor_dims[1:])
-        if len(self.factors) != d_s or any(
-                f is None or [len(m) for m in f] != dims for f in self.factors):
-            return None
-        levels = [None] * d_s
-        for index, pairs in self.factor_spectrum:
-            q = index[0] // d_b
-            if not np.array_equal(index, q * d_b + np.arange(d_b)):
-                return None
-            levels[q] = pairs
-        # eps_k[n] = E(0, .., n, .., 0) - E(0, .., 0), with E(0, .., 0) put on mode 0
-        energies = self.bath_energies.reshape(dims)
-        eps = [energies[(0,) * k + (slice(None),) + (0,) * (len(dims) - k - 1)]
-               - (energies.flat[0] if k else 0.0) for k in range(len(dims))]
-        kron_sum = sum(e.reshape([-1 if i == k else 1 for i in range(len(dims))])
-                       for k, e in enumerate(eps))
-        if np.abs(kron_sum - energies).max() > HERMITICITY_RTOL * (1.0 + np.abs(energies).max()):
-            return None
-        return ModeProductModel(np.diagonal(self.h_s_local), eps, levels)
-
     @property
     def system_dim(self):
         return self.space.factor_dims[0]
@@ -309,12 +240,6 @@ class CompositeModel:
     @property
     def bath_dim(self):
         return self.space.total_dim // self.system_dim
-
-
-def _kron_sum(a, b):
-    """diag(a) (x) 1 + 1 (x) diag(b) as a vector: for eigenvalues a of A and b of B,
-    the eigenvalues of A (x) 1 + 1 (x) B in Kronecker order."""
-    return np.add.outer(a, b).ravel()
 
 
 def _read_only(arrays):
@@ -356,84 +281,24 @@ def _csr_rows(h):
     return np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
 
 
-def _sector_states(charge, d):
-    """(indices, sector_of, local): per charge sector, in ascending label order,
-    its basis states in basis order (one sector of all d states where charge
-    is None); and each state's sector and its position within that sector."""
+def _sector_entries(h, charge):
+    """Per charge sector, in ascending label order (one sector of every state where
+    charge is None): (index, rows, cols, values), the sector's basis states in basis
+    order and H's stored entries among them, rows and columns as positions within
+    the sector. H must couple no two sectors."""
+    d = h.shape[0]
     labels = np.zeros(d, dtype=int) if charge is None else charge
     _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(sector_of, kind="stable")
     local = np.empty(d, dtype=int)
     local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.split(order, np.cumsum(counts)[:-1]), sector_of, local
-
-
-def _sector_entries(h, charge):
-    """Per charge sector, in ascending label order: (index, rows, cols, values),
-    the sector's basis states and H's stored entries among them, rows and
-    columns as positions within the sector. H must couple no two sectors."""
-    indices, sector_of, local = _sector_states(charge, h.shape[0])
     rows = _csr_rows(h)
     entry_sector = sector_of[rows]
     by_sector = np.argsort(entry_sector, kind="stable")
-    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(indices)))
-    for index, entries in zip(indices, np.split(by_sector, entry_bounds[:-1])):
+    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
+    for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
+                              np.split(by_sector, entry_bounds[:-1])):
         yield index, local[rows[entries]], local[h.indices[entries]], h.data[entries]
-
-
-def _kron_sum_deviation(factors, rows, cols, values, tol):
-    """Compare K = h_1 (x) 1 + ... + 1 (x) h_F with a sparse block given by its
-    stored entries, without forming K: (max |K - block| over the stored
-    entries, number of entries of K above ``tol`` the block does not store).
-
-    K[r, c] is sum_f h_f[r_f, r_f] where r = c, h_f[r_f, c_f] where the
-    multi-indices differ in factor f alone, and 0 elsewhere. Costs
-    O(F nnz + m + sum_f m_f^2) for m = prod_f m_f states.
-    """
-    dims = [len(f) for f in factors]
-    r, c = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
-    differs = np.array([a != b for a, b in zip(r, c)]).reshape(len(dims), -1)
-    n_differ = differs.sum(axis=0)
-    expected = np.where(n_differ == 0, sum(np.diagonal(f)[a] for f, a in zip(factors, r)), 0.0)
-    for f, a, b, d in zip(factors, r, c, differs):
-        expected = np.where(d & (n_differ == 1), f[a, b], expected)
-    dev = np.abs(expected - values).max(initial=0.0)
-    m = math.prod(dims)
-    above = (np.abs(reduce(_kron_sum, [np.diagonal(f) for f in factors])) > tol).sum() + sum(
-        (np.abs(f - np.diag(np.diagonal(f))) > tol).sum() * (m // len(f)) for f in factors)
-    return dev, int(above - (np.abs(expected) > tol).sum())
-
-
-def _sector_factors(h, charge, factors, scale):
-    """The per-sector ``factors`` of ``CompositeModel`` from a label -> factors
-    mapping, each declared factorization checked against H's sector block in
-    O(nnz) (``_kron_sum_deviation``)."""
-    labels = [None] if charge is None else np.unique(charge).tolist()
-    if not factors:
-        return (None,) * len(labels)
-    unknown = set(factors) - set(labels)
-    if unknown:
-        raise SectorFactorizationError(f"factors declared for absent charges {sorted(unknown)}")
-    out = []
-    for label, (index, rows, cols, values) in zip(labels, _sector_entries(h, charge)):
-        declared = factors.get(label)
-        if declared is not None:
-            declared = tuple(np.array(f, dtype=float) for f in declared)
-            dims = [len(f) for f in declared]
-            if math.prod(dims) != len(index):
-                raise SectorFactorizationError(
-                    f"factors of charge {label} have dimensions {dims}, "
-                    f"not {len(index)} states in all")
-            tol = HERMITICITY_RTOL * scale
-            dev, unstored = _kron_sum_deviation(declared, rows, cols, values, tol)
-            if dev > tol or unstored:
-                raise SectorFactorizationError(
-                    f"factors of charge {label} differ from H's block by {dev:.3e} at "
-                    f"scale {scale:.3e} on its stored entries, and have {unstored} "
-                    f"entries above {tol:.1e} where it stores none")
-            declared = _read_only(declared)
-        out.append(declared)
-    return tuple(out)
 
 
 def _hermiticity_deviation(h, rows):
@@ -448,12 +313,10 @@ def _hermiticity_deviation(h, rows):
     return np.abs(diff.data).max(initial=0.0)
 
 
-def _compose(space, h_s_local, bath_energies, h_i, charge=None, factors=None):
+def _compose(space, h_s_local, bath_energies, h_i, charge=None):
     """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, with
     H_I given as (rows, cols, values) entries (duplicates add up). H is checked
-    Hermitian, block-diagonal in ``charge`` and equal on each sector named in
-    ``factors`` (a charge label -> Kronecker factors mapping) to the Kronecker
-    sum of its factors: the Hermiticity check is O(nnz log nnz), the others O(nnz)."""
+    Hermitian, in O(nnz log nnz), and block-diagonal in ``charge``, in O(nnz)."""
     from scipy import sparse
 
     bath_energies = np.array(bath_energies, dtype=float)
@@ -488,9 +351,8 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None, factors=None):
                 f"H couples state {r} (charge {charge[r]}) to state {c} "
                 f"(charge {charge[c]}) in {bad.size} entries")
         charge = _read_only((charge,))[0]
-    factors = _sector_factors(h, charge, factors or {}, scale)
     _read_only((h.data, h.indices, h.indptr))
-    return CompositeModel(space, h, *_read_only((h_s_local, bath_energies)), charge, factors)
+    return CompositeModel(space, h, *_read_only((h_s_local, bath_energies)), charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -541,30 +403,30 @@ def _multimode_bath(modes, cutoffs, probe_op):
     return energy, number, _concat_entries(*terms)
 
 
-def _sigma_z_factors(h_s_diagonal, modes, cutoffs):
+def _sigma_z_factors(modes, cutoffs):
     """Per probe level q, in level order: the factors omega_k n_k + s g_k (b_k^dag + b_k)
-    of its sigma_z = s sector, one per mode, with H_S[q, q] added to the first."""
+    of its sigma_z = s sector, one per mode."""
     return tuple(
         tuple(m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
-              + (h_q if k == 0 else 0.0) * np.eye(n + 1)
-              for k, (m, n) in enumerate(zip(modes, cutoffs)))
-        for h_q, s in zip(h_s_diagonal, np.diag(SIGMA_Z).astype(int)))
+              for m, n in zip(modes, cutoffs))
+        for s in np.diag(SIGMA_Z).astype(int))
 
 
 def build_dephasing_model(modes, n_max):
     """Qubit dephasing against bosonic modes: H_S = 0, H_I = sigma_z (x) sum_k g_k(b_k^dag + b_k).
 
     The spin-boson model with omega_q = 0 and coupling_axis 'z', built as a
-    ``ModeProductModel`` from the factors that model declares, with
-    eps_k = omega_k n: it forms no H and no array of the sample space's size.
+    ``ModeProductModel``: H's block on the probe level of sigma_z = s is the
+    Kronecker sum over the modes of omega_k n_k + s g_k (b_k^dag + b_k), and
+    eps_k = omega_k n. It forms no H and no array of the sample space's size;
     ``build_spin_boson_model(0.0, modes, n_max, 'z')`` is the same model with
-    its sparse H, and its ``mode_product`` equals this model to the bit.
+    its sparse H.
     """
     if not modes:
         raise ValueError("at least one bath mode required")
     cutoffs = _bath_cutoffs(modes, n_max)
     levels = [tuple(np.linalg.eigh(f) for f in factors)
-              for factors in _sigma_z_factors((0.0, 0.0), modes, cutoffs)]
+              for factors in _sigma_z_factors(modes, cutoffs)]
     return ModeProductModel(np.zeros(2), [m.omega * np.arange(n + 1)
                                           for m, n in zip(modes, cutoffs)], levels)
 
@@ -579,10 +441,7 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     diagonal.
 
     Conserved charge: sigma_z of the probe for 'z'; the parity
-    sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'. For 'z' the sector
-    of sigma_z = s (probe level q) is a Kronecker sum of one factor per mode,
-    omega_k n_k + s g_k (b_k^dag + b_k), with H_S[q, q] added to the first;
-    every other sector is a single factor.
+    sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'.
     """
     if not modes:
         raise ValueError("at least one bath mode required")
@@ -594,11 +453,7 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     sigma_z = np.diag(SIGMA_Z).astype(int)
     charge = {"x": np.kron(sigma_z, (-1) ** number),
               "z": np.repeat(sigma_z, len(number)), "xz": None}[coupling_axis]
-    factors = {}
-    if coupling_axis == "z":
-        factors = dict(zip(sigma_z.tolist(), _sigma_z_factors(np.diagonal(h_s_local), modes,
-                                                               cutoffs)))
-    return _compose(space, h_s_local, energy, h_i, charge, factors)
+    return _compose(space, h_s_local, energy, h_i, charge)
 
 
 def discretize_spectral_density(j, k_modes, omega_max):

@@ -56,11 +56,14 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 2
 
-    def test_invalid_json_is_usage_error(self, tmp_path):
+    # a config that parses but is no JSON object is as unusable as one that does not parse
+    @pytest.mark.parametrize("text", ["{not json", '[{"experiment": "dephasing"}]', "null"],
+                             ids=["broken", "array", "null"])
+    def test_invalid_json_is_usage_error(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         result = RUNNER.invoke(main, ["run", str(path)])
-        assert result.exit_code == 2
+        assert result.exit_code == 2, result.output
 
     def test_unknown_sweep_axis_is_usage_error(self, tmp_path):
         path = write_config(tmp_path, {
@@ -149,15 +152,31 @@ class TestSchemaAndUsage:
         # a probe coupled to no mode carries no temperature information
         ("dephasing", "model.modes", [[1.5, 0.0]]),
         ("dephasing", "model.modes", [[1.5, 0.0], [2.0, -0.0]]),
+        # each section is a JSON object, and each output key of its declared type
+        ("heat-exchange", "model", [["g", 0.1]]),
+        ("dephasing", "sweep", [["beta", [2.0]]]),
+        ("heat-exchange", "numerics", [["n_max", 8]]),
+        ("heat-exchange", "output", [["path", "o.csv"]]),
+        ("mean-force", "model", None),
+        ("heat-exchange", "output.path", True),
+        ("heat-exchange", "output.path", 7),
+        ("heat-exchange", "output.path", ""),
+        ("dephasing", "output.per_outcome", "false"),
+        ("heat-exchange", "output.per_outcome", 1),
     ])
-    def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value):
+    def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a run without a usable output.path would write
         scaling = experiment.startswith("scaling")
         config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")},
                   "sweep": {"beta": [1.0, 2.0, 3.0, 4.0] if scaling else [2.0]}}
         if experiment == "dephasing":
             config["model"] = {"modes": [[1.0, 0.1]]}
-        section, name = key.split(".")
-        config.setdefault(section, {})[name] = value
+        section, _, name = key.partition(".")
+        if name:
+            config.setdefault(section, {})[name] = value
+        else:
+            config[section] = value
         result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
         assert result.exit_code == 2, result.output
         assert key in result.output
@@ -506,3 +525,21 @@ def test_mean_force_dual_mismatch_fails_the_run_and_writes_the_sidecar(tmp_path,
     assert not dual["passed"] and dual["max_deviation"] > 1e-4
     assert dual["worst_params"]["beta"] == 3.0
     assert "[FAIL]" in result.output
+
+
+def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
+    # at t = 2 pi every mode revives: Gamma = C = 0, so the closed-form Fisher
+    # information is its 0/0 limit 0, and the checks that need information fail
+    # at that point instead of the run dying on a ZeroDivisionError
+    t = 2.0 * np.pi
+    path = write_config(tmp_path, {
+        "experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},
+        "sweep": {"beta": [1.0], "t": [t]}, "output": {"path": str(tmp_path / "rev.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ZeroDivisionError)
+    report = json.loads((tmp_path / "rev.csv.verification.json").read_text())
+    failed = {c["name"]: c["worst_params"] for c in report["checks"] if not c["passed"]}
+    assert set(failed) == {CHECKS[c][0] for c in ("closed_form", "saturation", "two_point")}
+    assert all(params["t"] == t for params in failed.values())

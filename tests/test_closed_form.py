@@ -147,6 +147,14 @@ class TestDephasingClosedForms:
         assert deph_probability(p, 1) == pytest.approx(1.0)
         assert deph_heat_terms(p, 1) == pytest.approx((0.0, 0.0), abs=1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 2.0 * math.pi])
+    def test_revival_has_zero_information(self, t):
+        # cos(2 pi) rounds to 1, so Gamma = C = 0 and F is the 0/0 limit 0
+        p = DephParams((BathMode(1.0, 0.1),), 1.0, t)
+        assert p.gamma == p.C == 0.0
+        assert deph_fisher(p) == 0.0
+        assert deph_precision_bound(p) == math.inf
+
     def test_matches_brute_force(self):
         modes = [BathMode(1.0, 0.1), BathMode(1.6, 0.15)]
         beta, t = 1.0, 1.9
@@ -162,6 +170,16 @@ class TestDephasingClosedForms:
             assert o.h_tra == pytest.approx(h_tra, abs=1e-6)
             assert o.h_cor == pytest.approx(h_cor, abs=1e-6)
         assert record.fisher_heat == pytest.approx(deph_fisher(p), rel=1e-6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda beta: HEParams(1.0, 1.0, 0.1, beta, 1.0),
+    lambda beta: DephParams((BathMode(1.0, 0.1),), beta, 1.0),
+], ids=["exchange", "dephasing"])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_params_reject_non_positive_beta(build, beta):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        build(beta)
 
 
 class TestScaling:

@@ -1,11 +1,11 @@
 """Heat decomposition of the Fisher score: identities on small models."""
 
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from thermoq.closed_form import DephParams, HEParams, he_optimal_time
 from thermoq.engine import (
@@ -15,8 +15,10 @@ from thermoq.engine import (
     _checked_probabilities,
     precision_bound,
 )
+from thermoq.linalg import HERMITICITY_RTOL
 from thermoq.models import (
     BathMode,
+    ModeProductModel,
     ProjectiveMeasurement,
     SpectralDensity,
     build_coupled_oscillators,
@@ -203,20 +205,25 @@ def _random_probe_measurement(rng, d):
     return eigenbasis_measurement(a + a.conj().T, 1e-8)
 
 
-def _without_factors(model):
-    """The same model with its per-mode factors undeclared, so the engine takes
-    the branch kernel on it."""
-    return dataclasses.replace(model, factors=(None,) * len(model.factors))
+def _probe_split_model(omega_q, modes, cutoffs):
+    """``build_spin_boson_model(omega_q, modes, cutoffs, 'z')`` as a ``ModeProductModel``:
+    the eigh of each mode factor (``build_dephasing_model``'s levels), with
+    H_S[1, 1] = omega_q added to mode 0's eigenvalues on probe level 1."""
+    dephasing = build_dephasing_model(modes, cutoffs)
+    levels = [list(level) for level in dephasing.levels]
+    lam, v = levels[1][0]
+    levels[1][0] = (lam + omega_q, v)
+    return ModeProductModel([0.0, omega_q], dephasing.mode_energies, levels)
 
 
 def _branch_cases():
     """(model, rho0, meas, beta, t, prob_floor) per case; Fisher values 4e-4..0.1,
     so finite-difference roundoff (about 1e-12 / sqrt(F) relative) stays far
-    below the 1e-8 bound. The dephasing cases drop the model's declared mode
-    factors: the same sigma_z model then runs on the branch kernel."""
+    below the 1e-8 bound. The dephasing cases run the sparse sigma_z model, a
+    ``CompositeModel`` like every model the branch kernel takes."""
     rng = np.random.default_rng(7)
     he = build_coupled_oscillators(1.1, 1.0, 0.15, 10)
-    deph = _without_factors(DEPH)
+    deph = DEPH
     ground = np.zeros((11, 11), dtype=complex)
     ground[0, 0] = 1.0
     return {
@@ -235,14 +242,14 @@ def _branch_cases():
 
 
 def _mode_cases():
-    """(model, rho0, meas, beta, t, prob_floor[, engine model]) per case, each on a
-    sigma_z model with its mode factors declared; the engine runs on the last
-    entry where there is one (``build_dephasing_model``'s model), else on the
-    sparse model the dense reference reads. The draws use a coarser thermal tail
-    than the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
+    """(model, rho0, meas, beta, t, prob_floor, engine model) per case: the dense
+    reference reads the sparse sigma_z model, and the engine runs on the same
+    model as a ``ModeProductModel``. The draws use a coarser thermal tail than
+    the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
     routes read the same truncated model, so the comparison does not depend on it."""
     rng = np.random.default_rng(11)
-    cases = {  # the branch kernel's dephasing cases, with the factors declared
+    modes, cutoffs = [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5]
+    cases = {  # the branch kernel's dephasing cases, on the mode-product route
         name: (DEPH, *BRANCH_CASES[name][1:], DEPH_DECLARED)
         for name in ("deph-pure", "deph-mixed-nondiagonal")}
     cases |= {
@@ -251,10 +258,9 @@ def _mode_cases():
         # P_- = 3.8e-5 at t = 0.01
         "deph-below-floor": (DEPH, PLUS, pauli_x_measurement(), 1.0, 0.01, 1e-4,
                              DEPH_DECLARED),
-        "sigma-z-omega-q": (build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)],
-                                                   [6, 5], coupling_axis="z"),
+        "sigma-z-omega-q": (build_spin_boson_model(0.7, modes, cutoffs, coupling_axis="z"),
                             _random_density(rng, 2), _random_probe_measurement(rng, 2),
-                            1.1, 2.3, 1e-12),
+                            1.1, 2.3, 1e-12, _probe_split_model(0.7, modes, cutoffs)),
     }
     for seed in (1, 6, 7, 8, 11):
         params, model = draw_deph_instance(np.random.default_rng(seed), tail=1e-4)
@@ -343,7 +349,7 @@ class TestModeProduct(_MatchesDense):
         # P_- = 3.1e-7 at t = 1e-3: the probabilities are built as 1 + (prod chi - 1),
         # so their rounding does not swamp the beta-derivative (8e-11 here; the
         # plain product of the chi_k gives 1e-7 to 7e-6 at such points)
-        eng = HeatEngine(DEPH)
+        eng = HeatEngine(DEPH_DECLARED)
         record = eng.heat_decomposition(PLUS, 1.3, 1e-3, pauli_x_measurement())
         assert record.probabilities[1] < 1e-6
         fd = eng.fisher_finite_difference(PLUS, 1.3, 1e-3, pauli_x_measurement())
@@ -353,17 +359,25 @@ class TestModeProduct(_MatchesDense):
         # omega_q t = 0.7 with weak coupling, measured along the probe's free
         # precession: the rare outcome (P_l = 2.6e-6) stays smooth in beta because
         # rho0 carries the H_S phase, not the mode factors (2e-11 here; 5e-7 with
-        # the phase left in the first mode's factor)
-        model = build_spin_boson_model(0.7, [BathMode(1.0, 1e-3), BathMode(1.6, 1e-3)], 6,
-                                       coupling_axis="z")
+        # the phase left in the first mode's factor); the branch kernel on the
+        # sparse sigma_z model gives the same heats, to its absolute rounding of
+        # P_l H_l over P_l (6e-11 here)
+        modes = [BathMode(1.0, 1e-3), BathMode(1.6, 1e-3)]
         phase = np.exp(-0.7j)
         along = np.array([[1.0, 1.0], [phase, -phase]]) / np.sqrt(2)
         meas = ProjectiveMeasurement(along, (0, 1), (1, -1))
-        eng = HeatEngine(model)
+        eng = HeatEngine(_probe_split_model(0.7, modes, 6))
+        assert eng.route == "mode-product"
         record = eng.heat_decomposition(PLUS, 1.3, 1.0, meas)
         assert record.probabilities[1] < 1e-5
         fd = eng.fisher_finite_difference(PLUS, 1.3, 1.0, meas)
         assert fd == pytest.approx(record.fisher_heat, rel=1e-8, abs=0)
+        ref = HeatEngine(build_spin_boson_model(0.7, modes, 6, coupling_axis="z"))
+        ref_record = ref.heat_decomposition(PLUS, 1.3, 1.0, meas)
+        assert [o.label for o in record.outcomes] == [o.label for o in ref_record.outcomes]
+        for o, r in zip(record.outcomes, ref_record.outcomes):
+            assert abs(o.probability - r.probability) <= 1e-11
+            assert abs(o.h_tra - r.h_tra) <= 1e-9 and abs(o.h_cor - r.h_cor) <= 1e-9
 
     def test_cases_cover_one_to_three_modes_and_the_floor(self):
         assert {len(m.space.factor_dims) - 1 for m, *_ in MODE_CASES.values()} == {1, 2, 3}
@@ -404,19 +418,6 @@ class TestModeProduct(_MatchesDense):
         for o in eng.heat_decomposition(*args).outcomes:
             assert abs(heats[o.label] - o.h_tra) <= TOL_TWO_POINT
 
-    def test_spectrum_is_never_formed(self):
-        model = build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5],
-                                       coupling_axis="z")
-        eng = HeatEngine(model)
-        assert eng.route == "mode-product"
-        args = (_random_density(np.random.default_rng(3), 2), 1.1, 2.3,
-                _random_probe_measurement(np.random.default_rng(4), 2))
-        eng.heat_decomposition(*args)
-        eng.score_direct_all(*args)
-        eng.two_point_trajectory_heat_all(*args)
-        eng.fisher_finite_difference(*args)
-        assert "spectrum" not in vars(model)
-
     def test_two_thousand_mode_sample_of_the_scaling_run(self):
         # configs/scaling_deph.json's sample at its coldest beta: 2000 modes with
         # the dephasing runner's automatic cutoffs (sum_k n_k = 6082). Its sample
@@ -438,15 +439,15 @@ class TestModeProduct(_MatchesDense):
     @pytest.mark.parametrize("t", [0.3, 2.5])
     def test_two_point_keeps_the_probe_phase_in_the_factors(self, t):
         # omega_q t = 0.21 and 1.75 with a measurement that does not commute with
-        # sigma_z: the H_S phase the factors declare shows in every outcome, and
-        # the branch kernel on the same model reads it from spectrum
-        model = build_spin_boson_model(0.7, [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5],
-                                       coupling_axis="z")
+        # sigma_z: the H_S phase mode 0's eigenvalues carry shows in every
+        # outcome, and the branch kernel on the sparse model reads it from spectrum
+        modes, cutoffs = [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5]
         rng = np.random.default_rng(5)
         args = (_random_density(rng, 2), 1.1, t, _random_probe_measurement(rng, 2))
-        kernel = HeatEngine(_without_factors(model))
+        kernel = HeatEngine(build_spin_boson_model(0.7, modes, cutoffs, coupling_axis="z"))
         assert kernel.route == "branch-kernel"
-        heats = HeatEngine(model).two_point_trajectory_heat_all(*args)
+        heats = HeatEngine(_probe_split_model(0.7, modes, cutoffs)).two_point_trajectory_heat_all(
+            *args)
         record = kernel.heat_decomposition(*args)
         assert list(heats) == [o.label for o in record.outcomes]
         for o in record.outcomes:
@@ -456,68 +457,68 @@ class TestModeProduct(_MatchesDense):
 class TestRouteSelection:
     @pytest.mark.parametrize("build, route", [
         (lambda: DEPH_DECLARED, "mode-product"),
+        (lambda: _probe_split_model(0.7, [BathMode(1.0, 0.2)], [4]), "mode-product"),
         (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="z"),
-         "mode-product"),
+         "branch-kernel"),
         (lambda: build_coupled_oscillators(1.1, 1.0, 0.15, 6), "branch-kernel"),
         (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="x"),
          "branch-kernel"),
         (lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="xz"),
          "branch-kernel"),
-        (lambda: _without_factors(DEPH), "branch-kernel"),
-    ], ids=["dephasing", "sigma-z", "exchange", "x", "xz", "undeclared-factors"])
-    def test_route_follows_the_model(self, build, route):
+    ], ids=["dephasing", "probe-split", "sigma-z", "exchange", "x", "xz"])
+    def test_route_follows_the_model_type(self, build, route):
         assert HeatEngine(build()).route == route
-
-    @pytest.mark.parametrize("build", [
-        lambda: build_coupled_oscillators(1.1, 1.0, 0.15, 6),
-        lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="x"),
-        lambda: build_spin_boson_model(0.7, [BathMode(1.0, 0.2)], 4, coupling_axis="xz"),
-    ], ids=["exchange", "x", "xz"])
-    def test_no_mode_product_without_per_mode_factors(self, build):
-        assert build().mode_product is None
-
-    def test_mode_product_is_one_structure(self):
-        # the declared model is its own mode_product, and the sparse sigma_z model
-        # yields one of the same type: the route has one input type
-        assert DEPH_DECLARED.mode_product is DEPH_DECLARED
-        assert type(DEPH.mode_product) is type(DEPH_DECLARED)
-        assert DEPH.mode_product is DEPH.mode_product
 
 
 PARITY_DRAWS = [(seed, *draw_deph_instance(np.random.default_rng(seed))) for seed in range(20)]
+# the draws with d <= 800, on which the branch kernel takes about 0.2 s in all
+SMALL_PARITY_DRAWS = [draw for draw in PARITY_DRAWS if draw[2].space.total_dim <= 800]
 
 
-class TestDeclaredModelParity:
-    """``build_dephasing_model`` forms no H, so the factor check against H that
-    the sparse build runs is carried over here: on every draw its structure and
-    the engine's outputs equal, bit for bit, those of the sparse sigma_z build's
-    ``mode_product``."""
+class TestDephasingModelAgainstItsH:
+    """``build_dephasing_model`` forms no H, so its mode eigenpairs are tied to
+    the sparse sigma_z build of the same draw here: they add up to its H, and
+    the mode-product route on them agrees with the branch kernel on it."""
 
     def test_draws_cover_one_to_three_modes(self):
         assert {len(params["modes"]) for _, params, _ in PARITY_DRAWS} == {1, 2, 3}
+        assert [seed for seed, *_ in SMALL_PARITY_DRAWS] == [1, 6, 9, 11, 12, 14, 16, 19]
 
     @pytest.mark.parametrize("seed, params, model", PARITY_DRAWS,
                              ids=[f"draw-{seed}" for seed, *_ in PARITY_DRAWS])
-    def test_declared_model_equals_the_sparse_build(self, seed, params, model):
-        sparse = _sparse_twin(params).mode_product
-        assert np.array_equal(model.probe_energies, sparse.probe_energies)
-        assert len(model.mode_energies) == len(sparse.mode_energies) == len(params["modes"])
-        for eps, same in zip(model.mode_energies, sparse.mode_energies):
-            assert np.array_equal(eps, same)
-        for level, same_level in zip(model.levels, sparse.levels, strict=True):
-            for (lam, v), (same_lam, same_v) in zip(level, same_level, strict=True):
-                assert np.array_equal(lam, same_lam) and np.array_equal(v, same_v)
+    def test_mode_factors_add_up_to_the_sparse_h(self, seed, params, model):
+        # per probe level, the Kronecker sum of each mode's V diag(lambda) V^T
+        h = _sparse_twin(params).hamiltonian
+        blocks = []
+        for level in model.levels:
+            block = np.zeros((1, 1))
+            for lam, v in level:
+                factor = (v * lam) @ v.T
+                block = np.kron(block, np.eye(len(lam))) + np.kron(np.eye(len(block)), factor)
+            blocks.append(block)
+        scale = 1.0 + np.abs(h.data).max()
+        assert np.abs(block_diag(*blocks) - h.toarray()).max() <= HERMITICITY_RTOL * scale
 
+    @pytest.mark.parametrize("seed, params, model", SMALL_PARITY_DRAWS,
+                             ids=[f"draw-{seed}" for seed, *_ in SMALL_PARITY_DRAWS])
+    def test_engine_agrees_with_the_branch_kernel_on_the_sparse_h(self, seed, params, model):
         rng = np.random.default_rng(seed)
+        eng, ref = HeatEngine(model), HeatEngine(_sparse_twin(params))
+        assert (eng.route, ref.route) == ("mode-product", "branch-kernel")
         for args in ((PLUS, params["beta"], params["t"], pauli_x_measurement()),
                      (_random_density(rng, 2), params["beta"], params["t"],
                       _random_probe_measurement(rng, 2))):
-            eng, ref = HeatEngine(model), HeatEngine(sparse)
-            assert eng.heat_decomposition(*args) == ref.heat_decomposition(*args)
-            assert eng.score_direct_all(*args) == ref.score_direct_all(*args)
-            assert (eng.two_point_trajectory_heat_all(*args)
-                    == ref.two_point_trajectory_heat_all(*args))
-            assert eng.fisher_finite_difference(*args) == ref.fisher_finite_difference(*args)
+            record, ref_record = eng.heat_decomposition(*args), ref.heat_decomposition(*args)
+            assert [o.label for o in record.outcomes] == [o.label for o in ref_record.outcomes]
+            for o, r in zip(record.outcomes, ref_record.outcomes):
+                assert np.allclose([o.probability, o.h_tra, o.h_cor, o.score],
+                                   [r.probability, r.h_tra, r.h_cor, r.score], rtol=0, atol=1e-11)
+            for route in (HeatEngine.score_direct_all, HeatEngine.two_point_trajectory_heat_all):
+                got, expected = route(eng, *args), route(ref, *args)
+                assert got.keys() == expected.keys()
+                assert all(abs(got[label] - expected[label]) <= 1e-11 for label in got)
+            assert abs(eng.fisher_finite_difference(*args)
+                       - ref.fisher_finite_difference(*args)) <= 1e-11
 
 
 class TestBranchKernel(_MatchesDense):

@@ -195,7 +195,8 @@ class TestTruncationLevel:
         assert truncation_level(0.5, 1.0, 1e-10) > truncation_level(2.0, 1.0, 1e-10)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            truncation_level(0.0, 1.0, 1e-10)
+        for beta in (0.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                truncation_level(beta, 1.0, 1e-10)
         with pytest.raises(ValueError):
             truncation_level(1.0, 1.0, 1.5)

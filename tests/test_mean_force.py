@@ -83,9 +83,11 @@ class TestMeanForceHamiltonian:
         expected = 1.0 + math.exp(-BETA * QUBIT_OMEGA)
         assert z_star(free_model, BETA) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonpositive_beta(self, coupled_model):
-        with pytest.raises(ValueError):
-            reduced_gibbs_operator(coupled_model, 0.0)
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_beta(self, coupled_model, beta):
+        for route in (reduced_gibbs_operator, internal_energy_deviation):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                route(coupled_model, beta)
 
 
 class TestEnergyOperator:

@@ -243,7 +243,7 @@ class TestModelBuilders:
         for name in ("kron", "kronsum", "eye_array", "diags_array"):
             monkeypatch.setattr(sparse, name, refuse)
         model = build()
-        assert model.hamiltonian.nnz > 0 and model.factor_spectrum
+        assert model.hamiltonian.nnz > 0 and model.spectrum
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Charge sectors: every blocked route against the dense, sector-blind reference."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -19,7 +17,6 @@ from thermoq.models import (
     SIGMA_Z,
     BathMode,
     SectorCouplingError,
-    SectorFactorizationError,
     _compose,
     _multimode_bath,
     build_coupled_oscillators,
@@ -124,22 +121,19 @@ def test_two_point_route_drops_null_space_of_rho0():
 
 
 @pytest.mark.parametrize("charge", ["dephasing", "sigma-z", "degenerate"])
-def test_factored_spectrum_matches_dense_sector_eigh(charge):
-    # one factor per mode on each sigma_z sector; the degenerate draw has two
-    # modes of one frequency, so its sector spectra repeat
+def test_spectrum_matches_dense_sector_eigh(charge):
+    # the degenerate draw has two modes of one frequency, so its sector spectra repeat
     model, *_ = _instance(charge, 1)
     h = model.hamiltonian.toarray()
-    for (index, pairs), (same_index, w, v) in zip(model.factor_spectrum, model.spectrum):
-        assert index is same_index
-        assert [len(f) for _, f in pairs] == list(model.space.factor_dims[1:])
+    for index, w, v in model.spectrum:
         block = h[np.ix_(index, index)]
-        assert np.abs(np.sort(w) - np.linalg.eigvalsh(block)).max() <= 1e-12
+        assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12
         assert np.abs(v.T @ v - np.eye(len(index))).max() <= 1e-12
         assert np.abs((v * w) @ v.T - block).max() <= 1e-12
 
 
 @pytest.mark.parametrize("charge", ["dephasing", "sigma-z", "exchange", "parity", "none"])
-def test_one_eigh_per_factor(charge, monkeypatch):
+def test_one_eigh_per_sector(charge, monkeypatch):
     model, *_ = _instance(charge, 1)
     dims = []
     real_eigh = np.linalg.eigh
@@ -151,18 +145,7 @@ def test_one_eigh_per_factor(charge, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     HeatEngine(model)
     model.spectrum  # noqa: B018
-    if charge in ("dephasing", "sigma-z"):
-        # two sigma_z sectors of two mode factors each: no eigh is larger than a mode
-        modes = list(model.space.factor_dims[1:])
-        assert sorted(dims) == sorted(modes * 2) and max(dims) == max(modes)
-    else:
-        assert sorted(dims) == sorted(len(index) for index, _, _ in model.spectrum)
-
-
-def test_kernel_never_forms_the_dense_sector_eigenvectors():
-    model, rho0, meas, beta, t, _ = _instance("dephasing", 2)
-    HeatEngine(model).heat_decomposition(rho0, beta, t, meas)
-    assert "factor_spectrum" in vars(model) and "spectrum" not in vars(model)
+    assert sorted(dims) == sorted(len(index) for index, _, _ in model.spectrum)
 
 
 @pytest.mark.parametrize("axis", ["z", "x", "xz"])
@@ -259,45 +242,3 @@ def test_non_hermitian_interaction_is_a_named_error(extra, deviation):
     h_i = np.append(rows, r), np.append(cols, c), np.append(values, v)
     with pytest.raises(InvalidOperatorError, match=f"max deviation {deviation}"):
         _compose(model.space, model.h_s_local, model.bath_energies, h_i)
-
-
-def _dephasing_parts():
-    modes, cutoffs = [BathMode(1.0, 0.2), BathMode(1.3, 0.1)], [3, 2]
-    model = build_spin_boson_model(0.7, modes, cutoffs, coupling_axis="z")
-    _, _, h_i = _multimode_bath(modes, cutoffs, SIGMA_Z)
-    # the declared factors, keyed by charge: sectors come in ascending label order
-    factors = dict(zip((-1, 1), model.factors))
-    return model, h_i, factors
-
-
-def test_declared_factors_rebuild_the_model():
-    model, h_i, factors = _dephasing_parts()
-    rebuilt = _compose(model.space, model.h_s_local, model.bath_energies, h_i,
-                       charge=model.charge, factors=factors)
-    assert abs(rebuilt.hamiltonian - model.hamiltonian).max() == 0
-    assert all(len(f) == 2 for f in rebuilt.factors)
-
-
-def _corrupt_entry(factors, a, b):
-    f = factors[1][1].copy()
-    f[a, b] += 1e-6
-    f[b, a] += 1e-6 if a != b else 0.0
-    return {**factors, 1: (factors[1][0], f)}
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    (partial(_corrupt_entry, a=0, b=1), "differ from H's block by 1.0"),
-    (partial(_corrupt_entry, a=1, b=1), "differ from H's block by 1.0"),
-    # H stores no entry there; the two new entries of the second factor
-    # repeat over the four levels of the first
-    (partial(_corrupt_entry, a=0, b=2), "have 8 entries above"),
-    (lambda fs: {**fs, 1: fs[-1]}, "differ"),  # the other sector's factors
-    (lambda fs: {**fs, 1: (fs[1][0], fs[1][1][:-1, :-1])}, "dimensions"),
-    (lambda fs: {**fs, 2: fs[1]}, "absent"),
-], ids=["entry", "diagonal", "unstored-entry", "swapped-sector", "dimension",
-        "absent-charge"])
-def test_wrong_factor_is_a_named_error(corrupt, message):
-    model, h_i, factors = _dephasing_parts()
-    with pytest.raises(SectorFactorizationError, match=message):
-        _compose(model.space, model.h_s_local, model.bath_energies, h_i,
-                 charge=model.charge, factors=corrupt(factors))
