@@ -2,9 +2,12 @@
 
 Parses a JSON run configuration, executes a parameter sweep for one of the
 experiment families, writes the results table (CSV or JSON) plus a
-machine-readable verification report, and exits nonzero if any identity
-check exceeded its tolerance. Sweep points are evaluated in configuration
-order, so output rows are deterministic for a fixed config.
+machine-readable verification report (``validate.verification``), and exits
+nonzero if any identity check exceeded its tolerance. A configuration sets the
+model, sweep, cutoffs, probability floor and output, never a check: every
+check and tolerance is ``validate.CHECKS``'s. A key the experiment does not
+read is a usage error. Sweep points are evaluated in configuration order, so
+output rows are deterministic for a fixed config.
 """
 
 import hashlib
@@ -36,7 +39,6 @@ from .models import (
 )
 from .validate import (
     CLOSED_FORM_MIN_PROB,
-    IdentityCheck,
     auto_cutoff,
     check_engine_point,
     check_mean_force_point,
@@ -45,6 +47,7 @@ from .validate import (
     he_reference,
     identity_checks,
     relative_error,
+    verification,
 )
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
@@ -91,12 +94,9 @@ CONFIG_SCHEMA = {
         "tail": "float in (0, 1): thermal tail bound for automatic cutoffs (default "
                 "1e-10; mean-force 1e-8); used as given, and mean-force writes it to "
                 "the sidecar",
-        "fd_step": "float > 0 or null: beta step of the finite-difference Fisher "
-                   "routes (default 1e-4 * beta, at most beta / 10)",
         "prob_floor": "float in (0, 1): outcomes below it are excluded, and the largest "
                       "mass one point excluded is written to the sidecar "
                       f"(default {PROB_FLOOR:g})",
-        "slope_tol": "float > 0: scaling-slope tolerance (default 0.1)",
     },
     "output": {
         "path": "output file path (default <experiment>.csv); directory overridable "
@@ -154,20 +154,24 @@ def _sweep_points(sweep, allowed):
     return [dict(zip(axes, combo)) for combo in itertools.product(*(sweep[a] for a in axes))]
 
 
+def _reject_unread(experiment, section, keys):
+    """ConfigError naming each of ``keys`` of ``section``: ``experiment`` reads none."""
+    if keys:
+        raise ConfigError(f"{experiment} does not read "
+                          f"{', '.join(f'{section}.{key}' for key in keys)}")
+
+
 def _numerics(config, default_tail=1e-10):
-    n = dict(config.get("numerics", {}))
-    n_max, fd_step = n.pop("n_max", None), n.pop("fd_step", None)
-    out = {
+    n = config.get("numerics", {})
+    _reject_unread(config["experiment"], "numerics",
+                   [key for key in n if key not in ("n_max", "tail", "prob_floor")])
+    n_max = n.get("n_max")
+    return {
         "n_max": None if n_max is None else _count("numerics.n_max", n_max, 1),
-        "tail": _positive("numerics", "tail", n.pop("tail", default_tail), below=1),
-        "fd_step": None if fd_step is None else _positive("numerics", "fd_step", fd_step),
-        "prob_floor": _positive("numerics", "prob_floor", n.pop("prob_floor", PROB_FLOOR),
+        "tail": _positive("numerics", "tail", n.get("tail", default_tail), below=1),
+        "prob_floor": _positive("numerics", "prob_floor", n.get("prob_floor", PROB_FLOOR),
                                 below=1),
-        "slope_tol": _positive("numerics", "slope_tol", n.pop("slope_tol", 0.1)),
     }
-    if n:
-        raise ConfigError(f"unknown numerics keys: {sorted(n)}")
-    return out
 
 
 def _parse_modes(model, experiment):
@@ -197,39 +201,32 @@ def _fmt(value):
 # -- experiment runners ----------------------------------------------------
 
 
-def _fd_step(num, beta):
-    """numerics.fd_step at a point of inverse temperature ``beta`` (at most beta/10)."""
-    h = num["fd_step"]
-    if h is not None and h > beta / 10:
-        raise ConfigError(f"numerics.fd_step {h:g} exceeds beta/10 = {beta / 10:g} "
-                          f"at beta = {beta:g}")
-    return h
-
-
 def _run_engine_points(config, num, points, check_ids, family_point):
     """The sweep of an engine experiment: one checked heat decomposition per point.
 
     ``family_point(point)`` returns (params, cutoff key, model builder, rho0, t,
     measurement builder, closed-form reference); params holds beta and leads
-    each row. One engine and one measurement are built per cutoff key.
+    each row. One engine and one measurement are built per cutoff key; the
+    engine's construction is the model's eigendecomposition (``spectrum_s``).
     """
     per_outcome = config.get("output", {}).get("per_outcome", False)
     checks = identity_checks(*check_ids)
     engines = {}
     rows = []
-    excluded = floor_excluded = build_s = 0.0
+    excluded = floor_excluded = build_s = spectrum_s = 0.0
     for point in points:
         params, key, build, rho0, t, measure, reference = family_point(point)
-        beta = params["beta"]
-        h = _fd_step(num, beta)
         if key not in engines:
             start = time.perf_counter()
             model = build()
-            build_s += time.perf_counter() - start
-            engines[key] = (HeatEngine(model, prob_floor=num["prob_floor"]), measure())
+            built = time.perf_counter()
+            engine = HeatEngine(model, prob_floor=num["prob_floor"])
+            build_s += built - start
+            spectrum_s += time.perf_counter() - built
+            engines[key] = (engine, measure())
         engine, meas = engines[key]
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
-            checks, engine, rho0, beta, t, meas, reference, params, h=h)
+            checks, engine, rho0, params["beta"], t, meas, reference, params)
         excluded = max(excluded, point_excluded)
         floor_excluded = max(floor_excluded, record.excluded_probability)
 
@@ -248,7 +245,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
                "closed_form_excluded_probability_max": excluded,
                "prob_floor_excluded_probability_max": floor_excluded,
                "engine_routes": sorted({engine.route for engine, _ in engines.values()}),
-               "model_build_s": build_s}
+               "model_build_s": build_s, "spectrum_s": spectrum_s}
     return rows, list(checks.values()), summary
 
 
@@ -259,8 +256,7 @@ def _run_heat_exchange(config):
     for key in ("omega_0", "delta", "g"):
         if key in model:
             base[key] = model.pop(key)
-    if model:
-        raise ConfigError(f"unknown heat-exchange model keys: {sorted(model)}")
+    _reject_unread("heat-exchange", "model", model)
     points = _sweep_points(config.get("sweep", {}),
                            {"beta", "t", "g", "delta", "omega_0"})
 
@@ -294,8 +290,7 @@ def _run_dephasing(config):
     model = dict(config.get("model", {}))
     num = _numerics(config)
     modes = _parse_modes(model, "dephasing")
-    if model:
-        raise ConfigError(f"unknown dephasing model keys: {sorted(model)}")
+    _reject_unread("dephasing", "model", model)
     if not any(m.g for m in modes):
         raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
                           "so the probe carries no temperature information")
@@ -328,31 +323,32 @@ def _run_mean_force(config):
     axis = model.pop("coupling_axis", "xz")
     if axis not in ("x", "z", "xz"):
         raise ConfigError(f"coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
-    if model:
-        raise ConfigError(f"unknown mean-force model keys: {sorted(model)}")
+    _reject_unread("mean-force", "model", model)
     points = _sweep_points(config.get("sweep", {}), {"beta"})
 
     checks = identity_checks("mean_force", "ur_product")
     models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
     rows = []
-    floor_excluded = build_s = 0.0
+    floor_excluded = build_s = spectrum_s = 0.0
     for point in points:
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
-        h = _fd_step(num, beta)
         if num["n_max"] is not None:
             cutoffs = (num["n_max"],) * len(modes)
         else:
             cutoffs = tuple(auto_cutoff("mean-force", beta, m.omega, num["tail"]) for m in modes)
         if cutoffs not in models:
             start = time.perf_counter()
-            models[cutoffs] = build_spin_boson_model(omega_q, modes, list(cutoffs),
-                                                     coupling_axis=axis)
-            build_s += time.perf_counter() - start
+            model = build_spin_boson_model(omega_q, modes, list(cutoffs), coupling_axis=axis)
+            built = time.perf_counter()
+            model.probe_tables  # noqa: B018  (the spectrum and its tables, timed apart)
+            build_s += built - start
+            spectrum_s += time.perf_counter() - built
+            models[cutoffs] = model
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
         result, delta_u, product = check_mean_force_point(
-            checks, models[cutoffs], beta, params, h_step=h, prob_floor=num["prob_floor"])
+            checks, models[cutoffs], beta, params, prob_floor=num["prob_floor"])
         floor_excluded = max(floor_excluded, result.excluded_probability)
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
@@ -361,7 +357,8 @@ def _run_mean_force(config):
     # the tail the automatic cutoffs used; none when numerics.n_max fixes them
     return rows, list(checks.values()), {
         "tail": None if num["n_max"] is not None else num["tail"],
-        "prob_floor_excluded_probability_max": floor_excluded, "model_build_s": build_s}
+        "prob_floor_excluded_probability_max": floor_excluded, "model_build_s": build_s,
+        "spectrum_s": spectrum_s}
 
 
 def _spectral(model):
@@ -372,15 +369,19 @@ def _spectral(model):
 
 
 def _scaling_betas(config):
-    betas = config.get("sweep", {}).get("beta")
+    sweep = config.get("sweep", {})
+    _reject_unread(config["experiment"], "sweep", [axis for axis in sweep if axis != "beta"])
+    _reject_unread(config["experiment"], "numerics", config.get("numerics", {}))
+    betas = sweep.get("beta")
     if not isinstance(betas, list) or len(betas) < 4:
         raise ConfigError(f"{config['experiment']} requires sweep.beta with at least 4 values")
     return [_positive("sweep", "beta", b) for b in betas]
 
 
-def _scaling_rows(points, slope, intercept, r2, expected, tol):
+def _scaling_rows(points, expected):
+    slope, intercept, r2 = cf.scaling_fit(points)
     rows = [{"beta": b, "bound_rel": v} for b, v in points]
-    check = IdentityCheck("scaling slope vs expected exponent", tol)
+    check = identity_checks("scaling_slope")["scaling_slope"]
     check.update(abs(slope - expected), {"slope": slope, "expected": expected})
     summary = {"slope": slope, "intercept": intercept, "r2": r2,
                "expected_slope": expected}
@@ -389,46 +390,40 @@ def _scaling_rows(points, slope, intercept, r2, expected, tol):
 
 def _run_scaling_he(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config)
     j = _spectral(model)
     delta_ratio = _nonnegative("model", "delta_ratio", model.pop("delta_ratio", 0.1))
     time_factor = _positive("model", "time_factor", model.pop("time_factor", 0.3))
-    if model:
-        raise ConfigError(f"unknown scaling-he model keys: {sorted(model)}")
+    _reject_unread("scaling-he", "model", model)
     betas = _scaling_betas(config)
     points = cf.he_scaling_points(j, betas, delta_ratio=delta_ratio,
                                   time_factor=time_factor)
-    slope, intercept, r2 = cf.scaling_fit(points)
-    return _scaling_rows(points, slope, intercept, r2, (1.0 + j.s) / 2.0,
-                         num["slope_tol"])
+    return _scaling_rows(points, (1.0 + j.s) / 2.0)
 
 
 def _run_scaling_deph(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config)
     j = _spectral(model)
     t, omega_max = model.pop("t", None), model.pop("omega_max", None)
     t = None if t is None else _positive("model", "t", t)
     omega_max = None if omega_max is None else _positive("model", "omega_max", omega_max)
     k_modes = _count("model.k_modes", model.pop("k_modes", 2000), 1)
-    if model:
-        raise ConfigError(f"unknown scaling-deph model keys: {sorted(model)}")
+    _reject_unread("scaling-deph", "model", model)
     betas = _scaling_betas(config)
     points = cf.deph_scaling_points(j, betas, t=t, k_modes=k_modes,
                                     omega_max=omega_max)
-    slope, intercept, r2 = cf.scaling_fit(points)
-    return _scaling_rows(points, slope, intercept, r2, 1.0 + j.s, num["slope_tol"])
+    return _scaling_rows(points, 1.0 + j.s)
 
 
 def _run_cross_validate(config):
+    for section in ("model", "sweep", "numerics"):
+        _reject_unread("cross-validate", section, config.get(section, {}))
     seed = _count("seed", config.get("seed", 0), 0)
     draws = _count("draws", config.get("draws", 5), 1)
-    report = cross_validate(seed, draws)
+    checks, summary = cross_validate(seed, draws)
     rows = [{"check": c.name, "max_deviation": c.max_deviation,
              "tolerance": c.tolerance, "passed": c.passed}
-            for c in report.checks]
-    summary = {k: v for k, v in report.as_dict().items() if k not in ("passed", "checks")}
-    return rows, report.checks, summary
+            for c in checks]
+    return rows, checks, summary
 
 
 RUNNERS = {
@@ -474,11 +469,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
-
-
-def _verification_dict(checks, summary):
-    return {"passed": all(c.passed for c in checks),
-            "checks": [c.as_dict() for c in checks], **summary}
 
 
 def _report(checks):
@@ -539,13 +529,13 @@ def run_cmd(config_path):
     meta = {"version": __version__, "config_hash": _config_hash(config),
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
-    verification = _verification_dict(checks, summary)
+    report = verification(checks, summary)
     path = _redirected(path)
     if fmt == "csv":
         _write_csv(path, rows, meta)
     else:
-        _write_json(path, {"meta": meta, "rows": rows, "verification": verification})
-    _write_json(path + ".verification.json", verification)
+        _write_json(path, {"meta": meta, "rows": rows, "verification": report})
+    _write_json(path + ".verification.json", report)
 
     click.echo(f"{experiment}: {len(rows)} rows -> {path}")
     for key, value in summary.items():
@@ -562,14 +552,14 @@ def run_cmd(config_path):
               help="Optional JSON report path.")
 def cross_validate_cmd(seed, draws, output):
     """Check every identity on random instances of each model family."""
-    report = cross_validate(seed, draws)
+    checks, summary = cross_validate(seed, draws)
     click.echo(f"cross-validate seed={seed} draws={draws} "
-               f"({report.elapsed_seconds:.1f}s)")
+               f"({summary['elapsed_seconds']:.1f}s)")
     if output:
         output = _redirected(output)
-        _write_json(output, report.as_dict())
+        _write_json(output, verification(checks, summary))
         click.echo(f"report -> {output}")
-    _report(report.checks)
+    _report(checks)
 
 
 @main.command("schema")

@@ -97,9 +97,9 @@ def he_precision_bound(p: HEParams):
     return math.sqrt((1.0 + n) / n) / (p.beta * p.omega_0 * (1.0 + p.nbar_b))
 
 
-def he_optimal_time(p: HEParams, i=0):
-    """Evolution times (i + 1/2) pi / E maximizing the excitation swap."""
-    return (i + 0.5) * math.pi / p.rabi
+def he_optimal_time(p: HEParams):
+    """Evolution time pi / (2 E), the first to maximize the excitation swap."""
+    return 0.5 * math.pi / p.rabi
 
 
 @dataclass(frozen=True)

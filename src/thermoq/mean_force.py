@@ -157,8 +157,7 @@ def energy_operator(model, beta, gibbs=None):
     return _hermitian_part(va @ e_tilde @ va.conj().T)
 
 
-def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
-                              prob_floor=PROB_FLOOR):
+def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
     """Internal-energy deviations two ways, and the worst mismatch between them.
 
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
@@ -173,10 +172,10 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     with P_l below prob_floor are left out, and their summed probability is
     stored as ``excluded_probability``.
 
-    The result also carries the Fisher information of the E*-eigenbasis
-    measurement, by finite differences of ln P_l(beta) with step h_step
-    (``engine.log_score_fisher``). Every quantity reads the model's
-    ``probe_tables``, built once per model.
+    E*_S eigenvalues within 1e-8 max(spread, 1) form one outcome. The result
+    also carries the Fisher information of that measurement, by finite
+    differences of ln P_l(beta) (``engine.log_score_fisher``). Every quantity
+    reads the model's ``probe_tables``, built once per model.
     """
     gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
     h_star = _log_gibbs(gibbs, beta)
@@ -184,9 +183,7 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
     u_s = internal_energy(model, beta)
 
     spread = np.ptp(np.linalg.eigvalsh(e_star))
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-8 * max(spread, 1.0)
-    meas = eigenbasis_measurement(e_star, degeneracy_tol)
+    meas = eigenbasis_measurement(e_star, 1e-8 * max(spread, 1.0))
 
     w, g, k = model.probe_tables
     # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b), and the
@@ -199,7 +196,7 @@ def internal_energy_deviation(model, beta, degeneracy_tol=None, h_step=None,
         return _checked_probabilities(gibbs_rows(w, betas) @ occupation.T)
 
     probs = probabilities([beta])[0]
-    fisher = log_score_fisher(probabilities, beta, h_step, prob_floor)
+    fisher = log_score_fisher(probabilities, beta, prob_floor)
     e_total = np.trace(h_chi_s).real
 
     rows, mismatches = [], []

@@ -2,8 +2,10 @@
 
 Each check is defined once here: its name and tolerance (``CHECKS``), the
 closed-form reference of each thermometer family, and the comparisons made
-at one engine point or one mean-force point. ``cross_validate`` runs them,
-the direct-score and two-point routes included, on random instances of each family.
+at one engine point or one mean-force point; no run configuration sets a
+tolerance or the finite-difference step (``engine.log_score_fisher``).
+``cross_validate`` runs all but the scaling slope on random instances of each
+family; ``verification`` is the one report that runs and cross-validation write.
 """
 
 import math
@@ -33,6 +35,7 @@ TOL_CLOSED_FORM = 1e-6    # brute force vs closed forms, relative
 TOL_AVG_HEAT = 1e-8       # average trajectory heat vs its closed form, absolute
 TOL_MEAN_FORCE = 1e-6     # dual internal-energy deviation, mixed
 TOL_UR_PRODUCT = 1e-5     # Cramer-Rao product at saturation
+TOL_SCALING_SLOPE = 0.1   # fitted low-temperature log-log slope vs its exponent, absolute
 
 # Per-outcome closed-form comparisons skip outcomes with P_l below this. The
 # conditional heats divide traces by P_l, so below it the absolute trace
@@ -50,6 +53,7 @@ CHECKS = {
     "saturation": ("bound saturation: bound*beta*sqrt(F) = 1", TOL_UR_PRODUCT),
     "mean_force": ("internal-energy deviation, dual computation", TOL_MEAN_FORCE),
     "ur_product": ("temperature-energy UR product at saturation", TOL_UR_PRODUCT),
+    "scaling_slope": ("scaling slope vs expected exponent", TOL_SCALING_SLOPE),
 }
 
 
@@ -84,30 +88,10 @@ def identity_checks(*ids):
     return {i: IdentityCheck(*CHECKS[i]) for i in ids}
 
 
-@dataclass
-class ValidationReport:
-    seed: int
-    draws: int
-    checks: list
-    elapsed_seconds: float = 0.0
-    closed_form_excluded_probability_max: float = 0.0  # max over draws (check_engine_point)
-    prob_floor_excluded_probability_max: float = 0.0  # max over every draw, below PROB_FLOOR
-    engine_routes: dict = field(default_factory=dict)  # family -> sorted HeatEngine routes
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self):
-        return {"seed": self.seed, "draws": self.draws, "passed": self.passed,
-                "elapsed_seconds": self.elapsed_seconds,
-                "closed_form_min_probability": CLOSED_FORM_MIN_PROB,
-                "closed_form_excluded_probability_max":
-                    self.closed_form_excluded_probability_max,
-                "prob_floor_excluded_probability_max":
-                    self.prob_floor_excluded_probability_max,
-                "engine_routes": self.engine_routes,
-                "checks": [c.as_dict() for c in self.checks]}
+def verification(checks, summary):
+    """The verification report of a list of checks and a run's summary."""
+    return {"passed": all(c.passed for c in checks),
+            "checks": [c.as_dict() for c in checks], **summary}
 
 
 def relative_error(a, b):
@@ -148,7 +132,7 @@ def deph_reference(dp):
 # -- point checks ----------------------------------------------------------
 
 
-def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params, h=None):
+def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     """Heat decomposition of one point, checked against the other routes.
 
     Updates ``checks``: 'fisher' (finite difference vs heat variance),
@@ -162,7 +146,7 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params, h
     outcomes below the cutoff).
     """
     record = engine.heat_decomposition(rho0, beta, t, meas)
-    fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas, h=h)
+    fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas)
     checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
 
     devs = [relative_error(record.fisher_heat, reference.fisher)]
@@ -195,13 +179,13 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params, h
     return record, fisher_fd, closed_form_dev, excluded
 
 
-def check_mean_force_point(checks, model, beta, params, h_step=None, prob_floor=PROB_FLOOR):
+def check_mean_force_point(checks, model, beta, params, prob_floor=PROB_FLOOR):
     """Steady-state deviation of one mean-force point and its UR product.
 
     Updates the 'mean_force' (dual residual) and 'ur_product' checks;
     returns (result, Delta U, UR product).
     """
-    result = internal_energy_deviation(model, beta, h_step=h_step, prob_floor=prob_floor)
+    result = internal_energy_deviation(model, beta, prob_floor=prob_floor)
     delta_u, _, product = temperature_energy_ur_check(result)
     checks["mean_force"].update(result.dual_residual, params)
     checks["ur_product"].update(abs(product - 1.0), params)
@@ -275,11 +259,12 @@ def _engine_draw(checks, routes, params, model, rho0, meas, reference):
 
 
 def cross_validate(seed, draws, progress=None):
-    """Run all identity checks on ``draws`` random instances per family."""
+    """Run every check but the scaling slope, which no draw fits, on ``draws``
+    random instances per family; returns (checks, summary), as a runner does."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
     rng = np.random.default_rng(seed)
-    checks = identity_checks(*CHECKS)
+    checks = identity_checks(*(i for i in CHECKS if i != "scaling_slope"))
     excluded = []
     routes = {}
     start = time.perf_counter()
@@ -311,8 +296,9 @@ def cross_validate(seed, draws, progress=None):
         excluded.append((0.0, result.excluded_probability))
 
     closed_form_excluded, floor_excluded = np.max(excluded, axis=0)
-    return ValidationReport(seed=seed, draws=draws, checks=list(checks.values()),
-                            elapsed_seconds=time.perf_counter() - start,
-                            closed_form_excluded_probability_max=float(closed_form_excluded),
-                            prob_floor_excluded_probability_max=float(floor_excluded),
-                            engine_routes={f: sorted(r) for f, r in routes.items()})
+    return list(checks.values()), {
+        "seed": seed, "draws": draws, "elapsed_seconds": time.perf_counter() - start,
+        "closed_form_min_probability": CLOSED_FORM_MIN_PROB,
+        "closed_form_excluded_probability_max": float(closed_form_excluded),
+        "prob_floor_excluded_probability_max": float(floor_excluded),
+        "engine_routes": {f: sorted(r) for f, r in routes.items()}}

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,28 +75,6 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fd_step", [0, -1e-4, "1e-4", 0.5])
-    def test_bad_fd_step_is_usage_error(self, tmp_path, fd_step):
-        # 0.5 is positive but above beta/10 at beta = 1
-        configs = [{
-            "experiment": "mean-force",
-            "model": {"omega_q": 1.0, "modes": [[0.8, 0.15], [1.3, 0.15]]},
-            "sweep": {"beta": [1.0]},
-            "numerics": {"n_max": 4, "fd_step": fd_step},
-            "output": {"path": str(tmp_path / "mf.csv")},
-        }, {
-            "experiment": "heat-exchange",
-            "sweep": {"beta": [1.0]},
-            "numerics": {"n_max": 8, "fd_step": fd_step},
-            "output": {"path": str(tmp_path / "he.csv")},
-        }]
-        for config in configs:
-            result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
-            assert result.exit_code == 2, result.output
-            assert not (tmp_path / config["output"]["path"]).exists()
-            if fd_step == 0.5:
-                assert "beta = 1" in result.output
-
     @pytest.mark.parametrize("experiment, key, value", [
         ("heat-exchange", "n_max", 0),
         ("dephasing", "n_max", 0),
@@ -104,8 +83,11 @@ class TestSchemaAndUsage:
         ("heat-exchange", "tail", 0),
         ("heat-exchange", "tail", 1.0),
         ("heat-exchange", "prob_floor", -1),
+        # a run config sets no check tolerance and no finite-difference step
         ("heat-exchange", "slope_tol", 0),
         ("heat-exchange", "slope_tol", True),
+        ("heat-exchange", "fd_step", 1e-4),
+        ("dephasing", "fd_step", None),
         ("cross-validate", "draws", 0),
         ("cross-validate", "draws", 1.5),
         ("cross-validate", "seed", -1),
@@ -163,13 +145,24 @@ class TestSchemaAndUsage:
         ("heat-exchange", "output.path", ""),
         ("dephasing", "output.per_outcome", "false"),
         ("heat-exchange", "output.per_outcome", 1),
+        # a key the experiment never reads is rejected, not ignored
+        ("heat-exchange", "model.omega_q", 1.0),
+        ("scaling-deph", "sweep.t", [123.0]),
+        ("scaling-he", "sweep.g", [0.1]),
+        ("scaling-deph", "numerics.n_max", 3),
+        ("scaling-he", "numerics.prob_floor", 0.5),
+        ("scaling-deph", "numerics.slope_tol", 100),
+        ("cross-validate", "model.omega_0", 1.0),
+        ("cross-validate", "sweep.beta", [2.0]),
+        ("cross-validate", "numerics.n_max", 3),
     ])
     def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value,
                                                      monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run without a usable output.path would write
         scaling = experiment.startswith("scaling")
-        config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")},
-                  "sweep": {"beta": [1.0, 2.0, 3.0, 4.0] if scaling else [2.0]}}
+        config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")}}
+        if experiment != "cross-validate":
+            config["sweep"] = {"beta": [1.0, 2.0, 3.0, 4.0] if scaling else [2.0]}
         if experiment == "dephasing":
             config["model"] = {"modes": [[1.0, 0.1]]}
         section, _, name = key.partition(".")
@@ -391,8 +384,42 @@ def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "out.csv.verification.json").read_text())
-    assert report["model_build_s"] > 0
-    assert "model_build_s" in result.output
+    for stage in ("model_build_s", "spectrum_s"):
+        assert report[stage] > 0
+        assert f"{stage}: " in result.output
+
+
+def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):
+    # a scaling run reads neither sweep.t nor numerics: it stops before its closed
+    # forms and names every such key
+    monkeypatch.setattr(cli.cf, "deph_scaling_points",
+                        lambda *args, **kwargs: pytest.fail("the scaling run started"))
+    numerics = {"n_max": 3, "prob_floor": 0.5, "tail": 0.9}
+    path = write_config(tmp_path, {
+        "experiment": "scaling-deph", "model": {"k_modes": 200},
+        "sweep": {"beta": [5.0, 10.0, 20.0, 50.0], "t": [123.0]}, "numerics": numerics,
+        "output": {"path": str(tmp_path / "o.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 2, result.output
+    assert "sweep.t" in result.output
+    config = json.loads(Path(path).read_text())
+    del config["sweep"]["t"]
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+    assert result.exit_code == 2, result.output
+    assert all(f"numerics.{key}" in result.output for key in numerics)
+
+
+@pytest.mark.parametrize("config", ["scaling_he.json", "scaling_deph.json"])
+def test_scaling_check_is_the_shared_definition(config):
+    # the scaling runners report the one check CHECKS defines, at its tolerance
+    stock = json.loads((Path(__file__).parents[1] / "configs" / config).read_text())
+    if stock["experiment"] == "scaling-deph":
+        stock["model"]["k_modes"] = 200  # the slope is not under test here
+    _, checks, summary = cli.RUNNERS[stock["experiment"]](stock)
+    assert [(c.name, c.tolerance) for c in checks] == [CHECKS["scaling_slope"]]
+    assert CHECKS["scaling_slope"][1] == 0.1
+    assert checks[0].max_deviation == abs(summary["slope"] - summary["expected_slope"])
 
 
 # a mode with g = 0 among coupled ones is a valid, if idle, part of the sample
@@ -450,16 +477,15 @@ class TestCrossValidateCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert len(report["checks"]) == 8
-        # `thermoq run` states the same closed-form cutoff and excluded mass
+        # `thermoq run` writes the same report for the same seed and draws
         path = write_config(tmp_path, {"experiment": "cross-validate", "seed": 3, "draws": 1,
                                        "output": {"path": str(tmp_path / "cv.json"),
                                                   "format": "json"}})
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 0, result.output
         sidecar = json.loads((tmp_path / "cv.json.verification.json").read_text())
-        for key in ("closed_form_min_probability", "closed_form_excluded_probability_max",
-                    "prob_floor_excluded_probability_max", "engine_routes"):
-            assert sidecar[key] == report[key]
+        assert sidecar.pop("elapsed_seconds") > 0 and report.pop("elapsed_seconds") > 0
+        assert sidecar == report
         assert report["engine_routes"] == {"heat-exchange": ["branch-kernel"],
                                            "dephasing": ["mode-product"]}
         assert 0 < report["closed_form_excluded_probability_max"] < 1e-4

@@ -224,11 +224,6 @@ class TestTemperatureEnergyUR:
         _, fisher, _ = temperature_energy_ur_check(result)
         assert fisher == result.fisher > 0
 
-    def test_rejects_bad_finite_difference_step(self, coupled_model):
-        for h in (0.0, -1e-4, BETA):
-            with pytest.raises(ValueError):
-                internal_energy_deviation(coupled_model, BETA, h_step=h)
-
 
 class TestWeakCouplingCollapse:
     def test_energy_operator_collapses_to_system_hamiltonian(self):
@@ -317,8 +312,8 @@ class TestOneComputationPerPoint:
             return model
 
         monkeypatch.setattr(validate, "build_spin_boson_model", build)
-        report = validate.cross_validate(seed=2, draws=2)
-        assert report.passed
+        checks, summary = validate.cross_validate(seed=2, draws=2)
+        assert all(c.passed for c in checks) and summary["draws"] == 2
         assert len(dims) == 2
         assert sum(calls["eigh_dims"].count(d) for d in set(dims)) == 2
         assert calls["table_dims"] == dims

@@ -127,9 +127,12 @@ def test_perturbed_reference_fails_its_check(engine_points, name):
 
 def test_default_cross_validate_passes():
     # the defaults of `thermoq cross-validate`
-    report = cross_validate(0, 5)
-    assert report.passed, [c.as_dict() for c in report.checks if not c.passed]
-    assert len(report.checks) == len(CHECKS)
+    checks, summary = cross_validate(0, 5)
+    assert all(c.passed for c in checks), [c.as_dict() for c in checks if not c.passed]
+    # every check but the scaling slope, which no draw makes
+    assert [c.name for c in checks] == [name for i, (name, _) in CHECKS.items()
+                                        if i != "scaling_slope"]
+    assert (summary["seed"], summary["draws"]) == (0, 5)
 
 
 def test_cross_validate_reports_excluded_mass(monkeypatch):
@@ -143,7 +146,7 @@ def test_cross_validate_reports_excluded_mass(monkeypatch):
         return result
 
     monkeypatch.setattr(validate, "check_engine_point", check_engine_point)
-    report = cross_validate(3, 1).as_dict()
+    report = validate.verification(*cross_validate(3, 1))
     assert len(excluded) == 2  # the heat-exchange and the dephasing draw
     assert report["closed_form_min_probability"] == CLOSED_FORM_MIN_PROB
     assert report["closed_form_excluded_probability_max"] == max(excluded) > 0
@@ -162,6 +165,6 @@ def test_cross_validate_folds_in_the_mean_force_floor(monkeypatch):
         return result
 
     monkeypatch.setattr(validate, "check_mean_force_point", check_mean_force_point)
-    report = cross_validate(3, 1).as_dict()
+    _, report = cross_validate(3, 1)
     assert dropped[0] > 0.05
     assert report["prob_floor_excluded_probability_max"] == dropped[0]
