@@ -48,9 +48,7 @@ from .mean_force import (
     energy_operator,
     internal_energy,
     internal_energy_deviation,
-    mean_force_hamiltonian,
     temperature_energy_ur_check,
-    z_star,
 )
 
 __version__ = "0.1.0"

@@ -4,10 +4,10 @@ Parses a JSON run configuration, executes a parameter sweep for one of the
 experiment families, writes the results table (CSV or JSON) plus a
 machine-readable verification report (``validate.verification``), and exits
 nonzero if any identity check exceeded its tolerance. A configuration sets the
-model, sweep, cutoffs, probability floor and output, never a check: every
-check and tolerance is ``validate.CHECKS``'s. A key the experiment does not
-read is a usage error. Sweep points are evaluated in configuration order, so
-output rows are deterministic for a fixed config.
+model, sweep, a fixed cutoff ``numerics.n_max`` and output, never a check:
+checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``. Any key the
+experiment does not read is a usage error. Sweep points are evaluated in
+configuration order, so output rows are deterministic for a fixed config.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form as cf
-from .engine import PROB_FLOOR, HeatEngine
+from .engine import HeatEngine
 
 # unused here, but perfbench/tracing.py patches these names on this module
 from .mean_force import internal_energy_deviation, temperature_energy_ur_check  # noqa: F401
@@ -39,6 +39,7 @@ from .models import (
 )
 from .validate import (
     CLOSED_FORM_MIN_PROB,
+    CUTOFFS,
     auto_cutoff,
     check_engine_point,
     check_mean_force_point,
@@ -60,6 +61,7 @@ EXPERIMENTS = (
     "scaling-deph",
     "cross-validate",
 )
+PER_OUTCOME = ("heat-exchange", "dephasing")  # the experiments that read output.per_outcome
 
 CONFIG_SCHEMA = {
     "experiment": f"one of {list(EXPERIMENTS)}",
@@ -90,19 +92,14 @@ CONFIG_SCHEMA = {
         "note": "heat-exchange accepts t = 'optimal' for the half-swap time",
     },
     "numerics": {
-        "n_max": "int >= 1 or null: Fock cutoff override (per mode for dephasing)",
-        "tail": "float in (0, 1): thermal tail bound for automatic cutoffs (default "
-                "1e-10; mean-force 1e-8); used as given, and mean-force writes it to "
-                "the sidecar",
-        "prob_floor": "float in (0, 1): outcomes below it are excluded, and the largest "
-                      "mass one point excluded is written to the sidecar "
-                      f"(default {PROB_FLOOR:g})",
+        "n_max": "int >= 1 or null: Fock cutoff of every mode; null or absent for the "
+                 "automatic cutoffs of validate.CUTOFFS (no other numerics key exists)",
     },
     "output": {
         "path": "output file path (default <experiment>.csv); directory overridable "
                 f"via ${OUTPUT_DIR_ENV}",
         "format": "'csv' | 'json' (default csv)",
-        "per_outcome": "bool: one row per measurement outcome (default false)",
+        "per_outcome": "heat-exchange, dephasing: bool, one row per outcome (default false)",
     },
 }
 
@@ -121,9 +118,9 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive(section, key, value, below=math.inf):
-    if not (_is_number(value) and 0 < value < below):
-        raise ConfigError(f"{section}.{key} must lie in (0, {below:g}), got {value!r}")
+def _positive(section, key, value):
+    if not (_is_number(value) and 0 < value < math.inf):
+        raise ConfigError(f"{section}.{key} must lie in (0, inf), got {value!r}")
     return float(value)
 
 
@@ -155,23 +152,26 @@ def _sweep_points(sweep, allowed):
 
 
 def _reject_unread(experiment, section, keys):
-    """ConfigError naming each of ``keys`` of ``section``: ``experiment`` reads none."""
+    """ConfigError naming each of ``keys`` of ``section`` (None: top level), all unread."""
     if keys:
+        prefix = f"{section}." if section else ""
         raise ConfigError(f"{experiment} does not read "
-                          f"{', '.join(f'{section}.{key}' for key in keys)}")
+                          f"{', '.join(prefix + key for key in keys)}")
 
 
-def _numerics(config, default_tail=1e-10):
-    n = config.get("numerics", {})
-    _reject_unread(config["experiment"], "numerics",
-                   [key for key in n if key not in ("n_max", "tail", "prob_floor")])
-    n_max = n.get("n_max")
-    return {
-        "n_max": None if n_max is None else _count("numerics.n_max", n_max, 1),
-        "tail": _positive("numerics", "tail", n.get("tail", default_tail), below=1),
-        "prob_floor": _positive("numerics", "prob_floor", n.get("prob_floor", PROB_FLOOR),
-                                below=1),
-    }
+def _n_max(config):
+    """The checked ``numerics.n_max`` (None: automatic cutoffs), its only key."""
+    numerics = config.get("numerics", {})
+    _reject_unread(config["experiment"], "numerics", [k for k in numerics if k != "n_max"])
+    n_max = numerics.get("n_max")
+    return None if n_max is None else _count("numerics.n_max", n_max, 1)
+
+
+def _cutoffs(family, n_max, beta, omegas):
+    """Each mode's Fock cutoff: ``n_max`` for every mode if set, else ``auto_cutoff``."""
+    if n_max is not None:
+        return (n_max,) * len(omegas)
+    return tuple(auto_cutoff(family, beta, omega) for omega in omegas)
 
 
 def _parse_modes(model, experiment):
@@ -201,7 +201,7 @@ def _fmt(value):
 # -- experiment runners ----------------------------------------------------
 
 
-def _run_engine_points(config, num, points, check_ids, family_point):
+def _run_engine_points(config, points, check_ids, family_point):
     """The sweep of an engine experiment: one checked heat decomposition per point.
 
     ``family_point(point)`` returns (params, cutoff key, model builder, rho0, t,
@@ -220,7 +220,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
             start = time.perf_counter()
             model = build()
             built = time.perf_counter()
-            engine = HeatEngine(model, prob_floor=num["prob_floor"])
+            engine = HeatEngine(model)
             build_s += built - start
             spectrum_s += time.perf_counter() - built
             engines[key] = (engine, measure())
@@ -251,7 +251,7 @@ def _run_engine_points(config, num, points, check_ids, family_point):
 
 def _run_heat_exchange(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config)
+    fixed = _n_max(config)
     base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal"}
     for key in ("omega_0", "delta", "g"):
         if key in model:
@@ -271,9 +271,7 @@ def _run_heat_exchange(config):
             "sweep", "t", p["t"])
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
-        n_max = num["n_max"]
-        if n_max is None:
-            n_max = auto_cutoff("heat-exchange", beta, omega_0, num["tail"])
+        n_max, = _cutoffs("heat-exchange", fixed, beta, [omega_0])
         ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
@@ -282,13 +280,13 @@ def _run_heat_exchange(config):
                 lambda: build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
                 ground, t, lambda: fock_measurement(n_max), he_reference(he))
 
-    return _run_engine_points(config, num, points, ("fisher", "closed_form", "saturation"),
+    return _run_engine_points(config, points, ("fisher", "closed_form", "saturation"),
                               family_point)
 
 
 def _run_dephasing(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config)
+    fixed = _n_max(config)
     modes = _parse_modes(model, "dephasing")
     _reject_unread("dephasing", "model", model)
     if not any(m.g for m in modes):
@@ -301,15 +299,12 @@ def _run_dephasing(config):
     def family_point(point):
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
         t = _positive("sweep", "t", point.get("t", math.pi))
-        if num["n_max"] is not None:
-            cutoffs = [num["n_max"]] * len(modes)
-        else:
-            cutoffs = [auto_cutoff("dephasing", beta, m.omega, num["tail"]) for m in modes]
+        cutoffs = _cutoffs("dephasing", fixed, beta, [m.omega for m in modes])
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
-        return (params, tuple(cutoffs), lambda: build_dephasing_model(modes, cutoffs),
+        return (params, cutoffs, lambda: build_dephasing_model(modes, cutoffs),
                 plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
-    return _run_engine_points(config, num, points,
+    return _run_engine_points(config, points,
                               ("fisher", "closed_form", "avg_heat", "saturation", "score",
                                "two_point"),
                               family_point)
@@ -317,7 +312,7 @@ def _run_dephasing(config):
 
 def _run_mean_force(config):
     model = dict(config.get("model", {}))
-    num = _numerics(config, default_tail=1e-8)
+    fixed = _n_max(config)
     omega_q = _positive("model", "omega_q", model.pop("omega_q", 1.0))
     modes = _parse_modes(model, "mean-force")
     axis = model.pop("coupling_axis", "xz")
@@ -332,13 +327,10 @@ def _run_mean_force(config):
     floor_excluded = build_s = spectrum_s = 0.0
     for point in points:
         beta = _positive("sweep", "beta", point.get("beta", 1.0))
-        if num["n_max"] is not None:
-            cutoffs = (num["n_max"],) * len(modes)
-        else:
-            cutoffs = tuple(auto_cutoff("mean-force", beta, m.omega, num["tail"]) for m in modes)
+        cutoffs = _cutoffs("mean-force", fixed, beta, [m.omega for m in modes])
         if cutoffs not in models:
             start = time.perf_counter()
-            model = build_spin_boson_model(omega_q, modes, list(cutoffs), coupling_axis=axis)
+            model = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis=axis)
             built = time.perf_counter()
             model.probe_tables  # noqa: B018  (the spectrum and its tables, timed apart)
             build_s += built - start
@@ -347,8 +339,7 @@ def _run_mean_force(config):
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
                   "n_max": max(cutoffs)}
-        result, delta_u, product = check_mean_force_point(
-            checks, models[cutoffs], beta, params, prob_floor=num["prob_floor"])
+        result, delta_u, product = check_mean_force_point(checks, models[cutoffs], beta, params)
         floor_excluded = max(floor_excluded, result.excluded_probability)
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
@@ -356,7 +347,7 @@ def _run_mean_force(config):
                      "dual_residual": result.dual_residual})
     # the tail the automatic cutoffs used; none when numerics.n_max fixes them
     return rows, list(checks.values()), {
-        "tail": None if num["n_max"] is not None else num["tail"],
+        "tail": None if fixed is not None else CUTOFFS["mean-force"][0],
         "prob_floor_excluded_probability_max": floor_excluded, "model_build_s": build_s,
         "spectrum_s": spectrum_s}
 
@@ -512,16 +503,21 @@ def run_cmd(config_path):
     if experiment not in EXPERIMENTS:
         raise click.UsageError(
             f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
+    sections = ("experiment", "model", "sweep", "numerics", "output",
+                *(("seed", "draws") if experiment == "cross-validate" else ()))
+    output_keys = ("path", "format", *(("per_outcome",) if experiment in PER_OUTCOME else ()))
     fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise click.UsageError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     path = output.get("path", f"{experiment}.{fmt}")
-    if not (isinstance(path, str) and path):
-        raise click.UsageError(f"output.path must be a non-empty string, got {path!r}")
-    if not isinstance(output.get("per_outcome", False), bool):
-        raise click.UsageError(
-            f"output.per_outcome must be true or false, got {output['per_outcome']!r}")
     try:
+        _reject_unread(experiment, None, [key for key in config if key not in sections])
+        _reject_unread(experiment, "output", [key for key in output if key not in output_keys])
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+        if not (isinstance(path, str) and path):
+            raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
+        if not isinstance(output.get("per_outcome", False), bool):
+            raise ConfigError(
+                f"output.per_outcome must be true or false, got {output['per_outcome']!r}")
         rows, checks, summary = RUNNERS[experiment](config)
     except ConfigError as exc:
         raise click.UsageError(str(exc))

@@ -160,12 +160,12 @@ def deph_probability(p: DephParams, l):
     return 0.5 * (1.0 + l * math.exp(-p.gamma))
 
 
-def deph_heat_terms(p: DephParams, l, prob_floor=PROB_FLOOR):
+def deph_heat_terms(p: DephParams, l):
     """(trajectory heat, correlation heat) for x-basis outcome l = +/-1."""
     q, c = p.Q, p.C
     visibility = math.exp(-p.gamma)
     p_l = 0.5 * (1.0 + l * visibility)
-    if p_l < prob_floor:
+    if p_l < PROB_FLOOR:
         raise ValueError(f"outcome {l} suppressed: probability {p_l:.3e}")
     ratio = l * visibility / p_l
     return q - ratio * q, ratio * (q + c)

@@ -87,7 +87,7 @@ import numpy as np
 from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
 from .models import ModeProductModel
 
-PROB_FLOOR = 1e-12
+PROB_FLOOR = 1e-12  # every route leaves out outcomes below it; no run config sets it
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
 # beyond it the input state is not a density matrix.
 PROB_RANGE_ATOL = 1e-12
@@ -261,8 +261,8 @@ class _ModeTables:
 class HeatEngine:
     """Repeated evaluation of one model's working points.
 
-    ``heat_decomposition``, ``score_direct_all``, ``outcome_probabilities_at``
-    and ``fisher_finite_difference`` read beta-independent tables of
+    ``heat_decomposition``, ``score_direct_all`` and
+    ``fisher_finite_difference`` read beta-independent tables of
     (rho0, t, measurement), built by one of two routes (see the module
     docstring). ``route`` names the one this engine took, chosen from the
     model alone:
@@ -302,9 +302,8 @@ class HeatEngine:
     threads is safe.
     """
 
-    def __init__(self, model, prob_floor=PROB_FLOOR):
+    def __init__(self, model):
         self.model = model
-        self.prob_floor = prob_floor
         # the eigendecomposition is paid for here, not by the first point
         self._modes = model if isinstance(model, ModeProductModel) else None
         self.route = "branch-kernel" if self._modes is None else "mode-product"
@@ -432,7 +431,7 @@ class HeatEngine:
         excluded = 0.0
         for li, label in enumerate(meas.labels):
             p = float(probs[li])
-            if p < self.prob_floor:
+            if p < PROB_FLOOR:
                 excluded += p
                 continue
             e_start = start[li] / p
@@ -458,7 +457,7 @@ class HeatEngine:
         return {
             label: start[li] / probs[li] - e_b_0
             for li, label in enumerate(meas.labels)
-            if probs[li] >= self.prob_floor
+            if probs[li] >= PROB_FLOOR
         }
 
     # -- two-point measurement route --------------------------------------
@@ -510,7 +509,7 @@ class HeatEngine:
         return {
             label: energy_sum[li] / total[li]
             for li, label in enumerate(meas.labels)
-            if total[li] >= self.prob_floor
+            if total[li] >= PROB_FLOOR
         }
 
     def _mode_two_point(self, w, phi, beta, t, meas):
@@ -563,11 +562,6 @@ class HeatEngine:
 
     # -- finite-difference route ------------------------------------------
 
-    def outcome_probabilities_at(self, rho0, beta, t, meas):
-        """P_l at beta, from the tables' P_l kernel."""
-        tables = self._tables_at(rho0, beta, t, meas)
-        return _checked_probabilities(tables.probabilities([beta])[0])
-
     def fisher_finite_difference(self, rho0, beta, t, meas):
         """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
 
@@ -583,10 +577,10 @@ class HeatEngine:
         def prob_at(betas):
             return _checked_probabilities(tables.probabilities(betas))
 
-        return log_score_fisher(prob_at, beta, self.prob_floor)
+        return log_score_fisher(prob_at, beta)
 
 
-def log_score_fisher(prob_at, beta, prob_floor=PROB_FLOOR):
+def log_score_fisher(prob_at, beta):
     """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2.
 
     prob_at(betas) returns the outcome probabilities at each inverse
@@ -594,13 +588,13 @@ def log_score_fisher(prob_at, beta, prob_floor=PROB_FLOOR):
     called once, for the whole stencil [beta + h, beta - h, beta + h/2,
     beta - h/2, beta] with h = 1e-4 beta. Central differences of ln P_l,
     Richardson-extrapolated over steps h and h/2. Outcomes whose probability
-    dips below prob_floor at any stencil point are excluded.
+    dips below PROB_FLOOR at any stencil point are excluded.
     """
     h = 1e-4 * beta
     lo, hi, lo2, hi2, p0 = prob_at(beta + np.array([h, -h, h / 2.0, -h / 2.0, 0.0]))
 
     def log_scores(lo, hi, step):
-        ok = (lo > prob_floor) & (hi > prob_floor)
+        ok = (lo > PROB_FLOOR) & (hi > PROB_FLOOR)
         val = np.zeros(len(lo))
         val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
         return val, ok
@@ -608,7 +602,7 @@ def log_score_fisher(prob_at, beta, prob_floor=PROB_FLOOR):
     l_h, ok_h = log_scores(lo, hi, h)
     l_h2, ok_h2 = log_scores(lo2, hi2, h / 2.0)
     scores = (4.0 * l_h2 - l_h) / 3.0
-    ok = ok_h & ok_h2 & (p0 > prob_floor)
+    ok = ok_h & ok_h2 & (p0 > PROB_FLOOR)
     return float(np.sum(p0[ok] * scores[ok] ** 2))
 
 

@@ -60,20 +60,20 @@ class MeanForceResult:
 
     delta_u lists (energy eigenvalue, probability, deviation) per outcome
     cluster of the energy operator's eigenbasis measurement, leaving out the
-    outcomes below the probability floor, whose summed probability is
+    outcomes below ``engine.PROB_FLOOR``, whose summed probability is
     excluded_probability; fisher is the finite-difference Fisher information
     of that measurement on the reduced thermal state.
     """
 
-    h_star: np.ndarray  # read-only, on the probe factor
+    h_star: np.ndarray  # H*_S = -(1/beta) log A, A = Tr_B[e^{-beta H}]/Z_B; read-only
     e_star: np.ndarray  # read-only, on the probe factor
     u_s: float
-    z_star: float
+    z_star: float       # Z*_S = Tr A = Z / Z_B
     delta_u: tuple
     delta_u_sq: float
     dual_residual: float
     fisher: float
-    excluded_probability: float  # mass of the outcomes below prob_floor
+    excluded_probability: float  # mass of the outcomes below PROB_FLOOR
 
 
 def _hermitian_part(m):
@@ -115,22 +115,6 @@ def _gibbs_eigenpairs(model, beta):
     return a, wa, va
 
 
-def _log_gibbs(gibbs, beta):
-    """H* = -(1/beta) log A from ``_gibbs_eigenpairs``."""
-    _, wa, va = gibbs
-    return _hermitian_part(-(va * (np.log(wa) / beta)) @ va.conj().T)
-
-
-def mean_force_hamiltonian(model, beta):
-    """H*_S = -(1/beta) log(Tr_B e^{-beta H} / Z_B)."""
-    return _log_gibbs(_gibbs_eigenpairs(model, beta), beta)
-
-
-def z_star(model, beta):
-    """Effective partition function Z*_S = Z / Z_B = tr of the reduced Gibbs operator."""
-    return float(np.trace(reduced_gibbs_operator(model, beta)).real)
-
-
 def internal_energy(model, beta):
     """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the energies of H and H_B."""
     w, wb = model.probe_tables[0], model.bath_energies
@@ -157,7 +141,7 @@ def energy_operator(model, beta, gibbs=None):
     return _hermitian_part(va @ e_tilde @ va.conj().T)
 
 
-def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
+def internal_energy_deviation(model, beta):
     """Internal-energy deviations two ways, and the worst mismatch between them.
 
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
@@ -169,8 +153,8 @@ def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
     where the spectral route reads the eigenvalues. The largest mismatch,
     relative to max(1, |trace deviation|) and NaN if any is NaN, is stored as
     ``dual_residual``; ``validate.check_mean_force_point`` judges it. Outcomes
-    with P_l below prob_floor are left out, and their summed probability is
-    stored as ``excluded_probability``.
+    with P_l below ``engine.PROB_FLOOR`` are left out, and their summed
+    probability is stored as ``excluded_probability``.
 
     E*_S eigenvalues within 1e-8 max(spread, 1) form one outcome. The result
     also carries the Fisher information of that measurement, by finite
@@ -178,7 +162,8 @@ def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
     reads the model's ``probe_tables``, built once per model.
     """
     gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
-    h_star = _log_gibbs(gibbs, beta)
+    a, wa, va = gibbs
+    h_star = _hermitian_part(-(va * (np.log(wa) / beta)) @ va.conj().T)  # -(1/beta) log A
     e_star = energy_operator(model, beta, gibbs)
     u_s = internal_energy(model, beta)
 
@@ -196,13 +181,13 @@ def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
         return _checked_probabilities(gibbs_rows(w, betas) @ occupation.T)
 
     probs = probabilities([beta])[0]
-    fisher = log_score_fisher(probabilities, beta, prob_floor)
+    fisher = log_score_fisher(probabilities, beta)
     e_total = np.trace(h_chi_s).real
 
     rows, mismatches = [], []
     excluded = 0.0
     for eps_l, proj, p in zip(meas.labels, meas.projectors, probs):
-        if p < prob_floor:
+        if p < PROB_FLOOR:
             excluded += p
             continue
         dev_spectral = eps_l - u_s
@@ -215,7 +200,7 @@ def internal_energy_deviation(model, beta, prob_floor=PROB_FLOOR):
         h_star=h_star,
         e_star=e_star,
         u_s=u_s,
-        z_star=float(np.trace(gibbs[0]).real),
+        z_star=float(np.trace(a).real),
         delta_u=tuple(rows),
         delta_u_sq=float(delta_u_sq),
         dual_residual=float(np.max(mismatches, initial=0.0)),  # NaN propagates

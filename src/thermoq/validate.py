@@ -1,9 +1,11 @@
 """Identity checks, shared by the CLI runners and randomized cross-validation.
 
 Each check is defined once here: its name and tolerance (``CHECKS``), the
-closed-form reference of each thermometer family, and the comparisons made
-at one engine point or one mean-force point; no run configuration sets a
-tolerance or the finite-difference step (``engine.log_score_fisher``).
+closed-form reference of each thermometer family, the comparisons made at
+one engine point or one mean-force point, and each family's automatic Fock
+cutoff (``CUTOFFS``). No run configuration sets a tolerance, the
+finite-difference step (``engine.log_score_fisher``), the probability floor
+(``engine.PROB_FLOOR``) or a cutoff's tail or margin.
 ``cross_validate`` runs all but the scaling slope on random instances of each
 family; ``verification`` is the one report that runs and cross-validation write.
 """
@@ -16,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import closed_form as cf
-from .engine import PROB_FLOOR, HeatEngine
+from .engine import HeatEngine
 from .linalg import truncation_level
 from .mean_force import internal_energy_deviation, temperature_energy_ur_check
 from .models import (
@@ -179,13 +181,13 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     return record, fisher_fd, closed_form_dev, excluded
 
 
-def check_mean_force_point(checks, model, beta, params, prob_floor=PROB_FLOOR):
+def check_mean_force_point(checks, model, beta, params):
     """Steady-state deviation of one mean-force point and its UR product.
 
     Updates the 'mean_force' (dual residual) and 'ur_product' checks;
     returns (result, Delta U, UR product).
     """
-    result = internal_energy_deviation(model, beta, prob_floor=prob_floor)
+    result = internal_energy_deviation(model, beta)
     delta_u, _, product = temperature_energy_ur_check(result)
     checks["mean_force"].update(result.dual_residual, params)
     checks["ur_product"].update(abs(product - 1.0), params)
@@ -194,29 +196,33 @@ def check_mean_force_point(checks, model, beta, params, prob_floor=PROB_FLOOR):
 
 # -- randomized cross-validation -------------------------------------------
 
-def auto_cutoff(family, beta, omega, tail):
+# family -> (thermal tail, margin) of the automatic Fock cutoff of one mode
+CUTOFFS = {"heat-exchange": (1e-10, 4), "dephasing": (1e-10, 3), "mean-force": (1e-8, 2)}
+
+
+def auto_cutoff(family, beta, omega):
     """Automatic Fock cutoff of one mode, shared by the CLI runners and the draws
-    below: the thermal-tail level ``truncation_level`` plus the family's margin."""
-    margin = {"heat-exchange": 4, "dephasing": 3, "mean-force": 2}[family]
+    below: ``truncation_level`` at the family's tail plus its margin."""
+    tail, margin = CUTOFFS[family]
     return truncation_level(beta, omega, tail) + margin
 
 
-def draw_he_instance(rng, tail=1e-10):
+def draw_he_instance(rng):
     """Random coupled-oscillator working point with a safe Fock cutoff."""
     omega_0 = rng.uniform(0.9, 1.4)
     delta = rng.uniform(0.0, 0.25)
     g = rng.uniform(0.05, 0.3)
     beta = rng.uniform(1.0, 1.4)
     t = rng.uniform(0.5, 5.0)
-    n_max = auto_cutoff("heat-exchange", beta, omega_0, tail)
+    n_max = auto_cutoff("heat-exchange", beta, omega_0)
     params = dict(omega_a=omega_0 + 2 * delta, omega_0=omega_0, g=g, beta=beta,
                   t=t, n_max=n_max)
     model = build_coupled_oscillators(params["omega_a"], omega_0, g, n_max)
     return params, model
 
 
-def draw_deph_instance(rng, tail=1e-10):
-    """Random dephasing working point; each mode's cutoff discards at most ``tail``."""
+def draw_deph_instance(rng):
+    """Random dephasing working point with the automatic cutoff of each mode."""
     k = int(rng.integers(1, 4))
     # higher frequency floor for more modes keeps occupations (and the
     # needed cutoffs) low enough that the total dimension stays tractable
@@ -226,20 +232,20 @@ def draw_deph_instance(rng, tail=1e-10):
     beta = rng.uniform(1.0, 1.5)
     t = rng.uniform(0.5, 4.0)
     modes = [BathMode(float(w), float(g)) for w, g in zip(omegas, gs)]
-    cutoffs = [auto_cutoff("dephasing", beta, m.omega, tail) for m in modes]
+    cutoffs = [auto_cutoff("dephasing", beta, m.omega) for m in modes]
     params = dict(modes=[(m.omega, m.g) for m in modes], beta=beta, t=t, cutoffs=cutoffs)
     model = build_dephasing_model(modes, cutoffs)
     return params, model
 
 
-def draw_mean_force_instance(rng, tail=1e-8):
+def draw_mean_force_instance(rng):
     """Random qubit + two-mode model with a symmetry-breaking coupling."""
     omega_q = rng.uniform(0.7, 1.3)
     omegas = rng.uniform(0.8, 1.5, size=2)
     gs = rng.uniform(0.05, 0.2, size=2)
     beta = rng.uniform(1.0, 1.4)
     modes = [BathMode(float(w), float(g)) for w, g in zip(omegas, gs)]
-    cutoffs = [auto_cutoff("mean-force", beta, m.omega, tail) for m in modes]
+    cutoffs = [auto_cutoff("mean-force", beta, m.omega) for m in modes]
     params = dict(omega_q=omega_q, modes=[(m.omega, m.g) for m in modes],
                   beta=beta, cutoffs=cutoffs)
     model = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis="xz")

@@ -18,7 +18,6 @@ from thermoq.linalg import truncation_level
 from thermoq.mean_force import (
     energy_operator,
     internal_energy_deviation,
-    mean_force_hamiltonian,
     reduced_gibbs_operator,
     temperature_energy_ur_check,
 )
@@ -201,8 +200,10 @@ def test_criterion_09_mean_force_identities():
     cutoffs = [truncation_level(beta, m.omega, 1e-8) + 2 for m in modes]
     model = build_spin_boson_model(1.0, modes, cutoffs, coupling_axis="xz")
 
+    result = internal_energy_deviation(model, beta)
+
     # (a) reduced-Gibbs reconstruction
-    h_star = mean_force_hamiltonian(model, beta)
+    h_star = result.h_star
     w, v = np.linalg.eigh(h_star)
     boltz = np.exp(-beta * w)
     rho_rebuilt = (v * (boltz / boltz.sum())) @ v.conj().T
@@ -223,7 +224,6 @@ def test_criterion_09_mean_force_identities():
     assert residual <= 1e-8 * np.abs(d).max()
 
     # (c) dual computation of the internal-energy deviation
-    result = internal_energy_deviation(model, beta)
     assert result.dual_residual <= 1e-6
 
     # (d) Fisher of the energy-operator eigenbasis equals the variance

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from thermoq import cli
+from thermoq import cli, engine, mean_force
 from thermoq.cli import main
-from thermoq.engine import HeatEngine
+from thermoq.engine import PROB_FLOOR, HeatEngine
 from thermoq.linalg import truncation_level
 from thermoq.mean_force import internal_energy_deviation
 from thermoq.models import (
@@ -20,7 +20,7 @@ from thermoq.models import (
     build_spin_boson_model,
     fock_measurement,
 )
-from thermoq.validate import CHECKS, TOL_CLOSED_FORM
+from thermoq.validate import CHECKS, CUTOFFS, TOL_CLOSED_FORM
 
 RUNNER = CliRunner()
 
@@ -80,10 +80,12 @@ class TestSchemaAndUsage:
         ("dephasing", "n_max", 0),
         ("heat-exchange", "n_max", 2.7),
         ("heat-exchange", "n_max", True),
+        # a run config sets no check tolerance, finite-difference step,
+        # probability floor or thermal tail: numerics holds n_max alone
         ("heat-exchange", "tail", 0),
         ("heat-exchange", "tail", 1.0),
         ("heat-exchange", "prob_floor", -1),
-        # a run config sets no check tolerance and no finite-difference step
+        ("mean-force", "tail", 1e-4),
         ("heat-exchange", "slope_tol", 0),
         ("heat-exchange", "slope_tol", True),
         ("heat-exchange", "fd_step", 1e-4),
@@ -99,7 +101,7 @@ class TestSchemaAndUsage:
         else:
             config["numerics"] = {key: value}
             config["sweep"] = {"beta": [2.0]}
-            if experiment == "dephasing":
+            if experiment in ("dephasing", "mean-force"):
                 config["model"] = {"modes": [[1.0, 0.1]]}
         result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
         assert result.exit_code == 2, result.output
@@ -155,6 +157,16 @@ class TestSchemaAndUsage:
         ("cross-validate", "model.omega_0", 1.0),
         ("cross-validate", "sweep.beta", [2.0]),
         ("cross-validate", "numerics.n_max", 3),
+        # so is a top-level key or an output key the experiment never reads
+        ("heat-exchange", "numeric", {"n_max": 3}),
+        ("heat-exchange", "draws", 9),
+        ("dephasing", "seed", 1),
+        ("heat-exchange", "output.fromat", "json"),
+        ("heat-exchange", "output.per_outcomes", True),
+        ("mean-force", "output.per_outcome", True),
+        ("scaling-he", "output.per_outcome", False),
+        ("scaling-deph", "output.per_outcome", True),
+        ("cross-validate", "output.per_outcome", True),
     ])
     def test_bad_model_or_sweep_value_is_usage_error(self, tmp_path, experiment, key, value,
                                                      monkeypatch):
@@ -163,7 +175,7 @@ class TestSchemaAndUsage:
         config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")}}
         if experiment != "cross-validate":
             config["sweep"] = {"beta": [1.0, 2.0, 3.0, 4.0] if scaling else [2.0]}
-        if experiment == "dephasing":
+        if experiment in ("dephasing", "mean-force"):
             config["model"] = {"modes": [[1.0, 0.1]]}
         section, _, name = key.partition(".")
         if name:
@@ -304,49 +316,53 @@ def test_hot_cutoff_runs_uncapped(tmp_path):
 
 def test_prob_floor_excluded_mass_is_reported(tmp_path):
     # a ground-state exchange probe read in the Fock basis: its top outcomes
-    # fall below the probability floor, and the sidecar states the largest
-    # mass one point dropped from its heat decomposition
-    n_max, floor, betas, t = 14, 1e-9, (2.0, 3.0), 10.0
+    # fall below the probability floor (3 of 15 at beta = 2, 6 at beta = 3), and
+    # the sidecar states the largest mass one point dropped from its heat
+    # decomposition
+    n_max, betas, t = 14, (2.0, 3.0), 10.0
     path = write_config(tmp_path, {
         "experiment": "heat-exchange",
         "model": {"omega_0": 1.0, "delta": 0.0, "g": 0.1},
         "sweep": {"beta": list(betas), "t": [t]},
-        "numerics": {"n_max": n_max, "prob_floor": floor},
+        "numerics": {"n_max": n_max},
         "output": {"path": str(tmp_path / "out.csv")},
     })
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "out.csv.verification.json").read_text())
-    engine = HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, n_max), prob_floor=floor)
+    eng = HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, n_max))
     ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     ground[0, 0] = 1.0
-    records = [engine.heat_decomposition(ground, beta, t, fock_measurement(n_max))
+    records = [eng.heat_decomposition(ground, beta, t, fock_measurement(n_max))
                for beta in betas]
     assert all(len(r.outcomes) < n_max + 1 for r in records)
     expected = max(r.excluded_probability for r in records)
-    assert 0 < expected < floor * (n_max + 1)
+    assert 0 < expected < PROB_FLOOR * (n_max + 1)
     assert report["prob_floor_excluded_probability_max"] == pytest.approx(expected, rel=1e-9)
     assert "prob_floor_excluded_probability_max" in result.output
 
 
-def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path):
+def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path, monkeypatch):
     # at beta = 2 the excited outcome of the energy-operator measurement has
-    # P ~ 0.12, so a floor of 0.2 drops it; both the deviations and the Fisher
-    # information leave it out, so the UR product still saturates
+    # P ~ 0.12, so a floor of 0.2, substituted in both modules that read it,
+    # drops it; both the deviations (mean_force) and the Fisher information
+    # (engine.log_score_fisher) leave it out, so the UR product still saturates
     beta, floor = 2.0, 0.2
+    for module in (engine, mean_force):
+        monkeypatch.setattr(module, "PROB_FLOOR", floor)
     modes = [[1.2, 0.1], [1.5, 0.1]]
     path = write_config(tmp_path, {
         "experiment": "mean-force",
         "model": {"omega_q": 1.0, "modes": modes, "coupling_axis": "xz"},
         "sweep": {"beta": [beta]},
-        "numerics": {"n_max": 4, "prob_floor": floor},
+        "numerics": {"n_max": 4},
         "output": {"path": str(tmp_path / "mf.csv")},
     })
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "mf.csv.verification.json").read_text())
     model = build_spin_boson_model(1.0, [BathMode(*m) for m in modes], 4, coupling_axis="xz")
-    point = internal_energy_deviation(model, beta, prob_floor=floor)
+    point = internal_energy_deviation(model, beta)
     assert len(point.delta_u) == 1
     assert 0.05 < point.excluded_probability < floor
     assert point.excluded_probability == pytest.approx(1.0 - point.delta_u[0][1], rel=1e-12)
@@ -441,31 +457,41 @@ def test_dephasing_runs_every_route_at_every_point(tmp_path, modes):
         assert checks[name]["worst_params"]["beta"] in (2.0, 3.0)
 
 
-class TestMeanForceTail:
-    """The mean-force tail is used as given (default 1e-8) and written to the sidecar."""
+class TestAutomaticCutoffs:
+    """Each engine and mean-force run takes its automatic cutoffs from the one
+    table ``validate.CUTOFFS``, and the mean-force sidecar records its tail."""
 
-    def run(self, tmp_path, numerics):
+    MODELS = {"heat-exchange": {"omega_0": 1.2, "g": 0.1},
+              "dephasing": {"modes": [[1.2, 0.1]]},
+              "mean-force": {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "x"}}
+    CUTOFF_COLUMN = {"heat-exchange": "n_max", "dephasing": "cutoffs", "mean-force": "n_max"}
+
+    def run(self, tmp_path, experiment, numerics):
         path = write_config(tmp_path, {
-            "experiment": "mean-force",
-            "model": {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "x"},
-            "sweep": {"beta": [2.0]},
-            "numerics": numerics,
-            "output": {"path": str(tmp_path / "mf.json"), "format": "json"},
+            "experiment": experiment, "model": self.MODELS[experiment],
+            "sweep": {"beta": [2.0]}, "numerics": numerics,
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
         })
         result = RUNNER.invoke(main, ["run", path])
         assert result.exit_code == 0, result.output
-        payload = json.loads((tmp_path / "mf.json").read_text())
-        return payload["rows"][0]["n_max"], payload["verification"]["tail"]
+        payload = json.loads((tmp_path / "out.json").read_text())
+        return payload["rows"][0][self.CUTOFF_COLUMN[experiment]], payload["verification"]
 
-    @pytest.mark.parametrize("numerics, tail", [({}, 1e-8), ({"tail": 1e-4}, 1e-4),
-                                                ({"tail": 1e-12}, 1e-12)])
-    def test_tail_is_used_as_given(self, tmp_path, numerics, tail):
-        n_max, recorded = self.run(tmp_path, numerics)
-        assert recorded == tail
-        assert n_max == truncation_level(2.0, 1.2, tail) + 2
+    def test_table_holds_each_family_s_tail_and_margin(self):
+        assert CUTOFFS == {"heat-exchange": (1e-10, 4), "dephasing": (1e-10, 3),
+                           "mean-force": (1e-8, 2)}
+
+    @pytest.mark.parametrize("experiment", sorted(CUTOFFS))
+    def test_automatic_cutoff_is_the_table_rule(self, tmp_path, experiment):
+        tail, margin = CUTOFFS[experiment]
+        cutoff, report = self.run(tmp_path, experiment, {})
+        assert cutoff == truncation_level(2.0, 1.2, tail) + margin
+        if experiment == "mean-force":
+            assert report["tail"] == tail == 1e-8
 
     def test_fixed_cutoff_uses_no_tail(self, tmp_path):
-        assert self.run(tmp_path, {"n_max": 5, "tail": 1e-3}) == (5, None)
+        cutoff, report = self.run(tmp_path, "mean-force", {"n_max": 5})
+        assert (cutoff, report["tail"]) == (5, None)
 
 
 class TestCrossValidateCommand:
@@ -530,8 +556,6 @@ def test_heat_exchange_compares_rare_outcomes(tmp_path, monkeypatch):
 def test_mean_force_dual_mismatch_fails_the_run_and_writes_the_sidecar(tmp_path, monkeypatch):
     # the dual deviation is judged by the 'mean_force' check alone: an internal
     # energy off by 1e-3 at one beta fails the run there, and the sidecar says where
-    from thermoq import mean_force
-
     real = mean_force.internal_energy
     monkeypatch.setattr(mean_force, "internal_energy",
                         lambda model, beta: real(model, beta) + (1e-3 if beta == 3.0 else 0.0))
@@ -553,15 +577,28 @@ def test_mean_force_dual_mismatch_fails_the_run_and_writes_the_sidecar(tmp_path,
     assert "[FAIL]" in result.output
 
 
+REVIVAL = {"experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},
+           "sweep": {"beta": [1.0], "t": [2.0 * np.pi]}}
+
+
+@pytest.mark.parametrize("key, value", [("prob_floor", 1e-10), ("tail", 1e-4)])
+def test_revival_config_sets_no_floor_or_tail(tmp_path, key, value):
+    # numerics.prob_floor = 1e-10 once dropped the revival's outcome -1 (P ~ 3e-12)
+    # and turned its failing closed_form and two_point checks into passes: the
+    # floor and the cutoff tail are the check layer's, not the config's
+    config = {**REVIVAL, "numerics": {key: value}, "output": {"path": str(tmp_path / "r.csv")}}
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+    assert result.exit_code == 2, result.output
+    assert f"numerics.{key}" in result.output
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
     # at t = 2 pi every mode revives: Gamma = C = 0, so the closed-form Fisher
     # information is its 0/0 limit 0, and the checks that need information fail
     # at that point instead of the run dying on a ZeroDivisionError
-    t = 2.0 * np.pi
-    path = write_config(tmp_path, {
-        "experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},
-        "sweep": {"beta": [1.0], "t": [t]}, "output": {"path": str(tmp_path / "rev.csv")},
-    })
+    t = REVIVAL["sweep"]["t"][0]
+    path = write_config(tmp_path, {**REVIVAL, "output": {"path": str(tmp_path / "rev.csv")}})
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ZeroDivisionError)

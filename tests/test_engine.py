@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from thermoq import engine
 from thermoq.closed_form import DephParams, HEParams, he_optimal_time
 from thermoq.engine import (
     HeatEngine,
@@ -15,7 +16,7 @@ from thermoq.engine import (
     _checked_probabilities,
     precision_bound,
 )
-from thermoq.linalg import HERMITICITY_RTOL
+from thermoq.linalg import HERMITICITY_RTOL, truncation_level
 from thermoq.models import (
     BathMode,
     ModeProductModel,
@@ -30,6 +31,7 @@ from thermoq.models import (
     pauli_x_measurement,
 )
 from thermoq.validate import (
+    CUTOFFS,
     TOL_CLOSED_FORM,
     TOL_FISHER,
     TOL_TWO_POINT,
@@ -48,6 +50,12 @@ from dense_reference import (
     propagator,
     thermal_state,
 )
+
+
+def kernel_probabilities(eng, rho0, beta, t, meas):
+    """P_l of every outcome at beta, those below the floor included: the P_l
+    kernel of the engine's tables of (rho0, t, meas)."""
+    return eng._tables_for(rho0, t, meas).probabilities([beta])[0]
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +93,11 @@ class TestStatesAndEvolution:
 class TestProbabilities:
     def test_sum_to_one(self, he_setup):
         eng, rho0, meas, beta, t = he_setup
-        probs = eng.outcome_probabilities_at(rho0, beta, t, meas)
+        probs = kernel_probabilities(eng, rho0, beta, t, meas)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        record = eng.heat_decomposition(rho0, beta, t, meas)
+        assert record.probabilities.sum() + record.excluded_probability == pytest.approx(
+            1.0, abs=1e-10)
 
 
 class TestHeatDecomposition:
@@ -212,7 +223,7 @@ def _probe_split_model(omega_q, modes, cutoffs):
 
 
 def _branch_cases():
-    """(model, rho0, meas, beta, t, prob_floor) per case; Fisher values 4e-4..0.1,
+    """(model, rho0, meas, beta, t, floor) per case; Fisher values 4e-4..0.1,
     so finite-difference roundoff (about 1e-12 / sqrt(F) relative) stays far
     below the 1e-8 bound. The dephasing cases run the sparse sigma_z model, a
     ``CompositeModel`` like every model the branch kernel takes."""
@@ -237,11 +248,12 @@ def _branch_cases():
 
 
 def _mode_cases():
-    """(model, rho0, meas, beta, t, prob_floor, engine model) per case: the dense
+    """(model, rho0, meas, beta, t, floor, engine model) per case: the dense
     reference reads the sparse sigma_z model, and the engine runs on the same
-    model as a ``ModeProductModel``. The draws use a coarser thermal tail than
-    the CLI (cutoffs 4..8, d <= 432) to keep the dense reference small; both
-    routes read the same truncated model, so the comparison does not depend on it."""
+    model as a ``ModeProductModel``. The draws are ``draw_deph_instance``'s with
+    a coarser thermal tail than its automatic cutoffs (``_coarse_draw``: cutoffs
+    4..8, d <= 432) to keep the dense reference small; both routes read the same
+    truncated model, so the comparison does not depend on it."""
     rng = np.random.default_rng(11)
     modes, cutoffs = [BathMode(1.1, 0.3), BathMode(1.4, 0.2)], [6, 5]
     cases = {  # the branch kernel's dephasing cases, on the mode-product route
@@ -258,11 +270,22 @@ def _mode_cases():
                             1.1, 2.3, 1e-12, _probe_split_model(0.7, modes, cutoffs)),
     }
     for seed in (1, 6, 7, 8, 11):
-        params, model = draw_deph_instance(np.random.default_rng(seed), tail=1e-4)
+        params, model = _coarse_draw(seed)
         cases[f"draw-{seed}-{len(params['modes'])}-modes"] = (
             _sparse_twin(params), PLUS, pauli_x_measurement(), params["beta"], params["t"],
             1e-12, model)
     return cases
+
+
+def _coarse_draw(seed):
+    """The ``draw_deph_instance`` draw of ``seed`` with each mode's cutoff at the
+    thermal tail 1e-4 plus the dephasing margin, and its dephasing model."""
+    params, _ = draw_deph_instance(np.random.default_rng(seed))
+    margin = CUTOFFS["dephasing"][1]
+    params["cutoffs"] = [truncation_level(params["beta"], omega, 1e-4) + margin
+                         for omega, _ in params["modes"]]
+    modes = [BathMode(*m) for m in params["modes"]]
+    return params, build_dephasing_model(modes, params["cutoffs"])
 
 
 def _sparse_twin(params):
@@ -280,12 +303,20 @@ BRANCH_CASES = _branch_cases()
 MODE_CASES = _mode_cases()
 
 
+def _at_floor(case, monkeypatch):
+    """The case's (engine, dense arguments, floor), its floor substituted for
+    ``engine.PROB_FLOOR``, which every engine route reads."""
+    monkeypatch.setattr(engine, "PROB_FLOOR", case[2])
+    return case
+
+
 class _MatchesDense:
     """The engine's tables against the dense embedded-projector route, at the
-    same tolerances on both routes; subclasses supply the ``case`` fixture."""
+    same tolerances and the same probability floor on both routes; subclasses
+    supply the ``case`` fixture."""
 
-    def test_heat_terms_match_dense(self, case):
-        eng, args, floor = case
+    def test_heat_terms_match_dense(self, case, monkeypatch):
+        eng, args, floor = _at_floor(case, monkeypatch)
         record = eng.heat_decomposition(*args[1:])
         ref = dense_heat_decomposition(*args, prob_floor=floor)
         assert [o.label for o in record.outcomes] == [o.label for o in ref.outcomes]
@@ -299,25 +330,25 @@ class _MatchesDense:
                                                             abs=1e-11)
         assert record.fisher_heat == pytest.approx(ref.fisher_heat, rel=1e-12, abs=1e-15)
 
-    def test_direct_scores_match_dense(self, case):
-        eng, args, floor = case
+    def test_direct_scores_match_dense(self, case, monkeypatch):
+        eng, args, floor = _at_floor(case, monkeypatch)
         scores = eng.score_direct_all(*args[1:])
         ref = dense_score_direct_all(*args, prob_floor=floor)
         assert scores.keys() == ref.keys()
         for label, score in scores.items():
             assert abs(score - ref[label]) <= 1e-11
 
-    def test_finite_difference_fisher_matches_dense(self, case):
+    def test_finite_difference_fisher_matches_dense(self, case, monkeypatch):
         # against the dense heat variance, not the dense finite difference: the
         # dense route forms a rare outcome's P_l from O(1) entries anew at each
         # beta, so at F ~ 3e-6 (draw-7) its own finite difference is off by 1.5e-8
-        eng, args, floor = case
+        eng, args, floor = _at_floor(case, monkeypatch)
         fd = eng.fisher_finite_difference(*args[1:])
         ref = dense_heat_decomposition(*args, prob_floor=floor).fisher_heat
         assert fd == pytest.approx(ref, rel=1e-8, abs=1e-15)
 
-    def test_two_point_matches_dense(self, case):
-        eng, args, floor = case
+    def test_two_point_matches_dense(self, case, monkeypatch):
+        eng, args, floor = _at_floor(case, monkeypatch)
         heats = eng.two_point_trajectory_heat_all(*args[1:])
         ref = dense_heat_decomposition(*args, prob_floor=floor)
         assert list(heats) == [o.label for o in ref.outcomes]
@@ -327,7 +358,7 @@ class _MatchesDense:
 
 def _engine_case(cases, name):
     model, rho0, meas, beta, t, floor, *engine_model = cases[name]
-    eng = HeatEngine(*engine_model or (model,), prob_floor=floor)
+    eng = HeatEngine(*engine_model or (model,))
     return eng, (model, rho0, beta, t, meas), floor
 
 
@@ -377,7 +408,7 @@ class TestModeProduct(_MatchesDense):
     def test_cases_cover_one_to_three_modes_and_the_floor(self):
         assert {len(m.space.factor_dims) - 1 for m, *_ in MODE_CASES.values()} == {1, 2, 3}
         model, rho0, meas, beta, t, floor, _ = MODE_CASES["deph-below-floor"]
-        probs = HeatEngine(model).outcome_probabilities_at(rho0, beta, t, meas)
+        probs = kernel_probabilities(HeatEngine(model), rho0, beta, t, meas)
         assert np.any(probs < floor) and np.any(probs >= floor)
         assert np.all(np.abs(probs - floor) > 1e-6 * floor)
 
@@ -422,7 +453,7 @@ class TestModeProduct(_MatchesDense):
         modes = discretize_spectral_density(j, 2000, 10.0 * j.omega_c)
         beta, t = 50.0, 1.0 / (10.0 * j.omega_c)
         model = build_dephasing_model(
-            modes, [auto_cutoff("dephasing", beta, m.omega, 1e-10) for m in modes])
+            modes, [auto_cutoff("dephasing", beta, m.omega) for m in modes])
         assert len(str(model.bath_dim)) == 1209
         checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation")
         check_engine_point(checks, HeatEngine(model), PLUS, beta, t, pauli_x_measurement(),
@@ -528,7 +559,7 @@ class TestBranchKernel(_MatchesDense):
     def test_floor_cases_exclude_outcomes(self):
         for name in ("he-zero-time", "he-below-floor"):
             model, rho0, meas, beta, t, floor = BRANCH_CASES[name]
-            probs = HeatEngine(model).outcome_probabilities_at(rho0, beta, t, meas)
+            probs = kernel_probabilities(HeatEngine(model), rho0, beta, t, meas)
             assert np.any(probs < floor) and np.any(probs >= floor)
             # no probability within roundoff of the floor, so the kept set is sharp
             assert np.all(np.abs(probs - floor) > 1e-6 * floor)
@@ -540,11 +571,11 @@ class TestBranchKernel(_MatchesDense):
         calls = [(rho, t, meas), (rho, 0.7 * t, meas),
                  (rho, 0.7 * t, _random_probe_measurement(np.random.default_rng(1), 11))]
         for r, tt, m in calls:
-            got = eng.outcome_probabilities_at(r, beta, tt, m)
-            assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(r, beta, tt, m))
+            got = kernel_probabilities(eng, r, beta, tt, m)
+            assert np.array_equal(got, kernel_probabilities(HeatEngine(model), r, beta, tt, m))
         rho[:2, :2] = 0.5  # edited in place: same object, new state
-        got = eng.outcome_probabilities_at(rho, beta, t, meas)
-        assert np.array_equal(got, HeatEngine(model).outcome_probabilities_at(rho, beta, t, meas))
+        got = kernel_probabilities(eng, rho, beta, t, meas)
+        assert np.array_equal(got, kernel_probabilities(HeatEngine(model), rho, beta, t, meas))
 
     def test_sweep_builds_the_tables_once_per_time(self, monkeypatch):
         # a beta-outer, t-inner sweep at fixed n_max shares one engine, which
@@ -663,7 +694,7 @@ class TestNonPositiveBeta:
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     @pytest.mark.parametrize("route", ["heat_decomposition", "score_direct_all",
-                                       "fisher_finite_difference", "outcome_probabilities_at",
+                                       "fisher_finite_difference",
                                        "two_point_trajectory_heat_all"])
     @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
     def test_every_route_raises(self, request, setup, route, beta):
@@ -689,7 +720,7 @@ class TestProbabilityRange:
     def test_kernel_routes_raise(self, invalid_rho0):
         eng, rho0, meas, beta, t = invalid_rho0
         for route in (eng.heat_decomposition, eng.score_direct_all,
-                      eng.fisher_finite_difference, eng.outcome_probabilities_at):
+                      eng.fisher_finite_difference):
             with pytest.raises(InvalidProbeStateError, match="not a density matrix"):
                 route(rho0, beta, t, meas)
 

@@ -11,10 +11,8 @@ from thermoq.mean_force import (
     energy_operator,
     internal_energy,
     internal_energy_deviation,
-    mean_force_hamiltonian,
     reduced_gibbs_operator,
     temperature_energy_ur_check,
-    z_star,
 )
 from thermoq.models import BathMode, CompositeModel, build_spin_boson_model
 from thermoq.validate import check_mean_force_point, identity_checks
@@ -31,6 +29,16 @@ def richardson(f, x, h):
         return (f(x + step) - f(x - step)) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def h_star(model, beta):
+    """The mean-force Hamiltonian H*_S that ``internal_energy_deviation`` stores."""
+    return internal_energy_deviation(model, beta).h_star
+
+
+def z_star(model, beta):
+    """The effective partition function Z*_S that ``internal_energy_deviation`` stores."""
+    return internal_energy_deviation(model, beta).z_star
 
 
 def make_model(g_scale=1.0, axis="xz", n_max=5):
@@ -51,22 +59,19 @@ def free_model():
 class TestMeanForceHamiltonian:
     def test_matrices_are_read_only(self, coupled_model):
         result = internal_energy_deviation(coupled_model, BETA)
-        for op in (mean_force_hamiltonian(coupled_model, BETA),
-                   energy_operator(coupled_model, BETA), result.h_star, result.e_star):
+        for op in (energy_operator(coupled_model, BETA), result.h_star, result.e_star):
             assert op.shape == (2, 2)
             with pytest.raises(ValueError):
                 op[0, 0] = 2.0
 
     def test_free_case_reduces_to_system_hamiltonian(self, free_model):
-        h_star = mean_force_hamiltonian(free_model, BETA)
-        diff = h_star - free_model.h_s_local
+        diff = h_star(free_model, BETA) - free_model.h_s_local
         # equal up to an additive constant (here exactly zero)
         assert np.abs(diff - diff[0, 0] * np.eye(2)).max() < 1e-10
         assert abs(diff[0, 0]) < 1e-10
 
     def test_reconstructs_reduced_thermal_state(self, coupled_model):
-        h_star = mean_force_hamiltonian(coupled_model, BETA)
-        w, v = np.linalg.eigh(h_star)
+        w, v = np.linalg.eigh(h_star(coupled_model, BETA))
         boltz = np.exp(-BETA * w)
         rho_rebuilt = (v * (boltz / boltz.sum())) @ v.conj().T
         a = reduced_gibbs_operator(coupled_model, BETA)
@@ -74,8 +79,8 @@ class TestMeanForceHamiltonian:
         assert np.abs(rho_rebuilt - rho_s).max() < 1e-10
 
     def test_genuinely_beta_dependent_at_strong_coupling(self, coupled_model):
-        h1 = mean_force_hamiltonian(coupled_model, BETA)
-        h2 = mean_force_hamiltonian(coupled_model, 2.0 * BETA)
+        h1 = h_star(coupled_model, BETA)
+        h2 = h_star(coupled_model, 2.0 * BETA)
         assert np.abs(h1 - h2).max() > 1e-4
 
     def test_z_star_is_partition_ratio(self, free_model):
@@ -122,7 +127,7 @@ class TestEnergyOperator:
         e_star = energy_operator(coupled_model, BETA)
         # alternative definition d/d(beta) [beta H*_S]
         e_alt = richardson(
-            lambda b: b * mean_force_hamiltonian(coupled_model, b), BETA, 1e-4 * BETA)
+            lambda b: b * h_star(coupled_model, b), BETA, 1e-4 * BETA)
         e_alt = 0.5 * (e_alt + e_alt.conj().T)
         a = reduced_gibbs_operator(coupled_model, BETA)
         rho_s = a / np.trace(a).real
