@@ -5,9 +5,12 @@ experiment families, writes the results table (CSV or JSON) plus a
 machine-readable verification report (``validate.verification``), and exits
 nonzero if any identity check exceeded its tolerance. A configuration sets the
 model, sweep, a fixed cutoff ``numerics.n_max`` and output, never a check:
-checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``. Any key the
-experiment does not read is a usage error. Sweep points are evaluated in
-configuration order, so output rows are deterministic for a fixed config.
+checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``.
+``CONFIG_SCHEMA`` (with ``READ_BY``) lists the keys each experiment reads; one
+usage error names every other key of a config, and an output path in a
+missing directory is one too, before any runner starts. Runners only read and
+check values. Sweep points are evaluated in configuration order, so output
+rows are deterministic for a fixed config.
 """
 
 import hashlib
@@ -61,7 +64,6 @@ EXPERIMENTS = (
     "scaling-deph",
     "cross-validate",
 )
-PER_OUTCOME = ("heat-exchange", "dephasing")  # the experiments that read output.per_outcome
 
 CONFIG_SCHEMA = {
     "experiment": f"one of {list(EXPERIMENTS)}",
@@ -80,16 +82,17 @@ CONFIG_SCHEMA = {
                          "k_modes": "int >= 1 (default 2000)",
                          "omega_max": "float > 0 or null for 10 omega_c"},
     },
-    "seed": "cross-validate only: int >= 0 (default 0)",
-    "draws": "cross-validate only: int >= 1 (default 5)",
+    "seed": "int >= 0 (default 0)",
+    "draws": "int >= 1 (default 5)",
     "sweep": {
         "<axis>": "list of values; at most 3 axes; cartesian product in config order",
         "axes": {"heat-exchange": ["beta", "t", "g", "delta", "omega_0"],
                  "dephasing": ["beta", "t"],
                  "mean-force": ["beta"],
-                 "scaling-he": ["beta (>= 4 values)"],
-                 "scaling-deph": ["beta (>= 4 values)"]},
-        "note": "heat-exchange accepts t = 'optimal' for the half-swap time",
+                 "scaling-he": ["beta"],
+                 "scaling-deph": ["beta"]},
+        "note": "heat-exchange accepts t = 'optimal' for the half-swap time; the scaling "
+                "runs need at least 4 beta values",
     },
     "numerics": {
         "n_max": "int >= 1 or null: Fock cutoff of every mode; null or absent for the "
@@ -99,9 +102,14 @@ CONFIG_SCHEMA = {
         "path": "output file path (default <experiment>.csv); directory overridable "
                 f"via ${OUTPUT_DIR_ENV}",
         "format": "'csv' | 'json' (default csv)",
-        "per_outcome": "heat-exchange, dephasing: bool, one row per outcome (default false)",
+        "per_outcome": "bool, one row per outcome (default false)",
     },
 }
+# the experiments that read a top-level, numerics or output key only some of them
+# read; each other such key of CONFIG_SCHEMA every experiment reads
+READ_BY = {"seed": ["cross-validate"], "draws": ["cross-validate"],
+           "numerics.n_max": ["heat-exchange", "dephasing", "mean-force"],
+           "output.per_outcome": ["heat-exchange", "dephasing"]}
 
 
 class ConfigError(Exception):
@@ -136,13 +144,26 @@ def _count(key, value, minimum):
     return value
 
 
-def _sweep_points(sweep, allowed):
+def _unread_keys(config, experiment):
+    """Each key of ``config`` that ``experiment`` does not read, per ``CONFIG_SCHEMA``
+    and ``READ_BY``: a top-level key bare, a section's key as ``section.key``."""
+    listed = {None: CONFIG_SCHEMA, "model": CONFIG_SCHEMA["model"].get(experiment, {}),
+              "sweep": CONFIG_SCHEMA["sweep"]["axes"].get(experiment, []),
+              "numerics": CONFIG_SCHEMA["numerics"], "output": CONFIG_SCHEMA["output"]}
+    unread = []
+    for section, keys in listed.items():
+        prefix = f"{section}." if section else ""
+        for key in config.get(section, {}) if section else config:
+            if key not in keys or experiment not in READ_BY.get(prefix + key, [experiment]):
+                unread.append(prefix + key)
+    return unread
+
+
+def _sweep_points(sweep):
     """Cartesian product of sweep axes, in configuration order."""
     if len(sweep) > 3:
         raise ConfigError("at most 3 sweep axes are supported")
     for axis, values in sweep.items():
-        if axis not in allowed:
-            raise ConfigError(f"unknown sweep axis {axis!r}; allowed: {sorted(allowed)}")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
     axes = list(sweep)
@@ -151,19 +172,9 @@ def _sweep_points(sweep, allowed):
     return [dict(zip(axes, combo)) for combo in itertools.product(*(sweep[a] for a in axes))]
 
 
-def _reject_unread(experiment, section, keys):
-    """ConfigError naming each of ``keys`` of ``section`` (None: top level), all unread."""
-    if keys:
-        prefix = f"{section}." if section else ""
-        raise ConfigError(f"{experiment} does not read "
-                          f"{', '.join(prefix + key for key in keys)}")
-
-
 def _n_max(config):
-    """The checked ``numerics.n_max`` (None: automatic cutoffs), its only key."""
-    numerics = config.get("numerics", {})
-    _reject_unread(config["experiment"], "numerics", [k for k in numerics if k != "n_max"])
-    n_max = numerics.get("n_max")
+    """The checked ``numerics.n_max`` (None: automatic cutoffs)."""
+    n_max = config.get("numerics", {}).get("n_max")
     return None if n_max is None else _count("numerics.n_max", n_max, 1)
 
 
@@ -175,10 +186,10 @@ def _cutoffs(family, n_max, beta, omegas):
 
 
 def _parse_modes(model, experiment):
-    """Pop and parse the required ``modes`` key of a model section."""
+    """Parse the required ``modes`` key of a model section."""
     if "modes" not in model:
         raise ConfigError(f"{experiment} model requires 'modes'")
-    pairs = model.pop("modes")
+    pairs = model["modes"]
     if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ConfigError(f"model.modes must be [[omega, g], ...], got {pairs!r}")
@@ -250,15 +261,10 @@ def _run_engine_points(config, points, check_ids, family_point):
 
 
 def _run_heat_exchange(config):
-    model = dict(config.get("model", {}))
     fixed = _n_max(config)
-    base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal"}
-    for key in ("omega_0", "delta", "g"):
-        if key in model:
-            base[key] = model.pop(key)
-    _reject_unread("heat-exchange", "model", model)
-    points = _sweep_points(config.get("sweep", {}),
-                           {"beta", "t", "g", "delta", "omega_0"})
+    base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal",
+            **config.get("model", {})}
+    points = _sweep_points(config.get("sweep", {}))
 
     def family_point(point):
         p = {**base, **point}
@@ -280,19 +286,17 @@ def _run_heat_exchange(config):
                 lambda: build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
                 ground, t, lambda: fock_measurement(n_max), he_reference(he))
 
-    return _run_engine_points(config, points, ("fisher", "closed_form", "saturation"),
-                              family_point)
+    return _run_engine_points(config, points,
+                              ("fisher", "closed_form", "avg_heat", "saturation"), family_point)
 
 
 def _run_dephasing(config):
-    model = dict(config.get("model", {}))
     fixed = _n_max(config)
-    modes = _parse_modes(model, "dephasing")
-    _reject_unread("dephasing", "model", model)
+    modes = _parse_modes(config.get("model", {}), "dephasing")
     if not any(m.g for m in modes):
         raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
                           "so the probe carries no temperature information")
-    points = _sweep_points(config.get("sweep", {}), {"beta", "t"})
+    points = _sweep_points(config.get("sweep", {}))
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
@@ -311,15 +315,14 @@ def _run_dephasing(config):
 
 
 def _run_mean_force(config):
-    model = dict(config.get("model", {}))
+    model = config.get("model", {})
     fixed = _n_max(config)
-    omega_q = _positive("model", "omega_q", model.pop("omega_q", 1.0))
+    omega_q = _positive("model", "omega_q", model.get("omega_q", 1.0))
     modes = _parse_modes(model, "mean-force")
-    axis = model.pop("coupling_axis", "xz")
+    axis = model.get("coupling_axis", "xz")
     if axis not in ("x", "z", "xz"):
         raise ConfigError(f"coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
-    _reject_unread("mean-force", "model", model)
-    points = _sweep_points(config.get("sweep", {}), {"beta"})
+    points = _sweep_points(config.get("sweep", {}))
 
     checks = identity_checks("mean_force", "ur_product")
     models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
@@ -353,17 +356,14 @@ def _run_mean_force(config):
 
 
 def _spectral(model):
-    alpha = _positive("model", "alpha", model.pop("alpha", 1.0))
-    s = _nonnegative("model", "s", model.pop("s", 1.0))
-    omega_c = _positive("model", "omega_c", model.pop("omega_c", 1.0))
+    alpha = _positive("model", "alpha", model.get("alpha", 1.0))
+    s = _nonnegative("model", "s", model.get("s", 1.0))
+    omega_c = _positive("model", "omega_c", model.get("omega_c", 1.0))
     return SpectralDensity(alpha, s, omega_c)
 
 
 def _scaling_betas(config):
-    sweep = config.get("sweep", {})
-    _reject_unread(config["experiment"], "sweep", [axis for axis in sweep if axis != "beta"])
-    _reject_unread(config["experiment"], "numerics", config.get("numerics", {}))
-    betas = sweep.get("beta")
+    betas = config.get("sweep", {}).get("beta")
     if not isinstance(betas, list) or len(betas) < 4:
         raise ConfigError(f"{config['experiment']} requires sweep.beta with at least 4 values")
     return [_positive("sweep", "beta", b) for b in betas]
@@ -380,11 +380,10 @@ def _scaling_rows(points, expected):
 
 
 def _run_scaling_he(config):
-    model = dict(config.get("model", {}))
+    model = config.get("model", {})
     j = _spectral(model)
-    delta_ratio = _nonnegative("model", "delta_ratio", model.pop("delta_ratio", 0.1))
-    time_factor = _positive("model", "time_factor", model.pop("time_factor", 0.3))
-    _reject_unread("scaling-he", "model", model)
+    delta_ratio = _nonnegative("model", "delta_ratio", model.get("delta_ratio", 0.1))
+    time_factor = _positive("model", "time_factor", model.get("time_factor", 0.3))
     betas = _scaling_betas(config)
     points = cf.he_scaling_points(j, betas, delta_ratio=delta_ratio,
                                   time_factor=time_factor)
@@ -392,13 +391,12 @@ def _run_scaling_he(config):
 
 
 def _run_scaling_deph(config):
-    model = dict(config.get("model", {}))
+    model = config.get("model", {})
     j = _spectral(model)
-    t, omega_max = model.pop("t", None), model.pop("omega_max", None)
+    t, omega_max = model.get("t"), model.get("omega_max")
     t = None if t is None else _positive("model", "t", t)
     omega_max = None if omega_max is None else _positive("model", "omega_max", omega_max)
-    k_modes = _count("model.k_modes", model.pop("k_modes", 2000), 1)
-    _reject_unread("scaling-deph", "model", model)
+    k_modes = _count("model.k_modes", model.get("k_modes", 2000), 1)
     betas = _scaling_betas(config)
     points = cf.deph_scaling_points(j, betas, t=t, k_modes=k_modes,
                                     omega_max=omega_max)
@@ -406,8 +404,6 @@ def _run_scaling_deph(config):
 
 
 def _run_cross_validate(config):
-    for section in ("model", "sweep", "numerics"):
-        _reject_unread("cross-validate", section, config.get(section, {}))
     seed = _count("seed", config.get("seed", 0), 0)
     draws = _count("draws", config.get("draws", 5), 1)
     checks, summary = cross_validate(seed, draws)
@@ -430,10 +426,15 @@ RUNNERS = {
 # -- output ----------------------------------------------------------------
 
 
-def _redirected(path):
-    """``path`` moved into $THERMOQ_OUTPUT_DIR when that is set."""
+def _output_path(path, name):
+    """``path``, moved into $THERMOQ_OUTPUT_DIR when that is set; a usage error
+    naming ``name`` if its directory does not exist."""
     override = os.environ.get(OUTPUT_DIR_ENV)
-    return os.path.join(override, os.path.basename(path)) if override else path
+    path = os.path.join(override, os.path.basename(path)) if override else path
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise click.UsageError(f"{name}: directory {directory!r} of {path!r} does not exist")
+    return path
 
 
 def _fieldnames(rows):
@@ -503,18 +504,17 @@ def run_cmd(config_path):
     if experiment not in EXPERIMENTS:
         raise click.UsageError(
             f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
-    sections = ("experiment", "model", "sweep", "numerics", "output",
-                *(("seed", "draws") if experiment == "cross-validate" else ()))
-    output_keys = ("path", "format", *(("per_outcome",) if experiment in PER_OUTCOME else ()))
+    unread = _unread_keys(config, experiment)
+    if unread:
+        raise click.UsageError(f"{experiment} does not read {', '.join(unread)}")
     fmt = output.get("format", "csv")
     path = output.get("path", f"{experiment}.{fmt}")
     try:
-        _reject_unread(experiment, None, [key for key in config if key not in sections])
-        _reject_unread(experiment, "output", [key for key in output if key not in output_keys])
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
         if not (isinstance(path, str) and path):
             raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
+        path = _output_path(path, "output.path")
         if not isinstance(output.get("per_outcome", False), bool):
             raise ConfigError(
                 f"output.per_outcome must be true or false, got {output['per_outcome']!r}")
@@ -526,7 +526,6 @@ def run_cmd(config_path):
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
     report = verification(checks, summary)
-    path = _redirected(path)
     if fmt == "csv":
         _write_csv(path, rows, meta)
     else:
@@ -548,11 +547,12 @@ def run_cmd(config_path):
               help="Optional JSON report path.")
 def cross_validate_cmd(seed, draws, output):
     """Check every identity on random instances of each model family."""
+    if output:
+        output = _output_path(output, "--output")
     checks, summary = cross_validate(seed, draws)
     click.echo(f"cross-validate seed={seed} draws={draws} "
                f"({summary['elapsed_seconds']:.1f}s)")
     if output:
-        output = _redirected(output)
         _write_json(output, verification(checks, summary))
         click.echo(f"report -> {output}")
     _report(checks)
@@ -560,8 +560,9 @@ def cross_validate_cmd(seed, draws, output):
 
 @main.command("schema")
 def schema_cmd():
-    """Print the JSON run-configuration schema."""
-    click.echo(json.dumps(CONFIG_SCHEMA, indent=2))
+    """Print the JSON run-configuration schema; "read_by" names the experiments that
+    read a key only some of them read."""
+    click.echo(json.dumps({**CONFIG_SCHEMA, "read_by": READ_BY}, indent=2))
 
 
 if __name__ == "__main__":

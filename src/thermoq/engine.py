@@ -322,24 +322,23 @@ class HeatEngine:
                  [np.flatnonzero(rank[index] == k) for k in range(rank[index].max() + 1)]
                  if rank.any() else [slice(None)])
                 for index, lam, v in model.spectrum)
-        # (id(meas), rho0 shape, rho0 bytes, t) -> (meas, tables); holding meas
-        # keeps its id from being reused while the entry exists
+        # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
         self._tables = {}
         # (tables, beta, conditional energies) of the last point evaluated
         self._last_traces = None
 
     def _tables_for(self, rho0, t, meas):
         rho0 = np.asarray(rho0, complex)
-        key = (id(meas), rho0.shape, rho0.tobytes(), float(t))
-        entry = self._tables.get(key)
-        if entry is not None:
-            return entry[1]
+        key = (meas, rho0.shape, rho0.tobytes(), float(t))
+        tables = self._tables.get(key)
+        if tables is not None:
+            return tables
         d_s = self.model.system_dim
         _require_system_dim(meas, d_s)
         w, phi = _probe_eigenpairs(rho0, d_s)
         build = self._branch_tables if self._modes is None else self._mode_tables
         tables = build(w, phi, t, meas)
-        self._tables[key] = (meas, tables)
+        self._tables[key] = tables
         return tables
 
     # -- mode-product route -----------------------------------------------

@@ -20,7 +20,11 @@ import numpy as np
 from . import closed_form as cf
 from .engine import HeatEngine
 from .linalg import truncation_level
-from .mean_force import internal_energy_deviation, temperature_energy_ur_check
+from .mean_force import (
+    DegenerateVarianceError,
+    internal_energy_deviation,
+    temperature_energy_ur_check,
+)
 from .models import (
     BathMode,
     build_coupled_oscillators,
@@ -112,15 +116,17 @@ class ClosedFormReference:
     heat_terms: object        # outcome label -> (H_tra, H_cor)
     fisher: float
     bound: float              # relative precision bound
-    avg_heat: float = None    # average trajectory heat, where the family has one
+    avg_heat: float           # average trajectory heat
     columns: dict = field(default_factory=dict)  # extra output columns
 
 
 def he_reference(he):
     """Closed-form reference of an excitation-exchange working point (``cf.HEParams``)."""
+    # H_tra = l omega_0 and <l> = n, so <H_tra> = omega_0 n
     return ClosedFormReference(partial(cf.he_outcome_probability, he),
                                partial(cf.he_heat_terms, he),
-                               cf.he_fisher(he), cf.he_precision_bound(he))
+                               cf.he_fisher(he), cf.he_precision_bound(he),
+                               he.omega_0 * cf.he_mean_excitation(he))
 
 
 def deph_reference(dp):
@@ -140,8 +146,8 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     Updates ``checks``: 'fisher' (finite difference vs heat variance),
     'closed_form' (P_l, H_tra, H_cor where P_l >= CLOSED_FORM_MIN_PROB, and
     the Fisher information), 'saturation' (closed-form bound vs
-    finite-difference Fisher), where the reference has one 'avg_heat', and
-    where their ids are in ``checks`` 'score' (direct log-derivative vs the
+    finite-difference Fisher), 'avg_heat' (the outcome-averaged trajectory
+    heat vs the reference's), and where their ids are in ``checks`` 'score' (direct log-derivative vs the
     decomposition's score) and 'two_point' (two-point vs projected trajectory
     heat), each per outcome. Returns (record, finite-difference Fisher
     information, worst closed-form deviation, probability mass of the
@@ -167,9 +173,8 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
 
     sat = reference.bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
     checks["saturation"].update(abs(sat - 1.0), params)
-    if reference.avg_heat is not None:
-        avg_h_tra = sum(o.probability * o.h_tra for o in record.outcomes)
-        checks["avg_heat"].update(abs(avg_h_tra - reference.avg_heat), params)
+    avg_h_tra = sum(o.probability * o.h_tra for o in record.outcomes)
+    checks["avg_heat"].update(abs(avg_h_tra - reference.avg_heat), params)
 
     by_label = {o.label: o for o in record.outcomes}
     if "score" in checks:
@@ -185,11 +190,17 @@ def check_mean_force_point(checks, model, beta, params):
     """Steady-state deviation of one mean-force point and its UR product.
 
     Updates the 'mean_force' (dual residual) and 'ur_product' checks;
-    returns (result, Delta U, UR product).
+    returns (result, Delta U, UR product). A point whose energy variance
+    vanishes has no UR product: it fails 'ur_product' with deviation inf,
+    and its Delta U and product are NaN.
     """
     result = internal_energy_deviation(model, beta)
-    delta_u, _, product = temperature_energy_ur_check(result)
     checks["mean_force"].update(result.dual_residual, params)
+    try:
+        delta_u, _, product = temperature_energy_ur_check(result)
+    except DegenerateVarianceError:
+        checks["ur_product"].update(math.inf, params)
+        return result, math.nan, math.nan
     checks["ur_product"].update(abs(product - 1.0), params)
     return result, delta_u, product
 

@@ -47,6 +47,7 @@ class TestSchemaAndUsage:
         assert result.exit_code == 0
         schema = json.loads(result.output)
         assert "experiment" in schema and "output" in schema
+        assert schema["read_by"]["output.per_outcome"] == ["heat-exchange", "dephasing"]
 
     def test_missing_config_file_is_usage_error(self):
         result = RUNNER.invoke(main, ["run", "/nonexistent/config.json"])
@@ -406,24 +407,74 @@ def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
 
 
 def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):
-    # a scaling run reads neither sweep.t nor numerics: it stops before its closed
-    # forms and names every such key
+    # one usage error names every key, in every section, that a scaling run does
+    # not read, and the run stops before its closed forms
     monkeypatch.setattr(cli.cf, "deph_scaling_points",
                         lambda *args, **kwargs: pytest.fail("the scaling run started"))
-    numerics = {"n_max": 3, "prob_floor": 0.5, "tail": 0.9}
     path = write_config(tmp_path, {
-        "experiment": "scaling-deph", "model": {"k_modes": 200},
-        "sweep": {"beta": [5.0, 10.0, 20.0, 50.0], "t": [123.0]}, "numerics": numerics,
-        "output": {"path": str(tmp_path / "o.csv")},
+        "experiment": "scaling-deph", "model": {"k_modes": 200, "bogus": 1},
+        "sweep": {"beta": [5, 10, 20, 50], "t": [1.0]},
+        "numerics": {"n_max": 3, "tail": 0.1}, "draws": 3,
+        "output": {"path": str(tmp_path / "o.csv"), "per_outcome": True},
     })
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 2, result.output
-    assert "sweep.t" in result.output
-    config = json.loads(Path(path).read_text())
-    del config["sweep"]["t"]
+    assert ("scaling-deph does not read draws, model.bogus, sweep.t, numerics.n_max, "
+            "numerics.tail, output.per_outcome") in " ".join(result.output.split())
+    assert not (tmp_path / "o.csv").exists()
+
+
+# an out-of-range value of each key CONFIG_SCHEMA lists, and the name its error gives
+# it (a heat-exchange model key swept as an axis is checked as the model key)
+BAD_VALUES = {
+    "experiment": ("bogus", "experiment"),
+    "seed": (-1, "seed"), "draws": (0, "draws"),
+    "model.omega_0": (0, "model.omega_0"), "model.delta": (-1, "model.delta"),
+    "model.g": (0, "model.g"), "model.modes": ([], "model.modes"),
+    "model.omega_q": (0, "model.omega_q"), "model.coupling_axis": ("y", "coupling_axis"),
+    "model.alpha": (0, "model.alpha"), "model.s": (-1, "model.s"),
+    "model.omega_c": (0, "model.omega_c"), "model.delta_ratio": (-1, "model.delta_ratio"),
+    "model.time_factor": (0, "model.time_factor"), "model.t": (0, "model.t"),
+    "model.k_modes": (0, "model.k_modes"), "model.omega_max": (0, "model.omega_max"),
+    "sweep.beta": ([-1.0, 1.0, 2.0, 3.0], "sweep.beta"), "sweep.t": ([0], "sweep.t"),
+    "sweep.g": ([0], "model.g"), "sweep.delta": ([-1], "model.delta"),
+    "sweep.omega_0": ([0], "model.omega_0"),
+    "numerics.n_max": (0, "numerics.n_max"),
+    "output.path": ("", "output.path"), "output.format": ("cvs", "output.format"),
+    "output.per_outcome": ("yes", "output.per_outcome"),
+}
+
+
+def _schema_keys():
+    """Each (experiment, key) CONFIG_SCHEMA lists, READ_BY restricting some keys."""
+    for experiment in cli.EXPERIMENTS:
+        keys = ["experiment", "seed", "draws"]
+        keys += [f"model.{k}" for k in cli.CONFIG_SCHEMA["model"].get(experiment, {})]
+        keys += [f"sweep.{a}" for a in cli.CONFIG_SCHEMA["sweep"]["axes"].get(experiment, [])]
+        keys += [f"{s}.{k}" for s in ("numerics", "output") for k in cli.CONFIG_SCHEMA[s]]
+        for key in keys:
+            if experiment in cli.READ_BY.get(key, [experiment]):
+                yield experiment, key
+
+
+@pytest.mark.parametrize("experiment, key", list(_schema_keys()))
+def test_every_schema_key_is_read(tmp_path, experiment, key, monkeypatch):
+    # the schema lists no key that a run accepts but never reads: an out-of-range
+    # value of each is a usage error that names it
+    monkeypatch.chdir(tmp_path)
+    value, named = BAD_VALUES[key]
+    config = {"experiment": experiment, "output": {"path": str(tmp_path / "o.csv")}}
+    if experiment in ("dephasing", "mean-force"):
+        config["model"] = {"modes": [[1.0, 0.1]]}
+    section, _, name = key.partition(".")
+    if name:
+        config.setdefault(section, {})[name] = value
+    else:
+        config[section] = value
     result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
     assert result.exit_code == 2, result.output
-    assert all(f"numerics.{key}" in result.output for key in numerics)
+    assert named in result.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("config", ["scaling_he.json", "scaling_deph.json"])
@@ -577,6 +628,24 @@ def test_mean_force_dual_mismatch_fails_the_run_and_writes_the_sidecar(tmp_path,
     assert "[FAIL]" in result.output
 
 
+@pytest.mark.parametrize("entry", ["run", "cross-validate"])
+def test_output_in_a_missing_directory_fails_before_the_run(tmp_path, entry, monkeypatch):
+    # a path no file can be written to is a usage error before the first point
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.RUNNERS, "heat-exchange",
+                        lambda config: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(cli, "cross_validate", lambda *a: pytest.fail("a draw ran"))
+    if entry == "run":
+        path = write_config(tmp_path, {"experiment": "heat-exchange",
+                                       "output": {"path": "nodir/o.csv"}})
+        args, named = ["run", path], "output.path"
+    else:
+        args, named = ["cross-validate", "--output", "nodir/cv.json"], "--output"
+    result = RUNNER.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert named in result.output and "nodir" in result.output
+
+
 REVIVAL = {"experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},
            "sweep": {"beta": [1.0], "t": [2.0 * np.pi]}}
 
@@ -606,3 +675,26 @@ def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
     failed = {c["name"]: c["worst_params"] for c in report["checks"] if not c["passed"]}
     assert set(failed) == {CHECKS[c][0] for c in ("closed_form", "saturation", "two_point")}
     assert all(params["t"] == t for params in failed.values())
+
+
+def test_vanishing_energy_variance_fails_the_run_and_writes_the_sidecar(tmp_path):
+    # at beta = 300 the probe sits in its ground state, so Delta U = 0 and there
+    # is no UR product: that point fails 'ur_product' in the report, with NaN in
+    # its row, instead of the run dying on a DegenerateVarianceError
+    path = write_config(tmp_path, {
+        "experiment": "mean-force", "model": {"modes": [[1.0, 0.1]]},
+        "sweep": {"beta": [1.0, 300.0]}, "output": {"path": str(tmp_path / "cold.csv")},
+    })
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, mean_force.DegenerateVarianceError)
+    report = json.loads((tmp_path / "cold.csv.verification.json").read_text())
+    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    assert list(failed) == [CHECKS["ur_product"][0]]
+    ur = failed[CHECKS["ur_product"][0]]
+    assert ur["max_deviation"] == np.inf and ur["worst_params"]["beta"] == 300.0
+    header, _, cold = (line.split(",") for line in
+                       (tmp_path / "cold.csv").read_text().splitlines()[2:])
+    row = dict(zip(header, cold))
+    assert float(row["beta"]) == 300.0
+    assert row["delta_u"] == row["ur_product"] == "nan"

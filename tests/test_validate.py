@@ -87,8 +87,6 @@ def test_exact_reference_passes_every_check(engine_points, family):
     # the exchange point has outcomes below the closed-form cutoff
     assert (excluded > 0) == (family == "he")
     assert excluded < 1e-6 * len(point[4].labels)
-    # the dephasing reference defines the average heat; the exchange one does not
-    assert (checks["avg_heat"].max_deviation > 0) == (family == "deph")
 
 
 def test_dephasing_point_evaluates_its_closed_forms_once(engine_points, monkeypatch):
@@ -113,6 +111,7 @@ PERTURBATIONS = {
     "fisher": ("deph", "closed_form", lambda ref: {"fisher": ref.fisher * (1 + 1e-4)}),
     "bound": ("he", "saturation", lambda ref: {"bound": ref.bound * (1 + 1e-3)}),
     "Q": ("deph", "avg_heat", lambda ref: {"avg_heat": ref.avg_heat + 1e-6}),
+    "omega_0 n": ("he", "avg_heat", lambda ref: {"avg_heat": ref.avg_heat + 1e-6}),
 }
 
 
