@@ -9,8 +9,9 @@ checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``.
 ``CONFIG_SCHEMA`` (with ``READ_BY``) lists the keys each experiment reads; one
 usage error names every other key of a config, and an output path in a
 missing directory is one too, before any runner starts. Runners only read and
-check values. Sweep points are evaluated in configuration order, so output
-rows are deterministic for a fixed config.
+check values, each sweep value before the first point runs, and name a bad one
+by the section it came from. Sweep points are evaluated in configuration
+order, so output rows are deterministic for a fixed config.
 """
 
 import hashlib
@@ -138,6 +139,11 @@ def _nonnegative(section, key, value):
     return float(value)
 
 
+def _positive_or_optimal(section, key, value):
+    """A positive time, or 'optimal' for the heat-exchange half-swap time."""
+    return value if value == "optimal" else _positive(section, key, value)
+
+
 def _count(key, value, minimum):
     if not (_is_number(value) and isinstance(value, int) and value >= minimum):
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
@@ -159,17 +165,16 @@ def _unread_keys(config, experiment):
     return unread
 
 
-def _sweep_points(sweep):
-    """Cartesian product of sweep axes, in configuration order."""
+def _sweep_points(sweep, parse):
+    """Cartesian product of sweep axes, in configuration order, each value checked
+    and converted by ``parse[axis](section, axis, value)`` before any point is made."""
     if len(sweep) > 3:
         raise ConfigError("at most 3 sweep axes are supported")
     for axis, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
-    axes = list(sweep)
-    if not axes:
-        return [{}]
-    return [dict(zip(axes, combo)) for combo in itertools.product(*(sweep[a] for a in axes))]
+    parsed = [[parse[axis]("sweep", axis, v) for v in values] for axis, values in sweep.items()]
+    return [dict(zip(sweep, combo)) for combo in itertools.product(*parsed)]
 
 
 def _n_max(config):
@@ -260,21 +265,22 @@ def _run_engine_points(config, points, check_ids, family_point):
     return rows, list(checks.values()), summary
 
 
+HE_PARSE = {"omega_0": _positive, "delta": _nonnegative, "g": _positive, "beta": _positive,
+            "t": _positive_or_optimal}
+
+
 def _run_heat_exchange(config):
     fixed = _n_max(config)
     base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal",
-            **config.get("model", {})}
-    points = _sweep_points(config.get("sweep", {}))
+            **{key: HE_PARSE[key]("model", key, value)
+               for key, value in config.get("model", {}).items()}}
+    points = _sweep_points(config.get("sweep", {}), HE_PARSE)
 
     def family_point(point):
         p = {**base, **point}
-        omega_0 = _positive("model", "omega_0", p["omega_0"])
-        g = _positive("model", "g", p["g"])
-        delta = _nonnegative("model", "delta", p["delta"])
-        beta = _positive("sweep", "beta", p["beta"])
+        omega_0, g, delta, beta = p["omega_0"], p["g"], p["delta"], p["beta"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
-        t = cf.he_optimal_time(he) if p["t"] == "optimal" else _positive(
-            "sweep", "t", p["t"])
+        t = cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
         n_max, = _cutoffs("heat-exchange", fixed, beta, [omega_0])
@@ -296,13 +302,12 @@ def _run_dephasing(config):
     if not any(m.g for m in modes):
         raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
                           "so the probe carries no temperature information")
-    points = _sweep_points(config.get("sweep", {}))
+    points = _sweep_points(config.get("sweep", {}), {"beta": _positive, "t": _positive})
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
     def family_point(point):
-        beta = _positive("sweep", "beta", point.get("beta", 1.0))
-        t = _positive("sweep", "t", point.get("t", math.pi))
+        beta, t = point.get("beta", 1.0), point.get("t", math.pi)
         cutoffs = _cutoffs("dephasing", fixed, beta, [m.omega for m in modes])
         params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
         return (params, cutoffs, lambda: build_dephasing_model(modes, cutoffs),
@@ -321,15 +326,15 @@ def _run_mean_force(config):
     modes = _parse_modes(model, "mean-force")
     axis = model.get("coupling_axis", "xz")
     if axis not in ("x", "z", "xz"):
-        raise ConfigError(f"coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
-    points = _sweep_points(config.get("sweep", {}))
+        raise ConfigError(f"model.coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
+    points = _sweep_points(config.get("sweep", {}), {"beta": _positive})
 
     checks = identity_checks("mean_force", "ur_product")
     models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
     rows = []
     floor_excluded = build_s = spectrum_s = 0.0
     for point in points:
-        beta = _positive("sweep", "beta", point.get("beta", 1.0))
+        beta = point.get("beta", 1.0)
         cutoffs = _cutoffs("mean-force", fixed, beta, [m.omega for m in modes])
         if cutoffs not in models:
             start = time.perf_counter()

@@ -8,17 +8,18 @@ variant with a transverse coupling is included for the steady-state
 machinery, where a non-commuting interaction is the interesting case.
 
 Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
-which stores the sparse H. The dephasing model is a ``ModeProductModel``:
-per probe level and sample mode the eigenpairs of one mode factor, and no H,
-so its size grows with the sum of the mode cutoffs, not their product.
-``scipy.sparse`` is imported where a ``CompositeModel``'s H is built and
-checked, so a process loads it at its first such build; one that builds only
-dephasing models never does.
+which stores the sparse H as three CSR arrays, assembled and checked with
+numpy alone. The dephasing model is a ``ModeProductModel``: per probe level
+and sample mode the eigenpairs of one mode factor, and no H, so its size grows
+with the sum of the mode cutoffs, not their product. ``scipy.sparse`` is
+imported only by ``CompositeModel.probe_tables`` (the mean-force routes), for
+its one sparse H V product; building a model and its spectrum never loads it.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,12 +168,27 @@ class SectorCouplingError(ValueError):
     """The Hamiltonian has an entry between two different charge labels."""
 
 
+class CSRMatrix(NamedTuple):
+    """A square real matrix in canonical compressed sparse row form.
+
+    Row r stores ``data[indptr[r]:indptr[r + 1]]`` in the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, strictly ascending, with no stored
+    zero. The tuple is ``scipy.sparse.csr_array``'s (data, indices, indptr)
+    constructor argument.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
 
-    ``hamiltonian`` is H on the full space, stored once as a read-only
-    float64 CSR matrix; h_s_local is H_S on factor 0, dense. Every builder's
+    ``hamiltonian`` is H on the full space, stored once as read-only CSR
+    arrays (float64 data, int32 indices wherever they fit); h_s_local is H_S
+    on factor 0, dense. Every builder's
     H_B = sum_k omega_k n_k is diagonal in the sample's Fock product basis;
     ``bath_energies`` is that diagonal, read-only float64, in basis order.
     ``charge`` labels each basis state with the conserved charge its builder
@@ -184,7 +200,7 @@ class CompositeModel:
     """
 
     space: HilbertSpace
-    hamiltonian: "scipy.sparse.csr_array"
+    hamiltonian: CSRMatrix
     h_s_local: np.ndarray
     bath_energies: np.ndarray
     charge: np.ndarray
@@ -220,12 +236,18 @@ class CompositeModel:
         Costs one sparse H V product and d_s^2 sums over the sample index per
         sector, once per model.
         """
+        spectrum = self.spectrum
+        # imported once the dense eighs are done, so that the module's memory
+        # does not add to their peak
+        from scipy import sparse
+
         d, d_s = self.space.total_dim, self.system_dim
+        h = sparse.csr_array(self.hamiltonian, shape=(d, d))  # no copy of the held arrays
         w, g, k = [], [], []
-        for index, values, v in self.spectrum:
+        for index, values, v in spectrum:
             full = np.zeros((d, len(index)), dtype=v.dtype)
             full[index] = v
-            hv = (self.hamiltonian @ full).reshape(d_s, self.bath_dim, -1)
+            hv = (h @ full).reshape(d_s, self.bath_dim, -1)
             full = full.reshape(d_s, self.bath_dim, -1)
             w.append(values)
             g.append(np.einsum("sbn,tbn->stn", full, full))
@@ -278,7 +300,7 @@ def _concat_entries(*parts):
 
 def _csr_rows(h):
     """Row of each stored entry of the CSR matrix h, in storage order."""
-    return np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    return np.repeat(np.arange(len(h.indptr) - 1), np.diff(h.indptr))
 
 
 def _sector_entries(h, charge):
@@ -286,7 +308,7 @@ def _sector_entries(h, charge):
     charge is None): (index, rows, cols, values), the sector's basis states in basis
     order and H's stored entries among them, rows and columns as positions within
     the sector. H must couple no two sectors."""
-    d = h.shape[0]
+    d = len(h.indptr) - 1
     labels = np.zeros(d, dtype=int) if charge is None else charge
     _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(sector_of, kind="stable")
@@ -301,57 +323,54 @@ def _sector_entries(h, charge):
         yield index, local[rows[entries]], local[h.indices[entries]], h.data[entries]
 
 
-def _hermiticity_deviation(h, rows):
-    """max |H - H^dag| for a CSR matrix H, ``rows`` the row of each stored
-    entry: the entries of H and of -H^dag, summed where they coincide."""
-    from scipy import sparse
-
-    diff = sparse.csr_array((np.concatenate((h.data, -np.conj(h.data))),
-                             (np.concatenate((rows, h.indices)),
-                              np.concatenate((h.indices, rows)))), shape=h.shape)
-    diff.sum_duplicates()
-    return np.abs(diff.data).max(initial=0.0)
+def _hermiticity_deviation(keys, mirror, data):
+    """max |H - H^T| for the real matrix H that stores ``data`` at the ascending
+    ``keys``, ``mirror`` the key of each entry's transposed position: each entry
+    less the one stored at its mirror, 0 where H stores none there."""
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    mirrored = np.where(keys[at] == mirror, data[at], 0.0)
+    return np.abs(data - mirrored).max(initial=0.0)
 
 
 def _compose(space, h_s_local, bath_energies, h_i, charge=None):
-    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR, with
-    H_I given as (rows, cols, values) entries (duplicates add up). H is checked
-    Hermitian, in O(nnz log nnz), and block-diagonal in ``charge``, in O(nnz)."""
-    from scipy import sparse
-
+    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR arrays,
+    with H_I given as (rows, cols, values) entries (duplicates add up). H is
+    checked Hermitian, in O(nnz log nnz), and block-diagonal in ``charge``, in
+    O(nnz)."""
     bath_energies = np.array(bath_energies, dtype=float)
     h_s_local = np.array(h_s_local, dtype=float)
     d = space.total_dim
     diagonal = np.arange(d)
-    # at most two entries coincide, E_B and H_S's diagonal (H_I has no diagonal
-    # entry, and its terms and H_S (x) 1 share no position), so the order in
-    # which duplicates add up cannot change a bit of H
     rows, cols, values = _concat_entries(
         (diagonal, diagonal, np.tile(bath_energies, len(h_s_local))),
         _kron_entries((len(h_s_local), len(bath_energies)), (h_s_local, None)), h_i)
-    # a csr_array keeps the index dtype it is given: int32 wherever it fits,
-    # as the CSR that sparse.kron chains formed had
-    index_dtype = np.int32 if max(d, len(values)) <= np.iinfo(np.int32).max else np.int64
-    h = sparse.csr_array((values, (rows.astype(index_dtype), cols.astype(index_dtype))),
-                         shape=(d, d))
-    h.sum_duplicates()
-    h.eliminate_zeros()
-    scale = 1.0 + np.abs(h.data).max(initial=0.0)
-    rows = _csr_rows(h)
-    dev = _hermiticity_deviation(h, rows)
+    # at most two entries coincide, E_B and H_S's diagonal (H_I has no diagonal
+    # entry, and its terms and H_S (x) 1 share no position), so the order in
+    # which duplicates add up cannot change a bit of H
+    keys, entry_key = np.unique(rows * d + cols, return_inverse=True)
+    data = np.bincount(entry_key, weights=values)
+    stored = data != 0
+    keys, data = keys[stored], data[stored]
+    rows, cols = np.divmod(keys, d)
+    scale = 1.0 + np.abs(data).max(initial=0.0)
+    dev = _hermiticity_deviation(keys, cols * d + rows, data)
     if dev > HERMITICITY_RTOL * scale:
         raise InvalidOperatorError(
             f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
     if charge is not None:
         charge = np.asarray(charge)
-        bad = np.flatnonzero(charge[rows] != charge[h.indices])
+        bad = np.flatnonzero(charge[rows] != charge[cols])
         if bad.size:
-            r, c = rows[bad[0]], h.indices[bad[0]]
+            r, c = rows[bad[0]], cols[bad[0]]
             raise SectorCouplingError(
                 f"H couples state {r} (charge {charge[r]}) to state {c} "
                 f"(charge {charge[c]}) in {bad.size} entries")
         charge = _read_only((charge,))[0]
-    _read_only((h.data, h.indices, h.indptr))
+    # int32 indices wherever they fit, as scipy.sparse would store this matrix
+    index_dtype = np.int32 if max(d, len(values)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(d + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=d), out=indptr[1:])
+    h = CSRMatrix(*_read_only((data, cols.astype(index_dtype), indptr)))
     return CompositeModel(space, h, *_read_only((h_s_local, bath_energies)), charge)
 
 

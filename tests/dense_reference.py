@@ -92,10 +92,19 @@ def embedded_projectors(model, meas):
     return [embed_factor(p, model.space, 0) for p in meas.projectors]
 
 
+def dense_hamiltonian(model):
+    """H of a ``CompositeModel`` as a dense float64 matrix, from its CSR arrays."""
+    h = model.hamiltonian
+    d = len(h.indptr) - 1
+    dense = np.zeros((d, d))
+    dense[np.repeat(np.arange(d), np.diff(h.indptr)), h.indices] = h.data
+    return dense
+
+
 def propagator(model, t):
     """U = e^{-iHt} from a complex eigendecomposition of the whole of H,
     ignoring the model's charge sectors."""
-    h = model.hamiltonian.toarray().astype(complex)
+    h = dense_hamiltonian(model).astype(complex)
     return hermitian_func(h, lambda w: np.exp(-1j * w * t))
 
 

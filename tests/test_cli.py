@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from thermoq import cli, engine, mean_force
 from thermoq.cli import main
+from thermoq.closed_form import HEParams, he_optimal_time
 from thermoq.engine import PROB_FLOOR, HeatEngine
 from thermoq.linalg import truncation_level
 from thermoq.mean_force import internal_energy_deviation
@@ -424,21 +425,20 @@ def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):
     assert not (tmp_path / "o.csv").exists()
 
 
-# an out-of-range value of each key CONFIG_SCHEMA lists, and the name its error gives
-# it (a heat-exchange model key swept as an axis is checked as the model key)
+# an out-of-range value of each key CONFIG_SCHEMA lists, and the name its error gives it
 BAD_VALUES = {
     "experiment": ("bogus", "experiment"),
     "seed": (-1, "seed"), "draws": (0, "draws"),
     "model.omega_0": (0, "model.omega_0"), "model.delta": (-1, "model.delta"),
     "model.g": (0, "model.g"), "model.modes": ([], "model.modes"),
-    "model.omega_q": (0, "model.omega_q"), "model.coupling_axis": ("y", "coupling_axis"),
+    "model.omega_q": (0, "model.omega_q"), "model.coupling_axis": ("y", "model.coupling_axis"),
     "model.alpha": (0, "model.alpha"), "model.s": (-1, "model.s"),
     "model.omega_c": (0, "model.omega_c"), "model.delta_ratio": (-1, "model.delta_ratio"),
     "model.time_factor": (0, "model.time_factor"), "model.t": (0, "model.t"),
     "model.k_modes": (0, "model.k_modes"), "model.omega_max": (0, "model.omega_max"),
     "sweep.beta": ([-1.0, 1.0, 2.0, 3.0], "sweep.beta"), "sweep.t": ([0], "sweep.t"),
-    "sweep.g": ([0], "model.g"), "sweep.delta": ([-1], "model.delta"),
-    "sweep.omega_0": ([0], "model.omega_0"),
+    "sweep.g": ([0], "sweep.g"), "sweep.delta": ([-1], "sweep.delta"),
+    "sweep.omega_0": ([0], "sweep.omega_0"),
     "numerics.n_max": (0, "numerics.n_max"),
     "output.path": ("", "output.path"), "output.format": ("cvs", "output.format"),
     "output.per_outcome": ("yes", "output.per_outcome"),
@@ -475,6 +475,64 @@ def test_every_schema_key_is_read(tmp_path, experiment, key, monkeypatch):
     assert result.exit_code == 2, result.output
     assert named in result.output
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, section, key, value, message", [
+    ("heat-exchange", "sweep", "g", [0.1, 0], "sweep.g must lie in (0, inf), got 0"),
+    ("heat-exchange", "sweep", "delta", [-1], "sweep.delta must lie in [0, inf), got -1"),
+    ("heat-exchange", "sweep", "omega_0", [0], "sweep.omega_0 must lie in (0, inf), got 0"),
+    ("heat-exchange", "model", "g", 0, "model.g must lie in (0, inf), got 0"),
+    ("mean-force", "model", "coupling_axis", "y",
+     "model.coupling_axis must be 'x', 'z' or 'xz', got 'y'"),
+], ids=["sweep.g", "sweep.delta", "sweep.omega_0", "model.g", "model.coupling_axis"])
+def test_a_bad_value_is_named_by_its_section(tmp_path, experiment, section, key, value,
+                                             message):
+    config = {"experiment": experiment, section: {key: value},
+              "output": {"path": str(tmp_path / "o.csv")}}
+    if experiment == "mean-force":
+        config["model"]["modes"] = [[1.0, 0.1]]
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, builder, model, sweep", [
+    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8, 1.0, -1.0]}),
+    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8], "t": [1.0, 0]}),
+    ("dephasing", "build_dephasing_model", {"modes": [[1.0, 0.1]]},
+     {"beta": [1.0, 2.0], "t": [1.0, -1.0]}),
+    ("mean-force", "build_spin_boson_model", {"modes": [[1.0, 0.1]]}, {"beta": [1.0, -1.0]}),
+], ids=["heat-exchange-beta", "heat-exchange-t", "dephasing-t", "mean-force-beta"])
+def test_every_sweep_value_is_checked_before_the_first_build(tmp_path, experiment, builder,
+                                                             model, sweep, monkeypatch):
+    builds = []
+    build = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    config = {"experiment": experiment, "model": model, "sweep": sweep,
+              "output": {"path": str(tmp_path / "o.csv")}}
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+    assert result.exit_code == 2, result.output
+    axis = next(a for a, values in sweep.items() if min(values) <= 0)
+    assert f"sweep.{axis} must lie in (0, inf)" in result.output
+    assert builds == []
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_optimal_time_stays_a_valid_sweep_value(tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_coupled_oscillators
+    monkeypatch.setattr(cli, "build_coupled_oscillators",
+                        lambda *a: builds.append(a) or build(*a))
+    path = write_config(tmp_path, {
+        "experiment": "heat-exchange", "sweep": {"beta": [2.0, 3.0], "t": ["optimal", 4.0]},
+        "numerics": {"n_max": 14}, "output": {"path": str(tmp_path / "o.csv")}})
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "o.csv").read_text().splitlines()[3:]
+    assert len(rows) == 4 and len(builds) == 1
+    t_optimal = he_optimal_time(HEParams(1.0, 1.0, 0.1, 2.0, 0.0))
+    assert [float(r.split(",")[1]) for r in rows[:2]] == [pytest.approx(t_optimal), 4.0]
 
 
 @pytest.mark.parametrize("config", ["scaling_he.json", "scaling_deph.json"])

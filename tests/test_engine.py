@@ -44,6 +44,7 @@ from thermoq.validate import (
 )
 
 from dense_reference import (
+    dense_hamiltonian,
     dense_heat_decomposition,
     dense_score_direct_all,
     initial_state,
@@ -85,7 +86,7 @@ class TestStatesAndEvolution:
         u = propagator(eng.model, t)
         chi_t = u @ chi0 @ u.conj().T
         assert np.trace(chi_t).real == pytest.approx(1.0, abs=1e-12)
-        h = eng.model.hamiltonian.toarray()
+        h = dense_hamiltonian(eng.model)
         assert np.trace(h @ chi_t).real == pytest.approx(np.trace(h @ chi0).real,
                                                          abs=1e-10)
 
@@ -514,7 +515,7 @@ class TestDephasingModelAgainstItsH:
                              ids=[f"draw-{seed}" for seed, *_ in PARITY_DRAWS])
     def test_mode_factors_add_up_to_the_sparse_h(self, seed, params, model):
         # per probe level, the Kronecker sum of each mode's V diag(lambda) V^T
-        h = _sparse_twin(params).hamiltonian
+        twin = _sparse_twin(params)
         blocks = []
         for level in model.levels:
             block = np.zeros((1, 1))
@@ -522,8 +523,9 @@ class TestDephasingModelAgainstItsH:
                 factor = (v * lam) @ v.T
                 block = np.kron(block, np.eye(len(lam))) + np.kron(np.eye(len(block)), factor)
             blocks.append(block)
-        scale = 1.0 + np.abs(h.data).max()
-        assert np.abs(block_diag(*blocks) - h.toarray()).max() <= HERMITICITY_RTOL * scale
+        scale = 1.0 + np.abs(twin.hamiltonian.data).max()
+        assert (np.abs(block_diag(*blocks) - dense_hamiltonian(twin)).max()
+                <= HERMITICITY_RTOL * scale)
 
     @pytest.mark.parametrize("seed, params, model", SMALL_PARITY_DRAWS,
                              ids=[f"draw-{seed}" for seed, *_ in SMALL_PARITY_DRAWS])
@@ -608,10 +610,10 @@ class TestBranchKernel(_MatchesDense):
             return [a for a in held if isinstance(a, np.ndarray) and a.size >= d * d]
 
         assert full_space_arrays(eng) == []
-        # the model holds H as a sparse matrix and its spectrum as sector blocks:
+        # the model holds H as CSR arrays and its spectrum as sector blocks:
         # no dense full-space array at all
         assert full_space_arrays(model) == []
-        assert model.hamiltonian.nnz < 4 * d
+        assert len(model.hamiltonian.data) < 4 * d
         assert sum(v.size for _, _, v in model.spectrum) < d * d / 10
 
 

@@ -1,8 +1,10 @@
 """Which SciPy subpackages a run loads: each only once the run calls into it.
 
-``scipy.sparse`` loads where a ``CompositeModel``'s H is built, and
-``scipy.integrate`` where the scaling-he run integrates J. The pytest process
-has both loaded already, so each case runs in a fresh interpreter.
+``scipy.sparse`` loads at a ``CompositeModel``'s first ``probe_tables`` (the
+mean-force routes' one sparse product), never where H is built or its
+spectrum taken, and ``scipy.integrate`` where the scaling-he run integrates J.
+The pytest process has both loaded already, so each case runs in a fresh
+interpreter.
 """
 
 import os
@@ -13,17 +15,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY = ("scipy.sparse", "scipy.integrate")
 
-DEPHASING_RUN = """
+RUN = """
 import json
 from click.testing import CliRunner
 from thermoq.cli import main
-with open("deph.json", "w") as fh:
-    json.dump({"experiment": "dephasing", "model": {"modes": [[1.0, 0.1], [1.6, 0.15]]},
-               "sweep": {"beta": [2.0]}, "numerics": {"n_max": 14},
-               "output": {"path": "deph.csv"}}, fh)
-result = CliRunner().invoke(main, ["run", "deph.json"])
+with open("run.json", "w") as fh:
+    json.dump({config}, fh)
+result = CliRunner().invoke(main, ["run", "run.json"])
 assert result.exit_code == 0, result.output
 """
+DEPHASING_RUN = RUN.format(config={
+    "experiment": "dephasing", "model": {"modes": [[1.0, 0.1], [1.6, 0.15]]},
+    "sweep": {"beta": [2.0]}, "numerics": {"n_max": 14}, "output": {"path": "deph.csv"}})
+HEAT_EXCHANGE_RUN = RUN.format(config={
+    "experiment": "heat-exchange", "sweep": {"beta": [2.0, 3.0]}, "numerics": {"n_max": 14},
+    "output": {"path": "he.csv", "per_outcome": True}})
+MEAN_FORCE_RUN = RUN.format(config={
+    "experiment": "mean-force", "model": {"modes": [[1.0, 0.1]], "coupling_axis": "xz"},
+    "sweep": {"beta": [1.0]}, "numerics": {"n_max": 6}, "output": {"path": "mf.csv"}})
 
 
 IMPORT = "import thermoq, thermoq.cli"
@@ -37,10 +46,16 @@ from thermoq.closed_form import deph_scaling_points
 from thermoq.models import SpectralDensity
 deph_scaling_points(SpectralDensity(1.0, 1.0, 1.0), [1.0, 2.0, 3.0, 4.0], k_modes=50)
 """
-SPARSE_BUILD = """
-from thermoq.models import build_coupled_oscillators
-build_coupled_oscillators(1.1, 1.0, 0.1, 3)
+COMPOSITE_BUILDS = """
+from thermoq.models import BathMode, build_coupled_oscillators, build_spin_boson_model
+modes = [BathMode(0.9, 0.1), BathMode(1.4, 0.1)]
+models = [build_coupled_oscillators(1.1, 1.0, 0.1, 3),
+          build_spin_boson_model(0.0, modes, [2, 3], coupling_axis="z"),
+          *(build_spin_boson_model(1.0, modes, 3, coupling_axis=axis)
+            for axis in ("x", "z", "xz"))]
+assert all(model.spectrum for model in models)
 """
+PROBE_TABLES = "models[-1].probe_tables"
 HE_SCALING = """
 from thermoq.closed_form import he_scaling_points
 from thermoq.models import SpectralDensity
@@ -63,13 +78,22 @@ def loaded_after_each(steps, cwd):
 
 
 def test_runs_that_call_neither_load_neither(tmp_path):
+    # H is assembled and checked with numpy, and no sparse Kronecker product is formed
     steps = {"import": IMPORT, "schema": SCHEMA, "dephasing run": DEPHASING_RUN,
-             "deph_scaling_points": DEPH_SCALING}
+             "deph_scaling_points": DEPH_SCALING,
+             "every CompositeModel build and spectrum": COMPOSITE_BUILDS,
+             "heat-exchange run": HEAT_EXCHANGE_RUN}
     loaded = loaded_after_each(steps.values(), tmp_path)
     assert dict(zip(steps, loaded)) == dict.fromkeys(steps, set())
 
 
 def test_each_subpackage_loads_at_its_first_caller(tmp_path):
-    after_build, after_he_scaling = loaded_after_each([SPARSE_BUILD, HE_SCALING], tmp_path)
-    assert after_build == {"scipy.sparse"}
+    after_builds, after_tables, after_he_scaling = loaded_after_each(
+        [COMPOSITE_BUILDS, PROBE_TABLES, HE_SCALING], tmp_path)
+    assert after_builds == set()
+    assert after_tables == {"scipy.sparse"}
     assert "scipy.integrate" in after_he_scaling
+
+
+def test_mean_force_run_loads_sparse(tmp_path):
+    assert loaded_after_each([MEAN_FORCE_RUN], tmp_path) == [{"scipy.sparse"}]

@@ -7,12 +7,14 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 
+from thermoq import models
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
     COMPLETENESS_ATOL,
     SIGMA_X,
     SIGMA_Z,
     BathMode,
+    CSRMatrix,
     ModeProductModel,
     ProjectiveMeasurement,
     SpectralDensity,
@@ -26,6 +28,23 @@ from thermoq.models import (
     number_op,
     pauli_x_measurement,
 )
+
+from dense_reference import dense_hamiltonian
+
+
+def _assert_canonical_csr(h, d):
+    """H's held CSR arrays are read-only, and each row stores its columns sorted,
+    none twice, and no exact zero."""
+    assert isinstance(h, CSRMatrix) and not any(a.flags.writeable for a in h)
+    assert h.data.dtype == np.float64
+    # int32 indices, as scipy.sparse would store a matrix of this size
+    assert h.indices.dtype == h.indptr.dtype == np.int32
+    assert len(h.indptr) == d + 1 and h.indptr[0] == 0
+    assert h.indptr[-1] == len(h.data) == len(h.indices)
+    rows = np.repeat(np.arange(d), np.diff(h.indptr))
+    assert h.indices.min() >= 0 and h.indices.max() < d
+    assert np.all(np.diff(rows * d + h.indices) > 0)
+    assert np.all(h.data != 0)
 
 
 class TestBosonicOperators:
@@ -149,7 +168,7 @@ class TestModelBuilders:
         model = build_coupled_oscillators(1.2, 1.0, 0.2, 5)
         d = 6
         n_tot = np.kron(number_op(5), np.eye(d)) + np.kron(np.eye(d), number_op(5))
-        h = model.hamiltonian.toarray()
+        h = dense_hamiltonian(model)
         assert np.abs(h @ n_tot - n_tot @ h).max() < 1e-12
 
     @pytest.mark.parametrize("parts", [
@@ -174,13 +193,13 @@ class TestModelBuilders:
         assert np.allclose(np.diag(model.bath_energies), h_b, atol=1e-14)
         rebuilt = (np.kron(model.h_s_local, np.eye(d_b))
                    + np.kron(np.eye(d_s), np.diag(model.bath_energies)) + h_i)
-        assert np.allclose(model.hamiltonian.toarray(), rebuilt, atol=1e-14)
+        assert np.allclose(dense_hamiltonian(model), rebuilt, atol=1e-14)
 
     def test_dephasing_interaction_commutes_with_sigma_z(self):
         model = build_spin_boson_model(0.0, [BathMode(1.0, 0.1), BathMode(1.5, 0.2)], 3,
                                        coupling_axis="z")
         sz = np.kron(SIGMA_Z, np.eye(model.bath_dim))
-        h = model.hamiltonian.toarray()
+        h = dense_hamiltonian(model)
         assert np.abs(h @ sz - sz @ h).max() < 1e-12
 
     def test_dephasing_per_mode_cutoffs(self):
@@ -191,7 +210,7 @@ class TestModelBuilders:
         model = build_spin_boson_model(1.0, [BathMode(1.0, 0.2)], 3,
                                        coupling_axis="x")
         hs = np.kron(model.h_s_local, np.eye(model.bath_dim))
-        h = model.hamiltonian.toarray()
+        h = dense_hamiltonian(model)
         assert np.abs(hs @ h - h @ hs).max() > 1e-3
 
     def test_spin_boson_rejects_unknown_axis(self):
@@ -207,17 +226,12 @@ class TestModelBuilders:
     ], ids=["exchange", "dephasing", "spin-boson"])
     def test_real_float64_hamiltonian_and_cached_spectra(self, build):
         model = build()
-        h = model.hamiltonian
-        assert sparse.issparse(h) and h.format == "csr" and h.dtype == np.float64
-        assert not any(a.flags.writeable for a in (h.data, h.indices, h.indptr))
-        # a csr_array keeps the index dtype of the COO indices it is given, so
-        # H's indices are int32 only because the build casts them
-        assert h.indices.dtype == h.indptr.dtype == np.int32
+        _assert_canonical_csr(model.hamiltonian, model.space.total_dim)
         parts = (model.h_s_local, model.bath_energies)
         assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
         assert model.bath_energies.shape == (model.bath_dim,)
         assert model.spectrum is model.spectrum
-        dense = h.toarray()
+        dense = dense_hamiltonian(model)
         rebuilt = np.zeros_like(dense)
         for index, w, v in model.spectrum:
             assert v.dtype == np.float64 and not v.flags.writeable
@@ -235,15 +249,27 @@ class TestModelBuilders:
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
                                        coupling_axis="xz"),
     ], ids=["exchange", "dephasing", "spin-boson-x", "spin-boson-z", "spin-boson-xz"])
-    def test_builders_call_no_sparse_kronecker_constructor(self, build, monkeypatch):
-        # H is written down from index arithmetic, not assembled from sparse products
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse Kronecker constructor called")
-
-        for name in ("kron", "kronsum", "eye_array", "diags_array"):
-            monkeypatch.setattr(sparse, name, refuse)
-        model = build()
-        assert model.hamiltonian.nnz > 0 and model.spectrum
+    def test_csr_arrays_equal_scipy_csr_array_of_the_same_entries(self, build, monkeypatch):
+        # the numpy assembly stores, bit for bit and dtypes included, what one
+        # csr_array constructor with sum_duplicates and eliminate_zeros stores
+        calls = []
+        compose = models._compose
+        monkeypatch.setattr(models, "_compose",
+                            lambda *args, **kwargs: calls.append(args) or compose(*args, **kwargs))
+        h = build().hamiltonian
+        (space, h_s_local, bath_energies, h_i, *_), = calls
+        d = space.total_dim
+        diagonal = np.arange(d)
+        rows, cols, values = models._concat_entries(
+            (diagonal, diagonal, np.tile(bath_energies, len(h_s_local))),
+            models._kron_entries((len(h_s_local), len(bath_energies)), (h_s_local, None)), h_i)
+        ref = sparse.csr_array((values, (rows.astype(np.int32), cols.astype(np.int32))),
+                               shape=(d, d))
+        ref.sum_duplicates()
+        ref.eliminate_zeros()
+        for name in CSRMatrix._fields:
+            held, expected = getattr(h, name), getattr(ref, name)
+            assert held.dtype == expected.dtype and held.tobytes() == expected.tobytes(), name
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):
