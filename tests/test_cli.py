@@ -1,8 +1,13 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import gc
+import io
 import itertools
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -756,3 +761,77 @@ def test_vanishing_energy_variance_fails_the_run_and_writes_the_sidecar(tmp_path
     row = dict(zip(header, cold))
     assert float(row["beta"]) == 300.0
     assert row["delta_u"] == row["ur_product"] == "nan"
+
+
+# -- in-process use: a call keeps nothing of the streams it wrote to --------
+
+
+def _call_with_fresh_sinks(args):
+    """Exit code, stdout and stderr text of one in-process ``main(args)`` call under
+    fresh ``StringIO`` sinks, and a weak reference to each sink."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(args, standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue(), weakref.ref(out), weakref.ref(err)
+
+
+def _small_dephasing_args(tmp_path):
+    return ["run", write_config(tmp_path, {
+        "experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},
+        "sweep": {"beta": [1.0], "t": [1.0]}, "output": {"path": str(tmp_path / "d.csv")},
+    }, name="small_dephasing.json")]
+
+
+def _cold_mean_force_args(tmp_path):
+    return ["run", write_config(tmp_path, {
+        "experiment": "mean-force", "model": {"modes": [[1.0, 0.1]]},
+        "sweep": {"beta": [1.0, 300.0]}, "output": {"path": str(tmp_path / "cold.csv")},
+    }, name="cold.json")]
+
+
+@pytest.fixture(scope="module")
+def warm_cli(tmp_path_factory):
+    """One call that imports scipy.sparse (mean force): that first import loads
+    charset_normalizer, whose module-level logging.StreamHandler() keeps the
+    sys.stderr of that moment for good."""
+    _call_with_fresh_sinks(_cold_mean_force_args(tmp_path_factory.mktemp("warm")))
+
+
+@pytest.mark.parametrize("command, code, in_stdout, stderr", [
+    ("schema", 0, '"read_by"', ""),
+    ("passing-run", 0, "verification passed", ""),
+    ("failing-run", 1, "[FAIL]", "verification FAILED\n"),
+    ("cross-validate", 0, "verification passed", ""),
+], ids=["schema", "passing-run", "failing-run", "cross-validate"])
+def test_in_process_call_releases_its_streams(tmp_path, warm_cli, command, code, in_stdout,
+                                              stderr):
+    args = {"schema": ["schema"], "passing-run": _small_dephasing_args(tmp_path),
+            "failing-run": _cold_mean_force_args(tmp_path),
+            "cross-validate": ["cross-validate", "--draws", "1"]}[command]
+    result, out, err, out_ref, err_ref = _call_with_fresh_sinks(args)
+    assert (result, err) == (code, stderr), out + err
+    assert in_stdout in out
+    gc.collect()
+    assert out_ref() is None, "stdout sink kept alive after the call"
+    assert err_ref() is None, "stderr sink kept alive after the call"
+
+
+def test_in_process_calls_keep_no_memory(tmp_path):
+    calls = [["schema"], _small_dephasing_args(tmp_path)]
+    for args in calls * 2:  # warm-up: first-use imports and caches
+        assert _call_with_fresh_sinks(args)[0] == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(200):
+            _call_with_fresh_sinks(calls[k % 2])
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / 200 < 256, f"{kept / 200:.0f} B kept per call"
