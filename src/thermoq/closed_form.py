@@ -153,6 +153,11 @@ def _one_minus_cos(p: DephParams):
     return 1.0 - np.cos(p.omegas * p.t)
 
 
+class SuppressedOutcomeError(ValueError):
+    """An outcome's closed-form probability is below ``engine.PROB_FLOOR``, so
+    it has no conditional heat."""
+
+
 def deph_probability(p: DephParams, l):
     """P_l = (1 + l e^{-Gamma})/2 for the x-basis outcome l = +/-1."""
     if l not in (1, -1):
@@ -166,7 +171,7 @@ def deph_heat_terms(p: DephParams, l):
     visibility = math.exp(-p.gamma)
     p_l = 0.5 * (1.0 + l * visibility)
     if p_l < PROB_FLOOR:
-        raise ValueError(f"outcome {l} suppressed: probability {p_l:.3e}")
+        raise SuppressedOutcomeError(f"outcome {l} suppressed: probability {p_l:.3e}")
     ratio = l * visibility / p_l
     return q - ratio * q, ratio * (q + c)
 

@@ -5,24 +5,28 @@ inverse temperature beta, the score of the outcome distribution with
 respect to -beta equals a heat fluctuation: the centered trajectory heat
 (two-point sample-energy loss along the thermometer's trajectory) plus
 the correlation heat (sample-energy shift caused by projecting the
-thermometer). The Fisher information is the variance of that fluctuation,
-and this module computes it three independent ways: from the heat terms,
-from a two-point double sum over sample eigenprojectors, and from a
-finite-difference derivative of the outcome probabilities.
+thermometer). The Fisher information is the variance of that fluctuation.
+This module computes each outcome's score, and so the Fisher information,
+two independent ways: as the heat terms, read from conditional sample
+energies (``heat_decomposition``), and as the log-derivative
+d ln P_l / d(-beta) of the outcome probabilities by finite differences
+(``score_direct_all``, ``fisher_finite_difference``). The trajectory heat
+has a third route, a two-point double sum over sample eigenstates
+(``two_point_trajectory_heat_all``).
 
 The heat terms, the direct score and the finite-difference Fisher
 information read beta-independent tables of one (rho0, t, measurement);
 every outcome probability and conditional energy is then a short
 contraction with the thermal weights. Each route's tables define P_l in one
 place, a kernel that takes a vector of betas and returns a (B, L) array
-(``probabilities``): ``traces``, the conditional energies the heat terms and
-the direct score read at one beta, takes its P_l from it, and the
-finite-difference Fisher information evaluates its whole five-point stencil
-in one call of it and forms no conditional energy. Every route first checks
-beta > 0 (``ValueError``). Two routes build the tables, and the engine picks
-one from the model's type, with no option: the mode-product route exactly
-when the model is a ``ModeProductModel``, the branch kernel for every
-``CompositeModel``.
+(``probabilities``): ``traces``, the conditional energies the heat terms
+read at one beta, takes its P_l from it, and the direct score and the
+finite-difference Fisher information evaluate one five-point stencil
+(``log_scores``) in one call of it and form no conditional energy. Every
+route first checks beta > 0 (``ValueError``). Two routes build the tables,
+and the engine picks one from the model's type, with no option: the
+mode-product route exactly when the model is a ``ModeProductModel``, the
+branch kernel for every ``CompositeModel``.
 
 Mode-product route, for ``ModeProductModel`` (``build_dephasing_model``,
 which holds no H). Each probe level q dresses the whole sample, one
@@ -287,19 +291,14 @@ class HeatEngine:
     from ``spectrum`` on the branch kernel), but builds no tables, so it
     stays an independent check of both routes.
 
-    All methods are pure given their arguments. An instance keeps the tables
-    of every (rho0, t, measurement) it has seen, so a sweep that comes back
-    to a (rho0, t) at another beta builds nothing: two L x K float tables
-    per key on the branch kernel (about 150 KB at the d = 9409 heat-exchange
-    point, L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route.
-    It also keeps the conditional energies of the last (rho0, t, measurement,
-    beta) that ``heat_decomposition`` or ``score_direct_all`` evaluated, so
-    the two at one point form the traces once. Table entries are never
-    changed once stored (two threads that miss one key at once each build it
-    and store equal tables), the last conditional energies are one tuple
-    with their tables and beta, replaced whole and never changed in place,
-    and the model's arrays are immutable, so sharing an engine across
-    threads is safe.
+    All methods are pure given their arguments. An instance keeps one cache,
+    the tables of every (rho0, t, measurement) it has seen, so a sweep that
+    comes back to a (rho0, t) at another beta builds nothing: two L x K float
+    tables per key on the branch kernel (about 150 KB at the d = 9409
+    heat-exchange point, L = K = 97), O(Q^2 sum_k n_k) numbers on the
+    mode-product route. An entry is never changed once stored (two threads
+    that miss one key at once each store equal tables), and the model's
+    arrays are immutable, so an engine may be shared across threads.
     """
 
     def __init__(self, model):
@@ -324,8 +323,6 @@ class HeatEngine:
                 for index, lam, v in model.spectrum)
         # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
         self._tables = {}
-        # (tables, beta, conditional energies) of the last point evaluated
-        self._last_traces = None
 
     def _tables_for(self, rho0, t, meas):
         rho0 = np.asarray(rho0, complex)
@@ -404,26 +401,18 @@ class HeatEngine:
         _require_positive_beta(beta)
         return self._tables_for(rho0, t, meas)
 
-    def _conditional_energies(self, rho0, beta, t, meas):
-        """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t]),
-        with P_l checked and clipped into [0, 1] (``_checked_probabilities``).
-
-        The last result is kept with its tables and beta, so the heat
-        decomposition and the direct score of one point form the traces once."""
+    def _kernel(self, rho0, beta, t, meas):
+        """The P_l kernel of the tables of (rho0, t, meas), its values checked and
+        clipped into [0, 1] (``_checked_probabilities``), once beta is checked."""
         tables = self._tables_at(rho0, beta, t, meas)
-        last = self._last_traces
-        if last is not None and last[0] is tables and last[1] == beta:
-            return last[2]
-        probs, *energies = tables.traces(beta)
-        result = (_checked_probabilities(probs), *energies)
-        self._last_traces = (tables, beta, result)
-        return result
+        return lambda betas: _checked_probabilities(tables.probabilities(betas))
 
     # -- heat decomposition (projected-energy route) ----------------------
 
     def heat_decomposition(self, rho0, beta, t, meas):
         """Per-outcome trajectory/correlation heat, score, and Fisher information."""
-        probs, start, end, e_b_0, e_b_t = self._conditional_energies(rho0, beta, t, meas)
+        probs, start, end, e_b_0, e_b_t = self._tables_at(rho0, beta, t, meas).traces(beta)
+        probs = _checked_probabilities(probs)
         h_avg = e_b_0 - e_b_t
 
         outcomes = []
@@ -444,20 +433,17 @@ class HeatEngine:
         return HeatRecord(tuple(outcomes), h_avg, fisher, excluded)
 
     def score_direct_all(self, rho0, beta, t, meas):
-        """Scores for every non-suppressed outcome, as a label -> score dict.
+        """d ln P_l / d(-beta) of every outcome ``log_scores`` keeps, as a
+        label -> score dict.
 
-        Uses the conditioned-minus-unconditioned initial sample energy,
-        Tr[M_l H_B chi(0) M_l^dag] / P_l - Tr[H_B chi(0)]. The heat decomposition's
-        score, (H_tra - h_avg) + H_cor, reads the same traces and is algebraically
-        this expression, so the 'score' check guards the heat bookkeeping; the
-        independent derivative route is ``fisher_finite_difference``.
+        The derivative of the tables' P_l kernel, the stencil of
+        ``fisher_finite_difference``, forms no conditional energy: so it is
+        independent of the heat decomposition's score
+        (H_tra - h_avg) + H_cor, which reads the traces, and agrees with it
+        to the stencil's error, about 1e-11 on the checked points.
         """
-        probs, start, _, e_b_0, _ = self._conditional_energies(rho0, beta, t, meas)
-        return {
-            label: start[li] / probs[li] - e_b_0
-            for li, label in enumerate(meas.labels)
-            if probs[li] >= PROB_FLOOR
-        }
+        _, scores, kept = log_scores(self._kernel(rho0, beta, t, meas), beta)
+        return {label: float(scores[li]) for li, label in enumerate(meas.labels) if kept[li]}
 
     # -- two-point measurement route --------------------------------------
 
@@ -571,37 +557,37 @@ class HeatEngine:
         (Q^2, n_k) x (n_k, 5) product per mode on the mode-product route. No
         conditional energy is formed.
         """
-        tables = self._tables_at(rho0, beta, t, meas)
-
-        def prob_at(betas):
-            return _checked_probabilities(tables.probabilities(betas))
-
-        return log_score_fisher(prob_at, beta)
+        return log_score_fisher(self._kernel(rho0, beta, t, meas), beta)
 
 
-def log_score_fisher(prob_at, beta):
-    """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2.
+def log_scores(prob_at, beta):
+    """(P_l, d ln P_l / d(-beta), kept) of every outcome, three length-L arrays.
 
     prob_at(betas) returns the outcome probabilities at each inverse
     temperature of the 1-D array betas, as a (len(betas), L) array; it is
     called once, for the whole stencil [beta + h, beta - h, beta + h/2,
     beta - h/2, beta] with h = 1e-4 beta. Central differences of ln P_l,
-    Richardson-extrapolated over steps h and h/2. Outcomes whose probability
-    dips below PROB_FLOOR at any stencil point are excluded.
+    Richardson-extrapolated over steps h and h/2. An outcome whose
+    probability dips below PROB_FLOOR at any stencil point is not kept.
     """
     h = 1e-4 * beta
     lo, hi, lo2, hi2, p0 = prob_at(beta + np.array([h, -h, h / 2.0, -h / 2.0, 0.0]))
 
-    def log_scores(lo, hi, step):
+    def central(lo, hi, step):
         ok = (lo > PROB_FLOOR) & (hi > PROB_FLOOR)
         val = np.zeros(len(lo))
         val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
         return val, ok
 
-    l_h, ok_h = log_scores(lo, hi, h)
-    l_h2, ok_h2 = log_scores(lo2, hi2, h / 2.0)
-    scores = (4.0 * l_h2 - l_h) / 3.0
-    ok = ok_h & ok_h2 & (p0 > PROB_FLOOR)
+    l_h, ok_h = central(lo, hi, h)
+    l_h2, ok_h2 = central(lo2, hi2, h / 2.0)
+    return p0, (4.0 * l_h2 - l_h) / 3.0, ok_h & ok_h2 & (p0 > PROB_FLOOR)
+
+
+def log_score_fisher(prob_at, beta):
+    """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2 over the
+    outcomes ``log_scores`` keeps."""
+    p0, scores, ok = log_scores(prob_at, beta)
     return float(np.sum(p0[ok] * scores[ok] ** 2))
 
 

@@ -147,11 +147,16 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     'closed_form' (P_l, H_tra, H_cor where P_l >= CLOSED_FORM_MIN_PROB, and
     the Fisher information), 'saturation' (closed-form bound vs
     finite-difference Fisher), 'avg_heat' (the outcome-averaged trajectory
-    heat vs the reference's), and where their ids are in ``checks`` 'score' (direct log-derivative vs the
+    heat vs the reference's), and where their ids are in ``checks`` 'score'
+    (the finite-difference d ln P_l / d(-beta) of ``score_direct_all`` vs the
     decomposition's score) and 'two_point' (two-point vs projected trajectory
-    heat), each per outcome. Returns (record, finite-difference Fisher
-    information, worst closed-form deviation, probability mass of the
-    outcomes below the cutoff).
+    heat), each per outcome. An outcome with nothing to compare fails its
+    check with deviation inf: 'closed_form' for one the closed form
+    suppresses (``cf.SuppressedOutcomeError``), 'score' or 'two_point' for
+    one the heat decomposition left below its floor, named as 'label' in
+    ``worst_params``. Returns (record, finite-difference Fisher information,
+    worst closed-form deviation, probability mass of the outcomes below the
+    cutoff).
     """
     record = engine.heat_decomposition(rho0, beta, t, meas)
     fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas)
@@ -163,7 +168,12 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
         if o.probability < CLOSED_FORM_MIN_PROB:
             excluded += o.probability
             continue
-        h_tra_cf, h_cor_cf = reference.heat_terms(o.label)
+        try:
+            h_tra_cf, h_cor_cf = reference.heat_terms(o.label)
+        except cf.SuppressedOutcomeError:
+            # the engine sees an outcome the closed form gives no probability
+            devs.append(math.inf)
+            continue
         # the heats can be identically zero; compare at the outcome-energy scale
         scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
         devs += [relative_error(o.probability, reference.probability(o.label)),
@@ -177,12 +187,17 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     checks["avg_heat"].update(abs(avg_h_tra - reference.avg_heat), params)
 
     by_label = {o.label: o for o in record.outcomes}
-    if "score" in checks:
-        for label, score in engine.score_direct_all(rho0, beta, t, meas).items():
-            checks["score"].update(abs(score - by_label[label].score), params)
-    if "two_point" in checks:
-        for label, h_tra in engine.two_point_trajectory_heat_all(rho0, beta, t, meas).items():
-            checks["two_point"].update(abs(h_tra - by_label[label].h_tra), params)
+    for check_id, route, field_name in (
+            ("score", engine.score_direct_all, "score"),
+            ("two_point", engine.two_point_trajectory_heat_all, "h_tra")):
+        if check_id not in checks:
+            continue
+        for label, value in route(rho0, beta, t, meas).items():
+            o = by_label.get(label)
+            if o is None:  # an outcome the heat decomposition left below its floor
+                checks[check_id].update(math.inf, {**params, "label": label})
+            else:
+                checks[check_id].update(abs(value - getattr(o, field_name)), params)
     return record, fisher_fd, closed_form_dev, excluded
 
 

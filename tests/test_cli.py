@@ -728,7 +728,8 @@ def test_revival_config_sets_no_floor_or_tail(tmp_path, key, value):
 def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
     # at t = 2 pi every mode revives: Gamma = C = 0, so the closed-form Fisher
     # information is its 0/0 limit 0, and the checks that need information fail
-    # at that point instead of the run dying on a ZeroDivisionError
+    # at that point instead of the run dying on a ZeroDivisionError; the rare
+    # outcome -1 (P ~ 3e-12, a truncation artefact) fails two_point and score
     t = REVIVAL["sweep"]["t"][0]
     path = write_config(tmp_path, {**REVIVAL, "output": {"path": str(tmp_path / "rev.csv")}})
     result = RUNNER.invoke(main, ["run", path])
@@ -736,8 +737,28 @@ def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
     assert not isinstance(result.exception, ZeroDivisionError)
     report = json.loads((tmp_path / "rev.csv.verification.json").read_text())
     failed = {c["name"]: c["worst_params"] for c in report["checks"] if not c["passed"]}
-    assert set(failed) == {CHECKS[c][0] for c in ("closed_form", "saturation", "two_point")}
+    assert set(failed) == {CHECKS[c][0]
+                           for c in ("closed_form", "saturation", "two_point", "score")}
     assert all(params["t"] == t for params in failed.values())
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 4, 8])
+def test_truncated_revival_fails_closed_form_and_writes_the_sidecar(tmp_path, n_max):
+    # a truncated sample does not revive at t = 2 pi: the engine keeps outcome -1
+    # above CLOSED_FORM_MIN_PROB, where the closed form has P = 0 and no heats, so
+    # closed_form fails with deviation inf instead of the run dying on
+    # SuppressedOutcomeError
+    t = REVIVAL["sweep"]["t"][0]
+    path = write_config(tmp_path, {**REVIVAL, "model": {"modes": [[1.0, 0.3]]},
+                                   "numerics": {"n_max": n_max},
+                                   "output": {"path": str(tmp_path / "trunc.csv")}})
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    report = json.loads((tmp_path / "trunc.csv.verification.json").read_text())
+    closed_form = next(c for c in report["checks"] if c["name"] == CHECKS["closed_form"][0])
+    assert closed_form["max_deviation"] == np.inf
+    assert closed_form["worst_params"]["t"] == t
 
 
 def test_vanishing_energy_variance_fails_the_run_and_writes_the_sidecar(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from thermoq.closed_form import (
     DephParams,
     HEParams,
+    SuppressedOutcomeError,
     deph_fisher,
     deph_heat_terms,
     deph_precision_bound,
@@ -154,6 +155,13 @@ class TestDephasingClosedForms:
         assert p.gamma == p.C == 0.0
         assert deph_fisher(p) == 0.0
         assert deph_precision_bound(p) == math.inf
+
+    def test_revival_suppresses_outcome_minus_one(self):
+        # P_- = 0 has no conditional heat; callers that catch ValueError still do
+        p = DephParams((BathMode(1.0, 0.3),), 1.0, 2.0 * math.pi)
+        with pytest.raises(SuppressedOutcomeError, match="outcome -1 suppressed"):
+            deph_heat_terms(p, -1)
+        assert issubclass(SuppressedOutcomeError, ValueError)
 
     def test_matches_brute_force(self):
         modes = [BathMode(1.0, 0.1), BathMode(1.6, 0.15)]

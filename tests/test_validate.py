@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import thermoq.closed_form as cf
+from thermoq import engine
 from thermoq.engine import HeatEngine
 from thermoq.models import (
     BathMode,
@@ -122,6 +123,52 @@ def test_perturbed_reference_fails_its_check(engine_points, name):
     reference = dataclasses.replace(point[-1], **change(point[-1]))
     checks, _ = run_point(point, reference)
     assert [i for i, c in checks.items() if not c.passed] == [check_id]
+
+
+def test_closed_form_suppressed_outcome_fails_closed_form(engine_points):
+    # an outcome the engine keeps but the closed form suppresses (a truncated
+    # revival) has no closed-form heat: closed_form fails at that point
+    def heat_terms(label):
+        raise cf.SuppressedOutcomeError(f"outcome {label} suppressed")
+
+    point = engine_points["deph"]
+    checks, (_, _, closed_form_dev, _) = run_point(
+        point, dataclasses.replace(point[-1], heat_terms=heat_terms))
+    assert closed_form_dev == math.inf
+    assert [i for i, c in checks.items() if not c.passed] == ["closed_form"]
+
+
+@pytest.mark.parametrize("check_id, route", [("score", "score_direct_all"),
+                                             ("two_point", "two_point_trajectory_heat_all")])
+def test_outcome_missing_from_the_record_fails_its_check(engine_points, monkeypatch,
+                                                         check_id, route):
+    # a route may keep an outcome the heat decomposition left below the floor
+    # (near a revival the two-point P_- reads 1.00003e-12 where the kernel's is
+    # 9.99991e-13): that route's check fails there and names the outcome
+    eng, rho0, beta, t, meas, reference = engine_points["deph"]
+    real = getattr(eng, route)
+    monkeypatch.setattr(eng, route, lambda *args: {**real(*args), 7: 0.0})
+    checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation", "score",
+                             "two_point")
+    check_engine_point(checks, eng, rho0, beta, t, meas, reference, {"beta": beta})
+    assert [i for i, c in checks.items() if not c.passed] == [check_id]
+    assert checks[check_id].max_deviation == math.inf
+    assert checks[check_id].worst_params == {"beta": beta, "label": 7}
+
+
+def test_biased_initial_sample_energy_fails_score(monkeypatch):
+    # Tr[H_B chi0], biased by 1e-7 relative plus 1e-7 absolute on both table
+    # routes, shifts every heat-decomposition score by one constant; P_l, the
+    # heats and F move too little for any other check, so only the direct
+    # score, the derivative of ln P_l, sees it
+    for tables in (engine._BranchTables, engine._ModeTables):
+        def traces(self, beta, _real=tables.traces):
+            probs, start, end, e_b_0, e_b_t = _real(self, beta)
+            return probs, start, end, e_b_0 * (1 + 1e-7) + 1e-7, e_b_t
+
+        monkeypatch.setattr(tables, "traces", traces)
+    checks, _ = cross_validate(1, 5)
+    assert [c.name for c in checks if not c.passed] == [CHECKS["score"][0]]
 
 
 def test_default_cross_validate_passes():
