@@ -9,13 +9,14 @@ checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``.
 ``CONFIG_SCHEMA`` (with ``READ_BY``) lists the keys each experiment reads; one
 usage error names every other key of a config, and an output path in a
 missing directory is one too, before any runner starts. Runners only read and
-check values, each sweep value before the first point runs, and name a bad one
-by the section it came from. Sweep points are evaluated in configuration
-order, so output rows are deterministic for a fixed config. In process,
-``main(args, standalone_mode=False)`` writes to the ``sys.stdout`` and
-``sys.stderr`` current at each call and keeps no reference to them afterwards:
-under tracemalloc a call keeps about 80 B (Python 3.11, click 8.4), not its
-whole printed output.
+check values, each sweep value and each point's automatic cutoffs before the
+first point runs, and name a bad one by the section it came from. Sweep points
+are evaluated in configuration order, so output rows are deterministic for a
+fixed config. In process, ``main(args, standalone_mode=False)`` writes to the
+``sys.stdout`` and ``sys.stderr`` current at each call, ``--help`` and
+``--version`` included, and keeps no reference to them afterwards: under
+tracemalloc a call keeps about 80 B (Python 3.11, click 8.4), not its whole
+printed output.
 """
 
 import hashlib
@@ -169,16 +170,20 @@ def _unread_keys(config, experiment):
     return unread
 
 
-def _sweep_points(sweep, parse):
+def _sweep_points(sweep, parse, cutoffs):
     """Cartesian product of sweep axes, in configuration order, each value checked
-    and converted by ``parse[axis](section, axis, value)`` before any point is made."""
+    and converted by ``parse[axis](section, axis, value)`` before any point is made,
+    and each point's cutoffs, ``cutoffs(point)``, before any point runs."""
     if len(sweep) > 3:
         raise ConfigError("at most 3 sweep axes are supported")
     for axis, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
     parsed = [[parse[axis]("sweep", axis, v) for v in values] for axis, values in sweep.items()]
-    return [dict(zip(sweep, combo)) for combo in itertools.product(*parsed)]
+    points = [dict(zip(sweep, combo)) for combo in itertools.product(*parsed)]
+    for point in points:
+        cutoffs(point)
+    return points
 
 
 def _n_max(config):
@@ -188,10 +193,18 @@ def _n_max(config):
 
 
 def _cutoffs(family, n_max, beta, omegas):
-    """Each mode's Fock cutoff: ``n_max`` for every mode if set, else ``auto_cutoff``."""
+    """Each mode's Fock cutoff: ``n_max`` for every mode if set, else ``auto_cutoff``;
+    a ``ConfigError`` if an automatic cutoff passes ``truncation_level``'s cap."""
     if n_max is not None:
         return (n_max,) * len(omegas)
-    return tuple(auto_cutoff(family, beta, omega) for omega in omegas)
+    cutoffs = []
+    for omega in omegas:
+        try:
+            cutoffs.append(auto_cutoff(family, beta, omega))
+        except ValueError as exc:
+            raise ConfigError(f"sweep.beta = {beta!r} at omega = {omega!r} needs an automatic "
+                              f"cutoff past the cap; set numerics.n_max ({exc})") from None
+    return tuple(cutoffs)
 
 
 def _parse_modes(model, experiment):
@@ -278,7 +291,12 @@ def _run_heat_exchange(config):
     base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal",
             **{key: HE_PARSE[key]("model", key, value)
                for key, value in config.get("model", {}).items()}}
-    points = _sweep_points(config.get("sweep", {}), HE_PARSE)
+
+    def cutoffs(point):
+        p = {**base, **point}
+        return _cutoffs("heat-exchange", fixed, p["beta"], [p["omega_0"]])
+
+    points = _sweep_points(config.get("sweep", {}), HE_PARSE, cutoffs)
 
     def family_point(point):
         p = {**base, **point}
@@ -287,7 +305,7 @@ def _run_heat_exchange(config):
         t = cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
-        n_max, = _cutoffs("heat-exchange", fixed, beta, [omega_0])
+        n_max, = cutoffs(point)
         ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
@@ -306,15 +324,20 @@ def _run_dephasing(config):
     if not any(m.g for m in modes):
         raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
                           "so the probe carries no temperature information")
-    points = _sweep_points(config.get("sweep", {}), {"beta": _positive, "t": _positive})
+
+    def cutoffs(point):
+        return _cutoffs("dephasing", fixed, point.get("beta", 1.0), [m.omega for m in modes])
+
+    points = _sweep_points(config.get("sweep", {}), {"beta": _positive, "t": _positive},
+                           cutoffs)
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
     def family_point(point):
         beta, t = point.get("beta", 1.0), point.get("t", math.pi)
-        cutoffs = _cutoffs("dephasing", fixed, beta, [m.omega for m in modes])
-        params = {"beta": beta, "t": t, "cutoffs": max(cutoffs)}
-        return (params, cutoffs, lambda: build_dephasing_model(modes, cutoffs),
+        key = cutoffs(point)
+        params = {"beta": beta, "t": t, "cutoffs": max(key)}
+        return (params, key, lambda: build_dephasing_model(modes, key),
                 plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
     return _run_engine_points(config, points,
@@ -331,27 +354,30 @@ def _run_mean_force(config):
     axis = model.get("coupling_axis", "xz")
     if axis not in ("x", "z", "xz"):
         raise ConfigError(f"model.coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
-    points = _sweep_points(config.get("sweep", {}), {"beta": _positive})
+
+    def cutoffs(point):
+        return _cutoffs("mean-force", fixed, point.get("beta", 1.0), [m.omega for m in modes])
+
+    points = _sweep_points(config.get("sweep", {}), {"beta": _positive}, cutoffs)
 
     checks = identity_checks("mean_force", "ur_product")
     models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
     rows = []
     floor_excluded = build_s = spectrum_s = 0.0
     for point in points:
-        beta = point.get("beta", 1.0)
-        cutoffs = _cutoffs("mean-force", fixed, beta, [m.omega for m in modes])
-        if cutoffs not in models:
+        beta, key = point.get("beta", 1.0), cutoffs(point)
+        if key not in models:
             start = time.perf_counter()
-            model = build_spin_boson_model(omega_q, modes, cutoffs, coupling_axis=axis)
+            model = build_spin_boson_model(omega_q, modes, key, coupling_axis=axis)
             built = time.perf_counter()
             model.probe_tables  # noqa: B018  (the spectrum and its tables, timed apart)
             build_s += built - start
             spectrum_s += time.perf_counter() - built
-            models[cutoffs] = model
+            models[key] = model
 
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
-                  "n_max": max(cutoffs)}
-        result, delta_u, product = check_mean_force_point(checks, models[cutoffs], beta, params)
+                  "n_max": max(key)}
+        result, delta_u, product = check_mean_force_point(checks, models[key], beta, params)
         floor_excluded = max(floor_excluded, result.excluded_probability)
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
@@ -499,8 +525,34 @@ def _report(checks):
 # -- commands --------------------------------------------------------------
 
 
-@click.group()
-@click.version_option(__version__, prog_name="thermoq")
+def _print_and_exit(text):
+    """The callback of an eager flag that prints ``text(ctx)`` through ``_echo`` and
+    exits: click's own ``--help`` and ``--version`` print without naming a stream."""
+    def callback(ctx, param, value):
+        if value and not ctx.resilient_parsing:
+            _echo(text(ctx))
+            ctx.exit()
+    return callback
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` prints through ``_echo``."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _print_and_exit(lambda ctx: ctx.get_help())
+        return option
+
+
+class _Group(click.Group, _Command):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_print_and_exit(lambda ctx: f"thermoq, version {__version__}"),
+              help="Show the version and exit.")
 def main():
     """Heat-fluctuation analysis of probe-based thermometry."""
 

@@ -17,7 +17,7 @@ its one sparse H V product; building a model and its spectrum never loads it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -75,16 +75,18 @@ class ProjectiveMeasurement:
 
     Column m of the square matrix ``basis`` belongs to the outcome
     ``labels[outcome[m]]``. ``projectors[l]`` is the sum of |e_m><e_m| over
-    outcome l's columns, derived once as a read-only (L, d_s, d_s) array; an
-    outcome with no column has the zero projector. A unitary basis makes the
-    projectors Hermitian, idempotent, mutually orthogonal and complete, so
-    that one invariant, max |B^dag B - 1| <= COMPLETENESS_ATOL, is checked.
+    outcome l's columns, derived on first read as a read-only (L, d_s, d_s)
+    array; an outcome with no column has the zero projector. Only the engine's
+    mode-product route (its two-point branch too) and mean force read that
+    stack; the branch kernel works from ``basis`` and ``outcome``. A unitary
+    basis makes the projectors Hermitian, idempotent, mutually orthogonal and
+    complete, so that one invariant, max |B^dag B - 1| <= COMPLETENESS_ATOL,
+    is checked.
     """
 
     basis: np.ndarray
     outcome: np.ndarray
     labels: tuple
-    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
@@ -101,14 +103,18 @@ class ProjectiveMeasurement:
         if dev > COMPLETENESS_ATOL:
             raise InvalidOperatorError(
                 f"basis is not orthonormal: max |B^dag B - 1| = {dev:.3e}")
-        projectors = np.zeros((len(labels), *basis.shape), dtype=complex)
-        for li in range(len(labels)):
-            vecs = basis[:, outcome == li]
-            projectors[li] = vecs @ vecs.conj().T
-        _read_only((basis, outcome, projectors))
-        for name, value in (("basis", basis), ("outcome", outcome), ("labels", labels),
-                            ("projectors", projectors)):
+        _read_only((basis, outcome))
+        for name, value in (("basis", basis), ("outcome", outcome), ("labels", labels)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def projectors(self):
+        projectors = np.zeros((len(self.labels), *self.basis.shape), dtype=complex)
+        for li in range(len(self.labels)):
+            vecs = self.basis[:, self.outcome == li]
+            projectors[li] = vecs @ vecs.conj().T
+        projectors.setflags(write=False)
+        return projectors
 
     @property
     def system_dim(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from thermoq import cli, engine, mean_force
+from thermoq import __version__, cli, engine, mean_force
 from thermoq.cli import main
 from thermoq.closed_form import HEParams, he_optimal_time
 from thermoq.engine import PROB_FLOOR, HeatEngine
@@ -502,15 +502,29 @@ def test_a_bad_value_is_named_by_its_section(tmp_path, experiment, section, key,
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("experiment, builder, model, sweep", [
-    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8, 1.0, -1.0]}),
-    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8], "t": [1.0, 0]}),
+# beta = 1e-7 needs about 2.3e8 levels for the automatic cutoff's thermal tail,
+# past the cap of truncation_level
+CAP = ("sweep.beta = 1e-07 at omega = 1.0 needs an automatic cutoff past the cap; "
+       "set numerics.n_max")
+
+
+@pytest.mark.parametrize("experiment, builder, model, sweep, message", [
+    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8, 1.0, -1.0]},
+     "sweep.beta must lie in (0, inf)"),
+    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [0.8], "t": [1.0, 0]},
+     "sweep.t must lie in (0, inf)"),
     ("dephasing", "build_dephasing_model", {"modes": [[1.0, 0.1]]},
-     {"beta": [1.0, 2.0], "t": [1.0, -1.0]}),
-    ("mean-force", "build_spin_boson_model", {"modes": [[1.0, 0.1]]}, {"beta": [1.0, -1.0]}),
-], ids=["heat-exchange-beta", "heat-exchange-t", "dephasing-t", "mean-force-beta"])
+     {"beta": [1.0, 2.0], "t": [1.0, -1.0]}, "sweep.t must lie in (0, inf)"),
+    ("mean-force", "build_spin_boson_model", {"modes": [[1.0, 0.1]]}, {"beta": [1.0, -1.0]},
+     "sweep.beta must lie in (0, inf)"),
+    ("heat-exchange", "build_coupled_oscillators", {}, {"beta": [1.0, 1e-7]}, CAP),
+    ("dephasing", "build_dephasing_model", {"modes": [[1.0, 0.1]]}, {"beta": [1.0, 1e-7]}, CAP),
+    ("mean-force", "build_spin_boson_model", {"modes": [[1.0, 0.1]]}, {"beta": [1.0, 1e-7]},
+     CAP),
+], ids=["heat-exchange-beta", "heat-exchange-t", "dephasing-t", "mean-force-beta",
+        "heat-exchange-cutoff-cap", "dephasing-cutoff-cap", "mean-force-cutoff-cap"])
 def test_every_sweep_value_is_checked_before_the_first_build(tmp_path, experiment, builder,
-                                                             model, sweep, monkeypatch):
+                                                             model, sweep, message, monkeypatch):
     builds = []
     build = getattr(cli, builder)
     monkeypatch.setattr(cli, builder, lambda *a, **kw: builds.append(a) or build(*a, **kw))
@@ -518,8 +532,7 @@ def test_every_sweep_value_is_checked_before_the_first_build(tmp_path, experimen
               "output": {"path": str(tmp_path / "o.csv")}}
     result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
     assert result.exit_code == 2, result.output
-    axis = next(a for a, values in sweep.items() if min(values) <= 0)
-    assert f"sweep.{axis} must lie in (0, inf)" in result.output
+    assert message in result.output
     assert builds == []
     assert not list(tmp_path.glob("*.csv"))
 
@@ -794,7 +807,7 @@ def _call_with_fresh_sinks(args):
     code = 0
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            main(args, standalone_mode=False)
+            main(args, prog_name="thermoq", standalone_mode=False)
     except SystemExit as exc:
         code = exc.code
     return code, out.getvalue(), err.getvalue(), weakref.ref(out), weakref.ref(err)
@@ -822,20 +835,40 @@ def warm_cli(tmp_path_factory):
     _call_with_fresh_sinks(_cold_mean_force_args(tmp_path_factory.mktemp("warm")))
 
 
+def _help_page(*commands):
+    """The help page click formats for ``thermoq [commands] --help``, as printed."""
+    ctx = main.make_context("thermoq", [], resilient_parsing=True)
+    for name in commands:
+        ctx = main.commands[name].make_context(name, [], parent=ctx, resilient_parsing=True)
+    return ctx.get_help() + "\n"
+
+
+HELP_AND_VERSION = {"help": ["--help"], "run-help": ["run", "--help"],
+                    "cross-validate-help": ["cross-validate", "--help"],
+                    "schema-help": ["schema", "--help"], "version": ["--version"]}
+
+
 @pytest.mark.parametrize("command, code, in_stdout, stderr", [
     ("schema", 0, '"read_by"', ""),
     ("passing-run", 0, "verification passed", ""),
     ("failing-run", 1, "[FAIL]", "verification FAILED\n"),
     ("cross-validate", 0, "verification passed", ""),
-], ids=["schema", "passing-run", "failing-run", "cross-validate"])
+    *[(command, 0, None, "") for command in HELP_AND_VERSION],
+], ids=["schema", "passing-run", "failing-run", "cross-validate", *HELP_AND_VERSION])
 def test_in_process_call_releases_its_streams(tmp_path, warm_cli, command, code, in_stdout,
                                               stderr):
     args = {"schema": ["schema"], "passing-run": _small_dephasing_args(tmp_path),
             "failing-run": _cold_mean_force_args(tmp_path),
-            "cross-validate": ["cross-validate", "--draws", "1"]}[command]
+            "cross-validate": ["cross-validate", "--draws", "1"],
+            **HELP_AND_VERSION}[command]
     result, out, err, out_ref, err_ref = _call_with_fresh_sinks(args)
     assert (result, err) == (code, stderr), out + err
-    assert in_stdout in out
+    if in_stdout is not None:
+        assert in_stdout in out
+    elif command == "version":
+        assert out == f"thermoq, version {__version__}\n"
+    else:  # the page alone, as click's own --help prints it
+        assert out == _help_page(*args[:-1])
     gc.collect()
     assert out_ref() is None, "stdout sink kept alive after the call"
     assert err_ref() is None, "stderr sink kept alive after the call"

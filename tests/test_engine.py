@@ -499,6 +499,21 @@ class TestRouteSelection:
     def test_route_follows_the_model_type(self, build, route):
         assert HeatEngine(build()).route == route
 
+    def test_branch_kernel_never_derives_the_projectors(self):
+        # the (L, d_s, d_s) stack is derived on first read; the branch kernel
+        # reads the basis and the outcome of each column instead
+        n_max = 8
+        eng = HeatEngine(build_coupled_oscillators(1.1, 1.0, 0.15, n_max))
+        rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        rho0[0, 0] = 1.0
+        meas = fock_measurement(n_max)
+        assert eng.route == "branch-kernel"
+        eng.heat_decomposition(rho0, 1.2, 2.5, meas)
+        eng.score_direct_all(rho0, 1.2, 2.5, meas)
+        eng.fisher_finite_difference(rho0, 1.2, 2.5, meas)
+        eng.two_point_trajectory_heat_all(rho0, 1.2, 2.5, meas)
+        assert "projectors" not in vars(meas)
+
 
 PARITY_DRAWS = [(seed, *draw_deph_instance(np.random.default_rng(seed))) for seed in range(20)]
 # the draws with d <= 800, on which the branch kernel takes about 0.2 s in all

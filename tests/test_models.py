@@ -1,5 +1,6 @@
 """Model builders, bath discretization, and measurement bases."""
 
+import tracemalloc
 from functools import partial, reduce
 
 import numpy as np
@@ -134,6 +135,20 @@ class TestProjectiveMeasurement:
         assert basis.flags.writeable
         for array in (meas.basis, meas.outcome, meas.projectors):
             assert not array.flags.writeable
+
+    def test_projectors_are_derived_on_first_read(self):
+        # the CI hot point's 97 outcomes: the (97, 97, 97) complex stack alone
+        # is 14 MB, and no branch-kernel route reads it
+        tracemalloc.start()
+        try:
+            meas = fock_measurement(96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "projectors" not in vars(meas)
+        assert meas.projectors is meas.projectors
+        assert meas.projectors.shape == (97, 97, 97)
 
 
 def _mode_parts(modes, cutoffs):
