@@ -7,18 +7,19 @@ nonzero if any identity check exceeded its tolerance. A configuration sets the
 model, sweep, a fixed cutoff ``numerics.n_max`` and output, never a check:
 checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``.
 ``CONFIG_SCHEMA`` (with ``READ_BY``) lists the keys each experiment reads; one
-usage error names every other key of a config, and an output path in a
-missing directory is one too, before any runner starts. Runners only read and
-check values, each sweep value and each point's automatic cutoffs before the
-first point runs, and name a bad one by the section it came from. Sweep points
-are evaluated in configuration order, so output rows are deterministic for a
-fixed config. In process, ``main(args, standalone_mode=False)`` writes to the
-``sys.stdout`` and ``sys.stderr`` current at each call, ``--help`` and
-``--version`` included, and keeps no reference to them afterwards: under
-tracemalloc a call keeps about 80 B (Python 3.11, click 8.4), not its whole
-printed output.
+usage error names every other key of a config, and an output path that is a
+directory or lies in a missing one is one too, before any runner starts.
+Runners only read and check values, each sweep value and each point's
+automatic cutoffs before the first point runs, and name a bad one by the
+section it came from. Sweep points are evaluated in configuration order, so
+output rows are deterministic for a fixed config. In process,
+``main(args, standalone_mode=False)`` writes to the ``sys.stdout`` and
+``sys.stderr`` current at each call, ``--help`` and ``--version`` included,
+and keeps no reference to them afterwards: under tracemalloc a call keeps
+about 80 B (Python 3.11, click 8.4), not its whole printed output.
 """
 
+import csv
 import hashlib
 import itertools
 import json
@@ -105,7 +106,7 @@ CONFIG_SCHEMA = {
                  "automatic cutoffs of validate.CUTOFFS (no other numerics key exists)",
     },
     "output": {
-        "path": "output file path (default <experiment>.csv); directory overridable "
+        "path": "output file path (default <experiment>.<format>); directory overridable "
                 f"via ${OUTPUT_DIR_ENV}",
         "format": "'csv' | 'json' (default csv)",
         "per_outcome": "bool, one row per outcome (default false)",
@@ -463,33 +464,26 @@ RUNNERS = {
 
 def _output_path(path, name):
     """``path``, moved into $THERMOQ_OUTPUT_DIR when that is set; a usage error
-    naming ``name`` if its directory does not exist."""
+    naming ``name`` if it is a directory or its directory does not exist."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     path = os.path.join(override, os.path.basename(path)) if override else path
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise click.UsageError(f"{name}: directory {directory!r} of {path!r} does not exist")
+    if os.path.isdir(path):
+        raise click.UsageError(f"{name}: {path!r} is a directory")
     return path
 
 
-def _fieldnames(rows):
-    names = []
-    for row in rows:
-        for key in row:
-            if key not in names:
-                names.append(key)
-    return names
-
-
 def _write_csv(path, rows, meta):
-    fields = _fieldnames(rows)
-    lines = [f"# thermoq {meta['version']} config {meta['config_hash']}",
-             f"# generated {meta['timestamp']}",
-             ",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(f, "")) for f in fields))
+    """Two '#' lines, then the rows under the union of their keys, quoted by ``csv``."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# thermoq {meta['version']} config {meta['config_hash']}\n"
+                 f"# generated {meta['timestamp']}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_fmt(row.get(f, "")) for f in fields] for row in rows)
 
 
 def _write_json(path, payload):

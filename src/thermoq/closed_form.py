@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import PROB_FLOOR, _require_positive_beta
+from . import engine
+from .engine import _require_positive_beta
 from .models import BathMode, SpectralDensity, discretize_spectral_density
 
 
@@ -154,8 +155,9 @@ def _one_minus_cos(p: DephParams):
 
 
 class SuppressedOutcomeError(ValueError):
-    """An outcome's closed-form probability is below ``engine.PROB_FLOOR``, so
-    it has no conditional heat."""
+    """An outcome's closed-form probability is below ``engine.PROB_FLOOR``, the
+    floor every engine route keeps outcomes by (read at each call), so it has
+    no conditional heat."""
 
 
 def deph_probability(p: DephParams, l):
@@ -170,7 +172,7 @@ def deph_heat_terms(p: DephParams, l):
     q, c = p.Q, p.C
     visibility = math.exp(-p.gamma)
     p_l = 0.5 * (1.0 + l * visibility)
-    if p_l < PROB_FLOOR:
+    if p_l < engine.PROB_FLOOR:
         raise SuppressedOutcomeError(f"outcome {l} suppressed: probability {p_l:.3e}")
     ratio = l * visibility / p_l
     return q - ratio * q, ratio * (q + c)

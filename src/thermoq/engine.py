@@ -91,7 +91,9 @@ import numpy as np
 from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
 from .models import ModeProductModel
 
-PROB_FLOOR = 1e-12  # every route leaves out outcomes below it; no run config sets it
+# Every route keeps exactly the outcomes with P_l >= PROB_FLOOR; mean_force and
+# closed_form read it from this module at each call, and no run config sets it.
+PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
 # beyond it the input state is not a density matrix.
 PROB_RANGE_ATOL = 1e-12
@@ -567,21 +569,18 @@ def log_scores(prob_at, beta):
     temperature of the 1-D array betas, as a (len(betas), L) array; it is
     called once, for the whole stencil [beta + h, beta - h, beta + h/2,
     beta - h/2, beta] with h = 1e-4 beta. Central differences of ln P_l,
-    Richardson-extrapolated over steps h and h/2. An outcome whose
-    probability dips below PROB_FLOOR at any stencil point is not kept.
+    Richardson-extrapolated over steps h and h/2. It keeps the outcomes the
+    heat decomposition keeps, those with P_l(beta) >= PROB_FLOOR; the score
+    of any other outcome is 0.
     """
     h = 1e-4 * beta
-    lo, hi, lo2, hi2, p0 = prob_at(beta + np.array([h, -h, h / 2.0, -h / 2.0, 0.0]))
-
-    def central(lo, hi, step):
-        ok = (lo > PROB_FLOOR) & (hi > PROB_FLOOR)
-        val = np.zeros(len(lo))
-        val[ok] = (np.log(hi[ok]) - np.log(lo[ok])) / (2.0 * step)
-        return val, ok
-
-    l_h, ok_h = central(lo, hi, h)
-    l_h2, ok_h2 = central(lo2, hi2, h / 2.0)
-    return p0, (4.0 * l_h2 - l_h) / 3.0, ok_h & ok_h2 & (p0 > PROB_FLOOR)
+    p = prob_at(beta + np.array([h, -h, h / 2.0, -h / 2.0, 0.0]))
+    kept = p[4] >= PROB_FLOOR
+    lo, hi, lo2, hi2 = np.log(p[:4, kept])
+    l_h, l_h2 = (hi - lo) / (2.0 * h), (hi2 - lo2) / h  # steps h and h/2
+    scores = np.zeros(len(kept))
+    scores[kept] = (4.0 * l_h2 - l_h) / 3.0
+    return p[4], scores, kept
 
 
 def log_score_fisher(prob_at, beta):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .engine import (
-    PROB_FLOOR,
     _checked_probabilities,
     _require_positive_beta,
     _trace_prod,
@@ -62,7 +62,8 @@ class MeanForceResult:
     cluster of the energy operator's eigenbasis measurement, leaving out the
     outcomes below ``engine.PROB_FLOOR``, whose summed probability is
     excluded_probability; fisher is the finite-difference Fisher information
-    of that measurement on the reduced thermal state.
+    of that measurement on the reduced thermal state, over the outcomes the
+    same rule keeps (``engine.log_scores``).
     """
 
     h_star: np.ndarray  # H*_S = -(1/beta) log A, A = Tr_B[e^{-beta H}]/Z_B; read-only
@@ -153,8 +154,9 @@ def internal_energy_deviation(model, beta):
     where the spectral route reads the eigenvalues. The largest mismatch,
     relative to max(1, |trace deviation|) and NaN if any is NaN, is stored as
     ``dual_residual``; ``validate.check_mean_force_point`` judges it. Outcomes
-    with P_l below ``engine.PROB_FLOOR`` are left out, and their summed
-    probability is stored as ``excluded_probability``.
+    with P_l below ``engine.PROB_FLOOR`` are left out of the deviations and,
+    by the rule of ``engine.log_scores``, of the Fisher information, and their
+    summed probability is stored as ``excluded_probability``.
 
     E*_S eigenvalues within 1e-8 max(spread, 1) form one outcome. The result
     also carries the Fisher information of that measurement, by finite
@@ -187,7 +189,7 @@ def internal_energy_deviation(model, beta):
     rows, mismatches = [], []
     excluded = 0.0
     for eps_l, proj, p in zip(meas.labels, meas.projectors, probs):
-        if p < PROB_FLOOR:
+        if p < engine.PROB_FLOOR:
             excluded += p
             continue
         dev_spectral = eps_l - u_s

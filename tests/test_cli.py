@@ -1,6 +1,7 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
 import contextlib
+import csv
 import dataclasses
 import gc
 import io
@@ -351,12 +352,11 @@ def test_prob_floor_excluded_mass_is_reported(tmp_path):
 
 def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path, monkeypatch):
     # at beta = 2 the excited outcome of the energy-operator measurement has
-    # P ~ 0.12, so a floor of 0.2, substituted in both modules that read it,
-    # drops it; both the deviations (mean_force) and the Fisher information
+    # P ~ 0.12, so a floor of 0.2, set in the engine module alone, drops it;
+    # both the deviations (mean_force) and the Fisher information
     # (engine.log_score_fisher) leave it out, so the UR product still saturates
     beta, floor = 2.0, 0.2
-    for module in (engine, mean_force):
-        monkeypatch.setattr(module, "PROB_FLOOR", floor)
+    monkeypatch.setattr(engine, "PROB_FLOOR", floor)
     modes = [[1.2, 0.1], [1.5, 0.1]]
     path = write_config(tmp_path, {
         "experiment": "mean-force",
@@ -720,6 +720,39 @@ def test_output_in_a_missing_directory_fails_before_the_run(tmp_path, entry, mon
     result = RUNNER.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert named in result.output and "nodir" in result.output
+
+
+def test_an_existing_directory_output_path_fails_before_the_run(tmp_path, monkeypatch):
+    # writing the table to a directory would fail only after the whole sweep
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    builds = []
+    monkeypatch.setattr(cli, "build_coupled_oscillators", lambda *a: builds.append(a))
+    path = write_config(tmp_path, {"experiment": "heat-exchange", "sweep": {"beta": [2.0]},
+                                   "numerics": {"n_max": 8}, "output": {"path": "outdir"}})
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 2, result.output
+    assert "output.path" in result.output and "is a directory" in result.output
+    assert builds == [] and not list((tmp_path / "outdir").iterdir())
+
+
+@pytest.mark.parametrize("config", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_csv_row_is_as_wide_as_its_header(tmp_path, config):
+    # each stock config written as CSV, a one-draw cross-validate among them,
+    # whose check 'internal-energy deviation, dual computation' holds a comma
+    config = json.loads(config.read_text())
+    config["output"] = {**config["output"], "path": str(tmp_path / "o.csv"), "format": "csv"}
+    if config["experiment"] == "cross-validate":
+        config["draws"] = 1
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "o.csv").read_text().splitlines()
+    assert lines[0].startswith("# thermoq ") and lines[1].startswith("# generated ")
+    header, *rows = csv.reader(lines[2:])
+    assert rows and all(len(row) == len(header) for row in rows)
+    if config["experiment"] == "cross-validate":
+        assert "internal-energy deviation, dual computation" in [row[0] for row in rows]
 
 
 REVIVAL = {"experiment": "dephasing", "model": {"modes": [[1.0, 0.1]]},

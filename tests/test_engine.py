@@ -44,6 +44,7 @@ from thermoq.validate import (
 )
 
 from dense_reference import (
+    dense_fisher_fd,
     dense_hamiltonian,
     dense_heat_decomposition,
     dense_score_direct_all,
@@ -188,6 +189,24 @@ class TestFisher:
         record = eng.heat_decomposition(rho0, beta, t, meas)
         fd = eng.fisher_finite_difference(rho0, beta, t, meas)
         assert fd == pytest.approx(record.fisher_heat, rel=1e-6)
+
+    def test_stencil_keeps_the_outcomes_of_the_heat_decomposition(self, monkeypatch):
+        # a floor between P_1(beta + h) and P_1(beta) on he-pure: the stencil keeps
+        # outcome 1 by P_1(beta), as the heat decomposition does, where a rule on
+        # every stencil point dropped it and put F off by 0.94 relative
+        model, rho0, meas, beta, t, _ = BRANCH_CASES["he-pure"]
+        eng = HeatEngine(model)
+        p1 = [kernel_probabilities(eng, rho0, b, t, meas)[1] for b in (1.0001 * beta, beta)]
+        assert p1[0] < p1[1]
+        floor = (p1[0] + p1[1]) / 2
+        monkeypatch.setattr(engine, "PROB_FLOOR", floor)
+        record = eng.heat_decomposition(rho0, beta, t, meas)
+        assert [o.label for o in record.outcomes] == [0, 1]
+        assert list(eng.score_direct_all(rho0, beta, t, meas)) == [0, 1]
+        fd = eng.fisher_finite_difference(rho0, beta, t, meas)
+        assert fd == pytest.approx(record.fisher_heat, rel=TOL_FISHER)
+        dense = dense_fisher_fd(model, rho0, beta, t, meas, prob_floor=floor)
+        assert dense == pytest.approx(record.fisher_heat, rel=TOL_FISHER)
 
     def test_decoupled_probe_has_zero_information(self):
         # g = 0: no sample energy reaches the probe, so nothing is learned

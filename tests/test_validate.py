@@ -16,7 +16,7 @@ from thermoq.models import (
     fock_measurement,
     pauli_x_measurement,
 )
-from thermoq import mean_force, validate
+from thermoq import validate
 from thermoq.validate import (
     CHECKS,
     CLOSED_FORM_MIN_PROB,
@@ -200,15 +200,16 @@ def test_cross_validate_reports_excluded_mass(monkeypatch):
 
 
 def test_cross_validate_folds_in_the_mean_force_floor(monkeypatch):
-    # a mean-force draw that drops an outcome below its floor, here 0.5 in the
-    # module that excludes the mean-force outcomes, raises the report's
-    # prob_floor_excluded_probability_max above every engine draw's
-    monkeypatch.setattr(mean_force, "PROB_FLOOR", 0.5)
+    # a mean-force draw that drops an outcome below its floor, here
+    # engine.PROB_FLOOR = 0.5 while the mean-force point alone runs, raises the
+    # report's prob_floor_excluded_probability_max above every engine draw's
     real_mean_force = validate.check_mean_force_point
     dropped = []
 
     def check_mean_force_point(checks, model, beta, params):
-        result = real_mean_force(checks, model, beta, params)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "PROB_FLOOR", 0.5)
+            result = real_mean_force(checks, model, beta, params)
         dropped.append(result[0].excluded_probability)
         return result
 
