@@ -61,17 +61,29 @@ states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
 |phi_r, j><phi_r, j| has rank at most K = rank(rho0) * d_b, so only its K
 branch amplitudes A_k = U |phi_r, j> are evolved, and beta enters only
 through the weights c_k = w_r p_j(beta). U is block-diagonal in the model's
-charge sectors, so per sector the kernel forms U_b = V_b e^{-i lambda_b t}
-V_b^T from the sector's eigenpairs in ``spectrum`` and reads the amplitudes
-off its columns: A_{r,j}[I_b] = sum over the states (s, j) of I_b of
-phi_r[s] U_b[:, pos(s, j)]. The tables are <A_k|Pi_l (x) 1|A_k> and
-<A_k|Pi_l (x) H_B|A_k>, each L x K, read in the measurement's basis: both
-are sums of |(B^dag A_k)[m, i]|^2 over outcome l's columns m, weighted by 1
-and by eps_i, one K d_s^2 d_b product. P_l at B betas is the (B, K)
+charge sectors, and branch (r, j) starts on the states (s, j) with
+phi_r[s] != 0: a sector holding none of them is skipped, by an exact-zero
+test on phi (a property of the input, not a tolerance). Each reached sector b
+forms only what its branches need, A_b = ((X_b V_b) e^{-i lambda_b t}) V_b^T
+from its eigenpairs in ``spectrum``, with X_b[(r, j), (s, j)] = phi_r[s] the
+start amplitudes on its states, and never U_b itself. The sectors take these
+products in zero-padded stacks, one per size class, so that many small
+sectors cost one round of array calls. The amplitudes stay on the reached
+states. The tables are <A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>, each
+L x K, read in the measurement's basis B per row (k, i), the amplitudes of
+branch k on the final sample level i: a row on one probe level s adds
+|a|^2 <s|Pi_l|s> to outcome l (summed per (k, s), then one (K, d_s) x (d_s, L)
+product), and a row on several (a branch that reaches two sectors, or a
+sector holding one sample level twice) adds |B^dag a|^2 over outcome l's
+columns, each weighted by 1 and by eps_i. P_l at B betas is the (B, K)
 weight matrix w_r p_j(beta_b) times the first table. Per (rho0, t) it costs
-O(sum_b |I_b|^3) for the sector propagators and O(K d) for the amplitudes
-(one sector of size d for a model with no charge), against O(d^3) plus L
-embedded d x d projectors for the dense route the tests keep as reference.
+O(sum_b K_b |I_b|^2) over the reached sectors, K_b the branches starting in
+sector b, and holds the amplitudes of the reached states only: no K x d array
+unless the branches fill the space (a model with no charge, or a rho0 of full
+rank on the exchange pair). From the vacuum of the exchange pair, branch
+|0, j> reaches the sector N = j alone, so about n^2 / 2 amplitudes, not n^4.
+The dense route the tests keep as reference costs O(d^3) plus L embedded
+d x d projectors.
 
 The two-point route (``HeatEngine.two_point_trajectory_heat_all``) computes
 the trajectory heat from its definition instead, as the double sum over
@@ -91,8 +103,9 @@ import numpy as np
 from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
 from .models import ModeProductModel
 
-# Every route keeps exactly the outcomes with P_l >= PROB_FLOOR; mean_force and
-# closed_form read it from this module at each call, and no run config sets it.
+# Every route keeps exactly the outcomes with P_l >= PROB_FLOOR; mean_force (through
+# log_scores) and closed_form read it from this module at each call, and no run
+# config sets it.
 PROB_FLOOR = 1e-12
 # Outcome probabilities may leave [0, 1] by this much through roundoff;
 # beyond it the input state is not a density matrix.
@@ -117,14 +130,28 @@ def _propagator(lam, v, t):
     return (v @ z.view(np.float64)).view(np.complex128)
 
 
-def _occurrence_rank(keys):
-    """For each position, the number of earlier positions holding the same key."""
-    n = np.arange(len(keys))
-    order = np.argsort(keys, kind="stable")
-    run_starts = np.r_[True, np.diff(keys[order]) != 0]
-    rank = np.empty_like(n)
-    rank[order] = n - np.maximum.accumulate(np.where(run_starts, n, 0))
-    return rank
+# Every sector of up to this many states shares one zero-padded stack; a larger
+# one shares its stack with the sectors of its size range (2^(c-1), 2^c].
+STACK_SIDE = 32
+
+
+def _sector_stacks(spectrum, d):
+    """The sectors of ``spectrum`` by size class, each class zero-padded to its
+    largest sector: (sectors, states, lam), the class's positions in
+    ``spectrum``, and the states and eigenvalues of each as (G, n) rows, the
+    padding numbered state d with eigenvalue 0."""
+    sizes = np.array([len(index) for index, _, _ in spectrum])
+    size_class = np.ceil(np.log2(np.maximum(sizes, STACK_SIDE)))
+    stacks = []
+    for c in sorted(set(size_class)):
+        sectors = np.flatnonzero(size_class == c)
+        states = np.full((len(sectors), sizes[sectors].max()), d)
+        lam = np.zeros(states.shape)
+        for g, b in enumerate(sectors):
+            index, lam_b, _ = spectrum[b]
+            states[g, :len(index)], lam[g, :len(index)] = index, lam_b
+        stacks.append((sectors, states, lam))
+    return tuple(stacks)
 
 
 class ProbabilityRangeError(ValueError):
@@ -280,11 +307,11 @@ class HeatEngine:
       Q probe levels.
     - ``'branch-kernel'`` for every ``CompositeModel``, the 'z' spin-boson
       model included. It reads ``spectrum``'s dense eigenbasis per sector:
-      per (rho0, t) one |I_b|-sized real product per sector, a K x d complex
-      amplitude array with K = rank(rho0) * d_b and one K d_s^2 d_b product
-      reading it in the measurement's basis, per beta three L x K
-      matrix-vector products, and one (5, K) x (K, L) product for a whole
-      finite-difference stencil.
+      per (rho0, t) two real K_b x |I_b| x |I_b| products per sector that
+      rho0 reaches, K = rank(rho0) * d_b branches in all, the amplitudes
+      held on the reached states and read in the measurement's basis from
+      there; per beta three L x K matrix-vector products, and one
+      (5, K) x (K, L) product for a whole finite-difference stencil.
 
     Neither forms a full-space propagator, state or embedded projector, and
     neither does ``two_point_trajectory_heat_all``: it takes the same
@@ -309,20 +336,7 @@ class HeatEngine:
         self._modes = model if isinstance(model, ModeProductModel) else None
         self.route = "branch-kernel" if self._modes is None else "mode-product"
         if self._modes is None:
-            d_b = model.bath_dim
-            sector_of = np.empty(model.space.total_dim, dtype=int)
-            for b, (index, _, _) in enumerate(model.spectrum):
-                sector_of[index] = b
-            # how many states of the same sector before this one share its sample level j
-            rank = _occurrence_rank(sector_of * d_b + np.arange(len(sector_of)) % d_b)
-            # per sector: its states, eigenpairs, the probe and sample levels (s, j)
-            # of its states, and its positions split into groups in which no j
-            # repeats: all of them at once when no sector holds a sample level twice
-            self._sectors = tuple(
-                (index, lam, v, *np.divmod(index, d_b),
-                 [np.flatnonzero(rank[index] == k) for k in range(rank[index].max() + 1)]
-                 if rank.any() else [slice(None)])
-                for index, lam, v in model.spectrum)
+            self._stacks = _sector_stacks(model.spectrum, model.space.total_dim)
         # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
         self._tables = {}
 
@@ -370,28 +384,71 @@ class HeatEngine:
 
     def _branch_tables(self, w, phi, t, meas):
         d_s, d_b = self.model.system_dim, self.model.bath_dim
-        branches = np.arange(len(w))[:, None, None]
-        # amp[r, j] = U |phi_r, j> over the full space. U_b is symmetric (V_b is
-        # real), so its column for the state (s, j) of sector b is its row:
-        # amp[r, j][I_b] = sum over (s, j) in I_b of phi[s, r] U_b[pos(s, j)]
-        amp = np.zeros((len(w), d_b, self.model.space.total_dim), dtype=complex)
-        for index, lam, v, s, j, groups in self._sectors:
-            u = _propagator(lam, v, t)
-            for k, cols in enumerate(groups):
-                part = phi[s[cols]].T[:, :, None] * u[cols]
-                target = branches, j[cols][:, None], index
-                amp[target] = amp[target] + part if k else part
-        # hits[k, m, i] = |<e_m, i|A_k>|^2 over the measurement's basis vectors e_m
-        # and the sample levels i: Pi_l (x) 1 and Pi_l (x) H_B sum them over
-        # outcome l's columns m, weighted by 1 and by eps_i
+        n_r = len(w)
+        # the probe levels some phi_r is nonzero on; the padding state's level d_s
+        # is none of them
+        starts = np.append(np.any(phi != 0, axis=1), False)
+        branch, state, amp = [], [], []
+        for sectors, states, lam in self._stacks:
+            s, j = np.divmod(states, d_b)
+            reached = starts[s].any(axis=1)  # the sectors holding a start state
+            if not reached.any():
+                continue
+            states, lam, s, j = (x[reached] for x in (states, lam, s, j))
+            v = np.zeros((*states.shape, states.shape[1]))
+            for v_g, b in zip(v, sectors[reached]):
+                v_b = self.model.spectrum[b][2]
+                v_g[:len(v_b), :len(v_b)] = v_b
+            # the rows of sector g: a branch (r, j) for each distinct sample level j
+            # of its start states, X_b^T[(s, j), (j, r)] = phi_r[s]
+            g, a = np.nonzero(starts[s])
+            keys, key_of = np.unique(g * d_b + j[g, a], return_inverse=True)
+            local = np.arange(len(keys)) - np.searchsorted(keys, keys // d_b * d_b)
+            x_t = np.zeros((*states.shape, local.max() + 1, n_r), dtype=complex)
+            x_t[g, a, local[key_of]] = phi[s[g, a]]
+            branch_of = np.full((len(states), *x_t.shape[2:]), -1)  # branch k of each column
+            branch_of[keys // d_b, local] = np.arange(n_r) * d_b + (keys % d_b)[:, None]
+            branch_of = branch_of.reshape(len(states), -1)
+            # A_b^T = V_b e^{-i lam_b t} V_b^T X_b^T, V_b real: each product takes the
+            # real and imaginary parts of the complex factor as one real matrix
+            x_t = x_t.reshape(*states.shape, -1).view(np.float64)
+            z = (v.transpose(0, 2, 1) @ x_t).view(np.complex128)
+            z *= np.exp(-1j * lam * t)[:, :, None]
+            a_t = (v @ z.view(np.float64)).view(np.complex128)
+            g, a, c = np.nonzero((s < d_s)[:, :, None] & (branch_of >= 0)[:, None, :])
+            branch.append(branch_of[g, c])
+            state.append(states[g, a])
+            amp.append(a_t[g, a, c])
+        k, amp = np.concatenate(branch), np.concatenate(amp)
+        s, i = np.divmod(np.concatenate(state), d_b)
         eps = self.model.bath_energies
-        hits = np.abs(meas.basis.conj().T @ amp.reshape(-1, d_s, d_b)) ** 2
-        column_energy = hits @ eps
-        members = (meas.outcome == np.arange(len(meas.labels))[:, None]).astype(float)
+        n_k, n_l = n_r * d_b, len(meas.labels)
+        members = (meas.outcome == np.arange(n_l)[:, None]).astype(float)
+        # row (k, i) holds the amplitudes of branch k on the sample level i. A row on
+        # one probe level s reads |<e_m, i|A_k>|^2 = |a|^2 |B[s, m]|^2, so it adds
+        # |a|^2 <s|Pi_l|s> to outcome l, summed per (k, s) first
+        row = k * d_b + i
+        count = np.bincount(row, minlength=n_k * d_b)
+        one = count[row] == 1
+        at = k[one] * d_s + s[one]
+        weight = np.abs(amp[one]) ** 2
+        diagonal = np.abs(meas.basis) ** 2 @ members.T
+        prob = np.bincount(at, weight, n_k * d_s).reshape(n_k, d_s) @ diagonal
+        energy = np.bincount(at, weight * eps[i[one]], n_k * d_s).reshape(n_k, d_s) @ diagonal
+        # a row on several probe levels is read in the measurement's basis; summed
+        # over outcome l's columns, its hits add to (k, l) weighted by 1 and by eps_i
+        spread = np.flatnonzero(count > 1)
+        y = np.zeros((len(spread), d_s), dtype=complex)
+        y[np.cumsum(count > 1)[row[~one]] - 1, s[~one]] = amp[~one]
+        hits = np.abs(y @ meas.basis.conj()) ** 2 @ members.T
+        at = ((spread // d_b * n_l)[:, None] + np.arange(n_l)).ravel()
+        prob += np.bincount(at, hits.ravel(), n_k * n_l).reshape(n_k, n_l)
+        energy += np.bincount(at, (hits * eps[spread % d_b, None]).ravel(),
+                              n_k * n_l).reshape(n_k, n_l)
         return _BranchTables(
-            prob=members @ hits.sum(axis=2).T,
-            energy=members @ column_energy.T,
-            bath_energy=column_energy.sum(axis=1),
+            prob=prob.T,
+            energy=energy.T,
+            bath_energy=energy.sum(axis=1),
             rho_w=w,
             eps=eps,
         )
@@ -475,8 +532,8 @@ class HeatEngine:
           O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in the
           measurement's basis, each basis vector counted towards its outcome.
 
-        Neither branch reads the tables: not the kernel's grouping or
-        measurement-basis readout, not the mode route's M_k/N_k diagonals,
+        Neither branch reads the tables: not the kernel's start-state
+        propagation or its readout, not the mode route's M_k/N_k diagonals,
         and the mode branch leaves the H_S phase in the factors where the
         tables move it into rho0. With the other routes they share the
         eigenpairs (``ModeProductModel.levels`` or ``spectrum``), the

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .engine import (
     _checked_probabilities,
     _require_positive_beta,
     _trace_prod,
-    log_score_fisher,
+    log_scores,
     precision_bound,
 )
 from .linalg import gibbs_rows, gibbs_weights
@@ -62,8 +61,9 @@ class MeanForceResult:
     cluster of the energy operator's eigenbasis measurement, leaving out the
     outcomes below ``engine.PROB_FLOOR``, whose summed probability is
     excluded_probability; fisher is the finite-difference Fisher information
-    of that measurement on the reduced thermal state, over the outcomes the
-    same rule keeps (``engine.log_scores``).
+    of that measurement on the reduced thermal state, over the same outcomes:
+    the probabilities, the kept set and the scores come from one
+    ``engine.log_scores`` stencil.
     """
 
     h_star: np.ndarray  # H*_S = -(1/beta) log A, A = Tr_B[e^{-beta H}]/Z_B; read-only
@@ -153,15 +153,16 @@ def internal_energy_deviation(model, beta):
     this route shares no derivative with the spectral one, and it reads H
     where the spectral route reads the eigenvalues. The largest mismatch,
     relative to max(1, |trace deviation|) and NaN if any is NaN, is stored as
-    ``dual_residual``; ``validate.check_mean_force_point`` judges it. Outcomes
-    with P_l below ``engine.PROB_FLOOR`` are left out of the deviations and,
-    by the rule of ``engine.log_scores``, of the Fisher information, and their
-    summed probability is stored as ``excluded_probability``.
+    ``dual_residual``; ``validate.check_mean_force_point`` judges it.
 
     E*_S eigenvalues within 1e-8 max(spread, 1) form one outcome. The result
     also carries the Fisher information of that measurement, by finite
-    differences of ln P_l(beta) (``engine.log_score_fisher``). Every quantity
-    reads the model's ``probe_tables``, built once per model.
+    differences of ln P_l(beta). One ``engine.log_scores`` call gives P_l(beta),
+    the scores and the outcomes kept (P_l >= ``engine.PROB_FLOOR``): the
+    deviations and the Fisher information both sum over those outcomes, and
+    the summed probability of the others is stored as
+    ``excluded_probability``. Every quantity reads the model's
+    ``probe_tables``, built once per model.
     """
     gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
     a, wa, va = gibbs
@@ -182,14 +183,16 @@ def internal_energy_deviation(model, beta):
     def probabilities(betas):
         return _checked_probabilities(gibbs_rows(w, betas) @ occupation.T)
 
-    probs = probabilities([beta])[0]
-    fisher = log_score_fisher(probabilities, beta)
+    # P_l, its kept set and its scores from one stencil: the deviation rows keep
+    # exactly the outcomes the Fisher information sums over
+    probs, scores, kept = log_scores(probabilities, beta)
+    fisher = float(np.sum(probs[kept] * scores[kept] ** 2))
     e_total = np.trace(h_chi_s).real
 
     rows, mismatches = [], []
     excluded = 0.0
-    for eps_l, proj, p in zip(meas.labels, meas.projectors, probs):
-        if p < engine.PROB_FLOOR:
+    for eps_l, proj, p, keep in zip(meas.labels, meas.projectors, probs, kept):
+        if not keep:
             excluded += p
             continue
         dev_spectral = eps_l - u_s

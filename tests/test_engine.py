@@ -76,6 +76,19 @@ def deph_setup():
     return HeatEngine(model), plus, pauli_x_measurement(), 1.0, 1.7
 
 
+@pytest.fixture(scope="module")
+def hot_exchange():
+    # the CI hot point: automatic n_max = 96 at beta = 0.25, d = 9409; a dense
+    # d x d propagator alone would take 1.4 GB here
+    n_max, beta = 96, 0.25
+    model = build_coupled_oscillators(1.0, 1.0, 0.1, n_max)
+    assert model.space.total_dim == 9409
+    t = he_optimal_time(HEParams(1.0, 1.0, 0.1, beta, 0.0))
+    rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    rho0[0, 0] = 1.0
+    return HeatEngine(model), rho0, beta, t, fock_measurement(n_max)
+
+
 class TestStatesAndEvolution:
     def test_propagator_is_unitary(self, he_setup):
         u = propagator(he_setup[0].model, 0.8)
@@ -159,17 +172,8 @@ class TestTwoPointRoute:
         for o in record.outcomes:
             assert heats[o.label] == pytest.approx(o.h_tra, abs=1e-9)
 
-    def test_matches_and_stays_small_at_the_hot_exchange_point(self):
-        # the CI hot point: automatic n_max = 96 at beta = 0.25, d = 9409; a dense
-        # d x d propagator alone would take 1.4 GB here
-        n_max, beta = 96, 0.25
-        model = build_coupled_oscillators(1.0, 1.0, 0.1, n_max)
-        assert model.space.total_dim == 9409
-        t = he_optimal_time(HEParams(1.0, 1.0, 0.1, beta, 0.0))
-        rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        rho0[0, 0] = 1.0
-        meas = fock_measurement(n_max)
-        eng = HeatEngine(model)
+    def test_matches_and_stays_small_at_the_hot_exchange_point(self, hot_exchange):
+        eng, rho0, beta, t, meas = hot_exchange
         record = eng.heat_decomposition(rho0, beta, t, meas)
         tracemalloc.start()
         try:
@@ -617,6 +621,20 @@ class TestBranchKernel(_MatchesDense):
         rho[:2, :2] = 0.5  # edited in place: same object, new state
         got = kernel_probabilities(eng, rho, beta, t, meas)
         assert np.array_equal(got, kernel_probabilities(HeatEngine(model), rho, beta, t, meas))
+
+    def test_table_build_stays_small_at_the_hot_exchange_point(self, hot_exchange):
+        # the vacuum reaches 97 of the 193 sectors, and only those are propagated:
+        # one build peaked at 3.7 MiB here, and at 34.8 MB when it held a K x d
+        # amplitude array; the bound leaves about 2x headroom
+        eng, rho0, beta, t, meas = hot_exchange
+        eng = HeatEngine(eng.model)  # no tables cached
+        tracemalloc.start()
+        try:
+            eng._tables_for(rho0, t, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_sweep_builds_the_tables_once_per_time(self, monkeypatch):
         # a beta-outer, t-inner sweep at fixed n_max shares one engine, which

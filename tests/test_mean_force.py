@@ -6,6 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from thermoq.linalg import gibbs_rows
 from thermoq.mean_force import (
     DegenerateVarianceError,
     energy_operator,
@@ -14,7 +15,12 @@ from thermoq.mean_force import (
     reduced_gibbs_operator,
     temperature_energy_ur_check,
 )
-from thermoq.models import BathMode, CompositeModel, build_spin_boson_model
+from thermoq.models import (
+    BathMode,
+    CompositeModel,
+    build_spin_boson_model,
+    eigenbasis_measurement,
+)
 from thermoq.validate import check_mean_force_point, identity_checks
 
 QUBIT_OMEGA = 1.0
@@ -193,6 +199,41 @@ class TestInternalEnergyDeviation:
         assert result.dual_residual > 1e-3
         assert not checks["mean_force"].passed
         assert checks["mean_force"].max_deviation == result.dual_residual
+
+    def test_rows_and_fisher_keep_the_same_outcomes_at_a_straddled_floor(self, monkeypatch):
+        # P_l(beta) alone, (1, n) x (n, L), and as the last stencil row,
+        # (5, n) x (n, L), may differ in the last bits; a floor between the two
+        # once kept an outcome in the deviation rows that the Fisher sum dropped
+        from thermoq import engine
+
+        model = make_model(n_max=3)
+        w, g, _ = model.probe_tables
+        for beta in np.linspace(0.5, 3.0, 26):
+            e_star = internal_energy_deviation(model, beta).e_star
+            spread = np.ptp(np.linalg.eigvalsh(e_star))
+            meas = eigenbasis_measurement(e_star, 1e-8 * max(spread, 1.0))
+            occupation = np.einsum("lst,tsn->ln", meas.projectors.real, g)
+            h = 1e-4 * beta
+            alone = gibbs_rows(w, [beta])[0] @ occupation.T
+            stencil = (gibbs_rows(w, beta + np.array([h, -h, h / 2, -h / 2, 0.0]))
+                       @ occupation.T)[4]
+            if np.any(alone != stencil):
+                break
+        else:
+            pytest.skip("the two evaluations agree bitwise on this BLAS")
+        li = int(np.argmax(alone != stencil))
+        lo, hi = sorted((alone[li], stencil[li]))
+        floor = np.nextafter(lo, hi)
+        assert lo < floor < hi
+        monkeypatch.setattr(engine, "PROB_FLOOR", floor)
+        result = internal_energy_deviation(model, beta)
+        kept = meas.labels[li] in [e for e, _, _ in result.delta_u]
+        # the same point at a floor clearly on the side the rows took
+        monkeypatch.setattr(engine, "PROB_FLOOR", lo if kept else np.nextafter(hi, 1.0))
+        ref = internal_energy_deviation(model, beta)
+        assert result.delta_u == ref.delta_u
+        assert result.fisher == ref.fisher
+        assert result.excluded_probability == ref.excluded_probability
 
     def test_free_case_deviations_are_spectral(self, free_model):
         result = internal_energy_deviation(free_model, BETA)

@@ -87,6 +87,10 @@ CASES = [(charge, seed) for charge in ("exchange", "dephasing", "sigma-z", "pari
 def test_blocked_engine_matches_dense(charge, seed):
     model, rho0, meas, beta, t, sectors = _instance(charge, seed)
     assert len(model.spectrum) == sectors
+    _assert_engine_matches_dense(model, rho0, beta, t, meas)
+
+
+def _assert_engine_matches_dense(model, rho0, beta, t, meas):
     eng = HeatEngine(model)
     record = eng.heat_decomposition(rho0, beta, t, meas)
     ref = dense_heat_decomposition(model, rho0, beta, t, meas)
@@ -106,6 +110,58 @@ def _assert_two_point_matches(eng, ref, rho0, beta, t, meas):
     assert list(heats) == [r.label for r in ref.outcomes]
     for r in ref.outcomes:
         assert abs(heats[r.label] - r.h_tra) <= 1e-9
+
+
+def _exchange_probe_state(name, d, rng):
+    """The vacuum, |1><1|, or a rank-2 mixture of two superpositions of |1> and |3>."""
+    rho0 = np.zeros((d, d), dtype=complex)
+    if name == "vacuum":
+        rho0[0, 0] = 1.0
+    elif name == "one":
+        rho0[1, 1] = 1.0
+    else:
+        rho0[np.ix_([1, 3], [1, 3])] = _random_density(rng, 2)
+    return rho0
+
+
+@pytest.mark.parametrize("measurement", ["fock", "random"])
+@pytest.mark.parametrize("state", ["vacuum", "one", "mixture-1-3"])
+def test_partial_support_rho0_matches_dense(state, measurement):
+    # rho0 on a few probe levels reaches only some sectors: from |n> the branches
+    # |n, j> reach the sector N = n + j alone, and from the mixture each branch
+    # reaches two, whose amplitudes share the final sample levels
+    rng = np.random.default_rng(11)
+    n_max = 7
+    model = build_coupled_oscillators(1.2, 1.0, 0.25, n_max)
+    rho0 = _exchange_probe_state(state, n_max + 1, rng)
+    assert len(_probe_eigenpairs(rho0, n_max + 1)[0]) == (2 if state == "mixture-1-3" else 1)
+    meas = (fock_measurement(n_max) if measurement == "fock" else
+            _random_measurement(rng, n_max + 1))
+    _assert_engine_matches_dense(model, rho0, 1.1, 2.3, meas)
+
+
+def test_vacuum_build_propagates_exactly_the_sectors_it_reaches():
+    # from the vacuum the branches |0, j> reach the sectors N = j <= n_max, 28 of
+    # the 55 at n_max = 27: NaN eigenvectors in any other sector leave the
+    # tables as they are, and in any of those 28 they reach the tables
+    n_max = 27
+    model = build_coupled_oscillators(1.1, 1.0, 0.2, n_max)
+    spectrum = model.spectrum
+    assert len(spectrum) == 55
+    rho0 = _exchange_probe_state("vacuum", n_max + 1, None)
+    meas = fock_measurement(n_max)
+
+    def tables(poisoned):
+        vars(model)["spectrum"] = tuple(
+            (index, lam, np.full_like(v, np.nan) if b == poisoned else v)
+            for b, (index, lam, v) in enumerate(spectrum))
+        built = HeatEngine(model)._tables_for(rho0, 2.0, meas)
+        return np.concatenate([built.prob.ravel(), built.energy.ravel(), built.bath_energy])
+
+    clean = tables(None)
+    assert np.all(np.isfinite(clean))
+    propagated = [b for b in range(len(spectrum)) if not np.array_equal(tables(b), clean)]
+    assert [model.charge[spectrum[b][0][0]] for b in propagated] == list(range(n_max + 1))
 
 
 def test_two_point_route_drops_null_space_of_rho0():
