@@ -75,16 +75,19 @@ EXPERIMENTS = (
 CONFIG_SCHEMA = {
     "experiment": f"one of {list(EXPERIMENTS)}",
     "model": {
-        "heat-exchange": {"omega_0": "float > 0", "delta": "float >= 0 (half detuning)",
-                          "g": "float > 0"},
+        "heat-exchange": {"omega_0": "float > 0 (default 1.0)",
+                          "delta": "float >= 0, half detuning (default 0.0)",
+                          "g": "float > 0 (default 0.1)"},
         "dephasing": {"modes": "[[omega, g], ...] with omega > 0, g finite, some g != 0"},
-        "mean-force": {"omega_q": "float > 0", "modes": "[[omega, g], ...] with omega > 0, "
-                                                        "g finite",
+        "mean-force": {"omega_q": "float > 0 (default 1.0)",
+                       "modes": "[[omega, g], ...] with omega > 0, g finite",
                        "coupling_axis": "'x' | 'z' | 'xz' (default 'xz')"},
-        "scaling-he": {"alpha": "float > 0", "s": "float >= 0", "omega_c": "float > 0",
+        "scaling-he": {"alpha": "float > 0 (default 1.0)", "s": "float >= 0 (default 1.0)",
+                       "omega_c": "float > 0 (default 1.0)",
                        "delta_ratio": "float >= 0 (default 0.1)",
                        "time_factor": "float > 0 (default 0.3)"},
-        "scaling-deph": {"alpha": "float > 0", "s": "float >= 0", "omega_c": "float > 0",
+        "scaling-deph": {"alpha": "float > 0 (default 1.0)", "s": "float >= 0 (default 1.0)",
+                         "omega_c": "float > 0 (default 1.0)",
                          "t": "float > 0 or null for 1/(10 omega_c)",
                          "k_modes": "int >= 1 (default 2000)",
                          "omega_max": "float > 0 or null for 10 omega_c"},
@@ -93,13 +96,15 @@ CONFIG_SCHEMA = {
     "draws": "int >= 1 (default 5)",
     "sweep": {
         "<axis>": "list of values; at most 3 axes; cartesian product in config order",
-        "axes": {"heat-exchange": ["beta", "t", "g", "delta", "omega_0"],
-                 "dephasing": ["beta", "t"],
-                 "mean-force": ["beta"],
-                 "scaling-he": ["beta"],
-                 "scaling-deph": ["beta"]},
-        "note": "heat-exchange accepts t = 'optimal' for the half-swap time; the scaling "
-                "runs need at least 4 beta values",
+        "axes": {"heat-exchange": {"beta": "float > 0 (default 1.0)",
+                                   "t": "float > 0, or 'optimal' for the half-swap time "
+                                        "(default 'optimal')",
+                                   "g": "as model.g", "delta": "as model.delta",
+                                   "omega_0": "as model.omega_0"},
+                 "dephasing": {"beta": "float > 0 (default 1.0)", "t": "float > 0 (default pi)"},
+                 "mean-force": {"beta": "float > 0 (default 1.0)"},
+                 "scaling-he": {"beta": "float > 0, at least 4 values"},
+                 "scaling-deph": {"beta": "float > 0, at least 4 values"}},
     },
     "numerics": {
         "n_max": "int >= 1 or null: Fock cutoff of every mode; null or absent for the "
@@ -172,9 +177,9 @@ def _unread_keys(config, experiment):
 
 
 def _sweep_points(sweep, parse, cutoffs):
-    """Cartesian product of sweep axes, in configuration order, each value checked
-    and converted by ``parse[axis](section, axis, value)`` before any point is made,
-    and each point's cutoffs, ``cutoffs(point)``, before any point runs."""
+    """(point, cutoffs(point)) of each point of the cartesian product of sweep axes, in
+    configuration order, each value checked and converted by ``parse[axis](section,
+    axis, value)`` before any point is made, and each cutoff made before any point runs."""
     if len(sweep) > 3:
         raise ConfigError("at most 3 sweep axes are supported")
     for axis, values in sweep.items():
@@ -182,9 +187,7 @@ def _sweep_points(sweep, parse, cutoffs):
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
     parsed = [[parse[axis]("sweep", axis, v) for v in values] for axis, values in sweep.items()]
     points = [dict(zip(sweep, combo)) for combo in itertools.product(*parsed)]
-    for point in points:
-        cutoffs(point)
-    return points
+    return [(point, cutoffs(point)) for point in points]
 
 
 def _n_max(config):
@@ -235,30 +238,45 @@ def _fmt(value):
 # -- experiment runners ----------------------------------------------------
 
 
+class _Models(dict):
+    """A sweep's models, one per key: ``load(key, build)`` returns ``prepare(build())``,
+    made on the first call for ``key``. ``summary`` holds the sidecar's entries on
+    them: the automatic cutoffs' thermal tail (None under numerics.n_max) and the two
+    stages' times, summed over the sweep (``model_build_s``, then ``spectrum_s``)."""
+
+    def __init__(self, config, prepare):
+        super().__init__()
+        self.prepare = prepare
+        self.summary = {"tail": CUTOFFS[config["experiment"]][0] if _n_max(config) is None
+                        else None, "model_build_s": 0.0, "spectrum_s": 0.0}
+
+    def load(self, key, build):
+        if key not in self:
+            start = time.perf_counter()
+            built = build()
+            mid = time.perf_counter()
+            self[key] = self.prepare(built)
+            self.summary["model_build_s"] += mid - start
+            self.summary["spectrum_s"] += time.perf_counter() - mid
+        return self[key]
+
+
 def _run_engine_points(config, points, check_ids, family_point):
     """The sweep of an engine experiment: one checked heat decomposition per point.
 
-    ``family_point(point)`` returns (params, cutoff key, model builder, rho0, t,
-    measurement builder, closed-form reference); params holds beta and leads
-    each row. One engine and one measurement are built per cutoff key; the
-    engine's construction is the model's eigendecomposition (``spectrum_s``).
+    ``family_point(point, cutoffs)`` returns (params, model key, builder of the
+    model and its measurement, rho0, t, closed-form reference); params holds beta
+    and leads each row. One engine is made per model key; its construction is the
+    model's eigendecomposition (``spectrum_s``).
     """
     per_outcome = config.get("output", {}).get("per_outcome", False)
     checks = identity_checks(*check_ids)
-    engines = {}
+    engines = _Models(config, lambda built: (HeatEngine(built[0]), built[1]))
     rows = []
-    excluded = floor_excluded = build_s = spectrum_s = 0.0
-    for point in points:
-        params, key, build, rho0, t, measure, reference = family_point(point)
-        if key not in engines:
-            start = time.perf_counter()
-            model = build()
-            built = time.perf_counter()
-            engine = HeatEngine(model)
-            build_s += built - start
-            spectrum_s += time.perf_counter() - built
-            engines[key] = (engine, measure())
-        engine, meas = engines[key]
+    excluded = floor_excluded = 0.0
+    for point, cutoffs in points:
+        params, key, build, rho0, t, reference = family_point(point, cutoffs)
+        engine, meas = engines.load(key, build)
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
             checks, engine, rho0, params["beta"], t, meas, reference, params)
         excluded = max(excluded, point_excluded)
@@ -279,7 +297,7 @@ def _run_engine_points(config, points, check_ids, family_point):
                "closed_form_excluded_probability_max": excluded,
                "prob_floor_excluded_probability_max": floor_excluded,
                "engine_routes": sorted({engine.route for engine, _ in engines.values()}),
-               "model_build_s": build_s, "spectrum_s": spectrum_s}
+               **engines.summary}
     return rows, list(checks.values()), summary
 
 
@@ -299,21 +317,22 @@ def _run_heat_exchange(config):
 
     points = _sweep_points(config.get("sweep", {}), HE_PARSE, cutoffs)
 
-    def family_point(point):
+    def family_point(point, cutoff):
         p = {**base, **point}
         omega_0, g, delta, beta = p["omega_0"], p["g"], p["delta"], p["beta"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
         t = cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
 
-        n_max, = cutoffs(point)
+        n_max, = cutoff
         ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         ground[0, 0] = 1.0
         params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
                   "n_max": n_max}
         return (params, (omega_0, delta, g, n_max),
-                lambda: build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
-                ground, t, lambda: fock_measurement(n_max), he_reference(he))
+                lambda: (build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
+                         fock_measurement(n_max)),
+                ground, t, he_reference(he))
 
     return _run_engine_points(config, points,
                               ("fisher", "closed_form", "avg_heat", "saturation"), family_point)
@@ -334,12 +353,11 @@ def _run_dephasing(config):
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
-    def family_point(point):
+    def family_point(point, key):
         beta, t = point.get("beta", 1.0), point.get("t", math.pi)
-        key = cutoffs(point)
         params = {"beta": beta, "t": t, "cutoffs": max(key)}
-        return (params, key, lambda: build_dephasing_model(modes, key),
-                plus, t, lambda: meas, deph_reference(cf.DephParams(tuple(modes), beta, t)))
+        return (params, key, lambda: (build_dephasing_model(modes, key), meas),
+                plus, t, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
     return _run_engine_points(config, points,
                               ("fisher", "closed_form", "avg_heat", "saturation", "score",
@@ -362,33 +380,22 @@ def _run_mean_force(config):
     points = _sweep_points(config.get("sweep", {}), {"beta": _positive}, cutoffs)
 
     checks = identity_checks("mean_force", "ur_product")
-    models = {}  # one model, and so one spectrum and one set of probe tables, per cutoff key
+    models = _Models(config, lambda model: (model.probe_tables, model)[1])  # the spectrum, tables
     rows = []
-    floor_excluded = build_s = spectrum_s = 0.0
-    for point in points:
-        beta, key = point.get("beta", 1.0), cutoffs(point)
-        if key not in models:
-            start = time.perf_counter()
-            model = build_spin_boson_model(omega_q, modes, key, coupling_axis=axis)
-            built = time.perf_counter()
-            model.probe_tables  # noqa: B018  (the spectrum and its tables, timed apart)
-            build_s += built - start
-            spectrum_s += time.perf_counter() - built
-            models[key] = model
-
-        params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis,
-                  "n_max": max(key)}
-        result, delta_u, product = check_mean_force_point(checks, models[key], beta, params)
+    floor_excluded = 0.0
+    for point, key in points:
+        model = models.load(key, lambda: build_spin_boson_model(omega_q, modes, key,
+                                                                coupling_axis=axis))
+        beta = point.get("beta", 1.0)
+        params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis, "n_max": max(key)}
+        result, delta_u, product = check_mean_force_point(checks, model, beta, params)
         floor_excluded = max(floor_excluded, result.excluded_probability)
         rows.append({**params, "u_s": result.u_s, "z_star": result.z_star,
                      "delta_u": delta_u, "delta_u_sq": result.delta_u_sq,
                      "fisher": result.fisher, "ur_product": product,
                      "dual_residual": result.dual_residual})
-    # the tail the automatic cutoffs used; none when numerics.n_max fixes them
     return rows, list(checks.values()), {
-        "tail": None if fixed is not None else CUTOFFS["mean-force"][0],
-        "prob_floor_excluded_probability_max": floor_excluded, "model_build_s": build_s,
-        "spectrum_s": spectrum_s}
+        "prob_floor_excluded_probability_max": floor_excluded, **models.summary}
 
 
 def _spectral(model):

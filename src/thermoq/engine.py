@@ -501,7 +501,7 @@ class HeatEngine:
         (H_tra - h_avg) + H_cor, which reads the traces, and agrees with it
         to the stencil's error, about 1e-11 on the checked points.
         """
-        _, scores, kept = log_scores(self._kernel(rho0, beta, t, meas), beta)
+        _, scores, kept, _ = log_scores(self._kernel(rho0, beta, t, meas), beta)
         return {label: float(scores[li]) for li, label in enumerate(meas.labels) if kept[li]}
 
     # -- two-point measurement route --------------------------------------
@@ -607,7 +607,7 @@ class HeatEngine:
     # -- finite-difference route ------------------------------------------
 
     def fisher_finite_difference(self, rho0, beta, t, meas):
-        """Classical Fisher information from d ln P_l / d(-beta) (``log_score_fisher``).
+        """Classical Fisher information from d ln P_l / d(-beta) (``log_scores``).
 
         beta acts only through the thermal sample input, so the tables are
         beta-independent and the whole five-point stencil is one call of their
@@ -616,11 +616,12 @@ class HeatEngine:
         (Q^2, n_k) x (n_k, 5) product per mode on the mode-product route. No
         conditional energy is formed.
         """
-        return log_score_fisher(self._kernel(rho0, beta, t, meas), beta)
+        return log_scores(self._kernel(rho0, beta, t, meas), beta)[3]
 
 
 def log_scores(prob_at, beta):
-    """(P_l, d ln P_l / d(-beta), kept) of every outcome, three length-L arrays.
+    """(P_l, d ln P_l / d(-beta), kept) of every outcome, three length-L arrays, and
+    the classical Fisher information F = sum_l P_l (d ln P_l / d(-beta))^2 over kept.
 
     prob_at(betas) returns the outcome probabilities at each inverse
     temperature of the 1-D array betas, as a (len(betas), L) array; it is
@@ -637,14 +638,7 @@ def log_scores(prob_at, beta):
     l_h, l_h2 = (hi - lo) / (2.0 * h), (hi2 - lo2) / h  # steps h and h/2
     scores = np.zeros(len(kept))
     scores[kept] = (4.0 * l_h2 - l_h) / 3.0
-    return p[4], scores, kept
-
-
-def log_score_fisher(prob_at, beta):
-    """Classical Fisher information sum_l P_l (d ln P_l / d(-beta))^2 over the
-    outcomes ``log_scores`` keeps."""
-    p0, scores, ok = log_scores(prob_at, beta)
-    return float(np.sum(p0[ok] * scores[ok] ** 2))
+    return p[4], scores, kept, float(np.sum(p[4][kept] * scores[kept] ** 2))
 
 
 def precision_bound(fisher):

@@ -158,11 +158,10 @@ def internal_energy_deviation(model, beta):
     E*_S eigenvalues within 1e-8 max(spread, 1) form one outcome. The result
     also carries the Fisher information of that measurement, by finite
     differences of ln P_l(beta). One ``engine.log_scores`` call gives P_l(beta),
-    the scores and the outcomes kept (P_l >= ``engine.PROB_FLOOR``): the
-    deviations and the Fisher information both sum over those outcomes, and
-    the summed probability of the others is stored as
-    ``excluded_probability``. Every quantity reads the model's
-    ``probe_tables``, built once per model.
+    the outcomes kept (P_l >= ``engine.PROB_FLOOR``) and that Fisher information,
+    the sum over them: the deviations sum over the same outcomes, and the summed
+    probability of the others is stored as ``excluded_probability``. Every
+    quantity reads the model's ``probe_tables``, built once per model.
     """
     gibbs = _gibbs_eigenpairs(model, beta)  # A and its eigenpairs, once per point
     a, wa, va = gibbs
@@ -183,10 +182,9 @@ def internal_energy_deviation(model, beta):
     def probabilities(betas):
         return _checked_probabilities(gibbs_rows(w, betas) @ occupation.T)
 
-    # P_l, its kept set and its scores from one stencil: the deviation rows keep
-    # exactly the outcomes the Fisher information sums over
-    probs, scores, kept = log_scores(probabilities, beta)
-    fisher = float(np.sum(probs[kept] * scores[kept] ** 2))
+    # P_l, its kept set and F from one stencil: the deviation rows keep exactly
+    # the outcomes the Fisher information sums over
+    probs, scores, kept, fisher = log_scores(probabilities, beta)
     e_total = np.trace(h_chi_s).real
 
     rows, mismatches = [], []

@@ -4,7 +4,7 @@ Each check is defined once here: its name and tolerance (``CHECKS``), the
 closed-form reference of each thermometer family, the comparisons made at
 one engine point or one mean-force point, and each family's automatic Fock
 cutoff (``CUTOFFS``). No run configuration sets a tolerance, the
-finite-difference step (``engine.log_score_fisher``), the probability floor
+finite-difference step (``engine.log_scores``), the probability floor
 (``engine.PROB_FLOOR``) or a cutoff's tail or margin.
 ``cross_validate`` runs all but the scaling slope on random instances of each
 family; ``verification`` is the one report that runs and cross-validation write.
@@ -153,10 +153,10 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     heat), each per outcome. An outcome with nothing to compare fails its
     check with deviation inf: 'closed_form' for one the closed form
     suppresses (``cf.SuppressedOutcomeError``), 'score' or 'two_point' for
-    one the heat decomposition left below its floor, named as 'label' in
-    ``worst_params``. Returns (record, finite-difference Fisher information,
-    worst closed-form deviation, probability mass of the outcomes below the
-    cutoff).
+    one that route or the heat decomposition left out (below its floor),
+    named as 'label' in ``worst_params``. Returns (record, finite-difference
+    Fisher information, worst closed-form deviation, probability mass of the
+    outcomes below the cutoff).
     """
     record = engine.heat_decomposition(rho0, beta, t, meas)
     fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas)
@@ -192,9 +192,10 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
             ("two_point", engine.two_point_trajectory_heat_all, "h_tra")):
         if check_id not in checks:
             continue
-        for label, value in route(rho0, beta, t, meas).items():
-            o = by_label.get(label)
-            if o is None:  # an outcome the heat decomposition left below its floor
+        values = route(rho0, beta, t, meas)
+        for label in dict.fromkeys([*values, *by_label]):
+            o, value = by_label.get(label), values.get(label)
+            if o is None or value is None:  # an outcome one side left below its floor
                 checks[check_id].update(math.inf, {**params, "label": label})
             else:
                 checks[check_id].update(abs(value - getattr(o, field_name)), params)

@@ -1,5 +1,6 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,8 @@ import gc
 import io
 import itertools
 import json
+import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -354,7 +357,7 @@ def test_mean_force_prob_floor_excluded_mass_is_reported(tmp_path, monkeypatch):
     # at beta = 2 the excited outcome of the energy-operator measurement has
     # P ~ 0.12, so a floor of 0.2, set in the engine module alone, drops it;
     # both the deviations (mean_force) and the Fisher information
-    # (engine.log_score_fisher) leave it out, so the UR product still saturates
+    # (engine.log_scores) leave it out, so the UR product still saturates
     beta, floor = 2.0, 0.2
     monkeypatch.setattr(engine, "PROB_FLOOR", floor)
     modes = [[1.2, 0.1], [1.5, 0.1]]
@@ -482,6 +485,67 @@ def test_every_schema_key_is_read(tmp_path, experiment, key, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _stated_defaults():
+    """Each (experiment, section, key, default) whose CONFIG_SCHEMA entry, a model
+    key or a sweep axis, states "(default <value>)"."""
+    entries = [(experiment, "model", keys) for experiment, keys
+               in cli.CONFIG_SCHEMA["model"].items()]
+    entries += [(experiment, "sweep", axes) for experiment, axes
+                in cli.CONFIG_SCHEMA["sweep"]["axes"].items()]
+    for experiment, section, keys in entries:
+        for key, text in keys.items():
+            stated = re.search(r"\(default (.+?)\)", text)
+            if stated:
+                value = stated.group(1)
+                yield (experiment, section, key,
+                       math.pi if value == "pi" else ast.literal_eval(value))
+
+
+def test_schema_states_every_default_a_run_applies():
+    assert sorted(_stated_defaults(), key=str) == sorted([
+        ("heat-exchange", "model", "omega_0", 1.0), ("heat-exchange", "model", "delta", 0.0),
+        ("heat-exchange", "model", "g", 0.1), ("heat-exchange", "sweep", "beta", 1.0),
+        ("heat-exchange", "sweep", "t", "optimal"),
+        ("dephasing", "sweep", "beta", 1.0), ("dephasing", "sweep", "t", math.pi),
+        ("mean-force", "model", "omega_q", 1.0), ("mean-force", "model", "coupling_axis", "xz"),
+        ("mean-force", "sweep", "beta", 1.0),
+        *(("scaling-he", "model", key, 1.0) for key in ("alpha", "s", "omega_c")),
+        ("scaling-he", "model", "delta_ratio", 0.1), ("scaling-he", "model", "time_factor", 0.3),
+        *(("scaling-deph", "model", key, 1.0) for key in ("alpha", "s", "omega_c")),
+        ("scaling-deph", "model", "k_modes", 2000),
+    ], key=str)
+
+
+# the smallest config of each experiment, setting none of the keys with a default
+MINIMAL = {
+    "heat-exchange": {"numerics": {"n_max": 6}},
+    "dephasing": {"model": {"modes": [[1.0, 0.1]]}, "numerics": {"n_max": 6}},
+    "mean-force": {"model": {"modes": [[1.0, 0.1]]}, "numerics": {"n_max": 4}},
+    "scaling-he": {"sweep": {"beta": [5.0, 10.0, 20.0, 50.0]}},
+    "scaling-deph": {"model": {"k_modes": 200}, "sweep": {"beta": [5.0, 10.0, 20.0, 50.0]}},
+}
+
+
+@pytest.mark.parametrize("experiment, section, key, default", list(_stated_defaults()),
+                         ids=lambda value: str(value))
+def test_a_stated_default_is_the_value_a_run_applies(tmp_path, experiment, section, key,
+                                                     default):
+    # a run that omits the key and one that sets it to its stated default write
+    # the same rows
+    tables = []
+    for name, value in (("omitted", None), ("set", default)):
+        config = {"experiment": experiment, **MINIMAL[experiment],
+                  "output": {"path": str(tmp_path / f"{name}.csv")}}
+        entries = {k: v for k, v in config.get(section, {}).items() if k != key}
+        if value is not None:
+            entries[key] = value if section == "model" else [value]
+        config[section] = entries
+        result = RUNNER.invoke(main, ["run", write_config(tmp_path, config, f"{name}.json")])
+        assert result.exit_code in (0, 1), result.output
+        tables.append((tmp_path / f"{name}.csv").read_text().splitlines()[2:])
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("experiment, section, key, value, message", [
     ("heat-exchange", "sweep", "g", [0.1, 0], "sweep.g must lie in (0, inf), got 0"),
     ("heat-exchange", "sweep", "delta", [-1], "sweep.delta must lie in [0, inf), got -1"),
@@ -586,7 +650,8 @@ def test_dephasing_runs_every_route_at_every_point(tmp_path, modes):
 
 class TestAutomaticCutoffs:
     """Each engine and mean-force run takes its automatic cutoffs from the one
-    table ``validate.CUTOFFS``, and the mean-force sidecar records its tail."""
+    table ``validate.CUTOFFS``, computed once per mode per point, and its sidecar
+    records their tail."""
 
     MODELS = {"heat-exchange": {"omega_0": 1.2, "g": 0.1},
               "dephasing": {"modes": [[1.2, 0.1]]},
@@ -613,12 +678,26 @@ class TestAutomaticCutoffs:
         tail, margin = CUTOFFS[experiment]
         cutoff, report = self.run(tmp_path, experiment, {})
         assert cutoff == truncation_level(2.0, 1.2, tail) + margin
-        if experiment == "mean-force":
-            assert report["tail"] == tail == 1e-8
+        assert report["tail"] == tail == {"mean-force": 1e-8}.get(experiment, 1e-10)
 
-    def test_fixed_cutoff_uses_no_tail(self, tmp_path):
-        cutoff, report = self.run(tmp_path, "mean-force", {"n_max": 5})
-        assert (cutoff, report["tail"]) == (5, None)
+    @pytest.mark.parametrize("experiment", sorted(CUTOFFS))
+    def test_fixed_cutoff_uses_no_tail(self, tmp_path, experiment):
+        cutoff, report = self.run(tmp_path, experiment, {"n_max": 16})
+        assert (cutoff, report["tail"]) == (16, None)
+
+    @pytest.mark.parametrize("experiment", sorted(CUTOFFS))
+    def test_each_point_s_cutoffs_are_computed_once(self, tmp_path, experiment, monkeypatch):
+        calls = []
+        real = cli.auto_cutoff
+        monkeypatch.setattr(cli, "auto_cutoff", lambda *a: calls.append(a) or real(*a))
+        two_modes = {} if experiment == "heat-exchange" else {"modes": [[1.2, 0.1], [1.7, 0.1]]}
+        path = write_config(tmp_path, {
+            "experiment": experiment, "model": {**self.MODELS[experiment], **two_modes},
+            "sweep": {"beta": [2.0, 3.0]}, "output": {"path": str(tmp_path / "out.csv")}})
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 0, result.output
+        omegas = [omega for omega, _ in two_modes.get("modes", [[1.2, 0.1]])]
+        assert calls == [(experiment, beta, omega) for beta in (2.0, 3.0) for omega in omegas]
 
 
 class TestCrossValidateCommand:

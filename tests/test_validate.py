@@ -144,16 +144,19 @@ def test_outcome_missing_from_the_record_fails_its_check(engine_points, monkeypa
                                                          check_id, route):
     # a route may keep an outcome the heat decomposition left below the floor
     # (near a revival the two-point P_- reads 1.00003e-12 where the kernel's is
-    # 9.99991e-13): that route's check fails there and names the outcome
+    # 9.99991e-13), or leave out one the record keeps: either way that route's
+    # check fails there and names the outcome
     eng, rho0, beta, t, meas, reference = engine_points["deph"]
     real = getattr(eng, route)
-    monkeypatch.setattr(eng, route, lambda *args: {**real(*args), 7: 0.0})
-    checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation", "score",
-                             "two_point")
-    check_engine_point(checks, eng, rho0, beta, t, meas, reference, {"beta": beta})
-    assert [i for i, c in checks.items() if not c.passed] == [check_id]
-    assert checks[check_id].max_deviation == math.inf
-    assert checks[check_id].worst_params == {"beta": beta, "label": 7}
+    for change, label in ((lambda values: {**values, 7: 0.0}, 7),
+                          (lambda values: {k: v for k, v in values.items() if k != -1}, -1)):
+        monkeypatch.setattr(eng, route, lambda *args: change(real(*args)))
+        checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation", "score",
+                                 "two_point")
+        check_engine_point(checks, eng, rho0, beta, t, meas, reference, {"beta": beta})
+        assert [i for i, c in checks.items() if not c.passed] == [check_id]
+        assert checks[check_id].max_deviation == math.inf
+        assert checks[check_id].worst_params == {"beta": beta, "label": label}
 
 
 def test_biased_initial_sample_energy_fails_score(monkeypatch):
