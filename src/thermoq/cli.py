@@ -1,22 +1,17 @@
 """Batch driver for thermometry experiments.
 
-Parses a JSON run configuration, executes a parameter sweep for one of the
-experiment families, writes the results table (CSV or JSON) plus a
-machine-readable verification report (``validate.verification``), and exits
-nonzero if any identity check exceeded its tolerance. A configuration sets the
-model, sweep, a fixed cutoff ``numerics.n_max`` and output, never a check:
-checks are ``validate.CHECKS``, cutoff rules ``validate.CUTOFFS``.
-``CONFIG_SCHEMA`` (with ``READ_BY``) lists the keys each experiment reads; one
-usage error names every other key of a config, and an output path that is a
-directory or lies in a missing one is one too, before any runner starts.
-Runners only read and check values, each sweep value and each point's
-automatic cutoffs before the first point runs, and name a bad one by the
-section it came from. Sweep points are evaluated in configuration order, so
-output rows are deterministic for a fixed config. In process,
-``main(args, standalone_mode=False)`` writes to the ``sys.stdout`` and
-``sys.stderr`` current at each call, ``--help`` and ``--version`` included,
-and keeps no reference to them afterwards: under tracemalloc a call keeps
-about 80 B (Python 3.11, click 8.4), not its whole printed output.
+Parses a JSON run configuration, runs one experiment's parameter sweep, writes
+its table (CSV or JSON) and verification report (``validate.verification``), and
+exits 1 if an identity check exceeded its tolerance. ``CONFIG_KEYS`` states once
+each key an experiment reads: its parser, its default and its ``thermoq schema``
+text. ``_read_config`` parses every key, or its default, before any runner starts;
+a bad value, an unread key or an unusable output path is a usage error (exit 2)
+naming the key. A config sets no check (``validate.CHECKS``) or cutoff rule
+(``validate.CUTOFFS``). Sweep points run in configuration order, so the rows of a
+config are deterministic. In process, ``main(args, standalone_mode=False)``
+writes to the ``sys.stdout`` and ``sys.stderr`` current at each call, ``--help``
+and ``--version`` included, and keeps no reference to them: under tracemalloc a
+call keeps about 80 B (Python 3.11, click 8.4), not its whole printed output.
 """
 
 import csv
@@ -53,6 +48,7 @@ from .validate import (
     auto_cutoff,
     check_engine_point,
     check_mean_force_point,
+    check_scaling,
     cross_validate,
     deph_reference,
     he_reference,
@@ -63,69 +59,11 @@ from .validate import (
 
 OUTPUT_DIR_ENV = "THERMOQ_OUTPUT_DIR"
 
-EXPERIMENTS = (
-    "heat-exchange",
-    "dephasing",
-    "mean-force",
-    "scaling-he",
-    "scaling-deph",
-    "cross-validate",
-)
-
-CONFIG_SCHEMA = {
-    "experiment": f"one of {list(EXPERIMENTS)}",
-    "model": {
-        "heat-exchange": {"omega_0": "float > 0 (default 1.0)",
-                          "delta": "float >= 0, half detuning (default 0.0)",
-                          "g": "float > 0 (default 0.1)"},
-        "dephasing": {"modes": "[[omega, g], ...] with omega > 0, g finite, some g != 0"},
-        "mean-force": {"omega_q": "float > 0 (default 1.0)",
-                       "modes": "[[omega, g], ...] with omega > 0, g finite",
-                       "coupling_axis": "'x' | 'z' | 'xz' (default 'xz')"},
-        "scaling-he": {"alpha": "float > 0 (default 1.0)", "s": "float >= 0 (default 1.0)",
-                       "omega_c": "float > 0 (default 1.0)",
-                       "delta_ratio": "float >= 0 (default 0.1)",
-                       "time_factor": "float > 0 (default 0.3)"},
-        "scaling-deph": {"alpha": "float > 0 (default 1.0)", "s": "float >= 0 (default 1.0)",
-                         "omega_c": "float > 0 (default 1.0)",
-                         "t": "float > 0 or null for 1/(10 omega_c)",
-                         "k_modes": "int >= 1 (default 2000)",
-                         "omega_max": "float > 0 or null for 10 omega_c"},
-    },
-    "seed": "int >= 0 (default 0)",
-    "draws": "int >= 1 (default 5)",
-    "sweep": {
-        "<axis>": "list of values; at most 3 axes; cartesian product in config order",
-        "axes": {"heat-exchange": {"beta": "float > 0 (default 1.0)",
-                                   "t": "float > 0, or 'optimal' for the half-swap time "
-                                        "(default 'optimal')",
-                                   "g": "as model.g", "delta": "as model.delta",
-                                   "omega_0": "as model.omega_0"},
-                 "dephasing": {"beta": "float > 0 (default 1.0)", "t": "float > 0 (default pi)"},
-                 "mean-force": {"beta": "float > 0 (default 1.0)"},
-                 "scaling-he": {"beta": "float > 0, at least 4 values"},
-                 "scaling-deph": {"beta": "float > 0, at least 4 values"}},
-    },
-    "numerics": {
-        "n_max": "int >= 1 or null: Fock cutoff of every mode; null or absent for the "
-                 "automatic cutoffs of validate.CUTOFFS (no other numerics key exists)",
-    },
-    "output": {
-        "path": "output file path (default <experiment>.<format>); directory overridable "
-                f"via ${OUTPUT_DIR_ENV}",
-        "format": "'csv' | 'json' (default csv)",
-        "per_outcome": "bool, one row per outcome (default false)",
-    },
-}
-# the experiments that read a top-level, numerics or output key only some of them
-# read; each other such key of CONFIG_SCHEMA every experiment reads
-READ_BY = {"seed": ["cross-validate"], "draws": ["cross-validate"],
-           "numerics.n_max": ["heat-exchange", "dephasing", "mean-force"],
-           "output.per_outcome": ["heat-exchange", "dephasing"]}
+SECTIONS = ("model", "sweep", "numerics", "output")
 
 
-class ConfigError(Exception):
-    """The run configuration is missing or inconsistent."""
+class ConfigError(click.UsageError):
+    """The run configuration is missing or inconsistent: a usage error (exit 2)."""
 
 
 def _config_hash(config):
@@ -133,106 +71,220 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+# -- parsers: parse(name, value) returns the value a run uses, or raises a
+# ConfigError naming ``name`` ("section.key")
+
+
 def _is_number(value):
     """An int or float, not a bool: JSON true/false is no number here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive(section, key, value):
+def _positive(name, value):
     if not (_is_number(value) and 0 < value < math.inf):
-        raise ConfigError(f"{section}.{key} must lie in (0, inf), got {value!r}")
+        raise ConfigError(f"{name} must lie in (0, inf), got {value!r}")
     return float(value)
 
 
-def _nonnegative(section, key, value):
+def _nonnegative(name, value):
     if not (_is_number(value) and 0 <= value < math.inf):
-        raise ConfigError(f"{section}.{key} must lie in [0, inf), got {value!r}")
+        raise ConfigError(f"{name} must lie in [0, inf), got {value!r}")
     return float(value)
 
 
-def _positive_or_optimal(section, key, value):
+def _positive_or_optimal(name, value):
     """A positive time, or 'optimal' for the heat-exchange half-swap time."""
-    return value if value == "optimal" else _positive(section, key, value)
+    return value if value == "optimal" else _positive(name, value)
 
 
-def _count(key, value, minimum):
-    if not (_is_number(value) and isinstance(value, int) and value >= minimum):
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+def _at_least(minimum):
+    def parse(name, value):
+        if not (_is_number(value) and isinstance(value, int) and value >= minimum):
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        return value
+    return parse
+
+
+def _optional(parse):
+    """``parse``, or None for a null or absent value."""
+    return lambda name, value: None if value is None else parse(name, value)
+
+
+def _one_of(*choices):
+    text = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+
+    def parse(name, value):
+        if value not in choices:
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
+        return value
+    return parse
+
+
+def _flag(name, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _unread_keys(config, experiment):
-    """Each key of ``config`` that ``experiment`` does not read, per ``CONFIG_SCHEMA``
-    and ``READ_BY``: a top-level key bare, a section's key as ``section.key``."""
-    listed = {None: CONFIG_SCHEMA, "model": CONFIG_SCHEMA["model"].get(experiment, {}),
-              "sweep": CONFIG_SCHEMA["sweep"]["axes"].get(experiment, []),
-              "numerics": CONFIG_SCHEMA["numerics"], "output": CONFIG_SCHEMA["output"]}
-    unread = []
-    for section, keys in listed.items():
-        prefix = f"{section}." if section else ""
-        for key in config.get(section, {}) if section else config:
-            if key not in keys or experiment not in READ_BY.get(prefix + key, [experiment]):
-                unread.append(prefix + key)
-    return unread
+def _path(name, value):
+    if not (value is None or isinstance(value, str) and value):
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    return value
 
 
-def _sweep_points(sweep, parse, cutoffs):
-    """(point, cutoffs(point)) of each point of the cartesian product of sweep axes, in
-    configuration order, each value checked and converted by ``parse[axis](section,
-    axis, value)`` before any point is made, and each cutoff made before any point runs."""
-    if len(sweep) > 3:
-        raise ConfigError("at most 3 sweep axes are supported")
-    for axis, values in sweep.items():
+def _axis(parse):
+    """A sweep axis: a non-empty list, each value parsed by ``parse``."""
+    def parse_axis(name, values):
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{axis} must be a non-empty list")
-    parsed = [[parse[axis]("sweep", axis, v) for v in values] for axis, values in sweep.items()]
-    points = [dict(zip(sweep, combo)) for combo in itertools.product(*parsed)]
-    return [(point, cutoffs(point)) for point in points]
+            raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
+        return [parse(name, value) for value in values]
+    return parse_axis
 
 
-def _n_max(config):
-    """The checked ``numerics.n_max`` (None: automatic cutoffs)."""
-    n_max = config.get("numerics", {}).get("n_max")
-    return None if n_max is None else _count("numerics.n_max", n_max, 1)
+def _fit_betas(name, values):
+    """A scaling sweep: the 4 or more distinct points of a log-log fit."""
+    betas = _axis(_positive)(name, values)
+    if len(set(betas)) < 4:
+        raise ConfigError(f"{name} must hold at least 4 distinct values, got {values!r}")
+    return betas
 
 
-def _cutoffs(family, n_max, beta, omegas):
-    """Each mode's Fock cutoff: ``n_max`` for every mode if set, else ``auto_cutoff``;
-    a ``ConfigError`` if an automatic cutoff passes ``truncation_level``'s cap."""
-    if n_max is not None:
-        return (n_max,) * len(omegas)
-    cutoffs = []
-    for omega in omegas:
-        try:
-            cutoffs.append(auto_cutoff(family, beta, omega))
-        except ValueError as exc:
-            raise ConfigError(f"sweep.beta = {beta!r} at omega = {omega!r} needs an automatic "
-                              f"cutoff past the cap; set numerics.n_max ({exc})") from None
-    return tuple(cutoffs)
-
-
-def _parse_modes(model, experiment):
-    """Parse the required ``modes`` key of a model section."""
-    if "modes" not in model:
-        raise ConfigError(f"{experiment} model requires 'modes'")
-    pairs = model["modes"]
-    if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-        raise ConfigError(f"model.modes must be [[omega, g], ...], got {pairs!r}")
-    if not pairs:
-        raise ConfigError("model.modes must not be empty")
+def _modes(name, pairs):
+    if not (isinstance(pairs, list) and pairs
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+        raise ConfigError(f"{name} must be a non-empty [[omega, g], ...], got {pairs!r}")
     modes = []
     for k, (omega, g) in enumerate(pairs):
         if not (_is_number(g) and math.isfinite(g)):
-            raise ConfigError(f"model.modes[{k}] coupling g must be a finite number, got {g!r}")
-        modes.append(BathMode(_positive("model", f"modes[{k}] omega", omega), float(g)))
+            raise ConfigError(f"{name}[{k}] coupling g must be a finite number, got {g!r}")
+        modes.append(BathMode(_positive(f"{name}[{k}] omega", omega), float(g)))
     return modes
 
 
+def _coupled_modes(name, pairs):
+    modes = _modes(name, pairs)
+    if not any(m.g for m in modes):
+        raise ConfigError(f"{name} couples no mode to the probe (every g is 0), "
+                          "so the probe carries no temperature information")
+    return modes
+
+
+# -- the config keys: experiment -> {"section.key" (a top-level key bare):
+# (parser, default, description)}; a run reads exactly the keys of its experiment
+
+_OUTPUT = {
+    "output.path": (_path, None, "non-empty string, the output file; null or absent: "
+                                 f"<experiment>.<format>; ${OUTPUT_DIR_ENV} replaces its "
+                                 "directory"),
+    "output.format": (_one_of("csv", "json"), "csv", "'csv' | 'json'"),
+}
+_N_MAX = {"numerics.n_max": (_optional(_at_least(1)), None,
+                             "int >= 1, the Fock cutoff of every mode; null or absent: the "
+                             "automatic cutoffs of validate.CUTOFFS")}
+_PER_OUTCOME = {"output.per_outcome": (_flag, False, "bool, one row per outcome")}
+_SPECTRAL = {"model.alpha": (_positive, 1.0, "float > 0"),
+             "model.s": (_nonnegative, 1.0, "float >= 0"),
+             "model.omega_c": (_positive, 1.0, "float > 0")}
+_FIT_BETAS = {"sweep.beta": (_fit_betas, None, "list of at least 4 distinct floats > 0")}
+CONFIG_KEYS = {
+    "heat-exchange": {
+        "model.omega_0": (_positive, 1.0, "float > 0"),
+        "model.delta": (_nonnegative, 0.0, "float >= 0, half detuning"),
+        "model.g": (_positive, 0.1, "float > 0"),
+        "sweep.beta": (_axis(_positive), [1.0], "list of floats > 0"),
+        "sweep.t": (_axis(_positive_or_optimal), ["optimal"],
+                    "list of floats > 0, or 'optimal' for the half-swap time"),
+        "sweep.g": (_axis(_positive), None, "list of values of model.g (default [model.g])"),
+        "sweep.delta": (_axis(_nonnegative), None,
+                        "list of values of model.delta (default [model.delta])"),
+        "sweep.omega_0": (_axis(_positive), None,
+                          "list of values of model.omega_0 (default [model.omega_0])"),
+        **_N_MAX, **_OUTPUT, **_PER_OUTCOME},
+    "dephasing": {
+        "model.modes": (_coupled_modes, None,
+                        "[[omega, g], ...] with omega > 0, g finite, some g != 0"),
+        "sweep.beta": (_axis(_positive), [1.0], "list of floats > 0"),
+        "sweep.t": (_axis(_positive), [math.pi], "list of floats > 0"),
+        **_N_MAX, **_OUTPUT, **_PER_OUTCOME},
+    "mean-force": {
+        "model.omega_q": (_positive, 1.0, "float > 0"),
+        "model.modes": (_modes, None, "[[omega, g], ...] with omega > 0, g finite"),
+        "model.coupling_axis": (_one_of("x", "z", "xz"), "xz", "'x' | 'z' | 'xz'"),
+        "sweep.beta": (_axis(_positive), [1.0], "list of floats > 0"),
+        **_N_MAX, **_OUTPUT},
+    "scaling-he": {
+        **_SPECTRAL,
+        "model.delta_ratio": (_nonnegative, 0.1, "float >= 0"),
+        "model.time_factor": (_positive, 0.3, "float > 0"),
+        **_FIT_BETAS, **_OUTPUT},
+    "scaling-deph": {
+        **_SPECTRAL,
+        "model.t": (_optional(_positive), None, "float > 0; null or absent: 1/(10 omega_c)"),
+        "model.k_modes": (_at_least(1), 2000, "int >= 1"),
+        "model.omega_max": (_optional(_positive), None, "float > 0; null or absent: 10 omega_c"),
+        **_FIT_BETAS, **_OUTPUT},
+    "cross-validate": {
+        "seed": (_at_least(0), 0, "int >= 0, the RNG seed"),
+        "draws": (_at_least(1), 5, "int >= 1, random instances per model family"),
+        **_OUTPUT},
+}
+EXPERIMENTS = tuple(CONFIG_KEYS)
+
+
+def _read_config(config):
+    """The run of ``config``, in its shape: each key ``CONFIG_KEYS`` lists for its
+    experiment, parsed from the config's value or else its default. The sweep holds the
+    config's axes in config order, then the others: an absent axis named like a model
+    key takes that key's value alone. A ``ConfigError`` names the unread keys, else
+    the first bad value."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {config!r}")
+    for section in SECTIONS:
+        if not isinstance(config.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
+    experiment = config.get("experiment")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
+    keys = CONFIG_KEYS[experiment]
+    given = {key: value for key, value in config.items() if key not in ("experiment", *SECTIONS)}
+    given.update((f"{section}.{key}", value)
+                 for section in SECTIONS for key, value in config.get(section, {}).items())
+    unread = [key for key in given if key not in keys]
+    if unread:
+        raise ConfigError(f"{experiment} does not read {', '.join(unread)}")
+    if len(config.get("sweep", {})) > 3:
+        raise ConfigError("at most 3 sweep axes are supported")
+    run = {"experiment": experiment, **{section: {} for section in SECTIONS}}
+    for key in [*given, *(key for key in keys if key not in given)]:
+        parse, default, _ = keys[key]
+        section, _, name = key.rpartition(".")
+        if key not in given and section == "sweep" and f"model.{name}" in keys:
+            default = [run["model"][name]]
+        (run[section] if section else run)[name] = parse(key, given.get(key, default))
+    return run
+
+
+def _sweep_points(run, omegas):
+    """(point, cutoffs) of each point of the cartesian product of the run's sweep axes,
+    in their order, each made before any point runs: per mode frequency in
+    ``omegas(point)``, numerics.n_max if set, else ``auto_cutoff`` at the point's beta."""
+    sweep, n_max = run["sweep"], run["numerics"]["n_max"]
+    points = [dict(zip(sweep, combo)) for combo in itertools.product(*sweep.values())]
+    return [(point, tuple(n_max or _auto_cutoff(run["experiment"], point["beta"], omega)
+                          for omega in omegas(point))) for point in points]
+
+
+def _auto_cutoff(family, beta, omega):
+    """``auto_cutoff``; a ``ConfigError`` if it passes ``truncation_level``'s cap."""
+    try:
+        return auto_cutoff(family, beta, omega)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.beta = {beta!r} at omega = {omega!r} needs an automatic "
+                          f"cutoff past the cap; set numerics.n_max ({exc})") from None
+
+
 def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.11e}"
-    return str(value)
+    return f"{value:.11e}" if isinstance(value, float) else str(value)
 
 
 # -- experiment runners ----------------------------------------------------
@@ -247,8 +299,9 @@ class _Models(dict):
     def __init__(self, config, prepare):
         super().__init__()
         self.prepare = prepare
-        self.summary = {"tail": CUTOFFS[config["experiment"]][0] if _n_max(config) is None
-                        else None, "model_build_s": 0.0, "spectrum_s": 0.0}
+        self.summary = {"tail": CUTOFFS[config["experiment"]][0]
+                        if config["numerics"]["n_max"] is None else None,
+                        "model_build_s": 0.0, "spectrum_s": 0.0}
 
     def load(self, key, build):
         if key not in self:
@@ -269,7 +322,7 @@ def _run_engine_points(config, points, check_ids, family_point):
     and leads each row. One engine is made per model key; its construction is the
     model's eigendecomposition (``spectrum_s``).
     """
-    per_outcome = config.get("output", {}).get("per_outcome", False)
+    per_outcome = config["output"]["per_outcome"]
     checks = identity_checks(*check_ids)
     engines = _Models(config, lambda built: (HeatEngine(built[0]), built[1]))
     rows = []
@@ -301,24 +354,10 @@ def _run_engine_points(config, points, check_ids, family_point):
     return rows, list(checks.values()), summary
 
 
-HE_PARSE = {"omega_0": _positive, "delta": _nonnegative, "g": _positive, "beta": _positive,
-            "t": _positive_or_optimal}
-
-
 def _run_heat_exchange(config):
-    fixed = _n_max(config)
-    base = {"omega_0": 1.0, "delta": 0.0, "g": 0.1, "beta": 1.0, "t": "optimal",
-            **{key: HE_PARSE[key]("model", key, value)
-               for key, value in config.get("model", {}).items()}}
+    points = _sweep_points(config, lambda p: [p["omega_0"]])
 
-    def cutoffs(point):
-        p = {**base, **point}
-        return _cutoffs("heat-exchange", fixed, p["beta"], [p["omega_0"]])
-
-    points = _sweep_points(config.get("sweep", {}), HE_PARSE, cutoffs)
-
-    def family_point(point, cutoff):
-        p = {**base, **point}
+    def family_point(p, cutoff):
         omega_0, g, delta, beta = p["omega_0"], p["g"], p["delta"], p["beta"]
         he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
         t = cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"]
@@ -339,45 +378,25 @@ def _run_heat_exchange(config):
 
 
 def _run_dephasing(config):
-    fixed = _n_max(config)
-    modes = _parse_modes(config.get("model", {}), "dephasing")
-    if not any(m.g for m in modes):
-        raise ConfigError("model.modes couples no mode to the probe (every g is 0), "
-                          "so the probe carries no temperature information")
-
-    def cutoffs(point):
-        return _cutoffs("dephasing", fixed, point.get("beta", 1.0), [m.omega for m in modes])
-
-    points = _sweep_points(config.get("sweep", {}), {"beta": _positive, "t": _positive},
-                           cutoffs)
+    modes = config["model"]["modes"]
+    points = _sweep_points(config, lambda point: [m.omega for m in modes])
     plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
     def family_point(point, key):
-        beta, t = point.get("beta", 1.0), point.get("t", math.pi)
+        beta, t = point["beta"], point["t"]
         params = {"beta": beta, "t": t, "cutoffs": max(key)}
         return (params, key, lambda: (build_dephasing_model(modes, key), meas),
                 plus, t, deph_reference(cf.DephParams(tuple(modes), beta, t)))
 
-    return _run_engine_points(config, points,
-                              ("fisher", "closed_form", "avg_heat", "saturation", "score",
-                               "two_point"),
-                              family_point)
+    return _run_engine_points(config, points, ("fisher", "closed_form", "avg_heat",
+                                               "saturation", "score", "two_point"), family_point)
 
 
 def _run_mean_force(config):
-    model = config.get("model", {})
-    fixed = _n_max(config)
-    omega_q = _positive("model", "omega_q", model.get("omega_q", 1.0))
-    modes = _parse_modes(model, "mean-force")
-    axis = model.get("coupling_axis", "xz")
-    if axis not in ("x", "z", "xz"):
-        raise ConfigError(f"model.coupling_axis must be 'x', 'z' or 'xz', got {axis!r}")
-
-    def cutoffs(point):
-        return _cutoffs("mean-force", fixed, point.get("beta", 1.0), [m.omega for m in modes])
-
-    points = _sweep_points(config.get("sweep", {}), {"beta": _positive}, cutoffs)
+    model = config["model"]
+    omega_q, modes, axis = model["omega_q"], model["modes"], model["coupling_axis"]
+    points = _sweep_points(config, lambda point: [m.omega for m in modes])
 
     checks = identity_checks("mean_force", "ur_product")
     models = _Models(config, lambda model: (model.probe_tables, model)[1])  # the spectrum, tables
@@ -386,7 +405,7 @@ def _run_mean_force(config):
     for point, key in points:
         model = models.load(key, lambda: build_spin_boson_model(omega_q, modes, key,
                                                                 coupling_axis=axis))
-        beta = point.get("beta", 1.0)
+        beta = point["beta"]
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis, "n_max": max(key)}
         result, delta_u, product = check_mean_force_point(checks, model, beta, params)
         floor_excluded = max(floor_excluded, result.excluded_probability)
@@ -398,58 +417,26 @@ def _run_mean_force(config):
         "prob_floor_excluded_probability_max": floor_excluded, **models.summary}
 
 
-def _spectral(model):
-    alpha = _positive("model", "alpha", model.get("alpha", 1.0))
-    s = _nonnegative("model", "s", model.get("s", 1.0))
-    omega_c = _positive("model", "omega_c", model.get("omega_c", 1.0))
-    return SpectralDensity(alpha, s, omega_c)
-
-
-def _scaling_betas(config):
-    betas = config.get("sweep", {}).get("beta")
-    if not isinstance(betas, list) or len(betas) < 4:
-        raise ConfigError(f"{config['experiment']} requires sweep.beta with at least 4 values")
-    return [_positive("sweep", "beta", b) for b in betas]
-
-
-def _scaling_rows(points, expected):
-    slope, intercept, r2 = cf.scaling_fit(points)
-    rows = [{"beta": b, "bound_rel": v} for b, v in points]
-    check = identity_checks("scaling_slope")["scaling_slope"]
-    check.update(abs(slope - expected), {"slope": slope, "expected": expected})
-    summary = {"slope": slope, "intercept": intercept, "r2": r2,
-               "expected_slope": expected}
-    return rows, [check], summary
-
-
-def _run_scaling_he(config):
-    model = config.get("model", {})
-    j = _spectral(model)
-    delta_ratio = _nonnegative("model", "delta_ratio", model.get("delta_ratio", 0.1))
-    time_factor = _positive("model", "time_factor", model.get("time_factor", 0.3))
-    betas = _scaling_betas(config)
-    points = cf.he_scaling_points(j, betas, delta_ratio=delta_ratio,
-                                  time_factor=time_factor)
-    return _scaling_rows(points, (1.0 + j.s) / 2.0)
-
-
-def _run_scaling_deph(config):
-    model = config.get("model", {})
-    j = _spectral(model)
-    t, omega_max = model.get("t"), model.get("omega_max")
-    t = None if t is None else _positive("model", "t", t)
-    omega_max = None if omega_max is None else _positive("model", "omega_max", omega_max)
-    k_modes = _count("model.k_modes", model.get("k_modes", 2000), 1)
-    betas = _scaling_betas(config)
-    points = cf.deph_scaling_points(j, betas, t=t, k_modes=k_modes,
-                                    omega_max=omega_max)
-    return _scaling_rows(points, 1.0 + j.s)
+def _run_scaling(config):
+    """A scaling sweep's bounds and the one fit of their low-temperature exponent."""
+    model, betas = config["model"], config["sweep"]["beta"]
+    j = SpectralDensity(model["alpha"], model["s"], model["omega_c"])
+    if config["experiment"] == "scaling-he":
+        points = cf.he_scaling_points(j, betas, delta_ratio=model["delta_ratio"],
+                                      time_factor=model["time_factor"])
+        expected = (1.0 + j.s) / 2.0
+    else:
+        points = cf.deph_scaling_points(j, betas, t=model["t"], k_modes=model["k_modes"],
+                                        omega_max=model["omega_max"])
+        expected = 1.0 + j.s
+    checks = identity_checks("scaling_slope")
+    slope, intercept, r2 = check_scaling(checks, points, expected)
+    return ([{"beta": b, "bound_rel": v} for b, v in points], list(checks.values()),
+            {"slope": slope, "intercept": intercept, "r2": r2, "expected_slope": expected})
 
 
 def _run_cross_validate(config):
-    seed = _count("seed", config.get("seed", 0), 0)
-    draws = _count("draws", config.get("draws", 5), 1)
-    checks, summary = cross_validate(seed, draws)
+    checks, summary = cross_validate(config["seed"], config["draws"])
     rows = [{"check": c.name, "max_deviation": c.max_deviation,
              "tolerance": c.tolerance, "passed": c.passed}
             for c in checks]
@@ -460,8 +447,8 @@ RUNNERS = {
     "heat-exchange": _run_heat_exchange,
     "dephasing": _run_dephasing,
     "mean-force": _run_mean_force,
-    "scaling-he": _run_scaling_he,
-    "scaling-deph": _run_scaling_deph,
+    "scaling-he": _run_scaling,
+    "scaling-deph": _run_scaling,
     "cross-validate": _run_cross_validate,
 }
 
@@ -567,38 +554,16 @@ def run_cmd(config_path):
             config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise click.UsageError(f"config must be a JSON object, got {config!r}")
-    for section in ("model", "sweep", "numerics", "output"):
-        if not isinstance(config.get(section, {}), dict):
-            raise click.UsageError(f"{section} must be a JSON object, got {config[section]!r}")
-    experiment, output = config.get("experiment"), config.get("output", {})
-    if experiment not in EXPERIMENTS:
-        raise click.UsageError(
-            f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}")
-    unread = _unread_keys(config, experiment)
-    if unread:
-        raise click.UsageError(f"{experiment} does not read {', '.join(unread)}")
-    fmt = output.get("format", "csv")
-    path = output.get("path", f"{experiment}.{fmt}")
-    try:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-        if not (isinstance(path, str) and path):
-            raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
-        path = _output_path(path, "output.path")
-        if not isinstance(output.get("per_outcome", False), bool):
-            raise ConfigError(
-                f"output.per_outcome must be true or false, got {output['per_outcome']!r}")
-        rows, checks, summary = RUNNERS[experiment](config)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
+    run = _read_config(config)
+    experiment, output = run["experiment"], run["output"]
+    path = _output_path(output["path"] or f"{experiment}.{output['format']}", "output.path")
+    rows, checks, summary = RUNNERS[experiment](run)
 
     meta = {"version": __version__, "config_hash": _config_hash(config),
             "experiment": experiment,
             "timestamp": datetime.now(timezone.utc).isoformat()}
     report = verification(checks, summary)
-    if fmt == "csv":
+    if output["format"] == "csv":
         _write_csv(path, rows, meta)
     else:
         _write_json(path, {"meta": meta, "rows": rows, "verification": report})
@@ -610,11 +575,16 @@ def run_cmd(config_path):
     _report(checks)
 
 
+def _cross_validate_option(key):
+    """``--<key>``: the default, parser and text of the cross-validate config key."""
+    parse, default, text = CONFIG_KEYS["cross-validate"][key]
+    return click.option(f"--{key}", default=default, show_default=True, type=int, help=text,
+                        callback=lambda ctx, param, value: parse(f"--{key}", value))
+
+
 @main.command("cross-validate")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
-              help="RNG seed (>= 0).")
-@click.option("--draws", default=5, show_default=True, type=click.IntRange(min=1),
-              help="Random instances per model family.")
+@_cross_validate_option("seed")
+@_cross_validate_option("draws")
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Optional JSON report path.")
 def cross_validate_cmd(seed, draws, output):
@@ -632,9 +602,13 @@ def cross_validate_cmd(seed, draws, output):
 
 @main.command("schema")
 def schema_cmd():
-    """Print the JSON run-configuration schema; "read_by" names the experiments that
-    read a key only some of them read."""
-    _echo(json.dumps({**CONFIG_SCHEMA, "read_by": READ_BY}, indent=2))
+    """Print each experiment's config keys: the value each takes, and its default.
+    A sweep holds at most 3 axes, swept as their cartesian product in config order."""
+    stated = {experiment: {key: text if default is None else
+                           f"{text} (default {json.dumps(default)})".replace('"', "'")
+                           for key, (_, default, text) in keys.items()}
+              for experiment, keys in CONFIG_KEYS.items()}
+    _echo(json.dumps(stated, indent=2))
 
 
 if __name__ == "__main__":

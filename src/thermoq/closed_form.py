@@ -196,13 +196,25 @@ def deph_precision_bound(p: DephParams):
 # -- scaling experiments ---------------------------------------------------
 
 
+class ScalingFitError(ValueError):
+    """A beta sweep admits no log-log fit; ``beta``: the point at fault, if one is."""
+
+    def __init__(self, message, beta=None):
+        super().__init__(message)
+        self.beta = beta
+
+
 def scaling_fit(points):
-    """Least-squares log-log fit of bound vs beta: (slope, intercept, r^2)."""
+    """Least-squares log-log fit of bound vs beta: (slope, intercept, r^2); a
+    ``ScalingFitError`` for fewer than 4 distinct betas, or at the first point whose
+    beta is not positive or whose bound is not positive and finite."""
     pts = [(float(b), float(v)) for b, v in points]
-    if len(pts) < 4:
-        raise ValueError("at least 4 points required for a scaling fit")
-    if any(b <= 0 or v <= 0 for b, v in pts):
-        raise ValueError("scaling fit requires positive betas and bounds")
+    if len({b for b, _ in pts}) < 4:
+        raise ScalingFitError(f"a scaling fit needs at least 4 distinct betas: {pts}")
+    for b, v in pts:
+        if not (b > 0 and 0 < v < math.inf):
+            raise ScalingFitError(f"a scaling fit needs positive betas and positive finite "
+                                  f"bounds, got bound {v!r} at beta = {b!r}", beta=b)
     x = np.log([b for b, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -221,6 +221,20 @@ def check_mean_force_point(checks, model, beta, params):
     return result, delta_u, product
 
 
+def check_scaling(checks, points, expected):
+    """Log-log fit of a scaling sweep's (beta, bound) points: updates the
+    'scaling_slope' check with |slope - expected| and returns (slope, intercept, r^2).
+    A sweep with no fit (``cf.ScalingFitError``: a bound that is not finite, say)
+    fails it with deviation inf at the 'beta' at fault, and its fit is NaN."""
+    try:
+        slope, intercept, r2 = cf.scaling_fit(points)
+    except cf.ScalingFitError as exc:
+        checks["scaling_slope"].update(math.inf, {"beta": exc.beta})
+        return math.nan, math.nan, math.nan
+    checks["scaling_slope"].update(abs(slope - expected), {"slope": slope, "expected": expected})
+    return slope, intercept, r2
+
+
 # -- randomized cross-validation -------------------------------------------
 
 # family -> (thermal tail, margin) of the automatic Fock cutoff of one mode

@@ -1,6 +1,5 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
-import ast
 import contextlib
 import csv
 import dataclasses
@@ -9,8 +8,8 @@ import io
 import itertools
 import json
 import math
-import re
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from click.testing import CliRunner
 
 from thermoq import __version__, cli, engine, mean_force
 from thermoq.cli import main
-from thermoq.closed_form import HEParams, he_optimal_time
+from thermoq.closed_form import HEParams, he_optimal_time, scaling_fit
 from thermoq.engine import PROB_FLOOR, HeatEngine
 from thermoq.linalg import truncation_level
 from thermoq.mean_force import internal_energy_deviation
@@ -56,8 +55,16 @@ class TestSchemaAndUsage:
         result = RUNNER.invoke(main, ["schema"])
         assert result.exit_code == 0
         schema = json.loads(result.output)
-        assert "experiment" in schema and "output" in schema
-        assert schema["read_by"]["output.per_outcome"] == ["heat-exchange", "dephasing"]
+        # one entry per experiment, listing the keys of its row of CONFIG_KEYS
+        assert {experiment: list(keys) for experiment, keys in schema.items()} == {
+            experiment: list(keys) for experiment, keys in cli.CONFIG_KEYS.items()}
+        assert list(schema) == list(cli.EXPERIMENTS)
+        # "(default ...)" is written from the default itself
+        assert schema["heat-exchange"]["output.per_outcome"] == (
+            "bool, one row per outcome (default false)")
+        assert schema["dephasing"]["sweep.t"].endswith(f"(default [{math.pi!r}])")
+        assert schema["cross-validate"]["draws"].endswith("(default 5)")
+        assert "default" not in schema["scaling-he"]["sweep.beta"]
 
     def test_missing_config_file_is_usage_error(self):
         result = RUNNER.invoke(main, ["run", "/nonexistent/config.json"])
@@ -132,6 +139,9 @@ class TestSchemaAndUsage:
         ("scaling-he", "model.s", -1),
         ("scaling-he", "model.time_factor", -1),
         ("scaling-he", "sweep.beta", [1.0, 2.0, 3.0, -4.0]),
+        # a scaling fit needs 4 distinct betas, not 4 values
+        ("scaling-he", "sweep.beta", [5, 5, 5, 5]),
+        ("scaling-deph", "sweep.beta", [5.0, 10.0, 20.0, 20.0]),
         # JSON booleans are not numbers, though Python's bool is an int
         ("heat-exchange", "model.g", True),
         ("heat-exchange", "model.delta", False),
@@ -433,7 +443,7 @@ def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):
     assert not (tmp_path / "o.csv").exists()
 
 
-# an out-of-range value of each key CONFIG_SCHEMA lists, and the name its error gives it
+# an out-of-range value of each key CONFIG_KEYS lists, and the name its error gives it
 BAD_VALUES = {
     "experiment": ("bogus", "experiment"),
     "seed": (-1, "seed"), "draws": (0, "draws"),
@@ -454,15 +464,10 @@ BAD_VALUES = {
 
 
 def _schema_keys():
-    """Each (experiment, key) CONFIG_SCHEMA lists, READ_BY restricting some keys."""
-    for experiment in cli.EXPERIMENTS:
-        keys = ["experiment", "seed", "draws"]
-        keys += [f"model.{k}" for k in cli.CONFIG_SCHEMA["model"].get(experiment, {})]
-        keys += [f"sweep.{a}" for a in cli.CONFIG_SCHEMA["sweep"]["axes"].get(experiment, [])]
-        keys += [f"{s}.{k}" for s in ("numerics", "output") for k in cli.CONFIG_SCHEMA[s]]
-        for key in keys:
-            if experiment in cli.READ_BY.get(key, [experiment]):
-                yield experiment, key
+    """Each (experiment, key) of CONFIG_KEYS, and each experiment's 'experiment'."""
+    for experiment, keys in cli.CONFIG_KEYS.items():
+        yield experiment, "experiment"
+        yield from ((experiment, key) for key in keys)
 
 
 @pytest.mark.parametrize("experiment, key", list(_schema_keys()))
@@ -486,19 +491,14 @@ def test_every_schema_key_is_read(tmp_path, experiment, key, monkeypatch):
 
 
 def _stated_defaults():
-    """Each (experiment, section, key, default) whose CONFIG_SCHEMA entry, a model
-    key or a sweep axis, states "(default <value>)"."""
-    entries = [(experiment, "model", keys) for experiment, keys
-               in cli.CONFIG_SCHEMA["model"].items()]
-    entries += [(experiment, "sweep", axes) for experiment, axes
-                in cli.CONFIG_SCHEMA["sweep"]["axes"].items()]
-    for experiment, section, keys in entries:
-        for key, text in keys.items():
-            stated = re.search(r"\(default (.+?)\)", text)
-            if stated:
-                value = stated.group(1)
-                yield (experiment, section, key,
-                       math.pi if value == "pi" else ast.literal_eval(value))
+    """Each (experiment, section, key, default) of a model key or sweep axis that has
+    a default in CONFIG_KEYS; a sweep axis's default is a list of one value, given
+    here as that value."""
+    for experiment, keys in cli.CONFIG_KEYS.items():
+        for key, (_, default, _) in keys.items():
+            section, _, name = key.partition(".")
+            if section in ("model", "sweep") and default is not None:
+                yield experiment, section, name, default[0] if section == "sweep" else default
 
 
 def test_schema_states_every_default_a_run_applies():
@@ -618,15 +618,45 @@ def test_optimal_time_stays_a_valid_sweep_value(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("config", ["scaling_he.json", "scaling_deph.json"])
-def test_scaling_check_is_the_shared_definition(config):
-    # the scaling runners report the one check CHECKS defines, at its tolerance
+def test_scaling_check_is_the_shared_definition(config, monkeypatch):
+    # the scaling runners report the one check validate.check_scaling makes, at the
+    # tolerance CHECKS defines
+    calls = []
+    real = cli.check_scaling
+    monkeypatch.setattr(cli, "check_scaling", lambda *a: calls.append(a) or real(*a))
     stock = json.loads((Path(__file__).parents[1] / "configs" / config).read_text())
     if stock["experiment"] == "scaling-deph":
         stock["model"]["k_modes"] = 200  # the slope is not under test here
-    _, checks, summary = cli.RUNNERS[stock["experiment"]](stock)
+    rows, checks, summary = cli.RUNNERS[stock["experiment"]](cli._read_config(stock))
+    assert len(calls) == 1
+    points, expected = calls[0][1:]
+    assert [(r["beta"], r["bound_rel"]) for r in rows] == points
     assert [(c.name, c.tolerance) for c in checks] == [CHECKS["scaling_slope"]]
     assert CHECKS["scaling_slope"][1] == 0.1
-    assert checks[0].max_deviation == abs(summary["slope"] - summary["expected_slope"])
+    slope, intercept, r2 = scaling_fit(points)
+    assert (summary["slope"], summary["intercept"], summary["r2"]) == (slope, intercept, r2)
+    assert summary["expected_slope"] == expected
+    assert checks[0].max_deviation == abs(slope - expected)
+
+
+def test_a_bound_that_is_not_finite_fails_the_scaling_check(tmp_path):
+    # with 50 modes the dephasing bound overflows to inf from beta = 1e4 on: the
+    # run fails scaling_slope there, with deviation inf, instead of fitting a NaN
+    # slope, and writes its rows and sidecar
+    path = write_config(tmp_path, {
+        "experiment": "scaling-deph", "model": {"k_modes": 50},
+        "sweep": {"beta": [100.0, 1e3, 1e4, 1e5]},
+        "output": {"path": str(tmp_path / "s.csv")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "s.csv.verification.json").read_text())
+    [check] = report["checks"]
+    assert (check["name"], check["passed"]) == (CHECKS["scaling_slope"][0], False)
+    assert check["max_deviation"] == np.inf and check["worst_params"] == {"beta": 1e4}
+    assert math.isnan(report["slope"])
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 3 + 4
 
 
 # a mode with g = 0 among coupled ones is a valid, if idle, part of the sample
@@ -721,6 +751,22 @@ class TestCrossValidateCommand:
         assert report["engine_routes"] == {"heat-exchange": ["branch-kernel"],
                                            "dephasing": ["mode-product"]}
         assert 0 < report["closed_form_excluded_probability_max"] < 1e-4
+
+    def test_default_seed_and_draws_are_the_config_defaults(self, tmp_path):
+        # the options' defaults are the cross-validate config's: no options and an
+        # empty config write one report
+        result = RUNNER.invoke(main, ["cross-validate", "--output", str(tmp_path / "a.json")])
+        assert result.exit_code == 0, result.output
+        assert "seed=0 draws=5" in result.output
+        path = write_config(tmp_path, {"experiment": "cross-validate",
+                                       "output": {"path": str(tmp_path / "b.json"),
+                                                  "format": "json"}})
+        result = RUNNER.invoke(main, ["run", path])
+        assert result.exit_code == 0, result.output
+        option, config = (json.loads((tmp_path / name).read_text())
+                          for name in ("a.json", "b.json.verification.json"))
+        assert option.pop("elapsed_seconds") > 0 and config.pop("elapsed_seconds") > 0
+        assert option == config
 
     def test_fixed_seed_is_deterministic(self):
         runs = [RUNNER.invoke(main, ["cross-validate", "--seed", "5", "--draws", "1"])
@@ -961,7 +1007,7 @@ HELP_AND_VERSION = {"help": ["--help"], "run-help": ["run", "--help"],
 
 
 @pytest.mark.parametrize("command, code, in_stdout, stderr", [
-    ("schema", 0, '"read_by"', ""),
+    ("schema", 0, '"output.per_outcome"', ""),
     ("passing-run", 0, "verification passed", ""),
     ("failing-run", 1, "[FAIL]", "verification FAILED\n"),
     ("cross-validate", 0, "verification passed", ""),

@@ -1,6 +1,7 @@
 """Closed forms for both thermometer families and the scaling pipelines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from thermoq.closed_form import (
     DephParams,
     HEParams,
+    ScalingFitError,
     SuppressedOutcomeError,
     deph_fisher,
     deph_heat_terms,
@@ -199,11 +201,25 @@ class TestScaling:
         assert intercept == pytest.approx(math.log(0.7), abs=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_short_or_nonpositive_input(self):
-        with pytest.raises(ValueError):
-            scaling_fit([(1.0, 1.0), (2.0, 2.0)])
-        with pytest.raises(ValueError):
-            scaling_fit([(1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 1.0)])
+    # four equal betas once fitted a slope under polyfit's RankWarning, with r^2 = 1,
+    # and an infinite bound gave a NaN slope under numpy's "invalid value" warning
+    @pytest.mark.parametrize("points, beta", [
+        ([(1.0, 1.0), (2.0, 2.0)], None),
+        ([(5.0, 1.0)] * 4, None),
+        ([(1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 1.0)], 2.0),
+        ([(1.0, 1.0), (2.0, 2.0), (3.0, math.inf), (4.0, math.inf)], 3.0),
+        ([(1.0, 1.0), (2.0, 2.0), (3.0, math.nan), (4.0, 4.0)], 3.0),
+        ([(1.0, 1.0), (2.0, 2.0), (3.0, 0.0), (4.0, 4.0)], 3.0),
+        ([(-1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)], -1.0),
+    ], ids=["short", "equal-betas", "negative", "inf", "nan", "zero", "negative-beta"])
+    def test_rejects_a_sweep_with_no_fit(self, points, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingFitError) as info:
+                scaling_fit(points)
+        assert isinstance(info.value, ValueError) and info.value.beta == beta
+        if beta is not None:
+            assert f"at beta = {beta}" in str(info.value)
 
     def test_exchange_pipeline_slope(self):
         j = SpectralDensity(alpha=1.0, s=1.0, omega_c=1.0)

@@ -639,7 +639,7 @@ class TestBranchKernel(_MatchesDense):
     def test_sweep_builds_the_tables_once_per_time(self, monkeypatch):
         # a beta-outer, t-inner sweep at fixed n_max shares one engine, which
         # keeps the tables of both times across the betas
-        from thermoq.cli import _run_heat_exchange
+        from thermoq.cli import _read_config, _run_heat_exchange
 
         builds = []
         real_build = HeatEngine._branch_tables
@@ -649,9 +649,9 @@ class TestBranchKernel(_MatchesDense):
             return real_build(self, w, phi, t, meas)
 
         monkeypatch.setattr(HeatEngine, "_branch_tables", build)
-        rows, checks, _ = _run_heat_exchange({
+        rows, checks, _ = _run_heat_exchange(_read_config({
             "experiment": "heat-exchange", "model": {"omega_0": 1.0, "g": 0.1},
-            "sweep": {"beta": [1.1, 1.4], "t": [3.0, 5.0]}, "numerics": {"n_max": 27}})
+            "sweep": {"beta": [1.1, 1.4], "t": [3.0, 5.0]}, "numerics": {"n_max": 27}}))
         assert len(rows) == 4 and all(c.passed for c in checks)
         assert builds == [3.0, 5.0]
 

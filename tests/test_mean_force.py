@@ -318,14 +318,14 @@ class TestOneComputationPerPoint:
         return calls
 
     def test_cli_runner(self, calls):
-        from thermoq.cli import _run_mean_force
+        from thermoq.cli import _read_config, _run_mean_force
 
-        rows, checks, _ = _run_mean_force({
+        rows, checks, _ = _run_mean_force(_read_config({
             "experiment": "mean-force",
             "model": {"omega_q": 1.0, "modes": [[0.9, 0.1], [1.4, 0.1]]},
             "sweep": {"beta": [1.0, 1.2]},
             "numerics": {"n_max": 4},
-        })
+        }))
         assert len(rows) == 2 and all(c.passed for c in checks)
         # numerics.n_max fixes the cutoffs, so both betas share one model
         assert calls["eigh_dims"].count(2 * 5 * 5) == 1
