@@ -231,17 +231,17 @@ def he_scaling_points(j: SpectralDensity, betas, delta_ratio=0.1, time_factor=0.
     g^2 = integral of J up to omega_0, detuning = delta_ratio * g. The
     evolution time is held fixed across the sweep (short compared with
     every Rabi period, time_factor/E at the smallest beta) so the bound
-    tracks the shrinking coupling.
+    tracks the shrinking coupling. The points keep the order of betas.
     """
     from scipy.integrate import quad
 
-    betas = sorted(float(b) for b in betas)
     params = []
-    for beta in betas:
+    for beta in map(float, betas):
         omega_0 = 1.0 / beta
         g = math.sqrt(quad(j, 0.0, omega_0)[0])
         params.append((beta, omega_0, g, delta_ratio * g))
-    t = time_factor / math.hypot(params[0][3], params[0][2])
+    _, _, g_0, delta_0 = min(params)  # the smallest beta's
+    t = time_factor / math.hypot(delta_0, g_0)
     return [
         (beta, he_precision_bound(HEParams(omega_0 + 2 * delta, omega_0, g, beta, t)))
         for beta, omega_0, g, delta in params

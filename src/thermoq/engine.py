@@ -18,15 +18,19 @@ The heat terms, the direct score and the finite-difference Fisher
 information read beta-independent tables of one (rho0, t, measurement);
 every outcome probability and conditional energy is then a short
 contraction with the thermal weights. Each route's tables define P_l in one
-place, a kernel that takes a vector of betas and returns a (B, L) array
-(``probabilities``): ``traces``, the conditional energies the heat terms
-read at one beta, takes its P_l from it, and the direct score and the
-finite-difference Fisher information evaluate one five-point stencil
+place, ``probabilities``, which takes a vector of betas, returns a (B, L)
+array and range-checks what it forms (roundoff clipped into [0, 1],
+``ProbabilityRangeError`` beyond it): ``traces``, the conditional energies
+the heat terms read at one beta, takes its P_l from it, and the direct score
+and the finite-difference Fisher information evaluate one five-point stencil
 (``log_scores``) in one call of it and form no conditional energy. Every
-route first checks beta > 0 (``ValueError``). Two routes build the tables,
-and the engine picks one from the model's type, with no option: the
-mode-product route exactly when the model is a ``ModeProductModel``, the
-branch kernel for every ``CompositeModel``.
+route first checks beta > 0 and the size of the measurement and of rho0
+(``ValueError``), and that rho0 is a density matrix
+(``InvalidProbeStateError``); the table routes check the last three once per
+(rho0, t, measurement), when they build its tables. Two routes build the
+tables, and the engine picks one from the model's type, with no option
+(``HeatEngine.route``): ``'mode-product'`` exactly when the model is a
+``ModeProductModel``, ``'branch-kernel'`` for every ``CompositeModel``.
 
 Mode-product route, for ``ModeProductModel`` (``build_dephasing_model``,
 which holds no H). Each probe level q dresses the whole sample, one
@@ -46,15 +50,18 @@ of rho_t[q, q'] Pi_l[q', q] (rho_t = e^{-i H_S t} rho0 e^{i H_S t}) with
   N_k^{qq'}[j] = (u_{k,q'}^dag eps_k u_{k,q})[j, j], for the final one.
 
 This is the exact pure-dephasing solution (Breuer and Petruccione, The
-Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. The
-products over k' != k are prefix times suffix products, never a division,
-since chi can vanish. P_l is Tr[Pi_l rho_t] plus the contraction with
-prod_k chi_k - 1, accumulated from the small 1 - chi_k, so a rare outcome's
-probability keeps its relative precision from one beta of a
-finite-difference stencil to the next; at B betas the kernel forms each
-1 - chi_k as one (Q^2, n_k) x (n_k, B) product. Per (rho0, t) it costs
-O(sum_k n_k^3) for the mode propagators, per beta O(sum_k n_k); no array
-has the size of the full space, of the sample or of its branches.
+Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. Both
+energy sums accumulate over the modes with one running product, each earlier
+term times the chi of every later mode, never a division, since chi can
+vanish. P_l is Tr[Pi_l rho_t] plus the contraction with prod_k chi_k - 1,
+accumulated from the small 1 - chi_k, so a rare outcome's probability keeps
+its relative precision from one beta of a finite-difference stencil to the
+next; at B betas ``probabilities`` forms each 1 - chi_k as one
+(Q^2, n_k) x (n_k, B) product. With Q probe levels, per (rho0, t) it costs
+one real n_k x n_k x 2 n_k product per mode and probe level for the mode
+propagators and O(Q^2 sum_k n_k^2) for the tables, per beta
+O(Q^2 sum_k n_k); no array has the size of the full space, of the sample or
+of its branches.
 
 Branch kernel, for every ``CompositeModel``. With H_B |j> = eps_j |j> on Fock
 states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
@@ -77,10 +84,11 @@ product), and a row on several (a branch that reaches two sectors, or a
 sector holding one sample level twice) adds |B^dag a|^2 over outcome l's
 columns, each weighted by 1 and by eps_i. P_l at B betas is the (B, K)
 weight matrix w_r p_j(beta_b) times the first table. Per (rho0, t) it costs
-O(sum_b K_b |I_b|^2) over the reached sectors, K_b the branches starting in
-sector b, and holds the amplitudes of the reached states only: no K x d array
-unless the branches fill the space (a model with no charge, or a rho0 of full
-rank on the exchange pair). From the vacuum of the exchange pair, branch
+two real K_b x |I_b| x |I_b| products per reached sector, K_b the branches
+starting in sector b, and per beta three L x K matrix-vector products. It
+holds the amplitudes of the reached states only: no K x d array unless the
+branches fill the space (a model with no charge, or a rho0 of full rank on
+the exchange pair). From the vacuum of the exchange pair, branch
 |0, j> reaches the sector N = j alone, so about n^2 / 2 amplitudes, not n^4.
 The dense route the tests keep as reference costs O(d^3) plus L embedded
 d x d projectors.
@@ -88,11 +96,9 @@ d x d projectors.
 The two-point route (``HeatEngine.two_point_trajectory_heat_all``) computes
 the trajectory heat from its definition instead, as the double sum over
 initial and final sample eigenstates, with a branch of its own for each
-route: on a mode-product model the double sum factorises into per-mode
-double sums over u_{k,q} as ``ModeProductModel.levels`` holds them,
-H_S[q, q] included; on every other model it evolves the same branches as
-the kernel, sector by sector from ``spectrum``, with its own scatter and
-readout. Neither branch reads the tables.
+table route (its docstring states both). Neither branch reads the tables,
+so the route stays an independent check of both. No route forms a
+full-space propagator, state or embedded projector.
 """
 
 import math
@@ -116,11 +122,6 @@ RHO0_ATOL = 1e-12  # roundoff allowed in rho0's eigenvalues (below 0) and trace
 def _require_positive_beta(beta):
     if not beta > 0:
         raise ValueError("beta must be positive")
-
-
-def _trace_prod(a, b):
-    """Tr[a b] without forming the product."""
-    return np.einsum("ij,ji->", a, b)
 
 
 def _propagator(lam, v, t):
@@ -172,15 +173,13 @@ def _checked_probabilities(probs):
     return np.clip(probs, 0.0, 1.0)
 
 
-def _require_system_dim(meas, d_s):
-    if meas.system_dim != d_s:
-        raise ValueError("measurement does not match the system factor")
-
-
-def _probe_eigenpairs(rho0, d_s):
-    """(w_r, phi_r) of rho0, checked to be a density matrix within RHO0_ATOL,
+def _probe_eigenpairs(rho0, meas, d_s):
+    """(w_r, phi_r) of rho0, once meas and rho0 are checked to act on the probe
+    factor of dimension d_s and rho0 to be a density matrix within RHO0_ATOL,
     without the eigenvalues at eigh's roundoff scale: exact zeros of a pure
     or low-rank rho0 would otherwise cost d_b branches each."""
+    if meas.system_dim != d_s:
+        raise ValueError("measurement does not match the system factor")
     w, phi = hermitian_eig(rho0)
     if w.shape != (d_s,):
         raise ValueError("rho0 does not match the system factor")
@@ -233,8 +232,9 @@ class _BranchTables:
         return (self.rho_w[:, None] * p[:, None, :]).reshape(len(p), -1)
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, the branch weights times the table of Pi_l (x) 1."""
-        return self._weights(betas) @ self.prob.T
+        """(B, L): P_l at each beta, the branch weights times the table of Pi_l (x) 1,
+        range-checked (``_checked_probabilities``)."""
+        return _checked_probabilities(self._weights(betas) @ self.prob.T)
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
@@ -262,7 +262,8 @@ class _ModeTables:
 
     def _probabilities(self, y):
         """(B, L): P_l = Tr[Pi_l rho_t] plus the contraction with prod_k chi_k - 1,
-        from y_k = 1 - chi_k, per mode a (Q * Q, B) array."""
+        from y_k = 1 - chi_k, per mode a (Q * Q, B) array, range-checked
+        (``_checked_probabilities``)."""
         # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
         # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
         # probability stays relative to it from one beta to the next
@@ -270,22 +271,23 @@ class _ModeTables:
         for y_k in y:
             x = x - y_k - x * y_k
         rows = self.weight[:-1]
-        return (rows.sum(axis=1)[:, None] + rows @ x).real.T
+        return _checked_probabilities((rows.sum(axis=1)[:, None] + rows @ x).real.T)
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
         p = [gibbs_weights(eps, beta) for eps in self.mode_energies]
-        p_eps = [pk * eps for pk, eps in zip(p, self.mode_energies)]
         y = np.array([d @ pk for d, pk in zip(self.defect, p)])  # 1 - chi_k
-        chi = 1.0 - y
+        p_eps = [pk * eps for pk, eps in zip(p, self.mode_energies)]
         start = np.array([pe.sum() - d @ pe for d, pe in zip(self.defect, p_eps)])
         end = np.array([n @ pk for n, pk in zip(self.energy, p)])
-        # others[k] = prod_{k' != k} chi_{k'}, as (prod_{k' < k}) (prod_{k' > k})
-        ones = np.ones((1, chi.shape[1]), dtype=complex)
-        before = np.cumprod(np.vstack([ones, chi[:-1]]), axis=0)
-        after = np.cumprod(np.vstack([ones, chi[:0:-1]]), axis=0)[::-1]
-        others = before * after
-        sums = np.stack([(start * others).sum(axis=0), (end * others).sum(axis=0)])
+        # after mode k: prod = prod_{k' <= k} chi_k', and sums = sum_{k'' <= k}
+        # f_k'' prod_{k' <= k, k' != k''} chi_k' for f = start and end, each earlier
+        # sum times the chi of every later mode: no division, since chi can vanish
+        prod = np.ones(y.shape[1], dtype=complex)
+        sums = np.zeros((2, y.shape[1]), dtype=complex)
+        for chi_k, f_k in zip(1.0 - y, np.stack([start, end], axis=1)):
+            sums = sums * chi_k + prod * f_k
+            prod = prod * chi_k
         rows = (self.weight @ sums.T).real
         return (self._probabilities(y[:, :, None])[0], rows[:-1, 0], rows[:-1, 1],
                 rows[-1, 0], rows[-1, 1])
@@ -294,31 +296,9 @@ class _ModeTables:
 class HeatEngine:
     """Repeated evaluation of one model's working points.
 
-    ``heat_decomposition``, ``score_direct_all`` and
-    ``fisher_finite_difference`` read beta-independent tables of
-    (rho0, t, measurement), built by one of two routes (see the module
-    docstring). ``route`` names the one this engine took, chosen from the
-    model alone:
-
-    - ``'mode-product'`` exactly when the model is a ``ModeProductModel``
-      (``build_dephasing_model``). It reads that structure only: per
-      (rho0, t) one real n_k x n_k x 2 n_k product per mode and probe level
-      and O(Q^2 sum_k n_k^2) for the tables, per beta O(Q^2 sum_k n_k) with
-      Q probe levels.
-    - ``'branch-kernel'`` for every ``CompositeModel``, the 'z' spin-boson
-      model included. It reads ``spectrum``'s dense eigenbasis per sector:
-      per (rho0, t) two real K_b x |I_b| x |I_b| products per sector that
-      rho0 reaches, K = rank(rho0) * d_b branches in all, the amplitudes
-      held on the reached states and read in the measurement's basis from
-      there; per beta three L x K matrix-vector products, and one
-      (5, K) x (K, L) product for a whole finite-difference stencil.
-
-    Neither forms a full-space propagator, state or embedded projector, and
-    neither does ``two_point_trajectory_heat_all``: it takes the same
-    (rho0, beta, t, meas) and follows the engine's route (per-mode double
-    sums on the mode-product route, the branches scattered sector by sector
-    from ``spectrum`` on the branch kernel), but builds no tables, so it
-    stays an independent check of both routes.
+    ``route`` names the route this engine took, ``'mode-product'`` or
+    ``'branch-kernel'``, chosen from the model alone; the module docstring
+    states each route and its cost.
 
     All methods are pure given their arguments. An instance keeps one cache,
     the tables of every (rho0, t, measurement) it has seen, so a sweep that
@@ -340,15 +320,15 @@ class HeatEngine:
         # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
         self._tables = {}
 
-    def _tables_for(self, rho0, t, meas):
+    def _tables_for(self, rho0, beta, t, meas):
+        """The tables of (rho0, t, meas), once beta is checked positive."""
+        _require_positive_beta(beta)
         rho0 = np.asarray(rho0, complex)
         key = (meas, rho0.shape, rho0.tobytes(), float(t))
         tables = self._tables.get(key)
         if tables is not None:
             return tables
-        d_s = self.model.system_dim
-        _require_system_dim(meas, d_s)
-        w, phi = _probe_eigenpairs(rho0, d_s)
+        w, phi = _probe_eigenpairs(rho0, meas, self.model.system_dim)
         build = self._branch_tables if self._modes is None else self._mode_tables
         tables = build(w, phi, t, meas)
         self._tables[key] = tables
@@ -453,25 +433,11 @@ class HeatEngine:
             eps=eps,
         )
 
-    # -- beta side, shared by both routes ---------------------------------
-
-    def _tables_at(self, rho0, beta, t, meas):
-        """The tables of (rho0, t, meas), once beta is checked positive."""
-        _require_positive_beta(beta)
-        return self._tables_for(rho0, t, meas)
-
-    def _kernel(self, rho0, beta, t, meas):
-        """The P_l kernel of the tables of (rho0, t, meas), its values checked and
-        clipped into [0, 1] (``_checked_probabilities``), once beta is checked."""
-        tables = self._tables_at(rho0, beta, t, meas)
-        return lambda betas: _checked_probabilities(tables.probabilities(betas))
-
     # -- heat decomposition (projected-energy route) ----------------------
 
     def heat_decomposition(self, rho0, beta, t, meas):
         """Per-outcome trajectory/correlation heat, score, and Fisher information."""
-        probs, start, end, e_b_0, e_b_t = self._tables_at(rho0, beta, t, meas).traces(beta)
-        probs = _checked_probabilities(probs)
+        probs, start, end, e_b_0, e_b_t = self._tables_for(rho0, beta, t, meas).traces(beta)
         h_avg = e_b_0 - e_b_t
 
         outcomes = []
@@ -495,13 +461,13 @@ class HeatEngine:
         """d ln P_l / d(-beta) of every outcome ``log_scores`` keeps, as a
         label -> score dict.
 
-        The derivative of the tables' P_l kernel, the stencil of
+        The derivative of the tables' ``probabilities``, the stencil of
         ``fisher_finite_difference``, forms no conditional energy: so it is
         independent of the heat decomposition's score
         (H_tra - h_avg) + H_cor, which reads the traces, and agrees with it
         to the stencil's error, about 1e-11 on the checked points.
         """
-        _, scores, kept, _ = log_scores(self._kernel(rho0, beta, t, meas), beta)
+        _, scores, kept, _ = log_scores(self._tables_for(rho0, beta, t, meas).probabilities, beta)
         return {label: float(scores[li]) for li, label in enumerate(meas.labels) if kept[li]}
 
     # -- two-point measurement route --------------------------------------
@@ -539,14 +505,11 @@ class HeatEngine:
         eigenpairs (``ModeProductModel.levels`` or ``spectrum``), the
         per-mode energies of ``ModeProductModel.mode_energies``, rho0's
         eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
-        ``_propagator``; so
-        they check the propagation, reduction and heat bookkeeping, not the
-        eigendecomposition.
+        ``_propagator``; so they check the propagation, reduction and heat
+        bookkeeping, not the eigendecomposition.
         """
         _require_positive_beta(beta)
-        d_s = self.model.system_dim
-        _require_system_dim(meas, d_s)
-        w, phi = _probe_eigenpairs(rho0, d_s)
+        w, phi = _probe_eigenpairs(rho0, meas, self.model.system_dim)
         double_sum = self._sector_two_point if self._modes is None else self._mode_two_point
         total, energy_sum = double_sum(w, phi, beta, t, meas)
         total = _checked_probabilities(total)
@@ -611,12 +574,12 @@ class HeatEngine:
 
         beta acts only through the thermal sample input, so the tables are
         beta-independent and the whole five-point stencil is one call of their
-        P_l kernel, ``probabilities(betas) -> (len(betas), L)``: one (5, K)
+        ``probabilities(betas) -> (len(betas), L)``: one (5, K)
         weight matrix times the L x K table on the branch kernel, one
         (Q^2, n_k) x (n_k, 5) product per mode on the mode-product route. No
         conditional energy is formed.
         """
-        return log_scores(self._kernel(rho0, beta, t, meas), beta)[3]
+        return log_scores(self._tables_for(rho0, beta, t, meas).probabilities, beta)[3]
 
 
 def log_scores(prob_at, beta):

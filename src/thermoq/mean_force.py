@@ -37,7 +37,6 @@ import numpy as np
 from .engine import (
     _checked_probabilities,
     _require_positive_beta,
-    _trace_prod,
     log_scores,
     precision_bound,
 )
@@ -194,7 +193,7 @@ def internal_energy_deviation(model, beta):
             excluded += p
             continue
         dev_spectral = eps_l - u_s
-        dev_trace = _trace_prod(proj, h_chi_s).real / p - e_total
+        dev_trace = np.einsum("ij,ji->", proj, h_chi_s).real / p - e_total  # Tr[Pi_l H chi_s]
         mismatches.append(abs(dev_spectral - dev_trace) / max(1.0, abs(dev_trace)))
         rows.append((float(eps_l), float(p), float(dev_spectral)))
 

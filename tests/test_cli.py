@@ -639,6 +639,22 @@ def test_scaling_check_is_the_shared_definition(config, monkeypatch):
     assert checks[0].max_deviation == abs(slope - expected)
 
 
+@pytest.mark.parametrize("experiment", ["scaling-he", "scaling-deph"])
+def test_scaling_rows_keep_the_config_order(experiment):
+    # a scaling sweep writes its rows in the order its config lists the betas, and
+    # each beta gets the bound it gets in an ascending sweep (scaling-he takes its
+    # fixed time at the smallest beta wherever the config lists it)
+    def points(betas):
+        config = {"experiment": experiment, **MINIMAL[experiment]}
+        config["sweep"] = {"beta": betas}
+        rows, _, _ = cli.RUNNERS[experiment](cli._read_config(config))
+        return [(r["beta"], r["bound_rel"]) for r in rows]
+
+    unsorted = points([50.0, 5.0, 20.0, 10.0])
+    assert [beta for beta, _ in unsorted] == [50.0, 5.0, 20.0, 10.0]
+    assert sorted(unsorted) == points([5.0, 10.0, 20.0, 50.0])
+
+
 def test_a_bound_that_is_not_finite_fails_the_scaling_check(tmp_path):
     # with 50 modes the dephasing bound overflows to inf from beta = 1e4 on: the
     # run fails scaling_slope there, with deviation inf, instead of fitting a NaN

@@ -57,7 +57,7 @@ from dense_reference import (
 def kernel_probabilities(eng, rho0, beta, t, meas):
     """P_l of every outcome at beta, those below the floor included: the P_l
     kernel of the engine's tables of (rho0, t, meas)."""
-    return eng._tables_for(rho0, t, meas).probabilities([beta])[0]
+    return eng._tables_for(rho0, beta, t, meas).probabilities([beta])[0]
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +543,22 @@ PARITY_DRAWS = [(seed, *draw_deph_instance(np.random.default_rng(seed))) for see
 SMALL_PARITY_DRAWS = [draw for draw in PARITY_DRAWS if draw[2].space.total_dim <= 800]
 
 
+def _many_mode_draw(seed, omegas, gs, cutoffs):
+    """A hand-built draw past the random draws' three modes, in their frequency
+    range: (seed, params, model) as in ``PARITY_DRAWS``."""
+    params = dict(modes=list(zip(omegas, gs)), beta=1.2, t=1.7, cutoffs=cutoffs)
+    return seed, params, build_dephasing_model([BathMode(*m) for m in params["modes"]], cutoffs)
+
+
+# five modes at d = 216 and six at d = 1458: the running product of the energy
+# sums over the modes (``_ModeTables.traces``) rounds differently from a product
+# of the other modes only from three modes on
+MANY_MODE_DRAWS = [
+    _many_mode_draw(20, [3.0, 3.4, 3.8, 4.2, 4.6], [0.2, 0.15, 0.1, 0.18, 0.12], [2, 2, 2, 1, 1]),
+    _many_mode_draw(21, [3.0, 3.3, 3.6, 3.9, 4.2, 4.5], [0.12, 0.2, 0.08, 0.15, 0.1, 0.18], 2),
+]
+
+
 class TestDephasingModelAgainstItsH:
     """``build_dephasing_model`` forms no H, so its mode eigenpairs are tied to
     the sparse sigma_z build of the same draw here: they add up to its H, and
@@ -568,8 +584,9 @@ class TestDephasingModelAgainstItsH:
         assert (np.abs(block_diag(*blocks) - dense_hamiltonian(twin)).max()
                 <= HERMITICITY_RTOL * scale)
 
-    @pytest.mark.parametrize("seed, params, model", SMALL_PARITY_DRAWS,
-                             ids=[f"draw-{seed}" for seed, *_ in SMALL_PARITY_DRAWS])
+    @pytest.mark.parametrize("seed, params, model", SMALL_PARITY_DRAWS + MANY_MODE_DRAWS,
+                             ids=[f"draw-{seed}" for seed, *_ in SMALL_PARITY_DRAWS]
+                             + ["five-modes", "six-modes"])
     def test_engine_agrees_with_the_branch_kernel_on_the_sparse_h(self, seed, params, model):
         rng = np.random.default_rng(seed)
         eng, ref = HeatEngine(model), HeatEngine(_sparse_twin(params))
@@ -630,7 +647,7 @@ class TestBranchKernel(_MatchesDense):
         eng = HeatEngine(eng.model)  # no tables cached
         tracemalloc.start()
         try:
-            eng._tables_for(rho0, t, meas)
+            eng._tables_for(rho0, beta, t, meas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,7 +698,7 @@ class TestProbabilityKernel:
 
     @staticmethod
     def _rows_and_traces(eng, rho0, beta, t, meas):
-        tables = eng._tables_for(rho0, t, meas)
+        tables = eng._tables_for(rho0, beta, t, meas)
         h = 1e-4 * beta
         betas = beta + np.array([h, -h, h / 2, -h / 2, 0.0, -0.5 * beta, beta])
         return tables.probabilities(betas), np.array([tables.traces(b)[0] for b in betas])
@@ -705,9 +722,9 @@ class TestProbabilityKernel:
         assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
 
     @staticmethod
-    def _count_table_calls(eng, rho0, t, meas, monkeypatch):
+    def _count_table_calls(eng, rho0, beta, t, meas, monkeypatch):
         """Counts of the calls of the kernel and of ``traces`` on the tables' type."""
-        tables_type = type(eng._tables_for(rho0, t, meas))
+        tables_type = type(eng._tables_for(rho0, beta, t, meas))
         calls = {"probabilities": 0, "traces": 0}
         for name in calls:
             real = getattr(tables_type, name)
@@ -723,7 +740,7 @@ class TestProbabilityKernel:
     def test_finite_difference_is_one_kernel_call_and_no_traces(self, request, setup,
                                                                 monkeypatch):
         eng, rho0, meas, beta, t = request.getfixturevalue(setup)
-        calls = self._count_table_calls(eng, rho0, t, meas, monkeypatch)
+        calls = self._count_table_calls(eng, rho0, beta, t, meas, monkeypatch)
         fd = eng.fisher_finite_difference(rho0, beta, t, meas)
         assert calls == {"probabilities": 1, "traces": 0}
         assert fd > 0
@@ -734,7 +751,7 @@ class TestProbabilityKernel:
         # the engine keeps no traces between calls: each heat decomposition forms
         # them once, and the direct score and the finite difference never do
         eng, rho0, meas, beta, t = request.getfixturevalue(setup)
-        calls = self._count_table_calls(eng, rho0, t, meas, monkeypatch)
+        calls = self._count_table_calls(eng, rho0, beta, t, meas, monkeypatch)
         for n in (1, 2):
             eng.heat_decomposition(rho0, beta, t, meas)
             assert calls["traces"] == n
@@ -755,6 +772,30 @@ class TestNonPositiveBeta:
         eng, rho0, meas, _, t = request.getfixturevalue(setup)
         with pytest.raises(ValueError, match="beta must be positive"):
             getattr(eng, route)(rho0, beta, t, meas)
+
+
+class TestInputSize:
+    """A measurement or a rho0 of the wrong size is a plain ``ValueError`` on
+    every route of both engine routes."""
+
+    @pytest.mark.parametrize("wrong, message", [
+        ("meas", "measurement does not match the system factor"),
+        ("rho0", "rho0 does not match the system factor"),
+    ])
+    @pytest.mark.parametrize("route", ["heat_decomposition", "score_direct_all",
+                                       "fisher_finite_difference",
+                                       "two_point_trajectory_heat_all"])
+    @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
+    def test_every_route_raises(self, request, setup, route, wrong, message):
+        eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+        # one probe level too many: a Fock measurement, or rho0 padded with zeros
+        if wrong == "meas":
+            meas = fock_measurement(meas.system_dim)
+        else:
+            rho0 = np.pad(rho0, (0, 1))
+        with pytest.raises(ValueError, match=message) as info:
+            getattr(eng, route)(rho0, beta, t, meas)
+        assert type(info.value) is ValueError
 
 
 class TestProbabilityRange:

@@ -134,9 +134,10 @@ def test_partial_support_rho0_matches_dense(state, measurement):
     n_max = 7
     model = build_coupled_oscillators(1.2, 1.0, 0.25, n_max)
     rho0 = _exchange_probe_state(state, n_max + 1, rng)
-    assert len(_probe_eigenpairs(rho0, n_max + 1)[0]) == (2 if state == "mixture-1-3" else 1)
     meas = (fock_measurement(n_max) if measurement == "fock" else
             _random_measurement(rng, n_max + 1))
+    rank = 2 if state == "mixture-1-3" else 1
+    assert len(_probe_eigenpairs(rho0, meas, n_max + 1)[0]) == rank
     _assert_engine_matches_dense(model, rho0, 1.1, 2.3, meas)
 
 
@@ -155,7 +156,7 @@ def test_vacuum_build_propagates_exactly_the_sectors_it_reaches():
         vars(model)["spectrum"] = tuple(
             (index, lam, np.full_like(v, np.nan) if b == poisoned else v)
             for b, (index, lam, v) in enumerate(spectrum))
-        built = HeatEngine(model)._tables_for(rho0, 2.0, meas)
+        built = HeatEngine(model)._tables_for(rho0, 1.0, 2.0, meas)
         return np.concatenate([built.prob.ravel(), built.energy.ravel(), built.bath_energy])
 
     clean = tables(None)
@@ -172,7 +173,7 @@ def test_two_point_route_drops_null_space_of_rho0():
     d_s = model.system_dim
     psi, _ = np.linalg.qr(rng.normal(size=(d_s, 2)) + 1j * rng.normal(size=(d_s, 2)))
     rho0 = psi @ np.diag([0.9, 0.1]) @ psi.conj().T
-    assert len(_probe_eigenpairs(rho0, d_s)[0]) == 2
+    assert len(_probe_eigenpairs(rho0, meas, d_s)[0]) == 2
     ref = dense_heat_decomposition(model, rho0, beta, t, meas)
     _assert_two_point_matches(HeatEngine(model), ref, rho0, beta, t, meas)
 
