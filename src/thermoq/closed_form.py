@@ -178,19 +178,29 @@ def deph_heat_terms(p: DephParams, l):
     return q - ratio * q, ratio * (q + c)
 
 
+def _expm1_2gamma(p: DephParams):
+    """e^{2 Gamma} - 1, inf once it overflows a float (Gamma > 354.9)."""
+    try:
+        return math.expm1(2.0 * p.gamma)
+    except OverflowError:
+        return math.inf
+
+
 def deph_fisher(p: DephParams):
     """Two-outcome Fisher information 4 C^2 / (e^{2 Gamma} - 1); 0 where C = 0, the
-    limit at a revival of every mode (Gamma = C = 0)."""
+    limit at a revival of every mode (Gamma = C = 0), and its limit 0 where
+    e^{2 Gamma} overflows."""
     if p.C == 0.0:
         return 0.0
-    return 4.0 * p.C**2 / math.expm1(2.0 * p.gamma)
+    return 4.0 * p.C**2 / _expm1_2gamma(p)
 
 
 def deph_precision_bound(p: DephParams):
-    """Relative bound sqrt(e^{2 Gamma} - 1) / (2 beta |C|)."""
+    """Relative bound sqrt(e^{2 Gamma} - 1) / (2 beta |C|); inf where C = 0 or
+    e^{2 Gamma} overflows."""
     if p.C == 0.0:
         return math.inf
-    return math.sqrt(math.expm1(2.0 * p.gamma)) / (2.0 * p.beta * abs(p.C))
+    return math.sqrt(_expm1_2gamma(p)) / (2.0 * p.beta * abs(p.C))
 
 
 # -- scaling experiments ---------------------------------------------------
@@ -241,6 +251,10 @@ def he_scaling_points(j: SpectralDensity, betas, delta_ratio=0.1, time_factor=0.
         g = math.sqrt(quad(j, 0.0, omega_0)[0])
         params.append((beta, omega_0, g, delta_ratio * g))
     _, _, g_0, delta_0 = min(params)  # the smallest beta's
+    if g_0 == 0.0:
+        # the integral of J underflows at the smallest beta, so at every beta: with
+        # no coupling there is no Rabi period to fix t by, and no bound is finite
+        return [(beta, math.inf) for beta, *_ in params]
     t = time_factor / math.hypot(delta_0, g_0)
     return [
         (beta, he_precision_bound(HEParams(omega_0 + 2 * delta, omega_0, g, beta, t)))

@@ -52,6 +52,10 @@ class DegenerateVarianceError(ValueError):
     """Internal-energy variance vanishes; the UR product is undefined."""
 
 
+class PartitionOverflowError(ValueError):
+    """Z*_S = Z / Z_B exceeds the float range at the beta it names (a cold point)."""
+
+
 @dataclass(frozen=True)
 class MeanForceResult:
     """Mean-force summary for one (model, beta) point.
@@ -88,7 +92,9 @@ def _bath_trace(model, beta, energy_shift=None):
 
     One contraction of the table G[s, t, n] = Tr_B |v_n><v_n| with the
     weights f(w_n) e^{-beta w_n}. Both exponentials are shifted by their
-    ground energies before exponentiating; the shifts recombine in the ratio.
+    ground energies before exponentiating; the shifts recombine in the ratio,
+    whose factor e^{-beta (w_0 - w_B0)} raises ``PartitionOverflowError``
+    where it overflows.
     """
     w, g, _ = model.probe_tables
     w0, wb0 = w.min(), model.bath_energies.min()
@@ -96,7 +102,11 @@ def _bath_trace(model, beta, energy_shift=None):
     if energy_shift is not None:
         weights = weights * (w - energy_shift)
     z_b_shifted = np.sum(np.exp(-beta * (model.bath_energies - wb0)))
-    return (g @ weights) * (math.exp(-beta * (w0 - wb0)) / z_b_shifted)
+    try:
+        ground_ratio = math.exp(-beta * (w0 - wb0))
+    except OverflowError:
+        raise PartitionOverflowError(f"Z / Z_B overflows a float at beta = {beta!r}") from None
+    return (g @ weights) * (ground_ratio / z_b_shifted)
 
 
 def reduced_gibbs_operator(model, beta):

@@ -22,6 +22,8 @@ from .engine import HeatEngine
 from .linalg import truncation_level
 from .mean_force import (
     DegenerateVarianceError,
+    MeanForceResult,
+    PartitionOverflowError,
     internal_energy_deviation,
     temperature_energy_ur_check,
 )
@@ -208,9 +210,17 @@ def check_mean_force_point(checks, model, beta, params):
     Updates the 'mean_force' (dual residual) and 'ur_product' checks;
     returns (result, Delta U, UR product). A point whose energy variance
     vanishes has no UR product: it fails 'ur_product' with deviation inf,
-    and its Delta U and product are NaN.
+    and its Delta U and product are NaN. A point too cold for Z / Z_B to be a
+    float (``PartitionOverflowError``) has neither: it fails both checks with
+    deviation inf, and every number of its result is NaN.
     """
-    result = internal_energy_deviation(model, beta)
+    try:
+        result = internal_energy_deviation(model, beta)
+    except PartitionOverflowError:
+        for check_id in ("mean_force", "ur_product"):
+            checks[check_id].update(math.inf, params)
+        nan = math.nan
+        return MeanForceResult(None, None, nan, nan, (), nan, nan, nan, nan), nan, nan
     checks["mean_force"].update(result.dual_residual, params)
     try:
         delta_u, _, product = temperature_energy_ur_check(result)

@@ -912,21 +912,29 @@ def test_revival_config_sets_no_floor_or_tail(tmp_path, key, value):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path):
+@pytest.mark.parametrize("t, numerics, failed, label", [
+    (REVIVAL["sweep"]["t"][0], {}, ("closed_form", "saturation", "two_point", "score"), None),
+    (6.283180445996904, {"n_max": 28}, ("closed_form", "saturation", "two_point"), -1),
+], ids=["revival", "floor-straddle"])
+def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path, t, numerics, failed,
+                                                                label):
     # at t = 2 pi every mode revives: Gamma = C = 0, so the closed-form Fisher
     # information is its 0/0 limit 0, and the checks that need information fail
     # at that point instead of the run dying on a ZeroDivisionError; the rare
-    # outcome -1 (P ~ 3e-12, a truncation artefact) fails two_point and score
-    t = REVIVAL["sweep"]["t"][0]
-    path = write_config(tmp_path, {**REVIVAL, "output": {"path": str(tmp_path / "rev.csv")}})
-    result = RUNNER.invoke(main, ["run", path])
+    # outcome -1 (P ~ 3e-12, a truncation artefact) fails two_point and score.
+    # Just before the revival, at n_max = 28, outcome -1 straddles the probability
+    # floor: the two-point route keeps it where the heat decomposition drops it,
+    # so two_point fails there with deviation inf and names it as 'label'
+    config = {**REVIVAL, "sweep": {"beta": [1.0], "t": [t]}, "numerics": numerics,
+              "output": {"path": str(tmp_path / "rev.csv")}}
+    result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
     assert result.exit_code == 1, result.output
-    assert not isinstance(result.exception, ZeroDivisionError)
+    assert isinstance(result.exception, SystemExit)
     report = json.loads((tmp_path / "rev.csv.verification.json").read_text())
-    failed = {c["name"]: c["worst_params"] for c in report["checks"] if not c["passed"]}
-    assert set(failed) == {CHECKS[c][0]
-                           for c in ("closed_form", "saturation", "two_point", "score")}
-    assert all(params["t"] == t for params in failed.values())
+    failed_checks = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    assert set(failed_checks) == {CHECKS[c][0] for c in failed}
+    assert all(c["worst_params"]["t"] == t for c in failed_checks.values())
+    assert failed_checks[CHECKS["two_point"][0]]["worst_params"].get("label") == label
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
@@ -946,6 +954,34 @@ def test_truncated_revival_fails_closed_form_and_writes_the_sidecar(tmp_path, n_
     closed_form = next(c for c in report["checks"] if c["name"] == CHECKS["closed_form"][0])
     assert closed_form["max_deviation"] == np.inf
     assert closed_form["worst_params"]["t"] == t
+
+
+@pytest.mark.parametrize("config, failed, beta", [
+    ({"experiment": "dephasing", "model": {"modes": [[1.0, 5.0]]}, "sweep": {"beta": [1.0]}},
+     ("closed_form", "saturation"), 1.0),
+    ({"experiment": "scaling-deph", "model": {"alpha": 1e6}, "sweep": {"beta": [1, 2, 3, 4]}},
+     ("scaling_slope",), 1.0),
+    ({"experiment": "mean-force", "model": {"modes": [[1.0, 0.1]]},
+      "sweep": {"beta": [1.0, 1e5]}}, ("mean_force", "ur_product"), 1e5),
+    ({"experiment": "scaling-he", "model": {"s": 500}, "sweep": {"beta": [5, 10, 20, 50]}},
+     ("scaling_slope",), 5.0),
+], ids=["dephasing-gamma", "scaling-deph-gamma", "mean-force-cold", "scaling-he-no-coupling"])
+def test_a_point_past_the_float_range_fails_the_run_and_writes_the_sidecar(tmp_path, config,
+                                                                          failed, beta):
+    # e^{2 Gamma} past Gamma = 354.9, Z / Z_B at beta = 1e5, and a coupling whose
+    # integral of J underflows to 0 once ended the run in a traceback with no
+    # output: each such point fails its checks in the report instead
+    path = write_config(tmp_path, {**config, "output": {"path": str(tmp_path / "o.csv")}})
+    result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    rows = (tmp_path / "o.csv").read_text().splitlines()[3:]
+    assert len(rows) == len(config["sweep"]["beta"])
+    report = json.loads((tmp_path / "o.csv.verification.json").read_text())
+    failed_checks = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    assert {CHECKS[c][0] for c in failed} <= set(failed_checks)
+    assert all(c["worst_params"]["beta"] == beta for c in failed_checks.values())
+    assert any(c["max_deviation"] == np.inf for c in failed_checks.values())
 
 
 def test_vanishing_energy_variance_fails_the_run_and_writes_the_sidecar(tmp_path):

@@ -158,6 +158,13 @@ class TestDephasingClosedForms:
         assert deph_fisher(p) == 0.0
         assert deph_precision_bound(p) == math.inf
 
+    def test_overflowing_decoherence_has_zero_information(self):
+        # e^{2 Gamma} overflows a float past Gamma = 354.9: F is its limit 0
+        p = DephParams((BathMode(1.0, 5.0),), 1.0, math.pi)
+        assert p.gamma > 354.9 and p.C != 0.0
+        assert deph_fisher(p) == 0.0
+        assert deph_precision_bound(p) == math.inf
+
     def test_revival_suppresses_outcome_minus_one(self):
         # P_- = 0 has no conditional heat; callers that catch ValueError still do
         p = DephParams((BathMode(1.0, 0.3),), 1.0, 2.0 * math.pi)

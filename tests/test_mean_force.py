@@ -9,6 +9,7 @@ import pytest
 from thermoq.linalg import gibbs_rows
 from thermoq.mean_force import (
     DegenerateVarianceError,
+    PartitionOverflowError,
     energy_operator,
     internal_energy,
     internal_energy_deviation,
@@ -185,6 +186,18 @@ class TestInternalEnergyDeviation:
         assert math.isnan(result.dual_residual)
         assert not checks["mean_force"].passed
         assert checks["mean_force"].worst_params == {"beta": BETA}
+
+    def test_a_point_too_cold_for_z_over_z_b_fails_both_checks(self):
+        # Z / Z_B = e^{-beta (w_0 - w_B0)} times a shifted ratio; the factor
+        # overflows a float at beta = 1e5, and the point computes nothing
+        model = build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis="xz")
+        with pytest.raises(PartitionOverflowError, match="beta = 100000.0"):
+            reduced_gibbs_operator(model, 1e5)
+        checks = identity_checks("mean_force", "ur_product")
+        result, delta_u, product = check_mean_force_point(checks, model, 1e5, {"beta": 1e5})
+        for check in checks.values():
+            assert (check.max_deviation, check.worst_params) == (math.inf, {"beta": 1e5})
+        assert all(map(math.isnan, (result.u_s, result.fisher, delta_u, product)))
 
     def test_trace_route_reads_h_not_the_eigenvalues(self):
         # shift the ground eigenvalue of the cached spectrum: the spectral route
