@@ -15,6 +15,7 @@ call keeps about 80 B (Python 3.11, click 8.4), not its whole printed output.
 """
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -25,7 +26,6 @@ import time
 from datetime import datetime, timezone
 
 import click
-import numpy as np
 
 from . import __version__
 from . import closed_form as cf
@@ -50,8 +50,8 @@ from .validate import (
     check_mean_force_point,
     check_scaling,
     cross_validate,
-    deph_reference,
-    he_reference,
+    deph_point,
+    he_point,
     identity_checks,
     relative_error,
     verification,
@@ -318,9 +318,9 @@ def _run_engine_points(config, points, check_ids, family_point):
     """The sweep of an engine experiment: one checked heat decomposition per point.
 
     ``family_point(point, cutoffs)`` returns (params, model key, builder of the
-    model and its measurement, rho0, t, closed-form reference); params holds beta
-    and leads each row. One engine is made per model key; its construction is the
-    model's eigendecomposition (``spectrum_s``).
+    model and its measurement, ``WorkingPoint``); params leads each row. One
+    engine is made per model key; its construction is the model's
+    eigendecomposition (``spectrum_s``).
     """
     per_outcome = config["output"]["per_outcome"]
     checks = identity_checks(*check_ids)
@@ -328,16 +328,16 @@ def _run_engine_points(config, points, check_ids, family_point):
     rows = []
     excluded = floor_excluded = 0.0
     for point, cutoffs in points:
-        params, key, build, rho0, t, reference = family_point(point, cutoffs)
+        params, key, build, working_point = family_point(point, cutoffs)
         engine, meas = engines.load(key, build)
         record, fisher_fd, cf_dev, point_excluded = check_engine_point(
-            checks, engine, rho0, params["beta"], t, meas, reference, params)
+            checks, engine, meas, working_point, params)
         excluded = max(excluded, point_excluded)
         floor_excluded = max(floor_excluded, record.excluded_probability)
 
-        agg = {**params, **reference.columns, "h_avg": record.h_avg,
+        agg = {**params, **working_point.columns, "h_avg": record.h_avg,
                "fisher_heat": record.fisher_heat, "fisher_fd": fisher_fd,
-               "fisher_closed_form": reference.fisher, "bound_rel": reference.bound,
+               "fisher_closed_form": working_point.fisher, "bound_rel": working_point.bound,
                "fisher_rel_dev": relative_error(fisher_fd, record.fisher_heat),
                "closed_form_dev": cf_dev}
         if per_outcome:
@@ -358,20 +358,17 @@ def _run_heat_exchange(config):
     points = _sweep_points(config, lambda p: [p["omega_0"]])
 
     def family_point(p, cutoff):
-        omega_0, g, delta, beta = p["omega_0"], p["g"], p["delta"], p["beta"]
-        he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, 0.0)
-        t = cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"]
-        he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, beta, t)
+        omega_0, g, delta = p["omega_0"], p["g"], p["delta"]
+        he = cf.HEParams(omega_0 + 2.0 * delta, omega_0, g, p["beta"], 0.0)
+        he = dataclasses.replace(he, t=cf.he_optimal_time(he) if p["t"] == "optimal" else p["t"])
 
         n_max, = cutoff
-        ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        ground[0, 0] = 1.0
-        params = {"beta": beta, "t": t, "g": g, "delta": delta, "omega_0": omega_0,
+        params = {"beta": he.beta, "t": he.t, "g": g, "delta": delta, "omega_0": omega_0,
                   "n_max": n_max}
         return (params, (omega_0, delta, g, n_max),
-                lambda: (build_coupled_oscillators(omega_0 + 2.0 * delta, omega_0, g, n_max),
+                lambda: (build_coupled_oscillators(he.omega_a, omega_0, g, n_max),
                          fock_measurement(n_max)),
-                ground, t, he_reference(he))
+                he_point(he, n_max))
 
     return _run_engine_points(config, points,
                               ("fisher", "closed_form", "avg_heat", "saturation"), family_point)
@@ -380,14 +377,13 @@ def _run_heat_exchange(config):
 def _run_dephasing(config):
     modes = config["model"]["modes"]
     points = _sweep_points(config, lambda point: [m.omega for m in modes])
-    plus = np.full((2, 2), 0.5, dtype=complex)
     meas = pauli_x_measurement()
 
     def family_point(point, key):
         beta, t = point["beta"], point["t"]
         params = {"beta": beta, "t": t, "cutoffs": max(key)}
         return (params, key, lambda: (build_dephasing_model(modes, key), meas),
-                plus, t, deph_reference(cf.DephParams(tuple(modes), beta, t)))
+                deph_point(cf.DephParams(tuple(modes), beta, t)))
 
     return _run_engine_points(config, points, ("fisher", "closed_form", "avg_heat",
                                                "saturation", "score", "two_point"), family_point)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import engine
 from .engine import _require_positive_beta
-from .models import BathMode, SpectralDensity, discretize_spectral_density
+from .models import SpectralDensity, discretize_spectral_density
 
 
 def _nbar(beta, omega):
@@ -100,6 +100,8 @@ def he_precision_bound(p: HEParams):
 
 def he_optimal_time(p: HEParams):
     """Evolution time pi / (2 E), the first to maximize the excitation swap."""
+    if p.rabi == 0.0:
+        raise ValueError("no half-swap time without coupling or detuning (g = delta = 0)")
     return 0.5 * math.pi / p.rabi
 
 

@@ -41,7 +41,7 @@ from .engine import (
     precision_bound,
 )
 from .linalg import gibbs_rows, gibbs_weights
-from .models import eigenbasis_measurement
+from .models import CompositeModel, eigenbasis_measurement
 
 
 class NonPositiveReducedStateError(ValueError):
@@ -87,6 +87,15 @@ def _hermitian_part(m):
     return h
 
 
+def _probe_tables(model):
+    """The model's ``probe_tables``; a ``TypeError`` unless it is a ``CompositeModel``."""
+    if not isinstance(model, CompositeModel):
+        raise TypeError(f"mean force needs a CompositeModel, got {type(model).__name__}; "
+                        "build_spin_boson_model(0.0, modes, n, 'z') is the dephasing "
+                        "model with its H")
+    return model.probe_tables
+
+
 def _bath_trace(model, beta, energy_shift=None):
     """Tr_B[f(H) e^{-beta H}] / Z_B on the system factor; f = 1, or f(w) = w - energy_shift.
 
@@ -96,7 +105,7 @@ def _bath_trace(model, beta, energy_shift=None):
     whose factor e^{-beta (w_0 - w_B0)} raises ``PartitionOverflowError``
     where it overflows.
     """
-    w, g, _ = model.probe_tables
+    w, g, _ = _probe_tables(model)
     w0, wb0 = w.min(), model.bath_energies.min()
     weights = np.exp(-beta * (w - w0))
     if energy_shift is not None:
@@ -127,7 +136,7 @@ def _gibbs_eigenpairs(model, beta):
 
 def internal_energy(model, beta):
     """U_S = -d/d(beta) ln Z*_S = <H>_beta - <H_B>_{gamma_B}, from the energies of H and H_B."""
-    w, wb = model.probe_tables[0], model.bath_energies
+    w, wb = _probe_tables(model)[0], model.bath_energies
     return float(gibbs_weights(w, beta) @ w - gibbs_weights(wb, beta) @ wb)
 
 
@@ -181,7 +190,7 @@ def internal_energy_deviation(model, beta):
     spread = np.ptp(np.linalg.eigvalsh(e_star))
     meas = eigenbasis_measurement(e_star, 1e-8 * max(spread, 1.0))
 
-    w, g, k = model.probe_tables
+    w, g, k = _probe_tables(model)
     # occupation[l, n] = <n|Pi_l (x) 1|n>, so P_l(b) = occupation @ gibbs(b), and the
     # whole finite-difference stencil is one gibbs_rows(w, betas) @ occupation.T; G is
     # real and symmetric in (s, t), so only the real part of each Pi_l contributes

@@ -1,9 +1,9 @@
 """Identity checks, shared by the CLI runners and randomized cross-validation.
 
-Each check is defined once here: its name and tolerance (``CHECKS``), the
-closed-form reference of each thermometer family, the comparisons made at
-one engine point or one mean-force point, and each family's automatic Fock
-cutoff (``CUTOFFS``). No run configuration sets a tolerance, the
+Each check is defined once here: its name and tolerance (``CHECKS``), each
+thermometer's ``WorkingPoint`` (start state, beta, t and closed forms), the
+comparisons made at one engine point or one mean-force point, and each family's
+automatic Fock cutoff (``CUTOFFS``). No run configuration sets a tolerance, the
 finite-difference step (``engine.log_scores``), the probability floor
 (``engine.PROB_FLOOR``) or a cutoff's tail or margin.
 ``cross_validate`` runs all but the scaling slope on random instances of each
@@ -107,13 +107,17 @@ def relative_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-# -- closed-form references ------------------------------------------------
+# -- working points --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ClosedFormReference:
-    """Closed forms of one working point: the targets of ``check_engine_point``."""
+class WorkingPoint:
+    """One thermometer point: the probe's start state, beta and t, and the
+    closed forms ``check_engine_point`` compares the engine's heats with."""
 
+    rho0: np.ndarray          # probe start state
+    beta: float
+    t: float
     probability: object       # outcome label -> P_l
     heat_terms: object        # outcome label -> (H_tra, H_cor)
     fisher: float
@@ -122,34 +126,37 @@ class ClosedFormReference:
     columns: dict = field(default_factory=dict)  # extra output columns
 
 
-def he_reference(he):
-    """Closed-form reference of an excitation-exchange working point (``cf.HEParams``)."""
+def he_point(he, n_max):
+    """Excitation-exchange working point (``cf.HEParams``): the probe starts in
+    the vacuum of its n_max + 1 levels and is read by Fock counting."""
+    vacuum = np.zeros((n_max + 1, n_max + 1), complex)
+    vacuum[0, 0] = 1.0
     # H_tra = l omega_0 and <l> = n, so <H_tra> = omega_0 n
-    return ClosedFormReference(partial(cf.he_outcome_probability, he),
-                               partial(cf.he_heat_terms, he),
-                               cf.he_fisher(he), cf.he_precision_bound(he),
-                               he.omega_0 * cf.he_mean_excitation(he))
+    return WorkingPoint(vacuum, he.beta, he.t, partial(cf.he_outcome_probability, he),
+                        partial(cf.he_heat_terms, he), cf.he_fisher(he),
+                        cf.he_precision_bound(he), he.omega_0 * cf.he_mean_excitation(he))
 
 
-def deph_reference(dp):
-    """Closed-form reference of a dephasing working point (``cf.DephParams``)."""
-    return ClosedFormReference(partial(cf.deph_probability, dp),
-                               partial(cf.deph_heat_terms, dp),
-                               cf.deph_fisher(dp), cf.deph_precision_bound(dp), avg_heat=dp.Q,
-                               columns={"gamma": dp.gamma, "Q": dp.Q, "C": dp.C})
+def deph_point(dp):
+    """Dephasing working point (``cf.DephParams``): the qubit starts in |+> and
+    is read by sigma_x."""
+    return WorkingPoint(np.full((2, 2), 0.5, complex), dp.beta, dp.t,
+                        partial(cf.deph_probability, dp), partial(cf.deph_heat_terms, dp),
+                        cf.deph_fisher(dp), cf.deph_precision_bound(dp), avg_heat=dp.Q,
+                        columns={"gamma": dp.gamma, "Q": dp.Q, "C": dp.C})
 
 
 # -- point checks ----------------------------------------------------------
 
 
-def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
-    """Heat decomposition of one point, checked against the other routes.
+def check_engine_point(checks, engine, meas, point, params):
+    """Heat decomposition of one ``WorkingPoint``, checked against the other routes.
 
     Updates ``checks``: 'fisher' (finite difference vs heat variance),
     'closed_form' (P_l, H_tra, H_cor where P_l >= CLOSED_FORM_MIN_PROB, and
     the Fisher information), 'saturation' (closed-form bound vs
     finite-difference Fisher), 'avg_heat' (the outcome-averaged trajectory
-    heat vs the reference's), and where their ids are in ``checks`` 'score'
+    heat vs the point's), and where their ids are in ``checks`` 'score'
     (the finite-difference d ln P_l / d(-beta) of ``score_direct_all`` vs the
     decomposition's score) and 'two_point' (two-point vs projected trajectory
     heat), each per outcome. An outcome with nothing to compare fails its
@@ -160,33 +167,34 @@ def check_engine_point(checks, engine, rho0, beta, t, meas, reference, params):
     Fisher information, worst closed-form deviation, probability mass of the
     outcomes below the cutoff).
     """
+    rho0, beta, t = point.rho0, point.beta, point.t
     record = engine.heat_decomposition(rho0, beta, t, meas)
     fisher_fd = engine.fisher_finite_difference(rho0, beta, t, meas)
     checks["fisher"].update(relative_error(fisher_fd, record.fisher_heat), params)
 
-    devs = [relative_error(record.fisher_heat, reference.fisher)]
+    devs = [relative_error(record.fisher_heat, point.fisher)]
     excluded = 0.0
     for o in record.outcomes:
         if o.probability < CLOSED_FORM_MIN_PROB:
             excluded += o.probability
             continue
         try:
-            h_tra_cf, h_cor_cf = reference.heat_terms(o.label)
+            h_tra_cf, h_cor_cf = point.heat_terms(o.label)
         except cf.SuppressedOutcomeError:
             # the engine sees an outcome the closed form gives no probability
             devs.append(math.inf)
             continue
         # the heats can be identically zero; compare at the outcome-energy scale
         scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
-        devs += [relative_error(o.probability, reference.probability(o.label)),
+        devs += [relative_error(o.probability, point.probability(o.label)),
                  abs(o.h_tra - h_tra_cf) / scale, abs(o.h_cor - h_cor_cf) / scale]
     closed_form_dev = float(np.max(devs))  # NaN propagates
     checks["closed_form"].update(closed_form_dev, params)
 
-    sat = reference.bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
+    sat = point.bound * beta * math.sqrt(fisher_fd) if fisher_fd > 0 else math.inf
     checks["saturation"].update(abs(sat - 1.0), params)
     avg_h_tra = sum(o.probability * o.h_tra for o in record.outcomes)
-    checks["avg_heat"].update(abs(avg_h_tra - reference.avg_heat), params)
+    checks["avg_heat"].update(abs(avg_h_tra - point.avg_heat), params)
 
     by_label = {o.label: o for o in record.outcomes}
     for check_id, route, field_name in (
@@ -258,6 +266,7 @@ def auto_cutoff(family, beta, omega):
     return truncation_level(beta, omega, tail) + margin
 
 
+# cross_validate draws these in this order on one RNG; perfbench's predict_draw relies on it
 def draw_he_instance(rng):
     """Random coupled-oscillator working point with a safe Fock cutoff."""
     omega_0 = rng.uniform(0.9, 1.4)
@@ -303,16 +312,18 @@ def draw_mean_force_instance(rng):
     return params, model
 
 
-def _engine_draw(checks, routes, params, model, rho0, meas, reference):
-    """Every engine check on one drawn instance; adds the engine's route to
-    ``routes[family]`` and returns the outcome mass the closed-form comparison
-    left out and the mass the heat decomposition left out below its
-    probability floor."""
-    eng = HeatEngine(model)
-    routes.setdefault(params["family"], set()).add(eng.route)
-    record, _, _, excluded = check_engine_point(checks, eng, rho0, params["beta"],
-                                                params["t"], meas, reference, params)
-    return excluded, record.excluded_probability
+def engine_draws(rng):
+    """One round's heat-exchange draw, then its dephasing draw, each as (params
+    naming the family, model, measurement, ``WorkingPoint``)."""
+    params, model = draw_he_instance(rng)
+    he = cf.HEParams(params["omega_a"], params["omega_0"], params["g"], params["beta"],
+                     params["t"])
+    yield ({"family": "heat-exchange", **params}, model, fock_measurement(params["n_max"]),
+           he_point(he, params["n_max"]))
+    params, model = draw_deph_instance(rng)
+    dp = cf.DephParams(tuple(BathMode(w, g) for w, g in params["modes"]), params["beta"],
+                       params["t"])
+    yield {"family": "dephasing", **params}, model, pauli_x_measurement(), deph_point(dp)
 
 
 def cross_validate(seed, draws, progress=None):
@@ -329,22 +340,11 @@ def cross_validate(seed, draws, progress=None):
         if progress:
             progress(i, draws)
 
-        params, model = draw_he_instance(rng)
-        he = cf.HEParams(params["omega_a"], params["omega_0"], params["g"],
-                         params["beta"], params["t"])
-        d_s = model.system_dim
-        ground = np.zeros((d_s, d_s), complex)
-        ground[0, 0] = 1.0
-        excluded.append(_engine_draw(checks, routes, {"family": "heat-exchange", **params},
-                                     model, ground, fock_measurement(d_s - 1),
-                                     he_reference(he)))
-
-        params, model = draw_deph_instance(rng)
-        dp = cf.DephParams(tuple(BathMode(w, g) for w, g in params["modes"]),
-                           params["beta"], params["t"])
-        excluded.append(_engine_draw(checks, routes, {"family": "dephasing", **params}, model,
-                                     np.full((2, 2), 0.5, complex), pauli_x_measurement(),
-                                     deph_reference(dp)))
+        for params, model, meas, point in engine_draws(rng):
+            engine = HeatEngine(model)
+            routes.setdefault(params["family"], set()).add(engine.route)
+            record, _, _, point_excluded = check_engine_point(checks, engine, meas, point, params)
+            excluded.append((point_excluded, record.excluded_probability))
 
         params, model = draw_mean_force_instance(rng)
         result, _, _ = check_mean_force_point(checks, model, params["beta"],

@@ -8,6 +8,7 @@ runners and cross-validation check is judged here by the same definition,
 ``validate.check_engine_point`` and the ``TOL_*`` tolerances.
 """
 
+import dataclasses
 import math
 import time
 
@@ -35,10 +36,9 @@ from thermoq.validate import (
     TOL_AVG_HEAT,
     TOL_FISHER,
     check_engine_point,
-    deph_reference,
-    draw_deph_instance,
-    draw_he_instance,
-    he_reference,
+    deph_point,
+    engine_draws,
+    he_point,
     identity_checks,
     relative_error,
 )
@@ -48,7 +48,6 @@ from dense_reference import dense_traces, initial_state, partial_trace_matrix, p
 SEED = 20250823
 DRAWS = 20
 ENGINE_CHECKS = ("score", "two_point", "fisher", "closed_form", "avg_heat", "saturation")
-PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
 @pytest.fixture(scope="module")
@@ -59,22 +58,8 @@ def random_instance_batch():
     checks = identity_checks(*ENGINE_CHECKS)
     start = time.time()
     for _ in range(DRAWS):
-        for family in ("he", "deph"):
-            if family == "he":
-                params, model = draw_he_instance(rng)
-                d_s = model.system_dim
-                rho0 = np.zeros((d_s, d_s), dtype=complex)
-                rho0[0, 0] = 1.0
-                meas = fock_measurement(d_s - 1)
-                reference = he_reference(cf.HEParams(params["omega_a"], params["omega_0"],
-                                                     params["g"], params["beta"], params["t"]))
-            else:
-                params, model = draw_deph_instance(rng)
-                rho0, meas = PLUS, pauli_x_measurement()
-                modes = tuple(BathMode(w, g) for w, g in params["modes"])
-                reference = deph_reference(cf.DephParams(modes, params["beta"], params["t"]))
-            check_engine_point(checks, HeatEngine(model), rho0, params["beta"], params["t"],
-                               meas, reference, {"family": family, **params})
+        for params, model, meas, point in engine_draws(rng):
+            check_engine_point(checks, HeatEngine(model), meas, point, params)
     return checks, time.time() - start
 
 
@@ -110,26 +95,23 @@ def test_criterion_04_exchange_closed_form_grid():
             delta = ratio * g
             model = build_coupled_oscillators(omega_0 + 2 * delta, omega_0, g, n_max)
             eng = HeatEngine(model)
-            rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-            rho0[0, 0] = 1.0
             meas = fock_measurement(n_max)
-            t_opt = cf.he_optimal_time(
-                cf.HEParams(omega_0 + 2 * delta, omega_0, g, beta, 0.0))
+            he = cf.HEParams(omega_0 + 2 * delta, omega_0, g, beta, 0.0)
+            t_opt = cf.he_optimal_time(he)
             for t in (t_opt, t_opt / 3.0):
-                p = cf.HEParams(omega_0 + 2 * delta, omega_0, g, beta, t)
-                record = eng.heat_decomposition(rho0, beta, t, meas)
+                point = he_point(dataclasses.replace(he, t=t), n_max)
+                record = eng.heat_decomposition(point.rho0, beta, t, meas)
                 for o in record.outcomes:
                     if o.probability < 1e-4:
                         continue
-                    p_cf = cf.he_outcome_probability(p, o.label)
-                    h_tra_cf, h_cor_cf = cf.he_heat_terms(p, o.label)
+                    p_cf = point.probability(o.label)
+                    h_tra_cf, h_cor_cf = point.heat_terms(o.label)
                     scale = max(abs(h_tra_cf), abs(h_cor_cf), 1.0)
                     assert abs(o.probability - p_cf) / p_cf <= 1e-6
                     assert abs(o.h_tra - h_tra_cf) / scale <= 1e-6
                     assert abs(o.h_cor - h_cor_cf) / scale <= 1e-6
                 bound_bf = 1.0 / (beta * math.sqrt(record.fisher_heat))
-                bound_cf = cf.he_precision_bound(p)
-                assert abs(bound_bf - bound_cf) / bound_cf <= 1e-6
+                assert abs(bound_bf - point.bound) / point.bound <= 1e-6
 
 
 def test_criterion_05_exchange_worked_number():
@@ -140,11 +122,11 @@ def test_criterion_05_exchange_worked_number():
     assert expected == pytest.approx(1.042190, abs=1e-5)
 
 
-def engine_checks_at(model, beta, t, reference):
-    """Every engine check at one dephasing point: the x measurement from |+>."""
+def engine_checks_at(model, point):
+    """Every engine check at one dephasing working point."""
     checks = identity_checks(*ENGINE_CHECKS)
-    check_engine_point(checks, HeatEngine(model), PLUS, beta, t, pauli_x_measurement(),
-                       reference, {"beta": beta, "t": t})
+    check_engine_point(checks, HeatEngine(model), pauli_x_measurement(), point,
+                       {"beta": point.beta, "t": point.t})
     return checks
 
 
@@ -152,6 +134,7 @@ def test_criterion_06_dephasing_worked_numbers():
     mode = BathMode(1.0, 0.1)
     beta, t = 1.0, math.pi
     p = cf.DephParams((mode,), beta, t)
+    point = deph_point(p)
     assert p.gamma == pytest.approx(0.173116, abs=1e-6)
     assert p.Q == pytest.approx(-0.040000, abs=1e-10)
     assert p.C == pytest.approx(-0.073654, abs=1e-6)
@@ -161,14 +144,14 @@ def test_criterion_06_dephasing_worked_numbers():
     n_max = truncation_level(beta, mode.omega, 1e-10) + 3
     sparse = build_spin_boson_model(0.0, [mode], n_max, coupling_axis="z")
     u = propagator(sparse, t)
-    chi_t = u @ initial_state(sparse, PLUS, beta) @ u.conj().T
+    chi_t = u @ initial_state(sparse, point.rho0, beta) @ u.conj().T
     rho_probe = partial_trace_matrix(chi_t, sparse.space.factor_dims, [0])
     gamma_bf = -math.log(2.0 * abs(rho_probe[0, 1]))
     assert gamma_bf == pytest.approx(p.gamma, abs=1e-6)
 
     # the engine's P_l, heats and Fisher information match these closed forms
     # ('closed_form'), so its bound is the worked 4.3665 ('saturation')
-    checks = engine_checks_at(build_dephasing_model([mode], n_max), beta, t, deph_reference(p))
+    checks = engine_checks_at(build_dephasing_model([mode], n_max), point)
     assert all(c.passed for c in checks.values()), [c.as_dict() for c in checks.values()]
 
 
@@ -183,8 +166,7 @@ def test_criterion_07_dephasing_average_heat():
         assert abs(closed_avg - p.Q) <= TOL_AVG_HEAT
 
         cutoffs = [truncation_level(beta, m.omega, 1e-10) + 3 for m in modes]
-        checks = engine_checks_at(build_dephasing_model(modes, cutoffs), beta, t,
-                                  deph_reference(p))
+        checks = engine_checks_at(build_dephasing_model(modes, cutoffs), deph_point(p))
         assert all(c.passed for c in checks.values()), [c.as_dict() for c in checks.values()]
 
 
@@ -256,8 +238,7 @@ def test_criterion_11_mutation_sensitivity():
     n_max, beta, t = 14, 1.2, 2.5
     model = build_coupled_oscillators(1.1, 1.0, 0.15, n_max)
     eng = HeatEngine(model)
-    rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    rho0[0, 0] = 1.0
+    rho0 = he_point(cf.HEParams(1.1, 1.0, 0.15, beta, t), n_max).rho0
     meas = fock_measurement(n_max)
 
     # the point is truncated ('closed_form' reads 4.3e-4 here), so it is judged by

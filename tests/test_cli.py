@@ -795,22 +795,22 @@ class TestCrossValidateCommand:
 def test_heat_exchange_compares_rare_outcomes(tmp_path, monkeypatch):
     # outcomes with 1e-6 <= P_l < 1e-4 are compared against the closed forms:
     # a wrong correlation heat on those outcomes alone fails the run
-    real = cli.he_reference
+    real = cli.he_point
     rare = []
 
-    def reference(he):
-        ref = real(he)
+    def he_point(he, n_max):
+        point = real(he, n_max)
 
         def heat_terms(label):
-            h_tra, h_cor = ref.heat_terms(label)
-            if 1e-6 <= ref.probability(label) < 1e-4:
+            h_tra, h_cor = point.heat_terms(label)
+            if 1e-6 <= point.probability(label) < 1e-4:
                 rare.append(label)
                 h_cor += 1e-3
             return h_tra, h_cor
 
-        return dataclasses.replace(ref, heat_terms=heat_terms)
+        return dataclasses.replace(point, heat_terms=heat_terms)
 
-    monkeypatch.setattr(cli, "he_reference", reference)
+    monkeypatch.setattr(cli, "he_point", he_point)
     result = RUNNER.invoke(main, ["run", tiny_he_config(tmp_path)])
     assert rare
     assert result.exit_code == 1, result.output

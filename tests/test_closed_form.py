@@ -35,6 +35,7 @@ from thermoq.models import (
     fock_measurement,
     pauli_x_measurement,
 )
+from thermoq.validate import deph_point, he_point
 
 
 class TestExchangeClosedForms:
@@ -76,19 +77,17 @@ class TestExchangeClosedForms:
         omega_0, g, beta, t = 1.0, 0.15, 1.1, 2.2
         n_max = truncation_level(beta, omega_0, 1e-10) + 4
         p = HEParams(omega_0 + 0.1, omega_0, g, beta, t)
+        point = he_point(p, n_max)
         eng = HeatEngine(build_coupled_oscillators(p.omega_a, omega_0, g, n_max))
-        rho0 = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        rho0[0, 0] = 1.0
-        record = eng.heat_decomposition(rho0, beta, t, fock_measurement(n_max))
+        record = eng.heat_decomposition(point.rho0, beta, t, fock_measurement(n_max))
         for o in record.outcomes:
             if o.probability < 1e-6:
                 continue
-            h_tra, h_cor = he_heat_terms(p, o.label)
-            assert o.probability == pytest.approx(he_outcome_probability(p, o.label),
-                                                  rel=1e-6)
+            h_tra, h_cor = point.heat_terms(o.label)
+            assert o.probability == pytest.approx(point.probability(o.label), rel=1e-6)
             assert o.h_tra == pytest.approx(h_tra, abs=1e-6)
             assert o.h_cor == pytest.approx(h_cor, abs=1e-6)
-        assert record.fisher_heat == pytest.approx(he_fisher(p), rel=1e-6)
+        assert record.fisher_heat == pytest.approx(point.fisher, rel=1e-6)
 
     def test_bound_saturates_cramer_rao(self):
         p = HEParams(1.0, 1.0, 0.1, 1.0, 3.0)
@@ -112,6 +111,10 @@ class TestExchangeClosedForms:
         best = he_mean_excitation(HEParams(1.3, 1.0, 0.2, 1.0, t_opt))
         for t in (0.7 * t_opt, 1.3 * t_opt):
             assert he_mean_excitation(HEParams(1.3, 1.0, 0.2, 1.0, t)) <= best
+
+    def test_no_optimal_time_without_coupling_or_detuning(self):
+        with pytest.raises(ValueError, match="no half-swap time"):
+            he_optimal_time(HEParams(1.0, 1.0, 0.0, 1.0, 0.0))
 
 
 class TestDephasingClosedForms:
@@ -175,18 +178,16 @@ class TestDephasingClosedForms:
     def test_matches_brute_force(self):
         modes = [BathMode(1.0, 0.1), BathMode(1.6, 0.15)]
         beta, t = 1.0, 1.9
-        p = DephParams(tuple(modes), beta, t)
+        point = deph_point(DephParams(tuple(modes), beta, t))
         cutoffs = [truncation_level(beta, m.omega, 1e-8) + 3 for m in modes]
         eng = HeatEngine(build_dephasing_model(modes, cutoffs))
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        record = eng.heat_decomposition(plus, beta, t, pauli_x_measurement())
+        record = eng.heat_decomposition(point.rho0, beta, t, pauli_x_measurement())
         for o in record.outcomes:
-            h_tra, h_cor = deph_heat_terms(p, o.label)
-            assert o.probability == pytest.approx(deph_probability(p, o.label),
-                                                  rel=1e-6)
+            h_tra, h_cor = point.heat_terms(o.label)
+            assert o.probability == pytest.approx(point.probability(o.label), rel=1e-6)
             assert o.h_tra == pytest.approx(h_tra, abs=1e-6)
             assert o.h_cor == pytest.approx(h_cor, abs=1e-6)
-        assert record.fisher_heat == pytest.approx(deph_fisher(p), rel=1e-6)
+        assert record.fisher_heat == pytest.approx(point.fisher, rel=1e-6)
 
 
 @pytest.mark.parametrize("build", [

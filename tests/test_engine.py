@@ -38,7 +38,7 @@ from thermoq.validate import (
     TOL_TWO_POINT,
     auto_cutoff,
     check_engine_point,
-    deph_reference,
+    deph_point,
     draw_deph_instance,
     identity_checks,
 )
@@ -483,8 +483,8 @@ class TestModeProduct(_MatchesDense):
             modes, [auto_cutoff("dephasing", beta, m.omega) for m in modes])
         assert len(str(model.bath_dim)) == 1209
         checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation")
-        check_engine_point(checks, HeatEngine(model), PLUS, beta, t, pauli_x_measurement(),
-                           deph_reference(DephParams(tuple(modes), beta, t)), {})
+        check_engine_point(checks, HeatEngine(model), pauli_x_measurement(),
+                           deph_point(DephParams(tuple(modes), beta, t)), {})
         assert checks["closed_form"].max_deviation <= TOL_CLOSED_FORM
         assert checks["fisher"].max_deviation <= TOL_FISHER
         assert all(c.passed for c in checks.values())

@@ -1,18 +1,22 @@
-"""Which SciPy subpackages a run loads: each only once the run calls into it.
+"""Imports: which SciPy subpackages a run loads, and that every import is read.
 
 ``scipy.sparse`` loads at a ``CompositeModel``'s first ``probe_tables`` (the
 mean-force routes' one sparse product), never where H is built or its
 spectrum taken, and ``scipy.integrate`` where the scaling-he run integrates J.
 The pytest process has both loaded already, so each case runs in a fresh
-interpreter.
+interpreter. No module of the package or its tests imports a name it never
+reads; ``__init__.py`` re-exports, and a line marked ``# noqa: F401`` keeps a
+name for code that patches it there.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 LAZY = ("scipy.sparse", "scipy.integrate")
 
 RUN = """
@@ -97,3 +101,26 @@ def test_each_subpackage_loads_at_its_first_caller(tmp_path):
 
 def test_mean_force_run_loads_sparse(tmp_path):
     assert loaded_after_each([MEAN_FORCE_RUN], tmp_path) == [{"scipy.sparse"}]
+
+
+def unread_imports(path):
+    """(line, name) of each name the module at ``path`` imports and never reads,
+    leaving out the names imported on a line whose ``# noqa:`` codes include F401."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(alias.lineno, name)
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for name in [alias.asname or alias.name.partition(".")[0]]
+            if name not in read and "F401" not in lines[alias.lineno - 1].partition("# noqa:")[2]]
+
+
+def test_every_imported_name_is_read():
+    modules = [path for path in [*(SRC / "thermoq").glob("*.py"), *TESTS.glob("*.py")]
+               if path.name != "__init__.py"]
+    unread = {f"{path.relative_to(SRC.parent)}:{line}": name
+              for path in modules for line, name in unread_imports(path)}
+    assert unread == {}

@@ -19,6 +19,7 @@ from thermoq.mean_force import (
 from thermoq.models import (
     BathMode,
     CompositeModel,
+    build_dephasing_model,
     build_spin_boson_model,
     eigenbasis_measurement,
 )
@@ -297,6 +298,14 @@ class TestWeakCouplingCollapse:
         assert np.abs(e0 - model0.h_s_local).max() <= 1e-6
 
 
+@pytest.mark.parametrize("route", [reduced_gibbs_operator, energy_operator, internal_energy,
+                                   internal_energy_deviation])
+def test_needs_a_model_with_its_hamiltonian(route):
+    # the dephasing model keeps per-mode factors, not H; its spin-boson twin has H
+    with pytest.raises(TypeError, match=r"build_spin_boson_model\(0.0, modes, n, 'z'\)"):
+        route(build_dephasing_model([BathMode(1.0, 0.1)], 4), 1.0)
+
+
 class TestOneComputationPerPoint:
     """Each mean-force point runs one deviation; each model one full-Hamiltonian eigh
     and one build of its probe tables, however many betas read them."""
@@ -361,7 +370,7 @@ class TestOneComputationPerPoint:
         from thermoq import validate
 
         # only the mean-force draw is under test; skip the engine families
-        monkeypatch.setattr(validate, "_engine_draw", lambda *args: (0.0, 0.0))
+        monkeypatch.setattr(validate, "engine_draws", lambda rng: ())
         dims = []
         real_build = validate.build_spin_boson_model
 

@@ -23,8 +23,11 @@ from thermoq.validate import (
     IdentityCheck,
     check_engine_point,
     cross_validate,
-    deph_reference,
-    he_reference,
+    deph_point,
+    draw_deph_instance,
+    draw_he_instance,
+    draw_mean_force_instance,
+    he_point,
     identity_checks,
     relative_error,
 )
@@ -56,27 +59,23 @@ def test_relative_error_scales_by_larger_magnitude():
 
 @pytest.fixture(scope="module")
 def engine_points():
-    """One small working point per family: (engine, rho0, beta, t, meas, reference)."""
+    """One small engine point per family: (engine, meas, working point)."""
     beta = 2.0
     he = cf.HEParams(1.0, 1.0, 0.1, beta, 0.0)
-    he = cf.HEParams(1.0, 1.0, 0.1, beta, cf.he_optimal_time(he))
-    ground = np.zeros((15, 15), complex)
-    ground[0, 0] = 1.0
+    he = dataclasses.replace(he, t=cf.he_optimal_time(he))
     modes = (BathMode(1.0, 0.1), BathMode(1.7, 0.15))
-    dp = cf.DephParams(modes, beta, 2.5)
     return {
-        "he": (HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, 14)), ground, beta,
-               he.t, fock_measurement(14), he_reference(he)),
-        "deph": (HeatEngine(build_dephasing_model(modes, [12, 9])),
-                 np.full((2, 2), 0.5, complex), beta, dp.t, pauli_x_measurement(),
-                 deph_reference(dp)),
+        "he": (HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, 14)), fock_measurement(14),
+               he_point(he, 14)),
+        "deph": (HeatEngine(build_dephasing_model(modes, [12, 9])), pauli_x_measurement(),
+                 deph_point(cf.DephParams(modes, beta, 2.5))),
     }
 
 
-def run_point(point, reference):
-    engine, rho0, beta, t, meas, _ = point
+def run_point(point, working_point):
+    engine, meas, _ = point
     checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation")
-    result = check_engine_point(checks, engine, rho0, beta, t, meas, reference, {})
+    result = check_engine_point(checks, engine, meas, working_point, {})
     return checks, result
 
 
@@ -87,7 +86,7 @@ def test_exact_reference_passes_every_check(engine_points, family):
     assert all(c.passed for c in checks.values())
     # the exchange point has outcomes below the closed-form cutoff
     assert (excluded > 0) == (family == "he")
-    assert excluded < 1e-6 * len(point[4].labels)
+    assert excluded < 1e-6 * len(point[1].labels)
 
 
 def test_dephasing_point_evaluates_its_closed_forms_once(engine_points, monkeypatch):
@@ -96,9 +95,9 @@ def test_dephasing_point_evaluates_its_closed_forms_once(engine_points, monkeypa
     real = cf._one_minus_cos
     calls = []
     monkeypatch.setattr(cf, "_one_minus_cos", lambda p: calls.append(p) or real(p))
-    beta, t = engine_points["deph"][2:4]
-    dp = cf.DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.15)), beta, t)
-    checks, _ = run_point(engine_points["deph"], deph_reference(dp))
+    point = engine_points["deph"][-1]
+    dp = cf.DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.15)), point.beta, point.t)
+    checks, _ = run_point(engine_points["deph"], deph_point(dp))
     assert all(c.passed for c in checks.values())
     assert len(calls) == 1
 
@@ -120,8 +119,7 @@ PERTURBATIONS = {
 def test_perturbed_reference_fails_its_check(engine_points, name):
     family, check_id, change = PERTURBATIONS[name]
     point = engine_points[family]
-    reference = dataclasses.replace(point[-1], **change(point[-1]))
-    checks, _ = run_point(point, reference)
+    checks, _ = run_point(point, dataclasses.replace(point[-1], **change(point[-1])))
     assert [i for i, c in checks.items() if not c.passed] == [check_id]
 
 
@@ -146,17 +144,17 @@ def test_outcome_missing_from_the_record_fails_its_check(engine_points, monkeypa
     # (near a revival the two-point P_- reads 1.00003e-12 where the kernel's is
     # 9.99991e-13), or leave out one the record keeps: either way that route's
     # check fails there and names the outcome
-    eng, rho0, beta, t, meas, reference = engine_points["deph"]
+    eng, meas, point = engine_points["deph"]
     real = getattr(eng, route)
     for change, label in ((lambda values: {**values, 7: 0.0}, 7),
                           (lambda values: {k: v for k, v in values.items() if k != -1}, -1)):
         monkeypatch.setattr(eng, route, lambda *args: change(real(*args)))
         checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation", "score",
                                  "two_point")
-        check_engine_point(checks, eng, rho0, beta, t, meas, reference, {"beta": beta})
+        check_engine_point(checks, eng, meas, point, {"beta": point.beta})
         assert [i for i, c in checks.items() if not c.passed] == [check_id]
         assert checks[check_id].max_deviation == math.inf
-        assert checks[check_id].worst_params == {"beta": beta, "label": label}
+        assert checks[check_id].worst_params == {"beta": point.beta, "label": label}
 
 
 def test_biased_initial_sample_energy_fails_score(monkeypatch):
@@ -182,6 +180,23 @@ def test_default_cross_validate_passes():
     assert [c.name for c in checks] == [name for i, (name, _) in CHECKS.items()
                                         if i != "scaling_slope"]
     assert (summary["seed"], summary["draws"]) == (0, 5)
+
+
+def test_cross_validate_draws_each_round_in_family_order(monkeypatch):
+    # perfbench/generate.py's predict_draw sizes the cross-validate workload by
+    # calling the three draw functions in this order on default_rng(seed)
+    received = []
+    for name in ("check_engine_point", "check_mean_force_point"):
+        real = getattr(validate, name)
+        monkeypatch.setattr(validate, name,
+                            lambda *args, _real=real: received.append(args[-1]) or _real(*args))
+    cross_validate(3, 3)
+    rng = np.random.default_rng(3)
+    expected = [draw(rng)[0] for _ in range(3)
+                for draw in (draw_he_instance, draw_deph_instance, draw_mean_force_instance)]
+    assert [p.pop("family") for p in received] == ["heat-exchange", "dephasing",
+                                                   "mean-force"] * 3
+    assert received == expected
 
 
 def test_cross_validate_reports_excluded_mass(monkeypatch):
