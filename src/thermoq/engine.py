@@ -33,15 +33,14 @@ tables, and the engine picks one from the model's type, with no option
 ``ModeProductModel``, ``'branch-kernel'`` for every ``CompositeModel``.
 
 Mode-product route, for ``ModeProductModel`` (``build_dephasing_model``,
-which holds no H). Each probe level q dresses the whole sample, one
-Kronecker factor per sample mode, and the sample energies are a Kronecker
-sum of per-mode energies eps_k. So the sector of q evolves as
-U_q = e^{-i H_S[q, q] t} (x)_k u_{k,q} with
+which holds no H). The probe has no energy of its own. Each probe level q
+dresses the whole sample, one Kronecker factor per sample mode, and the
+sample energies are a Kronecker sum of per-mode energies eps_k. So the
+sector of q evolves as U_q = (x)_k u_{k,q}, every mode alike, with
 u_{k,q} = V e^{-i lambda t} V^T from the mode's eigenpairs in
-``ModeProductModel.levels`` (H_S[q, q] taken out of the first mode's
-eigenvalues), and gamma_B(beta) is the product of per-mode weights
-p_k(beta). Every trace the heat decomposition needs is then a contraction
-of rho_t[q, q'] Pi_l[q', q] (rho_t = e^{-i H_S t} rho0 e^{i H_S t}) with
+``ModeProductModel.levels``, and gamma_B(beta) is the product of per-mode
+weights p_k(beta). Every trace the heat decomposition needs is then a
+contraction of rho0[q, q'] Pi_l[q', q] with
 
 - prod_k chi_k^{qq'}, chi_k^{qq'} = p_k . M_k^{qq'}, for P_l, where
   M_k^{qq'}[j] = (u_{k,q'}^dag u_{k,q})[j, j];
@@ -53,7 +52,7 @@ This is the exact pure-dephasing solution (Breuer and Petruccione, The
 Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. Both
 energy sums accumulate over the modes with one running product, each earlier
 term times the chi of every later mode, never a division, since chi can
-vanish. P_l is Tr[Pi_l rho_t] plus the contraction with prod_k chi_k - 1,
+vanish. P_l is Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
 accumulated from the small 1 - chi_k, so a rare outcome's probability keeps
 its relative precision from one beta of a finite-difference stencil to the
 next; at B betas ``probabilities`` forms each 1 - chi_k as one
@@ -250,7 +249,7 @@ class _ModeTables:
     """Beta-independent tables of one (rho0, t, measurement) on the mode-product
     route; a pair of probe levels (q, q') is the flat index q * Q + q'."""
 
-    weight: np.ndarray       # (L + 1, Q * Q): rho_t[q, q'] Pi_l[q', q]; last row Pi = 1
+    weight: np.ndarray       # (L + 1, Q * Q): rho0[q, q'] Pi_l[q', q]; last row Pi = 1
     defect: tuple            # per mode k, (Q * Q, n_k): 1 - M_k^{qq'}
     energy: tuple            # per mode k, (Q * Q, n_k): N_k^{qq'}
     mode_energies: tuple     # per mode k, (n_k,): eps_k
@@ -261,7 +260,7 @@ class _ModeTables:
                                     for d, eps in zip(self.defect, self.mode_energies)])
 
     def _probabilities(self, y):
-        """(B, L): P_l = Tr[Pi_l rho_t] plus the contraction with prod_k chi_k - 1,
+        """(B, L): P_l = Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
         from y_k = 1 - chi_k, per mode a (Q * Q, B) array, range-checked
         (``_checked_probabilities``)."""
         # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
@@ -339,21 +338,15 @@ class HeatEngine:
     def _mode_tables(self, w, phi, t, meas):
         modes = self._modes
         d_s = modes.system_dim
-        h_s = modes.probe_energies
-        # rho0 without the eigenvalues _probe_eigenpairs drops, evolved under H_S
-        # (diagonal): the mode factors below carry no probe energy
-        phase = np.exp(-1j * h_s * t)
-        rho_t = (phi * w) @ phi.conj().T * np.outer(phase, phase.conj())
+        # rho0 without the eigenvalues _probe_eigenpairs drops
+        rho = (phi * w) @ phi.conj().T
         projs = np.concatenate([meas.projectors, np.eye(d_s)[None]])
-        weight = (rho_t * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
+        weight = (rho * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
         defect, energy = [], []
-        for k, (eps, *levels) in enumerate(zip(modes.mode_energies, *modes.levels)):
-            # u[q] = u_{k,q}, symmetric since V is real. U_q = e^{-i H_S[q, q] t}
-            # (x)_k u_{k,q}: the probe energy leaves mode 0's eigenvalues (rho_t
-            # carries it instead), so each chi_k is the sample's effect alone,
-            # near 1 where it is weak
-            u = np.stack([_propagator(lam - h_q if k == 0 else lam, v, t)
-                          for h_q, (lam, v) in zip(h_s, levels)])
+        for eps, *levels in zip(modes.mode_energies, *modes.levels):
+            # u[q] = u_{k,q}, symmetric since V is real; each chi_k is the effect of
+            # mode k alone, near 1 where it is weak
+            u = np.stack([_propagator(lam, v, t) for lam, v in levels])
             u_h = u.conj()
             defect.append(1.0 - np.einsum("qij,pij->qpj", u, u_h).reshape(d_s * d_s, -1))
             energy.append(np.einsum("qij,pij->qpj", u * eps[:, None], u_h)
@@ -481,9 +474,9 @@ class HeatEngine:
         non-suppressed outcomes. The double sum takes the engine's route:
 
         - mode-product: U restricted to probe level q is (x)_k u_{k,q}, with
-          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels`` as held
-          (mode 0 carrying H_S[q, q]), and both p_j and eps_j - eps_i split
-          over the modes. So P_l = Re sum_{qq'} W_l prod_k C_k and
+          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels``, and
+          both p_j and eps_j - eps_i split over the modes. So
+          P_l = Re sum_{qq'} W_l prod_k C_k and
           P_l H_tra(l) = Re sum_{qq'} W_l sum_k D_k prod_{k' != k} C_{k'},
           with W_l[q, q'] = rho0[q, q'] Pi_l[q', q] and, from
           T_k^{qq'}[i, j] = u_{k,q}[i, j] conj(u_{k,q'}[i, j]),
@@ -499,14 +492,13 @@ class HeatEngine:
           measurement's basis, each basis vector counted towards its outcome.
 
         Neither branch reads the tables: not the kernel's start-state
-        propagation or its readout, not the mode route's M_k/N_k diagonals,
-        and the mode branch leaves the H_S phase in the factors where the
-        tables move it into rho0. With the other routes they share the
-        eigenpairs (``ModeProductModel.levels`` or ``spectrum``), the
-        per-mode energies of ``ModeProductModel.mode_energies``, rho0's
-        eigenpairs (``_probe_eigenpairs``), the Gibbs weights and
-        ``_propagator``; so they check the propagation, reduction and heat
-        bookkeeping, not the eigendecomposition.
+        propagation or its readout, nor the mode route's M_k/N_k diagonals.
+        With the other routes they share the eigenpairs
+        (``ModeProductModel.levels`` or ``spectrum``), the per-mode energies
+        of ``ModeProductModel.mode_energies``, rho0's eigenpairs
+        (``_probe_eigenpairs``), the Gibbs weights and ``_propagator``; so
+        they check the propagation, reduction and heat bookkeeping, not the
+        eigendecomposition.
         """
         _require_positive_beta(beta)
         w, phi = _probe_eigenpairs(rho0, meas, self.model.system_dim)
@@ -530,8 +522,6 @@ class HeatEngine:
         # times the C of every later mode: no division, since C can vanish
         prob = np.ones(d_s * d_s, dtype=complex)
         energy = np.zeros(d_s * d_s, dtype=complex)
-        # the mode eigenpairs of each probe level q as held, H_S[q, q] in mode 0's
-        # eigenvalues
         for eps, *factors in zip(modes.mode_energies, *modes.levels):
             u = np.stack([_propagator(lam, v, t) for lam, v in factors])
             # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'

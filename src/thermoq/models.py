@@ -17,6 +17,7 @@ its one sparse H V product; building a model and its spectrum never loads it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -129,37 +130,32 @@ class ModeProductModel:
     Kronecker sum over the modes of one factor per mode, on that mode's Fock
     levels; H_B = sum_k eps_k is diagonal in the Fock product basis. The model
     holds what the engine's mode-product route reads, and nothing else:
-    ``probe_energies`` (H_S's diagonal, H_S[q, q]), ``mode_energies`` (per
-    mode k, eps_k on its Fock levels) and ``levels`` (per probe level q, per
-    mode k, the eigenpairs (lambda, V) of the mode's factor, H_S[q, q] carried
-    in mode 0's), every array read-only. It holds no H, no charge and no array
-    of the sample space's size, so a model of thousands of modes is built from
-    one (n_k + 1)-sized ``eigh`` per mode and level. ``HeatEngine`` takes its
-    mode-product route exactly on this type.
+    ``mode_energies`` (per mode k, eps_k on its Fock levels) and ``levels``
+    (per probe level q, per mode k, the eigenpairs (lambda, V) of the mode's
+    factor), every array read-only. The probe has no energy of its own, so
+    ``system_dim`` is the number of levels. It holds no H, no charge and no
+    array of the sample space's size, so a model of thousands of modes is
+    built from one (n_k + 1)-sized ``eigh`` per mode and level. ``HeatEngine``
+    takes its mode-product route exactly on this type.
     """
 
-    probe_energies: np.ndarray
     mode_energies: tuple
     levels: tuple
 
     def __post_init__(self):
-        probe_energies = np.array(self.probe_energies, dtype=float)
         mode_energies = tuple(np.array(e, dtype=float) for e in self.mode_energies)
         levels = tuple(tuple(tuple(pair) for pair in pairs) for pairs in self.levels)
         dims = [len(e) for e in mode_energies]
-        if len(levels) != len(probe_energies) or any(
-                [len(lam) for lam, _ in pairs] != dims for pairs in levels):
+        if any([len(lam) for lam, _ in pairs] != dims for pairs in levels):
             raise ValueError(f"levels must hold one eigenpair per mode of dimensions {dims} "
-                             f"for each of the {len(probe_energies)} probe levels")
-        _read_only((probe_energies, *mode_energies,
-                    *(a for pairs in levels for pair in pairs for a in pair)))
-        for name, value in (("probe_energies", probe_energies),
-                            ("mode_energies", mode_energies), ("levels", levels)):
-            object.__setattr__(self, name, value)
+                             "for each probe level")
+        _read_only((*mode_energies, *(a for pairs in levels for pair in pairs for a in pair)))
+        object.__setattr__(self, "mode_energies", mode_energies)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def system_dim(self):
-        return len(self.probe_energies)
+        return len(self.levels)
 
     @property
     def bath_dim(self):
@@ -385,8 +381,7 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
 
     Conserved charge: the total excitation number n_a + n_b.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _checked_cutoff(n_max, "n_max")
     d = n_max + 1
     space = HilbertSpace((d, d))
     a = destroy(n_max)
@@ -399,16 +394,21 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
                     charge=np.add.outer(n, n).ravel())
 
 
+def _checked_cutoff(n, name):
+    """The Fock cutoff n as an int: an integer (numpy's too, a bool not) of at
+    least 1, else a ValueError; ``name`` is what the at-least-1 message calls it."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"cutoff {n!r} is not an integer")
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(n)
+
+
 def _bath_cutoffs(modes, n_max):
-    if np.isscalar(n_max):
-        cutoffs = [int(n_max)] * len(modes)
-    else:
-        cutoffs = [int(n) for n in n_max]
-        if len(cutoffs) != len(modes):
-            raise ValueError("one cutoff per mode required")
-    if any(n < 1 for n in cutoffs):
-        raise ValueError("mode cutoffs must be at least 1")
-    return cutoffs
+    cutoffs = [n_max] * len(modes) if np.isscalar(n_max) else list(n_max)
+    if len(cutoffs) != len(modes):
+        raise ValueError("one cutoff per mode required")
+    return [_checked_cutoff(n, "mode cutoffs") for n in cutoffs]
 
 
 def _multimode_bath(modes, cutoffs, probe_op):
@@ -452,8 +452,7 @@ def build_dephasing_model(modes, n_max):
     cutoffs = _bath_cutoffs(modes, n_max)
     levels = [tuple(np.linalg.eigh(f) for f in factors)
               for factors in _sigma_z_factors(modes, cutoffs)]
-    return ModeProductModel(np.zeros(2), [m.omega * np.arange(n + 1)
-                                          for m, n in zip(modes, cutoffs)], levels)
+    return ModeProductModel([m.omega * np.arange(n + 1) for m, n in zip(modes, cutoffs)], levels)
 
 
 def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):

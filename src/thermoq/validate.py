@@ -23,6 +23,7 @@ from .linalg import truncation_level
 from .mean_force import (
     DegenerateVarianceError,
     MeanForceResult,
+    NonPositiveReducedStateError,
     PartitionOverflowError,
     internal_energy_deviation,
     temperature_energy_ur_check,
@@ -219,12 +220,14 @@ def check_mean_force_point(checks, model, beta, params):
     returns (result, Delta U, UR product). A point whose energy variance
     vanishes has no UR product: it fails 'ur_product' with deviation inf,
     and its Delta U and product are NaN. A point too cold for Z / Z_B to be a
-    float (``PartitionOverflowError``) has neither: it fails both checks with
-    deviation inf, and every number of its result is NaN.
+    float (``PartitionOverflowError``), or for the reduced Gibbs operator to
+    stay positive in floats (``NonPositiveReducedStateError``), has neither:
+    it fails both checks with deviation inf, and every number of its result
+    is NaN.
     """
     try:
         result = internal_energy_deviation(model, beta)
-    except PartitionOverflowError:
+    except (PartitionOverflowError, NonPositiveReducedStateError):
         for check_id in ("mean_force", "ur_product"):
             checks[check_id].update(math.inf, params)
         nan = math.nan

@@ -1,5 +1,6 @@
 """CLI contract: config parsing, outputs, exit codes, determinism."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -963,9 +964,12 @@ def test_truncated_revival_fails_closed_form_and_writes_the_sidecar(tmp_path, n_
      ("scaling_slope",), 1.0),
     ({"experiment": "mean-force", "model": {"modes": [[1.0, 0.1]]},
       "sweep": {"beta": [1.0, 1e5]}}, ("mean_force", "ur_product"), 1e5),
+    ({"experiment": "mean-force", "model": {"modes": [[1.0, 0.1]], "coupling_axis": "z"},
+      "sweep": {"beta": [1.0, 800]}}, ("mean_force", "ur_product"), 800),
     ({"experiment": "scaling-he", "model": {"s": 500}, "sweep": {"beta": [5, 10, 20, 50]}},
      ("scaling_slope",), 5.0),
-], ids=["dephasing-gamma", "scaling-deph-gamma", "mean-force-cold", "scaling-he-no-coupling"])
+], ids=["dephasing-gamma", "scaling-deph-gamma", "mean-force-cold", "mean-force-z-cold",
+        "scaling-he-no-coupling"])
 def test_a_point_past_the_float_range_fails_the_run_and_writes_the_sidecar(tmp_path, config,
                                                                           failed, beta):
     # e^{2 Gamma} past Gamma = 354.9, Z / Z_B at beta = 1e5, and a coupling whose
@@ -1082,6 +1086,14 @@ def test_in_process_call_releases_its_streams(tmp_path, warm_cli, command, code,
     gc.collect()
     assert out_ref() is None, "stdout sink kept alive after the call"
     assert err_ref() is None, "stderr sink kept alive after the call"
+
+
+def test_every_message_goes_through_the_one_click_echo_call():
+    # cli._echo names its stream: without file=, click caches a wrapper per
+    # stream, and every redirected sink would stay alive with its text
+    echoes = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "click.echo"]
+    assert len(echoes) == 1 and "file" in [keyword.arg for keyword in echoes[0].keywords]
 
 
 def test_in_process_calls_keep_no_memory(tmp_path):

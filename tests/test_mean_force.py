@@ -9,6 +9,7 @@ import pytest
 from thermoq.linalg import gibbs_rows
 from thermoq.mean_force import (
     DegenerateVarianceError,
+    NonPositiveReducedStateError,
     PartitionOverflowError,
     energy_operator,
     internal_energy,
@@ -166,6 +167,15 @@ class TestInternalEnergy:
         assert internal_energy(free_model, 50.0) == pytest.approx(0.0, abs=1e-8)
 
 
+def _assert_fails_both_checks(model, beta):
+    """Both checks fail with inf at the point, and every number it returns is NaN."""
+    checks = identity_checks("mean_force", "ur_product")
+    result, delta_u, product = check_mean_force_point(checks, model, beta, {"beta": beta})
+    for check in checks.values():
+        assert (check.max_deviation, check.worst_params) == (math.inf, {"beta": beta})
+    assert all(map(math.isnan, (result.u_s, result.fisher, delta_u, product)))
+
+
 class TestInternalEnergyDeviation:
     def test_dual_computation_agrees(self, coupled_model):
         result = internal_energy_deviation(coupled_model, BETA)
@@ -194,11 +204,17 @@ class TestInternalEnergyDeviation:
         model = build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis="xz")
         with pytest.raises(PartitionOverflowError, match="beta = 100000.0"):
             reduced_gibbs_operator(model, 1e5)
-        checks = identity_checks("mean_force", "ur_product")
-        result, delta_u, product = check_mean_force_point(checks, model, 1e5, {"beta": 1e5})
-        for check in checks.values():
-            assert (check.max_deviation, check.worst_params) == (math.inf, {"beta": 1e5})
-        assert all(map(math.isnan, (result.u_s, result.fisher, delta_u, product)))
+        _assert_fails_both_checks(model, 1e5)
+
+    @pytest.mark.parametrize("beta, message", [(700.0, "Sylvester denominators underflow"),
+                                               (800.0, "eigenvalue 0.000e")])
+    def test_a_cold_sigma_z_point_fails_both_checks(self, beta, message):
+        # sigma_z keeps the reduced Gibbs operator diagonal, and e^{-beta omega_q}
+        # underflows: first in the Sylvester denominators, then as the entry itself
+        model = build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis="z")
+        with pytest.raises(NonPositiveReducedStateError, match=message):
+            internal_energy_deviation(model, beta)
+        _assert_fails_both_checks(model, beta)
 
     def test_trace_route_reads_h_not_the_eigenvalues(self):
         # shift the ground eigenvalue of the cached spectrum: the spectral route

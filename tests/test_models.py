@@ -1,5 +1,6 @@
 """Model builders, bath discretization, and measurement bases."""
 
+import re
 import tracemalloc
 from functools import partial, reduce
 
@@ -290,6 +291,17 @@ class TestModelBuilders:
         with pytest.raises(ValueError):
             build_dephasing_model([], 3)
 
+    @pytest.mark.parametrize("cutoff", [3.7, True, "3"])
+    @pytest.mark.parametrize("build", [
+        partial(build_coupled_oscillators, 1.0, 1.0, 0.1),
+        partial(build_dephasing_model, [BathMode(1.0, 0.1)]),
+        lambda n: build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], n, coupling_axis="xz"),
+    ], ids=["exchange", "dephasing", "spin-boson"])
+    def test_builders_reject_a_cutoff_that_is_not_an_integer(self, build, cutoff):
+        # int() once truncated 3.7 to 3 and read "3" as 3, and True built n_max = 1
+        with pytest.raises(ValueError, match=re.escape(f"cutoff {cutoff!r} is not an integer")):
+            build(cutoff)
+
 
 class TestDeclaredDephasingModel:
     MODES = [BathMode(1.0, 0.1), BathMode(1.5, 0.2), BathMode(0.7, 0.15), BathMode(2.0, 0.1)]
@@ -299,7 +311,7 @@ class TestDeclaredDephasingModel:
         model = build_dephasing_model(self.MODES, 2)
         assert isinstance(model, ModeProductModel) and model.bath_dim == 81
         assert not hasattr(model, "hamiltonian")
-        held = [model.probe_energies, *model.mode_energies,
+        held = [*model.mode_energies,
                 *(a for level in model.levels for pair in level for a in pair)]
         assert max(a.size for a in held) == 9
         assert not any(a.flags.writeable for a in held)
@@ -307,7 +319,6 @@ class TestDeclaredDephasingModel:
 
     def test_holds_the_declared_factors_eigenpairs(self):
         model = build_dephasing_model(self.MODES[:2], [3, 4])
-        assert np.array_equal(model.probe_energies, [0.0, 0.0])
         for level, s in zip(model.levels, (1, -1)):
             for (lam, v), mode, n, eps in zip(level, self.MODES, (3, 4), model.mode_energies):
                 assert np.array_equal(eps, mode.omega * np.arange(n + 1))
@@ -317,9 +328,9 @@ class TestDeclaredDephasingModel:
     def test_rejects_levels_that_do_not_match_the_modes(self):
         model = build_dephasing_model(self.MODES[:2], [3, 4])
         with pytest.raises(ValueError, match="one eigenpair per mode"):
-            ModeProductModel(model.probe_energies, model.mode_energies, model.levels[:1])
+            ModeProductModel(model.mode_energies, [model.levels[0], model.levels[1][:1]])
         with pytest.raises(ValueError, match="one eigenpair per mode"):
-            ModeProductModel(model.probe_energies, model.mode_energies[::-1], model.levels)
+            ModeProductModel(model.mode_energies[::-1], model.levels)
 
 
 class TestDiscretization:
