@@ -35,6 +35,7 @@ from .engine import HeatEngine
 from .mean_force import internal_energy_deviation, temperature_energy_ur_check  # noqa: F401
 from .models import (
     BathMode,
+    ModeProductModel,
     SpectralDensity,
     build_coupled_oscillators,
     build_dephasing_model,
@@ -291,27 +292,54 @@ def _fmt(value):
 
 
 class _Models(dict):
-    """A sweep's models, one per key: ``load(key, build)`` returns ``prepare(build())``,
-    made on the first call for ``key``. ``summary`` holds the sidecar's entries on
-    them: the automatic cutoffs' thermal tail (None under numerics.n_max) and the two
-    stages' times, summed over the sweep (``model_build_s``, then ``spectrum_s``)."""
+    """A sweep's models, one per key: ``load(key, build)`` returns
+    ``prepare(*build())``, made on the first call for ``key``, where ``build()``
+    returns the model, then what is built beside it. ``summary`` holds the
+    sidecar's entries on them: the automatic cutoffs' thermal tail (None under
+    numerics.n_max), two stage times summed over the sweep, and the sectors
+    diagonalized of the sectors there are. ``model_build_s`` is the builds;
+    ``spectrum_s`` is each model's ``prepare`` plus the sector eighs that ran
+    after it, in the points' table builds or two-point calls, so it counts every
+    eigh wherever it ran (``CompositeModel.eigh_s``)."""
 
     def __init__(self, config, prepare):
         super().__init__()
         self.prepare = prepare
-        self.summary = {"tail": CUTOFFS[config["experiment"]][0]
-                        if config["numerics"]["n_max"] is None else None,
-                        "model_build_s": 0.0, "spectrum_s": 0.0}
+        self.tail = (CUTOFFS[config["experiment"]][0]
+                     if config["numerics"]["n_max"] is None else None)
+        self.model_build_s = 0.0
+        self.prepared = []  # (model, prepare seconds, eigh seconds when prepared)
 
     def load(self, key, build):
         if key not in self:
             start = time.perf_counter()
             built = build()
             mid = time.perf_counter()
-            self[key] = self.prepare(built)
-            self.summary["model_build_s"] += mid - start
-            self.summary["spectrum_s"] += time.perf_counter() - mid
+            self[key] = self.prepare(*built)
+            self.model_build_s += mid - start
+            self.prepared.append((built[0], time.perf_counter() - mid,
+                                  _sector_counts(built[0])[1]))
         return self[key]
+
+    @property
+    def summary(self):
+        spectrum_s, diagonalized, total = 0.0, 0, 0
+        for model, prepare_s, eigh_s in self.prepared:
+            done, seconds, sectors = _sector_counts(model)
+            spectrum_s += prepare_s + seconds - eigh_s
+            diagonalized += done
+            total += sectors
+        return {"tail": self.tail, "model_build_s": self.model_build_s,
+                "spectrum_s": spectrum_s, "sectors_diagonalized": diagonalized,
+                "sectors_total": total}
+
+
+def _sector_counts(model):
+    """(sectors diagonalized, seconds their eighs took, sectors) of a model; a
+    ``ModeProductModel`` has its mode eigenpairs from its build and no sectors."""
+    if isinstance(model, ModeProductModel):
+        return 0, 0.0, 0
+    return model.sectors_diagonalized, model.eigh_s, len(model.sector_indices)
 
 
 def _run_engine_points(config, points, check_ids, family_point):
@@ -319,12 +347,12 @@ def _run_engine_points(config, points, check_ids, family_point):
 
     ``family_point(point, cutoffs)`` returns (params, model key, builder of the
     model and its measurement, ``WorkingPoint``); params leads each row. One
-    engine is made per model key; its construction is the model's
-    eigendecomposition (``spectrum_s``).
+    engine is made per model key; ``spectrum_s`` is its construction and the
+    model's sector eighs, which the points' table builds run.
     """
     per_outcome = config["output"]["per_outcome"]
     checks = identity_checks(*check_ids)
-    engines = _Models(config, lambda built: (HeatEngine(built[0]), built[1]))
+    engines = _Models(config, lambda model, meas: (HeatEngine(model), meas))
     rows = []
     excluded = floor_excluded = 0.0
     for point, cutoffs in points:
@@ -395,12 +423,13 @@ def _run_mean_force(config):
     points = _sweep_points(config, lambda point: [m.omega for m in modes])
 
     checks = identity_checks("mean_force", "ur_product")
-    models = _Models(config, lambda model: (model.probe_tables, model)[1])  # the spectrum, tables
+    # every sector's eigh, then the probe tables
+    models = _Models(config, lambda model: (model.probe_tables, model)[1])
     rows = []
     floor_excluded = 0.0
     for point, key in points:
-        model = models.load(key, lambda: build_spin_boson_model(omega_q, modes, key,
-                                                                coupling_axis=axis))
+        model = models.load(key, lambda: (build_spin_boson_model(omega_q, modes, key,
+                                                                 coupling_axis=axis),))
         beta = point["beta"]
         params = {"beta": beta, "omega_q": omega_q, "coupling_axis": axis, "n_max": max(key)}
         result, delta_u, product = check_mean_force_point(checks, model, beta, params)

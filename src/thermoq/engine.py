@@ -71,10 +71,13 @@ charge sectors, and branch (r, j) starts on the states (s, j) with
 phi_r[s] != 0: a sector holding none of them is skipped, by an exact-zero
 test on phi (a property of the input, not a tolerance). Each reached sector b
 forms only what its branches need, A_b = ((X_b V_b) e^{-i lambda_b t}) V_b^T
-from its eigenpairs in ``spectrum``, with X_b[(r, j), (s, j)] = phi_r[s] the
-start amplitudes on its states, and never U_b itself. The sectors take these
-products in zero-padded stacks, one per size class, so that many small
-sectors cost one round of array calls. The amplitudes stay on the reached
+from its eigenpairs (``CompositeModel.sector_eigenpairs``), with
+X_b[(r, j), (s, j)] = phi_r[s] the start amplitudes on its states, and never
+U_b itself. ``HeatEngine(model)`` only sorts the sectors' states into
+zero-padded stacks, one per size class, so that many small sectors cost one
+round of array calls; a sector's dense eigh, |I_b|^3, is paid by the first
+table build or two-point call that reaches it, and a sector no start state
+reaches is never diagonalized. The amplitudes stay on the reached
 states. The tables are <A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>, each
 L x K, read in the measurement's basis B per row (k, i), the amplitudes of
 branch k on the final sample level i: a row on one probe level s adds
@@ -84,11 +87,12 @@ sector holding one sample level twice) adds |B^dag a|^2 over outcome l's
 columns, each weighted by 1 and by eps_i. P_l at B betas is the (B, K)
 weight matrix w_r p_j(beta_b) times the first table. Per (rho0, t) it costs
 two real K_b x |I_b| x |I_b| products per reached sector, K_b the branches
-starting in sector b, and per beta three L x K matrix-vector products. It
-holds the amplitudes of the reached states only: no K x d array unless the
-branches fill the space (a model with no charge, or a rho0 of full rank on
-the exchange pair). From the vacuum of the exchange pair, branch
-|0, j> reaches the sector N = j alone, so about n^2 / 2 amplitudes, not n^4.
+starting in sector b (and that sector's eigh, once per model), and per beta
+three L x K matrix-vector products. It holds the amplitudes of the reached
+states only: no K x d array unless the branches fill the space (a model with
+no charge, or a rho0 of full rank on the exchange pair). From the vacuum of
+the exchange pair, branch |0, j> reaches the sector N = j alone, so about
+n^2 / 2 amplitudes, not n^4, and n + 1 of the 2n + 1 sectors are diagonalized.
 The dense route the tests keep as reference costs O(d^3) plus L embedded
 d x d projectors.
 
@@ -135,22 +139,19 @@ def _propagator(lam, v, t):
 STACK_SIDE = 32
 
 
-def _sector_stacks(spectrum, d):
-    """The sectors of ``spectrum`` by size class, each class zero-padded to its
-    largest sector: (sectors, states, lam), the class's positions in
-    ``spectrum``, and the states and eigenvalues of each as (G, n) rows, the
-    padding numbered state d with eigenvalue 0."""
-    sizes = np.array([len(index) for index, _, _ in spectrum])
+def _sector_stacks(indices, d):
+    """The sectors of a model, their states ``indices``, by size class, each class
+    zero-padded to its largest sector: (sectors, states), the class's sector
+    positions and the states of each as (G, n) rows, the padding numbered state d."""
+    sizes = np.array([len(index) for index in indices])
     size_class = np.ceil(np.log2(np.maximum(sizes, STACK_SIDE)))
     stacks = []
     for c in sorted(set(size_class)):
         sectors = np.flatnonzero(size_class == c)
         states = np.full((len(sectors), sizes[sectors].max()), d)
-        lam = np.zeros(states.shape)
         for g, b in enumerate(sectors):
-            index, lam_b, _ = spectrum[b]
-            states[g, :len(index)], lam[g, :len(index)] = index, lam_b
-        stacks.append((sectors, states, lam))
+            states[g, :len(indices[b])] = indices[b]
+        stacks.append((sectors, states))
     return tuple(stacks)
 
 
@@ -305,17 +306,20 @@ class HeatEngine:
     tables per key on the branch kernel (about 150 KB at the d = 9409
     heat-exchange point, L = K = 97), O(Q^2 sum_k n_k) numbers on the
     mode-product route. An entry is never changed once stored (two threads
-    that miss one key at once each store equal tables), and the model's
-    arrays are immutable, so an engine may be shared across threads.
+    that miss one key at once each store equal tables), the model's arrays are
+    immutable, and its per-sector eigenpairs are stored the same way (two
+    threads that reach one new sector at once each run its eigh, and both
+    read the first stored), so an engine may be shared across threads.
     """
 
     def __init__(self, model):
         self.model = model
-        # the eigendecomposition is paid for here, not by the first point
+        # no eigendecomposition here: each sector is diagonalized when a table
+        # build or a two-point call first reaches it (``sector_eigenpairs``)
         self._modes = model if isinstance(model, ModeProductModel) else None
         self.route = "branch-kernel" if self._modes is None else "mode-product"
         if self._modes is None:
-            self._stacks = _sector_stacks(model.spectrum, model.space.total_dim)
+            self._stacks = _sector_stacks(model.sector_indices, model.space.total_dim)
         # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
         self._tables = {}
 
@@ -362,15 +366,18 @@ class HeatEngine:
         # is none of them
         starts = np.append(np.any(phi != 0, axis=1), False)
         branch, state, amp = [], [], []
-        for sectors, states, lam in self._stacks:
+        for sectors, states in self._stacks:
             s, j = np.divmod(states, d_b)
             reached = starts[s].any(axis=1)  # the sectors holding a start state
             if not reached.any():
                 continue
-            states, lam, s, j = (x[reached] for x in (states, lam, s, j))
+            states, s, j = (x[reached] for x in (states, s, j))
+            # only the reached sectors are diagonalized; the padding has eigenvalue 0
+            lam = np.zeros(states.shape)
             v = np.zeros((*states.shape, states.shape[1]))
-            for v_g, b in zip(v, sectors[reached]):
-                v_b = self.model.spectrum[b][2]
+            for lam_g, v_g, b in zip(lam, v, sectors[reached]):
+                _, lam_b, v_b = self.model.sector_eigenpairs(b)
+                lam_g[:len(lam_b)] = lam_b
                 v_g[:len(v_b), :len(v_b)] = v_b
             # the rows of sector g: a branch (r, j) for each distinct sample level j
             # of its start states, X_b^T[(s, j), (j, r)] = phi_r[s]
@@ -484,18 +491,21 @@ class HeatEngine:
           D_k = sum_{ij} p_k[j] (eps_k[j] - eps_k[i]) T_k[i, j]. It costs
           O(Q^2 sum_k n_k^2) past the mode propagators.
         - branch kernel: the branches are |phi_r, j> over the eigenpairs
-          (w_r, phi_r) of rho0. Each charge sector b evolves them with
-          U_b = V_b e^{-i lambda_b t} V_b^T from ``spectrum``: branch (r, j_m)
-          gains phi_r[s_m] U_b[:, m] for every state m = (s_m, j_m) of the
-          sector, so no matrix outgrows a sector, and the amplitudes take
-          O(K d) memory with K = rank(rho0) * d_b. The outcomes are read in the
+          (w_r, phi_r) of rho0. Each charge sector b holding a start state
+          (a state (s, j) with some phi_r[s] != 0, its own exact-zero test on
+          phi) evolves them with U_b = V_b e^{-i lambda_b t} V_b^T from
+          ``sector_eigenpairs``: branch (r, j_m) gains phi_r[s_m] U_b[:, m]
+          for every state m = (s_m, j_m) of the sector, so no matrix outgrows
+          a sector, and the amplitudes take O(K d) memory with
+          K = rank(rho0) * d_b. Any other sector would add exact zeros, so it
+          is skipped and never diagonalized. The outcomes are read in the
           measurement's basis, each basis vector counted towards its outcome.
 
         Neither branch reads the tables: not the kernel's start-state
         propagation or its readout, nor the mode route's M_k/N_k diagonals.
         With the other routes they share the eigenpairs
-        (``ModeProductModel.levels`` or ``spectrum``), the per-mode energies
-        of ``ModeProductModel.mode_energies``, rho0's eigenpairs
+        (``ModeProductModel.levels`` or ``sector_eigenpairs``), the per-mode
+        energies of ``ModeProductModel.mode_energies``, rho0's eigenpairs
         (``_probe_eigenpairs``), the Gibbs weights and ``_propagator``; so
         they check the propagation, reduction and heat bookkeeping, not the
         eigendecomposition.
@@ -542,9 +552,12 @@ class HeatEngine:
         c = np.kron(w, gibbs_weights(eps, beta))
         c_eps = c * np.tile(eps, len(w))
         amp = np.zeros((self.model.space.total_dim, len(w), d_b), dtype=complex)
-        for index, lam, v in self.model.spectrum:
-            u = _propagator(lam, v, t)
+        for b, index in enumerate(self.model.sector_indices):
             s, j = np.divmod(index, d_b)
+            if not np.any(phi[s]):
+                continue  # no start state: the sector's amplitudes are exact zeros
+            _, lam, v = self.model.sector_eigenpairs(b)
+            u = _propagator(lam, v, t)
             # the sector state m = (s_m, j_m) feeds branch (r, j_m) with phi_r[s_m] U_b[:, m];
             # several states of a sector may share j_m, so the adds accumulate
             np.add.at(amp, (index[:, None], slice(None), j), u[:, :, None] * phi[s])

@@ -18,6 +18,7 @@ its one sparse H V product; building a model and its spectrum never loads it.
 
 import math
 import numbers
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -195,10 +196,15 @@ class CompositeModel:
     ``bath_energies`` is that diagonal, read-only float64, in basis order.
     ``charge`` labels each basis state with the conserved charge its builder
     declared (None: no charge), and H has no entry between two different
-    labels. ``spectrum`` (eigenpairs of H, one dense ``eigh`` per sector) and
-    ``probe_tables`` (the eigenvectors of H reduced to the probe factor, for
-    the mean-force routes) are computed on first use and cached; every route
-    reads one of them.
+    labels. The sectors' states, ``sector_indices`` (one sort of the states
+    and of H's entries), and each sector's eigenpairs,
+    ``sector_eigenpairs(b)`` (one dense ``eigh`` of H's block), are computed
+    on first use and cached, so a route pays only for the sectors it reads,
+    and the engine and the mean-force routes of one model share one ``eigh``
+    per sector. ``spectrum`` (every sector's eigenpairs) and ``probe_tables``
+    (the eigenvectors of H reduced to the probe factor, for the mean-force
+    routes) are cached the same way. ``sectors_diagonalized`` and ``eigh_s``
+    count the sectors diagonalized so far and the seconds their ``eigh``s took.
     """
 
     space: HilbertSpace
@@ -207,24 +213,65 @@ class CompositeModel:
     bath_energies: np.ndarray
     charge: np.ndarray
 
-    @cached_property
-    def spectrum(self):
-        """One (index, eigenvalues, column eigenvectors) block per sector, read-only.
+    def __post_init__(self):
+        # sector position -> (eigenpairs, eigh seconds) of each sector diagonalized
+        # so far. An entry is stored once (dict.setdefault): two threads that miss
+        # one sector at once each run its eigh, and both return the first stored
+        object.__setattr__(self, "_diagonalized", {})
 
-        ``index`` lists the basis states carrying one charge label, in basis
-        order, and the eigenvectors are columns over those states only, in
-        ascending eigenvalue order. A model with no charge has one block
-        covering every index. Costs one dense eigh of H's block per sector:
-        sum_b |I_b|^3. Its readers are the engine's branch kernel and that
-        route's two-point scatter, and the mean-force routes (through
-        ``probe_tables``).
+    @cached_property
+    def _sectors(self):
+        """Per sector, its states (read-only) and H's entries among them, from
+        ``_sector_entries``: one sort of the states and of H's entries."""
+        sectors = tuple(_sector_entries(self.hamiltonian, self.charge))
+        _read_only(index for index, _, _, _ in sectors)
+        return sectors
+
+    @cached_property
+    def sector_indices(self):
+        """Per sector, in ascending charge order, its basis states in basis order,
+        read-only; a model with no charge has one sector covering every index."""
+        return tuple(index for index, _, _, _ in self._sectors)
+
+    def sector_eigenpairs(self, b):
+        """(index, eigenvalues, column eigenvectors) of sector b, read-only.
+
+        ``index`` is ``sector_indices[b]``, and the eigenvectors are columns over
+        those states only, in ascending eigenvalue order. The first call runs
+        one dense eigh of H's block, |I_b|^3, and caches it; later calls return
+        the same arrays. Its readers are the engine's branch kernel and its
+        two-point scatter, each for the sectors holding a start state, and
+        ``spectrum``.
         """
-        blocks = []
-        for index, rows, cols, values in _sector_entries(self.hamiltonian, self.charge):
+        entry = self._diagonalized.get(b)
+        if entry is None:
+            start = time.perf_counter()
+            index, rows, cols, values = self._sectors[b]
             dense = np.zeros((len(index), len(index)))
             dense[rows, cols] = values
-            blocks.append(_read_only((index, *np.linalg.eigh(dense))))
-        return tuple(blocks)
+            pairs = _read_only((index, *np.linalg.eigh(dense)))
+            entry = self._diagonalized.setdefault(b, (pairs, time.perf_counter() - start))
+        return entry[0]
+
+    @property
+    def sectors_diagonalized(self):
+        """How many sectors ``sector_eigenpairs`` has diagonalized so far."""
+        return len(self._diagonalized)
+
+    @property
+    def eigh_s(self):
+        """Seconds spent in the sectors' eighs so far, each sector counted once."""
+        return sum(seconds for _, seconds in self._diagonalized.values())
+
+    @cached_property
+    def spectrum(self):
+        """Every sector's ``sector_eigenpairs``, as a tuple in sector order.
+
+        Costs one dense eigh of H's block per sector not yet diagonalized:
+        sum_b |I_b|^3 on a fresh model. Its reader is ``probe_tables`` (the
+        mean-force routes), which needs every sector.
+        """
+        return tuple(self.sector_eigenpairs(b) for b in range(len(self._sectors)))
 
     @cached_property
     def probe_tables(self):
@@ -319,10 +366,12 @@ def _sector_entries(h, charge):
     rows = _csr_rows(h)
     entry_sector = sector_of[rows]
     by_sector = np.argsort(entry_sector, kind="stable")
-    entry_bounds = np.cumsum(np.bincount(entry_sector, minlength=len(counts)))
-    for index, entries in zip(np.split(order, np.cumsum(counts)[:-1]),
-                              np.split(by_sector, entry_bounds[:-1])):
-        yield index, local[rows[entries]], local[h.indices[entries]], h.data[entries]
+    # the entries sorted by sector once; each sector is then a slice of each array
+    rows, cols, values = local[rows[by_sector]], local[h.indices[by_sector]], h.data[by_sector]
+    states = np.cumsum(counts).tolist()
+    entries = np.cumsum(np.bincount(entry_sector, minlength=len(counts))).tolist()
+    for s0, s1, e0, e1 in zip([0] + states[:-1], states, [0] + entries[:-1], entries):
+        yield order[s0:s1], rows[e0:e1], cols[e0:e1], values[e0:e1]
 
 
 def _hermiticity_deviation(keys, mirror, data):
@@ -467,6 +516,8 @@ def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):
     Conserved charge: sigma_z of the probe for 'z'; the parity
     sigma_z (x) (-1)^{sum_k n_k} for 'x'; none for 'xz'.
     """
+    if coupling_axis not in ("x", "z", "xz"):
+        raise ValueError(f"coupling_axis must be 'x', 'z' or 'xz', got {coupling_axis!r}")
     if not modes:
         raise ValueError("at least one bath mode required")
     cutoffs = _bath_cutoffs(modes, n_max)

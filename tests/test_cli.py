@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -408,15 +409,27 @@ def test_sidecar_names_the_engine_routes(tmp_path, experiment, model, routes):
     assert f"engine_routes: {routes}" in result.output
 
 
-@pytest.mark.parametrize("experiment, model", [
-    ("heat-exchange", {"omega_0": 1.0, "g": 0.1}),
-    ("dephasing", {"modes": [[1.0, 0.1], [1.6, 0.15]]}),
-    ("mean-force", {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "xz"}),
-])
-def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
+@pytest.mark.parametrize("experiment, model, n_max, sectors", [
+    ("heat-exchange", {"omega_0": 1.0, "g": 0.1}, 14, (15, 29)),
+    ("heat-exchange", {"omega_0": 1.0, "g": 0.1}, 27, (28, 55)),
+    ("dephasing", {"modes": [[1.0, 0.1], [1.6, 0.15]]}, 14, (0, 0)),
+    ("mean-force", {"omega_q": 1.0, "modes": [[1.2, 0.1]], "coupling_axis": "xz"}, 14, (1, 1)),
+], ids=["heat-exchange-14", "heat-exchange-27", "dephasing", "mean-force"])
+def test_sidecar_states_the_model_build_time(tmp_path, monkeypatch, experiment, model, n_max,
+                                             sectors):
+    # the vacuum probe reaches the sectors N <= n_max of the exchange pair, and
+    # their eighs run in the first table build; each eigh here takes at least
+    # 2 ms, and spectrum_s counts every one of them
+    real_eigh = np.linalg.eigh
+
+    def slow_eigh(matrix, *args, **kwargs):
+        time.sleep(0.002)
+        return real_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
     path = write_config(tmp_path, {
         "experiment": experiment, "model": model, "sweep": {"beta": [2.0, 3.0]},
-        "numerics": {"n_max": 14}, "output": {"path": str(tmp_path / "out.csv")},
+        "numerics": {"n_max": n_max}, "output": {"path": str(tmp_path / "out.csv")},
     })
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 0, result.output
@@ -424,6 +437,9 @@ def test_sidecar_states_the_model_build_time(tmp_path, experiment, model):
     for stage in ("model_build_s", "spectrum_s"):
         assert report[stage] > 0
         assert f"{stage}: " in result.output
+    assert (report["sectors_diagonalized"], report["sectors_total"]) == sectors
+    assert f"sectors_diagonalized: {sectors[0]}\n  sectors_total: {sectors[1]}" in result.output
+    assert report["spectrum_s"] >= 0.002 * sectors[0]
 
 
 def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Model builders, bath discretization, and measurement bases."""
 
 import re
+import sys
+import threading
 import tracemalloc
 from functools import partial, reduce
 
@@ -229,9 +231,11 @@ class TestModelBuilders:
         h = dense_hamiltonian(model)
         assert np.abs(hs @ h - h @ hs).max() > 1e-3
 
-    def test_spin_boson_rejects_unknown_axis(self):
-        with pytest.raises(KeyError):
-            build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis="y")
+    @pytest.mark.parametrize("axis", ["y", "X", None])
+    def test_spin_boson_rejects_unknown_axis(self, axis):
+        with pytest.raises(ValueError, match=f"coupling_axis must be 'x', 'z' or 'xz', "
+                                             f"got {re.escape(repr(axis))}"):
+            build_spin_boson_model(1.0, [BathMode(1.0, 0.1)], 2, coupling_axis=axis)
 
     @pytest.mark.parametrize("build", [
         lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),
@@ -255,6 +259,36 @@ class TestModelBuilders:
         covered = np.sort(np.concatenate([index for index, _, _ in model.spectrum]))
         assert np.array_equal(covered, np.arange(model.space.total_dim))
         assert np.allclose(rebuilt, dense, atol=1e-12)
+
+    def test_threads_sharing_a_model_store_each_sector_once(self):
+        # eight threads diagonalize one model's sectors, half of them backwards,
+        # switching every microsecond: every thread gets the one stored tuple of
+        # each sector, and the model counts each sector once
+        model = build_coupled_oscillators(1.2, 1.0, 0.2, 12)
+        sectors = range(len(model.sector_indices))
+        seen = [{} for _ in range(8)]
+
+        def diagonalize(out, order):
+            for b in order:
+                out[b] = model.sector_eigenpairs(b)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=diagonalize,
+                                        args=(out, sectors[::1 if n % 2 else -1]))
+                       for n, out in enumerate(seen)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for b in sectors:
+            assert all(out[b] is seen[0][b] for out in seen)
+        assert model.sectors_diagonalized == len(sectors) and model.eigh_s > 0
+        assert all(pairs is seen[0][b] for b, pairs in enumerate(model.spectrum))
 
     @pytest.mark.parametrize("build", [
         lambda: build_coupled_oscillators(1.2, 1.0, 0.2, 4),

@@ -147,22 +147,107 @@ def test_vacuum_build_propagates_exactly_the_sectors_it_reaches():
     # tables as they are, and in any of those 28 they reach the tables
     n_max = 27
     model = build_coupled_oscillators(1.1, 1.0, 0.2, n_max)
-    spectrum = model.spectrum
-    assert len(spectrum) == 55
+    sectors = len(model.sector_indices)
+    assert sectors == 55
     rho0 = _exchange_probe_state("vacuum", n_max + 1, None)
     meas = fock_measurement(n_max)
+    eigenpairs = model.sector_eigenpairs
 
     def tables(poisoned):
-        vars(model)["spectrum"] = tuple(
-            (index, lam, np.full_like(v, np.nan) if b == poisoned else v)
-            for b, (index, lam, v) in enumerate(spectrum))
+        def poison(b):
+            index, lam, v = eigenpairs(b)
+            return index, lam, np.full_like(v, np.nan) if b == poisoned else v
+
+        vars(model)["sector_eigenpairs"] = poison
         built = HeatEngine(model)._tables_for(rho0, 1.0, 2.0, meas)
         return np.concatenate([built.prob.ravel(), built.energy.ravel(), built.bath_energy])
 
     clean = tables(None)
     assert np.all(np.isfinite(clean))
-    propagated = [b for b in range(len(spectrum)) if not np.array_equal(tables(b), clean)]
-    assert [model.charge[spectrum[b][0][0]] for b in propagated] == list(range(n_max + 1))
+    propagated = [b for b in range(sectors) if not np.array_equal(tables(b), clean)]
+    assert [model.charge[model.sector_indices[b][0]] for b in propagated] == list(range(n_max + 1))
+
+
+def _diagonalized_charges(model):
+    """The charges of the sectors ``model.sector_eigenpairs`` is asked for, in call order."""
+    charges = []
+    eigenpairs = model.sector_eigenpairs
+
+    def record(b):
+        charges.append(int(model.charge[model.sector_indices[b][0]]))
+        return eigenpairs(b)
+
+    vars(model)["sector_eigenpairs"] = record
+    return charges
+
+
+@pytest.mark.parametrize("route", ["tables", "two-point"])
+def test_vacuum_routes_diagonalize_only_the_sectors_they_reach(route):
+    # each route keeps its own exact-zero test on phi: from the vacuum neither
+    # asks for a sector with N > n_max, and each diagonalizes the N <= n_max ones once
+    n_max = 27
+    model = build_coupled_oscillators(1.1, 1.0, 0.2, n_max)
+    charges = _diagonalized_charges(model)
+    eng = HeatEngine(model)
+    rho0, meas = _exchange_probe_state("vacuum", n_max + 1, None), fock_measurement(n_max)
+    if route == "tables":
+        eng.heat_decomposition(rho0, 1.0, 2.0, meas)
+    else:
+        eng.two_point_trajectory_heat_all(rho0, 1.0, 2.0, meas)
+    assert sorted(charges) == list(range(n_max + 1))
+    assert model.sectors_diagonalized == n_max + 1 and len(model.sector_indices) == 55
+
+
+def _every_level_start(case):
+    """(model, rho0, measurement, beta, t) whose start states lie on every probe level."""
+    if case == "exchange-thermal":
+        n_max = 7
+        model = build_coupled_oscillators(1.2, 1.0, 0.25, n_max)
+        rho0 = np.diag(gibbs_weights(1.2 * np.arange(n_max + 1.0), 0.7)).astype(complex)
+        return model, rho0, fock_measurement(n_max), 1.1, 2.3
+    rng = np.random.default_rng(4)
+    model = build_spin_boson_model(1.0, _random_modes(rng, 2), [4, 3], coupling_axis="x")
+    return model, np.full((2, 2), 0.5, dtype=complex), _random_measurement(rng, 2), 1.1, 2.3
+
+
+@pytest.mark.parametrize("route", ["tables", "two-point"])
+@pytest.mark.parametrize("case", ["exchange-thermal", "parity-plus"])
+def test_a_start_on_every_probe_level_diagonalizes_every_sector(case, route):
+    # a full-rank thermal rho0 on the exchange pair, or |+> on the parity model,
+    # has a start state in every sector: each route diagonalizes all of them and
+    # still matches the dense reference at the unchanged bounds
+    model, rho0, meas, beta, t = _every_level_start(case)
+    eng = HeatEngine(model)
+    if route == "tables":
+        eng.heat_decomposition(rho0, beta, t, meas)
+    else:
+        eng.two_point_trajectory_heat_all(rho0, beta, t, meas)
+    assert model.sectors_diagonalized == len(model.sector_indices) > 1
+    _assert_engine_matches_dense(model, rho0, beta, t, meas)
+
+
+def test_engine_then_probe_tables_run_one_eigh_per_sector(monkeypatch):
+    # the engine diagonalizes the 7 sectors the vacuum reaches, mean force's
+    # probe_tables the other 6: one eigh per sector between them
+    n_max = 6
+    model = build_coupled_oscillators(1.1, 1.0, 0.2, n_max)
+    rho0, meas = _exchange_probe_state("vacuum", n_max + 1, None), fock_measurement(n_max)
+    dims = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(matrix, *args, **kwargs):
+        dims.append(np.shape(matrix)[0])
+        return real_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    eng = HeatEngine(model)
+    eng.heat_decomposition(rho0, 1.0, 2.0, meas)
+    eng.two_point_trajectory_heat_all(rho0, 1.0, 2.0, meas)
+    # one more eigh per call: rho0's own, of the probe's size
+    assert sorted(dims) == sorted([n_max + 1] * 2 + list(range(1, n_max + 2)))
+    dims.clear()
+    model.probe_tables  # noqa: B018
+    assert sorted(dims) == list(range(1, n_max + 1))
 
 
 def test_two_point_route_drops_null_space_of_rho0():
