@@ -8,12 +8,13 @@ variant with a transverse coupling is included for the steady-state
 machinery, where a non-commuting interaction is the interesting case.
 
 Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
-which stores the sparse H as three CSR arrays, assembled and checked with
-numpy alone. The dephasing model is a ``ModeProductModel``: per probe level
-and sample mode the eigenpairs of one mode factor, and no H, so its size grows
-with the sum of the mode cutoffs, not their product. ``scipy.sparse`` is
-imported only by ``CompositeModel.probe_tables`` (the mean-force routes), for
-its one sparse H V product; building a model and its spectrum never loads it.
+which stores H once, as its sparse blocks on the charge sectors, assembled and
+checked with numpy alone. The dephasing model is a ``ModeProductModel``: per
+probe level and sample mode the eigenpairs of one mode factor, and no H, so
+its size grows with the sum of the mode cutoffs, not their product.
+``scipy.sparse`` is imported only by ``CompositeModel.probe_tables`` (the
+mean-force routes), for each sector's sparse block-times-eigenvectors
+product; building a model and its spectrum never loads it.
 """
 
 import math
@@ -21,7 +22,6 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,44 +171,32 @@ class SectorCouplingError(ValueError):
     """The Hamiltonian has an entry between two different charge labels."""
 
 
-class CSRMatrix(NamedTuple):
-    """A square real matrix in canonical compressed sparse row form.
-
-    Row r stores ``data[indptr[r]:indptr[r + 1]]`` in the columns
-    ``indices[indptr[r]:indptr[r + 1]]``, strictly ascending, with no stored
-    zero. The tuple is ``scipy.sparse.csr_array``'s (data, indices, indptr)
-    constructor argument.
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
     """Thermometer + sample Hamiltonian H = H_S (x) 1 + 1 (x) H_B + H_I.
 
-    ``hamiltonian`` is H on the full space, stored once as read-only CSR
-    arrays (float64 data, int32 indices wherever they fit); h_s_local is H_S
-    on factor 0, dense. Every builder's
+    ``sectors`` is H, stored once as its blocks on the charge sectors: per
+    sector, in ascending charge order, (index, rows, cols, values), the
+    sector's basis states in basis order and H's nonzero entries among them
+    (float64 values; rows and columns are positions within the sector, in
+    ascending row-major order), every array read-only. ``charge`` labels each
+    basis state with the conserved charge its builder declared (None: no
+    charge, and one sector of every state), and H has no entry between two
+    different labels. h_s_local is H_S on factor 0, dense. Every builder's
     H_B = sum_k omega_k n_k is diagonal in the sample's Fock product basis;
     ``bath_energies`` is that diagonal, read-only float64, in basis order.
-    ``charge`` labels each basis state with the conserved charge its builder
-    declared (None: no charge), and H has no entry between two different
-    labels. The sectors' states, ``sector_indices`` (one sort of the states
-    and of H's entries), and each sector's eigenpairs,
-    ``sector_eigenpairs(b)`` (one dense ``eigh`` of H's block), are computed
-    on first use and cached, so a route pays only for the sectors it reads,
-    and the engine and the mean-force routes of one model share one ``eigh``
-    per sector. ``spectrum`` (every sector's eigenpairs) and ``probe_tables``
-    (the eigenvectors of H reduced to the probe factor, for the mean-force
-    routes) are cached the same way. ``sectors_diagonalized`` and ``eigh_s``
-    count the sectors diagonalized so far and the seconds their ``eigh``s took.
+    Each sector's eigenpairs, ``sector_eigenpairs(b)`` (one dense ``eigh`` of
+    its block), are computed on first use and cached, so a route pays only
+    for the sectors it reads, and the engine and the mean-force routes of one
+    model share one ``eigh`` per sector. ``spectrum`` (every sector's
+    eigenpairs) and ``probe_tables`` (the eigenvectors of H reduced to the
+    probe factor, for the mean-force routes) are cached the same way.
+    ``sectors_diagonalized`` and ``eigh_s`` count the sectors diagonalized so
+    far and the seconds their ``eigh``s took.
     """
 
     space: HilbertSpace
-    hamiltonian: CSRMatrix
+    sectors: tuple
     h_s_local: np.ndarray
     bath_energies: np.ndarray
     charge: np.ndarray
@@ -220,18 +208,10 @@ class CompositeModel:
         object.__setattr__(self, "_diagonalized", {})
 
     @cached_property
-    def _sectors(self):
-        """Per sector, its states (read-only) and H's entries among them, from
-        ``_sector_entries``: one sort of the states and of H's entries."""
-        sectors = tuple(_sector_entries(self.hamiltonian, self.charge))
-        _read_only(index for index, _, _, _ in sectors)
-        return sectors
-
-    @cached_property
     def sector_indices(self):
         """Per sector, in ascending charge order, its basis states in basis order,
         read-only; a model with no charge has one sector covering every index."""
-        return tuple(index for index, _, _, _ in self._sectors)
+        return tuple(index for index, _, _, _ in self.sectors)
 
     def sector_eigenpairs(self, b):
         """(index, eigenvalues, column eigenvectors) of sector b, read-only.
@@ -246,7 +226,7 @@ class CompositeModel:
         entry = self._diagonalized.get(b)
         if entry is None:
             start = time.perf_counter()
-            index, rows, cols, values = self._sectors[b]
+            index, rows, cols, values = self.sectors[b]
             dense = np.zeros((len(index), len(index)))
             dense[rows, cols] = values
             pairs = _read_only((index, *np.linalg.eigh(dense)))
@@ -271,7 +251,7 @@ class CompositeModel:
         sum_b |I_b|^3 on a fresh model. Its reader is ``probe_tables`` (the
         mean-force routes), which needs every sector.
         """
-        return tuple(self.sector_eigenpairs(b) for b in range(len(self._sectors)))
+        return tuple(self.sector_eigenpairs(b) for b in range(len(self.sectors)))
 
     @cached_property
     def probe_tables(self):
@@ -279,11 +259,11 @@ class CompositeModel:
 
         w lists the eigenvalues of H in ``spectrum`` order; G[s, t, n] =
         Tr_B |v_n><v_n| and K[t, s, n] = Tr_B H|v_n><v_n|, each (d_s, d_s, d)
-        and read-only. K applies the stored sparse H to the eigenvectors, not
-        their eigenvalues: it equals w_n G[t, s, n] only as far as the
-        spectrum solves H, so a route reading K checks the spectrum against H.
-        Costs one sparse H V product and d_s^2 sums over the sample index per
-        sector, once per model.
+        and read-only. K applies each stored block of H to its sector's
+        eigenvectors, not their eigenvalues: it equals w_n G[t, s, n] only as
+        far as the spectrum solves H, so a route reading K checks the spectrum
+        against H. Costs one sparse block-times-V product and d_s^2 sums over
+        the sample index per sector, once per model.
         """
         spectrum = self.spectrum
         # imported once the dense eighs are done, so that the module's memory
@@ -291,12 +271,14 @@ class CompositeModel:
         from scipy import sparse
 
         d, d_s = self.space.total_dim, self.system_dim
-        h = sparse.csr_array(self.hamiltonian, shape=(d, d))  # no copy of the held arrays
         w, g, k = [], [], []
-        for index, values, v in spectrum:
-            full = np.zeros((d, len(index)), dtype=v.dtype)
+        for (index, rows, cols, entries), (_, values, v) in zip(self.sectors, spectrum):
+            n_b = len(index)
+            full = np.zeros((d, n_b), dtype=v.dtype)
             full[index] = v
-            hv = (h @ full).reshape(d_s, self.bath_dim, -1)
+            hv = np.zeros_like(full)
+            hv[index] = sparse.csr_array((entries, (rows, cols)), shape=(n_b, n_b)) @ v
+            hv = hv.reshape(d_s, self.bath_dim, -1)
             full = full.reshape(d_s, self.bath_dim, -1)
             w.append(values)
             g.append(np.einsum("sbn,tbn->stn", full, full))
@@ -347,31 +329,27 @@ def _concat_entries(*parts):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _csr_rows(h):
-    """Row of each stored entry of the CSR matrix h, in storage order."""
-    return np.repeat(np.arange(len(h.indptr) - 1), np.diff(h.indptr))
-
-
-def _sector_entries(h, charge):
-    """Per charge sector, in ascending label order (one sector of every state where
-    charge is None): (index, rows, cols, values), the sector's basis states in basis
-    order and H's stored entries among them, rows and columns as positions within
-    the sector. H must couple no two sectors."""
-    d = len(h.indptr) - 1
-    labels = np.zeros(d, dtype=int) if charge is None else charge
-    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+def _sector_blocks(rows, cols, values, sector_of, counts):
+    """Per charge sector, in ascending label order: (index, rows, cols, values),
+    the sector's basis states in basis order and H's entries (rows, cols, values)
+    among them, rows and columns as positions within the sector, every array
+    read-only. sector_of[i] is the sector of state i, and counts the size of each
+    sector. H's entries come in ascending row-major order, and within a sector
+    they stay in it; H must couple no two sectors."""
+    d = len(sector_of)
     order = np.argsort(sector_of, kind="stable")
     local = np.empty(d, dtype=int)
     local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
-    rows = _csr_rows(h)
     entry_sector = sector_of[rows]
     by_sector = np.argsort(entry_sector, kind="stable")
     # the entries sorted by sector once; each sector is then a slice of each array
-    rows, cols, values = local[rows[by_sector]], local[h.indices[by_sector]], h.data[by_sector]
+    order, rows, cols, values = _read_only(
+        (order, local[rows[by_sector]], local[cols[by_sector]], values[by_sector]))
     states = np.cumsum(counts).tolist()
     entries = np.cumsum(np.bincount(entry_sector, minlength=len(counts))).tolist()
-    for s0, s1, e0, e1 in zip([0] + states[:-1], states, [0] + entries[:-1], entries):
-        yield order[s0:s1], rows[e0:e1], cols[e0:e1], values[e0:e1]
+    return tuple((order[s0:s1], rows[e0:e1], cols[e0:e1], values[e0:e1])
+                 for s0, s1, e0, e1 in zip([0] + states[:-1], states,
+                                           [0] + entries[:-1], entries))
 
 
 def _hermiticity_deviation(keys, mirror, data):
@@ -384,10 +362,10 @@ def _hermiticity_deviation(keys, mirror, data):
 
 
 def _compose(space, h_s_local, bath_energies, h_i, charge=None):
-    """H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I as read-only CSR arrays,
-    with H_I given as (rows, cols, values) entries (duplicates add up). H is
-    checked Hermitian, in O(nnz log nnz), and block-diagonal in ``charge``, in
-    O(nnz)."""
+    """The model of H = H_S (x) 1 + 1 (x) diag(bath_energies) + H_I, with H_I given
+    as (rows, cols, values) entries (duplicates add up), H held as its blocks on
+    the sectors of ``charge`` (``_sector_blocks``). H is checked Hermitian, in
+    O(nnz log nnz), and block-diagonal in ``charge``, in O(nnz)."""
     bath_energies = np.array(bath_energies, dtype=float)
     h_s_local = np.array(h_s_local, dtype=float)
     d = space.total_dim
@@ -408,21 +386,18 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None):
     if dev > HERMITICITY_RTOL * scale:
         raise InvalidOperatorError(
             f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
+    labels = np.zeros(d, dtype=int) if charge is None else np.asarray(charge)
+    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    bad = np.flatnonzero(sector_of[rows] != sector_of[cols])
+    if bad.size:
+        r, c = rows[bad[0]], cols[bad[0]]
+        raise SectorCouplingError(
+            f"H couples state {r} (charge {labels[r]}) to state {c} "
+            f"(charge {labels[c]}) in {bad.size} entries")
+    sectors = _sector_blocks(rows, cols, data, sector_of, counts)
     if charge is not None:
-        charge = np.asarray(charge)
-        bad = np.flatnonzero(charge[rows] != charge[cols])
-        if bad.size:
-            r, c = rows[bad[0]], cols[bad[0]]
-            raise SectorCouplingError(
-                f"H couples state {r} (charge {charge[r]}) to state {c} "
-                f"(charge {charge[c]}) in {bad.size} entries")
-        charge = _read_only((charge,))[0]
-    # int32 indices wherever they fit, as scipy.sparse would store this matrix
-    index_dtype = np.int32 if max(d, len(values)) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(d + 1, dtype=index_dtype)
-    np.cumsum(np.bincount(rows, minlength=d), out=indptr[1:])
-    h = CSRMatrix(*_read_only((data, cols.astype(index_dtype), indptr)))
-    return CompositeModel(space, h, *_read_only((h_s_local, bath_energies)), charge)
+        charge = _read_only((labels,))[0]
+    return CompositeModel(space, sectors, *_read_only((h_s_local, bath_energies)), charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):

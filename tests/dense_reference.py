@@ -93,11 +93,12 @@ def embedded_projectors(model, meas):
 
 
 def dense_hamiltonian(model):
-    """H of a ``CompositeModel`` as a dense float64 matrix, from its CSR arrays."""
-    h = model.hamiltonian
-    d = len(h.indptr) - 1
+    """H of a ``CompositeModel`` as a dense float64 matrix, each sector's block
+    placed at its states' global positions."""
+    d = model.space.total_dim
     dense = np.zeros((d, d))
-    dense[np.repeat(np.arange(d), np.diff(h.indptr)), h.indices] = h.data
+    for index, rows, cols, values in model.sectors:
+        dense[index[rows], index[cols]] = values
     return dense
 
 

@@ -18,7 +18,6 @@ from thermoq.models import (
     SIGMA_X,
     SIGMA_Z,
     BathMode,
-    CSRMatrix,
     ModeProductModel,
     ProjectiveMeasurement,
     SpectralDensity,
@@ -36,19 +35,21 @@ from thermoq.models import (
 from dense_reference import dense_hamiltonian
 
 
-def _assert_canonical_csr(h, d):
-    """H's held CSR arrays are read-only, and each row stores its columns sorted,
-    none twice, and no exact zero."""
-    assert isinstance(h, CSRMatrix) and not any(a.flags.writeable for a in h)
-    assert h.data.dtype == np.float64
-    # int32 indices, as scipy.sparse would store a matrix of this size
-    assert h.indices.dtype == h.indptr.dtype == np.int32
-    assert len(h.indptr) == d + 1 and h.indptr[0] == 0
-    assert h.indptr[-1] == len(h.data) == len(h.indices)
-    rows = np.repeat(np.arange(d), np.diff(h.indptr))
-    assert h.indices.min() >= 0 and h.indices.max() < d
-    assert np.all(np.diff(rows * d + h.indices) > 0)
-    assert np.all(h.data != 0)
+def _assert_canonical_blocks(model):
+    """H's held sector blocks are read-only, float64 with no exact zero, each
+    sector's entries strictly ascending row-major; the sectors' states partition
+    the basis, and each entry joins two states of one charge."""
+    d = model.space.total_dim
+    labels = np.zeros(d, dtype=int) if model.charge is None else model.charge
+    for index, rows, cols, values in model.sectors:
+        assert not any(a.flags.writeable for a in (index, rows, cols, values))
+        assert values.dtype == np.float64 and np.all(values != 0)
+        n = len(index)
+        assert np.all((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
+        assert np.all(np.diff(rows * n + cols) > 0)
+        assert np.array_equal(labels[index[rows]], labels[index[cols]])
+    covered = np.sort(np.concatenate(model.sector_indices))
+    assert np.array_equal(covered, np.arange(d))
 
 
 class TestBosonicOperators:
@@ -246,7 +247,7 @@ class TestModelBuilders:
     ], ids=["exchange", "dephasing", "spin-boson"])
     def test_real_float64_hamiltonian_and_cached_spectra(self, build):
         model = build()
-        _assert_canonical_csr(model.hamiltonian, model.space.total_dim)
+        _assert_canonical_blocks(model)
         parts = (model.h_s_local, model.bath_energies)
         assert all(m.dtype == np.float64 and not m.flags.writeable for m in parts)
         assert model.bath_energies.shape == (model.bath_dim,)
@@ -299,14 +300,15 @@ class TestModelBuilders:
         lambda: build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.1)], 3,
                                        coupling_axis="xz"),
     ], ids=["exchange", "dephasing", "spin-boson-x", "spin-boson-z", "spin-boson-xz"])
-    def test_csr_arrays_equal_scipy_csr_array_of_the_same_entries(self, build, monkeypatch):
-        # the numpy assembly stores, bit for bit and dtypes included, what one
-        # csr_array constructor with sum_duplicates and eliminate_zeros stores
+    def test_sector_blocks_equal_scipy_csr_array_of_the_same_entries(self, build, monkeypatch):
+        # the numpy assembly stores, bit for bit, what one csr_array constructor
+        # with sum_duplicates and eliminate_zeros stores, once the blocks' entries
+        # are mapped to their global positions
         calls = []
         compose = models._compose
         monkeypatch.setattr(models, "_compose",
                             lambda *args, **kwargs: calls.append(args) or compose(*args, **kwargs))
-        h = build().hamiltonian
+        model = build()
         (space, h_s_local, bath_energies, h_i, *_), = calls
         d = space.total_dim
         diagonal = np.arange(d)
@@ -317,9 +319,15 @@ class TestModelBuilders:
                                shape=(d, d))
         ref.sum_duplicates()
         ref.eliminate_zeros()
-        for name in CSRMatrix._fields:
-            held, expected = getattr(h, name), getattr(ref, name)
-            assert held.dtype == expected.dtype and held.tobytes() == expected.tobytes(), name
+        ref = ref.tocoo()  # the same entries, in the same order
+        held_rows, held_cols, held_values = (
+            np.concatenate(parts) for parts in zip(*((index[r], index[c], v)
+                                                     for index, r, c, v in model.sectors)))
+        order = np.lexsort((held_cols, held_rows))
+        assert np.array_equal(held_rows[order], ref.row)
+        assert np.array_equal(held_cols[order], ref.col)
+        assert held_values.dtype == ref.data.dtype
+        assert held_values[order].tobytes() == ref.data.tobytes()
 
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):
@@ -344,7 +352,7 @@ class TestDeclaredDephasingModel:
         # that the build never loads scipy.sparse is checked in test_imports.py
         model = build_dephasing_model(self.MODES, 2)
         assert isinstance(model, ModeProductModel) and model.bath_dim == 81
-        assert not hasattr(model, "hamiltonian")
+        assert not hasattr(model, "sectors")
         held = [*model.mode_energies,
                 *(a for level in model.levels for pair in level for a in pair)]
         assert max(a.size for a in held) == 9
