@@ -20,10 +20,14 @@ every outcome probability and conditional energy is then a short
 contraction with the thermal weights. Each route's tables define P_l in one
 place, ``probabilities``, which takes a vector of betas, returns a (B, L)
 array and range-checks what it forms (roundoff clipped into [0, 1],
-``ProbabilityRangeError`` beyond it): ``traces``, the conditional energies
-the heat terms read at one beta, takes its P_l from it, and the direct score
-and the finite-difference Fisher information evaluate one five-point stencil
-(``log_scores``) in one call of it and form no conditional energy. Every
+``ProbabilityRangeError`` beyond it). It forms each row from its own beta
+alone, with matrix-vector products, so P_l(beta) is the same to the last bit
+whatever other betas a call evaluates: ``traces``, the conditional energies
+the heat terms read at one beta, forms its P_l with the same products, and
+the direct score and the finite-difference Fisher information evaluate one
+five-point stencil (``log_scores``) in one call of it and form no
+conditional energy, so they keep exactly the outcomes the heat
+decomposition keeps. Every
 route first checks beta > 0 and the size of the measurement and of rho0
 (``ValueError``), and that rho0 is a density matrix
 (``InvalidProbeStateError``); the table routes check the last three once per
@@ -55,9 +59,8 @@ term times the chi of every later mode, never a division, since chi can
 vanish. P_l is Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
 accumulated from the small 1 - chi_k, so a rare outcome's probability keeps
 its relative precision from one beta of a finite-difference stencil to the
-next; at B betas ``probabilities`` forms each 1 - chi_k as one
-(Q^2, n_k) x (n_k, B) product. With Q probe levels, per (rho0, t) it costs
-one real n_k x n_k x 2 n_k product per mode and probe level for the mode
+next. With Q probe levels, per (rho0, t) it costs one real
+n_k x n_k x 2 n_k product per mode and probe level for the mode
 propagators and O(Q^2 sum_k n_k^2) for the tables, per beta
 O(Q^2 sum_k n_k); no array has the size of the full space, of the sample or
 of its branches.
@@ -84,8 +87,8 @@ branch k on the final sample level i: a row on one probe level s adds
 |a|^2 <s|Pi_l|s> to outcome l (summed per (k, s), then one (K, d_s) x (d_s, L)
 product), and a row on several (a branch that reaches two sectors, or a
 sector holding one sample level twice) adds |B^dag a|^2 over outcome l's
-columns, each weighted by 1 and by eps_i. P_l at B betas is the (B, K)
-weight matrix w_r p_j(beta_b) times the first table. Per (rho0, t) it costs
+columns, each weighted by 1 and by eps_i. P_l at beta is the weights
+w_r p_j(beta) times the first table. Per (rho0, t) it costs
 two real K_b x |I_b| x |I_b| products per reached sector, K_b the branches
 starting in sector b (and that sector's eigh, once per model), and per beta
 three L x K matrix-vector products. It holds the amplitudes of the reached
@@ -232,16 +235,17 @@ class _BranchTables:
         return (self.rho_w[:, None] * p[:, None, :]).reshape(len(p), -1)
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, the branch weights times the table of Pi_l (x) 1,
-        range-checked (``_checked_probabilities``)."""
-        return _checked_probabilities(self._weights(betas) @ self.prob.T)
+        """(B, L): P_l at each beta, range-checked (``_checked_probabilities``): per
+        beta one product of its branch weights with the table of Pi_l (x) 1, so a
+        row does not depend on the other betas of the call."""
+        return _checked_probabilities(np.array([c @ self.prob.T for c in self._weights(betas)]))
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
         c = self._weights([beta])[0]
         # H_B |phi_r, j> = eps_j |phi_r, j>
         c_eps = c * np.tile(self.eps, len(self.rho_w))
-        return (self.probabilities([beta])[0], self.prob @ c_eps, self.energy @ c,
+        return (_checked_probabilities(c @ self.prob.T), self.prob @ c_eps, self.energy @ c,
                 c_eps.sum(), self.bath_energy @ c)
 
 
@@ -256,14 +260,16 @@ class _ModeTables:
     mode_energies: tuple     # per mode k, (n_k,): eps_k
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, one (Q * Q, n_k) x (n_k, B) product per mode."""
-        return self._probabilities([d @ gibbs_rows(eps, betas).T
+        """(B, L): P_l at each beta, one (Q * Q, n_k) x (n_k,) product per mode and
+        beta, so a row does not depend on the other betas of the call."""
+        # complex weights, as the product would cast them, once for every beta
+        return self._probabilities([np.array([d @ p for p in gibbs_rows(eps, betas).astype(complex)])
                                     for d, eps in zip(self.defect, self.mode_energies)])
 
     def _probabilities(self, y):
         """(B, L): P_l = Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
-        from y_k = 1 - chi_k, per mode a (Q * Q, B) array, range-checked
-        (``_checked_probabilities``)."""
+        from y_k = 1 - chi_k, per mode a (B, Q * Q) array, range-checked
+        (``_checked_probabilities``); one (L, Q * Q) x (Q * Q,) product per beta."""
         # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
         # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
         # probability stays relative to it from one beta to the next
@@ -271,7 +277,7 @@ class _ModeTables:
         for y_k in y:
             x = x - y_k - x * y_k
         rows = self.weight[:-1]
-        return _checked_probabilities((rows.sum(axis=1)[:, None] + rows @ x).real.T)
+        return _checked_probabilities((rows.sum(axis=1) + np.array([rows @ x_b for x_b in x])).real)
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
@@ -289,7 +295,7 @@ class _ModeTables:
             sums = sums * chi_k + prod * f_k
             prod = prod * chi_k
         rows = (self.weight @ sums.T).real
-        return (self._probabilities(y[:, :, None])[0], rows[:-1, 0], rows[:-1, 1],
+        return (self._probabilities(y[:, None])[0], rows[:-1, 0], rows[:-1, 1],
                 rows[-1, 0], rows[-1, 1])
 
 
@@ -577,10 +583,10 @@ class HeatEngine:
 
         beta acts only through the thermal sample input, so the tables are
         beta-independent and the whole five-point stencil is one call of their
-        ``probabilities(betas) -> (len(betas), L)``: one (5, K)
-        weight matrix times the L x K table on the branch kernel, one
-        (Q^2, n_k) x (n_k, 5) product per mode on the mode-product route. No
-        conditional energy is formed.
+        ``probabilities(betas) -> (len(betas), L)``: per beta, its K weights
+        times the L x K table on the branch kernel, one (Q^2, n_k) x (n_k,)
+        product per mode on the mode-product route. No conditional energy is
+        formed.
         """
         return log_scores(self._tables_for(rho0, beta, t, meas).probabilities, beta)[3]
 

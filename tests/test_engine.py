@@ -16,6 +16,7 @@ from thermoq.engine import (
     InvalidProbeStateError,
     ProbabilityRangeError,
     _checked_probabilities,
+    log_scores,
     precision_bound,
 )
 from thermoq.linalg import HERMITICITY_RTOL, truncation_level
@@ -671,7 +672,30 @@ class TestProbabilityKernel:
         assert eng.route == route
         rows, ref = self._rows_and_traces(eng, rho0, beta, t, meas)
         assert rows.shape == (7, len(meas.labels))
-        assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
+        # each row is formed from its own beta alone: equal to the last bit
+        assert np.array_equal(rows, ref)
+
+    @pytest.mark.parametrize("route", ["branch-kernel", "mode-product"])
+    def test_record_probabilities_are_the_stencil_centre_row(self, route):
+        # one P_l whichever betas a call evaluates: the record's (``traces``, one
+        # beta) and the five-beta stencil's centre row agree bit for bit and keep
+        # the same outcomes, so no outcome within roundoff of the floor is kept
+        # by the heat decomposition and dropped by the direct score
+        if route == "branch-kernel":
+            eng = HeatEngine(build_coupled_oscillators(1.0, 1.0, 0.1, 27))
+            rho0 = np.zeros((28, 28), dtype=complex)
+            rho0[0, 0] = 1.0
+            meas = fock_measurement(27)
+        else:
+            eng = HeatEngine(build_dephasing_model([BathMode(1.0, 0.1), BathMode(1.4, 0.15)], 22))
+            rho0, meas = PLUS, pauli_x_measurement()
+        assert eng.route == route
+        rng = np.random.default_rng(5)
+        for beta, t in rng.uniform((0.3, 0.5), (3.0, 30.0), size=(20, 2)):
+            record = eng.heat_decomposition(rho0, beta, t, meas)
+            p, _, kept, _ = log_scores(eng._tables_for(rho0, beta, t, meas).probabilities, beta)
+            assert [o.label for o in record.outcomes] == list(np.array(meas.labels)[kept])
+            assert record.probabilities.tobytes() == p[kept].tobytes()
 
     def test_outcome_near_the_floor_keeps_its_relative_precision(self):
         # P_- = 1.0e-10 at t = 1.8e-5: rows and traces agree to the last bits
