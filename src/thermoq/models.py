@@ -76,7 +76,8 @@ class ProjectiveMeasurement:
     """Projective measurement on the system factor, stored as an orthonormal basis.
 
     Column m of the square matrix ``basis`` belongs to the outcome
-    ``labels[outcome[m]]``. ``projectors[l]`` is the sum of |e_m><e_m| over
+    ``labels[outcome[m]]``; the labels are distinct, since every route reports
+    its outcomes by label. ``projectors[l]`` is the sum of |e_m><e_m| over
     outcome l's columns, derived on first read as a read-only (L, d_s, d_s)
     array; an outcome with no column has the zero projector. Only the engine's
     mode-product route (its two-point branch too) and mean force read that
@@ -101,6 +102,9 @@ class ProjectiveMeasurement:
         if outcome.min() < 0 or outcome.max() >= len(labels):
             raise ValueError(f"outcome indices span [{outcome.min()}, {outcome.max()}], "
                              f"not within the {len(labels)} labels")
+        if len(set(labels)) < len(labels):
+            repeated = next(label for n, label in enumerate(labels) if label in labels[:n])
+            raise ValueError(f"outcome labels must be distinct: {repeated!r} repeats")
         dev = np.abs(basis.conj().T @ basis - np.eye(len(basis))).max()
         if dev > COMPLETENESS_ATOL:
             raise InvalidOperatorError(

@@ -102,6 +102,15 @@ class TestProjectiveMeasurement:
         with pytest.raises(ValueError, match="labels"):
             ProjectiveMeasurement(fock.basis, fock.outcome, (0, 1))
 
+    @pytest.mark.parametrize("labels, repeated", [((5, 5, 7), "5"), ((1, 2, 1.0), "1.0")],
+                             ids=["equal", "equal-value"])
+    def test_rejects_repeated_labels(self, labels, repeated):
+        # every route reports by label: with two outcomes labelled 5 the heat
+        # decomposition returned three outcomes and the direct score two
+        with pytest.raises(ValueError,
+                           match=f"outcome labels must be distinct: {repeated} repeats"):
+            ProjectiveMeasurement(np.eye(3), [0, 1, 2], labels)
+
     @pytest.mark.parametrize("outcome", [(0, 1, -1), (0, 1, 3)], ids=["negative", "past-end"])
     def test_outcome_index_out_of_range(self, outcome):
         with pytest.raises(ValueError, match="labels"):
