@@ -262,9 +262,10 @@ class _ModeTables:
     def probabilities(self, betas):
         """(B, L): P_l at each beta, one (Q * Q, n_k) x (n_k,) product per mode and
         beta, so a row does not depend on the other betas of the call."""
-        # complex weights, as the product would cast them, once for every beta
-        return self._probabilities([np.array([d @ p for p in gibbs_rows(eps, betas).astype(complex)])
-                                    for d, eps in zip(self.defect, self.mode_energies)])
+        # the weights cast to complex once, as each product would cast them
+        weights = [gibbs_rows(eps, betas).astype(complex) for eps in self.mode_energies]
+        return self._probabilities([np.array([d @ p for p in p_k])
+                                    for d, p_k in zip(self.defect, weights)])
 
     def _probabilities(self, y):
         """(B, L): P_l = Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
