@@ -278,10 +278,12 @@ class CompositeModel:
         w, g, k = [], [], []
         for (index, rows, cols, entries), (_, values, v) in zip(self.sectors, spectrum):
             n_b = len(index)
-            full = np.zeros((d, n_b), dtype=v.dtype)
-            full[index] = v
-            hv = np.zeros_like(full)
+            # H V before V is embedded: two d x n_b buffers at most, one sector
+            # covering the space included
+            hv = np.zeros((d, n_b), dtype=v.dtype)
             hv[index] = sparse.csr_array((entries, (rows, cols)), shape=(n_b, n_b)) @ v
+            full = np.zeros_like(hv)
+            full[index] = v
             hv = hv.reshape(d_s, self.bath_dim, -1)
             full = full.reshape(d_s, self.bath_dim, -1)
             w.append(values)
@@ -333,14 +335,15 @@ def _concat_entries(*parts):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _sector_blocks(rows, cols, values, sector_of, counts):
-    """Per charge sector, in ascending label order: (index, rows, cols, values),
-    the sector's basis states in basis order and H's entries (rows, cols, values)
-    among them, rows and columns as positions within the sector, every array
-    read-only. sector_of[i] is the sector of state i, and counts the size of each
-    sector. H's entries come in ascending row-major order, and within a sector
-    they stay in it; H must couple no two sectors."""
-    d = len(sector_of)
+def _sector_blocks(d, charge, rows, cols, values):
+    """Per charge sector, in ascending label order (one sector of all d states where
+    charge is None): (index, rows, cols, values), the sector's basis states in
+    basis order and H's entries (rows, cols, values) among them, rows and columns
+    as positions within the sector, every array read-only. H's entries come in
+    ascending row-major order, and within a sector they stay in it; H must couple
+    no two sectors."""
+    labels = np.zeros(d, dtype=int) if charge is None else charge
+    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(sector_of, kind="stable")
     local = np.empty(d, dtype=int)
     local[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -390,18 +393,17 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None):
     if dev > HERMITICITY_RTOL * scale:
         raise InvalidOperatorError(
             f"matrix is not Hermitian: max deviation {dev:.3e} at scale {scale:.3e}")
-    labels = np.zeros(d, dtype=int) if charge is None else np.asarray(charge)
-    _, sector_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    bad = np.flatnonzero(sector_of[rows] != sector_of[cols])
-    if bad.size:
-        r, c = rows[bad[0]], cols[bad[0]]
-        raise SectorCouplingError(
-            f"H couples state {r} (charge {labels[r]}) to state {c} "
-            f"(charge {labels[c]}) in {bad.size} entries")
-    sectors = _sector_blocks(rows, cols, data, sector_of, counts)
     if charge is not None:
-        charge = _read_only((labels,))[0]
-    return CompositeModel(space, sectors, *_read_only((h_s_local, bath_energies)), charge)
+        charge = np.asarray(charge)
+        bad = np.flatnonzero(charge[rows] != charge[cols])
+        if bad.size:
+            r, c = rows[bad[0]], cols[bad[0]]
+            raise SectorCouplingError(
+                f"H couples state {r} (charge {charge[r]}) to state {c} "
+                f"(charge {charge[c]}) in {bad.size} entries")
+        charge = _read_only((charge,))[0]
+    return CompositeModel(space, _sector_blocks(d, charge, rows, cols, data),
+                          *_read_only((h_s_local, bath_energies)), charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
