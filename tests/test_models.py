@@ -105,8 +105,8 @@ class TestProjectiveMeasurement:
     @pytest.mark.parametrize("labels, repeated", [((5, 5, 7), "5"), ((1, 2, 1.0), "1.0")],
                              ids=["equal", "equal-value"])
     def test_rejects_repeated_labels(self, labels, repeated):
-        # every route reports by label: with two outcomes labelled 5 the heat
-        # decomposition returned three outcomes and the direct score two
+        # every route reports its outcomes by label, so two outcomes of one
+        # label would be told apart by some routes and merged by others
         with pytest.raises(ValueError,
                            match=f"outcome labels must be distinct: {repeated} repeats"):
             ProjectiveMeasurement(np.eye(3), [0, 1, 2], labels)
