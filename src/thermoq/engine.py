@@ -23,7 +23,7 @@ array and range-checks what it forms (roundoff clipped into [0, 1],
 ``ProbabilityRangeError`` beyond it). It forms each row from its own beta
 alone, with matrix-vector products, so P_l(beta) is the same to the last bit
 whatever other betas a call evaluates: ``traces``, the conditional energies
-the heat terms read at one beta, forms its P_l with the same products, and
+the heat terms read at one beta, takes its P_l from the same arithmetic, and
 the direct score and the finite-difference Fisher information evaluate one
 five-point stencil (``log_scores``) in one call of it and form no
 conditional energy, so they keep exactly the outcomes the heat
@@ -245,7 +245,7 @@ class _BranchTables:
         c = self._weights([beta])[0]
         # H_B |phi_r, j> = eps_j |phi_r, j>
         c_eps = c * np.tile(self.eps, len(self.rho_w))
-        return (_checked_probabilities(c @ self.prob.T), self.prob @ c_eps, self.energy @ c,
+        return (self.probabilities([beta])[0], self.prob @ c_eps, self.energy @ c,
                 c_eps.sum(), self.bath_energy @ c)
 
 

@@ -1,6 +1,7 @@
 """Heat decomposition of the Fisher score: identities on small models."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -697,11 +698,36 @@ class TestProbabilityKernel:
             assert [o.label for o in record.outcomes] == list(np.array(meas.labels)[kept])
             assert record.probabilities.tobytes() == p[kept].tobytes()
 
+    @staticmethod
+    def _extended_precision_probabilities(tables, betas):
+        """(B, L): P_l of mode tables in extended precision and in another order
+        than the kernel's: prod_k chi_k - 1 expanded as the sum over nonempty
+        mode sets S of prod_{k in S} (-y_k), y_k = 1 - chi_k from the tables'
+        1 - M_k, so no term lies near 1 and nothing cancels."""
+        weight = tables.weight[:-1].astype(np.clongdouble)
+        rows = []
+        for beta in betas:
+            y = []
+            for defect, eps in zip(tables.defect, tables.mode_energies):
+                eps = eps.astype(np.longdouble)
+                p = np.exp(-np.longdouble(beta) * (eps - eps.min()))
+                y.append(defect.astype(np.clongdouble) @ (p / p.sum()))
+            x = sum(np.prod([-y[k] for k in s], axis=0)
+                    for n in range(1, len(y) + 1)
+                    for s in itertools.combinations(range(len(y)), n))
+            rows.append((weight.sum(axis=1) + weight @ x).real)
+        return np.array(rows)
+
     def test_outcome_near_the_floor_keeps_its_relative_precision(self):
-        # P_- = 1.0e-10 at t = 1.8e-5: rows and traces agree to the last bits
-        # because both accumulate prod_k chi_k - 1 from the small 1 - chi_k
+        # P_- = 1.0e-10 at t = 1.8e-5: the kernel accumulates prod_k chi_k - 1
+        # from the small 1 - chi_k, so each row keeps the relative precision of
+        # an extended-precision reference that never forms chi_k near 1
         eng = HeatEngine(DEPH_DECLARED)
-        rows, ref = self._rows_and_traces(eng, PLUS, 1.3, 1.8e-5, pauli_x_measurement())
+        beta, t, meas = 1.3, 1.8e-5, pauli_x_measurement()
+        tables = eng._tables_for(PLUS, beta, t, meas)
+        betas = beta + np.array([1e-4, -1e-4, 5e-5, -5e-5, 0.0, -0.5, 1.0]) * beta
+        rows, ref = tables.probabilities(betas), self._extended_precision_probabilities(
+            tables, betas)
         assert np.all((ref[:, 1] > 5e-11) & (ref[:, 1] < 2e-10))
         assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
 
