@@ -24,14 +24,13 @@ array and range-checks what it forms (roundoff clipped into [0, 1],
 alone, with matrix-vector products, so P_l(beta) is the same to the last bit
 whatever other betas a call evaluates: ``traces``, the conditional energies
 the heat terms read at one beta, takes its P_l from the same arithmetic, and
-the direct score and the finite-difference Fisher information evaluate one
-five-point stencil (``log_scores``) in one call of it and form no
-conditional energy, so they keep exactly the outcomes the heat
-decomposition keeps. Every
-route first checks beta > 0 and the size of the measurement and of rho0
-(``ValueError``), and that rho0 is a density matrix
-(``InvalidProbeStateError``); the table routes check the last three once per
-(rho0, t, measurement), when they build its tables. Two routes build the
+the direct score and the finite-difference Fisher information read one
+five-point stencil (``log_scores``), one call of it that the tables keep per
+beta (``stencil``), and form no conditional energy, so they keep exactly the
+outcomes the heat decomposition keeps. Every route first checks beta > 0 and
+the size of the measurement and of rho0 (``ValueError``), and that rho0 is a
+density matrix (``InvalidProbeStateError``); the engine checks the last three
+and diagonalizes rho0 once per (rho0, measurement). Two routes build the
 tables, and the engine picks one from the model's type, with no option
 (``HeatEngine.route``): ``'mode-product'`` exactly when the model is a
 ``ModeProductModel``, ``'branch-kernel'`` for every ``CompositeModel``.
@@ -42,7 +41,7 @@ dresses the whole sample, one Kronecker factor per sample mode, and the
 sample energies are a Kronecker sum of per-mode energies eps_k. So the
 sector of q evolves as U_q = (x)_k u_{k,q}, every mode alike, with
 u_{k,q} = V e^{-i lambda t} V^T from the mode's eigenpairs in
-``ModeProductModel.levels``, and gamma_B(beta) is the product of per-mode
+``ModeProductModel.groups``, and gamma_B(beta) is the product of per-mode
 weights p_k(beta). Every trace the heat decomposition needs is then a
 contraction of rho0[q, q'] Pi_l[q', q] with
 
@@ -53,17 +52,26 @@ contraction of rho0[q, q'] Pi_l[q', q] with
   N_k^{qq'}[j] = (u_{k,q'}^dag eps_k u_{k,q})[j, j], for the final one.
 
 This is the exact pure-dephasing solution (Breuer and Petruccione, The
-Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. Both
-energy sums accumulate over the modes with one running product, each earlier
-term times the chi of every later mode, never a division, since chi can
-vanish. P_l is Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
-accumulated from the small 1 - chi_k, so a rare outcome's probability keeps
-its relative precision from one beta of a finite-difference stencil to the
-next. With Q probe levels, per (rho0, t) it costs one real
-n_k x n_k x 2 n_k product per mode and probe level for the mode
-propagators and O(Q^2 sum_k n_k^2) for the tables, per beta
-O(Q^2 sum_k n_k); no array has the size of the full space, of the sample or
-of its branches.
+Theory of Open Quantum Systems, sec. 4.2), computed mode by mode. The model
+holds its modes in groups of one cutoff, and every step runs on a group's
+stack of modes at once: the engine forms each group's (Q, G, n, n) stack of
+propagators once per t, shared by the tables and the two-point route, and
+the tables hold per group one (G, 3 Q^2, n) stack of the diagonals 1 - M_k,
+eps_k M_k and N_k, so per beta one product with the stacked Gibbs weights
+gives 1 - chi_k and both energy terms of every mode in the group. The modes
+run group by group, each group in mode order. The energy sums take prod_{k' !=
+k} chi_{k'} as the product of the chi before k and after it, two cumulative
+products and never a division, since chi can vanish. P_l is Tr[Pi_l rho0]
+plus the contraction with prod_k chi_k - 1, accumulated mode by mode, one
+sequential pass of x - y_k - x y_k over the small y_k = 1 - chi_k, so a rare
+outcome's probability keeps its relative precision from one beta of a
+finite-difference stencil to the next. With Q probe levels, per (rho0, t)
+it costs one real n x n x 2n product per mode and probe level for the
+propagators, batched per group, and O(Q^2 sum_k n_k^2) for the tables; per
+beta one product per group, O(Q^2 sum_k n_k), and the pass over the modes,
+a few array operations of Q^2 entries each per mode (per stencil beta for
+P_l). At 2000 modes in 9 to 27 groups the pass is most of a point's cost. No
+array has the size of the full space, of the sample or of its branches.
 
 Branch kernel, for every ``CompositeModel``. With H_B |j> = eps_j |j> on Fock
 states, chi0 = rho0 (x) gamma_B(beta) = sum_{r,j} w_r p_j(beta)
@@ -131,10 +139,21 @@ def _require_positive_beta(beta):
 
 
 def _propagator(lam, v, t):
-    """V e^{-i lam t} V^T for real column eigenvectors V with eigenvalues lam, as
-    one real product of V with the real and imaginary parts of e^{-i lam t} V^T."""
-    z = np.ascontiguousarray(np.exp(-1j * lam * t)[:, None] * v.T)
+    """V e^{-i lam t} V^T for real column eigenvectors V with eigenvalues lam, or
+    for each of a stack of them, lam (..., n) and V (..., n, n), as one real
+    product of V with the real and imaginary parts of e^{-i lam t} V^T."""
+    z = np.ascontiguousarray(np.exp(-1j * lam * t)[..., None] * np.swapaxes(v, -1, -2))
     return (v @ z.view(np.float64)).view(np.complex128)
+
+
+def _leave_one_out(chi):
+    """(prod_k chi_k, prod_{k' != k} chi_k' for each k) over the modes k, the first
+    axis of chi: each the product of the chi before k and of the chi after it,
+    from two cumulative products, never a division, since chi can vanish."""
+    ones = np.ones_like(chi[:1])
+    before = np.cumprod(np.concatenate([ones, chi[:-1]]), axis=0)
+    after = np.cumprod(np.concatenate([ones, chi[:0:-1]]), axis=0)[::-1]
+    return before[-1] * chi[-1], before * after
 
 
 # Every sector of up to this many states shares one zero-padded stack; a larger
@@ -218,8 +237,32 @@ class HeatRecord:
         return np.array([o.probability for o in self.outcomes])
 
 
+class _Tables:
+    """The five-point stencil of one table type's P_l kernel, kept per beta."""
+
+    def __post_init__(self):
+        # (beta, PROB_FLOOR) -> the stencil's log_scores. An entry is never changed
+        # once stored (dict.setdefault): two threads that miss one key at once each
+        # evaluate it, and both read the first stored
+        object.__setattr__(self, "_stencils", {})
+
+    def stencil(self, beta):
+        """``log_scores(self.probabilities, beta)``, evaluated once per beta, its
+        arrays read-only, so the direct score and the finite-difference Fisher
+        information of one point read one stencil; the key holds the floor,
+        which ``log_scores`` reads at each call."""
+        key = (float(beta), PROB_FLOOR)
+        scores = self._stencils.get(key)
+        if scores is None:
+            *arrays, fisher = log_scores(self.probabilities, beta)
+            for a in arrays:
+                a.setflags(write=False)
+            scores = self._stencils.setdefault(key, (*arrays, fisher))
+        return scores
+
+
 @dataclass(frozen=True)
-class _BranchTables:
+class _BranchTables(_Tables):
     """Beta-independent tables of one (rho0, t, measurement) on the branch
     kernel; k = r * d_b + j."""
 
@@ -235,45 +278,63 @@ class _BranchTables:
         return (self.rho_w[:, None] * p[:, None, :]).reshape(len(p), -1)
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, range-checked (``_checked_probabilities``): per
-        beta one product of its branch weights with the table of Pi_l (x) 1, so a
-        row does not depend on the other betas of the call."""
-        return _checked_probabilities(np.array([c @ self.prob.T for c in self._weights(betas)]))
+        """(B, L): P_l at each beta (``_probabilities``)."""
+        return self._probabilities(self._weights(betas))
+
+    def _probabilities(self, c):
+        """(B, L): P_l from the branch weights c, (B, K), range-checked
+        (``_checked_probabilities``): per beta one product of its weights with the
+        table of Pi_l (x) 1, so a row does not depend on the other betas."""
+        return _checked_probabilities(np.array([c_b @ self.prob.T for c_b in c]))
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
-        c = self._weights([beta])[0]
+        c = self._weights([beta])
         # H_B |phi_r, j> = eps_j |phi_r, j>
-        c_eps = c * np.tile(self.eps, len(self.rho_w))
-        return (self.probabilities([beta])[0], self.prob @ c_eps, self.energy @ c,
-                c_eps.sum(), self.bath_energy @ c)
+        c_eps = c[0] * np.tile(self.eps, len(self.rho_w))
+        return (self._probabilities(c)[0], self.prob @ c_eps, self.energy @ c[0],
+                c_eps.sum(), self.bath_energy @ c[0])
 
 
 @dataclass(frozen=True)
-class _ModeTables:
+class _ModeTables(_Tables):
     """Beta-independent tables of one (rho0, t, measurement) on the mode-product
-    route; a pair of probe levels (q, q') is the flat index q * Q + q'."""
+    route, per group of the model's modes; the modes k run group by group, each
+    group in its order, and a pair of probe levels (q, q') is the flat index
+    q * Q + q'."""
 
     weight: np.ndarray       # (L + 1, Q * Q): rho0[q, q'] Pi_l[q', q]; last row Pi = 1
-    defect: tuple            # per mode k, (Q * Q, n_k): 1 - M_k^{qq'}
-    energy: tuple            # per mode k, (Q * Q, n_k): N_k^{qq'}
-    mode_energies: tuple     # per mode k, (n_k,): eps_k
+    # per group, (G, 3 * Q * Q, n): per mode the diagonals 1 - M_k^{qq'},
+    # eps_k M_k^{qq'} and N_k^{qq'}, Q * Q rows each
+    diagonals: tuple
+    energies: tuple          # per group, (G, n): eps_k
+
+    def _weights(self, betas):
+        """Per group, (B, G, n, 1): the modes' Gibbs weights p_k at each beta, cast
+        to complex once, as each product would cast them."""
+        return [gibbs_rows(eps, betas).astype(complex)[..., None] for eps in self.energies]
+
+    def _contract(self, p, b):
+        """(K, 3, Q * Q): per mode y_k = 1 - chi_k = p_k . (1 - M_k), p_k eps_k . M_k
+        and p_k . N_k at the b-th beta of the weights p, one
+        (G, 3 * Q * Q, n) x (G, n, 1) product per group."""
+        return np.concatenate([(d @ p_g[b]).reshape(len(d), 3, -1)
+                               for d, p_g in zip(self.diagonals, p)])
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, one (Q * Q, n_k) x (n_k,) product per mode and
-        beta, so a row does not depend on the other betas of the call."""
-        # the weights cast to complex once, as each product would cast them
-        weights = [gibbs_rows(eps, betas).astype(complex) for eps in self.mode_energies]
-        return self._probabilities([np.array([d @ p for p in p_k])
-                                    for d, p_k in zip(self.defect, weights)])
+        """(B, L): P_l at each beta, one product per group and beta (``_contract``),
+        so a row does not depend on the other betas of the call."""
+        p = self._weights(betas)
+        return self._probabilities(np.stack([self._contract(p, b)[:, 0]
+                                             for b in range(len(betas))], axis=1))
 
     def _probabilities(self, y):
         """(B, L): P_l = Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
-        from y_k = 1 - chi_k, per mode a (B, Q * Q) array, range-checked
+        from y_k = 1 - chi_k, a (K, B, Q * Q) array, range-checked
         (``_checked_probabilities``); one (L, Q * Q) x (Q * Q,) product per beta."""
-        # x = prod_k chi_k - 1, accumulated as x - y_k - x y_k: where the product
-        # is near 1 no O(1) terms cancel, so the rounding of a rare outcome's
-        # probability stays relative to it from one beta to the next
+        # x = prod_k chi_k - 1, accumulated mode by mode as x - y_k - x y_k: where the
+        # product is near 1 no O(1) terms cancel, so the rounding of a rare
+        # outcome's probability stays relative to it from one beta to the next
         x = np.zeros_like(y[0])
         for y_k in y:
             x = x - y_k - x * y_k
@@ -282,21 +343,11 @@ class _ModeTables:
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
-        p = [gibbs_weights(eps, beta) for eps in self.mode_energies]
-        y = np.array([d @ pk for d, pk in zip(self.defect, p)])  # 1 - chi_k
-        p_eps = [pk * eps for pk, eps in zip(p, self.mode_energies)]
-        start = np.array([pe.sum() - d @ pe for d, pe in zip(self.defect, p_eps)])
-        end = np.array([n @ pk for n, pk in zip(self.energy, p)])
-        # after mode k: prod = prod_{k' <= k} chi_k', and sums = sum_{k'' <= k}
-        # f_k'' prod_{k' <= k, k' != k''} chi_k' for f = start and end, each earlier
-        # sum times the chi of every later mode: no division, since chi can vanish
-        prod = np.ones(y.shape[1], dtype=complex)
-        sums = np.zeros((2, y.shape[1]), dtype=complex)
-        for chi_k, f_k in zip(1.0 - y, np.stack([start, end], axis=1)):
-            sums = sums * chi_k + prod * f_k
-            prod = prod * chi_k
-        rows = (self.weight @ sums.T).real
-        return (self._probabilities(y[:, None])[0], rows[:-1, 0], rows[:-1, 1],
+        terms = self._contract(self._weights([beta]), 0)
+        # the energy sums: sum_k f_k prod_{k' != k} chi_k' for f = p eps . M and p . N
+        _, others = _leave_one_out(1.0 - terms[:, 0])
+        rows = (self.weight @ np.einsum("kfq,kq->qf", terms[:, 1:], others)).real
+        return (self._probabilities(terms[:, None, 0])[0], rows[:-1, 0], rows[:-1, 1],
                 rows[-1, 0], rows[-1, 1])
 
 
@@ -307,16 +358,30 @@ class HeatEngine:
     ``'branch-kernel'``, chosen from the model alone; the module docstring
     states each route and its cost.
 
-    All methods are pure given their arguments. An instance keeps one cache,
-    the tables of every (rho0, t, measurement) it has seen, so a sweep that
-    comes back to a (rho0, t) at another beta builds nothing: two L x K float
-    tables per key on the branch kernel (about 150 KB at the d = 9409
-    heat-exchange point, L = K = 97), O(Q^2 sum_k n_k) numbers on the
-    mode-product route. An entry is never changed once stored (two threads
-    that miss one key at once each store equal tables), the model's arrays are
-    immutable, and its per-sector eigenpairs are stored the same way (two
-    threads that reach one new sector at once each run its eigh, and both
-    read the first stored), so an engine may be shared across threads.
+    All methods are pure given their arguments. An instance keeps what it
+    has computed, so a sweep that comes back to a (rho0, t) at another beta
+    builds nothing:
+
+    - rho0's eigenpairs, per (rho0, measurement), which every route reads;
+    - the tables of every (rho0, t, measurement): two L x K float tables per
+      key on the branch kernel (about 150 KB at the d = 9409 heat-exchange
+      point, L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route;
+      each tables object keeps the five-point stencil of each beta it was
+      asked for (``_Tables.stencil``: P_l, scores and kept set at 5 L
+      numbers), so the direct score and the finite-difference Fisher
+      information of one point evaluate one stencil;
+    - on the mode-product route, per t, each mode group's propagators,
+      Q sum_k n_k^2 complex numbers, which the tables and the two-point
+      route read.
+
+    Every cache is a dict whose entries are never changed once stored
+    (``dict.setdefault``: two threads that miss one key at once each compute
+    it, and both read the first stored), and every array in it is read-only.
+    The model's arrays are immutable, and its per-sector eigenpairs are
+    stored the same way (two threads that reach one new sector at once each
+    run its eigh, and both read the first stored), so an engine may be shared
+    across threads. None of these caches is ever emptied: an engine grows
+    with the distinct (rho0, t, measurement, beta) it is asked for.
     """
 
     def __init__(self, model):
@@ -327,42 +392,69 @@ class HeatEngine:
         self.route = "branch-kernel" if self._modes is None else "mode-product"
         if self._modes is None:
             self._stacks = _sector_stacks(model.sector_indices, model.space.total_dim)
-        # (meas, rho0 shape, rho0 bytes, t) -> tables; a measurement hashes by identity
+        # (meas, rho0 shape, rho0 bytes) -> rho0's eigenpairs, and with t appended ->
+        # tables; a measurement hashes by identity
+        self._probes = {}
         self._tables = {}
+        # t -> the mode propagators of each group (``_mode_propagators``)
+        self._propagators = {}
+
+    def _probe(self, rho0, beta, meas):
+        """(key, w, phi): the cache key of (rho0, meas) and rho0's eigenpairs
+        (``_probe_eigenpairs``, read-only), once beta is checked positive; each
+        (rho0, meas) is checked and diagonalized once per engine."""
+        _require_positive_beta(beta)
+        rho0 = np.asarray(rho0, complex)
+        key = (meas, rho0.shape, rho0.tobytes())
+        pairs = self._probes.get(key)
+        if pairs is None:
+            pairs = _probe_eigenpairs(rho0, meas, self.model.system_dim)
+            for a in pairs:
+                a.setflags(write=False)
+            pairs = self._probes.setdefault(key, pairs)
+        return key, *pairs
 
     def _tables_for(self, rho0, beta, t, meas):
         """The tables of (rho0, t, meas), once beta is checked positive."""
-        _require_positive_beta(beta)
-        rho0 = np.asarray(rho0, complex)
-        key = (meas, rho0.shape, rho0.tobytes(), float(t))
+        key, w, phi = self._probe(rho0, beta, meas)
+        key += (float(t),)
         tables = self._tables.get(key)
-        if tables is not None:
-            return tables
-        w, phi = _probe_eigenpairs(rho0, meas, self.model.system_dim)
-        build = self._branch_tables if self._modes is None else self._mode_tables
-        tables = build(w, phi, t, meas)
-        self._tables[key] = tables
+        if tables is None:
+            build = self._branch_tables if self._modes is None else self._mode_tables
+            tables = self._tables.setdefault(key, build(w, phi, t, meas))
         return tables
 
     # -- mode-product route -----------------------------------------------
 
+    def _mode_propagators(self, t):
+        """Per group of the model's modes, the (Q, G, n, n) stack u[q, g] = u_{k,q} =
+        V e^{-i lambda t} V^T of its modes, read-only: formed once per t, and read by
+        the tables and the two-point route."""
+        t = float(t)
+        stacks = self._propagators.get(t)
+        if stacks is None:
+            stacks = tuple(_propagator(lam, v, t) for _, _, lam, v in self._modes.groups)
+            for u in stacks:
+                u.setflags(write=False)
+            stacks = self._propagators.setdefault(t, stacks)
+        return stacks
+
     def _mode_tables(self, w, phi, t, meas):
-        modes = self._modes
-        d_s = modes.system_dim
+        groups = self._modes.groups
+        d_s = self._modes.system_dim
         # rho0 without the eigenvalues _probe_eigenpairs drops
         rho = (phi * w) @ phi.conj().T
         projs = np.concatenate([meas.projectors, np.eye(d_s)[None]])
         weight = (rho * projs.transpose(0, 2, 1)).reshape(len(projs), -1)
-        defect, energy = [], []
-        for eps, *levels in zip(modes.mode_energies, *modes.levels):
-            # u[q] = u_{k,q}, symmetric since V is real; each chi_k is the effect of
-            # mode k alone, near 1 where it is weak
-            u = np.stack([_propagator(lam, v, t) for lam, v in levels])
+        diagonals = []
+        for (_, eps, _, _), u in zip(groups, self._mode_propagators(t)):
+            # u[q, g] = u_{k,q} of the group's mode g, symmetric since V is real; each
+            # chi_k is the effect of mode k alone, near 1 where it is weak
             u_h = u.conj()
-            defect.append(1.0 - np.einsum("qij,pij->qpj", u, u_h).reshape(d_s * d_s, -1))
-            energy.append(np.einsum("qij,pij->qpj", u * eps[:, None], u_h)
-                          .reshape(d_s * d_s, -1))
-        return _ModeTables(weight, tuple(defect), tuple(energy), modes.mode_energies)
+            m = np.einsum("qgij,pgij->gqpj", u, u_h).reshape(len(eps), d_s * d_s, -1)
+            n = np.einsum("qgij,pgij->gqpj", u * eps[:, :, None], u_h).reshape(m.shape)
+            diagonals.append(np.concatenate([1.0 - m, m * eps[:, None], n], axis=1))
+        return _ModeTables(weight, tuple(diagonals), tuple(eps for _, eps, _, _ in groups))
 
     # -- branch kernel ----------------------------------------------------
 
@@ -469,12 +561,14 @@ class HeatEngine:
         label -> score dict.
 
         The derivative of the tables' ``probabilities``, the stencil of
-        ``fisher_finite_difference``, forms no conditional energy: so it is
+        ``fisher_finite_difference``, which the tables keep per beta, so a
+        point that asks for both evaluates it once. It forms no conditional
+        energy: so it is
         independent of the heat decomposition's score
         (H_tra - h_avg) + H_cor, which reads the traces, and agrees with it
         to the stencil's error, about 1e-11 on the checked points.
         """
-        _, scores, kept, _ = log_scores(self._tables_for(rho0, beta, t, meas).probabilities, beta)
+        _, scores, kept, _ = self._tables_for(rho0, beta, t, meas).stencil(beta)
         return {label: float(scores[li]) for li, label in enumerate(meas.labels) if kept[li]}
 
     # -- two-point measurement route --------------------------------------
@@ -488,15 +582,16 @@ class HeatEngine:
         non-suppressed outcomes. The double sum takes the engine's route:
 
         - mode-product: U restricted to probe level q is (x)_k u_{k,q}, with
-          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.levels``, and
+          u_{k,q} = V e^{-i lambda t} V^T from ``ModeProductModel.groups``, and
           both p_j and eps_j - eps_i split over the modes. So
           P_l = Re sum_{qq'} W_l prod_k C_k and
           P_l H_tra(l) = Re sum_{qq'} W_l sum_k D_k prod_{k' != k} C_{k'},
           with W_l[q, q'] = rho0[q, q'] Pi_l[q', q] and, from
           T_k^{qq'}[i, j] = u_{k,q}[i, j] conj(u_{k,q'}[i, j]),
           C_k = sum_{ij} p_k[j] T_k[i, j] and
-          D_k = sum_{ij} p_k[j] (eps_k[j] - eps_k[i]) T_k[i, j]. It costs
-          O(Q^2 sum_k n_k^2) past the mode propagators.
+          D_k = sum_{ij} p_k[j] (eps_k[j] - eps_k[i]) T_k[i, j], formed for a
+          group of modes at once. It costs O(Q^2 sum_k n_k^2) past the mode
+          propagators, which it reads from the engine's per-t stacks.
         - branch kernel: the branches are |phi_r, j> over the eigenpairs
           (w_r, phi_r) of rho0. Each charge sector b holding a start state
           (a state (s, j) with some phi_r[s] != 0, its own exact-zero test on
@@ -510,15 +605,14 @@ class HeatEngine:
 
         Neither branch reads the tables: not the kernel's start-state
         propagation or its readout, nor the mode route's M_k/N_k diagonals.
-        With the other routes they share the eigenpairs
-        (``ModeProductModel.levels`` or ``sector_eigenpairs``), the per-mode
-        energies of ``ModeProductModel.mode_energies``, rho0's eigenpairs
-        (``_probe_eigenpairs``), the Gibbs weights and ``_propagator``; so
-        they check the propagation, reduction and heat bookkeeping, not the
-        eigendecomposition.
+        With the other routes they share the eigenpairs and per-mode energies
+        (``ModeProductModel.groups`` or ``sector_eigenpairs``), rho0's
+        eigenpairs (``_probe_eigenpairs``, kept per engine), the Gibbs weights
+        and the propagators (``_propagator``; on the mode-product route the
+        same per-t stacks as the tables); so they check the reduction and heat
+        bookkeeping, not the eigendecomposition or the propagators.
         """
-        _require_positive_beta(beta)
-        w, phi = _probe_eigenpairs(rho0, meas, self.model.system_dim)
+        _, w, phi = self._probe(rho0, beta, meas)
         double_sum = self._sector_two_point if self._modes is None else self._mode_two_point
         total, energy_sum = double_sum(w, phi, beta, t, meas)
         total = _checked_probabilities(total)
@@ -530,25 +624,20 @@ class HeatEngine:
 
     def _mode_two_point(self, w, phi, beta, t, meas):
         """(P_l, P_l H_tra(l)) from per-mode double sums."""
-        modes = self._modes
-        d_s = modes.system_dim
+        d_s = self._modes.system_dim
         rho = (phi * w) @ phi.conj().T
         weight = (rho * meas.projectors.transpose(0, 2, 1)).reshape(len(meas.labels), -1)
-        # after mode k: prob = prod_{k' <= k} C_k', and energy = sum_{k'' <= k}
-        # D_k'' prod_{k' <= k, k' != k''} C_k', the prefix product of each D
-        # times the C of every later mode: no division, since C can vanish
-        prob = np.ones(d_s * d_s, dtype=complex)
-        energy = np.zeros(d_s * d_s, dtype=complex)
-        for eps, *factors in zip(modes.mode_energies, *modes.levels):
-            u = np.stack([_propagator(lam, v, t) for lam, v in factors])
-            # p_k[j] T_k^{qq'}[i, j], pair (q, q') at the flat index q * Q + q'
-            pt = np.einsum("qij,pij,j->qpij", u, u.conj(), gibbs_weights(eps, beta))
-            pt = pt.reshape(d_s * d_s, len(eps), len(eps))
-            gap = eps[None, :] - eps[:, None]  # eps_j - eps_i
-            c = pt.sum(axis=(1, 2))
-            energy = energy * c + prob * (pt * gap).sum(axis=(1, 2))
-            prob = prob * c
-        return (weight @ prob).real, (weight @ energy).real
+        c, d = [], []
+        for (_, eps, _, _), u in zip(self._modes.groups, self._mode_propagators(t)):
+            # p_k[j] T_k^{qq'}[i, j] of the group's mode g, pair (q, q') at the flat
+            # index q * Q + q'
+            pt = np.einsum("qgij,pgij,gj->gqpij", u, u.conj(), gibbs_weights(eps, beta))
+            pt = pt.reshape(len(eps), d_s * d_s, *u.shape[2:])
+            gap = eps[:, None, None, :] - eps[:, None, :, None]  # eps_j - eps_i
+            c.append(pt.sum(axis=(2, 3)))
+            d.append((pt * gap).sum(axis=(2, 3)))
+        prob, others = _leave_one_out(np.concatenate(c))
+        return (weight @ prob).real, (weight @ np.einsum("kq,kq->q", np.concatenate(d), others)).real
 
     def _sector_two_point(self, w, phi, beta, t, meas):
         """(P_l, P_l H_tra(l)) from the branches evolved sector by sector."""
@@ -585,11 +674,12 @@ class HeatEngine:
         beta acts only through the thermal sample input, so the tables are
         beta-independent and the whole five-point stencil is one call of their
         ``probabilities(betas) -> (len(betas), L)``: per beta, its K weights
-        times the L x K table on the branch kernel, one (Q^2, n_k) x (n_k,)
-        product per mode on the mode-product route. No conditional energy is
-        formed.
+        times the L x K table on the branch kernel, one product per mode group
+        on the mode-product route. No conditional energy is formed. The
+        tables keep the stencil per beta (``stencil``), which
+        ``score_direct_all`` reads too.
         """
-        return log_scores(self._tables_for(rho0, beta, t, meas).probabilities, beta)[3]
+        return self._tables_for(rho0, beta, t, meas).stencil(beta)[3]
 
 
 def log_scores(prob_at, beta):

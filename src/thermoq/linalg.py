@@ -60,9 +60,10 @@ def hermitian_eig(matrix):
 
 def gibbs_rows(eigenvalues, betas):
     """Normalized Boltzmann weights at each of ``betas``, one row per beta:
-    a (len(betas), len(eigenvalues)) array, overflow-safe via ground-state shift."""
-    w = np.exp(-np.multiply.outer(betas, eigenvalues - eigenvalues.min()))
-    return w / w.sum(axis=1, keepdims=True)
+    a (len(betas), *eigenvalues.shape) array, overflow-safe via ground-state
+    shift. A stack of spectra, eigenvalues (..., n), is normalized per spectrum."""
+    w = np.exp(-np.multiply.outer(betas, eigenvalues - eigenvalues.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def gibbs_weights(eigenvalues, beta):

@@ -9,9 +9,10 @@ machinery, where a non-commuting interaction is the interesting case.
 
 Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
 which stores H once, as its sparse blocks on the charge sectors, assembled and
-checked with numpy alone. The dephasing model is a ``ModeProductModel``: per
-probe level and sample mode the eigenpairs of one mode factor, and no H, so
-its size grows with the sum of the mode cutoffs, not their product.
+checked with numpy alone. The dephasing model is a ``ModeProductModel``: its
+modes grouped by cutoff, per group and probe level the stacked eigenpairs of
+the modes' factors, and no H, so its size grows with the sum of the squared
+mode cutoffs, not their product.
 ``scipy.sparse`` is imported only by ``CompositeModel.probe_tables`` (the
 mean-force routes), for each sector's sparse block-times-eigenvectors
 product; building a model and its spectrum never loads it.
@@ -134,41 +135,67 @@ class ModeProductModel:
     H is block-diagonal in the probe levels, and its block on level q is the
     Kronecker sum over the modes of one factor per mode, on that mode's Fock
     levels; H_B = sum_k eps_k is diagonal in the Fock product basis. The model
-    holds what the engine's mode-product route reads, and nothing else:
-    ``mode_energies`` (per mode k, eps_k on its Fock levels) and ``levels``
-    (per probe level q, per mode k, the eigenpairs (lambda, V) of the mode's
-    factor), every array read-only. The probe has no energy of its own, so
-    ``system_dim`` is the number of levels. It holds no H, no charge and no
+    holds what the engine's mode-product route reads, and nothing else: its
+    modes in ``groups``, each group the modes of one dimension n stacked as
+    (modes, energies, values, vectors). ``modes`` (G,) are the group's mode
+    positions k in the model's mode order, ``energies`` (G, n) each mode's eps_k
+    on its Fock levels, and ``values`` (Q, G, n) and ``vectors`` (Q, G, n, n)
+    per probe level q the eigenpairs (lambda, V) of each mode's factor, V real
+    with the eigenvectors as columns; every array is read-only. Every mode
+    position is in exactly one group. The construction checks the shapes and
+    that each V is orthonormal, max |V^T V - 1| <= COMPLETENESS_ATOL, and raises
+    ``ValueError`` otherwise. The probe has no energy of its own, so
+    ``system_dim`` is the number of levels Q. It holds no H, no charge and no
     array of the sample space's size, so a model of thousands of modes is
-    built from one (n_k + 1)-sized ``eigh`` per mode and level. ``HeatEngine``
-    takes its mode-product route exactly on this type.
+    built from one batched ``eigh`` per group. ``HeatEngine`` takes its
+    mode-product route exactly on this type.
     """
 
-    mode_energies: tuple
-    levels: tuple
+    groups: tuple
 
     def __post_init__(self):
-        mode_energies = tuple(np.array(e, dtype=float) for e in self.mode_energies)
-        levels = tuple(tuple(tuple(pair) for pair in pairs) for pairs in self.levels)
-        dims = [len(e) for e in mode_energies]
-        if any([len(lam) for lam, _ in pairs] != dims for pairs in levels):
-            raise ValueError(f"levels must hold one eigenpair per mode of dimensions {dims} "
-                             "for each probe level")
-        _read_only((*mode_energies, *(a for pairs in levels for pair in pairs for a in pair)))
-        object.__setattr__(self, "mode_energies", mode_energies)
-        object.__setattr__(self, "levels", levels)
+        groups = []
+        for modes, *arrays in self.groups:
+            if np.iscomplexobj(arrays[-1]):
+                raise ValueError("eigenvectors must be real")
+            modes = np.array(modes)
+            energies, values, vectors = (np.array(a, dtype=float) for a in arrays)
+            if (modes.ndim != 1 or not np.issubdtype(modes.dtype, np.integer)
+                    or energies.shape[:1] != modes.shape or energies.ndim != 2):
+                raise ValueError("each group needs one row of energies per mode position")
+            if values.ndim != 3 or values.shape[1:] != energies.shape:
+                raise ValueError(f"levels must hold one eigenpair per mode of dimension "
+                                 f"{energies.shape[1]} for each probe level")
+            if vectors.shape != (*values.shape, values.shape[2]):
+                raise ValueError(f"eigenvectors of shape {vectors.shape}, not "
+                                 f"{(*values.shape, values.shape[2])}: one square V per eigenpair")
+            dev = np.abs(np.swapaxes(vectors, -1, -2) @ vectors
+                         - np.eye(values.shape[2])).max(initial=0.0)
+            if dev > COMPLETENESS_ATOL:
+                raise ValueError(f"eigenvectors are not orthonormal: max |V^T V - 1| = {dev:.3e}")
+            groups.append(_read_only((modes, energies, values, vectors)))
+        if len({len(values) for _, _, values, _ in groups}) != 1:
+            raise ValueError("groups must be at least one, each with eigenpairs for the same "
+                             "number of probe levels")
+        positions = np.sort(np.concatenate([modes for modes, *_ in groups]))
+        if not np.array_equal(positions, np.arange(len(positions))):
+            raise ValueError("each mode position 0..K-1 must be in exactly one group")
+        object.__setattr__(self, "groups", tuple(groups))
 
     @property
     def system_dim(self):
-        return len(self.levels)
+        return len(self.groups[0][2])
 
     @property
     def bath_dim(self):
-        return math.prod(len(e) for e in self.mode_energies)
+        return math.prod(energies.shape[1] ** len(modes) for modes, energies, *_ in self.groups)
 
     @cached_property
     def space(self):
-        return HilbertSpace((self.system_dim, *(len(e) for e in self.mode_energies)))
+        dims = np.zeros(sum(len(modes) for modes, *_ in self.groups), dtype=int)
+        for modes, energies, *_ in self.groups:
+            dims[modes] = energies.shape[1]
+        return HilbertSpace((self.system_dim, *dims.tolist()))
 
 
 class SectorCouplingError(ValueError):
@@ -458,31 +485,36 @@ def _multimode_bath(modes, cutoffs, probe_op):
     return energy, number, _concat_entries(*terms)
 
 
-def _sigma_z_factors(modes, cutoffs):
-    """Per probe level q, in level order: the factors omega_k n_k + s g_k (b_k^dag + b_k)
-    of its sigma_z = s sector, one per mode."""
-    return tuple(
-        tuple(m.omega * number_op(n) + s * m.g * (destroy(n) + destroy(n).T)
-              for m, n in zip(modes, cutoffs))
-        for s in np.diag(SIGMA_Z).astype(int))
-
-
 def build_dephasing_model(modes, n_max):
     """Qubit dephasing against bosonic modes: H_S = 0, H_I = sigma_z (x) sum_k g_k(b_k^dag + b_k).
 
     The spin-boson model with omega_q = 0 and coupling_axis 'z', built as a
     ``ModeProductModel``: H's block on the probe level of sigma_z = s is the
     Kronecker sum over the modes of omega_k n_k + s g_k (b_k^dag + b_k), and
-    eps_k = omega_k n. It forms no H and no array of the sample space's size;
-    ``build_spin_boson_model(0.0, modes, n_max, 'z')`` is the same model with
-    its sparse H.
+    eps_k = omega_k n. The modes are grouped by their cutoff, in ascending
+    cutoff order, each group in mode order, and each group's sigma_z = +1
+    factors F are diagonalized by one batched ``eigh``. The sigma_z = -1 factor
+    is P F P with the parity P = diag((-1)^n), since P (b^dag + b) P =
+    -(b^dag + b), so its eigenpairs are the same eigenvalues and P V, exact sign
+    flips of the +1 eigenvectors. It forms no H and no array of the sample
+    space's size; ``build_spin_boson_model(0.0, modes, n_max, 'z')`` is the same
+    model with its sparse H.
     """
     if not modes:
         raise ValueError("at least one bath mode required")
-    cutoffs = _bath_cutoffs(modes, n_max)
-    levels = [tuple(np.linalg.eigh(f) for f in factors)
-              for factors in _sigma_z_factors(modes, cutoffs)]
-    return ModeProductModel([m.omega * np.arange(n + 1) for m, n in zip(modes, cutoffs)], levels)
+    cutoffs = np.array(_bath_cutoffs(modes, n_max))
+    omega = np.array([m.omega for m in modes])
+    g = np.array([m.g for m in modes])
+    groups = []
+    for n in np.unique(cutoffs).tolist():
+        at = np.flatnonzero(cutoffs == n)
+        lam, v = np.linalg.eigh(omega[at, None, None] * number_op(n)
+                                + g[at, None, None] * (destroy(n) + destroy(n).T))
+        parity = (-1.0) ** np.arange(n + 1)
+        # probe levels in the order of SIGMA_Z's diagonal: sigma_z = +1, then -1
+        groups.append((at, omega[at, None] * np.arange(n + 1), np.stack([lam, lam]),
+                       np.stack([v, parity[:, None] * v])))
+    return ModeProductModel(groups)
 
 
 def build_spin_boson_model(omega_q, modes, n_max, coupling_axis="x"):

@@ -3,6 +3,8 @@
 import gc
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -42,6 +44,7 @@ from thermoq.validate import (
     check_engine_point,
     deph_point,
     draw_deph_instance,
+    he_point,
     identity_checks,
 )
 
@@ -434,6 +437,42 @@ class TestModeProduct(_MatchesDense):
         for o in eng.heat_decomposition(*args).outcomes:
             assert abs(heats[o.label] - o.h_tra) <= TOL_TWO_POINT
 
+    def test_threads_sharing_an_engine_read_one_stored_entry(self):
+        # eight threads evaluate one engine's points at three times, half of them
+        # in reverse order, switching every microsecond: each cache stores an
+        # entry once, every thread reads the first stored, and the results are a
+        # fresh engine's
+        eng, meas = HeatEngine(DEPH_DECLARED), pauli_x_measurement()
+        points = [(beta, t) for t in (0.5, 1.7, 3.0) for beta in (0.8, 1.3)]
+        seen = [{} for _ in range(8)]
+
+        def evaluate(out, order):
+            for beta, t in order:
+                tables = eng._tables_for(PLUS, beta, t, meas)
+                out[beta, t] = (eng._probe(PLUS, beta, meas)[1], eng._mode_propagators(t),
+                                tables, tables.stencil(beta),
+                                eng.heat_decomposition(PLUS, beta, t, meas).fisher_heat,
+                                eng.two_point_trajectory_heat_all(PLUS, beta, t, meas))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate,
+                                        args=(out, points[::1 if n % 2 else -1]))
+                       for n, out in enumerate(seen)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (beta, t), first in seen[0].items():
+            assert all(all(a is b for a, b in zip(out[beta, t][:4], first[:4])) for out in seen)
+            ref = HeatEngine(DEPH_DECLARED)
+            assert first[4] == ref.heat_decomposition(PLUS, beta, t, meas).fisher_heat
+            assert first[5] == ref.two_point_trajectory_heat_all(PLUS, beta, t, meas)
+
     def test_two_thousand_mode_sample_of_the_scaling_run(self):
         # configs/scaling_deph.json's sample at its coldest beta: 2000 modes with
         # the dephasing runner's automatic cutoffs (sum_k n_k = 6082). Its sample
@@ -512,12 +551,15 @@ def _many_mode_draw(seed, omegas, gs, cutoffs):
     return seed, params, build_dephasing_model([BathMode(*m) for m in params["modes"]], cutoffs)
 
 
-# five modes at d = 216 and six at d = 1458: the running product of the energy
-# sums over the modes (``_ModeTables.traces``) rounds differently from a product
-# of the other modes only from three modes on
+# five modes at d = 216 and six at d = 1458: the products of the other modes'
+# chi in the energy sums (``_ModeTables.traces``) round differently from one
+# product of all but one mode only from three modes on. Five modes of
+# interleaved cutoffs at d = 1800: the route takes them group by group (cutoffs
+# 2, 3, 4), out of mode order
 MANY_MODE_DRAWS = [
     _many_mode_draw(20, [3.0, 3.4, 3.8, 4.2, 4.6], [0.2, 0.15, 0.1, 0.18, 0.12], [2, 2, 2, 1, 1]),
     _many_mode_draw(21, [3.0, 3.3, 3.6, 3.9, 4.2, 4.5], [0.12, 0.2, 0.08, 0.15, 0.1, 0.18], 2),
+    _many_mode_draw(22, [2.0, 2.5, 3.0, 3.5, 4.0], [0.2, 0.1, 0.15, 0.12, 0.18], [4, 2, 4, 3, 2]),
 ]
 
 
@@ -535,12 +577,16 @@ class TestDephasingModelAgainstItsH:
     def test_mode_factors_add_up_to_the_sparse_h(self, seed, params, model):
         # per probe level, the Kronecker sum of each mode's V diag(lambda) V^T
         twin = _sparse_twin(params)
+        factors = {}  # (probe level q, mode k) -> V diag(lambda) V^T
+        for modes, _, values, vectors in model.groups:
+            for q, g in itertools.product(range(len(values)), range(len(modes))):
+                factors[q, modes[g]] = (vectors[q, g] * values[q, g]) @ vectors[q, g].T
         blocks = []
-        for level in model.levels:
+        for q in range(model.system_dim):
             block = np.zeros((1, 1))
-            for lam, v in level:
-                factor = (v * lam) @ v.T
-                block = np.kron(block, np.eye(len(lam))) + np.kron(np.eye(len(block)), factor)
+            for k in range(len(params["modes"])):
+                factor = factors[q, k]
+                block = np.kron(block, np.eye(len(factor))) + np.kron(np.eye(len(block)), factor)
             blocks.append(block)
         scale = 1.0 + max(np.abs(values).max(initial=0.0) for *_, values in twin.sectors)
         assert (np.abs(block_diag(*blocks) - dense_hamiltonian(twin)).max()
@@ -548,7 +594,7 @@ class TestDephasingModelAgainstItsH:
 
     @pytest.mark.parametrize("seed, params, model", SMALL_PARITY_DRAWS + MANY_MODE_DRAWS,
                              ids=[f"draw-{seed}" for seed, *_ in SMALL_PARITY_DRAWS]
-                             + ["five-modes", "six-modes"])
+                             + ["five-modes", "six-modes", "interleaved-cutoffs"])
     def test_engine_agrees_with_the_branch_kernel_on_the_sparse_h(self, seed, params, model):
         rng = np.random.default_rng(seed)
         eng, ref = HeatEngine(model), HeatEngine(_sparse_twin(params))
@@ -705,10 +751,14 @@ class TestProbabilityKernel:
         mode sets S of prod_{k in S} (-y_k), y_k = 1 - chi_k from the tables'
         1 - M_k, so no term lies near 1 and nothing cancels."""
         weight = tables.weight[:-1].astype(np.clongdouble)
+        pairs = tables.weight.shape[1]
+        modes = [(diagonals[:pairs], eps)  # 1 - M_k
+                 for group, energies in zip(tables.diagonals, tables.energies)
+                 for diagonals, eps in zip(group, energies)]
         rows = []
         for beta in betas:
             y = []
-            for defect, eps in zip(tables.defect, tables.mode_energies):
+            for defect, eps in modes:
                 eps = eps.astype(np.longdouble)
                 p = np.exp(-np.longdouble(beta) * (eps - eps.min()))
                 y.append(defect.astype(np.clongdouble) @ (p / p.sum()))
@@ -750,10 +800,29 @@ class TestProbabilityKernel:
     def test_finite_difference_is_one_kernel_call_and_no_traces(self, request, setup,
                                                                 monkeypatch):
         eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+        eng = HeatEngine(eng.model)  # no stencil kept
         calls = self._count_table_calls(eng, rho0, beta, t, meas, monkeypatch)
         fd = eng.fisher_finite_difference(rho0, beta, t, meas)
         assert calls == {"probabilities": 1, "traces": 0}
         assert fd > 0
+
+    @pytest.mark.parametrize("setup, point", [
+        ("he_setup", lambda: he_point(HEParams(1.1, 1.0, 0.15, 1.2, 2.5), 14)),
+        ("deph_setup", lambda: deph_point(DephParams(
+            (BathMode(1.0, 0.1), BathMode(1.6, 0.15)), 1.0, 1.7))),
+    ], ids=["exchange", "dephasing"])
+    def test_checked_point_evaluates_one_stencil(self, request, setup, point, monkeypatch):
+        # the direct score and the finite difference of one checked point read the
+        # stencil the engine keeps per (tables, beta): one kernel call, where each
+        # evaluated its own
+        eng, rho0, meas, beta, t = request.getfixturevalue(setup)
+        eng = HeatEngine(eng.model)
+        calls = self._count_table_calls(eng, rho0, beta, t, meas, monkeypatch)
+        checks = identity_checks("fisher", "closed_form", "avg_heat", "saturation", "score")
+        check_engine_point(checks, eng, meas, point(), {})
+        assert calls == {"probabilities": 1, "traces": 1}
+        # the closed forms see the coarse cutoffs; the routes agree
+        assert checks["fisher"].passed and checks["score"].passed
 
     @pytest.mark.parametrize("setup", ["he_setup", "deph_setup"])
     def test_only_the_heat_decomposition_forms_the_traces(self, request, setup,

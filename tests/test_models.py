@@ -362,26 +362,59 @@ class TestDeclaredDephasingModel:
         model = build_dephasing_model(self.MODES, 2)
         assert isinstance(model, ModeProductModel) and model.bath_dim == 81
         assert not hasattr(model, "sectors")
-        held = [*model.mode_energies,
-                *(a for level in model.levels for pair in level for a in pair)]
-        assert max(a.size for a in held) == 9
-        assert not any(a.flags.writeable for a in held)
+        # one group of cutoff 2: the four modes' eigenpairs stacked per probe level
+        (modes, energies, values, vectors), = model.groups
+        assert modes.tolist() == [0, 1, 2, 3]
+        assert (energies.shape, values.shape, vectors.shape) == ((4, 3), (2, 4, 3), (2, 4, 3, 3))
+        assert not any(a.flags.writeable for a in model.groups[0])
         assert model.space.factor_dims == (2, 3, 3, 3, 3) and model.system_dim == 2
 
     def test_holds_the_declared_factors_eigenpairs(self):
-        model = build_dephasing_model(self.MODES[:2], [3, 4])
-        for level, s in zip(model.levels, (1, -1)):
-            for (lam, v), mode, n, eps in zip(level, self.MODES, (3, 4), model.mode_energies):
-                assert np.array_equal(eps, mode.omega * np.arange(n + 1))
-                factor = mode.omega * number_op(n) + s * mode.g * (destroy(n) + destroy(n).T)
-                assert np.abs((v * lam) @ v.T - factor).max() <= 1e-14
+        # cutoffs out of ascending order: the groups follow the cutoff, each its
+        # modes' positions in mode order
+        modes, cutoffs = self.MODES[:3], [4, 3, 4]
+        model = build_dephasing_model(modes, cutoffs)
+        assert [group[0].tolist() for group in model.groups] == [[1], [0, 2]]
+        assert model.space.factor_dims == (2, 5, 4, 5)
+        for positions, energies, values, vectors in model.groups:
+            for g, k in enumerate(positions):
+                mode, n = modes[k], cutoffs[k]
+                assert np.array_equal(energies[g], mode.omega * np.arange(n + 1))
+                for lam, v, s in zip(values[:, g], vectors[:, g], (1, -1)):
+                    factor = mode.omega * number_op(n) + s * mode.g * (destroy(n) + destroy(n).T)
+                    assert np.abs((v * lam) @ v.T - factor).max() <= 1e-14
 
-    def test_rejects_levels_that_do_not_match_the_modes(self):
+    @staticmethod
+    def _malformed(group, defect):
+        """One group of a two-group model, changed by ``defect``."""
+        modes, energies, values, vectors = group
+        return {
+            "level-missing-a-mode": (modes, energies, values[:, :0], vectors[:, :0]),
+            "energies-of-another-dimension": (modes, energies[:, :-1], values, vectors),
+            "eigenvectors-of-the-wrong-shape": (modes, energies, values, vectors[..., :-1]),
+            "eigenvectors-not-orthonormal": (modes, energies, values, 1.001 * vectors),
+        }[defect]
+
+    @pytest.mark.parametrize("defect, message", [
+        ("level-missing-a-mode", "one eigenpair per mode"),
+        ("energies-of-another-dimension", "one eigenpair per mode"),
+        ("eigenvectors-of-the-wrong-shape", r"eigenvectors of shape \(2, 1, 5, 4\), not"),
+        ("eigenvectors-not-orthonormal", r"not orthonormal: max \|V\^T V - 1\| = 2\.0"),
+    ])
+    def test_rejects_levels_that_do_not_match_the_modes(self, defect, message):
+        # a V of the wrong shape once failed in the engine's propagators with a bare
+        # broadcast error, and a non-orthonormal V only as a ProbabilityRangeError
         model = build_dephasing_model(self.MODES[:2], [3, 4])
-        with pytest.raises(ValueError, match="one eigenpair per mode"):
-            ModeProductModel(model.mode_energies, [model.levels[0], model.levels[1][:1]])
-        with pytest.raises(ValueError, match="one eigenpair per mode"):
-            ModeProductModel(model.mode_energies[::-1], model.levels)
+        with pytest.raises(ValueError, match=message) as info:
+            ModeProductModel([model.groups[0], self._malformed(model.groups[1], defect)])
+        assert type(info.value) is ValueError
+
+    def test_rejects_a_mode_in_no_group_or_in_two(self):
+        model = build_dephasing_model(self.MODES[:2], [3, 4])
+        with pytest.raises(ValueError, match="exactly one group"):
+            ModeProductModel(model.groups[1:])  # mode 1 alone: no mode 0
+        with pytest.raises(ValueError, match="exactly one group"):
+            ModeProductModel([model.groups[0], model.groups[0]])
 
 
 class TestDiscretization:

@@ -243,8 +243,9 @@ def test_engine_then_probe_tables_run_one_eigh_per_sector(monkeypatch):
     eng = HeatEngine(model)
     eng.heat_decomposition(rho0, 1.0, 2.0, meas)
     eng.two_point_trajectory_heat_all(rho0, 1.0, 2.0, meas)
-    # one more eigh per call: rho0's own, of the probe's size
-    assert sorted(dims) == sorted([n_max + 1] * 2 + list(range(1, n_max + 2)))
+    # one more eigh: rho0's own, of the probe's size, which the engine keeps for
+    # both calls
+    assert sorted(dims) == sorted([n_max + 1] + list(range(1, n_max + 2)))
     dims.clear()
     model.probe_tables  # noqa: B018
     assert sorted(dims) == list(range(1, n_max + 1))
