@@ -309,24 +309,22 @@ class _ModeTables(_Tables):
     diagonals: tuple
     energies: tuple          # per group, (G, n): eps_k
 
-    def _weights(self, betas):
-        """Per group, (B, G, n, 1): the modes' Gibbs weights p_k at each beta, cast
-        to complex once, as each product would cast them."""
-        return [gibbs_rows(eps, betas).astype(complex)[..., None] for eps in self.energies]
-
-    def _contract(self, p, b):
-        """(K, 3, Q * Q): per mode y_k = 1 - chi_k = p_k . (1 - M_k), p_k eps_k . M_k
-        and p_k . N_k at the b-th beta of the weights p, one
-        (G, 3 * Q * Q, n) x (G, n, 1) product per group."""
-        return np.concatenate([(d @ p_g[b]).reshape(len(d), 3, -1)
-                               for d, p_g in zip(self.diagonals, p)])
+    def _contract(self, betas):
+        """(K, B, 3, Q * Q): per mode and beta y_k = 1 - chi_k = p_k . (1 - M_k),
+        p_k eps_k . M_k and p_k . N_k, one (G, 3 * Q * Q, n) x (G, n, 1) product
+        per group and beta, so a row does not depend on the other betas; the
+        Gibbs weights p_k are cast to complex once, as each product would cast
+        them."""
+        terms = []
+        for d, eps in zip(self.diagonals, self.energies):
+            p = gibbs_rows(eps, betas).astype(complex)[..., None]
+            terms.append(np.stack([d @ p_b for p_b in p], axis=1))
+        return np.concatenate(terms).reshape(-1, len(betas), 3, self.weight.shape[1])
 
     def probabilities(self, betas):
-        """(B, L): P_l at each beta, one product per group and beta (``_contract``),
-        so a row does not depend on the other betas of the call."""
-        p = self._weights(betas)
-        return self._probabilities(np.stack([self._contract(p, b)[:, 0]
-                                             for b in range(len(betas))], axis=1))
+        """(B, L): P_l at each beta (``_contract``, ``_probabilities``)."""
+        # each mode's (B, Q * Q) rows contiguous, as ``traces``' one row is
+        return self._probabilities(np.ascontiguousarray(self._contract(betas)[:, :, 0]))
 
     def _probabilities(self, y):
         """(B, L): P_l = Tr[Pi_l rho0] plus the contraction with prod_k chi_k - 1,
@@ -343,11 +341,11 @@ class _ModeTables(_Tables):
 
     def traces(self, beta):
         """(P_l, Tr[Pi_l U H_B chi0 U^dag], Tr[Pi_l chi_t H_B], Tr[H_B chi0], Tr[H_B chi_t])."""
-        terms = self._contract(self._weights([beta]), 0)
+        terms = self._contract([beta])
         # the energy sums: sum_k f_k prod_{k' != k} chi_k' for f = p eps . M and p . N
-        _, others = _leave_one_out(1.0 - terms[:, 0])
-        rows = (self.weight @ np.einsum("kfq,kq->qf", terms[:, 1:], others)).real
-        return (self._probabilities(terms[:, None, 0])[0], rows[:-1, 0], rows[:-1, 1],
+        _, others = _leave_one_out(1.0 - terms[:, 0, 0])
+        rows = (self.weight @ np.einsum("kfq,kq->qf", terms[:, 0, 1:], others)).real
+        return (self._probabilities(terms[:, :, 0])[0], rows[:-1, 0], rows[:-1, 1],
                 rows[-1, 0], rows[-1, 1])
 
 
