@@ -635,7 +635,8 @@ class HeatEngine:
             c.append(pt.sum(axis=(2, 3)))
             d.append((pt * gap).sum(axis=(2, 3)))
         prob, others = _leave_one_out(np.concatenate(c))
-        return (weight @ prob).real, (weight @ np.einsum("kq,kq->q", np.concatenate(d), others)).real
+        energy = np.einsum("kq,kq->q", np.concatenate(d), others)
+        return (weight @ prob).real, (weight @ energy).real
 
     def _sector_two_point(self, w, phi, beta, t, meas):
         """(P_l, P_l H_tra(l)) from the branches evolved sector by sector."""

@@ -393,13 +393,25 @@ class TestDeclaredDephasingModel:
             "energies-of-another-dimension": (modes, energies[:, :-1], values, vectors),
             "eigenvectors-of-the-wrong-shape": (modes, energies, values, vectors[..., :-1]),
             "eigenvectors-not-orthonormal": (modes, energies, values, 1.001 * vectors),
+            "eigenvectors-complex": (modes, energies, values, 1j * vectors),
+            "one-probe-level-only": (modes, energies, values[:1], vectors[:1]),
         }[defect]
 
     @pytest.mark.parametrize("defect, message", [
-        ("level-missing-a-mode", "one eigenpair per mode"),
-        ("energies-of-another-dimension", "one eigenpair per mode"),
-        ("eigenvectors-of-the-wrong-shape", r"eigenvectors of shape \(2, 1, 5, 4\), not"),
-        ("eigenvectors-not-orthonormal", r"not orthonormal: max \|V\^T V - 1\| = 2\.0"),
+        pytest.param("level-missing-a-mode", "one eigenpair per mode",
+                     id="level-missing-a-mode"),
+        pytest.param("energies-of-another-dimension", "one eigenpair per mode",
+                     id="energies-of-another-dimension"),
+        pytest.param("eigenvectors-of-the-wrong-shape",
+                     r"eigenvectors of shape \(2, 1, 5, 4\), not",
+                     id="eigenvectors-of-the-wrong-shape"),
+        pytest.param("eigenvectors-not-orthonormal",
+                     r"not orthonormal: max \|V\^T V - 1\| = 2\.0",
+                     id="eigenvectors-not-orthonormal"),
+        pytest.param("eigenvectors-complex", "eigenvectors must be real",
+                     id="eigenvectors-complex"),
+        pytest.param("one-probe-level-only", "the same number of probe levels",
+                     id="one-probe-level-only"),
     ])
     def test_rejects_levels_that_do_not_match_the_modes(self, defect, message):
         # a V of the wrong shape once failed in the engine's propagators with a bare
