@@ -506,9 +506,9 @@ def _write_csv(path, rows, meta):
 
 
 def _write_json(path, payload):
+    # encoded whole and written once: json.dump writes each encoder chunk separately
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _echo(text, err=False):

@@ -25,15 +25,17 @@ alone, with matrix-vector products, so P_l(beta) is the same to the last bit
 whatever other betas a call evaluates: ``traces``, the conditional energies
 the heat terms read at one beta, takes its P_l from the same arithmetic, and
 the direct score and the finite-difference Fisher information read one
-five-point stencil (``log_scores``), one call of it that the tables keep per
-beta (``stencil``), and form no conditional energy, so they keep exactly the
-outcomes the heat decomposition keeps. Every route first checks beta > 0 and
-the size of the measurement and of rho0 (``ValueError``), and that rho0 is a
-density matrix (``InvalidProbeStateError``); the engine checks the last three
-and diagonalizes rho0 once per (rho0, measurement). Two routes build the
+five-point stencil (``log_scores``), one call of it that the engine keeps per
+(tables, beta) (``HeatEngine._stencil``), and form no conditional energy, so
+they keep exactly the outcomes the heat decomposition keeps. Every route
+first checks beta > 0 and the size of the measurement and of rho0
+(``ValueError``), and that rho0 is a density matrix
+(``InvalidProbeStateError``); the engine checks the last three and
+diagonalizes rho0 once per (rho0, measurement). Two routes build the
 tables, and the engine picks one from the model's type, with no option
-(``HeatEngine.route``): ``'mode-product'`` exactly when the model is a
-``ModeProductModel``, ``'branch-kernel'`` for every ``CompositeModel``.
+(``HeatEngine.route``), once, when the engine is made: ``'mode-product'``
+exactly when the model is a ``ModeProductModel``, ``'branch-kernel'`` for
+every ``CompositeModel``.
 
 Mode-product route, for ``ModeProductModel`` (``build_dephasing_model``,
 which holds no H). The probe has no energy of its own. Each probe level q
@@ -120,7 +122,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gibbs_rows, gibbs_weights, hermitian_eig
+from .linalg import cached, gibbs_rows, gibbs_weights, hermitian_eig, read_only
 from .models import ModeProductModel
 
 # Every route keeps exactly the outcomes with P_l >= PROB_FLOOR; mean_force (through
@@ -237,32 +239,8 @@ class HeatRecord:
         return np.array([o.probability for o in self.outcomes])
 
 
-class _Tables:
-    """The five-point stencil of one table type's P_l kernel, kept per beta."""
-
-    def __post_init__(self):
-        # (beta, PROB_FLOOR) -> the stencil's log_scores. An entry is never changed
-        # once stored (dict.setdefault): two threads that miss one key at once each
-        # evaluate it, and both read the first stored
-        object.__setattr__(self, "_stencils", {})
-
-    def stencil(self, beta):
-        """``log_scores(self.probabilities, beta)``, evaluated once per beta, its
-        arrays read-only, so the direct score and the finite-difference Fisher
-        information of one point read one stencil; the key holds the floor,
-        which ``log_scores`` reads at each call."""
-        key = (float(beta), PROB_FLOOR)
-        scores = self._stencils.get(key)
-        if scores is None:
-            *arrays, fisher = log_scores(self.probabilities, beta)
-            for a in arrays:
-                a.setflags(write=False)
-            scores = self._stencils.setdefault(key, (*arrays, fisher))
-        return scores
-
-
-@dataclass(frozen=True)
-class _BranchTables(_Tables):
+@dataclass(frozen=True, eq=False)
+class _BranchTables:
     """Beta-independent tables of one (rho0, t, measurement) on the branch
     kernel; k = r * d_b + j."""
 
@@ -296,8 +274,8 @@ class _BranchTables(_Tables):
                 c_eps.sum(), self.bath_energy @ c[0])
 
 
-@dataclass(frozen=True)
-class _ModeTables(_Tables):
+@dataclass(frozen=True, eq=False)
+class _ModeTables:
     """Beta-independent tables of one (rho0, t, measurement) on the mode-product
     route, per group of the model's modes; the modes k run group by group, each
     group in its order, and a pair of probe levels (q, q') is the flat index
@@ -357,45 +335,45 @@ class HeatEngine:
     states each route and its cost.
 
     All methods are pure given their arguments. An instance keeps what it
-    has computed, so a sweep that comes back to a (rho0, t) at another beta
-    builds nothing:
+    has computed in one dict, so a sweep that comes back to a (rho0, t) at
+    another beta builds nothing. Its entries, by key (a measurement and a
+    tables object hash by identity):
 
-    - rho0's eigenpairs, per (rho0, measurement), which every route reads;
-    - the tables of every (rho0, t, measurement): two L x K float tables per
-      key on the branch kernel (about 150 KB at the d = 9409 heat-exchange
-      point, L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route;
-      each tables object keeps the five-point stencil of each beta it was
-      asked for (``_Tables.stencil``: P_l, scores and kept set at 5 L
-      numbers), so the direct score and the finite-difference Fisher
-      information of one point evaluate one stencil;
-    - on the mode-product route, per t, each mode group's propagators,
-      Q sum_k n_k^2 complex numbers, which the tables and the two-point
-      route read.
+    - (meas, rho0 shape, rho0 bytes): rho0's eigenpairs (``_probe``), which
+      every route reads;
+    - that key and t: the tables (``_tables_for``), two L x K float tables on
+      the branch kernel (about 150 KB at the d = 9409 heat-exchange point,
+      L = K = 97), O(Q^2 sum_k n_k) numbers on the mode-product route;
+    - (tables, beta, ``PROB_FLOOR``): the five-point stencil (``_stencil``:
+      P_l, scores and kept set at 5 L numbers, and F), which the direct score
+      and the finite-difference Fisher information of one point both read;
+    - t, on the mode-product route: each mode group's propagators
+      (``_mode_propagators``), Q sum_k n_k^2 complex numbers, which the
+      tables and the two-point route read.
 
-    Every cache is a dict whose entries are never changed once stored
-    (``dict.setdefault``: two threads that miss one key at once each compute
-    it, and both read the first stored), and every array in it is read-only.
-    The model's arrays are immutable, and its per-sector eigenpairs are
-    stored the same way (two threads that reach one new sector at once each
-    run its eigh, and both read the first stored), so an engine may be shared
-    across threads. None of these caches is ever emptied: an engine grows
-    with the distinct (rho0, t, measurement, beta) it is asked for.
+    Each is stored by ``linalg.cached``, with its arrays read-only; the
+    model's arrays are immutable and its per-sector eigenpairs are stored
+    the same way, so an engine may be shared across threads. Nothing is ever
+    removed: an engine grows with the distinct (rho0, t, measurement, beta)
+    it is asked for.
     """
 
     def __init__(self, model):
         self.model = model
-        # no eigendecomposition here: each sector is diagonalized when a table
-        # build or a two-point call first reaches it (``sector_eigenpairs``)
-        self._modes = model if isinstance(model, ModeProductModel) else None
-        self.route = "branch-kernel" if self._modes is None else "mode-product"
-        if self._modes is None:
+        # the route, picked here once, as the class's functions: a bound method
+        # stored here would reference the engine, which would then wait for the
+        # cycle collector. No eigendecomposition: each sector is diagonalized when
+        # a table build or a two-point call first reaches it (``sector_eigenpairs``)
+        cls = type(self)
+        if isinstance(model, ModeProductModel):
+            self.route = "mode-product"
+            self._build, self._double_sum = cls._mode_tables, cls._mode_two_point
+        else:
+            self.route = "branch-kernel"
+            self._build, self._double_sum = cls._branch_tables, cls._sector_two_point
             self._stacks = _sector_stacks(model.sector_indices, model.space.total_dim)
-        # (meas, rho0 shape, rho0 bytes) -> rho0's eigenpairs, and with t appended ->
-        # tables; a measurement hashes by identity
-        self._probes = {}
-        self._tables = {}
-        # t -> the mode propagators of each group (``_mode_propagators``)
-        self._propagators = {}
+        # every entry this engine keeps, under the keys the class docstring lists
+        self._cache = {}
 
     def _probe(self, rho0, beta, meas):
         """(key, w, phi): the cache key of (rho0, meas) and rho0's eigenpairs
@@ -404,23 +382,26 @@ class HeatEngine:
         _require_positive_beta(beta)
         rho0 = np.asarray(rho0, complex)
         key = (meas, rho0.shape, rho0.tobytes())
-        pairs = self._probes.get(key)
-        if pairs is None:
-            pairs = _probe_eigenpairs(rho0, meas, self.model.system_dim)
-            for a in pairs:
-                a.setflags(write=False)
-            pairs = self._probes.setdefault(key, pairs)
-        return key, *pairs
+        return key, *cached(self._cache, key, lambda: read_only(
+            _probe_eigenpairs(rho0, meas, self.model.system_dim)))
 
     def _tables_for(self, rho0, beta, t, meas):
         """The tables of (rho0, t, meas), once beta is checked positive."""
         key, w, phi = self._probe(rho0, beta, meas)
-        key += (float(t),)
-        tables = self._tables.get(key)
-        if tables is None:
-            build = self._branch_tables if self._modes is None else self._mode_tables
-            tables = self._tables.setdefault(key, build(w, phi, t, meas))
-        return tables
+        return cached(self._cache, (*key, float(t)), lambda: self._build(self, w, phi, t, meas))
+
+    def _stencil(self, rho0, beta, t, meas):
+        """``log_scores`` of the tables' ``probabilities`` at beta, its arrays
+        read-only, evaluated once per (tables, beta), so the direct score and the
+        finite-difference Fisher information of one point read one stencil; the
+        key holds the floor, which ``log_scores`` reads at each call."""
+        tables = self._tables_for(rho0, beta, t, meas)
+
+        def evaluate():
+            *arrays, fisher = log_scores(tables.probabilities, beta)
+            return (*read_only(arrays), fisher)
+
+        return cached(self._cache, (tables, float(beta), PROB_FLOOR), evaluate)
 
     # -- mode-product route -----------------------------------------------
 
@@ -429,17 +410,12 @@ class HeatEngine:
         V e^{-i lambda t} V^T of its modes, read-only: formed once per t, and read by
         the tables and the two-point route."""
         t = float(t)
-        stacks = self._propagators.get(t)
-        if stacks is None:
-            stacks = tuple(_propagator(lam, v, t) for _, _, lam, v in self._modes.groups)
-            for u in stacks:
-                u.setflags(write=False)
-            stacks = self._propagators.setdefault(t, stacks)
-        return stacks
+        return cached(self._cache, t, lambda: read_only(
+            _propagator(lam, v, t) for _, _, lam, v in self.model.groups))
 
     def _mode_tables(self, w, phi, t, meas):
-        groups = self._modes.groups
-        d_s = self._modes.system_dim
+        groups = self.model.groups
+        d_s = self.model.system_dim
         # rho0 without the eigenvalues _probe_eigenpairs drops
         rho = (phi * w) @ phi.conj().T
         projs = np.concatenate([meas.projectors, np.eye(d_s)[None]])
@@ -559,14 +535,13 @@ class HeatEngine:
         label -> score dict.
 
         The derivative of the tables' ``probabilities``, the stencil of
-        ``fisher_finite_difference``, which the tables keep per beta, so a
-        point that asks for both evaluates it once. It forms no conditional
-        energy: so it is
-        independent of the heat decomposition's score
-        (H_tra - h_avg) + H_cor, which reads the traces, and agrees with it
-        to the stencil's error, about 1e-11 on the checked points.
+        ``fisher_finite_difference``, which the engine keeps per (tables,
+        beta), so a point that asks for both evaluates it once. It forms no
+        conditional energy: so it is independent of the heat decomposition's
+        score (H_tra - h_avg) + H_cor, which reads the traces, and agrees with
+        it to the stencil's error, about 1e-11 on the checked points.
         """
-        _, scores, kept, _ = self._tables_for(rho0, beta, t, meas).stencil(beta)
+        _, scores, kept, _ = self._stencil(rho0, beta, t, meas)
         return {label: float(scores[li]) for li, label in enumerate(meas.labels) if kept[li]}
 
     # -- two-point measurement route --------------------------------------
@@ -611,8 +586,7 @@ class HeatEngine:
         bookkeeping, not the eigendecomposition or the propagators.
         """
         _, w, phi = self._probe(rho0, beta, meas)
-        double_sum = self._sector_two_point if self._modes is None else self._mode_two_point
-        total, energy_sum = double_sum(w, phi, beta, t, meas)
+        total, energy_sum = self._double_sum(self, w, phi, beta, t, meas)
         total = _checked_probabilities(total)
         return {
             label: energy_sum[li] / total[li]
@@ -622,11 +596,11 @@ class HeatEngine:
 
     def _mode_two_point(self, w, phi, beta, t, meas):
         """(P_l, P_l H_tra(l)) from per-mode double sums."""
-        d_s = self._modes.system_dim
+        d_s = self.model.system_dim
         rho = (phi * w) @ phi.conj().T
         weight = (rho * meas.projectors.transpose(0, 2, 1)).reshape(len(meas.labels), -1)
         c, d = [], []
-        for (_, eps, _, _), u in zip(self._modes.groups, self._mode_propagators(t)):
+        for (_, eps, _, _), u in zip(self.model.groups, self._mode_propagators(t)):
             # p_k[j] T_k^{qq'}[i, j] of the group's mode g, pair (q, q') at the flat
             # index q * Q + q'
             pt = np.einsum("qgij,pgij,gj->gqpij", u, u.conj(), gibbs_weights(eps, beta))
@@ -675,10 +649,10 @@ class HeatEngine:
         ``probabilities(betas) -> (len(betas), L)``: per beta, its K weights
         times the L x K table on the branch kernel, one product per mode group
         on the mode-product route. No conditional energy is formed. The
-        tables keep the stencil per beta (``stencil``), which
+        engine keeps the stencil per (tables, beta) (``_stencil``), which
         ``score_direct_all`` reads too.
         """
-        return self._tables_for(rho0, beta, t, meas).stencil(beta)[3]
+        return self._stencil(rho0, beta, t, meas)[3]
 
 
 def log_scores(prob_at, beta):

@@ -2,7 +2,8 @@
 
 Plain numpy on dense probe- and block-sized matrices; the full-space
 Hamiltonian is sparse and lives on the model (see ``models``). Units:
-hbar = k_B = 1, beta is an inverse energy.
+hbar = k_B = 1, beta is an inverse energy. ``cached`` and ``read_only`` are
+the rule every engine and model cache stores by.
 """
 
 import math
@@ -16,6 +17,29 @@ HERMITICITY_RTOL = 1e-12
 
 class InvalidOperatorError(ValueError):
     """Matrix fails the Hermiticity (or shape) invariant."""
+
+
+def read_only(values):
+    """``values`` as a tuple, each array in it marked read-only."""
+    values = tuple(values)
+    for a in values:
+        a.setflags(write=False)
+    return values
+
+
+def cached(cache, key, compute):
+    """``cache[key]``, stored from ``compute()`` by the first call that misses it.
+
+    The one rule of every cache in thermoq: an entry is never changed once
+    stored (``dict.setdefault``), so two threads that miss one key at once each
+    compute it, and both return the first stored. With its arrays read-only
+    (``read_only``), an entry is the same immutable value to every thread that
+    shares the cache. No cache is ever emptied.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache.setdefault(key, compute())
+    return value
 
 
 @dataclass(frozen=True)

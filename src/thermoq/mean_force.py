@@ -40,7 +40,7 @@ from .engine import (
     log_scores,
     precision_bound,
 )
-from .linalg import gibbs_rows, gibbs_weights
+from .linalg import gibbs_rows, gibbs_weights, read_only
 from .models import CompositeModel, eigenbasis_measurement
 
 
@@ -82,9 +82,7 @@ class MeanForceResult:
 
 def _hermitian_part(m):
     """The Hermitian part of m, read-only."""
-    h = 0.5 * (m + m.conj().T)
-    h.setflags(write=False)
-    return h
+    return read_only((0.5 * (m + m.conj().T),))[0]
 
 
 def _probe_tables(model):

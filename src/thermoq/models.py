@@ -22,11 +22,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .linalg import HERMITICITY_RTOL, HilbertSpace, InvalidOperatorError, hermitian_eig
+from .linalg import (HERMITICITY_RTOL, HilbertSpace, InvalidOperatorError, cached,
+                     hermitian_eig, read_only)
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -110,7 +111,7 @@ class ProjectiveMeasurement:
         if dev > COMPLETENESS_ATOL:
             raise InvalidOperatorError(
                 f"basis is not orthonormal: max |B^dag B - 1| = {dev:.3e}")
-        _read_only((basis, outcome))
+        read_only((basis, outcome))
         for name, value in (("basis", basis), ("outcome", outcome), ("labels", labels)):
             object.__setattr__(self, name, value)
 
@@ -120,8 +121,7 @@ class ProjectiveMeasurement:
         for li in range(len(self.labels)):
             vecs = self.basis[:, self.outcome == li]
             projectors[li] = vecs @ vecs.conj().T
-        projectors.setflags(write=False)
-        return projectors
+        return read_only((projectors,))[0]
 
     @property
     def system_dim(self):
@@ -173,7 +173,7 @@ class ModeProductModel:
                          - np.eye(values.shape[2])).max(initial=0.0)
             if dev > COMPLETENESS_ATOL:
                 raise ValueError(f"eigenvectors are not orthonormal: max |V^T V - 1| = {dev:.3e}")
-            groups.append(_read_only((modes, energies, values, vectors)))
+            groups.append(read_only((modes, energies, values, vectors)))
         if len({len(values) for _, _, values, _ in groups}) != 1:
             raise ValueError("groups must be at least one, each with eigenpairs for the same "
                              "number of probe levels")
@@ -234,8 +234,7 @@ class CompositeModel:
 
     def __post_init__(self):
         # sector position -> (eigenpairs, eigh seconds) of each sector diagonalized
-        # so far. An entry is stored once (dict.setdefault): two threads that miss
-        # one sector at once each run its eigh, and both return the first stored
+        # so far, stored by ``linalg.cached``
         object.__setattr__(self, "_diagonalized", {})
 
     @cached_property
@@ -254,15 +253,14 @@ class CompositeModel:
         two-point scatter, each for the sectors holding a start state, and
         ``spectrum``.
         """
-        entry = self._diagonalized.get(b)
-        if entry is None:
+        def diagonalize():
             start = time.perf_counter()
             index, rows, cols, values = self.sectors[b]
             dense = np.zeros((len(index), len(index)))
             dense[rows, cols] = values
-            pairs = _read_only((index, *np.linalg.eigh(dense)))
-            entry = self._diagonalized.setdefault(b, (pairs, time.perf_counter() - start))
-        return entry[0]
+            return read_only((index, *np.linalg.eigh(dense))), time.perf_counter() - start
+
+        return cached(self._diagonalized, b, diagonalize)[0]
 
     @property
     def sectors_diagonalized(self):
@@ -316,8 +314,8 @@ class CompositeModel:
             w.append(values)
             g.append(np.einsum("sbn,tbn->stn", full, full))
             k.append(np.einsum("tbn,sbn->tsn", hv, full))
-        return _read_only((np.concatenate(w), np.concatenate(g, axis=2),
-                           np.concatenate(k, axis=2)))
+        return read_only((np.concatenate(w), np.concatenate(g, axis=2),
+                          np.concatenate(k, axis=2)))
 
     @property
     def system_dim(self):
@@ -326,12 +324,6 @@ class CompositeModel:
     @property
     def bath_dim(self):
         return self.space.total_dim // self.system_dim
-
-
-def _read_only(arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return tuple(arrays)
 
 
 def _kron_entries(dims, ops):
@@ -377,7 +369,7 @@ def _sector_blocks(d, charge, rows, cols, values):
     entry_sector = sector_of[rows]
     by_sector = np.argsort(entry_sector, kind="stable")
     # the entries sorted by sector once; each sector is then a slice of each array
-    order, rows, cols, values = _read_only(
+    order, rows, cols, values = read_only(
         (order, local[rows[by_sector]], local[cols[by_sector]], values[by_sector]))
     states = np.cumsum(counts).tolist()
     entries = np.cumsum(np.bincount(entry_sector, minlength=len(counts))).tolist()
@@ -428,9 +420,9 @@ def _compose(space, h_s_local, bath_energies, h_i, charge=None):
             raise SectorCouplingError(
                 f"H couples state {r} (charge {charge[r]}) to state {c} "
                 f"(charge {charge[c]}) in {bad.size} entries")
-        charge = _read_only((charge,))[0]
+        charge = read_only((charge,))[0]
     return CompositeModel(space, _sector_blocks(d, charge, rows, cols, data),
-                          *_read_only((h_s_local, bath_energies)), charge)
+                          *read_only((h_s_local, bath_energies)), charge)
 
 
 def build_coupled_oscillators(omega_a, omega_0, g, n_max):
@@ -566,8 +558,11 @@ def fock_measurement(n_max):
     return ProjectiveMeasurement(np.eye(d), np.arange(d), tuple(range(d)))
 
 
+@cache
 def pauli_x_measurement():
-    """Projectors onto (|0> +/- |1>)/sqrt(2), labelled +1 and -1."""
+    """Projectors onto (|0> +/- |1>)/sqrt(2), labelled +1 and -1: one measurement
+    per process, built and checked on the first call, which every caller can
+    share since a measurement is immutable."""
     return ProjectiveMeasurement(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), (0, 1), (1, -1))
 
 

@@ -28,8 +28,10 @@ from thermoq.mean_force import internal_energy_deviation
 from thermoq.models import (
     BathMode,
     build_coupled_oscillators,
+    build_dephasing_model,
     build_spin_boson_model,
     fock_measurement,
+    pauli_x_measurement,
 )
 from thermoq.validate import CHECKS, CUTOFFS, TOL_CLOSED_FORM
 
@@ -933,15 +935,27 @@ def test_revival_config_sets_no_floor_or_tail(tmp_path, key, value):
     (REVIVAL["sweep"]["t"][0], {}, ("closed_form", "saturation", "two_point", "score"), None),
     (6.283180445996904, {"n_max": 28}, ("closed_form", "saturation", "two_point"), -1),
 ], ids=["revival", "floor-straddle"])
-def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path, t, numerics, failed,
-                                                                label):
+def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path, monkeypatch, t,
+                                                                numerics, failed, label):
     # at t = 2 pi every mode revives: Gamma = C = 0, so the closed-form Fisher
     # information is its 0/0 limit 0, and the checks that need information fail
     # at that point instead of the run dying on a ZeroDivisionError; the rare
     # outcome -1 (P ~ 3e-12, a truncation artefact) fails two_point and score.
-    # Just before the revival, at n_max = 28, outcome -1 straddles the probability
-    # floor: the two-point route keeps it where the heat decomposition drops it,
-    # so two_point fails there with deviation inf and names it as 'label'
+    # Just before the revival, at n_max = 28, outcome -1 has P ~ 1e-12 on both
+    # routes, each with its own rounding: with the floor set strictly between the
+    # tables' and the two-point route's P_-, one route keeps it where the other
+    # drops it, so two_point fails there with deviation inf and names it as 'label'
+    if label is not None:
+        beta, meas = REVIVAL["sweep"]["beta"][0], pauli_x_measurement()
+        rho0 = np.full((2, 2), 0.5, complex)  # the dephasing runner's |+><+|
+        eng = HeatEngine(build_dephasing_model([BathMode(1.0, 0.1)], numerics["n_max"]))
+        _, w, phi = eng._probe(rho0, beta, meas)
+        at = meas.labels.index(label)
+        lo, hi = sorted([eng._tables_for(rho0, beta, t, meas).probabilities([beta])[0][at],
+                         eng._double_sum(eng, w, phi, beta, t, meas)[0][at]])
+        floor = 0.5 * (lo + hi)
+        assert lo < floor < hi and hi < 1e-11
+        monkeypatch.setattr(engine, "PROB_FLOOR", floor)
     config = {**REVIVAL, "sweep": {"beta": [1.0], "t": [t]}, "numerics": numerics,
               "output": {"path": str(tmp_path / "rev.csv")}}
     result = RUNNER.invoke(main, ["run", write_config(tmp_path, config)])
@@ -951,7 +965,10 @@ def test_dephasing_revival_fails_the_run_and_writes_the_sidecar(tmp_path, t, num
     failed_checks = {c["name"]: c for c in report["checks"] if not c["passed"]}
     assert set(failed_checks) == {CHECKS[c][0] for c in failed}
     assert all(c["worst_params"]["t"] == t for c in failed_checks.values())
-    assert failed_checks[CHECKS["two_point"][0]]["worst_params"].get("label") == label
+    two_point = failed_checks[CHECKS["two_point"][0]]
+    assert two_point["worst_params"].get("label") == label
+    if label is not None:
+        assert two_point["max_deviation"] == np.inf
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 4, 8])

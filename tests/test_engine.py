@@ -437,22 +437,33 @@ class TestModeProduct(_MatchesDense):
         for o in eng.heat_decomposition(*args).outcomes:
             assert abs(heats[o.label] - o.h_tra) <= TOL_TWO_POINT
 
-    def test_threads_sharing_an_engine_read_one_stored_entry(self):
+    @pytest.mark.parametrize("route", ["mode-product", "branch-kernel"])
+    def test_threads_sharing_an_engine_read_one_stored_entry(self, route):
         # eight threads evaluate one engine's points at three times, half of them
         # in reverse order, switching every microsecond: each cache stores an
-        # entry once, every thread reads the first stored, and the results are a
-        # fresh engine's
-        eng, meas = HeatEngine(DEPH_DECLARED), pauli_x_measurement()
+        # entry once (rho0's eigenpairs, the tables, the stencil, and on the mode
+        # route the propagators), every thread reads the first stored, and the
+        # results are a fresh engine's. The exchange pair is built here, so its
+        # sectors are first diagonalized by the threads too
+        if route == "mode-product":
+            model, rho0, meas = DEPH_DECLARED, PLUS, pauli_x_measurement()
+        else:
+            model, meas = build_coupled_oscillators(1.1, 1.0, 0.15, 6), fock_measurement(6)
+            rho0 = np.zeros((7, 7), dtype=complex)
+            rho0[0, 0] = 1.0
+        eng = HeatEngine(model)
+        assert eng.route == route
         points = [(beta, t) for t in (0.5, 1.7, 3.0) for beta in (0.8, 1.3)]
         seen = [{} for _ in range(8)]
 
         def evaluate(out, order):
             for beta, t in order:
-                tables = eng._tables_for(PLUS, beta, t, meas)
-                out[beta, t] = (eng._probe(PLUS, beta, meas)[1], eng._mode_propagators(t),
-                                tables, tables.stencil(beta),
-                                eng.heat_decomposition(PLUS, beta, t, meas).fisher_heat,
-                                eng.two_point_trajectory_heat_all(PLUS, beta, t, meas))
+                entries = (*eng._probe(rho0, beta, meas)[1:], eng._tables_for(rho0, beta, t, meas),
+                           eng._stencil(rho0, beta, t, meas))
+                if route == "mode-product":
+                    entries += (eng._mode_propagators(t),)
+                out[beta, t] = (entries, eng.heat_decomposition(rho0, beta, t, meas).fisher_heat,
+                                eng.two_point_trajectory_heat_all(rho0, beta, t, meas))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -467,11 +478,13 @@ class TestModeProduct(_MatchesDense):
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for (beta, t), first in seen[0].items():
-            assert all(all(a is b for a, b in zip(out[beta, t][:4], first[:4])) for out in seen)
-            ref = HeatEngine(DEPH_DECLARED)
-            assert first[4] == ref.heat_decomposition(PLUS, beta, t, meas).fisher_heat
-            assert first[5] == ref.two_point_trajectory_heat_all(PLUS, beta, t, meas)
+        for (beta, t), (first, fisher, heats) in seen[0].items():
+            for out in seen:
+                entries = out[beta, t][0]
+                assert len(entries) == len(first) and all(a is b for a, b in zip(entries, first))
+            ref = HeatEngine(model)
+            assert fisher == ref.heat_decomposition(rho0, beta, t, meas).fisher_heat
+            assert heats == ref.two_point_trajectory_heat_all(rho0, beta, t, meas)
 
     def test_two_thousand_mode_sample_of_the_scaling_run(self):
         # configs/scaling_deph.json's sample at its coldest beta: 2000 modes with
