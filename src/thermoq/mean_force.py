@@ -23,10 +23,11 @@ energies w_n of H and the diagonal of H_B (``bath_energies``):
 - Tr_B[H chi_s] is K . gibbs(beta).
 
 So a point costs O(d_s^2 d) arithmetic once the model's spectrum and
-tables exist. K carries the sparse H applied to the eigenvectors, not the
-eigenvalues w_n: the trace route of ``internal_energy_deviation`` reads K
-and the spectral route reads w, so their agreement checks the spectrum
-against H instead of comparing it with itself.
+tables exist. K carries H's stored sector blocks applied to the
+eigenvectors, not the eigenvalues w_n: the trace route of
+``internal_energy_deviation`` reads K and the spectral route reads w, so
+their agreement checks the spectrum against H instead of comparing it with
+itself.
 """
 
 import math
@@ -164,10 +165,10 @@ def internal_energy_deviation(model, beta):
     Spectrally: deviation = (energy eigenvalue) - U_S in the eigenbasis of
     E*_S. Via the full Hamiltonian: (1/P_l) Tr[Pi_l H chi_s] - Tr[H chi_s]
     with chi_s = e^{-beta H}/Z, where Tr_B[H chi_s] = K . gibbs(beta) reads
-    the model's table K[t, s, n] = Tr_B H|v_n><v_n| of the sparse H applied
-    to the eigenvectors, and P_l = occupation . gibbs(beta) the table G. So
-    this route shares no derivative with the spectral one, and it reads H
-    where the spectral route reads the eigenvalues. The largest mismatch,
+    the model's table K[t, s, n] = Tr_B H|v_n><v_n| of H's stored blocks
+    applied to the eigenvectors, and P_l = occupation . gibbs(beta) the table
+    G. So this route shares no derivative with the spectral one, and it reads
+    H where the spectral route reads the eigenvalues. The largest mismatch,
     relative to max(1, |trace deviation|) and NaN if any is NaN, is stored as
     ``dual_residual``; ``validate.check_mean_force_point`` judges it.
 

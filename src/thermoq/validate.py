@@ -11,6 +11,8 @@ family; ``verification`` is the one report that runs and cross-validation write.
 """
 
 import math
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -98,9 +100,18 @@ def identity_checks(*ids):
 
 
 def verification(checks, summary):
-    """The verification report of a list of checks and a run's summary."""
+    """The verification report of a list of checks and a run's summary, and the
+    process's ``peak_rss_mb`` so far."""
     return {"passed": all(c.passed for c in checks),
-            "checks": [c.as_dict() for c in checks], **summary}
+            "checks": [c.as_dict() for c in checks], **summary, "peak_rss_mb": _peak_rss_mb()}
+
+
+def _peak_rss_mb():
+    """The process's peak resident set size so far, in MiB: ``ru_maxrss``, which
+    Linux counts in KiB and macOS in bytes. A process that makes several calls
+    reads the peak of all of them so far, not of the last one."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def relative_error(a, b):

@@ -9,6 +9,8 @@ import io
 import itertools
 import json
 import math
+import resource
+import sys
 import time
 import tracemalloc
 import warnings
@@ -444,6 +446,21 @@ def test_sidecar_states_the_model_build_time(tmp_path, monkeypatch, experiment, 
     assert report["spectrum_s"] >= 0.002 * sectors[0]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
+def test_sidecar_and_cross_validate_report_state_the_peak_rss(tmp_path):
+    # in process, each states the process's peak so far when it is written: at
+    # least the peak before the call, at most the peak after it
+    peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    calls = {"out.csv.verification.json": ["run", tiny_he_config(tmp_path)],
+             "cv.json": ["cross-validate", "--draws", "1", "--output", str(tmp_path / "cv.json")]}
+    for name, args in calls.items():
+        before = peak()
+        result = RUNNER.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / name).read_text())
+        assert before <= report["peak_rss_mb"] <= peak()
+
+
 def test_every_unread_key_is_named_before_the_run(tmp_path, monkeypatch):
     # one usage error names every key, in every section, that a scaling run does
     # not read, and the run stops before its closed forms
@@ -782,6 +799,8 @@ class TestCrossValidateCommand:
         assert result.exit_code == 0, result.output
         sidecar = json.loads((tmp_path / "cv.json.verification.json").read_text())
         assert sidecar.pop("elapsed_seconds") > 0 and report.pop("elapsed_seconds") > 0
+        # the run comes second: the process's peak so far can only have grown
+        assert 0 < report.pop("peak_rss_mb") <= sidecar.pop("peak_rss_mb")
         assert sidecar == report
         assert report["engine_routes"] == {"heat-exchange": ["branch-kernel"],
                                            "dephasing": ["mode-product"]}
@@ -801,6 +820,7 @@ class TestCrossValidateCommand:
         option, config = (json.loads((tmp_path / name).read_text())
                           for name in ("a.json", "b.json.verification.json"))
         assert option.pop("elapsed_seconds") > 0 and config.pop("elapsed_seconds") > 0
+        assert 0 < option.pop("peak_rss_mb") <= config.pop("peak_rss_mb")
         assert option == config
 
     def test_fixed_seed_is_deterministic(self):
@@ -1076,9 +1096,12 @@ def _cold_mean_force_args(tmp_path):
 
 @pytest.fixture(scope="module")
 def warm_cli(tmp_path_factory):
-    """One call that imports scipy.sparse (mean force): that first import loads
-    charset_normalizer, whose module-level logging.StreamHandler() keeps the
-    sys.stderr of that moment for good."""
+    """One mean-force call before the tested ones, so that what a first call
+    imports or caches is in place. A module that keeps the sys.stderr of its
+    import for good would otherwise hold the first tested call's sink: the
+    module-level logging.StreamHandler() of charset_normalizer did, when mean
+    force imported scipy.sparse. No tested call imports a module on first use
+    now; a call that keeps its own sink still fails the test."""
     _call_with_fresh_sinks(_cold_mean_force_args(tmp_path_factory.mktemp("warm")))
 
 

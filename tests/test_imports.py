@@ -1,8 +1,8 @@
 """Imports: which SciPy subpackages a run loads, and that every import is read.
 
-``scipy.sparse`` loads at a ``CompositeModel``'s first ``probe_tables`` (the
-mean-force routes' one sparse product), never where H is built or its
-spectrum taken, and ``scipy.integrate`` where the scaling-he run integrates J.
+No run loads ``scipy.sparse``: H is built, diagonalized and applied to its
+eigenvectors (``CompositeModel.probe_tables``, the mean-force routes) with
+numpy alone. ``scipy.integrate`` loads where the scaling-he run integrates J.
 The pytest process has both loaded already, so each case runs in a fresh
 interpreter. No module of the package or its tests imports a name it never
 reads; ``__init__.py`` re-exports, and a line marked ``# noqa: F401`` keeps a
@@ -37,6 +37,12 @@ HEAT_EXCHANGE_RUN = RUN.format(config={
 MEAN_FORCE_RUN = RUN.format(config={
     "experiment": "mean-force", "model": {"modes": [[1.0, 0.1]], "coupling_axis": "xz"},
     "sweep": {"beta": [1.0]}, "numerics": {"n_max": 6}, "output": {"path": "mf.csv"}})
+CROSS_VALIDATE = """
+from click.testing import CliRunner
+from thermoq.cli import main
+result = CliRunner().invoke(main, ["cross-validate", "--draws", "2"])
+assert result.exit_code == 0, result.output
+"""
 
 
 IMPORT = "import thermoq, thermoq.cli"
@@ -95,12 +101,13 @@ def test_each_subpackage_loads_at_its_first_caller(tmp_path):
     after_builds, after_tables, after_he_scaling = loaded_after_each(
         [COMPOSITE_BUILDS, PROBE_TABLES, HE_SCALING], tmp_path)
     assert after_builds == set()
-    assert after_tables == {"scipy.sparse"}
+    assert after_tables == set()
     assert "scipy.integrate" in after_he_scaling
 
 
-def test_mean_force_run_loads_sparse(tmp_path):
-    assert loaded_after_each([MEAN_FORCE_RUN], tmp_path) == [{"scipy.sparse"}]
+def test_mean_force_run_and_cross_validate_load_neither(tmp_path):
+    # each reads probe_tables, on two models in the 2-draw cross-validate
+    assert loaded_after_each([MEAN_FORCE_RUN, CROSS_VALIDATE], tmp_path) == [set(), set()]
 
 
 def unread_imports(path):

@@ -1,8 +1,9 @@
-"""Spaces, the Hermitian eigendecomposition and truncation levels, plus the
-full-space helpers (Hermitian function calculus, embedding, partial trace,
-thermal states) that live in the tests' dense reference route."""
+"""Spaces, the cache rule, the Hermitian eigendecomposition and truncation
+levels, plus the full-space helpers (Hermitian function calculus, embedding,
+partial trace, thermal states) that live in the tests' dense reference route."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from thermoq.linalg import (
     HilbertSpace,
     InvalidOperatorError,
+    cached,
     gibbs_rows,
     gibbs_weights,
     hermitian_eig,
@@ -47,6 +49,29 @@ class TestHilbertSpace:
             HilbertSpace((2, 0))
         with pytest.raises(ValueError):
             HilbertSpace(())
+
+
+class TestCached:
+    def test_threads_that_both_miss_return_the_first_stored(self):
+        # each compute waits until both threads have missed the key, so both
+        # compute and both try to store: a cache that overwrites on a miss
+        # (cache[key] = compute()) hands the threads two different objects
+        cache, both_missed, read = {}, threading.Barrier(2), [None, None]
+
+        def compute():
+            both_missed.wait(timeout=10)
+            return object()
+
+        def reader(i):
+            read[i] = cached(cache, "key", compute)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert read[0] is read[1] is cache["key"]
 
 
 class TestOperatorTypes:

@@ -338,6 +338,23 @@ class TestModelBuilders:
         assert held_values.dtype == ref.data.dtype
         assert held_values[order].tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize("axis", ["x", "z", "xz"])
+    def test_block_times_v_equals_the_csr_and_the_dense_product(self, axis):
+        # cutoffs 13: blocks of 196 ('x', 'z') and 392 ('xz') states, each product
+        # over several blocks of rows, and diagonals with rows that store nothing
+        model = build_spin_boson_model(1.0, [BathMode(0.9, 0.1), BathMode(1.4, 0.15)], 13,
+                                       coupling_axis=axis)
+        assert len(model.sectors) == (1 if axis == "xz" else 2)
+        for (index, rows, cols, values), (_, _, v) in zip(model.sectors, model.spectrum):
+            n = len(index)
+            hv = models._block_times(rows, cols, values, v)
+            csr = sparse.csr_array((values, (rows, cols)), shape=(n, n)) @ v
+            dense = np.zeros((n, n))
+            dense[rows, cols] = values
+            dense = dense @ v
+            assert np.abs(hv - csr).max() <= 1e-14 * np.abs(csr).max()
+            assert np.abs(hv - dense).max() <= 1e-12 * np.abs(dense).max()
+
     def test_builders_reject_empty_modes(self):
         with pytest.raises(ValueError):
             build_dephasing_model([], 3)
