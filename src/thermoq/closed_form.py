@@ -4,8 +4,6 @@ These formulas are the cross-validation targets for the numerical engine:
 geometric outcome law and heat terms for the excitation-exchange pair,
 decoherence factor and heat terms for the dephasing probe, the associated
 precision bounds, and the low-temperature scaling pipelines.
-``scipy.integrate`` is imported by ``he_scaling_points``, its one user, at
-its first call; nothing else here loads it.
 """
 
 import math
@@ -38,8 +36,11 @@ class HEParams:
 
     def __post_init__(self):
         _require_positive_beta(self.beta)
-        if self.omega_a <= 0 or self.omega_0 <= 0 or self.t < 0:
-            raise ValueError("require positive frequencies, t >= 0")
+        if not (self.omega_a > 0 and self.omega_0 > 0 and self.t >= 0):
+            raise ValueError(f"require positive frequencies and t >= 0, got omega_a = "
+                             f"{self.omega_a!r}, omega_0 = {self.omega_0!r}, t = {self.t!r}")
+        if math.isnan(self.g):
+            raise ValueError("the coupling g is NaN")
 
     @property
     def detuning(self):
@@ -127,8 +128,8 @@ class DephParams:
         if not modes:
             raise ValueError("at least one mode required")
         _require_positive_beta(self.beta)
-        if self.t < 0:
-            raise ValueError("require t >= 0")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"require finite t >= 0, got {self.t!r}")
         object.__setattr__(self, "modes", modes)
         g2, w, nk, one_minus_cos = self.couplings**2, self.omegas, self.nbars, _one_minus_cos(self)
         for name, value in (
@@ -240,22 +241,22 @@ def he_scaling_points(j: SpectralDensity, betas, delta_ratio=0.1, time_factor=0.
     """Single-mode-approximation bound over a beta sweep.
 
     Per beta: sample frequency omega_0 = 1/beta, effective coupling
-    g^2 = integral of J up to omega_0, detuning = delta_ratio * g. The
-    evolution time is held fixed across the sweep (short compared with
-    every Rabi period, time_factor/E at the smallest beta) so the bound
-    tracks the shrinking coupling. The points keep the order of betas.
+    g^2 = integral of J up to omega_0 (``SpectralDensity.integral``),
+    detuning = delta_ratio * g. The evolution time is held fixed across the
+    sweep (short compared with every Rabi period, time_factor/E at the
+    smallest beta) so the bound tracks the shrinking coupling. The points
+    keep the order of betas.
     """
-    from scipy.integrate import quad
-
     params = []
     for beta in map(float, betas):
         omega_0 = 1.0 / beta
-        g = math.sqrt(quad(j, 0.0, omega_0)[0])
+        g = math.sqrt(j.integral(omega_0))
         params.append((beta, omega_0, g, delta_ratio * g))
     _, _, g_0, delta_0 = min(params)  # the smallest beta's
-    if g_0 == 0.0:
-        # the integral of J underflows at the smallest beta, so at every beta: with
-        # no coupling there is no Rabi period to fix t by, and no bound is finite
+    if not 0.0 < g_0 < math.inf:
+        # the integral of J underflows to 0 (then at every beta) or overflows a float
+        # at the smallest beta: with no finite coupling there is no Rabi period to
+        # fix t by, and no bound is finite
         return [(beta, math.inf) for beta, *_ in params]
     t = time_factor / math.hypot(delta_0, g_0)
     return [

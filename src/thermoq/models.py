@@ -9,13 +9,15 @@ machinery, where a non-commuting interaction is the interesting case.
 
 Every builder but ``build_dephasing_model`` returns a ``CompositeModel``,
 which stores H once, as its sparse blocks on the charge sectors (each block
-its nonzero entries), assembled, checked and multiplied with numpy alone: no
-module of thermoq imports ``scipy.sparse``. The dephasing model is a
-``ModeProductModel``: its modes grouped by cutoff, per group and probe level
-the stacked eigenpairs of the modes' factors, and no H, so its size grows with
-the sum of the squared mode cutoffs, not their product.
+its nonzero entries), assembled, checked and multiplied with numpy alone. The
+dephasing model is a ``ModeProductModel``: its modes grouped by cutoff, per
+group and probe level the stacked eigenpairs of the modes' factors, and no H,
+so its size grows with the sum of the squared mode cutoffs, not their product.
+A ``SpectralDensity`` integrates itself in closed form, with ``math`` alone, so
+no module of thermoq imports SciPy.
 """
 
+import itertools
 import math
 import numbers
 import time
@@ -44,14 +46,16 @@ def number_op(n_max):
 
 @dataclass(frozen=True)
 class BathMode:
-    """A single sample mode: frequency omega > 0, real coupling g."""
+    """A single sample mode: frequency omega in (0, inf), real coupling g, not NaN."""
 
     omega: float
     g: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("mode frequency must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"mode frequency must lie in (0, inf), got {self.omega!r}")
+        if math.isnan(self.g):
+            raise ValueError("mode coupling g is NaN")
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,69 @@ class SpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.s < 0 or self.omega_c <= 0:
-            raise ValueError("require alpha > 0, s >= 0, omega_c > 0")
+        if not (0 < self.alpha < math.inf and 0 <= self.s < math.inf
+                and 0 < self.omega_c < math.inf):
+            raise ValueError(f"require finite alpha > 0, s >= 0 and omega_c > 0, got "
+                             f"alpha = {self.alpha!r}, s = {self.s!r}, omega_c = {self.omega_c!r}")
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         return self.alpha * w**self.s * self.omega_c ** (1.0 - self.s) * np.exp(-w / self.omega_c)
+
+    def integral(self, upper):
+        """The integral of J from 0 to ``upper`` in [0, inf], in closed form:
+        alpha wc^2 gamma(s+1, upper/wc), gamma the lower incomplete gamma function;
+        inf where it overflows a float."""
+        if not upper >= 0:
+            raise ValueError(f"the upper limit must lie in [0, inf], got {upper!r}")
+        # Python floats, so that an overflow in ** or math raises OverflowError, not
+        # a numpy warning
+        alpha, s, omega_c = float(self.alpha), float(self.s), float(self.omega_c)
+        try:
+            return alpha * omega_c**2 * _lower_gamma(s + 1.0, float(upper) / omega_c)
+        except OverflowError:
+            return math.inf
+
+
+def _lower_gamma(a, z):
+    """gamma(a, z), the integral of u^{a-1} e^{-u} from 0 to z, for a >= 1, z >= 0.
+
+    Below z = a + 1 it sums the series z^a e^{-z} sum_n z^n / (a (a+1) ... (a+n))
+    (DLMF 8.7) until a term is below one ulp of the sum. From there on it is
+    Gamma(a) - Gamma(a, z), with Gamma(a, z) from Legendre's continued fraction
+    (DLMF 8.9) by Lentz's method; the series alone would read 0 once z^a e^{-z}
+    underflows, past z = 745 at a = 1. The split depends on the arguments only.
+    z^a e^{-z} is formed as (z e^{-z/a})^a, which overflows only within a factor
+    of about a of where gamma(a, z) does. A result past the float range raises
+    ``OverflowError``.
+    """
+    if z < a + 1.0:
+        power = (z * math.exp(-z / a)) ** a
+        term = total = 1.0 / a
+        n = a
+        while term > math.ulp(total):
+            n += 1.0
+            term *= z / n
+            total += term
+        return power * total
+    gamma_a = math.gamma(a)
+    if z == math.inf:
+        return gamma_a
+    # Gamma(a, z) = z^a e^{-z} / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))), with
+    # b_k = z + 2k + 1 - a and a_k = k (a - k); in this range every partial
+    # denominator stays positive
+    b = z + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    fraction = d
+    for k in itertools.count(1):
+        b += 2.0
+        a_k = k * (a - k)
+        d = 1.0 / (b + a_k * d)
+        c = b + a_k / c
+        step = c * d
+        fraction *= step
+        if abs(step - 1.0) <= math.ulp(1.0):
+            return gamma_a - (z * math.exp(-z / a)) ** a * fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +519,7 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
 
     Conserved charge: the total excitation number n_a + n_b.
     """
-    n_max = _checked_cutoff(n_max, "n_max")
+    n_max = _checked_count(n_max, "n_max")
     d = n_max + 1
     space = HilbertSpace((d, d))
     a = destroy(n_max)
@@ -471,11 +532,12 @@ def build_coupled_oscillators(omega_a, omega_0, g, n_max):
                     charge=np.add.outer(n, n).ravel())
 
 
-def _checked_cutoff(n, name):
-    """The Fock cutoff n as an int: an integer (numpy's too, a bool not) of at
-    least 1, else a ValueError; ``name`` is what the at-least-1 message calls it."""
+def _checked_count(n, name, kind="cutoff"):
+    """The count n (a Fock cutoff by default) as an int: an integer (numpy's too, a
+    bool not) of at least 1, else a ValueError; ``kind`` is what the not-an-integer
+    message calls n, and ``name`` what the at-least-1 message calls it."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"cutoff {n!r} is not an integer")
+        raise ValueError(f"{kind} {n!r} is not an integer")
     if n < 1:
         raise ValueError(f"{name} must be at least 1")
     return int(n)
@@ -485,7 +547,7 @@ def _bath_cutoffs(modes, n_max):
     cutoffs = [n_max] * len(modes) if np.isscalar(n_max) else list(n_max)
     if len(cutoffs) != len(modes):
         raise ValueError("one cutoff per mode required")
-    return [_checked_cutoff(n, "mode cutoffs") for n in cutoffs]
+    return [_checked_count(n, "mode cutoffs") for n in cutoffs]
 
 
 def _multimode_bath(modes, cutoffs, probe_op):
@@ -570,10 +632,9 @@ def discretize_spectral_density(j, k_modes, omega_max):
     g_k^2 = J(omega_k) * delta_omega with omega_k on the midpoint grid, so
     sum_k g_k^2 converges to the integral of J at O(delta_omega^2).
     """
-    if k_modes < 1:
-        raise ValueError("k_modes must be at least 1")
-    if omega_max <= 0:
-        raise ValueError("omega_max must be positive")
+    k_modes = _checked_count(k_modes, "k_modes", kind="k_modes")
+    if not 0 < omega_max < math.inf:
+        raise ValueError(f"omega_max must lie in (0, inf), got {omega_max!r}")
     d_omega = omega_max / k_modes
     omegas = (np.arange(k_modes) + 0.5) * d_omega
     gs = np.sqrt(j(omegas) * d_omega)

@@ -23,7 +23,7 @@ from click.testing import CliRunner
 
 from thermoq import __version__, cli, engine, mean_force
 from thermoq.cli import main
-from thermoq.closed_form import HEParams, he_optimal_time, scaling_fit
+from thermoq.closed_form import HEParams, he_optimal_time, he_precision_bound, scaling_fit
 from thermoq.engine import PROB_FLOOR, HeatEngine
 from thermoq.linalg import truncation_level
 from thermoq.mean_force import internal_energy_deviation
@@ -691,6 +691,20 @@ def test_scaling_rows_keep_the_config_order(experiment):
     assert sorted(unsorted) == points([5.0, 10.0, 20.0, 50.0])
 
 
+def test_a_hot_scaling_he_sweep_saturates():
+    # past omega_0 / omega_c = 1/(beta omega_c) of about 1.8e4 quad missed the
+    # integral of J by a factor near 1 (g^2 = 2.1e-22 at beta = 0.0005, not 0.01),
+    # which set the sweep's fixed t, and rows 2-4 read bound_rel 3.0446. With
+    # g^2 = alpha omega_c^2 at every beta, each row is the one saturated bound
+    # at beta omega_0 = 1, g = 0.1, detuning 0.01 and t = 0.3 / E
+    config = {"experiment": "scaling-he", "model": {"omega_c": 0.1},
+              "sweep": {"beta": [0.0005, 0.001, 0.002, 0.004]}}
+    rows, _, _ = cli.RUNNERS["scaling-he"](cli._read_config(config))
+    saturated = he_precision_bound(HEParams(1.02, 1.0, 0.1, 1.0, 0.3 / math.hypot(0.01, 0.1)))
+    assert f"{saturated:.11e}" == "2.88789811318e+00"
+    assert [row["bound_rel"] for row in rows] == pytest.approx([saturated] * 4, rel=1e-12)
+
+
 def test_a_bound_that_is_not_finite_fails_the_scaling_check(tmp_path):
     # with 50 modes the dephasing bound overflows to inf from beta = 1e4 on: the
     # run fails scaling_slope there, with deviation inf, instead of fitting a NaN
@@ -1021,13 +1035,16 @@ def test_truncated_revival_fails_closed_form_and_writes_the_sidecar(tmp_path, n_
       "sweep": {"beta": [1.0, 800]}}, ("mean_force", "ur_product"), 800),
     ({"experiment": "scaling-he", "model": {"s": 500}, "sweep": {"beta": [5, 10, 20, 50]}},
      ("scaling_slope",), 5.0),
+    ({"experiment": "scaling-he", "model": {"s": 200},
+      "sweep": {"beta": [0.001, 0.01, 0.1, 1.0]}}, ("scaling_slope",), 0.001),
 ], ids=["dephasing-gamma", "scaling-deph-gamma", "mean-force-cold", "mean-force-z-cold",
-        "scaling-he-no-coupling"])
+        "scaling-he-no-coupling", "scaling-he-coupling-overflow"])
 def test_a_point_past_the_float_range_fails_the_run_and_writes_the_sidecar(tmp_path, config,
                                                                           failed, beta):
     # e^{2 Gamma} past Gamma = 354.9, Z / Z_B at beta = 1e5, and a coupling whose
     # integral of J underflows to 0 once ended the run in a traceback with no
-    # output: each such point fails its checks in the report instead
+    # output: each such point fails its checks in the report instead, as does an
+    # integral of J past the float range (about 200! at s = 200, beta = 0.001)
     path = write_config(tmp_path, {**config, "output": {"path": str(tmp_path / "o.csv")}})
     result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 1, result.output
@@ -1094,17 +1111,6 @@ def _cold_mean_force_args(tmp_path):
     }, name="cold.json")]
 
 
-@pytest.fixture(scope="module")
-def warm_cli(tmp_path_factory):
-    """One mean-force call before the tested ones, so that what a first call
-    imports or caches is in place. A module that keeps the sys.stderr of its
-    import for good would otherwise hold the first tested call's sink: the
-    module-level logging.StreamHandler() of charset_normalizer did, when mean
-    force imported scipy.sparse. No tested call imports a module on first use
-    now; a call that keeps its own sink still fails the test."""
-    _call_with_fresh_sinks(_cold_mean_force_args(tmp_path_factory.mktemp("warm")))
-
-
 def _help_page(*commands):
     """The help page click formats for ``thermoq [commands] --help``, as printed."""
     ctx = main.make_context("thermoq", [], resilient_parsing=True)
@@ -1125,8 +1131,7 @@ HELP_AND_VERSION = {"help": ["--help"], "run-help": ["run", "--help"],
     ("cross-validate", 0, "verification passed", ""),
     *[(command, 0, None, "") for command in HELP_AND_VERSION],
 ], ids=["schema", "passing-run", "failing-run", "cross-validate", *HELP_AND_VERSION])
-def test_in_process_call_releases_its_streams(tmp_path, warm_cli, command, code, in_stdout,
-                                              stderr):
+def test_in_process_call_releases_its_streams(tmp_path, command, code, in_stdout, stderr):
     args = {"schema": ["schema"], "passing-run": _small_dephasing_args(tmp_path),
             "failing-run": _cold_mean_force_args(tmp_path),
             "cross-validate": ["cross-validate", "--draws", "1"],

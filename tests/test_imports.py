@@ -1,12 +1,11 @@
-"""Imports: which SciPy subpackages a run loads, and that every import is read.
+"""Imports: thermoq runs on numpy and click alone, and every import is read.
 
-No run loads ``scipy.sparse``: H is built, diagonalized and applied to its
-eigenvectors (``CompositeModel.probe_tables``, the mean-force routes) with
-numpy alone. ``scipy.integrate`` loads where the scaling-he run integrates J.
-The pytest process has both loaded already, so each case runs in a fresh
-interpreter. No module of the package or its tests imports a name it never
-reads; ``__init__.py`` re-exports, and a line marked ``# noqa: F401`` keeps a
-name for code that patches it there.
+SciPy is a test-only reference (``scipy.sparse``, ``scipy.linalg``, ``quad``):
+no module of the package imports it, and every stock config and a 2-draw
+cross-validate run in a fresh interpreter that cannot import it. No module of
+the package or its tests imports a name it never reads; ``__init__.py``
+re-exports, and a line marked ``# noqa: F401`` keeps a name for code that
+patches it there.
 """
 
 import ast
@@ -15,99 +14,48 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 TESTS = Path(__file__).resolve().parent
-LAZY = ("scipy.sparse", "scipy.integrate")
 
-RUN = """
-import json
+# sys.modules["scipy"] = None makes every import of scipy or a subpackage of it
+# raise ImportError
+RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
 from click.testing import CliRunner
 from thermoq.cli import main
-with open("run.json", "w") as fh:
-    json.dump({config}, fh)
-result = CliRunner().invoke(main, ["run", "run.json"])
-assert result.exit_code == 0, result.output
-"""
-DEPHASING_RUN = RUN.format(config={
-    "experiment": "dephasing", "model": {"modes": [[1.0, 0.1], [1.6, 0.15]]},
-    "sweep": {"beta": [2.0]}, "numerics": {"n_max": 14}, "output": {"path": "deph.csv"}})
-HEAT_EXCHANGE_RUN = RUN.format(config={
-    "experiment": "heat-exchange", "sweep": {"beta": [2.0, 3.0]}, "numerics": {"n_max": 14},
-    "output": {"path": "he.csv", "per_outcome": True}})
-MEAN_FORCE_RUN = RUN.format(config={
-    "experiment": "mean-force", "model": {"modes": [[1.0, 0.1]], "coupling_axis": "xz"},
-    "sweep": {"beta": [1.0]}, "numerics": {"n_max": 6}, "output": {"path": "mf.csv"}})
-CROSS_VALIDATE = """
-from click.testing import CliRunner
-from thermoq.cli import main
-result = CliRunner().invoke(main, ["cross-validate", "--draws", "2"])
-assert result.exit_code == 0, result.output
+for args in [*(["run", config] for config in sys.argv[1:]), ["cross-validate", "--draws", "2"]]:
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, (args, result.output, result.exception)
 """
 
 
-IMPORT = "import thermoq, thermoq.cli"
-SCHEMA = """
-from click.testing import CliRunner
-from thermoq.cli import main
-assert CliRunner().invoke(main, ["schema"]).exit_code == 0
-"""
-DEPH_SCALING = """
-from thermoq.closed_form import deph_scaling_points
-from thermoq.models import SpectralDensity
-deph_scaling_points(SpectralDensity(1.0, 1.0, 1.0), [1.0, 2.0, 3.0, 4.0], k_modes=50)
-"""
-COMPOSITE_BUILDS = """
-from thermoq.models import BathMode, build_coupled_oscillators, build_spin_boson_model
-modes = [BathMode(0.9, 0.1), BathMode(1.4, 0.1)]
-models = [build_coupled_oscillators(1.1, 1.0, 0.1, 3),
-          build_spin_boson_model(0.0, modes, [2, 3], coupling_axis="z"),
-          *(build_spin_boson_model(1.0, modes, 3, coupling_axis=axis)
-            for axis in ("x", "z", "xz"))]
-assert all(model.spectrum for model in models)
-"""
-PROBE_TABLES = "models[-1].probe_tables"
-HE_SCALING = """
-from thermoq.closed_form import he_scaling_points
-from thermoq.models import SpectralDensity
-he_scaling_points(SpectralDensity(1.0, 1.0, 1.0), [1.0, 2.0, 3.0, 4.0])
-"""
+def imported_modules(path):
+    """(line, module) of each absolute import in the module at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
 
 
-def loaded_after_each(steps, cwd):
-    """Per step, the modules of LAZY that are in ``sys.modules`` once a fresh
-    interpreter, started in ``cwd`` with thermoq on its path, has run that
-    step and every step before it."""
+def test_no_module_of_the_package_imports_scipy():
+    found = [f"{path.relative_to(SRC)}:{line} {module}"
+             for path in sorted((SRC / "thermoq").glob("*.py"))
+             for line, module in imported_modules(path) if module.partition(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_every_stock_config_and_cross_validate_run_without_scipy(tmp_path):
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.json"))
+    assert configs
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    report = f"print('loaded:', *(m for m in {LAZY!r} if m in sys.modules))"
-    probe = "\n".join(["import sys", *(f"{step}\n{report}" for step in steps)])
-    result = subprocess.run([sys.executable, "-c", probe], cwd=cwd, capture_output=True,
-                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_SCIPY, *configs], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "THERMOQ_OUTPUT_DIR": str(tmp_path)})
     assert result.returncode == 0, result.stderr
-    return [set(line.split()[1:]) for line in result.stdout.splitlines()
-            if line.startswith("loaded:")]
-
-
-def test_runs_that_call_neither_load_neither(tmp_path):
-    # H is assembled and checked with numpy, and no sparse Kronecker product is formed
-    steps = {"import": IMPORT, "schema": SCHEMA, "dephasing run": DEPHASING_RUN,
-             "deph_scaling_points": DEPH_SCALING,
-             "every CompositeModel build and spectrum": COMPOSITE_BUILDS,
-             "heat-exchange run": HEAT_EXCHANGE_RUN}
-    loaded = loaded_after_each(steps.values(), tmp_path)
-    assert dict(zip(steps, loaded)) == dict.fromkeys(steps, set())
-
-
-def test_each_subpackage_loads_at_its_first_caller(tmp_path):
-    after_builds, after_tables, after_he_scaling = loaded_after_each(
-        [COMPOSITE_BUILDS, PROBE_TABLES, HE_SCALING], tmp_path)
-    assert after_builds == set()
-    assert after_tables == set()
-    assert "scipy.integrate" in after_he_scaling
-
-
-def test_mean_force_run_and_cross_validate_load_neither(tmp_path):
-    # each reads probe_tables, on two models in the 2-draw cross-validate
-    assert loaded_after_each([MEAN_FORCE_RUN, CROSS_VALIDATE], tmp_path) == [set(), set()]
 
 
 def unread_imports(path):

@@ -1,9 +1,12 @@
 """Model builders, bath discretization, and measurement bases."""
 
+import decimal
+import math
 import re
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 from functools import partial, reduce
 
 import numpy as np
@@ -12,6 +15,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 from thermoq import models
+from thermoq.closed_form import DephParams, HEParams
 from thermoq.linalg import InvalidOperatorError
 from thermoq.models import (
     COMPLETENESS_ATOL,
@@ -75,6 +79,108 @@ class TestBathTypes:
     def test_spectral_density_validation(self):
         with pytest.raises(ValueError):
             SpectralDensity(alpha=-1.0, s=1.0, omega_c=1.0)
+
+    # each of these was accepted once, a NaN or inf giving NaN downstream and a
+    # k_modes of 2.5 building 3 modes at the spacing of 2.5
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BathMode(math.nan, 0.1), "mode frequency must lie in"),
+        (lambda: BathMode(math.inf, 0.1), "mode frequency must lie in"),
+        (lambda: BathMode(1.0, math.nan), "mode coupling g is NaN"),
+        (lambda: SpectralDensity(math.nan, 1.0, 1.0), "require finite alpha"),
+        (lambda: SpectralDensity(1.0, math.nan, 1.0), "require finite alpha"),
+        (lambda: SpectralDensity(1.0, 1.0, math.inf), "require finite alpha"),
+        (lambda: SpectralDensity(1.0, 1.0, 1.0).integral(math.nan), "upper limit"),
+        (lambda: SpectralDensity(1.0, 1.0, 1.0).integral(-1.0), "upper limit"),
+        (lambda: HEParams(math.nan, 1.0, 0.1, 1.0, 1.0), "require positive frequencies"),
+        (lambda: HEParams(1.0, 1.0, 0.1, 1.0, math.nan), "require positive frequencies"),
+        (lambda: DephParams((BathMode(1.0, 0.1),), 1.0, math.nan), "require finite t"),
+        (lambda: discretize_spectral_density(SpectralDensity(1.0, 1.0, 1.0), 2.5, 10.0),
+         "k_modes 2.5 is not an integer"),
+        (lambda: discretize_spectral_density(SpectralDensity(1.0, 1.0, 1.0), 10, math.nan),
+         "omega_max must lie in"),
+    ], ids=["mode-omega-nan", "mode-omega-inf", "mode-g-nan", "j-alpha-nan", "j-s-nan",
+            "j-omega_c-inf", "j-integral-nan", "j-integral-negative", "he-omega_a-nan",
+            "he-t-nan", "deph-t-nan", "k_modes-fraction", "omega_max-nan"])
+    def test_public_constructors_reject_a_value_out_of_range(self, build, message):
+        with pytest.raises(ValueError, match=message) as info:
+            build()
+        assert type(info.value) is ValueError
+
+
+def _lower_gamma_series(a, z):
+    """gamma(a, z) from its power series in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, z = Decimal(a), Decimal(z)
+        term = total = 1 / a
+        n = a
+        while term > total * Decimal("1e-45"):
+            n += 1
+            term *= z / n
+            total += term
+        return float(total * (a * z.ln() - z).exp())
+
+
+def _lower_gamma_integer(n, z):
+    """gamma(n+1, z) = n! (1 - e^{-z} sum_{k<=n} z^k/k!), in 60-digit decimal
+    arithmetic, which keeps the difference exact to a float where it cancels."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z = Decimal(z)
+        terms = [Decimal(1)]
+        for k in range(1, n + 1):
+            terms.append(terms[-1] * z / k)
+        return float(math.factorial(n) * (1 - (-z).exp() * sum(terms)))
+
+
+class TestSpectralDensityIntegral:
+    BETAS = np.logspace(np.log10(0.05), np.log10(50.0), 25)
+
+    @pytest.mark.parametrize("omega_c", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0, 3.0])
+    def test_matches_quad(self, s, omega_c):
+        # the upper limits of the scaling-he sweeps, omega_0 = 1/beta
+        j = SpectralDensity(0.7, s, omega_c)
+        closed = [j.integral(1.0 / beta) for beta in self.BETAS]
+        assert closed == pytest.approx([quad(j, 0.0, 1.0 / beta)[0] for beta in self.BETAS],
+                                       rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("omega_c", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_fractional_s_matches_the_series_in_extended_precision(self, s, omega_c):
+        # J' is singular at 0 here: on this grid quad is off by up to 3.4e-12
+        # (s = 0.25) and 2.2e-11 (s = 0.5) relative, against mpmath at 40 digits,
+        # while the closed form is within 7.1e-16 of the 50-digit series
+        j = SpectralDensity(0.7, s, omega_c)
+        closed = [j.integral(1.0 / beta) for beta in self.BETAS]
+        series = [0.7 * omega_c**2 * _lower_gamma_series(s + 1.0, 1.0 / (beta * omega_c))
+                  for beta in self.BETAS]
+        assert closed == pytest.approx(series, rel=1e-14, abs=0)
+        assert closed == pytest.approx([quad(j, 0.0, 1.0 / beta)[0] for beta in self.BETAS],
+                                       rel=5e-11, abs=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_integer_s_matches_the_finite_sum(self, n):
+        # z from 1e-6 to 1e5: both sides of the series / continued-fraction split at
+        # z = n + 2, past z = 745, where z^a e^{-z} underflows and the series alone
+        # would read 0, and past z = 1.8e4, where quad misses the integral by a
+        # factor near 1
+        zs = [10.0 ** (e / 4) for e in range(-24, 21)] + [n + 2.0, 746.0, 5e3, 5e4]
+        j = SpectralDensity(1.0, float(n), 1.0)
+        assert [j.integral(z) for z in zs] == pytest.approx(
+            [_lower_gamma_integer(n, z) for z in zs], rel=1e-14, abs=0)
+
+    def test_limits_of_the_range(self):
+        j = SpectralDensity(0.5, 2.0, 3.0)
+        assert j.integral(0.0) == 0.0
+        assert j.integral(math.inf) == pytest.approx(0.5 * 3.0**2 * math.gamma(3.0), rel=1e-15)
+        # the integral to 1000 is about 200! ~ 7.9e374: inf, not an OverflowError,
+        # while an alpha small enough brings the same gamma function back in range
+        assert SpectralDensity(1.0, 200.0, 1.0).integral(1000.0) == math.inf
+        assert SpectralDensity(1e-300, 160.0, 1.0).integral(1e9) == pytest.approx(
+            1e-300 * math.gamma(161.0), rel=1e-13)
+        # gamma(501, 0.2) ~ 0.2^501 / 501 underflows to 0
+        assert SpectralDensity(1.0, 500.0, 1.0).integral(0.2) == 0.0
 
 
 class TestProjectiveMeasurement:
@@ -375,7 +481,7 @@ class TestDeclaredDephasingModel:
     MODES = [BathMode(1.0, 0.1), BathMode(1.5, 0.2), BathMode(0.7, 0.15), BathMode(2.0, 0.1)]
 
     def test_builds_no_sparse_matrix_and_no_sample_space_array(self):
-        # that the build never loads scipy.sparse is checked in test_imports.py
+        # that no module of thermoq imports scipy is checked in test_imports.py
         model = build_dephasing_model(self.MODES, 2)
         assert isinstance(model, ModeProductModel) and model.bath_dim == 81
         assert not hasattr(model, "sectors")
