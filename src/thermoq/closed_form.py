@@ -276,6 +276,10 @@ def deph_scaling_points(j: SpectralDensity, betas, t=None, k_modes=2000, omega_m
     if omega_max is None:
         omega_max = 10.0 * j.omega_c
     modes = tuple(discretize_spectral_density(j, k_modes, omega_max))
+    if not all(math.isfinite(m.g) for m in modes):
+        # J overflows a float at some mode: that mode's coupling is infinite, and
+        # no bound is finite
+        return [(float(beta), math.inf) for beta in betas]
     return [
         (float(beta), deph_precision_bound(DephParams(modes, float(beta), t)))
         for beta in betas

@@ -93,11 +93,13 @@ table build or two-point call that reaches it, and a sector no start state
 reaches is never diagonalized. The amplitudes stay on the reached
 states. The tables are <A_k|Pi_l (x) 1|A_k> and <A_k|Pi_l (x) H_B|A_k>, each
 L x K, read in the measurement's basis B per row (k, i), the amplitudes of
-branch k on the final sample level i: a row on one probe level s adds
-|a|^2 <s|Pi_l|s> to outcome l (summed per (k, s), then one (K, d_s) x (d_s, L)
-product), and a row on several (a branch that reaches two sectors, or a
-sector holding one sample level twice) adds |B^dag a|^2 over outcome l's
-columns, each weighted by 1 and by eps_i. P_l at beta is the weights
+branch k on the final sample level i, and mapped to the outcomes by the
+measurement's readout matrix E (``ProjectiveMeasurement.readout``, L x d_s):
+a row on one probe level s adds |a|^2 <s|Pi_l|s> = |a|^2 sum_m E[l, m]
+|B[s, m]|^2 to outcome l (summed per (k, s), then one (K, d_s) x (d_s, L)
+product with |B|^2 E^T), and a row on several (a branch that reaches two
+sectors, or a sector holding one sample level twice) adds E |B^dag a|^2,
+each weighted by 1 and by eps_i. P_l at beta is the weights
 w_r p_j(beta) times the first table. Per (rho0, t) it costs
 two real K_b x |I_b| x |I_b| products per reached sector, K_b the branches
 starting in sector b (and that sector's eigh, once per model), and per beta
@@ -476,7 +478,6 @@ class HeatEngine:
         s, i = np.divmod(np.concatenate(state), d_b)
         eps = self.model.bath_energies
         n_k, n_l = n_r * d_b, len(meas.labels)
-        members = (meas.outcome == np.arange(n_l)[:, None]).astype(float)
         # row (k, i) holds the amplitudes of branch k on the sample level i. A row on
         # one probe level s reads |<e_m, i|A_k>|^2 = |a|^2 |B[s, m]|^2, so it adds
         # |a|^2 <s|Pi_l|s> to outcome l, summed per (k, s) first
@@ -485,15 +486,15 @@ class HeatEngine:
         one = count[row] == 1
         at = k[one] * d_s + s[one]
         weight = np.abs(amp[one]) ** 2
-        diagonal = np.abs(meas.basis) ** 2 @ members.T
+        diagonal = np.abs(meas.basis) ** 2 @ meas.readout.T
         prob = np.bincount(at, weight, n_k * d_s).reshape(n_k, d_s) @ diagonal
         energy = np.bincount(at, weight * eps[i[one]], n_k * d_s).reshape(n_k, d_s) @ diagonal
-        # a row on several probe levels is read in the measurement's basis; summed
-        # over outcome l's columns, its hits add to (k, l) weighted by 1 and by eps_i
+        # a row on several probe levels is read in the measurement's basis; mapped by
+        # the readout, its hits add to (k, l) weighted by 1 and by eps_i
         spread = np.flatnonzero(count > 1)
         y = np.zeros((len(spread), d_s), dtype=complex)
         y[np.cumsum(count > 1)[row[~one]] - 1, s[~one]] = amp[~one]
-        hits = np.abs(y @ meas.basis.conj()) ** 2 @ members.T
+        hits = np.abs(y @ meas.basis.conj()) ** 2 @ meas.readout.T
         at = ((spread // d_b * n_l)[:, None] + np.arange(n_l)).ravel()
         prob += np.bincount(at, hits.ravel(), n_k * n_l).reshape(n_k, n_l)
         energy += np.bincount(at, (hits * eps[spread % d_b, None]).ravel(),
@@ -574,7 +575,7 @@ class HeatEngine:
           a sector, and the amplitudes take O(K d) memory with
           K = rank(rho0) * d_b. Any other sector would add exact zeros, so it
           is skipped and never diagonalized. The outcomes are read in the
-          measurement's basis, each basis vector counted towards its outcome.
+          measurement's basis, mapped to the outcomes by its ``readout``.
 
         Neither branch reads the tables: not the kernel's start-state
         propagation or its readout, nor the mode route's M_k/N_k diagonals.
@@ -631,11 +632,10 @@ class HeatEngine:
             # several states of a sector may share j_m, so the adds accumulate
             np.add.at(amp, (index[:, None], slice(None), j), u[:, :, None] * phi[s])
         amp = amp.reshape(d_s, -1)
-        # outcome l and final sample level i in branch k: q[l, i, k] is the sum
-        # of |<e_m, v_i|amp_k>|^2 over the measurement's basis vectors e_m of outcome l
+        # outcome l and final sample level i in branch k: q[l, i, k] sums
+        # |<e_m, v_i|amp_k>|^2 over the basis vectors e_m, weighted by the readout E[l, m]
         hits = np.abs(meas.basis.conj().T @ amp) ** 2
-        q = ((meas.outcome == np.arange(len(meas.labels))[:, None]) @ hits).reshape(
-            -1, d_b, len(c))
+        q = (meas.readout @ hits).reshape(-1, d_b, len(c))
         q_c = q @ c
         return q_c.sum(axis=1), (q @ c_eps).sum(axis=1) - q_c @ eps
 

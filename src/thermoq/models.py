@@ -21,7 +21,7 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -73,8 +73,15 @@ class SpectralDensity:
                              f"alpha = {self.alpha!r}, s = {self.s!r}, omega_c = {self.omega_c!r}")
 
     def __call__(self, omega):
-        w = np.asarray(omega, dtype=float)
-        return self.alpha * w**self.s * self.omega_c ** (1.0 - self.s) * np.exp(-w / self.omega_c)
+        """J at each omega, alpha wc x^s e^{-x} with x = omega/wc. From s = 1 on it is
+        formed as (x e^{-x/s} (alpha wc)^{1/s})^s, as ``_lower_gamma`` forms z^a e^{-z},
+        so it is inf only where J passes the float range and never forms inf * 0."""
+        x = np.asarray(omega, dtype=float) / self.omega_c
+        scale = self.alpha * self.omega_c
+        if self.s < 1:  # x^s e^{-x} <= 1
+            return scale * (x**self.s * np.exp(-x))
+        with np.errstate(over="ignore"):
+            return (x * np.exp(-x / self.s) * scale ** (1.0 / self.s)) ** self.s
 
     def integral(self, upper):
         """The integral of J from 0 to ``upper`` in [0, inf], in closed form:
@@ -134,27 +141,31 @@ def _lower_gamma(a, z):
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Projective measurement on the system factor, stored as an orthonormal basis.
+    """Projective measurement on the system factor: an orthonormal basis and its
+    readout matrix.
 
     Column m of the square matrix ``basis`` belongs to the outcome
     ``labels[outcome[m]]``; the labels are distinct, since every route reports
-    its outcomes by label. ``projectors[l]`` is the sum of |e_m><e_m| over
-    outcome l's columns, derived on first read as a read-only (L, d_s, d_s)
-    array; an outcome with no column has the zero projector. Only the engine's
-    mode-product route (its two-point branch too) and mean force read that
-    stack; the branch kernel works from ``basis`` and ``outcome``. A unitary
-    basis makes the projectors Hermitian, idempotent, mutually orthogonal and
-    complete, so that one invariant, max |B^dag B - 1| <= COMPLETENESS_ATOL,
-    is checked.
+    its outcomes by label. The map is stored once, as ``readout``, the
+    read-only (L, M) float64 matrix with readout[l, m] = 1 when column m
+    belongs to outcome l and 0 otherwise; ``outcome`` is not kept. The branch
+    kernel and its two-point route read ``readout``; the mode-product route
+    and mean force read ``projectors``, where ``projectors[l]`` is the sum of
+    |e_m><e_m| over the columns of row l, derived on first read as a
+    read-only (L, d_s, d_s) array (the zero projector for an empty row). A
+    unitary basis makes the projectors Hermitian, idempotent, mutually
+    orthogonal and complete, so that one invariant, max |B^dag B - 1| <=
+    COMPLETENESS_ATOL, is checked.
     """
 
     basis: np.ndarray
-    outcome: np.ndarray
+    outcome: InitVar[np.ndarray]
     labels: tuple
+    readout: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, outcome):
         basis = np.array(self.basis, dtype=complex)
-        outcome = np.array(self.outcome)
+        outcome = np.array(outcome)
         labels = tuple(self.labels)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise InvalidOperatorError("basis must be a square matrix")
@@ -170,15 +181,16 @@ class ProjectiveMeasurement:
         if dev > COMPLETENESS_ATOL:
             raise InvalidOperatorError(
                 f"basis is not orthonormal: max |B^dag B - 1| = {dev:.3e}")
-        read_only((basis, outcome))
-        for name, value in (("basis", basis), ("outcome", outcome), ("labels", labels)):
+        readout = (outcome == np.arange(len(labels))[:, None]).astype(float)
+        read_only((basis, readout))
+        for name, value in (("basis", basis), ("labels", labels), ("readout", readout)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def projectors(self):
         projectors = np.zeros((len(self.labels), *self.basis.shape), dtype=complex)
-        for li in range(len(self.labels)):
-            vecs = self.basis[:, self.outcome == li]
+        for li, row in enumerate(self.readout):
+            vecs = self.basis[:, row == 1]
             projectors[li] = vecs @ vecs.conj().T
         return read_only((projectors,))[0]
 

@@ -20,7 +20,6 @@ from thermoq.engine import HeatEngine
 from thermoq.linalg import truncation_level
 from thermoq.mean_force import (
     energy_operator,
-    internal_energy_deviation,
     reduced_gibbs_operator,
     temperature_energy_ur_check,
 )
@@ -35,7 +34,9 @@ from thermoq.models import (
 from thermoq.validate import (
     TOL_AVG_HEAT,
     TOL_FISHER,
+    TOL_UR_PRODUCT,
     check_engine_point,
+    check_mean_force_point,
     deph_point,
     engine_draws,
     he_point,
@@ -188,8 +189,11 @@ def test_criterion_09_mean_force_identities():
     modes = [BathMode(0.8, 0.15), BathMode(1.3, 0.15)]
     cutoffs = [truncation_level(beta, m.omega, 1e-8) + 2 for m in modes]
     model = build_spin_boson_model(1.0, modes, cutoffs, coupling_axis="xz")
-
-    result = internal_energy_deviation(model, beta)
+    # (c) the dual internal-energy deviation and (d) the UR product at saturation,
+    # judged by the runners' definition of each check
+    checks = identity_checks("mean_force", "ur_product")
+    result, delta_u, _ = check_mean_force_point(checks, model, beta, {"beta": beta})
+    assert all(c.passed for c in checks.values()), [c.as_dict() for c in checks.values()]
 
     # (a) reduced-Gibbs reconstruction
     h_star = result.h_star
@@ -212,13 +216,9 @@ def test_criterion_09_mean_force_identities():
     residual = np.abs(0.5 * (e_star @ a + a @ e_star) - d).max()
     assert residual <= 1e-8 * np.abs(d).max()
 
-    # (c) dual computation of the internal-energy deviation
-    assert result.dual_residual <= 1e-6
-
     # (d) Fisher of the energy-operator eigenbasis equals the variance
-    delta_u, fisher, product = temperature_energy_ur_check(result)
-    assert abs(fisher - delta_u**2) / delta_u**2 <= 1e-5
-    assert abs(product - 1.0) <= 1e-5
+    _, fisher, _ = temperature_energy_ur_check(result)
+    assert abs(fisher - delta_u**2) / delta_u**2 <= TOL_UR_PRODUCT
 
 
 def test_criterion_10_weak_coupling_collapse():

@@ -1037,16 +1037,25 @@ def test_truncated_revival_fails_closed_form_and_writes_the_sidecar(tmp_path, n_
      ("scaling_slope",), 5.0),
     ({"experiment": "scaling-he", "model": {"s": 200},
       "sweep": {"beta": [0.001, 0.01, 0.1, 1.0]}}, ("scaling_slope",), 0.001),
+    ({"experiment": "scaling-deph", "model": {"s": 200, "k_modes": 50, "omega_max": 2000.0},
+      "sweep": {"beta": [1, 2, 3, 4]}}, ("scaling_slope",), 1.0),
+    ({"experiment": "scaling-deph", "model": {"s": 400}, "sweep": {"beta": [1, 2, 3, 4]}},
+     ("scaling_slope",), 1.0),
 ], ids=["dephasing-gamma", "scaling-deph-gamma", "mean-force-cold", "mean-force-z-cold",
-        "scaling-he-no-coupling", "scaling-he-coupling-overflow"])
+        "scaling-he-no-coupling", "scaling-he-coupling-overflow",
+        "scaling-deph-coupling-overflow", "scaling-deph-coupling-overflow-s400"])
 def test_a_point_past_the_float_range_fails_the_run_and_writes_the_sidecar(tmp_path, config,
                                                                           failed, beta):
     # e^{2 Gamma} past Gamma = 354.9, Z / Z_B at beta = 1e5, and a coupling whose
     # integral of J underflows to 0 once ended the run in a traceback with no
     # output: each such point fails its checks in the report instead, as does an
-    # integral of J past the float range (about 200! at s = 200, beta = 0.001)
+    # integral of J past the float range (about 200! at s = 200, beta = 0.001) and
+    # a J past it at a discretized mode (e^{860} near omega = 200 at s = 200, once
+    # formed as inf * 0 and a NaN coupling), with no RuntimeWarning
     path = write_config(tmp_path, {**config, "output": {"path": str(tmp_path / "o.csv")}})
-    result = RUNNER.invoke(main, ["run", path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = RUNNER.invoke(main, ["run", path])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     rows = (tmp_path / "o.csv").read_text().splitlines()[3:]

@@ -242,3 +242,12 @@ class TestScaling:
         slope, _, r2 = scaling_fit(deph_scaling_points(j, betas))
         assert slope == pytest.approx(2.0, abs=0.1)
         assert r2 > 0.99
+
+    def test_dephasing_points_are_inf_once_a_coupling_is(self):
+        # J near omega = 200 is e^{860}: that midpoint mode's coupling is inf, and
+        # DephParams would form inf * 0 from it at n = 0
+        j = SpectralDensity(alpha=1.0, s=200.0, omega_c=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = deph_scaling_points(j, [1.0, 2.0], k_modes=50, omega_max=2000.0)
+        assert points == [(1.0, math.inf), (2.0, math.inf)]

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from decimal import Decimal
 from functools import partial, reduce
 
@@ -133,6 +134,48 @@ def _lower_gamma_integer(n, z):
         return float(math.factorial(n) * (1 - (-z).exp() * sum(terms)))
 
 
+def _spectral_density_decimal(alpha, s, omega_c, omega):
+    """exp(ln alpha + ln wc + s ln x - x), x = omega/wc, in 40-digit decimal
+    arithmetic: in floats the rounding of s ln x alone reaches 1.9e-13 relative
+    at s = 200."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(omega) / Decimal(omega_c)
+        return float((Decimal(alpha).ln() + Decimal(omega_c).ln() + Decimal(s) * x.ln()
+                      - x).exp())
+
+
+class TestSpectralDensity:
+    @pytest.mark.parametrize("alpha, omega_c", [(0.7, 5.0), (2.0, 0.3), (1.0, 1.0)])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 3.5, 200.0])
+    def test_matches_the_logarithmic_form(self, s, alpha, omega_c):
+        # x from 1e-3 to 700: at s = 200, J passes the float range between
+        # x = 43 and x = 555, and the power w^s alone from x = 35 on
+        omegas = omega_c * np.geomspace(1e-3, 700.0, 301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = SpectralDensity(alpha, s, omega_c)(omegas)
+        exact = np.array([_spectral_density_decimal(alpha, s, omega_c, w) for w in omegas])
+        finite = exact < np.inf
+        assert np.array_equal(np.isinf(values), ~finite)
+        normal = finite & (exact >= np.finfo(float).tiny)
+        assert values[normal] == pytest.approx(exact[normal], rel=1e-13, abs=0)
+
+    def test_a_value_near_the_float_maximum_is_finite(self):
+        # x^200 e^{-x} at x = 43.2 is e^{709.97}, past the float range, while J at
+        # alpha = 0.5 is e^{709.27}, within it
+        assert _spectral_density_decimal(1.0, 200.0, 1.0, 43.2) == math.inf
+        assert SpectralDensity(0.5, 200.0, 1.0)(43.2) == pytest.approx(
+            _spectral_density_decimal(0.5, 200.0, 1.0, 43.2), rel=1e-13)
+
+    def test_large_s_at_the_last_mode(self):
+        # the last midpoint mode of 50 up to omega_max = 2000 at s = 200, wc = 1,
+        # where J = e^{-462}: the power 1980^200 alone overflows, and times
+        # e^{-1980} = 0 it read NaN
+        assert SpectralDensity(1.0, 200.0, 1.0)(1980.0) == pytest.approx(
+            _spectral_density_decimal(1.0, 200.0, 1.0, 1980.0), rel=1e-13)
+
+
 class TestSpectralDensityIntegral:
     BETAS = np.logspace(np.log10(0.05), np.log10(50.0), 25)
 
@@ -206,7 +249,7 @@ class TestProjectiveMeasurement:
     def test_label_count_must_match(self):
         fock = fock_measurement(2)
         with pytest.raises(ValueError, match="labels"):
-            ProjectiveMeasurement(fock.basis, fock.outcome, (0, 1))
+            ProjectiveMeasurement(fock.basis, np.arange(3), (0, 1))
 
     @pytest.mark.parametrize("labels, repeated", [((5, 5, 7), "5"), ((1, 2, 1.0), "1.0")],
                              ids=["equal", "equal-value"])
@@ -252,8 +295,30 @@ class TestProjectiveMeasurement:
         basis = np.eye(2)
         meas = ProjectiveMeasurement(basis, np.arange(2), (0, 1))
         assert basis.flags.writeable
-        for array in (meas.basis, meas.outcome, meas.projectors):
+        for array in (meas.basis, meas.readout, meas.projectors):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("meas", [
+        fock_measurement(5),
+        pauli_x_measurement(),
+        eigenbasis_measurement(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]), degeneracy_tol=1e-9),
+        ProjectiveMeasurement(np.eye(4), (2, 0, 2, 1), ("a", "b", "c", "empty")),
+    ], ids=["fock", "pauli-x", "degenerate-eigenbasis", "grouped-with-empty"])
+    def test_readout_is_the_one_outcome_map(self, meas):
+        # readout[l, m] = 1 exactly when column m belongs to outcome l: one 1 per
+        # column, and the constructor keeps no outcome index beside it
+        readout = meas.readout
+        assert readout.dtype == np.float64
+        assert readout.shape == (len(meas.labels), meas.system_dim)
+        assert np.isin(readout, (0.0, 1.0)).all()
+        assert np.array_equal(readout.sum(axis=0), np.ones(meas.system_dim))
+        assert not hasattr(meas, "outcome")
+
+    def test_readout_of_a_grouped_measurement(self):
+        meas = ProjectiveMeasurement(np.eye(4), (2, 0, 2, 1), ("a", "b", "c", "empty"))
+        assert np.array_equal(meas.readout, [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0],
+                                             [0, 0, 0, 0]])
+        assert np.array_equal(meas.projectors[3], np.zeros((4, 4)))
 
     def test_projectors_are_derived_on_first_read(self):
         # the CI hot point's 97 outcomes: the (97, 97, 97) complex stack alone

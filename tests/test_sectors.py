@@ -16,6 +16,7 @@ from thermoq.models import (
     SIGMA_X,
     SIGMA_Z,
     BathMode,
+    ProjectiveMeasurement,
     SectorCouplingError,
     _compose,
     _multimode_bath,
@@ -139,6 +140,33 @@ def test_partial_support_rho0_matches_dense(state, measurement):
     rank = 2 if state == "mixture-1-3" else 1
     assert len(_probe_eigenpairs(rho0, meas, n_max + 1)[0]) == rank
     _assert_engine_matches_dense(model, rho0, 1.1, 2.3, meas)
+
+
+def _grouped_measurement(rng, d):
+    """A random unitary basis, the QR of a complex Gaussian, whose d columns go two
+    by two, in shuffled order, to ceil(d/2) outcomes."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return ProjectiveMeasurement(basis, rng.permutation(np.arange(d) // 2),
+                                 tuple(range((d + 1) // 2)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("state", ["full-rank", "vacuum"])
+def test_grouped_measurement_matches_dense(state, seed):
+    # readout rows with two 1s on non-Fock basis vectors: from a full-rank rho0 the
+    # rows (k, i) span several probe levels (the kernel's spread readout), from
+    # the vacuum each lies on one
+    rng = np.random.default_rng(seed)
+    n_max = int(rng.integers(5, 9))
+    model = build_coupled_oscillators(rng.uniform(0.9, 1.4), rng.uniform(0.9, 1.2),
+                                      rng.uniform(0.05, 0.3), n_max)
+    meas = _grouped_measurement(rng, n_max + 1)
+    assert sorted(meas.readout.sum(axis=1)) == [1.0] * ((n_max + 1) % 2) + [2.0] * (
+        (n_max + 1) // 2)
+    rho0 = (_random_density(rng, n_max + 1) if state == "full-rank" else
+            _exchange_probe_state("vacuum", n_max + 1, None))
+    _assert_engine_matches_dense(model, rho0, rng.uniform(0.8, 1.5), rng.uniform(0.5, 3.0),
+                                 meas)
 
 
 def test_vacuum_build_propagates_exactly_the_sectors_it_reaches():
