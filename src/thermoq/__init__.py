@@ -36,7 +36,6 @@ from .closed_form import (
     deph_scaling_points,
     he_fisher,
     he_heat_terms,
-    he_mean_excitation,
     he_optimal_time,
     he_outcome_probability,
     he_precision_bound,

@@ -158,6 +158,8 @@ def _modes(name, pairs):
     for k, (omega, g) in enumerate(pairs):
         if not (_is_number(g) and math.isfinite(g)):
             raise ConfigError(f"{name}[{k}] coupling g must be a finite number, got {g!r}")
+        if math.isinf(float(g) * float(g)):
+            raise ConfigError(f"{name}[{k}] coupling g = {g!r} squares past the float range")
         modes.append(BathMode(_positive(f"{name}[{k}] omega", omega), float(g)))
     return modes
 
@@ -203,13 +205,13 @@ CONFIG_KEYS = {
         **_N_MAX, **_OUTPUT, **_PER_OUTCOME},
     "dephasing": {
         "model.modes": (_coupled_modes, None,
-                        "[[omega, g], ...] with omega > 0, g finite, some g != 0"),
+                        "[[omega, g], ...] with omega > 0, g^2 finite, some g != 0"),
         "sweep.beta": (_axis(_positive), [1.0], "list of floats > 0"),
         "sweep.t": (_axis(_positive), [math.pi], "list of floats > 0"),
         **_N_MAX, **_OUTPUT, **_PER_OUTCOME},
     "mean-force": {
         "model.omega_q": (_positive, 1.0, "float > 0"),
-        "model.modes": (_modes, None, "[[omega, g], ...] with omega > 0, g finite"),
+        "model.modes": (_modes, None, "[[omega, g], ...] with omega > 0, g^2 finite"),
         "model.coupling_axis": (_one_of("x", "z", "xz"), "xz", "'x' | 'z' | 'xz'"),
         "sweep.beta": (_axis(_positive), [1.0], "list of floats > 0"),
         **_N_MAX, **_OUTPUT},

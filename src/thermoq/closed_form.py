@@ -4,6 +4,12 @@ These formulas are the cross-validation targets for the numerical engine:
 geometric outcome law and heat terms for the excitation-exchange pair,
 decoherence factor and heat terms for the dephasing probe, the associated
 precision bounds, and the low-temperature scaling pipelines.
+
+Every closed form follows one pattern: a working point's parameter object
+(``HEParams``, ``DephParams``) forms its derived quantities once, in
+``__post_init__``, as fields, and the closed forms only read those fields.
+``dataclasses.replace`` runs ``__post_init__`` again, so the fields follow a
+changed parameter.
 """
 
 import math
@@ -13,65 +19,65 @@ import numpy as np
 
 from . import engine
 from .engine import _require_positive_beta
+from .linalg import read_only
 from .models import SpectralDensity, discretize_spectral_density
 
 
 def _nbar(beta, omega):
-    """Thermal occupation 1/(e^{beta omega} - 1), overflow-safe."""
-    x = beta * omega
-    if x > 700:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    """Thermal occupation 1/(e^{beta omega} - 1), elementwise over omega, 0 where
+    beta omega > 700 (overflow-safe)."""
+    x = beta * np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700)))
+
+
+def _set_fields(obj, **values):
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
 class HEParams:
-    """Coupled-oscillator thermometer working point."""
+    """Coupled-oscillator thermometer working point.
+
+    Computed once, at construction, and read by every closed form: ``rabi``,
+    the effective oscillation frequency E = sqrt(delta^2 + g^2) with detuning
+    delta = (omega_a - omega_0)/2; ``nbar_b``, the sample's thermal occupation
+    at omega_0; and ``n``, the mean thermometer excitation
+    n(t) = nbar_b g^2/E^2 sin^2(E t) (0 where E = 0).
+    """
 
     omega_a: float
     omega_0: float
     g: float
     beta: float
     t: float
+    rabi: float = field(init=False)
+    nbar_b: float = field(init=False)
+    n: float = field(init=False)
 
     def __post_init__(self):
         _require_positive_beta(self.beta)
-        if not (self.omega_a > 0 and self.omega_0 > 0 and self.t >= 0):
-            raise ValueError(f"require positive frequencies and t >= 0, got omega_a = "
-                             f"{self.omega_a!r}, omega_0 = {self.omega_0!r}, t = {self.t!r}")
+        if not (0 < self.omega_a < math.inf and 0 < self.omega_0 < math.inf
+                and 0 <= self.t < math.inf):
+            raise ValueError(f"require positive frequencies and t >= 0, each finite, got "
+                             f"omega_a = {self.omega_a!r}, omega_0 = {self.omega_0!r}, "
+                             f"t = {self.t!r}")
         if math.isnan(self.g):
             raise ValueError("the coupling g is NaN")
-
-    @property
-    def detuning(self):
-        return (self.omega_a - self.omega_0) / 2.0
-
-    @property
-    def rabi(self):
-        """Effective oscillation frequency sqrt(detuning^2 + g^2)."""
-        return math.hypot(self.detuning, self.g)
-
-    @property
-    def nbar_b(self):
-        return _nbar(self.beta, self.omega_0)
-
-
-def he_mean_excitation(p: HEParams):
-    """Mean thermometer excitation n(t) = nbar_b g^2/E^2 sin^2(E t)."""
-    e = p.rabi
-    if e == 0.0:
-        return 0.0
-    return p.nbar_b * (p.g / e) ** 2 * math.sin(e * p.t) ** 2
+        rabi = math.hypot((self.omega_a - self.omega_0) / 2.0, self.g)
+        nbar_b = float(_nbar(self.beta, self.omega_0))
+        n = 0.0 if rabi == 0.0 else nbar_b * (self.g / rabi) ** 2 * math.sin(rabi * self.t) ** 2
+        _set_fields(self, rabi=rabi, nbar_b=nbar_b, n=n)
 
 
 def he_outcome_probability(p: HEParams, l):
     """Geometric outcome law P_l = n^l / (1+n)^{l+1}."""
     if l < 0:
         raise ValueError("outcome l must be nonnegative")
-    n = he_mean_excitation(p)
-    if n == 0.0:
+    if p.n == 0.0:
         return 1.0 if l == 0 else 0.0
-    return n**l / (1.0 + n) ** (l + 1)
+    return p.n**l / (1.0 + p.n) ** (l + 1)
 
 
 def he_heat_terms(p: HEParams, l):
@@ -79,24 +85,19 @@ def he_heat_terms(p: HEParams, l):
 
     H_tra = l omega_0; H_cor = (nbar_b - n)/(1 + n) * (l - n) omega_0.
     """
-    n = he_mean_excitation(p)
-    h_tra = l * p.omega_0
-    h_cor = (p.nbar_b - n) / (1.0 + n) * (l - n) * p.omega_0
-    return h_tra, h_cor
+    return l * p.omega_0, (p.nbar_b - p.n) / (1.0 + p.n) * (l - p.n) * p.omega_0
 
 
 def he_fisher(p: HEParams):
     """Closed-form Fisher information omega_0^2 (1+nbar_b)^2 n/(1+n)."""
-    n = he_mean_excitation(p)
-    return p.omega_0**2 * (1.0 + p.nbar_b) ** 2 * n / (1.0 + n)
+    return p.omega_0**2 * (1.0 + p.nbar_b) ** 2 * p.n / (1.0 + p.n)
 
 
 def he_precision_bound(p: HEParams):
     """Relative bound Delta beta/beta = sqrt((1+n)/n) / (beta omega_0 (1+nbar_b))."""
-    n = he_mean_excitation(p)
-    if n <= 0.0:
+    if p.n <= 0.0:
         return math.inf
-    return math.sqrt((1.0 + n) / n) / (p.beta * p.omega_0 * (1.0 + p.nbar_b))
+    return math.sqrt((1.0 + p.n) / p.n) / (p.beta * p.omega_0 * (1.0 + p.nbar_b))
 
 
 def he_optimal_time(p: HEParams):
@@ -110,15 +111,23 @@ def he_optimal_time(p: HEParams):
 class DephParams:
     """Dephasing thermometer working point over explicit modes.
 
-    Computed once, at construction, and read by every closed form:
-    ``gamma``, the decoherence exponent 4 sum_k g_k^2/w_k^2 (2n_k+1)(1-cos w_k t);
-    ``Q``, the average heat -2 sum_k g_k^2/w_k (1-cos w_k t); and ``C``, the
-    thermal-fluctuation weight -4 sum_k g_k^2/w_k n_k(1+n_k)(1-cos w_k t).
+    Computed once, at construction, and read by every closed form: the
+    per-mode read-only arrays ``omegas`` w_k, ``couplings`` g_k, ``nbars``
+    n_k (the thermal occupations) and ``one_minus_cos`` 1 - cos w_k t, which
+    take no part in ``==`` or ``hash``; ``gamma``, the decoherence exponent
+    4 sum_k g_k^2/w_k^2 (2n_k+1)(1-cos w_k t); ``Q``, the average heat
+    -2 sum_k g_k^2/w_k (1-cos w_k t); and ``C``, the thermal-fluctuation weight
+    -4 sum_k g_k^2/w_k n_k(1+n_k)(1-cos w_k t). A coupling whose square passes
+    the float range is a ``ValueError`` naming its mode.
     """
 
     modes: tuple
     beta: float
     t: float
+    omegas: np.ndarray = field(init=False, repr=False, compare=False)
+    couplings: np.ndarray = field(init=False, repr=False, compare=False)
+    nbars: np.ndarray = field(init=False, repr=False, compare=False)
+    one_minus_cos: np.ndarray = field(init=False, repr=False, compare=False)
     gamma: float = field(init=False)
     Q: float = field(init=False)
     C: float = field(init=False)
@@ -130,31 +139,19 @@ class DephParams:
         _require_positive_beta(self.beta)
         if not 0 <= self.t < math.inf:
             raise ValueError(f"require finite t >= 0, got {self.t!r}")
-        object.__setattr__(self, "modes", modes)
-        g2, w, nk, one_minus_cos = self.couplings**2, self.omegas, self.nbars, _one_minus_cos(self)
-        for name, value in (
-                ("gamma", 4.0 * np.sum(g2 / w**2 * (2.0 * nk + 1.0) * one_minus_cos)),
-                ("Q", -2.0 * np.sum(g2 / w * one_minus_cos)),
-                ("C", -4.0 * np.sum(g2 / w * nk * (1.0 + nk) * one_minus_cos))):
-            object.__setattr__(self, name, float(value))
-
-    @property
-    def omegas(self):
-        return np.array([m.omega for m in self.modes])
-
-    @property
-    def couplings(self):
-        return np.array([m.g for m in self.modes])
-
-    @property
-    def nbars(self):
-        x = self.beta * self.omegas
-        with np.errstate(over="ignore"):
-            return np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700)))
-
-
-def _one_minus_cos(p: DephParams):
-    return 1.0 - np.cos(p.omegas * p.t)
+        w = np.array([m.omega for m in modes])
+        g = np.array([m.g for m in modes])
+        for k, g_k in enumerate(g.tolist()):
+            if math.isinf(g_k * g_k):
+                raise ValueError(f"mode {k} coupling g = {g_k!r}: g^2 passes the float range")
+        nk, one_minus_cos = _nbar(self.beta, w), 1.0 - np.cos(w * self.t)
+        g2 = g**2
+        _set_fields(self, modes=modes, omegas=w, couplings=g, nbars=nk,
+                    one_minus_cos=one_minus_cos,
+                    gamma=float(4.0 * np.sum(g2 / w**2 * (2.0 * nk + 1.0) * one_minus_cos)),
+                    Q=float(-2.0 * np.sum(g2 / w * one_minus_cos)),
+                    C=float(-4.0 * np.sum(g2 / w * nk * (1.0 + nk) * one_minus_cos)))
+        read_only((w, g, nk, one_minus_cos))
 
 
 class SuppressedOutcomeError(ValueError):
@@ -276,9 +273,9 @@ def deph_scaling_points(j: SpectralDensity, betas, t=None, k_modes=2000, omega_m
     if omega_max is None:
         omega_max = 10.0 * j.omega_c
     modes = tuple(discretize_spectral_density(j, k_modes, omega_max))
-    if not all(math.isfinite(m.g) for m in modes):
-        # J overflows a float at some mode: that mode's coupling is infinite, and
-        # no bound is finite
+    if any(math.isinf(m.g * m.g) for m in modes):
+        # J overflows a float at some mode: that mode's coupling, or its square,
+        # is infinite, and no bound is finite
         return [(float(beta), math.inf) for beta in betas]
     return [
         (float(beta), deph_precision_bound(DephParams(modes, float(beta), t)))

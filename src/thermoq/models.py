@@ -150,12 +150,12 @@ class ProjectiveMeasurement:
     read-only (L, M) float64 matrix with readout[l, m] = 1 when column m
     belongs to outcome l and 0 otherwise; ``outcome`` is not kept. The branch
     kernel and its two-point route read ``readout``; the mode-product route
-    and mean force read ``projectors``, where ``projectors[l]`` is the sum of
-    |e_m><e_m| over the columns of row l, derived on first read as a
-    read-only (L, d_s, d_s) array (the zero projector for an empty row). A
-    unitary basis makes the projectors Hermitian, idempotent, mutually
-    orthogonal and complete, so that one invariant, max |B^dag B - 1| <=
-    COMPLETENESS_ATOL, is checked.
+    and mean force read ``projectors``, where ``projectors[l]`` is the effect
+    sum_m readout[l, m] |e_m><e_m| = B diag(readout[l]) B^dag, derived on
+    first read by one contraction as a read-only (L, d_s, d_s) array (the
+    zero projector for an empty row). A unitary basis makes the projectors
+    Hermitian, idempotent, mutually orthogonal and complete, so that one
+    invariant, max |B^dag B - 1| <= COMPLETENESS_ATOL, is checked.
     """
 
     basis: np.ndarray
@@ -188,10 +188,7 @@ class ProjectiveMeasurement:
 
     @cached_property
     def projectors(self):
-        projectors = np.zeros((len(self.labels), *self.basis.shape), dtype=complex)
-        for li, row in enumerate(self.readout):
-            vecs = self.basis[:, row == 1]
-            projectors[li] = vecs @ vecs.conj().T
+        projectors = np.einsum("im,lm,jm->lij", self.basis, self.readout, self.basis.conj())
         return read_only((projectors,))[0]
 
     @property

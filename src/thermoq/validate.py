@@ -146,7 +146,7 @@ def he_point(he, n_max):
     # H_tra = l omega_0 and <l> = n, so <H_tra> = omega_0 n
     return WorkingPoint(vacuum, he.beta, he.t, partial(cf.he_outcome_probability, he),
                         partial(cf.he_heat_terms, he), cf.he_fisher(he),
-                        cf.he_precision_bound(he), he.omega_0 * cf.he_mean_excitation(he))
+                        cf.he_precision_bound(he), he.omega_0 * he.n)
 
 
 def deph_point(dp):

@@ -1067,6 +1067,22 @@ def test_a_point_past_the_float_range_fails_the_run_and_writes_the_sidecar(tmp_p
     assert any(c["max_deviation"] == np.inf for c in failed_checks.values())
 
 
+@pytest.mark.parametrize("experiment", ["dephasing", "mean-force"])
+def test_a_coupling_whose_square_passes_the_float_range_is_usage_error(tmp_path, experiment):
+    # g = 1e200 once squared into a RuntimeWarning in DephParams and failed the
+    # run's checks with NaN; the parser refuses it before any build
+    path = write_config(tmp_path, {
+        "experiment": experiment, "model": {"modes": [[1.0, 1e200]]},
+        "sweep": {"beta": [1.0]}, "numerics": {"n_max": 5},
+        "output": {"path": str(tmp_path / "o.csv")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = RUNNER.invoke(main, ["run", path])
+    assert result.exit_code == 2, result.output
+    assert "model.modes[0] coupling g = 1e+200 squares past the float range" in result.output
+    assert not list(tmp_path.glob("o.csv*"))
+
+
 def test_vanishing_energy_variance_fails_the_run_and_writes_the_sidecar(tmp_path):
     # at beta = 300 the probe sits in its ground state, so Delta U = 0 and there
     # is no UR product: that point fails 'ur_product' in the report, with NaN in

@@ -1,5 +1,6 @@
 """Closed forms for both thermometer families and the scaling pipelines."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from thermoq.closed_form import (
     deph_scaling_points,
     he_fisher,
     he_heat_terms,
-    he_mean_excitation,
     he_optimal_time,
     he_outcome_probability,
     he_precision_bound,
@@ -42,24 +42,24 @@ class TestExchangeClosedForms:
     def test_mean_excitation_full_swap(self):
         p = HEParams(1.0, 1.0, 0.1, 1.0, he_optimal_time(HEParams(1.0, 1.0, 0.1, 1.0, 0.0)))
         nbar_b = 1.0 / math.expm1(1.0)
-        assert he_mean_excitation(p) == pytest.approx(nbar_b, rel=1e-12)
+        assert p.n == pytest.approx(nbar_b, rel=1e-12)
 
     def test_detuning_suppresses_transfer(self):
         t = 1.3
-        resonant = he_mean_excitation(HEParams(1.0, 1.0, 0.1, 1.0, t))
-        detuned = he_mean_excitation(HEParams(1.6, 1.0, 0.1, 1.0, t))
+        resonant = HEParams(1.0, 1.0, 0.1, 1.0, t).n
+        detuned = HEParams(1.6, 1.0, 0.1, 1.0, t).n
         assert detuned < resonant
 
     def test_probabilities_are_geometric_and_normalized(self):
         p = HEParams(1.2, 1.0, 0.2, 1.0, 2.0)
-        n = he_mean_excitation(p)
+        n = p.n
         probs = [he_outcome_probability(p, l) for l in range(200)]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         assert probs[1] / probs[0] == pytest.approx(n / (1.0 + n), rel=1e-12)
 
     def test_score_mean_and_variance(self):
         p = HEParams(1.1, 1.0, 0.15, 1.2, 1.8)
-        n = he_mean_excitation(p)
+        n = p.n
         scores = []
         probs = []
         avg = sum(he_outcome_probability(p, l) * he_heat_terms(p, l)[0]
@@ -97,24 +97,39 @@ class TestExchangeClosedForms:
     def test_score_prefactor_enhances_precision(self):
         # (1+nbar_b)/(1+nbar(t)) >= 1, equality only at the full swap
         p_partial = HEParams(1.0, 1.0, 0.1, 1.0, 1.0)
-        n = he_mean_excitation(p_partial)
+        n = p_partial.n
         nbar_b = p_partial.nbar_b
         assert (1.0 + nbar_b) / (1.0 + n) >= 1.0
         p_full = HEParams(1.0, 1.0, 0.1, 1.0,
                           he_optimal_time(HEParams(1.0, 1.0, 0.1, 1.0, 0.0)))
-        n_full = he_mean_excitation(p_full)
+        n_full = p_full.n
         assert (1.0 + nbar_b) / (1.0 + n_full) == pytest.approx(1.0, rel=1e-12)
 
     def test_optimal_time_maximizes_transfer(self):
         p0 = HEParams(1.3, 1.0, 0.2, 1.0, 0.0)
         t_opt = he_optimal_time(p0)
-        best = he_mean_excitation(HEParams(1.3, 1.0, 0.2, 1.0, t_opt))
+        best = HEParams(1.3, 1.0, 0.2, 1.0, t_opt).n
         for t in (0.7 * t_opt, 1.3 * t_opt):
-            assert he_mean_excitation(HEParams(1.3, 1.0, 0.2, 1.0, t)) <= best
+            assert HEParams(1.3, 1.0, 0.2, 1.0, t).n <= best
 
     def test_no_optimal_time_without_coupling_or_detuning(self):
         with pytest.raises(ValueError, match="no half-swap time"):
             he_optimal_time(HEParams(1.0, 1.0, 0.0, 1.0, 0.0))
+
+    def test_derived_fields(self):
+        p = HEParams(1.3, 1.0, 0.2, 1.1, 2.0)
+        assert p.rabi == pytest.approx(math.hypot(0.15, 0.2), rel=1e-15)
+        assert p.nbar_b == pytest.approx(1.0 / math.expm1(1.1), rel=1e-15)
+        assert p.n == pytest.approx(
+            p.nbar_b * (0.2 / p.rabi) ** 2 * math.sin(2.0 * p.rabi) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
+    def test_replace_forms_the_derived_fields_anew(self, t):
+        # dataclasses.replace runs __post_init__ again, so n follows the new t
+        p = dataclasses.replace(HEParams(1.2, 1.0, 0.15, 1.3, 5.0), t=t)
+        fresh = HEParams(1.2, 1.0, 0.15, 1.3, t)
+        assert (p.rabi, p.nbar_b, p.n) == (fresh.rabi, fresh.nbar_b, fresh.n)
+        assert p == fresh
 
 
 class TestDephasingClosedForms:
@@ -127,6 +142,33 @@ class TestDephasingClosedForms:
         assert p.Q == pytest.approx(-0.040000, abs=1e-10)
         assert p.C == pytest.approx(-0.073654, abs=1e-6)
         assert deph_precision_bound(p) == pytest.approx(4.3665, abs=1e-3)
+
+    def test_per_mode_arrays_are_formed_once_and_read_only(self):
+        w = np.array([1.0, 1.7])
+        p = DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.12)), 1.2, 2.1)
+        assert p.omegas is p.omegas
+        np.testing.assert_array_equal(p.omegas, w)
+        np.testing.assert_array_equal(p.couplings, [0.1, 0.12])
+        np.testing.assert_allclose(p.nbars, 1.0 / np.expm1(1.2 * w), rtol=1e-15)
+        np.testing.assert_array_equal(p.one_minus_cos, 1.0 - np.cos(2.1 * w))
+        for array in (p.omegas, p.couplings, p.nbars, p.one_minus_cos):
+            assert not array.flags.writeable
+
+    def test_params_compare_and_hash_by_their_inputs(self):
+        modes = (BathMode(1.0, 0.1), BathMode(1.7, 0.12))
+        p, q = DephParams(modes, 1.2, 2.1), DephParams(list(modes), 1.2, 2.1)
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, DephParams(modes, 1.2, 2.2)}) == 2
+        assert dataclasses.replace(p, t=2.2) == DephParams(modes, 1.2, 2.2)
+
+    @pytest.mark.parametrize("g", [1e200, -1e155, math.inf])
+    def test_a_coupling_whose_square_passes_the_float_range_is_named(self, g):
+        # g = 1e200 once squared into a RuntimeWarning and NaN closed forms
+        modes = (BathMode(1.0, 0.1), BathMode(2.0, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"mode 1 coupling g = .*: g\^2 passes"):
+                DephParams(modes, 1.0, 1.0)
 
     def test_gamma_derivative_is_twice_C(self):
         p = self.worked_point()

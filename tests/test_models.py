@@ -40,6 +40,11 @@ from thermoq.models import (
 from dense_reference import dense_hamiltonian
 
 
+def _random_hermitian(d, seed):
+    re, im = np.random.default_rng(seed).normal(size=(2, d, d))
+    return (re + re.T) + 1j * (im - im.T)
+
+
 def _assert_canonical_blocks(model):
     """H's held sector blocks are read-only, float64 with no exact zero, each
     sector's entries strictly ascending row-major; the sectors' states partition
@@ -94,14 +99,18 @@ class TestBathTypes:
         (lambda: SpectralDensity(1.0, 1.0, 1.0).integral(-1.0), "upper limit"),
         (lambda: HEParams(math.nan, 1.0, 0.1, 1.0, 1.0), "require positive frequencies"),
         (lambda: HEParams(1.0, 1.0, 0.1, 1.0, math.nan), "require positive frequencies"),
+        (lambda: HEParams(1.0, 1.0, 0.1, 1.0, math.inf), "require positive frequencies"),
         (lambda: DephParams((BathMode(1.0, 0.1),), 1.0, math.nan), "require finite t"),
+        (lambda: DephParams((BathMode(1.0, 0.1), BathMode(1.0, 1e200)), 1.0, 1.0),
+         "mode 1 coupling g = 1e"),
         (lambda: discretize_spectral_density(SpectralDensity(1.0, 1.0, 1.0), 2.5, 10.0),
          "k_modes 2.5 is not an integer"),
         (lambda: discretize_spectral_density(SpectralDensity(1.0, 1.0, 1.0), 10, math.nan),
          "omega_max must lie in"),
     ], ids=["mode-omega-nan", "mode-omega-inf", "mode-g-nan", "j-alpha-nan", "j-s-nan",
             "j-omega_c-inf", "j-integral-nan", "j-integral-negative", "he-omega_a-nan",
-            "he-t-nan", "deph-t-nan", "k_modes-fraction", "omega_max-nan"])
+            "he-t-nan", "he-t-inf", "deph-t-nan", "deph-g-squared-overflow", "k_modes-fraction",
+            "omega_max-nan"])
     def test_public_constructors_reject_a_value_out_of_range(self, build, message):
         with pytest.raises(ValueError, match=message) as info:
             build()
@@ -319,6 +328,25 @@ class TestProjectiveMeasurement:
         assert np.array_equal(meas.readout, [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0],
                                              [0, 0, 0, 0]])
         assert np.array_equal(meas.projectors[3], np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("meas", [
+        fock_measurement(5),
+        pauli_x_measurement(),
+        eigenbasis_measurement(_random_hermitian(6, 3), degeneracy_tol=1e-9),
+        ProjectiveMeasurement(np.linalg.qr(_random_hermitian(6, 4))[0], (2, 0, 2, 1, 0, 2),
+                              ("a", "b", "c", "empty")),
+    ], ids=["fock", "pauli-x", "complex-eigenbasis", "grouped-with-empty"])
+    def test_projectors_are_the_effects_of_the_readout(self, meas):
+        # B diag(E_l) B^dag by one contraction: a 0/1 readout adds only exact
+        # zeros, so an outcome of one column gets its rank-one product to the bit
+        # and an empty one the zero projector
+        for proj, row in zip(meas.projectors, meas.readout):
+            vecs = meas.basis[:, row == 1]
+            expected = vecs @ vecs.conj().T
+            if row.sum() <= 1:
+                assert np.array_equal(proj, expected)
+            else:
+                assert np.abs(proj - expected).max() <= 4 * np.finfo(float).eps
 
     def test_projectors_are_derived_on_first_read(self):
         # the CI hot point's 97 outcomes: the (97, 97, 97) complex stack alone

@@ -89,15 +89,21 @@ def test_exact_reference_passes_every_check(engine_points, family):
     assert excluded < 1e-6 * len(point[1].labels)
 
 
-def test_dephasing_point_evaluates_its_closed_forms_once(engine_points, monkeypatch):
-    # Gamma, Q and C come from one pass over the modes per DephParams, however
-    # many closed forms and outcomes read them
-    real = cf._one_minus_cos
+@pytest.mark.parametrize("family", ["he", "deph"])
+def test_a_point_forms_its_derived_quantities_once(engine_points, monkeypatch, family):
+    # the thermal occupation, and with it n (exchange) or Gamma, Q and C
+    # (dephasing), is formed once per parameter object, at construction, however
+    # many closed forms and outcomes read it
+    real = cf._nbar
     calls = []
-    monkeypatch.setattr(cf, "_one_minus_cos", lambda p: calls.append(p) or real(p))
-    point = engine_points["deph"][-1]
-    dp = cf.DephParams((BathMode(1.0, 0.1), BathMode(1.7, 0.15)), point.beta, point.t)
-    checks, _ = run_point(engine_points["deph"], deph_point(dp))
+    monkeypatch.setattr(cf, "_nbar", lambda *a: calls.append(a) or real(*a))
+    point = engine_points[family][-1]
+    if family == "he":
+        working_point = he_point(cf.HEParams(1.0, 1.0, 0.1, point.beta, point.t), 14)
+    else:
+        working_point = deph_point(cf.DephParams(
+            (BathMode(1.0, 0.1), BathMode(1.7, 0.15)), point.beta, point.t))
+    checks, _ = run_point(engine_points[family], working_point)
     assert all(c.passed for c in checks.values())
     assert len(calls) == 1
 
